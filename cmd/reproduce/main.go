@@ -257,17 +257,18 @@ func (r *runner) campaign(id string) (*savat.MatrixStats, paperdata.Experiment, 
 	go func() {
 		defer wg.Done()
 		shown := false
+		progress := cliconf.NewProgress(os.Stderr)
 		for ev := range ch {
 			r.storeProgress(ev)
 			// Cache-served replays finish too fast to be worth drawing.
 			if !ev.Cached || shown {
 				shown = true
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells (%d cached)",
+				progress.Printf(ev.Stats.Done == ev.Stats.Total, "%s: %d/%d cells (%d cached)",
 					id, ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
 			}
 		}
 		if shown {
-			fmt.Fprintln(os.Stderr)
+			progress.End()
 		}
 	}()
 	res, err := savat.RunSpecContext(r.ctx, spec, opts)

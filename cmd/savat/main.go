@@ -160,13 +160,14 @@ func run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			progress := cliconf.NewProgress(os.Stderr)
 			for ev := range ch {
 				last = ev.Stats
 				lastEvent.Store(ev)
-				fmt.Fprintf(os.Stderr, "\rmeasuring %d/%d cells (%d cached)",
+				progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %d/%d cells (%d cached)",
 					ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
 			}
-			fmt.Fprintln(os.Stderr)
+			progress.End()
 		}()
 		res, err := savat.RunSpecContext(ctx, spec, opts)
 		wg.Wait()

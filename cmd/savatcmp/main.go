@@ -156,11 +156,12 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		progress := cliconf.NewProgress(os.Stderr)
 		for ev := range ch {
-			fmt.Fprintf(os.Stderr, "\rmeasuring %s: %d/%d cells",
+			progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %s: %d/%d cells",
 				spec.Machine, ev.Stats.Done, ev.Stats.Total)
 		}
-		fmt.Fprintln(os.Stderr)
+		progress.End()
 	}()
 	res, err := savat.RunSpecContext(ctx, spec, opts)
 	wg.Wait()

@@ -43,6 +43,12 @@ func TestSentinelErrors(t *testing.T) {
 		{[]string{"-distance", "-0.5"}, ErrBadDistance},
 		{[]string{"-freq", "0"}, ErrBadFrequency},
 		{[]string{"-freq", "-80e3"}, ErrBadFrequency},
+		// Non-finite values are rejected, not measured into a NaN SAVAT
+		// (distance) or an out-of-range band index (frequency).
+		{[]string{"-distance", "NaN"}, ErrBadDistance},
+		{[]string{"-distance", "+Inf"}, ErrBadDistance},
+		{[]string{"-freq", "NaN"}, ErrBadFrequency},
+		{[]string{"-freq", "Inf"}, ErrBadFrequency},
 		{[]string{"-repeats", "0"}, ErrBadRepeats},
 		{[]string{"-repeats", "-3"}, ErrBadRepeats},
 		// The first problem wins when several flags are bad.

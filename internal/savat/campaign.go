@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/arena"
@@ -94,8 +93,10 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 // identities — not matrix positions — so results are reproducible,
 // independent of scheduling and of which other events the campaign
 // includes, and exactly equal to MeasurePair for the same pair. The
-// kernel (and its calibrated loop count) is built once per pair and
-// reused across repetitions, as the paper's fixed binary was; fully
+// kernel (and its calibrated loop count) and its alternation come from
+// the process-wide simulation cache: built once per pair and reused
+// across repetitions, workers, and later campaigns — channels, seeds,
+// and distances included — as the paper's fixed binary was; fully
 // cached pairs never build a kernel at all.
 //
 // Cancelling ctx stops new cells promptly, lets in-flight cells finish,
@@ -135,28 +136,6 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 		cache = NewSynthCache(2*opts.Repeats + 2)
 	}
 
-	// One kernel per pair, built lazily on first need and shared across
-	// repetitions and retries.
-	kernels := make([]*Kernel, n*n)
-	kernelErrs := make([]error, n*n)
-	kernelOnce := make([]sync.Once, n*n)
-	kernelFor := func(i, j int) (*Kernel, error) {
-		p := i*n + j
-		kernelOnce[p].Do(func() {
-			k, err := BuildKernel(mc, events[i], events[j], cfg.Frequency)
-			if err == nil {
-				// The chain's program countermeasures rewrite the pair's
-				// kernel once, deterministically (CounterSeed) — the
-				// campaign's kernel, like the paper's fixed binary, is
-				// shared across repetitions.
-				k, err = applyProgramCountermeasures(k, cfg.Countermeasures,
-					CounterSeed(opts.Seed, events[i], events[j]))
-			}
-			kernels[p], kernelErrs[p] = k, err
-		})
-		return kernels[p], kernelErrs[p]
-	}
-
 	spec := engine.Spec{
 		Rows: n, Cols: n, Reps: opts.Repeats,
 		Fingerprint: campaignFingerprint(mc, cfg, events, opts.Seed, opts.Repeats),
@@ -164,26 +143,30 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 			return cellKeyMaterial(mc, cfg, events[i], events[j], opts.Seed, r)
 		},
 		// Each engine worker owns one Measurer (and through it one
-		// MeasureScratch), so steady-state cells reuse sample buffers, FFT
-		// plans, and per-pair alternation results without locking, while
-		// all workers share the campaign synthesis-product cache: a
-		// matrix row's envelope products and a repetition's noise PSD are
-		// computed once and reused by every row- and repetition-mate.
-		// Neither scratch nor cache ever influences values: cells remain
-		// exactly equal to Measurer.MeasurePair for the same seed. Each
-		// worker also gets its own arena so steady-state cell compute
-		// performs zero heap allocations (arenas are single-owner —
-		// never shared across workers).
+		// MeasureScratch), so steady-state cells reuse sample buffers and
+		// FFT plans without locking, while all workers share the campaign
+		// synthesis-product cache — a matrix row's envelope products and a
+		// repetition's noise PSD are computed once and reused by every row-
+		// and repetition-mate — and the process-wide simulation cache of
+		// kernels and alternations. No cache ever influences values:
+		// cells remain exactly equal to Measurer.MeasurePair for the same
+		// seed. Each worker also gets its own arena so steady-state cell
+		// compute performs zero heap allocations (arenas are
+		// single-owner — never shared across workers).
 		NewWorkerState: func() any {
 			return NewMeasurer(mc, cfg, WithPool(opts.AnalyzerPool),
 				WithSynthCache(cache), WithArena(arena.New()))
 		},
-		ComputeState: func(_ context.Context, state any, i, j, r int) (float64, error) {
-			k, err := kernelFor(i, j)
+		ComputeState: func(ctx context.Context, state any, i, j, r int) (float64, error) {
+			// The chain's program countermeasures rewrite the pair's kernel
+			// deterministically (CounterSeed), so the rewritten kernel, like
+			// the paper's fixed binary, is shared across repetitions.
+			meas := state.(*Measurer)
+			k, err := meas.kernel(ctx, events[i], events[j], CounterSeed(opts.Seed, events[i], events[j]))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v: %w", events[i], events[j], err)
 			}
-			m, err := state.(*Measurer).MeasureKernelSeeds(k, CampaignSeeds(opts.Seed, events[i], r))
+			m, err := meas.measureKernelSeeds(ctx, k, CampaignSeeds(opts.Seed, events[i], r))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v rep %d: %w", events[i], events[j], r, err)
 			}

@@ -12,8 +12,8 @@ import (
 // applyProgramCountermeasures returns the kernel with the chain's
 // program countermeasures applied (no-op insertion, shuffling), seeded
 // deterministically. A chain without program countermeasures returns k
-// unchanged — same pointer, so alternation-cache identity and the
-// pre-countermeasure pipeline are untouched. The input kernel is never
+// unchanged — same pointer and content, so the pre-countermeasure
+// pipeline is untouched. The input kernel is never
 // mutated; a transformed kernel is a fresh value sharing the calibrated
 // loop count (the paper's methodology fixes the binary, then measures).
 func applyProgramCountermeasures(k *Kernel, chain counter.Chain, seed int64) (*Kernel, error) {
@@ -26,6 +26,7 @@ func applyProgramCountermeasures(k *Kernel, chain counter.Chain, seed int64) (*K
 	}
 	k2 := *k
 	k2.Program, k2.PhaseAt = prog, phaseAt
+	k2.sum = sumKernel(prog, phaseAt)
 	return &k2, nil
 }
 

@@ -2,6 +2,7 @@ package savat
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/activity"
@@ -94,6 +95,11 @@ type Kernel struct {
 	// ArrayBytes records the sweep-array size chosen for each half
 	// (0 for non-memory events).
 	ArrayBytes [2]int
+
+	// sum is the content address of Program and PhaseAt, sealed by the
+	// constructors; it keys the shared alternation cache. Kernels are
+	// never mutated after construction.
+	sum kernelSum
 }
 
 // arrayBytes picks the sweep-array size that produces the event's cache
@@ -268,8 +274,8 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 	if !a.Valid() || !b.Valid() {
 		return nil, fmt.Errorf("savat: invalid event pair %v/%v", a, b)
 	}
-	if frequency <= 0 {
-		return nil, fmt.Errorf("savat: non-positive alternation frequency %g", frequency)
+	if !(frequency > 0) || math.IsInf(frequency, 1) {
+		return nil, fmt.Errorf("savat: alternation frequency %g not positive and finite", frequency)
 	}
 	if stride <= 0 || stride&3 != 0 {
 		return nil, fmt.Errorf("savat: stride %d must be a positive multiple of 4", stride)
@@ -324,15 +330,17 @@ func assemble(mc machine.Config, a, b Event, frequency float64, loopCount, strid
 	if !ok {
 		return nil, fmt.Errorf("savat: kernel missing phaseB label")
 	}
+	phaseAt := map[int]int{int(outer): PhaseA, int(phaseB): PhaseB}
 	return &Kernel{
 		A: a, B: b,
 		LoopCount: loopCount,
 		Frequency: frequency,
 		Program:   prog.Instructions,
-		PhaseAt:   map[int]int{int(outer): PhaseA, int(phaseB): PhaseB},
+		PhaseAt:   phaseAt,
 		ArrayBytes: [2]int{
 			memArrayBytes(a, mc), memArrayBytes(b, mc),
 		},
+		sum: sumKernel(prog.Instructions, phaseAt),
 	}, nil
 }
 
@@ -375,8 +383,8 @@ func (k *Kernel) Alternation(mc machine.Config, warmupPeriods, measurePeriods in
 }
 
 // alternationHier is Alternation with an optional reusable memory
-// hierarchy (see machine.RunOptions.Hier); the measurement scratch
-// threads its per-worker hierarchy through here.
+// hierarchy (see machine.RunOptions.Hier); the simulation cache threads
+// a pooled hierarchy through here.
 func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriods int, hier *memhier.Hierarchy) (*AlternationResult, error) {
 	if warmupPeriods < 0 || measurePeriods <= 0 {
 		return nil, fmt.Errorf("savat: bad period counts warmup=%d measure=%d", warmupPeriods, measurePeriods)

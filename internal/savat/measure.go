@@ -2,6 +2,7 @@ package savat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/activity"
@@ -88,16 +89,38 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// Resource bounds Config.Validate enforces. Both sit far above any
+// setup the paper uses (3 warm-up and 6 measured periods; a 1 s
+// capture at 2^18 samples/s) and exist so one spec cannot pin a
+// worker: a period count keys a shared alternation simulation whose
+// cost grows with it, and the capture length sizes every synthesis and
+// analysis pass.
+const (
+	// MaxPeriods bounds WarmupPeriods and MeasurePeriods, each.
+	MaxPeriods = 1000
+	// MaxCaptureSamples bounds Duration × SampleRate: 2^24 samples, a
+	// 64 s capture at the default rate.
+	MaxCaptureSamples = 1 << 24
+)
+
 // Validate reports the first configuration problem. Distance,
 // frequency, channel, and countermeasure problems wrap the package
 // sentinels (ErrBadDistance, ErrBadFrequency, ErrUnknownChannel,
-// ErrBadCountermeasure) so callers at any layer can test with errors.Is.
+// ErrBadCountermeasure) so callers at any layer can test with errors.Is;
+// a NaN or infinite value anywhere else wraps ErrNonFinite, and a
+// period count or capture length beyond MaxPeriods or
+// MaxCaptureSamples wraps ErrTooLarge.
 func (c Config) Validate() error {
 	switch {
-	case c.Distance <= 0:
+	case !(c.Distance > 0) || math.IsInf(c.Distance, 1):
 		return fmt.Errorf("%w: %g m", ErrBadDistance, c.Distance)
-	case c.Frequency <= 0:
+	case !(c.Frequency > 0) || math.IsInf(c.Frequency, 1):
 		return fmt.Errorf("%w: %g Hz", ErrBadFrequency, c.Frequency)
+	}
+	if name, v, ok := c.firstNonFinite(); ok {
+		return fmt.Errorf("%w: %s = %g", ErrNonFinite, name, v)
+	}
+	switch {
 	case c.BandHalfWidth <= 0 || c.BandHalfWidth >= c.Frequency:
 		return fmt.Errorf("savat: band half-width %g outside (0, f0)", c.BandHalfWidth)
 	case c.SampleRate < 2*(c.Frequency+c.BandHalfWidth):
@@ -106,6 +129,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("savat: non-positive duration %g", c.Duration)
 	case c.WarmupPeriods < 0 || c.MeasurePeriods <= 0:
 		return fmt.Errorf("savat: bad period counts warmup=%d measure=%d", c.WarmupPeriods, c.MeasurePeriods)
+	case c.WarmupPeriods > MaxPeriods || c.MeasurePeriods > MaxPeriods:
+		return fmt.Errorf("%w: period counts warmup=%d measure=%d exceed %d", ErrTooLarge, c.WarmupPeriods, c.MeasurePeriods, MaxPeriods)
+	case c.Duration*c.SampleRate > MaxCaptureSamples:
+		return fmt.Errorf("%w: capture of %g samples exceeds %d", ErrTooLarge, c.Duration*c.SampleRate, MaxCaptureSamples)
 	}
 	if err := c.Environment.Validate(); err != nil {
 		return err
@@ -120,6 +147,43 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: %v", ErrBadCountermeasure, err)
 	}
 	return nil
+}
+
+// firstNonFinite names the first NaN or infinite float among the
+// fields Validate does not give a sentinel of their own (countermeasure
+// parameters are checked by the chain's own validation).
+func (c Config) firstNonFinite() (string, float64, bool) {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"band_half_width", c.BandHalfWidth},
+		{"sample_rate", c.SampleRate},
+		{"duration", c.Duration},
+		{"environment.thermal_psd", c.Environment.ThermalPSD},
+		{"environment.rf_background_psd", c.Environment.RFBackgroundPSD},
+		{"environment.rf_background_spread", c.Environment.RFBackgroundSpread},
+		{"analyzer.rbw", c.Analyzer.RBW},
+		{"analyzer.floor_psd", c.Analyzer.FloorPSD},
+		{"jitter.freq_offset", c.Jitter.FreqOffset},
+		{"jitter.drift_std", c.Jitter.DriftStd},
+		{"jitter.max_drift", c.Jitter.MaxDrift},
+		{"jitter.amp_noise_std", c.Jitter.AmpNoiseStd},
+		{"jitter.amp_noise_corr", c.Jitter.AmpNoiseCorr},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f.name, f.v, true
+		}
+	}
+	for _, cr := range c.Environment.Carriers {
+		for _, v := range [...]float64{cr.Freq, cr.Power, cr.AMDepth, cr.AMRate} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return "environment.carriers", v, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // Measurement is the result of one A/B SAVAT measurement.

@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -71,11 +72,15 @@ type Measurer struct {
 	// empty chain the effective setup IS (mc, cfg) value-for-value, which
 	// is what keeps the redesigned seam bit-identical to the old
 	// pipeline.
-	resolved       bool
-	effMC          machine.Config
-	effCfg         Config
-	effLaw         emsim.DistanceLaw
-	effErr         error
+	resolved bool
+	effMC    machine.Config
+	effCfg   Config
+	effLaw   emsim.DistanceLaw
+	effErr   error
+	// chainKey is the countermeasure chain's canonical text when it
+	// rewrites the program ("" otherwise): the part of a kernel's
+	// simulation-cache key the chain contributes.
+	chainKey string
 
 	// Synthesis-product cache key prefixes: every key parameter except
 	// the stage seed is fixed by the effective (mc, cfg), so the
@@ -89,8 +94,8 @@ type MeasureOption func(*Measurer)
 
 // WithScratch makes the Measurer measure through the caller's scratch
 // instead of owning a fresh one, sharing its buffers, FFT plans, and
-// alternation cache with whatever else uses it. A nil scratch is
-// allowed and equivalent to omitting the option.
+// private synthesis-product cache with whatever else uses it. A nil
+// scratch is allowed and equivalent to omitting the option.
 func WithScratch(s *MeasureScratch) MeasureOption {
 	return func(m *Measurer) { m.scratch = s }
 }
@@ -144,8 +149,8 @@ func WithArena(a *arena.Arena) MeasureOption {
 }
 
 // WithObs records the Measurer's stage metrics (savat.measure,
-// savat.stage.*, savat.altcache.*) on r instead of the process
-// registry obs.Default. The synthesis-product cache counters
+// savat.stage.*, savat.kernelcache.*, savat.altcache.*) on r instead
+// of the process registry obs.Default. The synthesis-product cache counters
 // (savat.synthcache.*) always stay on the process registry — the cache
 // is shared across Measurers, so per-Measurer attribution would be
 // arbitrary. A nil registry is equivalent to omitting the option.
@@ -185,12 +190,16 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 // chain's model-side effects (supply filters on the conducted
 // couplings, noise generators on the environment, run-time timing
 // randomness on the jitter). Configuration problems surface here as
-// the same wrapped sentinels Config.Validate reports.
+// the same wrapped sentinels Config.Validate reports; the machine is
+// validated here too, once, because the shared simulation cache keys
+// on its simulation inputs only.
 func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) {
 	if !m.resolved {
 		m.resolved = true
-		ch, err := machine.ChannelByName(m.cfg.Channel)
-		if err != nil {
+		ch, chErr := machine.ChannelByName(m.cfg.Channel)
+		if err := m.mc.Validate(); err != nil {
+			m.effErr = err
+		} else if chErr != nil {
 			m.effErr = fmt.Errorf("%w: %q (have %v)", ErrUnknownChannel, m.cfg.Channel, machine.ChannelNames())
 		} else if err := m.cfg.Countermeasures.Validate(); err != nil {
 			m.effErr = fmt.Errorf("%w: %v", ErrBadCountermeasure, err)
@@ -202,32 +211,47 @@ func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) 
 			m.effCfg.Environment = counter.ApplyEnvironment(m.cfg.Environment, chain)
 			m.effCfg.Jitter = counter.ApplyJitter(m.cfg.Jitter, chain)
 			m.effLaw = ch.Law()
+			if chain.HasProgram() {
+				m.chainKey = chain.String()
+			}
 		}
 	}
 	return m.effMC, m.effCfg, m.effLaw, m.effErr
 }
 
-// Measure runs the complete pipeline for one event pair: kernel
-// construction (with loop-count calibration), the chain's program
-// countermeasures (seeded from rng — drawn only when the chain rewrites
-// the program, so countermeasure-free measurements consume exactly the
-// pre-countermeasure rng stream), and then MeasureKernel. The rng
-// drives every stochastic stage, so a fixed seed reproduces the
-// measurement exactly.
+// Measure runs the complete pipeline for one event pair: the
+// calibrated kernel, the chain's program countermeasures (seeded from
+// rng — drawn only when the chain rewrites the program, so
+// countermeasure-free measurements consume exactly the
+// pre-countermeasure rng stream), and then MeasureKernel. The kernel
+// comes from the process-wide simulation cache, so a pair is calibrated
+// once per process however many Measurers measure it. The rng drives
+// every stochastic stage, so a fixed seed reproduces the measurement
+// exactly.
 func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (*Measurement, error) {
-	k, err := BuildKernel(m.mc, a, b, m.cfg.Frequency)
+	if rng == nil {
+		return nil, fmt.Errorf("savat: nil rng")
+	}
+	var seed int64
+	if m.cfg.Countermeasures.HasProgram() {
+		seed = rng.Int63()
+	}
+	k, err := m.kernel(context.Background(), a, b, seed)
 	if err != nil {
 		return nil, err
 	}
-	if m.cfg.Countermeasures.HasProgram() {
-		if rng == nil {
-			return nil, fmt.Errorf("savat: nil rng")
-		}
-		if k, err = applyProgramCountermeasures(k, m.cfg.Countermeasures, rng.Int63()); err != nil {
-			return nil, err
-		}
-	}
 	return m.MeasureKernel(k, rng)
+}
+
+// kernel returns the pair's calibrated kernel — with the chain's
+// program countermeasures applied under seed when it has any — from
+// the process-wide simulation cache, inside the savat.stage.kernel
+// span. ctx bounds only the wait for another caller's calibration.
+func (m *Measurer) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
+	if _, _, _, err := m.resolve(); err != nil {
+		return nil, err
+	}
+	return sims.kernel(ctx, m.mc, a, b, m.cfg.Frequency, m.cfg.Countermeasures, m.chainKey, seed, m.mobs)
 }
 
 // MeasureKernel measures a prebuilt kernel, avoiding re-calibration
@@ -280,6 +304,13 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // products through the synthesis cache. The selected pipeline
 // implementation runs inside the savat.measure span.
 func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (*Measurement, error) {
+	return m.measureKernelSeeds(context.Background(), k, seeds)
+}
+
+// measureKernelSeeds is MeasureKernelSeeds under a caller context — the
+// campaign cell's — which bounds the wait for a shared alternation
+// another worker is simulating.
+func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds SynthSeeds) (*Measurement, error) {
 	sp := m.mobs.measure.Start()
 	defer sp.End()
 	mc, cfg, law, err := m.resolve()
@@ -289,12 +320,12 @@ func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (*Measurement
 	switch m.mode {
 	case modeBuffered:
 		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelBuffered(mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
+		return measureKernelBuffered(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
 	case modeReference:
 		return measureKernelReference(mc, k, cfg, law, seeds, m.mobs)
 	default:
 		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelStream(mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
+		return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
 	}
 }
 
@@ -306,11 +337,8 @@ func (m *Measurer) MeasurePair(a, b Event, repeats int, seed int64) ([]float64, 
 	if repeats <= 0 {
 		return nil, stats.Summary{}, fmt.Errorf("%w: %d", ErrBadRepeats, repeats)
 	}
-	k, err := BuildKernel(m.mc, a, b, m.cfg.Frequency)
+	k, err := m.kernel(context.Background(), a, b, CounterSeed(seed, a, b))
 	if err != nil {
-		return nil, stats.Summary{}, err
-	}
-	if k, err = applyProgramCountermeasures(k, m.cfg.Countermeasures, CounterSeed(seed, a, b)); err != nil {
 		return nil, stats.Summary{}, err
 	}
 	vals := make([]float64, repeats)

@@ -8,22 +8,28 @@ import "repro/internal/obs"
 // built with WithObs carries its own. Every handle is a no-op until
 // its registry is enabled.
 type measureObs struct {
-	measure     *obs.Histogram // the whole pipeline, kernel to SAVAT value
-	alternation *obs.Histogram // cycle-accurate alternation simulation
-	radiate     *obs.Histogram // radiator init + group phase amplitudes
-	synthesize  *obs.Histogram // buffered/reference time-domain rendering
-	altHits     *obs.Counter   // scratch alternation-cache hits
-	altMisses   *obs.Counter   // scratch alternation-cache misses
+	kernel       *obs.Histogram // kernel lookup, calibrating it on a miss
+	measure      *obs.Histogram // the pipeline from a kernel to its SAVAT value
+	alternation  *obs.Histogram // alternation lookup, simulating it on a miss
+	radiate      *obs.Histogram // radiator init + group phase amplitudes
+	synthesize   *obs.Histogram // buffered/reference time-domain rendering
+	kernelHits   *obs.Counter   // simulation-cache kernel hits
+	kernelMisses *obs.Counter   // kernels actually calibrated (or rewritten)
+	altHits      *obs.Counter   // simulation-cache alternation hits
+	altMisses    *obs.Counter   // alternation simulations actually run
 }
 
 func newMeasureObs(r *obs.Registry) *measureObs {
 	return &measureObs{
-		measure:     r.Histogram("savat.measure"),
-		alternation: r.Histogram("savat.stage.alternation"),
-		radiate:     r.Histogram("savat.stage.radiate"),
-		synthesize:  r.Histogram("savat.stage.synthesize"),
-		altHits:     r.Counter("savat.altcache.hits"),
-		altMisses:   r.Counter("savat.altcache.misses"),
+		kernel:       r.Histogram("savat.stage.kernel"),
+		measure:      r.Histogram("savat.measure"),
+		alternation:  r.Histogram("savat.stage.alternation"),
+		radiate:      r.Histogram("savat.stage.radiate"),
+		synthesize:   r.Histogram("savat.stage.synthesize"),
+		kernelHits:   r.Counter("savat.kernelcache.hits"),
+		kernelMisses: r.Counter("savat.kernelcache.misses"),
+		altHits:      r.Counter("savat.altcache.hits"),
+		altMisses:    r.Counter("savat.altcache.misses"),
 	}
 }
 

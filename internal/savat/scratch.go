@@ -1,26 +1,17 @@
 package savat
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/activity"
 	"repro/internal/arena"
 	"repro/internal/emsim"
 	"repro/internal/machine"
-	"repro/internal/memhier"
 	"repro/internal/noise"
 	"repro/internal/specan"
 	"repro/internal/workpool"
 )
-
-// altKey identifies one deterministic alternation simulation: the
-// kernel (by identity — campaigns build one kernel per pair and share
-// it across repetitions), the machine, and the period counts.
-type altKey struct {
-	k          *Kernel
-	mc         machine.Config
-	warm, meas int
-}
 
 // seededRand is a reseedable rng: one source allocated on first use,
 // re-seeded per measurement stage so the steady-state path allocates no
@@ -42,13 +33,13 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 
 // MeasureScratch holds every reusable buffer of the measurement fast
 // path: the shared envelope streams, the noise capture, the spectrum
-// analyzer's working set, the radiator value, the per-stage rngs, a
-// cache of cycle-accurate alternation results (the simulation is
-// rng-free, so one result serves every repetition of a pair), and the
-// synthesis-product cache that lets cells sharing a stochastic
+// analyzer's working set, the radiator value, the per-stage rngs, and
+// the synthesis-product cache that lets cells sharing a stochastic
 // realization skip synthesis and Welch analysis entirely. A warmed
 // scratch lets the streaming path allocate no sample-sized buffers at
-// all.
+// all. Cycle-accurate alternation results are not per scratch: they
+// come from the process-wide simulation cache (see simCache), which
+// every scratch shares.
 //
 // A MeasureScratch is NOT safe for concurrent use; the campaign engine
 // gives each worker its own (the workers' scratches then share one
@@ -59,8 +50,6 @@ type MeasureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
 	specan *specan.Scratch
-	alts   map[altKey]*AlternationResult
-	hiers  map[memhier.Config]*memhier.Hierarchy
 	cache  *SynthCache
 
 	// Per-stage rngs, reseeded from the measurement's SynthSeeds.
@@ -105,11 +94,7 @@ type measureShape struct {
 // NewMeasureScratch returns an empty scratch; buffers are sized on
 // first use.
 func NewMeasureScratch() *MeasureScratch {
-	return &MeasureScratch{
-		specan: specan.NewScratch(),
-		alts:   make(map[altKey]*AlternationResult),
-		hiers:  make(map[memhier.Config]*memhier.Hierarchy),
-	}
+	return &MeasureScratch{specan: specan.NewScratch()}
 }
 
 // SetAnalyzerPool directs the spectrum analyzer's per-segment
@@ -143,34 +128,9 @@ func (s *MeasureScratch) synthCache() *SynthCache {
 	return s.cache
 }
 
-// alternation returns the cached steady-state alternation of (k, mc),
-// simulating it on first need. Alternation is deterministic — it
-// consumes no rng — so caching cannot change any measured value.
-func (s *MeasureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, mo *measureObs) (*AlternationResult, error) {
-	key := altKey{k: k, mc: mc, warm: cfg.WarmupPeriods, meas: cfg.MeasurePeriods}
-	if alt, ok := s.alts[key]; ok {
-		mo.altHits.Inc()
-		return alt, nil
-	}
-	mo.altMisses.Inc()
-	hier, ok := s.hiers[mc.Mem]
-	if !ok {
-		var err error
-		if hier, err = memhier.New(mc.Mem); err != nil {
-			return nil, err
-		}
-		s.hiers[mc.Mem] = hier
-	}
-	alt, err := k.alternationHier(mc, cfg.WarmupPeriods, cfg.MeasurePeriods, hier)
-	if err != nil {
-		return nil, err
-	}
-	s.alts[key] = alt
-	return alt, nil
-}
-
 // prepare runs the shared front half of a measurement — validation,
-// the cached cycle-accurate alternation, radiator calibration (on the
+// the shared cycle-accurate alternation (ctx bounds only the wait for
+// another caller's simulation of it), radiator calibration (on the
 // Cal seed), and the duty-scaled group-coefficient filter (left in
 // s.coeffs) — and caches the analyzer. Both the streaming and buffered
 // paths start here.
@@ -184,14 +144,14 @@ func (s *MeasureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, m
 // fundamental-band power while keeping the envelope realization — and
 // therefore its cached spectral products — pair-independent. Droop
 // compensation stays on the pair's achieved period via PhaseAmplitudes.
-func (s *MeasureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
+func (s *MeasureScratch) prepare(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
 	if err = cfg.Validate(); err != nil {
 		return nil, canon, 0, jit, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
 	altSp := mo.alternation.Start()
-	alt, err = s.alternation(mc, k, cfg, mo)
+	alt, err = sims.alternation(ctx, mc, k, cfg.WarmupPeriods, cfg.MeasurePeriods, mo)
 	altSp.End()
 	if err != nil {
 		return nil, canon, 0, jit, err
@@ -292,11 +252,11 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst
 // until the scratch's next measurement; callers that keep traces must
 // use distinct scratches. A nil scratch is allowed; a fresh one is
 // used.
-func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
-	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
+	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
 	if err != nil {
 		return nil, err
 	}
@@ -351,11 +311,11 @@ func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.Dis
 // Measurements to measureKernelStream — the conformance suite asserts
 // this — at O(capture) memory; it exists as the plain-shaped oracle for
 // the streaming path and for callers that want the captures.
-func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
-	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
+	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
 	if err != nil {
 		return nil, err
 	}

@@ -165,15 +165,17 @@ func assembleSequence(mc machine.Config, a, b Sequence, frequency float64, loopC
 	if e, ok := b.memEventOf(); ok {
 		bRep = e
 	}
+	phaseAt := map[int]int{int(outer): PhaseA, int(phaseB): PhaseB}
 	return &Kernel{
 		A: aRep, B: bRep, // representatives; sequences carry the real identity
 		LoopCount: loopCount,
 		Frequency: frequency,
 		Program:   prog.Instructions,
-		PhaseAt:   map[int]int{int(outer): PhaseA, int(phaseB): PhaseB},
+		PhaseAt:   phaseAt,
 		ArrayBytes: [2]int{
 			seqArrayBytes(a, mc), seqArrayBytes(b, mc),
 		},
+		sum: sumKernel(prog.Instructions, phaseAt),
 	}, nil
 }
 

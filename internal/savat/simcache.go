@@ -1,0 +1,290 @@
+package savat
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"sort"
+	"sync"
+
+	"repro/internal/counter"
+	"repro/internal/cpu"
+	"repro/internal/engine"
+	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/memhier"
+	"repro/internal/obs"
+)
+
+// simCacheCap bounds each kind of entry in the process-wide simulation
+// cache. One entry is a few KiB (a ~50-instruction program, or two
+// phases' activity statistics), so the bound caps the cache at a few
+// MiB while covering every pair of several 11×11 campaigns — the
+// paper's three machines at once — before anything is evicted.
+const simCacheCap = 1024
+
+// simMachine is the part of a machine configuration the cycle-level
+// simulation reads: the clock and the core and memory models. The name,
+// the EM source table, and the model-side noise parameters are
+// deliberately absent — channels and model-side countermeasures rewrite
+// only those, so every channel and every seed of one machine shares one
+// calibrated kernel and one alternation simulation per pair.
+type simMachine struct {
+	clock float64
+	cpu   cpu.Config
+	mem   memhier.Config
+}
+
+func simInputs(mc machine.Config) simMachine {
+	return simMachine{clock: mc.ClockHz, cpu: mc.CPU, mem: mc.Mem}
+}
+
+// kernelRecipe keys one calibrated kernel: everything BuildKernelStride
+// reads, plus — only when the chain rewrites the program — the
+// countermeasure chain and the seed it was applied with.
+type kernelRecipe struct {
+	sim       simMachine
+	a, b      Event
+	frequency float64
+	stride    int
+	chain     string // canonical chain text; "" for an unrewritten kernel
+	seed      int64  // CounterSeed; 0 when chain is ""
+}
+
+// kernelSum is a kernel's content address: SHA-256 over its program and
+// phase markers. Everything an alternation simulation reads of a kernel
+// is in those two, so equal sums simulate identically.
+type kernelSum [sha256.Size]byte
+
+// altRecipe keys one alternation simulation by content — never by
+// kernel pointer — so a kernel rebuilt by another campaign, another
+// worker, or the uncached BuildKernel hits the same entry.
+type altRecipe struct {
+	kernel     kernelSum
+	sim        simMachine
+	warm, meas int
+}
+
+// sumKernel computes the content address of a program and its phase
+// markers (markers in index order, so map iteration order never leaks
+// into the sum).
+func sumKernel(prog []isa.Instruction, phaseAt map[int]int) kernelSum {
+	buf := make([]byte, 0, 8+8*len(prog)+16*len(phaseAt))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(prog)))
+	for _, in := range prog {
+		buf = append(buf, byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(in.Imm))
+	}
+	at := make([]int, 0, len(phaseAt))
+	for i := range phaseAt {
+		at = append(at, i)
+	}
+	sort.Ints(at)
+	for _, i := range at {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(i))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(phaseAt[i]))
+	}
+	return sha256.Sum256(buf)
+}
+
+// contentSum returns the kernel's content address: the one sealed at
+// construction, or — for a hand-assembled Kernel value — computed now.
+func (k *Kernel) contentSum() kernelSum {
+	if k.sum != (kernelSum{}) {
+		return k.sum
+	}
+	return sumKernel(k.Program, k.PhaseAt)
+}
+
+// onceLRU is a bounded, content-keyed cache that computes each entry
+// exactly once: concurrent misses on one key elect a leader through the
+// engine.Group protocol (the one SynthCache uses) and every other
+// caller waits for its result, honoring its own context while it
+// waits. Errors are shared with the callers already waiting but never
+// stored, so the next caller recomputes. Keys are comparable structs,
+// so a hit allocates nothing.
+type onceLRU[K comparable, V any] struct {
+	mu         sync.Mutex
+	cap        int
+	entries    map[K]*lruEntry[K, V]
+	head, tail *lruEntry[K, V] // doubly-linked; head = most recent
+	flight     engine.Group[K, V]
+}
+
+type lruEntry[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next *lruEntry[K, V]
+}
+
+func newOnceLRU[K comparable, V any](capacity int) *onceLRU[K, V] {
+	return &onceLRU[K, V]{cap: capacity, entries: make(map[K]*lruEntry[K, V])}
+}
+
+// get returns the value for key, calling compute on a miss. computed
+// reports whether this call ran compute — the miss the caller counts.
+func (c *onceLRU[K, V]) get(ctx context.Context, key K, compute func() (V, error)) (v V, computed bool, err error) {
+	if v, ok := c.lookup(key); ok {
+		return v, false, nil
+	}
+	call, leader := c.flight.Lead(key)
+	if !leader {
+		v, err = call.Wait(ctx)
+		return v, false, err
+	}
+	if v, ok := c.lookup(key); ok {
+		// Lost the lookup→Lead race against a finishing leader.
+		c.flight.Finish(key, call, v, nil)
+		return v, false, nil
+	}
+	v, err = compute()
+	if err == nil {
+		c.put(key, v)
+	}
+	c.flight.Finish(key, call, v, err)
+	return v, err == nil, err
+}
+
+func (c *onceLRU[K, V]) lookup(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.moveToFront(e)
+	return e.val, true
+}
+
+func (c *onceLRU[K, V]) put(key K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		e = &lruEntry[K, V]{key: key}
+		c.entries[key] = e
+	}
+	e.val = v
+	c.moveToFront(e)
+	if len(c.entries) > c.cap {
+		ev := c.tail
+		c.unlink(ev)
+		delete(c.entries, ev.key)
+	}
+}
+
+func (c *onceLRU[K, V]) moveToFront(e *lruEntry[K, V]) {
+	if c.head == e {
+		return
+	}
+	if e.prev != nil || c.tail == e {
+		c.unlink(e)
+	}
+	e.prev, e.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = e
+	}
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
+	}
+}
+
+func (c *onceLRU[K, V]) unlink(e *lruEntry[K, V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// Len returns the number of cached entries.
+func (c *onceLRU[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// simCache is the process-wide simulation cache: calibrated kernels and
+// alternation results, the two products of the cycle-level simulator a
+// measurement needs. Both are fixed by the machine's simulation inputs,
+// the pair, and the frequency — never by seed, distance, channel, or
+// noise — so every campaign, worker, and Measurer in the process shares
+// them, as the paper reuses one binary across its campaigns and
+// distances. Entries are immutable once published.
+type simCache struct {
+	kernels *onceLRU[kernelRecipe, *Kernel]
+	alts    *onceLRU[altRecipe, *AlternationResult]
+}
+
+func newSimCache(capacity int) *simCache {
+	return &simCache{
+		kernels: newOnceLRU[kernelRecipe, *Kernel](capacity),
+		alts:    newOnceLRU[altRecipe, *AlternationResult](capacity),
+	}
+}
+
+var sims = newSimCache(simCacheCap)
+
+// kernel returns the calibrated kernel for (mc, a, b, frequency) at the
+// paper's sweep stride, with the chain's program countermeasures
+// applied under seed (chainKey is the chain's canonical text, "" when
+// it rewrites nothing). The rewritten kernel is its own entry on top of
+// the base one, so sweeps over countermeasure seeds calibrate once.
+func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, frequency float64,
+	chain counter.Chain, chainKey string, seed int64, mo *measureObs) (*Kernel, error) {
+	sp := mo.kernel.Start()
+	defer sp.End()
+	key := kernelRecipe{sim: simInputs(mc), a: a, b: b, frequency: frequency, stride: SweepOffset}
+	k, computed, err := c.kernels.get(ctx, key, func() (*Kernel, error) {
+		return BuildKernel(mc, a, b, frequency)
+	})
+	countLookup(mo.kernelHits, mo.kernelMisses, computed, err)
+	if err != nil || chainKey == "" {
+		return k, err
+	}
+	key.chain, key.seed = chainKey, seed
+	k, computed, err = c.kernels.get(ctx, key, func() (*Kernel, error) {
+		return applyProgramCountermeasures(k, chain, seed)
+	})
+	countLookup(mo.kernelHits, mo.kernelMisses, computed, err)
+	return k, err
+}
+
+// alternation returns the steady-state alternation of k on mc,
+// simulating it — on a pooled memory hierarchy — only on a miss.
+// Alternation is deterministic and consumes no rng, so sharing it
+// cannot change any measured value. The result's Kernel field is the
+// kernel that first simulated this content: its loop count (encoded in
+// the program) equals k's.
+func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel, warm, meas int, mo *measureObs) (*AlternationResult, error) {
+	key := altRecipe{kernel: k.contentSum(), sim: simInputs(mc), warm: warm, meas: meas}
+	alt, computed, err := c.alts.get(ctx, key, func() (*AlternationResult, error) {
+		hier, err := borrowHier(mc.Mem)
+		if err != nil {
+			return nil, err
+		}
+		defer returnHier(mc.Mem, hier)
+		return k.alternationHier(mc, warm, meas, hier)
+	})
+	countLookup(mo.altHits, mo.altMisses, computed, err)
+	return alt, err
+}
+
+// countLookup records one cache lookup: a miss when the call computed
+// the entry, a hit when it was served one; failures count as neither.
+func countLookup(hits, misses *obs.Counter, computed bool, err error) {
+	switch {
+	case computed:
+		misses.Inc()
+	case err == nil:
+		hits.Inc()
+	}
+}

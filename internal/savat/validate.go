@@ -27,13 +27,19 @@ var (
 	ErrUnknownChannel = errors.New("savat: unknown channel")
 	// ErrBadCountermeasure reports an invalid countermeasure chain entry.
 	ErrBadCountermeasure = errors.New("savat: bad countermeasure")
+	// ErrNonFinite reports a NaN or infinite configuration value.
+	ErrNonFinite = errors.New("savat: configuration value must be finite")
+	// ErrTooLarge reports a period count or capture length beyond the
+	// resource bounds (MaxPeriods, MaxCaptureSamples).
+	ErrTooLarge = errors.New("savat: configuration exceeds a resource bound")
 )
 
 // Validate checks a measurement configuration and campaign options
 // together — the single validation entry point shared by the campaign
 // runner and every CLI command. The configuration is checked first
-// (field order: distance, frequency, band, Nyquist, duration, periods,
-// environment, analyzer), then the options, and the first problem wins.
+// (order: distance, frequency, finiteness, band, Nyquist, duration,
+// periods, resource bounds, environment, analyzer), then the options,
+// and the first problem wins.
 func Validate(cfg Config, opts CampaignOptions) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -1,0 +1,66 @@
+package savat
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/noise"
+)
+
+// Every float field rejects NaN and ±Inf with a sentinel, and period
+// counts and the capture length stop at their documented bounds, so no
+// configuration reaches the pipeline to come back as a NaN SAVAT, a
+// panic, or an unbounded simulation or capture.
+func TestConfigValidateNonFiniteAndBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(c *Config)
+		want error
+	}{
+		{"distance-nan", func(c *Config) { c.Distance = nan }, ErrBadDistance},
+		{"distance-inf", func(c *Config) { c.Distance = inf }, ErrBadDistance},
+		{"distance-neg-inf", func(c *Config) { c.Distance = -inf }, ErrBadDistance},
+		{"frequency-nan", func(c *Config) { c.Frequency = nan }, ErrBadFrequency},
+		{"frequency-inf", func(c *Config) { c.Frequency = inf }, ErrBadFrequency},
+		{"band-nan", func(c *Config) { c.BandHalfWidth = nan }, ErrNonFinite},
+		{"sample-rate-inf", func(c *Config) { c.SampleRate = inf }, ErrNonFinite},
+		{"duration-nan", func(c *Config) { c.Duration = nan }, ErrNonFinite},
+		{"duration-inf", func(c *Config) { c.Duration = inf }, ErrNonFinite},
+		{"thermal-nan", func(c *Config) { c.Environment.ThermalPSD = nan }, ErrNonFinite},
+		{"background-inf", func(c *Config) { c.Environment.RFBackgroundPSD = inf }, ErrNonFinite},
+		{"spread-nan", func(c *Config) { c.Environment.RFBackgroundSpread = nan }, ErrNonFinite},
+		{"carrier-nan", func(c *Config) {
+			c.Environment.Carriers = append([]noise.Carrier(nil), c.Environment.Carriers...)
+			c.Environment.Carriers = append(c.Environment.Carriers, noise.Carrier{Freq: nan, Power: 1e-15})
+		}, ErrNonFinite},
+		{"rbw-nan", func(c *Config) { c.Analyzer.RBW = nan }, ErrNonFinite},
+		{"floor-inf", func(c *Config) { c.Analyzer.FloorPSD = inf }, ErrNonFinite},
+		{"freq-offset-nan", func(c *Config) { c.Jitter.FreqOffset = nan }, ErrNonFinite},
+		{"drift-inf", func(c *Config) { c.Jitter.DriftStd = -inf }, ErrNonFinite},
+		{"max-drift-nan", func(c *Config) { c.Jitter.MaxDrift = nan }, ErrNonFinite},
+		{"amp-noise-nan", func(c *Config) { c.Jitter.AmpNoiseStd = nan }, ErrNonFinite},
+		{"amp-corr-inf", func(c *Config) { c.Jitter.AmpNoiseCorr = inf }, ErrNonFinite},
+		{"warmup-over", func(c *Config) { c.WarmupPeriods = MaxPeriods + 1 }, ErrTooLarge},
+		{"measure-over", func(c *Config) { c.MeasurePeriods = MaxPeriods + 1 }, ErrTooLarge},
+		{"capture-over", func(c *Config) { c.Duration = 2 * MaxCaptureSamples / c.SampleRate }, ErrTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.mut(&cfg)
+			if err := cfg.Validate(); !errors.Is(err, tc.want) {
+				t.Errorf("Validate() = %v, want %v", err, tc.want)
+			}
+		})
+	}
+
+	// The bounds themselves are accepted.
+	cfg := DefaultConfig()
+	cfg.WarmupPeriods, cfg.MeasurePeriods = MaxPeriods, MaxPeriods
+	cfg.Duration = MaxCaptureSamples / cfg.SampleRate
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("configuration at the bounds rejected: %v", err)
+	}
+}

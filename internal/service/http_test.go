@@ -291,3 +291,33 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	awaitDone(t, s, jb.ID)
 }
+
+// An oversized submit body is refused with 413 before the daemon
+// buffers it; a body just under the bound is still parsed (and here
+// rejected as a bad spec, 400).
+func TestHTTPSubmitBodyBound(t *testing.T) {
+	s := newServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(padding int) int {
+		t.Helper()
+		body := `{"spec": {"machine": "Cray1"}, "tenant": "` + strings.Repeat("a", padding) + `"}`
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+			t.Errorf("padding %d: error body missing (%v)", padding, err)
+		}
+		return resp.StatusCode
+	}
+	if st := post(2 * maxSubmitBytes); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", st)
+	}
+	if st := post(maxSubmitBytes / 2); st != http.StatusBadRequest {
+		t.Errorf("in-bound body: status %d, want 400", st)
+	}
+}
