@@ -9,8 +9,7 @@ FUZZ_TARGETS := \
 	./internal/dsp:FuzzWelchPairVsSingle \
 	./internal/isa:FuzzDecodeEncodeRoundTrip \
 	./internal/isa:FuzzEncodeDecodeInstruction \
-	./internal/engine:FuzzLoadCheckpoint \
-	./internal/engine:FuzzCacheDiskEntry \
+	./internal/savat:FuzzCampaignSpec \
 	./internal/store:FuzzStoreRecord \
 	./internal/store:FuzzStoreHeader
 
@@ -79,10 +78,10 @@ verify:
 
 # End-to-end smoke of the campaign daemon: builds savatd, starts it on
 # a random port, submits a 3×3 campaign over HTTP, cancels it mid-run,
-# resubmits to resume from the checkpoint, streams the events, diffs
-# the served matrix bit-for-bit against a direct in-process run, then
-# SIGKILLs the daemon mid-campaign and proves the restart resumes from
-# the durable cell store.
+# resubmits to resume from the cells the cancelled run cached, streams
+# the events, diffs the served matrix bit-for-bit against a direct
+# in-process run, then SIGKILLs the daemon mid-campaign and proves the
+# restart resumes from the durable cell store.
 daemon-smoke:
 	$(GO) run ./cmd/daemonsmoke
 

@@ -648,26 +648,15 @@ func BenchmarkStorePut(b *testing.B) {
 	b.ReportMetric(float64(stats.BatchedRecords)/float64(stats.Batches), "records/batch")
 }
 
-// BenchmarkJSONCachePut is the legacy baseline: one atomically-renamed
-// JSON file per Put (≥ 4 write-path syscalls each, by construction).
-func BenchmarkJSONCachePut(b *testing.B) {
-	cache, err := engine.NewCache(64, b.TempDir())
+// BenchmarkCampaignStoreBacked runs a small campaign against a cold
+// store-backed cache (the savatd and -cache-dir write path) and reports
+// cells per second.
+func BenchmarkCampaignStoreBacked(b *testing.B) {
+	cache, err := engine.NewStoreCache(engine.DefaultCacheCapacity, b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cache.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Put(engine.Key(fmt.Sprintf("bench-cell-%d", i)), 42.5)
-	}
-	b.StopTimer()
-	b.ReportMetric(4, "syscalls/op")
-}
-
-// benchCampaignWithCache runs the small benchmark campaign against a
-// cold cache and reports cells per second.
-func benchCampaignWithCache(b *testing.B, cache *engine.Cache) {
-	b.Helper()
 	mc := machine.Core2Duo()
 	cfg := savat.FastConfig()
 	cfg.Duration = 1.0 / 32
@@ -685,29 +674,6 @@ func benchCampaignWithCache(b *testing.B, cache *engine.Cache) {
 			b.ReportMetric(res.Engine.CellsPerSecond(), "cells/s")
 		}
 	}
-}
-
-// BenchmarkCampaignStoreBacked runs a campaign whose cells persist
-// through the store-backed cache (the savatd / -cache-backend=store
-// write path).
-func BenchmarkCampaignStoreBacked(b *testing.B) {
-	cache, err := engine.NewStoreCache(engine.DefaultCacheCapacity, b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
-	benchCampaignWithCache(b, cache)
-}
-
-// BenchmarkCampaignJSONCache is the same campaign over the legacy
-// one-file-per-cell layer.
-func BenchmarkCampaignJSONCache(b *testing.B) {
-	cache, err := engine.NewCache(engine.DefaultCacheCapacity, b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
-	benchCampaignWithCache(b, cache)
 }
 
 // BenchmarkStoreReopen100k measures cold-open replay of a 10⁵-record

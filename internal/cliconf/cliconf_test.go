@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/savat"
 )
 
 func parse(t *testing.T, which Set, args ...string) *Flags {
@@ -51,6 +52,8 @@ func TestSentinelErrors(t *testing.T) {
 		{[]string{"-freq", "Inf"}, ErrBadFrequency},
 		{[]string{"-repeats", "0"}, ErrBadRepeats},
 		{[]string{"-repeats", "-3"}, ErrBadRepeats},
+		// An unbounded count would size the campaign's value grid.
+		{[]string{"-repeats", "9223372036854775807"}, savat.ErrTooLarge},
 		// The first problem wins when several flags are bad.
 		{[]string{"-machine", "Cray1", "-distance", "0"}, ErrUnknownMachine},
 		{[]string{"-distance", "0", "-repeats", "0"}, ErrBadDistance},
@@ -252,15 +255,15 @@ func TestOpenCacheBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Put("k", 1)
+	if v, ok := cache.Get("k"); !ok || v != 1 {
+		t.Fatalf("memory-only cache: (%v, %v)", v, ok)
+	}
 	closeCache()
 
-	// The default backend persists through the segment log: a second
-	// open over the same directory sees the first one's cells.
+	// With -cache-dir the cache persists through the segment log: a
+	// second open over the same directory sees the first one's cells.
 	dir := t.TempDir()
 	f = parse(t, All|CacheDir, "-cache-dir", dir)
-	if f.CacheBack != "store" {
-		t.Fatalf("default -cache-backend = %q, want store", f.CacheBack)
-	}
 	cache, closeCache, err = f.OpenCache()
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +271,7 @@ func TestOpenCacheBackends(t *testing.T) {
 	cache.Put("cell", 42.5)
 	closeCache()
 	if seg, err := os.Stat(filepath.Join(dir, "000001.seg")); err != nil || seg.Size() == 0 {
-		t.Fatalf("store backend wrote no segment: %v", err)
+		t.Fatalf("store cache wrote no segment: %v", err)
 	}
 	cache, closeCache, err = f.OpenCache()
 	if err != nil {
@@ -278,23 +281,4 @@ func TestOpenCacheBackends(t *testing.T) {
 		t.Fatalf("reopened store cache: (%v, %v)", v, ok)
 	}
 	closeCache()
-
-	// The json backend keeps the legacy one-file-per-cell layout.
-	jdir := t.TempDir()
-	f = parse(t, All|CacheDir, "-cache-dir", jdir, "-cache-backend", "json")
-	cache, closeCache, err = f.OpenCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Put("cell", 1.5)
-	closeCache()
-	if _, err := os.Stat(filepath.Join(jdir, "cell.json")); err != nil {
-		t.Fatalf("json backend wrote no cell file: %v", err)
-	}
-
-	// Unknown backends fail with the sentinel.
-	f = parse(t, All|CacheDir, "-cache-dir", t.TempDir(), "-cache-backend", "bolt")
-	if _, _, err := f.OpenCache(); !errors.Is(err, ErrBadCacheBackend) {
-		t.Fatalf("unknown backend: %v, want ErrBadCacheBackend", err)
-	}
 }

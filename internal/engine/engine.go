@@ -1,23 +1,24 @@
 // Package engine executes measurement campaigns: a worker pool fans out
 // the cells of a (row, col, repetition) grid, a content-addressed
-// per-cell result cache (in-memory LRU with an optional JSON-on-disk
-// layer) and periodic checkpointing make campaigns resumable, transient
-// cell failures are retried with exponential backoff, and progress is
-// streamed as typed events with a running Stats snapshot.
+// per-cell result cache (in-memory LRU, optionally backed by the
+// durable segment log of internal/store) makes campaigns resumable,
+// transient cell failures are retried with exponential backoff, and
+// progress is streamed as typed events with a running Stats snapshot.
+//
+// Resuming an interrupted campaign is rerunning it: every cell is a
+// deterministic function of its content key, so the cells the first
+// run finished come back as cache hits and only the rest are computed.
 //
 // The engine is deliberately ignorant of what a cell computes: the
-// caller provides the compute function, the cache-key material that
-// identifies each cell's result, and a fingerprint identifying the
-// whole campaign. The savat package builds its pairwise-SAVAT campaigns
-// on top; any grid of deterministic, independent float-valued cells
-// schedules the same way.
+// caller provides the compute function and the cache-key material that
+// identifies each cell's result. The savat package builds its
+// pairwise-SAVAT campaigns on top; any grid of deterministic,
+// independent float-valued cells schedules the same way.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"runtime"
 	"sync"
@@ -27,22 +28,12 @@ import (
 	"repro/internal/workpool"
 )
 
-// ErrCheckpointMismatch is returned by Run when the checkpoint file at
-// Options.CheckpointPath belongs to a different campaign (fingerprint
-// or grid shape differs). Delete the file or point the engine at the
-// matching campaign to proceed.
-var ErrCheckpointMismatch = errors.New("engine: checkpoint belongs to a different campaign")
-
 // Spec describes one campaign: the grid shape, the identity of its
 // results, and how to compute a cell.
 type Spec struct {
 	// Rows, Cols, Reps define the cell grid; every combination in
 	// [0,Rows)×[0,Cols)×[0,Reps) is one cell.
 	Rows, Cols, Reps int
-	// Fingerprint canonically identifies everything that determines the
-	// campaign's values. It binds checkpoint files to their campaign;
-	// required when checkpointing is enabled.
-	Fingerprint string
 	// Key returns the cache-key material identifying one cell's result
 	// (hashed with Key before use). Nil disables result caching.
 	Key func(row, col, rep int) string
@@ -94,8 +85,9 @@ type Options struct {
 	// Retryable, when non-nil, limits retries to errors it accepts;
 	// a nil predicate treats every compute error as transient.
 	Retryable func(error) bool
-	// Cache memoizes cell results across Run calls and — with a disk
-	// directory — across processes. Nil uses a fresh in-memory cache of
+	// Cache memoizes cell results across Run calls and — when backed by
+	// a store (NewStoreCache) — across processes; it is what resumes an
+	// interrupted campaign. Nil uses a fresh in-memory cache of
 	// DefaultCacheCapacity.
 	Cache *Cache
 	// Flight, when non-nil, deduplicates identical cells while they are
@@ -105,15 +97,6 @@ type Options struct {
 	// Stats.Deduped. Nil disables in-flight deduplication (the cache
 	// still collapses identical cells across time).
 	Flight *Flight
-	// CheckpointPath, when non-empty, persists finished cells there
-	// every CheckpointEvery cells and when the campaign ends (including
-	// cancellation and failure). If the file already exists and matches
-	// the spec's fingerprint, its cells are restored instead of being
-	// recomputed.
-	CheckpointPath string
-	// CheckpointEvery is the number of finished cells between periodic
-	// checkpoint writes (0 = 64).
-	CheckpointEvery int
 	// Monitor, when non-nil, receives one ProgressEvent per finished
 	// cell. Run closes it when the campaign ends, so an Engine with a
 	// Monitor serves exactly one Run; drain the channel until it closes —
@@ -130,9 +113,7 @@ type Engine struct {
 	cum Stats
 }
 
-// New returns an engine with defaults applied. It panics only on a
-// cache-directory error, which callers avoid by passing a prebuilt
-// Cache; with a nil Cache an in-memory cache is always constructible.
+// New returns an engine with defaults applied.
 func New(opts Options) *Engine {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
@@ -143,11 +124,8 @@ func New(opts Options) *Engine {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 10 * time.Millisecond
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 64
-	}
 	if opts.Cache == nil {
-		opts.Cache, _ = NewCache(DefaultCacheCapacity, "") // memory-only: cannot fail
+		opts.Cache = NewCache(DefaultCacheCapacity)
 	}
 	bindCacheGauges(opts.Cache)
 	return &Engine{opts: opts}
@@ -180,17 +158,16 @@ type run struct {
 	inflight int64 // cells currently in compute (atomic)
 
 	mu      sync.Mutex
-	done    []bool // flat (row*Cols+col)*Reps+rep
 	st      Stats
 	firstEr error
 }
 
 // Run executes the campaign described by spec, honoring ctx: on
-// cancellation no new cells start, in-flight cells finish, what
-// completed is checkpointed (when enabled), and the context's error is
+// cancellation no new cells start, in-flight cells finish (landing in
+// the cache, so a rerun resumes from them), and the context's error is
 // returned. A permanent cell failure (retries exhausted or not
-// retryable) likewise stops the campaign after checkpointing. When
-// Options.Monitor is set it is closed before Run returns.
+// retryable) likewise stops the campaign. When Options.Monitor is set
+// it is closed before Run returns.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	res, err := e.runCampaign(ctx, spec)
 	if e.opts.Monitor != nil {
@@ -203,9 +180,6 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if e.opts.CheckpointPath != "" && spec.Fingerprint == "" {
-		return nil, fmt.Errorf("engine: checkpointing requires a spec fingerprint")
-	}
 
 	total := spec.Rows * spec.Cols * spec.Reps
 	r := &run{
@@ -213,7 +187,6 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 		spec:   spec,
 		start:  time.Now(),
 		values: make([][][]float64, spec.Rows),
-		done:   make([]bool, total),
 		st:     Stats{Total: total},
 	}
 	for i := range r.values {
@@ -225,10 +198,6 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 			}
 			r.values[i][j] = row
 		}
-	}
-
-	if err := r.restoreCheckpoint(); err != nil {
-		return nil, err
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -267,9 +236,6 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 	}
 feed:
 	for idx := 0; idx < total; idx++ {
-		if r.done[idx] { // restored from checkpoint; raced reads impossible: set before workers start
-			continue
-		}
 		select {
 		case work <- idx:
 		case <-runCtx.Done():
@@ -284,12 +250,6 @@ feed:
 	st := r.st
 	firstErr := r.firstEr
 	r.mu.Unlock()
-
-	if e.opts.CheckpointPath != "" {
-		if err := r.snapshot().save(e.opts.CheckpointPath); err != nil && firstErr == nil && ctx.Err() == nil {
-			return nil, err
-		}
-	}
 
 	e.mu.Lock()
 	e.cum.Total += st.Total
@@ -312,7 +272,7 @@ feed:
 
 // cell completes one grid cell: cache lookup, then in-flight
 // deduplication (when a Flight is shared), then bounded-retry compute,
-// then accounting, eventing, and periodic checkpointing. state is the
+// then accounting and eventing. state is the
 // owning worker's NewWorkerState value (nil without one).
 func (r *run) cell(ctx context.Context, idx int, state any) error {
 	row, col, rep := r.unflatten(idx)
@@ -435,12 +395,10 @@ func (r *run) compute(ctx context.Context, state any, row, col, rep int) (float6
 	}
 }
 
-// record stores a finished cell, emits its progress event, and writes a
-// periodic checkpoint when one is due.
+// record stores a finished cell and emits its progress event.
 func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.mu.Lock()
 	r.values[row][col][rep] = v
-	r.done[(row*r.spec.Cols+col)*r.spec.Reps+rep] = true
 	r.st.Done++
 	switch {
 	case ev.Cached:
@@ -453,19 +411,10 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	var cp *Checkpoint
-	if r.eng.opts.CheckpointPath != "" && r.st.Done < r.st.Total && r.st.Done%r.eng.opts.CheckpointEvery == 0 {
-		cp = r.snapshotLocked()
-	}
 	r.mu.Unlock()
 
 	if r.eng.opts.Monitor != nil {
 		r.eng.opts.Monitor <- ev
-	}
-	if cp != nil {
-		// Best-effort: a failed periodic write must not kill the
-		// campaign; the final write reports its error.
-		_ = cp.save(r.eng.opts.CheckpointPath)
 	}
 }
 
@@ -501,66 +450,6 @@ func (r *run) fail(err error) {
 		r.firstEr = err
 	}
 	r.mu.Unlock()
-}
-
-// restoreCheckpoint loads Options.CheckpointPath (if present), verifies
-// it belongs to this campaign, and replays its cells as cached events.
-func (r *run) restoreCheckpoint() error {
-	path := r.eng.opts.CheckpointPath
-	if path == "" {
-		return nil
-	}
-	cp, err := LoadCheckpoint(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if cp.Fingerprint != r.spec.Fingerprint ||
-		cp.Rows != r.spec.Rows || cp.Cols != r.spec.Cols || cp.Reps != r.spec.Reps {
-		return fmt.Errorf("%w: %s", ErrCheckpointMismatch, path)
-	}
-	mCellsRestored.Add(uint64(len(cp.Cells)))
-	for _, c := range cp.Cells {
-		r.values[c.Row][c.Col][c.Rep] = c.Value
-		r.done[(c.Row*r.spec.Cols+c.Col)*r.spec.Reps+c.Rep] = true
-		r.st.Done++
-		r.st.Cached++
-		if r.eng.opts.Monitor != nil {
-			r.st.Elapsed = time.Since(r.start)
-			r.eng.opts.Monitor <- ProgressEvent{
-				Row: c.Row, Col: c.Col, Rep: c.Rep, Cached: true, Stats: r.st,
-				Health: r.healthLocked(),
-			}
-		}
-	}
-	return nil
-}
-
-// snapshot collects the finished cells into a Checkpoint.
-func (r *run) snapshot() *Checkpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked()
-}
-
-func (r *run) snapshotLocked() *Checkpoint {
-	cp := &Checkpoint{
-		Version:     checkpointVersion,
-		Fingerprint: r.spec.Fingerprint,
-		Rows:        r.spec.Rows,
-		Cols:        r.spec.Cols,
-		Reps:        r.spec.Reps,
-	}
-	for idx, ok := range r.done {
-		if !ok {
-			continue
-		}
-		row, col, rep := r.unflatten(idx)
-		cp.Cells = append(cp.Cells, CheckpointCell{Row: row, Col: col, Rep: rep, Value: r.values[row][col][rep]})
-	}
-	return cp
 }
 
 func (r *run) unflatten(idx int) (row, col, rep int) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +15,6 @@ import (
 func testSpec(rows, cols, reps int) Spec {
 	return Spec{
 		Rows: rows, Cols: cols, Reps: reps,
-		Fingerprint: Key(fmt.Sprintf("test/v1|%dx%dx%d", rows, cols, reps)),
 		Key: func(r, c, p int) string {
 			return fmt.Sprintf("test-cell/v1|%d|%d|%d", r, c, p)
 		},
@@ -59,10 +56,7 @@ func TestRunComputesAllCells(t *testing.T) {
 }
 
 func TestRunCacheHitMissAccounting(t *testing.T) {
-	cache, err := NewCache(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(64)
 	spec := testSpec(2, 2, 3)
 
 	first, err := New(Options{Cache: cache}).Run(context.Background(), spec)
@@ -113,7 +107,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 
 func TestCacheLRUEvictionAndDiskLayer(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := NewCache(2, dir)
+	cache, err := NewStoreCache(2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +125,16 @@ func TestCacheLRUEvictionAndDiskLayer(t *testing.T) {
 	if cs := cache.Stats(); cs.DiskHits != 1 {
 		t.Fatalf("cache stats = %+v, want one disk hit", cs)
 	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A second cache over the same directory sees everything.
-	cache2, err := NewCache(8, dir)
+	cache2, err := NewStoreCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cache2.Close()
 	for key, want := range map[string]float64{k1: 1, k2: 2, k3: 3} {
 		if v, ok := cache2.Get(key); !ok || v != want {
 			t.Fatalf("fresh cache Get = %v, %v; want %v", v, ok, want)
@@ -144,11 +142,7 @@ func TestCacheLRUEvictionAndDiskLayer(t *testing.T) {
 	}
 
 	// Memory-only caches miss cleanly.
-	mem, err := NewCache(2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mem.Get(k1); ok {
+	if _, ok := NewCache(2).Get(k1); ok {
 		t.Fatal("memory-only cache should miss")
 	}
 }
@@ -224,17 +218,18 @@ func TestRetryablePredicateStopsRetry(t *testing.T) {
 	}
 }
 
-// Cancel mid-campaign, verify the checkpoint is loadable and partial,
-// then resume and verify the matrix is identical to an uninterrupted
-// run with > 0 cached cells.
-func TestCancellationCheckpointAndResume(t *testing.T) {
+// Cancel mid-campaign, then rerun the same spec over the same durable
+// cache (closed and reopened, as a restarted process would): the cells
+// the interrupted run finished come back as cache hits, only the rest
+// are computed, and the matrix is identical to an uninterrupted run.
+func TestCancellationResumeFromCache(t *testing.T) {
 	spec := testSpec(3, 3, 2)
 	ref, err := New(Options{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "campaign.checkpoint.json")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interrupted := spec
@@ -249,39 +244,31 @@ func TestCancellationCheckpointAndResume(t *testing.T) {
 		mu.Unlock()
 		return spec.Compute(c, r, cc, p)
 	}
-	cacheA, _ := NewCache(64, "")
-	_, err = New(Options{
-		Parallelism:     1,
-		Cache:           cacheA,
-		CheckpointPath:  path,
-		CheckpointEvery: 2,
-	}).Run(ctx, interrupted)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("checkpoint not loadable after cancellation: %v", err)
-	}
-	if cp.Fingerprint != spec.Fingerprint {
-		t.Fatal("checkpoint fingerprint mismatch")
-	}
-	if len(cp.Cells) == 0 || cp.Complete() {
-		t.Fatalf("checkpoint has %d cells, want partial (total %d)", len(cp.Cells), 18)
-	}
-
-	// Resume with a fresh cache: only the checkpoint carries state.
-	cacheB, _ := NewCache(64, "")
-	res, err := New(Options{Cache: cacheB, CheckpointPath: path}).Run(context.Background(), spec)
+	cacheA, err := NewStoreCache(64, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Cached == 0 {
-		t.Error("resumed run reports no cached cells")
+	_, err = New(Options{Parallelism: 1, Cache: cacheA}).Run(ctx, interrupted)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.Stats.Cached != len(cp.Cells) {
-		t.Errorf("resumed run cached %d cells, checkpoint had %d", res.Stats.Cached, len(cp.Cells))
+	if err := cacheA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume in a fresh cache over the same directory: only the store
+	// carries state.
+	cacheB, err := NewStoreCache(64, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cacheB.Close()
+	res, err := New(Options{Cache: cacheB}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Cached != computed || res.Stats.Computed != 18-computed {
+		t.Errorf("resumed run stats = %+v, want %d cached, %d computed", res.Stats, computed, 18-computed)
 	}
 	for r := range ref.Values {
 		for c := range ref.Values[r] {
@@ -292,66 +279,6 @@ func TestCancellationCheckpointAndResume(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// The completed run's final checkpoint is complete and byte-stable.
-	cp2, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cp2.Complete() {
-		t.Errorf("final checkpoint has %d cells, want %d", len(cp2.Cells), 18)
-	}
-}
-
-func TestCheckpointMismatchRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	other := testSpec(2, 2, 1)
-	if _, err := New(Options{CheckpointPath: path}).Run(context.Background(), other); err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec(2, 2, 2) // different grid ⇒ different fingerprint
-	_, err := New(Options{CheckpointPath: path}).Run(context.Background(), spec)
-	if !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
-	}
-}
-
-func TestCheckpointRejectsDuplicateCells(t *testing.T) {
-	// A duplicated cell would be replayed twice by restoreCheckpoint,
-	// double-counting Stats.Done, and could satisfy Complete() on a
-	// partial grid; the loader must reject the file outright.
-	path := filepath.Join(t.TempDir(), "cp.json")
-	data := `{"version":1,"fingerprint":"fp","rows":2,"cols":1,"reps":1,` +
-		`"cells":[{"row":0,"col":0,"rep":0,"value":1},{"row":0,"col":0,"rep":0,"value":2}]}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "duplicate cell") {
-		t.Fatalf("err = %v, want duplicate-cell rejection", err)
-	}
-}
-
-func TestCheckpointRejectsOverfullGrid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	data := `{"version":1,"fingerprint":"fp","rows":1,"cols":1,"reps":1,` +
-		`"cells":[{"row":0,"col":0,"rep":0,"value":1},{"row":0,"col":0,"rep":0,"value":2},` +
-		`{"row":0,"col":0,"rep":0,"value":3}]}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("checkpoint with more cells than grid slots accepted")
-	}
-}
-
-func TestCheckpointRequiresFingerprint(t *testing.T) {
-	spec := testSpec(1, 1, 1)
-	spec.Fingerprint = ""
-	_, err := New(Options{CheckpointPath: filepath.Join(t.TempDir(), "cp.json")}).
-		Run(context.Background(), spec)
-	if err == nil {
-		t.Fatal("checkpointing without a fingerprint should fail")
 	}
 }
 
@@ -440,8 +367,7 @@ func TestComputeStateWithoutWorkerState(t *testing.T) {
 }
 
 func TestEngineCumulativeStats(t *testing.T) {
-	cache, _ := NewCache(64, "")
-	eng := New(Options{Cache: cache})
+	eng := New(Options{Cache: NewCache(64)})
 	spec := testSpec(2, 2, 1)
 	if _, err := eng.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
@@ -452,28 +378,5 @@ func TestEngineCumulativeStats(t *testing.T) {
 	st := eng.Stats()
 	if st.Total != 8 || st.Computed != 4 || st.Cached != 4 {
 		t.Errorf("cumulative stats = %+v", st)
-	}
-}
-
-func TestCheckpointDeterministicBytes(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec(2, 3, 2)
-	runOnce := func(name string, par int) []byte {
-		path := filepath.Join(dir, name)
-		cache, _ := NewCache(64, "")
-		if _, err := New(Options{Parallelism: par, Cache: cache, CheckpointPath: path}).
-			Run(context.Background(), spec); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a := runOnce("a.json", 1)
-	b := runOnce("b.json", 4)
-	if string(a) != string(b) {
-		t.Error("checkpoint bytes depend on scheduling")
 	}
 }

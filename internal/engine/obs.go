@@ -12,13 +12,10 @@ var (
 	mCellsComputed = obs.Default.Counter("engine.cells.computed")
 	mCellsCached   = obs.Default.Counter("engine.cells.cached")
 	mCellsDeduped  = obs.Default.Counter("engine.cells.deduped")
-	mCellsRestored = obs.Default.Counter("engine.cells.restored")
 	mRetries       = obs.Default.Counter("engine.retries")
 	mEvictions     = obs.Default.Counter("engine.cache.evictions")
 	mInFlight      = obs.Default.Gauge("engine.inflight")
 	mQueueDepth    = obs.Default.Gauge("engine.queue")
-	mCkptSave      = obs.Default.Histogram("engine.checkpoint.save")
-	mCkptSaves     = obs.Default.Counter("engine.checkpoint.saves")
 )
 
 // bindCacheGauges publishes the cache's own traffic counters as gauge

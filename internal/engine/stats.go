@@ -17,8 +17,8 @@ type Stats struct {
 	Total int `json:"total"`
 	// Done counts finished cells, however they were satisfied.
 	Done int `json:"done"`
-	// Cached counts cells served from the result cache or restored from
-	// a checkpoint, without running the compute function.
+	// Cached counts cells served from the result cache — memory or its
+	// durable store — without running the compute function.
 	Cached int `json:"cached"`
 	// Computed counts cells that ran the compute function.
 	Computed int `json:"computed"`
@@ -43,16 +43,16 @@ func (s Stats) CellsPerSecond() float64 {
 }
 
 // ProgressEvent reports one finished cell on the campaign's monitor
-// channel: which cell, whether it was served from the cache (or a
-// checkpoint) or computed, how long the computation took, and how many
-// attempts it needed. Checkpoint-restored cells are replayed as events
-// with a zero Duration before any new work starts.
+// channel: which cell, whether it was served from the cache or
+// computed, how long the computation took, and how many attempts it
+// needed.
 type ProgressEvent struct {
 	// Row, Col, Rep locate the cell in the campaign grid.
 	Row int `json:"row"`
 	Col int `json:"col"`
 	Rep int `json:"rep"`
-	// Cached reports that the value came from the cache or a checkpoint.
+	// Cached reports that the value came from the result cache: memory,
+	// or its durable store when a rerun resumes an interrupted campaign.
 	Cached bool `json:"cached,omitempty"`
 	// Deduped reports that the value came from an identical in-flight
 	// cell computed by another campaign (see Stats.Deduped).

@@ -7,50 +7,33 @@ import (
 )
 
 // NewStoreCache returns a cache whose durable layer is the append-only
-// segment log of internal/store rooted at dir (created if needed). A
-// directory still holding the legacy one-JSON-file-per-cell layout is
-// migrated into the log on open, so existing -cache-dir directories and
-// service StateDirs keep working unchanged.
+// segment log of internal/store rooted at dir (created if needed).
 //
-// Compared to the JSON layer, Puts are write-behind — batched to disk
-// by the store's flusher instead of costing a file create + write +
-// rename each — so campaign workers never block on the disk; call Sync
-// (or Close, which the CLI closers do) to force durability at a
-// boundary. Values round-trip bit-exactly, non-finite included.
+// Puts are write-behind — batched to disk by the store's flusher — so
+// campaign workers never block on the disk; call Sync (or Close, which
+// the CLI closers do) to force durability at a boundary. Values
+// round-trip bit-exactly, non-finite included.
 func NewStoreCache(capacity int, dir string) (*Cache, error) {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("engine: store cache: %w", err)
 	}
-	return NewCacheWith(capacity, storeBacking{st: st}), nil
+	return newCache(capacity, st), nil
 }
 
 // NewStoreCacheWith wraps an already-open store (tests tune its
-// Options) in a cache.
+// Options) in a cache. The cache owns the store from then on: Close
+// closes it.
 func NewStoreCacheWith(capacity int, st *store.Store) *Cache {
-	return NewCacheWith(capacity, storeBacking{st: st})
+	return newCache(capacity, st)
 }
 
-// storeBacking adapts store.Store to the cache Backing seam, encoding
-// cell values as their raw float64 bits.
-type storeBacking struct {
-	st *store.Store
-}
-
-func (b storeBacking) Load(key string) (float64, bool) {
-	data, ok := b.st.Get(key)
+// loadFloat reads one cell value from the store; a record that does not
+// decode as a float64 is a miss.
+func loadFloat(st *store.Store, key string) (float64, bool) {
+	data, ok := st.Get(key)
 	if !ok {
 		return 0, false
 	}
 	return store.DecodeFloat64(data)
 }
-
-// Store hands the value to the store's write-behind buffer. Errors
-// (store closed, sticky flush failure) are swallowed per the Backing
-// contract; they resurface on Sync/Close.
-func (b storeBacking) Store(key string, v float64) {
-	_ = b.st.Put(key, store.EncodeFloat64(v))
-}
-
-func (b storeBacking) Sync() error  { return b.st.Sync() }
-func (b storeBacking) Close() error { return b.st.Close() }

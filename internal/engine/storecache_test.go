@@ -13,8 +13,7 @@ import (
 )
 
 // A store-backed cache must persist every Put across Close/reopen on
-// the same directory, bit-exactly — non-finite values included, which
-// the legacy JSON layer cannot represent.
+// the same directory, bit-exactly — non-finite values included.
 func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewStoreCache(8, dir)
@@ -49,38 +48,7 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 		}
 	}
 	if st := reopened.Stats(); st.DiskHits == 0 {
-		t.Fatalf("capacity-1 cache served without the backing: %+v", st)
-	}
-}
-
-// A legacy JSON cache directory handed to NewStoreCache is migrated in
-// place: every cell written through the old layer is served bit-exactly
-// by the store-backed cache.
-func TestStoreCacheMigratesLegacyDir(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := NewCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 20)
-	for i := range keys {
-		keys[i] = Key(fmt.Sprintf("legacy-cell-%d", i))
-		legacy.Put(keys[i], float64(i)*3.25)
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := NewStoreCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer migrated.Close()
-	for i, k := range keys {
-		got, ok := migrated.Get(k)
-		if !ok || got != float64(i)*3.25 {
-			t.Fatalf("legacy cell %d: (%v, %v)", i, got, ok)
-		}
+		t.Fatalf("capacity-1 cache served without the store: %+v", st)
 	}
 }
 

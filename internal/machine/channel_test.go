@@ -80,26 +80,11 @@ func TestChannelConfigsValidate(t *testing.T) {
 	}
 }
 
-// TestPowerWrapperEquivalence pins the deprecated entry points to the
-// registry: PowerChannel and PowerEnvironment must stay bit-identical to
-// the "power" channel's Apply and Environment.
-func TestPowerWrapperEquivalence(t *testing.T) {
-	power := Channels()["power"]
-	for _, mc := range CaseStudyMachines() {
-		if !reflect.DeepEqual(PowerChannel(mc), power.Apply(mc)) {
-			t.Errorf("PowerChannel(%s) diverges from channels[power].Apply", mc.Name)
-		}
-	}
-	if !reflect.DeepEqual(PowerEnvironment(), power.Environment()) {
-		t.Error("PowerEnvironment diverges from channels[power].Environment")
-	}
-}
-
 // TestChannelApplyComposesSourceEdits is the regression test for the
-// clobbering bug: the old PowerChannel rebuilt the source table from
-// scratch, silently dropping machine-specific customizations (the Turion
-// divider's off-chip coherence group, the per-machine bus-write geometry
-// angles). Apply must compose with those edits — only the coupling
+// clobbering bug: the original power channel rebuilt the source table
+// from scratch, silently dropping machine-specific customizations (the
+// Turion divider's off-chip coherence group, the per-machine bus-write
+// geometry angles). Apply must compose with those edits — only the coupling
 // magnitudes are the channel's business.
 func TestChannelApplyComposesSourceEdits(t *testing.T) {
 	for _, name := range []string{"power", "impedance"} {

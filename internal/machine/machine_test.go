@@ -225,9 +225,13 @@ func TestMachineDifferences(t *testing.T) {
 	}
 }
 
-func TestPowerChannel(t *testing.T) {
+// The registered power channel: every component couples through the
+// supply rail only, the base config is untouched, and the channel's
+// noise environment validates.
+func TestPowerChannelConfig(t *testing.T) {
+	power := Channels()["power"]
 	mc := Core2Duo()
-	pc := PowerChannel(mc)
+	pc := power.Apply(mc)
 	if err := pc.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +250,9 @@ func TestPowerChannel(t *testing.T) {
 	}
 	// The base machine must be untouched.
 	if mc.Sources[activity.ALU].Diffuse != 0 {
-		t.Error("PowerChannel mutated the base config")
+		t.Error("power Apply mutated the base config")
 	}
-	if err := PowerEnvironment().Validate(); err != nil {
+	if err := power.Environment().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

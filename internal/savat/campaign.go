@@ -39,8 +39,7 @@ type CampaignOptions struct {
 	SynthCache *SynthCache
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
-	// finished (pair, repetition) cell — checkpoint-restored and
-	// cache-served cells included. The campaign closes the channel when
+	// finished (pair, repetition) cell — cache-served cells included. The campaign closes the channel when
 	// the run ends, so pass a fresh channel per campaign and drain it
 	// until it closes. Event Row/Col index into the campaign's Events.
 	Monitor chan<- engine.ProgressEvent
@@ -49,7 +48,10 @@ type CampaignOptions struct {
 	// by (machine config, measurement config, event pair, seed,
 	// repetition) — event identity, not matrix position — so campaigns
 	// over different event subsets or orders share work, as do repeated
-	// figures in a distance sweep. Nil uses a fresh in-memory cache.
+	// figures in a distance sweep. A store-backed cache
+	// (engine.NewStoreCache) is what makes campaigns resumable: rerun an
+	// interrupted campaign over the same cache and its finished cells
+	// are served, not recomputed. Nil uses a fresh in-memory cache.
 	Cache *engine.Cache
 	// Flight, when non-nil, deduplicates identical cells in flight
 	// across concurrent campaigns sharing it (and sharing Cache): each
@@ -57,13 +59,6 @@ type CampaignOptions struct {
 	// Used by the campaign service so overlapping submissions never
 	// duplicate work; nil disables it.
 	Flight *engine.Flight
-	// CheckpointPath, when set, persists finished cells there
-	// periodically and when the campaign ends (cancellation included); a
-	// later run with identical campaign parameters resumes from it.
-	CheckpointPath string
-	// CheckpointEvery is the number of finished cells between periodic
-	// checkpoint writes (0 = engine default).
-	CheckpointEvery int
 	// MaxAttempts bounds per-cell measurement attempts for transient
 	// failures (0 = engine default of 3).
 	MaxAttempts int
@@ -86,8 +81,8 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 
 // RunCampaignContext measures the full pairwise SAVAT matrix on the
 // campaign engine: a worker pool fans out the (pair, repetition) cells,
-// a content-addressed cache and optional checkpoint file make the
-// campaign resumable, and transient cell failures are retried.
+// the content-addressed cache makes the campaign resumable, and
+// transient cell failures are retried.
 //
 // Every (pair, repetition) gets its own rng seeded from the event
 // identities — not matrix positions — so results are reproducible,
@@ -99,9 +94,9 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 // and distances included — as the paper's fixed binary was; fully
 // cached pairs never build a kernel at all.
 //
-// Cancelling ctx stops new cells promptly, lets in-flight cells finish,
-// checkpoints what completed (when CheckpointPath is set), and returns
-// the context's error.
+// Cancelling ctx stops new cells promptly, lets in-flight cells finish
+// (they land in opts.Cache, so a rerun over the same cache resumes from
+// them), and returns the context's error.
 func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixStats, error) {
 	// fail closes the caller's Monitor on paths that never reach the
 	// engine, honoring the "closed when the run ends" contract.
@@ -113,7 +108,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 	// Normalizing first makes the legacy empty channel name and the
 	// explicit "em" the same campaign: same validation, same fingerprint,
-	// same cache and checkpoint cells.
+	// same cache cells.
 	cfg = cfg.Normalized()
 	if err := mc.Validate(); err != nil {
 		return fail(err)
@@ -138,7 +133,6 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 
 	spec := engine.Spec{
 		Rows: n, Cols: n, Reps: opts.Repeats,
-		Fingerprint: campaignFingerprint(mc, cfg, events, opts.Seed, opts.Repeats),
 		Key: func(i, j, r int) string {
 			return cellKeyMaterial(mc, cfg, events[i], events[j], opts.Seed, r)
 		},
@@ -175,14 +169,12 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 
 	eng := engine.New(engine.Options{
-		Parallelism:     opts.Parallelism,
-		MaxAttempts:     opts.MaxAttempts,
-		RetryBackoff:    opts.RetryBackoff,
-		Cache:           opts.Cache,
-		Flight:          opts.Flight,
-		CheckpointPath:  opts.CheckpointPath,
-		CheckpointEvery: opts.CheckpointEvery,
-		Monitor:         opts.Monitor,
+		Parallelism:  opts.Parallelism,
+		MaxAttempts:  opts.MaxAttempts,
+		RetryBackoff: opts.RetryBackoff,
+		Cache:        opts.Cache,
+		Flight:       opts.Flight,
+		Monitor:      opts.Monitor,
 	})
 	res, err := eng.Run(ctx, spec)
 	if err != nil {
@@ -208,8 +200,8 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 }
 
 // campaignFingerprint canonically identifies a campaign: every
-// parameter that determines its cell values, hashed. It binds
-// checkpoint files to exactly one campaign. v3: the measurement
+// parameter that determines its cell values, hashed. Service jobs and
+// in-flight deduplication key on it. v3: the measurement
 // configuration carries the channel and countermeasure dimensions
 // (normalized, so the legacy empty channel and "em" fingerprint
 // equal), and v2 entries describe channel-unaware values.

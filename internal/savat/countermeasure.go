@@ -63,11 +63,11 @@ type CountermeasureReport struct {
 
 // RunCountermeasureReport measures the matched campaign pair for spec
 // (which must carry a non-empty countermeasure chain) and scores the
-// chain. rt supplies the runtime-only options; its Monitor and
-// CheckpointPath are ignored — the report runs two campaigns, and both
-// the per-cell monitor contract and a checkpoint file bind to exactly
-// one. Cache and Flight are shared by both runs; their cell keys differ
-// in the countermeasure dimension, so the runs never collide.
+// chain. rt supplies the runtime-only options; its Monitor is ignored —
+// the report runs two campaigns, and the per-cell monitor contract
+// binds to exactly one. Cache and Flight are shared by both runs; their
+// cell keys differ in the countermeasure dimension, so the runs never
+// collide.
 func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*CountermeasureReport, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -77,7 +77,6 @@ func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt Campaign
 		return nil, fmt.Errorf("%w: report needs a non-empty countermeasure chain", ErrBadCountermeasure)
 	}
 	rt.Monitor = nil
-	rt.CheckpointPath = ""
 
 	base := spec
 	base.Config.Countermeasures = nil

@@ -81,7 +81,7 @@ func FastConfig() Config {
 // empty Channel becomes "em" (the pre-channel-dimension pipeline).
 // Every campaign entry point normalizes before fingerprinting, so a
 // spec written before the channel field existed keys the same cache
-// and checkpoint cells as one that names "em" explicitly.
+// cells as one that names "em" explicitly.
 func (c Config) Normalized() Config {
 	if c.Channel == "" {
 		c.Channel = "em"
@@ -107,9 +107,9 @@ const (
 // frequency, channel, and countermeasure problems wrap the package
 // sentinels (ErrBadDistance, ErrBadFrequency, ErrUnknownChannel,
 // ErrBadCountermeasure) so callers at any layer can test with errors.Is;
-// a NaN or infinite value anywhere else wraps ErrNonFinite, and a
-// period count or capture length beyond MaxPeriods or
-// MaxCaptureSamples wraps ErrTooLarge.
+// a NaN or infinite value anywhere else wraps ErrNonFinite, a period
+// count or capture length beyond MaxPeriods or MaxCaptureSamples wraps
+// ErrTooLarge, and every other inconsistency wraps ErrBadConfig.
 func (c Config) Validate() error {
 	switch {
 	case !(c.Distance > 0) || math.IsInf(c.Distance, 1):
@@ -122,23 +122,23 @@ func (c Config) Validate() error {
 	}
 	switch {
 	case c.BandHalfWidth <= 0 || c.BandHalfWidth >= c.Frequency:
-		return fmt.Errorf("savat: band half-width %g outside (0, f0)", c.BandHalfWidth)
+		return fmt.Errorf("%w: band half-width %g outside (0, f0)", ErrBadConfig, c.BandHalfWidth)
 	case c.SampleRate < 2*(c.Frequency+c.BandHalfWidth):
-		return fmt.Errorf("savat: sample rate %g below Nyquist for %g Hz", c.SampleRate, c.Frequency)
+		return fmt.Errorf("%w: sample rate %g below Nyquist for %g Hz", ErrBadConfig, c.SampleRate, c.Frequency)
 	case c.Duration <= 0:
-		return fmt.Errorf("savat: non-positive duration %g", c.Duration)
+		return fmt.Errorf("%w: non-positive duration %g", ErrBadConfig, c.Duration)
 	case c.WarmupPeriods < 0 || c.MeasurePeriods <= 0:
-		return fmt.Errorf("savat: bad period counts warmup=%d measure=%d", c.WarmupPeriods, c.MeasurePeriods)
+		return fmt.Errorf("%w: bad period counts warmup=%d measure=%d", ErrBadConfig, c.WarmupPeriods, c.MeasurePeriods)
 	case c.WarmupPeriods > MaxPeriods || c.MeasurePeriods > MaxPeriods:
 		return fmt.Errorf("%w: period counts warmup=%d measure=%d exceed %d", ErrTooLarge, c.WarmupPeriods, c.MeasurePeriods, MaxPeriods)
 	case c.Duration*c.SampleRate > MaxCaptureSamples:
 		return fmt.Errorf("%w: capture of %g samples exceeds %d", ErrTooLarge, c.Duration*c.SampleRate, MaxCaptureSamples)
 	}
 	if err := c.Environment.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if err := c.Analyzer.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if _, err := machine.ChannelByName(c.Channel); err != nil {
 		return fmt.Errorf("%w: %q (have %v)", ErrUnknownChannel, c.Channel, machine.ChannelNames())

@@ -334,8 +334,8 @@ func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds Synt
 // per-repetition SAVAT values and their summary. Values agree exactly
 // with the corresponding campaign cells for the same seed.
 func (m *Measurer) MeasurePair(a, b Event, repeats int, seed int64) ([]float64, stats.Summary, error) {
-	if repeats <= 0 {
-		return nil, stats.Summary{}, fmt.Errorf("%w: %d", ErrBadRepeats, repeats)
+	if err := (CampaignOptions{Repeats: repeats}).Validate(); err != nil {
+		return nil, stats.Summary{}, err
 	}
 	k, err := m.kernel(context.Background(), a, b, CounterSeed(seed, a, b))
 	if err != nil {

@@ -104,10 +104,11 @@ func TestPredictErrors(t *testing.T) {
 // Section VII: the power channel sees the ALU (ADD/MUL gains real signal)
 // and is distance-invariant — both in contrast to the EM channel.
 func TestPowerChannelSAVAT(t *testing.T) {
+	power := machine.Channels()["power"]
 	em := machine.Core2Duo()
-	pw := machine.PowerChannel(em)
+	pw := power.Apply(em)
 	cfg := FastConfig()
-	cfg.Environment = machine.PowerEnvironment()
+	cfg.Environment = power.Environment()
 
 	get := func(mc machine.Config, a, b Event, d float64) float64 {
 		c := cfg

@@ -29,13 +29,13 @@ const SpecVersion = 2
 // (internal/cliconf) parses flags into it, the campaign daemon
 // (internal/service, cmd/savatd) unmarshals it from request bodies,
 // cmd/savat and cmd/reproduce emit and accept it as a file, and its
-// Fingerprint binds checkpoint files and in-flight cell deduplication
-// to exactly the campaign it describes.
+// Fingerprint binds service jobs and in-flight cell deduplication to
+// exactly the campaign it describes.
 //
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
 // nothing about how the campaign is executed (parallelism, caches,
-// checkpoint paths, monitors stay in CampaignOptions). Two specs with
+// monitors stay in CampaignOptions). Two specs with
 // equal fingerprints therefore produce bit-identical matrices on any
 // executor, which is what lets the service deduplicate overlapping
 // submissions cell-by-cell.
@@ -85,7 +85,7 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 
 // Validate reports the first problem with the spec as a wrapped
 // sentinel error: version (ErrSpecVersion), machine (ErrUnknownMachine),
-// events, then the shared Validate path over the measurement
+// events (ErrBadSpec), then the shared Validate path over the measurement
 // configuration and campaign options — so a spec rejected here would
 // have been rejected identically by RunCampaignContext, and vice versa.
 func (s CampaignSpec) Validate() error {
@@ -98,7 +98,7 @@ func (s CampaignSpec) Validate() error {
 	}
 	for _, e := range s.Events {
 		if !e.Valid() {
-			return fmt.Errorf("savat: spec event %d invalid", uint8(e))
+			return fmt.Errorf("%w: event %d invalid", ErrBadSpec, uint8(e))
 		}
 	}
 	return Validate(s.Config, CampaignOptions{Events: s.Events, Repeats: s.Repeats, Seed: s.Seed})
@@ -123,9 +123,9 @@ func (s CampaignSpec) GridEvents() []Event {
 
 // Options merges the spec into rt: the spec supplies everything that
 // determines cell values (events, repeats, seed) and rt supplies the
-// runtime-only knobs (parallelism, cache, checkpointing, monitor,
-// retry policy). Values already present in rt's identity fields are
-// overwritten — the spec is the single source of truth.
+// runtime-only knobs (parallelism, cache, monitor, retry policy).
+// Values already present in rt's identity fields are overwritten — the
+// spec is the single source of truth.
 func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
 	rt.Events = s.GridEvents()
 	rt.Repeats = s.Repeats
@@ -133,10 +133,9 @@ func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
 	return rt
 }
 
-// Fingerprint canonically identifies the campaign the spec describes —
-// the same value RunSpecContext hands the engine, so checkpoint files
-// and service jobs key on it. Two specs fingerprint equal exactly when
-// they produce bit-identical matrices.
+// Fingerprint canonically identifies the campaign the spec describes;
+// service jobs and deduplication key on it. Two specs fingerprint equal
+// exactly when they produce bit-identical matrices.
 func (s CampaignSpec) Fingerprint() (string, error) {
 	mc, err := s.MachineConfig()
 	if err != nil {
@@ -157,13 +156,14 @@ func (s CampaignSpec) MarshalIndent() ([]byte, error) {
 
 // ParseCampaignSpec decodes and validates one JSON spec. Unknown fields
 // are rejected so a typo'd field name fails loudly instead of silently
-// running the default campaign.
+// running the default campaign. Decode failures wrap ErrBadSpec;
+// validation failures wrap the sentinels CampaignSpec.Validate reports.
 func ParseCampaignSpec(data []byte) (CampaignSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s CampaignSpec
 	if err := dec.Decode(&s); err != nil {
-		return CampaignSpec{}, fmt.Errorf("savat: campaign spec: %w", err)
+		return CampaignSpec{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	s = s.Normalized()
 	if err := s.Validate(); err != nil {
@@ -193,8 +193,8 @@ func RunSpec(spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
 // RunSpecContext measures the campaign a spec describes on the engine,
 // with rt supplying the runtime-only options (see CampaignSpec.Options).
 // It is the spec-shaped face of RunCampaignContext: for equal specs the
-// two produce bit-identical matrices regardless of executor, cache
-// state, or checkpoint history.
+// two produce bit-identical matrices regardless of executor or cache
+// state.
 func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
 	if err := spec.Validate(); err != nil {
 		if rt.Monitor != nil {

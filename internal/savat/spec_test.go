@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,6 +64,8 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"bad-distance", func(s *CampaignSpec) { s.Config.Distance = -1 }, ErrBadDistance},
 		{"bad-frequency", func(s *CampaignSpec) { s.Config.Frequency = 0 }, ErrBadFrequency},
 		{"bad-repeats", func(s *CampaignSpec) { s.Repeats = 0 }, ErrBadRepeats},
+		{"repeats-over", func(s *CampaignSpec) { s.Repeats = MaxRepeats + 1 }, ErrTooLarge},
+		{"repeats-max-int", func(s *CampaignSpec) { s.Repeats = math.MaxInt }, ErrTooLarge},
 		{"unknown-channel", func(s *CampaignSpec) { s.Config.Channel = "acoustic" }, ErrUnknownChannel},
 		{"bad-countermeasure", func(s *CampaignSpec) {
 			s.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 2}}
@@ -77,6 +80,11 @@ func TestCampaignSpecValidate(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("default spec should validate: %v", err)
+	}
+	atBound := base
+	atBound.Repeats = MaxRepeats
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("repeats at MaxRepeats should validate: %v", err)
 	}
 
 	// Version 0 is normalized, not rejected — hand-written specs may
@@ -172,7 +180,7 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 	}
 
 	// The legacy empty channel and the explicit "em" describe the same
-	// campaign: same fingerprint, so v1-era checkpoints stay usable.
+	// campaign: same fingerprint, so v1-era cache cells stay usable.
 	em := base
 	em.Config.Channel = "em"
 	legacy := base
@@ -200,7 +208,7 @@ func TestSpecVersionGoldenRoundTrip(t *testing.T) {
 	}
 	// The v1 file is the default campaign at the paper's setup with a
 	// 3-event grid; its normalized form must equal the same spec written
-	// natively in v2 — including the fingerprint that keys checkpoints.
+	// natively in v2 — including the fingerprint that keys service jobs.
 	want := DefaultCampaignSpec()
 	want.Events = []Event{ADD, LDM, DIV}
 	want.Repeats = 3

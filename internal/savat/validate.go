@@ -29,10 +29,25 @@ var (
 	ErrBadCountermeasure = errors.New("savat: bad countermeasure")
 	// ErrNonFinite reports a NaN or infinite configuration value.
 	ErrNonFinite = errors.New("savat: configuration value must be finite")
-	// ErrTooLarge reports a period count or capture length beyond the
-	// resource bounds (MaxPeriods, MaxCaptureSamples).
+	// ErrBadConfig reports a finite but inconsistent measurement
+	// configuration: a band outside (0, f0), a sample rate below
+	// Nyquist, a non-positive duration or period count, or an invalid
+	// noise environment or analyzer setup.
+	ErrBadConfig = errors.New("savat: invalid measurement configuration")
+	// ErrBadSpec reports a campaign spec that does not decode — malformed
+	// JSON, an unknown field, a mistyped value, or an unknown event.
+	ErrBadSpec = errors.New("savat: malformed campaign spec")
+	// ErrTooLarge reports a period count, capture length, or repetition
+	// count beyond the resource bounds (MaxPeriods, MaxCaptureSamples,
+	// MaxRepeats).
 	ErrTooLarge = errors.New("savat: configuration exceeds a resource bound")
 )
+
+// MaxRepeats bounds CampaignOptions.Repeats (and CampaignSpec.Repeats).
+// A campaign allocates its whole value grid — events² × repeats cells —
+// before the first cell runs, so an unbounded count is an unbounded
+// allocation; 1000 is a hundred times the paper's ten repetitions.
+const MaxRepeats = 1000
 
 // Validate checks a measurement configuration and campaign options
 // together — the single validation entry point shared by the campaign
@@ -52,6 +67,9 @@ func Validate(cfg Config, opts CampaignOptions) error {
 func (o CampaignOptions) Validate() error {
 	if o.Repeats <= 0 {
 		return fmt.Errorf("%w: %d", ErrBadRepeats, o.Repeats)
+	}
+	if o.Repeats > MaxRepeats {
+		return fmt.Errorf("%w: repeats %d exceeds %d", ErrTooLarge, o.Repeats, MaxRepeats)
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ type errorResponse struct {
 //	GET    /v1/campaigns/{id}/events  progress stream (NDJSON; SSE with
 //	                                  Accept: text/event-stream)
 //	GET    /v1/campaigns/{id}/result  completed job's matrix
-//	DELETE /v1/campaigns/{id}         cancel (checkpointed for resume)
+//	DELETE /v1/campaigns/{id}         cancel (finished cells stay cached)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)

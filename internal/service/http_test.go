@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,21 +274,40 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Bad submissions: invalid JSON, missing spec, unknown field in the
-	// spec, invalid spec values.
-	for name, body := range map[string]string{
+	// spec, invalid spec values, and repeats beyond savat.MaxRepeats —
+	// refused before the engine would size its value grid from them.
+	overBound := submitBody(t, smokeSpec(), "").String()
+	if !strings.Contains(overBound, `"repeats":2,`) {
+		t.Fatalf("submit body lacks the repeats field: %s", overBound)
+	}
+	bad := map[string]string{
 		"invalid-json":  `{`,
 		"missing-spec":  `{}`,
 		"unknown-field": `{"spec": {"machine": "Core2Duo", "sede": 1}}`,
 		"bad-machine":   `{"spec": {"machine": "Cray1"}}`,
-	} {
+	}
+	for _, n := range []string{fmt.Sprint(savat.MaxRepeats + 1), "100000000000", "9223372036854775807"} {
+		bad["repeats-"+n] = strings.Replace(overBound, `"repeats":2,`, `"repeats":`+n+`,`, 1)
+	}
+	for name, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Errorf("%s: error body: %v", name, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+		if strings.HasPrefix(name, "repeats-") && !strings.Contains(e.Error, savat.ErrTooLarge.Error()) {
+			t.Errorf("%s: error %q does not name the bound", name, e.Error)
+		}
+	}
+	if n := len(s.List()); n != 1 {
+		t.Errorf("%d jobs after the bad submissions, want only the valid one", n)
 	}
 	awaitDone(t, s, jb.ID)
 }

@@ -4,22 +4,22 @@
 // campaign it runs, so concurrent submissions that overlap — identical
 // campaigns, or campaigns sharing cells — compute each distinct cell
 // exactly once between them. Jobs are queued with per-tenant fair
-// scheduling, stream typed progress events while they run, and are
-// checkpointed under the server's state directory keyed by the spec's
-// fingerprint, so a cancelled campaign resumes where it stopped when
-// the same spec is submitted again.
+// scheduling, and stream typed progress events while they run. Every
+// finished cell lands in the shared cache under its content key, so a
+// cancelled campaign resumes where it stopped when the same spec is
+// submitted again — across server restarts too when the cache is
+// durable (Options.StateDir).
 //
 // The unit of work everywhere is savat.CampaignSpec: the HTTP layer
 // unmarshals one from request bodies, Submit validates it with the same
-// savat-side call the CLI uses, and its fingerprint binds checkpoints
-// and deduplication to exactly the campaign it describes.
+// savat-side call the CLI uses, and its fingerprint identifies the
+// job's campaign.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -51,9 +51,9 @@ const (
 	StateDone State = "done"
 	// StateFailed: finished with an error (recorded on the job).
 	StateFailed State = "failed"
-	// StateCancelled: cancelled before completion. Completed cells are
-	// checkpointed (when the server has a state directory), so
-	// resubmitting the same spec resumes instead of restarting.
+	// StateCancelled: cancelled before completion. Completed cells stay
+	// in the server's result cache, so resubmitting the same spec
+	// resumes instead of restarting.
 	StateCancelled State = "cancelled"
 )
 
@@ -65,10 +65,10 @@ func (s State) Terminal() bool {
 // Options configure a Server.
 type Options struct {
 	// StateDir, when non-empty, roots the server's persistent state:
-	// the disk layer of the result cache (StateDir/cache) and per-spec
-	// checkpoint files (StateDir/checkpoints/<fingerprint>.json). Empty
-	// keeps everything in memory — jobs then cannot resume across
-	// server restarts or cancellations.
+	// the durable layer of the result cache (StateDir/cache). Empty
+	// keeps the cache in memory — cancelled jobs still resume when
+	// resubmitted (while their cells stay resident), but nothing
+	// survives a server restart.
 	StateDir string
 	// MaxActive bounds concurrently running campaigns (0 = 2). The
 	// campaigns share one process-wide worker budget (see workpool), so
@@ -141,8 +141,7 @@ type Server struct {
 // New builds a Server. With a StateDir, the shared result cache gets
 // its durable layer under StateDir/cache: the append-only segment log
 // of internal/store, batching cell writes off the campaign workers'
-// path. A StateDir written by an older build (one JSON file per cell)
-// is migrated into the log on first open. Close flushes it.
+// path. Close flushes it.
 func New(opts Options) (*Server, error) {
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = 2
@@ -151,17 +150,14 @@ func New(opts Options) (*Server, error) {
 		opts.CacheCapacity = engine.DefaultCacheCapacity
 	}
 	var cache *engine.Cache
-	if opts.StateDir != "" {
-		if err := os.MkdirAll(filepath.Join(opts.StateDir, "checkpoints"), 0o755); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
+	if opts.StateDir == "" {
+		cache = engine.NewCache(opts.CacheCapacity)
+	} else {
 		var err error
 		cache, err = engine.NewStoreCache(opts.CacheCapacity, filepath.Join(opts.StateDir, "cache"))
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-	} else {
-		cache, _ = engine.NewCache(opts.CacheCapacity, "") // memory-only: cannot fail
 	}
 	return &Server{
 		opts:   opts,
@@ -257,9 +253,9 @@ func (s *Server) Result(id string) (*savat.MatrixStats, error) {
 }
 
 // Cancel stops a job: a queued job is cancelled in place, a running
-// job's context is cancelled (its completed cells are checkpointed by
-// the engine, so resubmitting the same spec resumes). Cancelling a
-// terminal job is a no-op. Returns the post-cancel snapshot.
+// job's context is cancelled (its completed cells stay in the result
+// cache, so resubmitting the same spec resumes). Cancelling a terminal
+// job is a no-op. Returns the post-cancel snapshot.
 func (s *Server) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,7 +319,7 @@ func (s *Server) Subscribe(id string) (<-chan engine.ProgressEvent, func(), erro
 }
 
 // Close stops the server: no new submissions, queued jobs are
-// cancelled, running campaigns are cancelled (and checkpointed), Close
+// cancelled, running campaigns are cancelled, Close
 // blocks until they have wound down, and the shared result cache's
 // durable layer is flushed and released.
 func (s *Server) Close() {
@@ -340,16 +336,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.cache.Close()
-}
-
-// checkpointPath returns the job's checkpoint file ("" without a
-// state directory). Keyed by the spec fingerprint — not the job id — so
-// any later job for the same spec resumes from it.
-func (s *Server) checkpointPath(j *job) string {
-	if s.opts.StateDir == "" {
-		return ""
-	}
-	return filepath.Join(s.opts.StateDir, "checkpoints", j.fp+".json")
 }
 
 // finishLocked moves a job to a terminal state and releases its

@@ -148,14 +148,28 @@ func TestResultBeforeDone(t *testing.T) {
 	awaitDone(t, s, second.ID)
 }
 
-// Cancelling a queued job never runs it; cancelling a running job with
-// a state directory checkpoints it, and resubmitting the same spec
-// resumes — the resumed job's computed count plus the checkpoint's
-// restored cells cover the grid, and the final matrix is bit-identical
-// to a direct run.
+// Cancelling a running job keeps its finished cells in the server's
+// result cache, and resubmitting the same spec resumes from them — with
+// a state directory (durable store) and without one (memory only) alike.
+// The resumed job serves exactly the cancelled job's finished cells from
+// the cache, computes the rest, and its matrix is bit-identical to a
+// direct run.
 func TestCancelAndResume(t *testing.T) {
-	dir := t.TempDir()
-	s := newServer(t, Options{StateDir: dir, MaxActive: 1, Parallelism: 1})
+	for _, tc := range []struct {
+		name     string
+		stateDir string
+	}{
+		{"state-dir", t.TempDir()},
+		{"memory-only", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testCancelAndResume(t, Options{StateDir: tc.stateDir, MaxActive: 1, Parallelism: 1})
+		})
+	}
+}
+
+func testCancelAndResume(t *testing.T, opts Options) {
+	s := newServer(t, opts)
 	spec := smokeSpec()
 	// Quarter-second captures and 18 serial cells: slow enough that the
 	// cancel below always lands mid-run, never after the last cell.
@@ -195,8 +209,8 @@ func TestCancelAndResume(t *testing.T) {
 		t.Fatalf("idempotent cancel: %+v, %v", again, err)
 	}
 
-	// Resubmit the identical spec: the checkpoint (keyed by the spec
-	// fingerprint) restores the finished cells.
+	// Resubmit the identical spec: its cell keys match, so the shared
+	// cache serves the finished cells.
 	resumed, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +226,9 @@ func TestCancelAndResume(t *testing.T) {
 	if final.Stats.Done != total {
 		t.Errorf("resumed done %d, want %d", final.Stats.Done, total)
 	}
-	if final.Stats.Cached == 0 {
-		t.Error("resume restored nothing despite the checkpoint")
+	if final.Stats.Cached == 0 || final.Stats.Cached != cancelled.Stats.Done {
+		t.Errorf("resume served %d cells from the cache, cancelled job finished %d",
+			final.Stats.Cached, cancelled.Stats.Done)
 	}
 
 	res, err := s.Result(resumed.ID)

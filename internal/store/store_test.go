@@ -46,6 +46,48 @@ func expect(t *testing.T, s *Store, key, want string) {
 	}
 }
 
+// Open on a directory holding stray <key>.json files — the layout of a
+// cache directory written before the segment log — succeeds, leaves the
+// files byte-for-byte untouched, and serves none of them: only segment
+// records are store contents.
+func TestOpenIgnoresStrayJSONFiles(t *testing.T) {
+	dir := t.TempDir()
+	stray := map[string]string{
+		"key-a.json": `{"value":1.5}`,
+		"key-b.json": `not json at all`,
+	}
+	for name, body := range stray {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openT(t, dir, fastOpts())
+	for _, key := range []string{"key-a", "key-b", "key-a.json", "key-b.json"} {
+		if v, ok := s.Get(key); ok {
+			t.Errorf("Get(%q) served %q from a stray file", key, v)
+		}
+	}
+	if n := s.Len(); n != 0 {
+		t.Errorf("store indexed %d keys, want 0", n)
+	}
+	put(t, s, "key-a", "from the log")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range stray {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("stray %s: %v", name, err)
+		}
+		if string(got) != body {
+			t.Errorf("stray %s rewritten: %q, want %q", name, got, body)
+		}
+	}
+	s2 := openT(t, dir, fastOpts())
+	defer s2.Close()
+	expect(t, s2, "key-a", "from the log")
+}
+
 func TestPutGetReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, fastOpts())
