@@ -58,13 +58,15 @@ lint:
 # runners are not the baseline machine), the arena-backed steady state
 # must perform zero heap allocations per cell, and the disabled
 # instrumentation sites themselves must report exactly 0 allocs/op.
+# The anchors allow the "-N" suffix `go test` appends to names when
+# GOMAXPROCS is N ≠ 1; benchguard strips it to find the baseline row.
 BENCH_GUARD_BUDGET ?= 0.01
 BENCH_GUARD_NOISE ?= 0.25
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkMeasureKernelScratch$$' -benchtime 20x . > benchguard.out || (cat benchguard.out; rm -f benchguard.out; exit 1)
 	$(GO) test -run '^$$' -bench 'BenchmarkDisabled' -benchtime 1000x ./internal/obs >> benchguard.out || (cat benchguard.out; rm -f benchguard.out; exit 1)
-	$(GO) run ./cmd/benchguard -baseline $(BENCH_BASELINE) -only 'MeasureKernelScratch$$' \
-		-zeroalloc 'BenchmarkMeasureKernelScratch$$|BenchmarkDisabled' \
+	$(GO) run ./cmd/benchguard -baseline $(BENCH_BASELINE) -only 'MeasureKernelScratch(-[0-9]+)?$$' \
+		-zeroalloc 'BenchmarkMeasureKernelScratch(-[0-9]+)?$$|BenchmarkDisabled' \
 		-budget $(BENCH_GUARD_BUDGET) -noise $(BENCH_GUARD_NOISE) < benchguard.out
 	@rm -f benchguard.out
 

@@ -25,6 +25,14 @@
 // dropping b.ReportAllocs() cannot disarm the assertion. This is how
 // the "disabled observability sites allocate nothing" contract is
 // enforced against harness artifacts as well as real regressions.
+//
+// Guarded benchmarks that report the fidelity metrics spearman or
+// diag-violations are also held to their baseline values without
+// slack: spearman may not fall, diag-violations may not rise.
+//
+// Current results match baseline rows after the "-N" GOMAXPROCS suffix
+// is stripped from both names, so a run on an N-core machine is guarded
+// against a baseline recorded at another core count.
 package main
 
 import (
@@ -37,6 +45,24 @@ import (
 
 	"repro/internal/benchfmt"
 )
+
+// fidelityChecks are the paper-fidelity metrics a guarded benchmark
+// may report (the figure benchmarks do). They are deterministic — zero
+// variance across runs — so they get no budget or noise slack: the
+// rank correlation with the paper may not fall and the count of
+// structural-claim violations may not rise.
+var fidelityChecks = []struct {
+	unit           string
+	higherIsBetter bool
+	rule           string
+}{
+	{"spearman", true, "must not fall"},
+	{"diag-violations", false, "must not rise"},
+}
+
+// fidelityTol absorbs only the rounding of a cross-run mean of
+// identical samples (the baselines store 0.9439 as 0.9438999999999999).
+const fidelityTol = 1e-9
 
 func main() {
 	var (
@@ -105,13 +131,32 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 		if keep != nil && !keep.MatchString(b.Name) {
 			continue
 		}
-		curNS, ok := b.Metrics["ns/op"]
-		if !ok {
-			continue
-		}
 		ref, ok := base.Find(b.Name)
 		if !ok {
 			fmt.Fprintf(out, "  SKIP %-45s not in baseline (record a new snapshot)\n", b.Name)
+			continue
+		}
+		for _, fc := range fidelityChecks {
+			curV, okCur := b.Metrics[fc.unit]
+			baseV, okBase := ref.Metrics[fc.unit]
+			if !okCur || !okBase {
+				continue
+			}
+			compared++
+			worse := curV > baseV+fidelityTol
+			if fc.higherIsBetter {
+				worse = curV < baseV-fidelityTol
+			}
+			verdict := "ok"
+			if worse {
+				verdict = "FAIL"
+				failed++
+			}
+			fmt.Fprintf(out, "  %-4s %-45s %12.4g %s vs %12.4g baseline (%s)\n",
+				verdict, b.Name, curV, fc.unit, baseV, fc.rule)
+		}
+		curNS, ok := b.Metrics["ns/op"]
+		if !ok {
 			continue
 		}
 		baseNS := ref.Metrics["ns/op"]

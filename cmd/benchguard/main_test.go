@@ -113,3 +113,73 @@ func TestZeroAllocAssertion(t *testing.T) {
 		t.Fatalf("missing allocs/op metric accepted on a zero-alloc site:\n%s", out)
 	}
 }
+
+// A run on a multi-core machine prints "BenchmarkX-N"; the guard must
+// find the baseline row recorded without the suffix and actually
+// compare it (a SKIP would silently disarm the contract).
+func TestGOMAXPROCSSuffixMatchesBaseline(t *testing.T) {
+	out, err := guard(t, "BenchmarkMeasureKernelScratch-2 20 1004000 ns/op\n", "Scratch(-[0-9]+)?$", 0.01, 0)
+	if err != nil {
+		t.Fatalf("suffixed run within budget rejected: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "SKIP") || !strings.Contains(out, "ok   BenchmarkMeasureKernelScratch-2") {
+		t.Errorf("suffixed benchmark not compared against its baseline row:\n%s", out)
+	}
+	if out, err := guard(t, "BenchmarkMeasureKernelScratch-2 20 1020000 ns/op\n", "Scratch(-[0-9]+)?$", 0.01, 0); err == nil {
+		t.Fatalf("2%% regression on a suffixed run accepted:\n%s", out)
+	}
+}
+
+const fidelityBaseline = `{
+  "date": "20260808",
+  "benchmarks": [
+    {"name": "BenchmarkFig09", "iterations": 6,
+     "metrics": {"ns/op": 1000000, "spearman": 0.9438999999999999, "diag-violations": 0}}
+  ]
+}
+`
+
+func guardFidelity(t *testing.T, benchOut string) (string, error) {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(p, []byte(fidelityBaseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run(strings.NewReader(benchOut), &out, p, 0.01, 0.25, "", "")
+	return out.String(), err
+}
+
+func TestFidelityUnchangedPasses(t *testing.T) {
+	out, err := guardFidelity(t, "BenchmarkFig09-2 1 1000000 ns/op 0.9439 spearman 0 diag-violations\n")
+	if err != nil {
+		t.Fatalf("unchanged fidelity rejected: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "3 benchmarks within budget") {
+		t.Errorf("fidelity metrics not compared:\n%s", out)
+	}
+}
+
+func TestSpearmanDropFails(t *testing.T) {
+	out, err := guardFidelity(t, "BenchmarkFig09-2 1 1000000 ns/op 0.9401 spearman 0 diag-violations\n")
+	if err == nil {
+		t.Fatalf("spearman drop accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL BenchmarkFig09-2") || !strings.Contains(out, "spearman") {
+		t.Errorf("output:\n%s", out)
+	}
+	// A rise is an improvement, not a failure.
+	if out, err := guardFidelity(t, "BenchmarkFig09-2 1 1000000 ns/op 0.95 spearman 0 diag-violations\n"); err != nil {
+		t.Fatalf("spearman rise rejected: %v\n%s", err, out)
+	}
+}
+
+func TestDiagViolationsRiseFails(t *testing.T) {
+	out, err := guardFidelity(t, "BenchmarkFig09-2 1 1000000 ns/op 0.9439 spearman 1 diag-violations\n")
+	if err == nil {
+		t.Fatalf("new diagonal violation accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL BenchmarkFig09-2") || !strings.Contains(out, "diag-violations") {
+		t.Errorf("output:\n%s", out)
+	}
+}

@@ -28,6 +28,13 @@
 //     cached slice looks big enough — capacity says nothing about
 //     epoch. The pattern is: on epoch change, drop every cached slice;
 //     then carve on demand.
+//   - Reset on return to the free list. An owner that hands its arena
+//     on — savat's campaigns return worker arenas to a process-wide
+//     free list so the next campaign's workers start warm — resets it
+//     first, once nothing carved from it is live any more (after every
+//     worker using it has stopped). The next owner therefore starts a
+//     fresh epoch: nothing it caches from the previous owner's carves
+//     can match Gen, and the arena is never held by two owners at once.
 //   - Buffers that outlive epochs — cached synthesis products, traces
 //     copied out by callers — must NOT come from an arena. savat's
 //     product caches allocate their published buffers on the heap for
@@ -51,6 +58,7 @@ type Arena struct {
 	complexes []complex128
 	fOff      int
 	cOff      int
+	used      int // bytes carved this epoch
 }
 
 // New returns an empty arena; slabs are sized on first carve.
@@ -76,6 +84,7 @@ func (a *Arena) Reset() {
 	}
 	a.gen++
 	a.fOff, a.cOff = 0, 0
+	a.used = 0
 }
 
 // Floats carves an n-element float64 slice (full, zeroed, capacity
@@ -91,6 +100,7 @@ func (a *Arena) Floats(n int) []float64 {
 	}
 	s := a.floats[a.fOff : a.fOff+n : a.fOff+n]
 	a.fOff += n
+	a.used += 8 * n
 	clear(s) // rewound slabs carry the previous epoch's values
 	return s
 }
@@ -107,8 +117,19 @@ func (a *Arena) Complexes(n int) []complex128 {
 	}
 	s := a.complexes[a.cOff : a.cOff+n : a.cOff+n]
 	a.cOff += n
+	a.used += 16 * n
 	clear(s)
 	return s
+}
+
+// InUse returns the bytes carved in the current epoch — the working
+// set the owner has actually touched since the last Reset, independent
+// of how the slabs grew to hold it (for tests and diagnostics).
+func (a *Arena) InUse() int {
+	if a == nil {
+		return 0
+	}
+	return a.used
 }
 
 // Footprint returns the arena's current slab capacity in bytes (for

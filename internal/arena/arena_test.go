@@ -113,3 +113,24 @@ func TestGrowthAndEdgeSizes(t *testing.T) {
 		t.Errorf("Complexes(0) len = %d", len(z))
 	}
 }
+
+// InUse counts the bytes carved this epoch, across slab growth, and
+// Reset zeroes it while Footprint keeps the capacity.
+func TestInUse(t *testing.T) {
+	a := New()
+	a.Floats(minSlab / 2)
+	a.Floats(4 * minSlab) // new slab mid-epoch
+	a.Complexes(3)
+	if got, want := a.InUse(), 8*(minSlab/2+4*minSlab)+16*3; got != want {
+		t.Errorf("InUse = %d, want %d", got, want)
+	}
+	fp := a.Footprint()
+	a.Reset()
+	if a.InUse() != 0 || a.Footprint() != fp {
+		t.Errorf("after Reset: InUse %d, Footprint %d (want 0, %d)", a.InUse(), a.Footprint(), fp)
+	}
+	var nilArena *Arena
+	if nilArena.InUse() != 0 {
+		t.Error("nil InUse != 0")
+	}
+}

@@ -101,14 +101,39 @@ func (f *File) Aggregate() {
 	f.Benchmarks = agg
 }
 
-// Find returns the first benchmark whose name equals name.
+// Find returns the benchmark named name: an exact match if there is
+// one, otherwise the first whose name equals name once both have their
+// GOMAXPROCS suffix stripped (see baseName) — so a run on an N-core
+// machine finds its row in a baseline recorded at another core count.
 func (f *File) Find(name string) (Bench, bool) {
 	for _, b := range f.Benchmarks {
 		if b.Name == name {
 			return b, true
 		}
 	}
+	base := baseName(name)
+	for _, b := range f.Benchmarks {
+		if baseName(b.Name) == base {
+			return b, true
+		}
+	}
 	return Bench{}, false
+}
+
+// baseName strips the "-N" suffix `go test` appends to a benchmark's
+// name when GOMAXPROCS is N ≠ 1 ("BenchmarkX-2" → "BenchmarkX"). A name
+// without a numeric suffix is returned unchanged.
+func baseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // Parse reads `go test -bench` output and collects every benchmark

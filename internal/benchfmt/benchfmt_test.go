@@ -121,3 +121,33 @@ func TestParseRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+func TestFindStripsGOMAXPROCSSuffix(t *testing.T) {
+	f := &File{Benchmarks: []Bench{
+		{Name: "BenchmarkMeasureKernelScratch"},
+		{Name: "BenchmarkPlanFor/new-plan"},
+		{Name: "BenchmarkFFT/n-1024-4"},
+	}}
+	for _, c := range []struct{ query, want string }{
+		{"BenchmarkMeasureKernelScratch-2", "BenchmarkMeasureKernelScratch"},
+		{"BenchmarkMeasureKernelScratch", "BenchmarkMeasureKernelScratch"},
+		{"BenchmarkPlanFor/new-plan-8", "BenchmarkPlanFor/new-plan"},
+		{"BenchmarkFFT/n-1024-2", "BenchmarkFFT/n-1024-4"},
+	} {
+		b, ok := f.Find(c.query)
+		if !ok || b.Name != c.want {
+			t.Errorf("Find(%q) = %q, %v; want %q", c.query, b.Name, ok, c.want)
+		}
+	}
+	if b, ok := f.Find("BenchmarkMeasureKernelScratchObsOn-2"); ok {
+		t.Errorf("Find matched a different benchmark: %q", b.Name)
+	}
+	for name, want := range map[string]string{
+		"BenchmarkX-16": "BenchmarkX", "BenchmarkX": "BenchmarkX",
+		"BenchmarkX-": "BenchmarkX-", "BenchmarkPlanFor/new-plan": "BenchmarkPlanFor/new-plan",
+	} {
+		if got := baseName(name); got != want {
+			t.Errorf("baseName(%q) = %q, want %q", name, got, want)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/buf"
 	"repro/internal/obs"
 	"repro/internal/workpool"
 )
@@ -24,8 +23,8 @@ var (
 	mFFTBatched        = obs.Default.Counter("dsp.fft.batched")
 )
 
-// maxFeedSlots bounds how many segment transforms a feed keeps in
-// flight. Each slot owns one segLen complex buffer, so the feed's
+// maxFeedSlots bounds how many segment transforms a ring keeps in
+// flight. Each slot owns one segLen complex buffer, so the ring's
 // working set stays O(segLen) regardless of capture length.
 const maxFeedSlots = 4
 
@@ -41,24 +40,40 @@ type feedSlot struct {
 	run func()
 }
 
-// slotRing is the ordered dispatch machinery shared by PairFeed and
-// Feed: segments are scattered into slots in arrival order, their
-// butterflies may run concurrently on pool workers, and completed
-// slots are reduced strictly FIFO — so the floating-point accumulation
-// order is identical to the buffered Welch loops no matter how many
-// transforms overlap (including zero, when the pool has no capacity
-// and every transform runs on the producer).
+// SlotRing is the ordered dispatch machinery PairFeed and Feed
+// transform their segments through: segments are scattered into slots
+// in arrival order, their butterflies may run concurrently on pool
+// workers, and completed slots are reduced strictly FIFO — so the
+// floating-point accumulation order is identical to the buffered Welch
+// loops no matter how many transforms overlap (including zero, when
+// the pool has no capacity and every transform runs on the producer).
 //
 // Transforms the pool refuses are not run inline immediately; they are
 // parked as pending and executed together in one stage-outer batch
 // sweep (Plan.butterfliesBatch) when a result is actually needed — so
 // on a machine whose pool has no spare capacity the feed still gets the
 // cache locality of batched butterflies: each stage's twiddle table is
-// loaded once per batch instead of once per segment. Per-segment
-// results are bit-identical either way, and the FIFO reduction order
-// never changes.
-type slotRing struct {
-	slots    []feedSlot
+// loaded once per batch instead of once per segment. A feed's final
+// segment (FeedFinal) always joins that batch: Finish waits for it
+// anyway, so handing it to a pool worker would only add a handoff.
+// Per-segment results are bit-identical either way, and the FIFO
+// reduction order never changes.
+//
+// A slot's buffer is carved the first time the ring hands that slot
+// out, so a capture of k segments touches min(k, maxFeedSlots) buffers
+// — a one-segment capture carves exactly one. One ring may serve
+// several feeds that run one after the other (each feed's
+// Init…Finish completes before the next feed's Init), which is how
+// specan.Scratch shares one ring between its envelope and noise feeds.
+// The zero value is ready to use; a SlotRing is NOT safe for
+// concurrent use.
+type SlotRing struct {
+	// Always maxFeedSlots slots — not 1+pool.Cap() — so pool-refused
+	// transforms can accumulate into a batch even when the pool has no
+	// workers to spare (the common case on a loaded or single-core
+	// machine, which is exactly where batching pays).
+	slots    [maxFeedSlots]feedSlot
+	segLen   int
 	head     int // oldest undrained slot
 	inFlight int
 	count    int // segments reduced so far
@@ -74,69 +89,75 @@ type slotRing struct {
 	memGen uint64
 }
 
-func (r *slotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.Arena) {
+func (r *SlotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.Arena) {
+	r.Settle()
 	if pool == nil {
 		pool = workpool.Default
 	}
 	r.pool = pool
 	r.plan = plan
-	// The ring always holds maxFeedSlots slots — not 1+pool.Cap() — so
-	// pool-refused transforms can accumulate into a batch even when the
-	// pool has no workers to spare (the common case on a loaded or
-	// single-core machine, which is exactly where batching pays).
-	if len(r.slots) != maxFeedSlots {
-		r.slots = make([]feedSlot, maxFeedSlots)
-	}
+	r.segLen = segLen
 	if g := mem.Gen(); mem != r.mem || g != r.memGen {
+		// Retired epoch, or another backing: nothing carved before may
+		// be reused, so every slot re-carves on its next use.
 		r.mem, r.memGen = mem, g
-		if mem != nil {
-			for i := range r.slots {
-				r.slots[i].fft = nil // retired epoch (or new arena): re-carve
-			}
-		}
-	}
-	for i := range r.slots {
-		sl := &r.slots[i]
-		if r.mem != nil {
-			if cap(sl.fft) < segLen {
-				sl.fft = r.mem.Complexes(segLen)
-			} else {
-				sl.fft = sl.fft[:segLen]
-			}
-		} else {
-			sl.fft = buf.Grow(sl.fft, segLen)
-		}
-		if sl.run == nil {
-			sl.run = func() {
-				sp := mFFTSegment.Start()
-				r.plan.butterflies(sl.fft)
-				sp.End()
-				sl.wg.Done()
-			}
+		for i := range r.slots {
+			r.slots[i].fft = nil
 		}
 	}
 	r.head = 0
-	r.inFlight = 0
 	r.count = 0
+}
+
+// Settle abandons whatever a feed left in the ring without finishing —
+// a producer that errored between Init and Finish: pending transforms
+// are dropped and in-flight ones waited for, so no pool worker still
+// writes a slot buffer once Settle returns. The next Init settles
+// implicitly; an owner about to release the ring's arena calls it on
+// its error paths.
+func (r *SlotRing) Settle() {
+	for _, sl := range r.pending {
+		sl.wg.Done()
+	}
 	r.pending = r.pending[:0]
-	r.batch = r.batch[:0]
+	for ; r.inFlight > 0; r.inFlight-- {
+		r.slots[r.head].wg.Wait()
+		r.head = (r.head + 1) % len(r.slots)
+	}
 }
 
 // next returns the slot the caller should scatter the next segment
-// into, draining the oldest in-flight slot first if the ring is full.
-func (r *slotRing) next(reduce func(f []complex128, first bool)) *feedSlot {
+// into, draining the oldest in-flight slot first if the ring is full
+// and carving the slot's buffer on its first use this epoch.
+func (r *SlotRing) next(reduce func(f []complex128, first bool)) *feedSlot {
 	if r.inFlight == len(r.slots) {
 		r.drainOne(reduce)
 	}
-	return &r.slots[(r.head+r.inFlight)%len(r.slots)]
+	sl := &r.slots[(r.head+r.inFlight)%len(r.slots)]
+	if cap(sl.fft) >= r.segLen {
+		sl.fft = sl.fft[:r.segLen]
+	} else {
+		sl.fft = r.mem.Complexes(r.segLen) // nil-safe: heap when no arena
+	}
+	if sl.run == nil {
+		sl.run = func() {
+			sp := mFFTSegment.Start()
+			r.plan.butterflies(sl.fft)
+			sp.End()
+			sl.wg.Done()
+		}
+	}
+	return sl
 }
 
 // dispatch hands a scattered slot to the pool for its butterflies,
-// parking it for the next batch sweep when no worker slot is free.
-func (r *slotRing) dispatch(sl *feedSlot) {
+// parking it for the next batch sweep when no worker slot is free — or
+// unconditionally when it is the feed's final segment, which the
+// producer is about to wait for anyway.
+func (r *SlotRing) dispatch(sl *feedSlot, final bool) {
 	sl.wg.Add(1)
 	mFFTSegments.Inc()
-	if !r.pool.Go(sl.run) {
+	if final || !r.pool.Go(sl.run) {
 		r.pending = append(r.pending, sl)
 	}
 	r.inFlight++
@@ -144,7 +165,7 @@ func (r *slotRing) dispatch(sl *feedSlot) {
 
 // flush executes every pending transform in one stage-outer batch sweep
 // and releases their WaitGroups.
-func (r *slotRing) flush() {
+func (r *SlotRing) flush() {
 	if len(r.pending) == 0 {
 		return
 	}
@@ -167,7 +188,7 @@ func (r *slotRing) flush() {
 // Pending transforms are flushed first: the oldest slot may itself be
 // pending, and once a result is needed there is nothing to gain from
 // waiting for more batch occupancy.
-func (r *slotRing) drainOne(reduce func(f []complex128, first bool)) {
+func (r *SlotRing) drainOne(reduce func(f []complex128, first bool)) {
 	r.flush()
 	sl := &r.slots[r.head]
 	sl.wg.Wait()
@@ -177,7 +198,7 @@ func (r *slotRing) drainOne(reduce func(f []complex128, first bool)) {
 	r.inFlight--
 }
 
-func (r *slotRing) drainAll(reduce func(f []complex128, first bool)) {
+func (r *SlotRing) drainAll(reduce func(f []complex128, first bool)) {
 	for r.inFlight > 0 {
 		r.drainOne(reduce)
 	}
@@ -196,7 +217,7 @@ func (r *slotRing) drainAll(reduce func(f []complex128, first bool)) {
 // A PairFeed is NOT safe for concurrent use by multiple producers.
 type PairFeed struct {
 	s      *WelchScratch
-	ring   slotRing
+	ring   *SlotRing
 	pa, pb []float64
 	cross  []complex128
 	fs     float64
@@ -205,18 +226,22 @@ type PairFeed struct {
 	reduce func(f []complex128, first bool)
 }
 
-// Init readies the feed to accumulate into pa, pb and cross
-// (all segLen long). It may be called repeatedly on one PairFeed to
-// reuse its slot buffers across captures. The slot transform buffers
-// are carved from mem when non-nil (heap otherwise); the feed honours
-// the arena epoch, re-carving after a Reset.
-func (f *PairFeed) Init(s *WelchScratch, pa, pb []float64, cross []complex128, fs float64, pool *workpool.Pool, mem *arena.Arena) error {
+// Init readies the feed to accumulate into pa, pb and cross (all
+// segLen long), transforming through ring. It may be called repeatedly
+// on one PairFeed, and ring may be shared with other feeds that run
+// before or after this one (see SlotRing). The ring's slot buffers are
+// carved from mem when non-nil (heap otherwise); the ring honours the
+// arena epoch, re-carving after a Reset.
+func (f *PairFeed) Init(s *WelchScratch, pa, pb []float64, cross []complex128, fs float64, ring *SlotRing, pool *workpool.Pool, mem *arena.Arena) error {
 	if fs <= 0 {
 		return fmt.Errorf("dsp: sample rate %g", fs)
 	}
 	if len(pa) != s.segLen || len(pb) != s.segLen || len(cross) != s.segLen {
 		return fmt.Errorf("dsp: Welch pair destination lengths %d/%d/%d, segment length %d",
 			len(pa), len(pb), len(cross), s.segLen)
+	}
+	if ring == nil {
+		return fmt.Errorf("dsp: nil slot ring")
 	}
 	f.s = s
 	f.pa, f.pb, f.cross = pa, pb, cross
@@ -226,27 +251,31 @@ func (f *PairFeed) Init(s *WelchScratch, pa, pb []float64, cross []complex128, f
 			f.s.accumulatePair(f.pa, f.pb, f.cross, ft, first)
 		}
 	}
-	f.ring.init(s.segLen, s.plan, pool, mem)
+	f.ring = ring
+	ring.init(s.segLen, s.plan, pool, mem)
 	return nil
 }
 
-// Feed pushes one full segment (len(a) == len(b) == segLen). The
-// segment contents are consumed before Feed returns — the caller may
-// reuse a and b immediately — but the transform and reduction may
-// complete later, on a pool worker.
-func (f *PairFeed) Feed(a, b []float64) error {
+// Feed pushes one full segment (len(a) == len(b) == segLen) that more
+// segments will follow. The segment contents are consumed before Feed
+// returns — the caller may reuse a and b immediately — but the
+// transform and reduction may complete later, on a pool worker.
+func (f *PairFeed) Feed(a, b []float64) error { return f.feed(a, b, false) }
+
+// FeedFinal pushes the capture's last segment, like Feed, but
+// transforms it on the producer (batched with any pool-refused
+// transforms) when Finish drains: Finish waits for it anyway.
+func (f *PairFeed) FeedFinal(a, b []float64) error { return f.feed(a, b, true) }
+
+func (f *PairFeed) feed(a, b []float64, final bool) error {
 	if len(a) != f.s.segLen || len(b) != f.s.segLen {
 		return fmt.Errorf("dsp: Welch pair segment lengths %d/%d, segment length %d", len(a), len(b), f.s.segLen)
 	}
 	sl := f.ring.next(f.reduce)
 	f.s.scatterPair(sl.fft, a, b)
-	f.ring.dispatch(sl)
+	f.ring.dispatch(sl, final)
 	return nil
 }
-
-// Count returns how many segments have been reduced so far (in-flight
-// segments are not counted until drained).
-func (f *PairFeed) Count() int { return f.ring.count }
 
 // Finish drains every in-flight transform and applies the Welch
 // normalization. At least one segment must have been fed.
@@ -266,7 +295,7 @@ func (f *PairFeed) Finish() error {
 // A Feed is NOT safe for concurrent use by multiple producers.
 type Feed struct {
 	s    *WelchScratch
-	ring slotRing
+	ring *SlotRing
 	dst  []float64
 	fs   float64
 	// reduce is allocated once on first Init and reads the feed's
@@ -274,15 +303,17 @@ type Feed struct {
 	reduce func(f []complex128, first bool)
 }
 
-// Init readies the feed to accumulate into dst (segLen long). It may
-// be called repeatedly on one Feed to reuse its slot buffers, which
-// are carved from mem when non-nil (see PairFeed.Init).
-func (f *Feed) Init(s *WelchScratch, dst []float64, fs float64, pool *workpool.Pool, mem *arena.Arena) error {
+// Init readies the feed to accumulate into dst (segLen long),
+// transforming through ring (see PairFeed.Init).
+func (f *Feed) Init(s *WelchScratch, dst []float64, fs float64, ring *SlotRing, pool *workpool.Pool, mem *arena.Arena) error {
 	if fs <= 0 {
 		return fmt.Errorf("dsp: sample rate %g", fs)
 	}
 	if len(dst) != s.segLen {
 		return fmt.Errorf("dsp: Welch destination length %d, segment length %d", len(dst), s.segLen)
+	}
+	if ring == nil {
+		return fmt.Errorf("dsp: nil slot ring")
 	}
 	f.s = s
 	f.dst = dst
@@ -292,24 +323,28 @@ func (f *Feed) Init(s *WelchScratch, dst []float64, fs float64, pool *workpool.P
 			f.s.accumulate(f.dst, ft, first)
 		}
 	}
-	f.ring.init(s.segLen, s.plan, pool, mem)
+	f.ring = ring
+	ring.init(s.segLen, s.plan, pool, mem)
 	return nil
 }
 
-// Feed pushes one full segment (len(seg) == segLen). The segment is
-// consumed before Feed returns; the caller may reuse it immediately.
-func (f *Feed) Feed(seg []complex128) error {
+// Feed pushes one full segment (len(seg) == segLen) that more segments
+// will follow. The segment is consumed before Feed returns; the caller
+// may reuse it immediately.
+func (f *Feed) Feed(seg []complex128) error { return f.feed(seg, false) }
+
+// FeedFinal pushes the capture's last segment (see PairFeed.FeedFinal).
+func (f *Feed) FeedFinal(seg []complex128) error { return f.feed(seg, true) }
+
+func (f *Feed) feed(seg []complex128, final bool) error {
 	if len(seg) != f.s.segLen {
 		return fmt.Errorf("dsp: Welch segment length %d, segment length %d", len(seg), f.s.segLen)
 	}
 	sl := f.ring.next(f.reduce)
 	f.s.scatter(sl.fft, seg)
-	f.ring.dispatch(sl)
+	f.ring.dispatch(sl, final)
 	return nil
 }
-
-// Count returns how many segments have been reduced so far.
-func (f *Feed) Count() int { return f.ring.count }
 
 // Finish drains every in-flight transform and applies the Welch
 // normalization. At least one segment must have been fed.

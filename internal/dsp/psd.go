@@ -3,6 +3,8 @@ package dsp
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/buf"
 )
 
 // Spectrum is a power-spectral-density estimate of complex baseband data.
@@ -129,8 +131,9 @@ func Periodogram(x []complex128, fs float64, win Window) (*Spectrum, error) {
 
 // WelchScratch holds the per-segment-length state of Welch estimation —
 // the FFT plan, the shared window coefficients and noise gain, and the
-// segment working buffer — so repeated runs at a fixed segment length
-// allocate nothing. A scratch is NOT safe for concurrent use; give each
+// buffered passes' segment working buffer (allocated on the first
+// buffered pass; streaming feeds transform in their SlotRing instead) —
+// so repeated runs at a fixed segment length allocate nothing. A scratch is NOT safe for concurrent use; give each
 // worker its own.
 type WelchScratch struct {
 	segLen int
@@ -161,7 +164,6 @@ func NewWelchScratch(segLen int, win Window) (*WelchScratch, error) {
 		plan:   plan,
 		coeff:  e.coeff,
 		noise:  e.noise,
-		buf:    make([]complex128, segLen),
 	}, nil
 }
 
@@ -224,6 +226,7 @@ func (s *WelchScratch) WelchInto(dst []float64, x []complex128, fs float64) erro
 	if len(x) < s.segLen {
 		return fmt.Errorf("dsp: Welch needs ≥%d samples, have %d", s.segLen, len(x))
 	}
+	s.buf = buf.Grow(s.buf, s.segLen)
 	step := s.segLen / 2
 	count := 0
 	for start := 0; start+s.segLen <= len(x); start += step {
@@ -263,6 +266,7 @@ func (s *WelchScratch) WelchPairInto(pa, pb []float64, cross []complex128, a, b 
 		return fmt.Errorf("dsp: Welch needs ≥%d samples, have %d", s.segLen, len(a))
 	}
 	n := s.segLen
+	s.buf = buf.Grow(s.buf, n)
 	step := n / 2
 	count := 0
 	for start := 0; start+n <= len(a); start += step {

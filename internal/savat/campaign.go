@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -131,6 +130,11 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 		cache = NewSynthCache(2*opts.Repeats + 2)
 	}
 
+	// The worker arenas go back to the free list only after eng.Run has
+	// returned — after every worker has stopped — so no arena is ever
+	// held by two campaigns, or two workers, at once.
+	var lease arenaLease
+
 	spec := engine.Spec{
 		Rows: n, Cols: n, Reps: opts.Repeats,
 		Key: func(i, j, r int) string {
@@ -146,10 +150,12 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 		// cells remain exactly equal to Measurer.MeasurePair for the same
 		// seed. Each worker also gets its own arena so steady-state cell
 		// compute performs zero heap allocations (arenas are
-		// single-owner — never shared across workers).
+		// single-owner — never shared across workers). The arenas come
+		// from the process-wide free list, so a warm process starts each
+		// campaign with its working set already carved.
 		NewWorkerState: func() any {
 			return NewMeasurer(mc, cfg, WithPool(opts.AnalyzerPool),
-				WithSynthCache(cache), WithArena(arena.New()))
+				WithSynthCache(cache), WithArena(lease.take()))
 		},
 		ComputeState: func(ctx context.Context, state any, i, j, r int) (float64, error) {
 			// The chain's program countermeasures rewrite the pair's kernel
@@ -177,6 +183,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 		Monitor:      opts.Monitor,
 	})
 	res, err := eng.Run(ctx, spec)
+	lease.release()
 	if err != nil {
 		return nil, err
 	}

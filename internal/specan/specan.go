@@ -253,9 +253,13 @@ type Scratch struct {
 
 	// Streaming working set: the rolling 50%-overlap windows (two real
 	// envelope streams and one complex noise stream) and the segment
-	// feeds. All O(segLen), reused across captures.
+	// feeds. All O(segLen), reused across captures. The envelope and
+	// noise feeds always run one after the other, so they share one
+	// slot ring: its in-flight transform buffers are carved once, on
+	// first use, for both.
 	wa, wb    []float64
 	wn        []complex128
+	ring      dsp.SlotRing
 	pairFeed  dsp.PairFeed
 	noiseFeed dsp.Feed
 }

@@ -79,6 +79,64 @@ func drain(src SampleSource, dst []complex128) error {
 	}
 }
 
+// walkPair pushes the n-sample envelope pair from src through the
+// scratch's pair feed and finishes it. The first full segment is read
+// whole; after that the window slides by half: the second half becomes
+// the first half of the next segment, so each later segment costs one
+// half-window read. The capture's last segment goes in through
+// FeedFinal, transformed on this goroutine since Finish waits for it.
+func walkPair(n int, src PairSource, s *Scratch) error {
+	seg := len(s.wa)
+	half := seg / 2
+	if err := fillPair(src, s.wa, s.wb); err != nil {
+		return err
+	}
+	for read := seg; read+half <= n; read += half {
+		if err := s.pairFeed.Feed(s.wa, s.wb); err != nil {
+			return err
+		}
+		copy(s.wa[:half], s.wa[half:])
+		copy(s.wb[:half], s.wb[half:])
+		if err := fillPair(src, s.wa[half:], s.wb[half:]); err != nil {
+			return err
+		}
+	}
+	if err := s.pairFeed.FeedFinal(s.wa, s.wb); err != nil {
+		return err
+	}
+	// The window contents are already consumed (FeedFinal scatters
+	// before returning), so the tail can be discarded into the windows.
+	if err := drainPair(src, s.wa, s.wb); err != nil {
+		return err
+	}
+	return s.pairFeed.Finish()
+}
+
+// walk is walkPair for the complex noise stream and noise feed.
+func walk(n int, src SampleSource, s *Scratch) error {
+	seg := len(s.wn)
+	half := seg / 2
+	if err := fill(src, s.wn); err != nil {
+		return err
+	}
+	for read := seg; read+half <= n; read += half {
+		if err := s.noiseFeed.Feed(s.wn); err != nil {
+			return err
+		}
+		copy(s.wn[:half], s.wn[half:])
+		if err := fill(src, s.wn[half:]); err != nil {
+			return err
+		}
+	}
+	if err := s.noiseFeed.FeedFinal(s.wn); err != nil {
+		return err
+	}
+	if err := drain(src, s.wn); err != nil {
+		return err
+	}
+	return s.noiseFeed.Finish()
+}
+
 // EnvelopeProductsStream is EnvelopeProducts over a source instead of
 // buffers: it consumes the n-sample envelope pair from src segment by
 // segment (working set O(segment)) and accumulates the pair-Welch
@@ -105,37 +163,13 @@ func (a *Analyzer) EnvelopeProductsStream(n int, src PairSource, fs float64, s *
 		dst = &PairPSD{}
 	}
 	dst.grow(seg)
-	half := seg / 2
 	s.wa = s.growFloats(s.wa, seg)
 	s.wb = s.growFloats(s.wb, seg)
-	if err := s.pairFeed.Init(s.welch, dst.PA, dst.PB, dst.Cross, fs, s.Pool, s.Mem); err != nil {
+	if err := s.pairFeed.Init(s.welch, dst.PA, dst.PB, dst.Cross, fs, &s.ring, s.Pool, s.Mem); err != nil {
 		return nil, err
 	}
-	// First full segment, then slide by half: the second half of the
-	// window becomes the first half of the next segment, so each
-	// subsequent segment costs one half-window read.
-	if err := fillPair(src, s.wa, s.wb); err != nil {
-		return nil, err
-	}
-	if err := s.pairFeed.Feed(s.wa, s.wb); err != nil {
-		return nil, err
-	}
-	for read := seg; read+half <= n; read += half {
-		copy(s.wa[:half], s.wa[half:])
-		copy(s.wb[:half], s.wb[half:])
-		if err := fillPair(src, s.wa[half:], s.wb[half:]); err != nil {
-			return nil, err
-		}
-		if err := s.pairFeed.Feed(s.wa, s.wb); err != nil {
-			return nil, err
-		}
-	}
-	// The window contents are already consumed (Feed scatters before
-	// returning), so the tail can be discarded into the windows.
-	if err := drainPair(src, s.wa, s.wb); err != nil {
-		return nil, err
-	}
-	if err := s.pairFeed.Finish(); err != nil {
+	if err := walkPair(n, src, s); err != nil {
+		s.ring.Settle() // no transform outlives the call that fed it
 		return nil, err
 	}
 	return dst, nil
@@ -160,30 +194,12 @@ func (a *Analyzer) NoiseProductsStream(n int, src SampleSource, fs float64, s *S
 		return nil, err
 	}
 	dst = buf.Grow(dst, seg) // published product: heap, never arena
-	half := seg / 2
 	s.wn = s.growComplexes(s.wn, seg)
-	if err := s.noiseFeed.Init(s.welch, dst, fs, s.Pool, s.Mem); err != nil {
+	if err := s.noiseFeed.Init(s.welch, dst, fs, &s.ring, s.Pool, s.Mem); err != nil {
 		return nil, err
 	}
-	if err := fill(src, s.wn); err != nil {
-		return nil, err
-	}
-	if err := s.noiseFeed.Feed(s.wn); err != nil {
-		return nil, err
-	}
-	for read := seg; read+half <= n; read += half {
-		copy(s.wn[:half], s.wn[half:])
-		if err := fill(src, s.wn[half:]); err != nil {
-			return nil, err
-		}
-		if err := s.noiseFeed.Feed(s.wn); err != nil {
-			return nil, err
-		}
-	}
-	if err := drain(src, s.wn); err != nil {
-		return nil, err
-	}
-	if err := s.noiseFeed.Finish(); err != nil {
+	if err := walk(n, src, s); err != nil {
+		s.ring.Settle()
 		return nil, err
 	}
 	return dst, nil
