@@ -4,6 +4,7 @@ FUZZTIME ?= 30s
 # Package:target pairs for every native fuzz target in the tree; each
 # -fuzz invocation must match exactly one target.
 FUZZ_TARGETS := \
+	./internal/cpu:FuzzRunToMarkerVsStep \
 	./internal/dsp:FuzzPlanForwardVsNaiveDFT \
 	./internal/dsp:FuzzForwardAsmVsPure \
 	./internal/dsp:FuzzWelchPairVsSingle \

@@ -105,6 +105,14 @@ type Cache struct {
 	stamp     uint64
 	epoch     uint32
 	stats     Stats
+
+	// The line (addr >> lineShift) of the most recent access that left
+	// a line resident, and the way slot holding it; lastSlot < 0 when
+	// there is none. Every access that changes residency passes through
+	// Access or AccessHit and updates the pair, so the line is still in
+	// that slot until the next one: RepeatHit relies on it.
+	lastLine uint64
+	lastSlot int
 }
 
 // New builds a cache from cfg.
@@ -121,6 +129,7 @@ func New(cfg Config) (*Cache, error) {
 		setEpoch: make([]uint32, nsets),
 		assoc:    cfg.Assoc,
 		setsMask: uint64(nsets - 1),
+		lastSlot: -1,
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
@@ -164,6 +173,7 @@ func (c *Cache) Reset() {
 	}
 	c.stats = Stats{}
 	c.stamp = 0
+	c.lastSlot = -1
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -222,6 +232,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			} else {
 				c.stats.ReadHits++
 			}
+			c.lastLine, c.lastSlot = addr>>c.lineShift, base+wi
 			return Result{Hit: true}
 		}
 	}
@@ -251,6 +262,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.lru[base+victim] = c.stamp
 	c.dirty[base+victim] = write
 	c.stats.Fills++
+	c.lastLine, c.lastSlot = addr>>c.lineShift, base+victim
 	return res
 }
 
@@ -267,20 +279,42 @@ func (c *Cache) AccessHit(addr uint64, write bool) bool {
 	want := tag | vtagValid
 	for wi, v := range vt {
 		if v == want {
-			c.stamp++
-			c.lru[int(set)*c.assoc+wi] = c.stamp
-			if write {
-				c.stats.Writes++
-				c.stats.WriteHits++
-				c.dirty[int(set)*c.assoc+wi] = true
-			} else {
-				c.stats.Reads++
-				c.stats.ReadHits++
-			}
+			c.hitSlot(int(set)*c.assoc+wi, write)
+			c.lastLine, c.lastSlot = addr>>c.lineShift, int(set)*c.assoc+wi
 			return true
 		}
 	}
 	return false
+}
+
+// hitSlot applies a hit's effects to the way in slot: a fresh LRU
+// stamp, the dirty bit on a write, and the access and hit counts.
+func (c *Cache) hitSlot(slot int, write bool) {
+	c.stamp++
+	c.lru[slot] = c.stamp
+	if write {
+		c.stats.Writes++
+		c.stats.WriteHits++
+		c.dirty[slot] = true
+	} else {
+		c.stats.Reads++
+		c.stats.ReadHits++
+	}
+}
+
+// RepeatHit performs the access only when addr lies in the line of the
+// previous access that left a line resident, which is then still in
+// the way that access left it: it applies exactly the hit Access and
+// AccessHit would (LRU stamp, dirty bit, statistics) without walking
+// the set, and returns true. Otherwise it changes nothing and returns
+// false. A loop that sweeps within one line pays one compare per access
+// instead of a set walk.
+func (c *Cache) RepeatHit(addr uint64, write bool) bool {
+	if c.lastSlot < 0 || addr>>c.lineShift != c.lastLine {
+		return false
+	}
+	c.hitSlot(c.lastSlot, write)
+	return true
 }
 
 // reconstruct rebuilds the line-aligned address from set and tag.

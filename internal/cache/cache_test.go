@@ -304,3 +304,49 @@ func TestLRUStackPropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// RepeatHit either declines and changes nothing, or leaves the cache
+// exactly as Access would: same ways, LRU stamps, dirty bits and Stats.
+func TestRepeatHitMatchesAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fast, ref := MustNew(smallCfg()), MustNew(smallCfg())
+	repeats := 0
+	addr := uint64(0)
+	for i := 0; i < 20000; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			addr = uint64(rng.Intn(1 << 14))
+		case 1:
+			addr += 64
+		default:
+			addr += uint64(rng.Intn(8))
+		}
+		write := rng.Intn(3) == 0
+		if i%97 == 0 {
+			fast.Reset()
+			ref.Reset()
+		}
+		if fast.RepeatHit(addr, write) {
+			repeats++
+			if r := ref.Access(addr, write); !r.Hit {
+				t.Fatalf("access %d: RepeatHit on %#x, which misses", i, addr)
+			}
+		} else if rng.Intn(2) == 0 {
+			fast.Access(addr, write)
+			ref.Access(addr, write)
+		} else if fast.AccessHit(addr, write) != ref.AccessHit(addr, write) {
+			t.Fatalf("access %d: AccessHit disagrees", i)
+		}
+		if fast.stats != ref.stats || fast.stamp != ref.stamp {
+			t.Fatalf("access %d: stats %+v stamp %d, want %+v stamp %d", i, fast.stats, fast.stamp, ref.stats, ref.stamp)
+		}
+		for s := range fast.vtags {
+			if fast.vtags[s] != ref.vtags[s] || fast.lru[s] != ref.lru[s] || fast.dirty[s] != ref.dirty[s] {
+				t.Fatalf("access %d: way %d differs", i, s)
+			}
+		}
+	}
+	if repeats < 1000 {
+		t.Fatalf("only %d repeats", repeats)
+	}
+}

@@ -118,7 +118,7 @@ type GoldenPSD struct {
 
 // NewGoldenPSD slices the trace of a measurement around center ±
 // halfSpan and records it with the derived scalars.
-func NewGoldenPSD(desc, machineName string, m *savat.Measurement, seed int64, center, halfSpan float64) (*GoldenPSD, error) {
+func NewGoldenPSD(desc, machineName string, m savat.Measurement, seed int64, center, halfSpan float64) (*GoldenPSD, error) {
 	freqs, psd, err := psdSlice(m.Trace, center, halfSpan)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func NewGoldenPSD(desc, machineName string, m *savat.Measurement, seed int64, ce
 
 // ComparePSD checks a fresh measurement's trace slice and scalars
 // against the golden record.
-func (g *GoldenPSD) ComparePSD(name string, m *savat.Measurement, relTol float64) *Report {
+func (g *GoldenPSD) ComparePSD(name string, m savat.Measurement, relTol float64) *Report {
 	r := &Report{}
 	freqs, psd, err := psdSlice(m.Trace, g.CenterHz, g.HalfSpanHz)
 	if err != nil {

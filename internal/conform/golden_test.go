@@ -63,7 +63,7 @@ func TestGoldenMatrix(t *testing.T) {
 	}
 }
 
-func goldenPSDMeasure() (*savat.Measurement, error) {
+func goldenPSDMeasure() (savat.Measurement, error) {
 	return savat.NewMeasurer(machine.Core2Duo(), savat.FastConfig()).Measure(savat.LDM, savat.NOI,
 		rand.New(rand.NewSource(goldenSeed)))
 }
@@ -99,7 +99,7 @@ func TestGoldenPSD(t *testing.T) {
 // channelCellMeasure measures the golden LDM/NOI cell through a named
 // side channel with the channel's canonical noise environment — the
 // same configuration the flag layer builds for -channel.
-func channelCellMeasure(t *testing.T, channel string) *savat.Measurement {
+func channelCellMeasure(t *testing.T, channel string) savat.Measurement {
 	t.Helper()
 	ch, err := machine.ChannelByName(channel)
 	if err != nil {

@@ -286,27 +286,10 @@ func swappable(a, b isa.Instruction) bool {
 	if a.IsMem() && b.IsMem() && (a.Op == isa.ST || b.Op == isa.ST) {
 		return false
 	}
-	aw, ar := regSets(a)
-	bw, br := regSets(b)
+	aw, ar := a.RegSets()
+	bw, br := b.RegSets()
 	// RAW, WAR, WAW in either order.
 	return aw&br == 0 && bw&ar == 0 && aw&bw == 0
-}
-
-// regSets returns the write and read register sets of in as bitmasks.
-func regSets(in isa.Instruction) (writes, reads uint32) {
-	if in.Op.WritesRd() {
-		writes |= 1 << in.Rd
-	}
-	if in.Op.ReadsRd() {
-		reads |= 1 << in.Rd
-	}
-	if in.Op.ReadsRs1() {
-		reads |= 1 << in.Rs1
-	}
-	if in.Op.ReadsRs2() {
-		reads |= 1 << in.Rs2
-	}
-	return writes, reads
 }
 
 // ApplySources returns the source table as seen through the chain's

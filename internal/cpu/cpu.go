@@ -81,6 +81,13 @@ type CPU struct {
 
 	retired     uint64
 	mispredicts uint64
+	// interpreted counts the retired instructions the dispatch loop
+	// executed one by one; the rest were fast-forwarded (see loop).
+	interpreted uint64
+
+	// loops holds the program's counted loops by back-edge pc (nil
+	// where none ends); see findLoops.
+	loops []*loop
 }
 
 // New builds a core running prog against the given memory hierarchy.
@@ -94,7 +101,8 @@ func New(cfg Config, prog []isa.Instruction, hier *memhier.Hierarchy) (*CPU, err
 	if hier == nil {
 		return nil, fmt.Errorf("cpu: nil memory hierarchy")
 	}
-	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier}, nil
+	loops := findLoops(prog, &cfg, uint64(hier.Config().L1HitCycles))
+	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier, loops: loops}, nil
 }
 
 // PC returns the current program counter (instruction word index).
@@ -111,6 +119,11 @@ func (c *CPU) Retired() uint64 { return c.retired }
 
 // Mispredicts returns the number of branch mispredictions.
 func (c *CPU) Mispredicts() uint64 { return c.mispredicts }
+
+// Interpreted returns how many of the retired instructions were
+// executed one at a time rather than fast-forwarded with a whole loop
+// iteration.
+func (c *CPU) Interpreted() uint64 { return c.interpreted }
 
 // Reg reads an architectural register.
 func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[r] }
@@ -177,7 +190,10 @@ func (c *CPU) Step() error {
 // This is the interpreter: one fused dispatch loop with the hot state
 // (pc, cycle, per-class activity tallies) in locals, written back once
 // on exit. Step and Run route through it, so every execution path has
-// identical semantics.
+// identical semantics. At the taken back edge of a counted loop it
+// fast-forwards whole iterations that provably repeat the one just
+// retired (see loop.iterations and fastForward); with maxSteps = 1,
+// as in Step, no whole iteration fits and it never does.
 func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, error) {
 	if c.halted {
 		return 0, fmt.Errorf("cpu: step after halt")
@@ -201,7 +217,8 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 	if cycleLimit == 0 {
 		cycleLimit = ^uint64(0)
 	}
-	var steps, fetchN, aluN, mulN, divN, branchN, mispredicts uint64
+	loops := c.loops
+	var steps, skipped, fetchN, aluN, mulN, divN, branchN, mispredicts uint64
 	halted := false
 	var err error
 
@@ -225,62 +242,16 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 			// front-end only
 		case isa.HALT:
 			halted = true
-		case isa.MOVI:
-			regs[in.Rd] = uint32(in.Imm)
+		case isa.MOVI, isa.LUI, isa.ADDI, isa.ADDR, isa.SUBI, isa.SUBR, isa.ANDI, isa.ANDR,
+			isa.ORI, isa.ORR, isa.XORI, isa.XORR, isa.SHLI, isa.SHRI:
+			exec(prog[pc:pc+1], regs)
 			aluN++
-		case isa.LUI:
-			regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-			aluN++
-		case isa.ADDI:
-			regs[in.Rd] = regs[in.Rs1] + uint32(in.Imm)
-			aluN++
-		case isa.ADDR:
-			regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
-			aluN++
-		case isa.SUBI:
-			regs[in.Rd] = regs[in.Rs1] - uint32(in.Imm)
-			aluN++
-		case isa.SUBR:
-			regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
-			aluN++
-		case isa.ANDI:
-			regs[in.Rd] = regs[in.Rs1] & uint32(in.Imm)
-			aluN++
-		case isa.ANDR:
-			regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
-			aluN++
-		case isa.ORI:
-			regs[in.Rd] = regs[in.Rs1] | uint32(in.Imm)
-			aluN++
-		case isa.ORR:
-			regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
-			aluN++
-		case isa.XORI:
-			regs[in.Rd] = regs[in.Rs1] ^ uint32(in.Imm)
-			aluN++
-		case isa.XORR:
-			regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
-			aluN++
-		case isa.SHLI:
-			regs[in.Rd] = regs[in.Rs1] << uint(in.Imm)
-			aluN++
-		case isa.SHRI:
-			regs[in.Rd] = regs[in.Rs1] >> uint(in.Imm)
-			aluN++
-		case isa.MULI:
-			regs[in.Rd] = uint32(int32(regs[in.Rs1]) * in.Imm)
+		case isa.MULI, isa.MULR:
+			exec(prog[pc:pc+1], regs)
 			mulN++
 			lat = mulLat
-		case isa.MULR:
-			regs[in.Rd] = uint32(int32(regs[in.Rs1]) * int32(regs[in.Rs2]))
-			mulN++
-			lat = mulLat
-		case isa.DIVI:
-			regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), in.Imm))
-			divN++
-			lat = divLat
-		case isa.DIVR:
-			regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), int32(regs[in.Rs2])))
+		case isa.DIVI, isa.DIVR:
+			exec(prog[pc:pc+1], regs)
 			divN++
 			lat = divLat
 		case isa.LD:
@@ -314,6 +285,25 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 			}
 			if taken {
 				next = pc + 1 + int(in.Imm)
+				if lp := loops[pc]; lp != nil {
+					// Whole iterations start at the head once this back
+					// edge retires, at steps+1 and cycle+lat.
+					var cycleLeft uint64
+					if cycle+lat < cycleLimit {
+						cycleLeft = cycleLimit - (cycle + lat)
+					}
+					if k := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps-1, cycleLeft)); k > 0 {
+						steps += k * lp.steps
+						skipped += k * lp.steps
+						cycle += k * lp.cycles
+						fetchN += k * lp.fetchN
+						aluN += k * lp.aluN
+						mulN += k * lp.mulN
+						divN += k * lp.divN
+						branchN += k * lp.branchN
+						mispredicts += k * lp.mispredicts
+					}
+				}
 			}
 		default:
 			err = fmt.Errorf("cpu: undefined opcode %d at pc %d", in.Op, pc)
@@ -334,6 +324,7 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 	c.cycle = cycle
 	c.halted = halted
 	c.retired += steps
+	c.interpreted += steps - skipped
 	c.mispredicts += mispredicts
 	c.fetchN += fetchN
 	c.aluN += aluN

@@ -401,6 +401,29 @@ func TestMemorySparse(t *testing.T) {
 	}
 }
 
+// A load from an unwritten page is remembered as a hole; the store that
+// creates the page must forget it, even once the page has left the
+// two-entry lookup cache.
+func TestMemoryLoadMissThenStore(t *testing.T) {
+	m := NewMemory()
+	const hole = 0x7000
+	if m.Load32(hole) != 0 || m.Load32(hole+8) != 0 {
+		t.Fatal("unwritten memory should read 0")
+	}
+	m.Store32(hole+8, 42)
+	m.Store32(0x1000, 1) // two other pages evict the hole's page
+	m.Store32(0x2000, 2) // from the lookup cache
+	if got := m.Load32(hole + 8); got != 42 {
+		t.Errorf("Load32 after store = %d, want 42", got)
+	}
+	if got := m.Load32(hole); got != 0 {
+		t.Errorf("Load32 of an unwritten word = %d, want 0", got)
+	}
+	if m.PageCount() != 3 {
+		t.Errorf("PageCount = %d, want 3", m.PageCount())
+	}
+}
+
 // Property: Store32 then Load32 round-trips for arbitrary address/value.
 func TestMemoryRoundTripQuick(t *testing.T) {
 	m := NewMemory()

@@ -17,6 +17,11 @@ type Memory struct {
 	lastPage *[pageBytes]byte
 	prevPN   uint64
 	prevPage *[pageBytes]byte
+	// The last page a load found unwritten: load sweeps over arrays that
+	// are never stored to (the LD kernels' arrays) read zeros page after
+	// page and skip the map too. The store that creates it clears it.
+	holePN uint64
+	isHole bool
 }
 
 const pageBytes = 4096
@@ -35,15 +40,23 @@ func (m *Memory) page(addr uint64, create bool) *[pageBytes]byte {
 		m.lastPN, m.lastPage, m.prevPN, m.prevPage = pn, m.prevPage, m.lastPN, m.lastPage
 		return m.lastPage
 	}
+	if !create && m.isHole && pn == m.holePN {
+		return nil
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			m.holePN, m.isHole = pn, true
+			return nil
+		}
 		p = new([pageBytes]byte)
 		m.pages[pn] = p
+		if pn == m.holePN {
+			m.isHole = false
+		}
 	}
-	if p != nil {
-		m.prevPN, m.prevPage = m.lastPN, m.lastPage
-		m.lastPN, m.lastPage = pn, p
-	}
+	m.prevPN, m.prevPage = m.lastPN, m.lastPage
+	m.lastPN, m.lastPage = pn, p
 	return p
 }
 

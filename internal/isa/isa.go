@@ -245,6 +245,24 @@ func (in Instruction) IsMem() bool {
 	return in.Op == LD || in.Op == ST
 }
 
+// RegSets returns the registers the instruction writes and reads, as
+// bitmasks (bit r for register r).
+func (in Instruction) RegSets() (writes, reads uint32) {
+	if in.Op.WritesRd() {
+		writes |= 1 << in.Rd
+	}
+	if in.Op.ReadsRd() {
+		reads |= 1 << in.Rd
+	}
+	if in.Op.ReadsRs1() {
+		reads |= 1 << in.Rs1
+	}
+	if in.Op.ReadsRs2() {
+		reads |= 1 << in.Rs2
+	}
+	return writes, reads
+}
+
 // IsBranch reports whether the instruction can redirect control flow.
 func (in Instruction) IsBranch() bool {
 	c := in.Op.Class()

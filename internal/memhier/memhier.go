@@ -93,6 +93,10 @@ type Hierarchy struct {
 	wcLine uint64 // open write-combining buffer line (^0 = none)
 	wcMiss uint64 // WC line flushes
 	wcHit  uint64 // stores merged into the open WC line
+	// wcLast records that the previous access went through the
+	// write-combining buffer: it missed L1 and L2, and no access has
+	// touched either cache since.
+	wcLast bool
 }
 
 // New builds a hierarchy from cfg.
@@ -149,6 +153,7 @@ func (h *Hierarchy) Reset() {
 	h.hits = [3]uint64{}
 	h.wcLine = ^uint64(0)
 	h.wcMiss, h.wcHit = 0, 0
+	h.wcLast = false
 }
 
 // WCStats returns the write-combining buffer's flush and merge counts.
@@ -175,6 +180,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Result {
 // avoiding the Result copy in the simulator's per-instruction hot path.
 func (h *Hierarchy) AccessInto(addr uint64, write bool, act *activity.Vector) (Level, int) {
 	act.Add(activity.L1D, 1)
+	h.wcLast = false
 
 	if write {
 		// The common store outcome — an L1 hit — is resolved with a single
@@ -194,6 +200,7 @@ func (h *Hierarchy) AccessInto(addr uint64, write bool, act *activity.Vector) (L
 		if !h.l2.Contains(addr) {
 			h.hits[LevelMem]++
 			line := h.l1.LineAddr(addr)
+			h.wcLast = true
 			if line != h.wcLine {
 				h.wcLine = line
 				h.wcMiss++
@@ -246,4 +253,35 @@ func (h *Hierarchy) AccessInto(addr uint64, write bool, act *activity.Vector) (L
 	dr := h.mem.Access(addr, false)
 	act.Add(activity.DRAM, dr.Events)
 	return LevelMem, h.cfg.L2HitCycles + h.cfg.BusCycles + dr.Latency
+}
+
+// AccessRepeat performs the access only when it provably repeats the
+// previous one, and reports whether it did. Two cases qualify:
+//
+//   - addr lies in the line L1's previous access left resident: the
+//     access is an L1 hit on that way, whatever the previous access's
+//     level was.
+//   - the previous access was a streaming store through the
+//     write-combining buffer and this is a store to the same line: it
+//     still misses both caches, which nothing has touched since, and
+//     merges into the open buffer.
+//
+// Either way its effects — LRU stamp, dirty bit, cache Stats,
+// ServiceCounts, WCStats, the one L1D event added to act — are exactly
+// AccessInto's, and it is served in L1HitCycles. Otherwise it changes
+// nothing and the caller must use AccessInto. It relies on every access
+// going through the hierarchy; L1 and L2 are exposed for inspection.
+func (h *Hierarchy) AccessRepeat(addr uint64, write bool, act *activity.Vector) bool {
+	switch {
+	case h.wcLast && write && h.l1.LineAddr(addr) == h.wcLine:
+		h.hits[LevelMem]++
+		h.wcHit++
+	case h.l1.RepeatHit(addr, write):
+		h.hits[LevelL1]++
+		h.wcLast = false
+	default:
+		return false
+	}
+	act.Add(activity.L1D, 1)
+	return true
 }

@@ -1,6 +1,7 @@
 package memhier
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -276,5 +277,67 @@ func TestConfigAccessorAndNewErrors(t *testing.T) {
 	bad.DRAM.Banks = 3
 	if _, err := New(bad); err == nil {
 		t.Error("bad DRAM should fail")
+	}
+}
+
+// AccessRepeat either declines and changes nothing, or does exactly
+// what AccessInto does: twin hierarchies, one trying AccessRepeat first,
+// agree after every access of random streams that mix line-local
+// sweeps, streaming stores, L2 traffic and loads after stores.
+func TestAccessRepeatMatchesAccessInto(t *testing.T) {
+	cfg := testCfg()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fast, ref := MustNew(cfg), MustNew(cfg)
+		var actF, actR activity.Vector
+		var l1Repeats, wcRepeats int
+		addr := uint64(0)
+		for i := 0; i < 5000; i++ {
+			switch rng.Intn(10) {
+			case 0: // jump to another region: L1-sized, L2-sized, or fresh
+				addr = uint64(rng.Intn(3))<<20 + uint64(rng.Intn(1<<15))&^3
+			case 1:
+				addr += 64
+			default:
+				addr += 4 * uint64(rng.Intn(2))
+			}
+			write := rng.Intn(3) == 0
+			if rng.Intn(4) != 0 { // runs of one kind, as a loop body makes
+				write = i%200 < 100
+			}
+			_, _, memBefore := fast.ServiceCounts()
+			lat, ok := cfg.L1HitCycles, fast.AccessRepeat(addr, write, &actF)
+			if ok {
+				if _, _, mem := fast.ServiceCounts(); mem > memBefore {
+					wcRepeats++
+				} else {
+					l1Repeats++
+				}
+			} else {
+				_, lat = fast.AccessInto(addr, write, &actF)
+			}
+			_, refLat := ref.AccessInto(addr, write, &actR)
+			if lat != refLat || actF != actR {
+				t.Fatalf("seed %d access %d (%#x write=%v repeat=%v): latency %d vs %d, activity %v vs %v",
+					seed, i, addr, write, ok, lat, refLat, actF, actR)
+			}
+			sameHier(t, fast, ref)
+		}
+		if l1Repeats == 0 || wcRepeats == 0 {
+			t.Fatalf("seed %d: %d L1 and %d write-combining repeats; the stream must exercise both", seed, l1Repeats, wcRepeats)
+		}
+	}
+}
+
+func sameHier(t *testing.T, a, b *Hierarchy) {
+	t.Helper()
+	a1, a2, am := a.ServiceCounts()
+	b1, b2, bm := b.ServiceCounts()
+	af, amg := a.WCStats()
+	bf, bmg := b.WCStats()
+	if a.L1().Stats() != b.L1().Stats() || a.L2().Stats() != b.L2().Stats() || a.DRAM().Stats() != b.DRAM().Stats() ||
+		a1 != b1 || a2 != b2 || am != bm || af != bf || amg != bmg {
+		t.Fatalf("hierarchies differ:\n%+v %+v %v %v %v %v %v\n%+v %+v %v %v %v %v %v",
+			a.L1().Stats(), a.L2().Stats(), a1, a2, am, af, amg, b.L1().Stats(), b.L2().Stats(), b1, b2, bm, bf, bmg)
 	}
 }

@@ -268,6 +268,12 @@ func BuildKernel(mc machine.Config, a, b Event, frequency float64) (*Kernel, err
 // slows the memory rows' loops by an order of magnitude — the design-choice
 // ablation DESIGN.md calls out.
 func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride int) (*Kernel, error) {
+	return buildKernel(mc, a, b, frequency, stride, nil)
+}
+
+// buildKernel is BuildKernelStride, adding the calibration runs' work
+// to work when it is non-nil.
+func buildKernel(mc machine.Config, a, b Event, frequency float64, stride int, work *simWork) (*Kernel, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
@@ -300,7 +306,7 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 		if err != nil {
 			return nil, err
 		}
-		period, err := k.measurePeriodCycles(mc, hier)
+		period, err := k.measurePeriodCycles(mc, hier, work)
 		if err != nil {
 			return nil, err
 		}
@@ -351,9 +357,25 @@ func memArrayBytes(e Event, mc machine.Config) int {
 	return arrayBytes(e, mc)
 }
 
+// simWork tallies the simulator's work over a set of runs: the
+// deterministic counts the simulator layer benchmark reports next to
+// its time, which tell "more work" from "slower work".
+type simWork struct {
+	retired, cycles, interpreted uint64
+}
+
+func (w *simWork) add(res *machine.RunResult) {
+	if w != nil {
+		w.retired += res.Retired
+		w.cycles += res.Cycles
+		w.interpreted += res.CPU.Interpreted()
+	}
+}
+
 // measurePeriodCycles runs a few alternations and returns the mean number
-// of core cycles per full A/B period, skipping cache warm-up.
-func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy) (float64, error) {
+// of core cycles per full A/B period, skipping cache warm-up. The run's
+// work is added to work when it is non-nil.
+func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy, work *simWork) (float64, error) {
 	m, err := machine.New(mc)
 	if err != nil {
 		return 0, err
@@ -366,6 +388,7 @@ func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy)
 	if err != nil {
 		return 0, err
 	}
+	work.add(res)
 	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, 2)
 	sa, oka := ph[PhaseA]
 	sb, okb := ph[PhaseB]
@@ -379,13 +402,14 @@ func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy)
 // reach steady state and returns the per-phase activity rates and
 // durations, ready for EM synthesis.
 func (k *Kernel) Alternation(mc machine.Config, warmupPeriods, measurePeriods int) (*AlternationResult, error) {
-	return k.alternationHier(mc, warmupPeriods, measurePeriods, nil)
+	return k.alternationHier(mc, warmupPeriods, measurePeriods, nil, nil)
 }
 
 // alternationHier is Alternation with an optional reusable memory
-// hierarchy (see machine.RunOptions.Hier); the simulation cache threads
-// a pooled hierarchy through here.
-func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriods int, hier *memhier.Hierarchy) (*AlternationResult, error) {
+// hierarchy (see machine.RunOptions.Hier) — the simulation cache threads
+// a pooled hierarchy through here — adding the run's work to work when
+// it is non-nil.
+func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriods int, hier *memhier.Hierarchy, work *simWork) (*AlternationResult, error) {
 	if warmupPeriods < 0 || measurePeriods <= 0 {
 		return nil, fmt.Errorf("savat: bad period counts warmup=%d measure=%d", warmupPeriods, measurePeriods)
 	}
@@ -400,6 +424,7 @@ func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriod
 	if err != nil {
 		return nil, err
 	}
+	work.add(res)
 	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, warmupPeriods)
 	sa, oka := ph[PhaseA]
 	sb, okb := ph[PhaseB]

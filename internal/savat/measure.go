@@ -207,7 +207,7 @@ type Measurement struct {
 }
 
 // ZJ returns the SAVAT value in zeptojoules (10⁻²¹ J), the paper's unit.
-func (m *Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
+func (m Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 
 // measureKernelReference is the direct-rendering measurement pipeline:
 // every coherence group rendered in the time domain from the canonical
@@ -217,9 +217,9 @@ func (m *Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 // equivalence tests hold the two within 1e-9 relative — and remains
 // the readable specification of the pipeline as well as the ablations'
 // entry point.
-func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (*Measurement, error) {
+func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
@@ -227,7 +227,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	alt, err := k.Alternation(mc, cfg.WarmupPeriods, cfg.MeasurePeriods)
 	altSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 2. Radiate: per-component coupling at the measurement distance
@@ -242,7 +242,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	actual := emsim.Alternation{
 		Rates:       [2]activity.Vector{alt.PhaseStats[0].MeanRates, alt.PhaseStats[1].MeanRates},
@@ -255,7 +255,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	}
 	amps, err := rad.PhaseAmplitudes(actual, cfg.SampleRate)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	duty := complex(emsim.DutyAmplitudeFactor(actual.Duty()), 0)
 	active := 0
@@ -275,7 +275,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 		envs, err := emsim.SynthesizeEnvelopes(emsim.CanonicalTimeline(cfg.Frequency),
 			cfg.SampleRate, n, jit, rand.New(rand.NewSource(seeds.Env)), nil)
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 		for g := 0; g < emsim.NumGroups; g++ {
 			if amps[g][0] == 0 && amps[g][1] == 0 {
@@ -293,7 +293,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	err = cfg.Environment.Apply(noiseStream, cfg.SampleRate, rand.New(rand.NewSource(seeds.Noise)))
 	synSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	streams = append(streams, noiseStream)
 
@@ -301,26 +301,13 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// Group signals and noise are mutually incoherent: powers add.
 	an, err := specan.New(cfg.Analyzer)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	tr, err := an.AnalyzeIncoherent(streams, cfg.SampleRate)
 	if err != nil {
-		return nil, err
-	}
-	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
-	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 5. Energy per A/B instruction pair.
-	pairs := alt.PairsPerSecond()
-	return &Measurement{
-		A: k.A, B: k.B,
-		SAVAT:           p / pairs,
-		BandPower:       p,
-		PairsPerSecond:  pairs,
-		LoopCount:       k.LoopCount,
-		ActualFrequency: alt.ActualFrequency(),
-		Trace:           tr,
-	}, nil
+	return finish(k, alt, cfg, tr)
 }

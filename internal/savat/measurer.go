@@ -50,10 +50,11 @@ const (
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
 //	WithObs(r)         stage metrics on a private obs.Registry
 //
-// A Measurer reuses one scratch across its measurements, so the
-// returned Measurement's Trace aliases that scratch and is valid only
-// until the Measurer's next measurement; callers that keep traces use
-// one Measurer per retained trace. A Measurer is NOT safe for
+// Measurements are returned by value, so their scalars outlive later
+// calls. A Measurer reuses one scratch across its measurements, though,
+// so a returned Measurement's Trace aliases that scratch and is valid
+// only until the Measurer's next measurement; callers that keep traces
+// use one Measurer per retained trace. A Measurer is NOT safe for
 // concurrent use — the campaign engine gives each worker its own.
 type Measurer struct {
 	mc      machine.Config
@@ -228,9 +229,9 @@ func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) 
 // once per process however many Measurers measure it. The rng drives
 // every stochastic stage, so a fixed seed reproduces the measurement
 // exactly.
-func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (*Measurement, error) {
+func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
 	if rng == nil {
-		return nil, fmt.Errorf("savat: nil rng")
+		return Measurement{}, fmt.Errorf("savat: nil rng")
 	}
 	var seed int64
 	if m.cfg.Countermeasures.HasProgram() {
@@ -238,7 +239,7 @@ func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (*Measurement, error) {
 	}
 	k, err := m.kernel(context.Background(), a, b, seed)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	return m.MeasureKernel(k, rng)
 }
@@ -259,9 +260,9 @@ func (m *Measurer) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel,
 // fixed rng state reproduces the measurement exactly — and every
 // pipeline implementation derives the identical seeds from the
 // identical rng, which is what the conformance differentials rely on.
-func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (*Measurement, error) {
+func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (Measurement, error) {
 	if rng == nil {
-		return nil, fmt.Errorf("savat: nil rng")
+		return Measurement{}, fmt.Errorf("savat: nil rng")
 	}
 	return m.MeasureKernelSeeds(k, seedsFromRNG(rng))
 }
@@ -303,19 +304,19 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // row-mates share envelope products and repetition-mates share noise
 // products through the synthesis cache. The selected pipeline
 // implementation runs inside the savat.measure span.
-func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (*Measurement, error) {
+func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
 	return m.measureKernelSeeds(context.Background(), k, seeds)
 }
 
 // measureKernelSeeds is MeasureKernelSeeds under a caller context — the
 // campaign cell's — which bounds the wait for a shared alternation
 // another worker is simulating.
-func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds SynthSeeds) (*Measurement, error) {
+func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds SynthSeeds) (Measurement, error) {
 	sp := m.mobs.measure.Start()
 	defer sp.End()
 	mc, cfg, law, err := m.resolve()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	switch m.mode {
 	case modeBuffered:

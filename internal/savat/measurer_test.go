@@ -44,7 +44,7 @@ func equivConfig(tweak func(*Config)) Config {
 
 // identicalMeasurements demands bit-exact agreement — every scalar field
 // and every spectrum bin — between two Measurements.
-func identicalMeasurements(t *testing.T, name string, a, b *Measurement) {
+func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 	t.Helper()
 	if a.SAVAT != b.SAVAT || a.BandPower != b.BandPower ||
 		a.PairsPerSecond != b.PairsPerSecond || a.LoopCount != b.LoopCount ||
@@ -163,5 +163,28 @@ func TestMeasurePairMatchesCellSeeding(t *testing.T) {
 		if sum.N != 3 {
 			t.Errorf("%s: summary %+v", s.name, sum)
 		}
+	}
+}
+
+// A Measurement is a value: the next measurement on the same Measurer
+// (same scratch) leaves every scalar of the previous one as an
+// independent Measurer computes it.
+func TestMeasurementOutlivesNextMeasure(t *testing.T) {
+	mc, cfg := machine.Core2Duo(), FastConfig()
+	m := NewMeasurer(mc, cfg)
+	first, err := m.Measure(LDM, ADD, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Measure(ADD, ADD, rand.New(rand.NewSource(2))); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewMeasurer(mc, cfg).Measure(LDM, ADD, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Trace, want.Trace = nil, nil // the one field that aliases the scratch
+	if first != want {
+		t.Errorf("first measurement after a second: %+v, want %+v", first, want)
 	}
 }

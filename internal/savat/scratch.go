@@ -73,12 +73,6 @@ type MeasureScratch struct {
 	// caches; specan.Scratch tracks the epoch for its own).
 	mem      *arena.Arena
 	memShape measureShape
-
-	// meas is the scratch-owned Measurement the fast paths return: like
-	// the Trace it embeds, it is valid until the scratch's next
-	// measurement, and reusing it keeps the steady-state path free of
-	// heap allocation.
-	meas Measurement
 }
 
 // measureShape is everything the sizes of the arena-carved working
@@ -212,20 +206,13 @@ func (s *MeasureScratch) prepare(ctx context.Context, mc machine.Config, k *Kern
 
 // finish turns a recorded trace into the Measurement: band power
 // around the intended frequency, then energy per A/B instruction pair.
-// The result is written into dst when one is supplied (the scratch
-// paths pass their scratch-owned Measurement; it shares the Trace's
-// valid-until-next-measurement contract) and freshly allocated when
-// dst is nil (the reference path, whose results outlive the call).
-func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst *Measurement) (*Measurement, error) {
+func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Measurement, error) {
 	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	pairs := alt.PairsPerSecond()
-	if dst == nil {
-		dst = &Measurement{}
-	}
-	*dst = Measurement{
+	return Measurement{
 		A: k.A, B: k.B,
 		SAVAT:           p / pairs,
 		BandPower:       p,
@@ -233,8 +220,7 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst
 		LoopCount:       k.LoopCount,
 		ActualFrequency: alt.ActualFrequency(),
 		Trace:           tr,
-	}
-	return dst, nil
+	}, nil
 }
 
 // measureKernelStream is the streaming fast path behind the default
@@ -252,13 +238,13 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst
 // until the scratch's next measurement; callers that keep traces must
 // use distinct scratches. A nil scratch is allowed; a fresh one is
 // used.
-func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
 	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	cache := s.synthCache()
 
@@ -280,7 +266,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 			return s.analyzer.EnvelopeProductsStream(n, &s.envStream, cfg.SampleRate, s.specan, dst)
 		})
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
@@ -292,14 +278,14 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 		return s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst)
 	})
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
-	return finish(k, alt, cfg, tr, &s.meas)
+	return finish(k, alt, cfg, tr)
 }
 
 // measureKernelBuffered is the capture-at-once form of
@@ -311,13 +297,13 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 // Measurements to measureKernelStream — the conformance suite asserts
 // this — at O(capture) memory; it exists as the plain-shaped oracle for
 // the streaming path and for callers that want the captures.
-func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
 	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	cache := s.synthCache()
 
@@ -330,7 +316,7 @@ func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cf
 	if len(s.coeffs) > 0 {
 		if _, err := emsim.SynthesizeEnvelopes(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env), &s.env); err != nil {
 			synSp.End()
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	if cap(s.noise) >= n {
@@ -341,7 +327,7 @@ func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cf
 	err = cfg.Environment.Render(s.noise, cfg.SampleRate, s.noiseRng.at(seeds.Noise))
 	synSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 4. Buffered spectrum analysis, products read through the cache.
@@ -350,19 +336,19 @@ func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cf
 			return s.analyzer.EnvelopeProducts(s.env.A, s.env.B, cfg.SampleRate, s.specan, dst)
 		})
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
 		return s.analyzer.NoiseProducts(s.noise, cfg.SampleRate, s.specan, dst)
 	})
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
-	return finish(k, alt, cfg, tr, &s.meas)
+	return finish(k, alt, cfg, tr)
 }

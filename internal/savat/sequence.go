@@ -129,7 +129,7 @@ func BuildSequenceKernel(mc machine.Config, a, b Sequence, frequency float64) (*
 		if err != nil {
 			return nil, err
 		}
-		period, err := k.measurePeriodCycles(mc, hier)
+		period, err := k.measurePeriodCycles(mc, hier, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +186,7 @@ type SequenceMeasurement struct {
 	// instructions.
 	SAVAT float64
 	// Measurement carries the underlying pipeline outputs.
-	Measurement *Measurement
+	Measurement Measurement
 }
 
 // ZJ returns the sequence SAVAT in zeptojoules.

@@ -132,6 +132,38 @@ func TestSequenceAdditivity(t *testing.T) {
 	if ratio < 0.25 || ratio > 4 {
 		t.Errorf("additivity ratio %v outside plausibility band", ratio)
 	}
+
+	// The estimate is the paper's sum: each differing position's single
+	// SAVAT less its own floor, plus one sequence floor — recomputed here
+	// on a fresh Measurer per measurement, drawing the same rng stream.
+	rng = rand.New(rand.NewSource(7))
+	a, b := Sequence{LDM, DIV}, Sequence{ADD, ADD}
+	seq, err := MeasureSequence(mc, a, b, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for i := range a {
+		m, err := NewMeasurer(mc, cfg).Measure(a[i], b[i], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := NewMeasurer(mc, cfg).Measure(a[i], a[i], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m.SAVAT - fl.SAVAT*float64(fl.LoopCount)/float64(m.LoopCount); d > 0 {
+			want += d
+		}
+	}
+	fl, err := MeasureSequence(mc, a, a, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want += fl.SAVAT * float64(fl.Measurement.LoopCount) / float64(seq.Measurement.LoopCount)
+	if measured != seq.SAVAT || estimated != want {
+		t.Errorf("SequenceAdditivity = (%v, %v), independent Measurers give (%v, %v)", measured, estimated, seq.SAVAT, want)
+	}
 }
 
 // Branch-prediction extension events: a mispredict stream is
