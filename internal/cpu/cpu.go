@@ -81,9 +81,9 @@ type CPU struct {
 
 	retired     uint64
 	mispredicts uint64
-	// interpreted counts the retired instructions the dispatch loop
-	// executed one by one; the rest were fast-forwarded (see loop).
-	interpreted uint64
+	// skipped counts the retired instructions fast-forwarded with whole
+	// loop iterations (see loop); the rest were interpreted one by one.
+	skipped uint64
 
 	// loops holds the program's counted loops by back-edge pc (nil
 	// where none ends); see findLoops.
@@ -123,7 +123,7 @@ func (c *CPU) Mispredicts() uint64 { return c.mispredicts }
 // Interpreted returns how many of the retired instructions were
 // executed one at a time rather than fast-forwarded with a whole loop
 // iteration.
-func (c *CPU) Interpreted() uint64 { return c.interpreted }
+func (c *CPU) Interpreted() uint64 { return c.retired - c.skipped }
 
 // Reg reads an architectural register.
 func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[r] }
@@ -217,114 +217,168 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 	if cycleLimit == 0 {
 		cycleLimit = ^uint64(0)
 	}
-	loops := c.loops
-	var steps, skipped, fetchN, aluN, mulN, divN, branchN, mispredicts uint64
+	var steps, fetchN, aluN, mulN, divN, branchN, mispredicts uint64
 	halted := false
 	var err error
 
-	for steps < maxSteps && cycle < cycleLimit {
-		// The uint cast folds the two PC range tests into one compare; a
-		// negative pc wraps far above any program length.
-		if uint(pc) >= uint(len(prog)) {
-			err = fmt.Errorf("cpu: pc %d outside program of %d words", pc, len(prog))
-			break
-		}
-		if steps != 0 && pc < len(lookup) && lookup[pc] >= 0 {
-			break
-		}
-		in := &prog[pc]
-		fetchN++
-		next := pc + 1
-		lat := aluLat
+	// A taken back edge of a counted loop leaves the dispatch loop, and
+	// the fast-forward runs between passes: called from inside it, it
+	// would make the compiler spill the hot locals on every instruction.
+	for {
+		var ff *loop // the counted loop whose back edge just retired
+	dispatch:
+		for steps < maxSteps && cycle < cycleLimit {
+			// The uint cast folds the two PC range tests into one compare; a
+			// negative pc wraps far above any program length.
+			if uint(pc) >= uint(len(prog)) {
+				err = fmt.Errorf("cpu: pc %d outside program of %d words", pc, len(prog))
+				break
+			}
+			if steps != 0 && pc < len(lookup) && lookup[pc] >= 0 {
+				break
+			}
+			in := &prog[pc]
+			fetchN++
+			next := pc + 1
+			lat := aluLat
 
-		switch in.Op {
-		case isa.NOP:
-			// front-end only
-		case isa.HALT:
-			halted = true
-		case isa.MOVI, isa.LUI, isa.ADDI, isa.ADDR, isa.SUBI, isa.SUBR, isa.ANDI, isa.ANDR,
-			isa.ORI, isa.ORR, isa.XORI, isa.XORR, isa.SHLI, isa.SHRI:
-			exec(prog[pc:pc+1], regs)
-			aluN++
-		case isa.MULI, isa.MULR:
-			exec(prog[pc:pc+1], regs)
-			mulN++
-			lat = mulLat
-		case isa.DIVI, isa.DIVR:
-			exec(prog[pc:pc+1], regs)
-			divN++
-			lat = divLat
-		case isa.LD:
-			addr := uint64(regs[in.Rs1] + uint32(in.Imm))
-			regs[in.Rd] = mem.Load32(addr)
-			var l int
-			_, l = hier.AccessInto(addr, false, act)
-			lat = uint64(l)
-		case isa.ST:
-			addr := uint64(regs[in.Rs1] + uint32(in.Imm))
-			mem.Store32(addr, regs[in.Rd])
-			var l int
-			_, l = hier.AccessInto(addr, true, act)
-			lat = uint64(l)
-		case isa.BEQ, isa.BNE, isa.JMP:
-			taken := true
 			switch in.Op {
-			case isa.BEQ:
-				taken = regs[in.Rd] == regs[in.Rs1]
-			case isa.BNE:
-				taken = regs[in.Rd] != regs[in.Rs1]
-			}
-			branchN++
-			lat = branchLat
-			// Static prediction: backward taken, forward not-taken; JMP always
-			// predicted taken.
-			predictTaken := in.Imm < 0 || in.Op == isa.JMP
-			if taken != predictTaken {
-				lat += mispredictLat
-				mispredicts++
-			}
-			if taken {
-				next = pc + 1 + int(in.Imm)
-				if lp := loops[pc]; lp != nil {
-					// Whole iterations start at the head once this back
-					// edge retires, at steps+1 and cycle+lat.
-					var cycleLeft uint64
-					if cycle+lat < cycleLimit {
-						cycleLeft = cycleLimit - (cycle + lat)
-					}
-					if k := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps-1, cycleLeft)); k > 0 {
-						steps += k * lp.steps
-						skipped += k * lp.steps
-						cycle += k * lp.cycles
-						fetchN += k * lp.fetchN
-						aluN += k * lp.aluN
-						mulN += k * lp.mulN
-						divN += k * lp.divN
-						branchN += k * lp.branchN
-						mispredicts += k * lp.mispredicts
+			case isa.NOP:
+				// front-end only
+			case isa.HALT:
+				halted = true
+			case isa.MOVI:
+				regs[in.Rd] = uint32(in.Imm)
+				aluN++
+			case isa.LUI:
+				regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
+				aluN++
+			case isa.ADDI:
+				regs[in.Rd] = regs[in.Rs1] + uint32(in.Imm)
+				aluN++
+			case isa.ADDR:
+				regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
+				aluN++
+			case isa.SUBI:
+				regs[in.Rd] = regs[in.Rs1] - uint32(in.Imm)
+				aluN++
+			case isa.SUBR:
+				regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
+				aluN++
+			case isa.ANDI:
+				regs[in.Rd] = regs[in.Rs1] & uint32(in.Imm)
+				aluN++
+			case isa.ANDR:
+				regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
+				aluN++
+			case isa.ORI:
+				regs[in.Rd] = regs[in.Rs1] | uint32(in.Imm)
+				aluN++
+			case isa.ORR:
+				regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
+				aluN++
+			case isa.XORI:
+				regs[in.Rd] = regs[in.Rs1] ^ uint32(in.Imm)
+				aluN++
+			case isa.XORR:
+				regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
+				aluN++
+			case isa.SHLI:
+				regs[in.Rd] = regs[in.Rs1] << uint(in.Imm)
+				aluN++
+			case isa.SHRI:
+				regs[in.Rd] = regs[in.Rs1] >> uint(in.Imm)
+				aluN++
+			case isa.MULI:
+				regs[in.Rd] = uint32(int32(regs[in.Rs1]) * in.Imm)
+				mulN++
+				lat = mulLat
+			case isa.MULR:
+				regs[in.Rd] = uint32(int32(regs[in.Rs1]) * int32(regs[in.Rs2]))
+				mulN++
+				lat = mulLat
+			case isa.DIVI:
+				regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), in.Imm))
+				divN++
+				lat = divLat
+			case isa.DIVR:
+				regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), int32(regs[in.Rs2])))
+				divN++
+				lat = divLat
+			case isa.LD:
+				addr := uint64(regs[in.Rs1] + uint32(in.Imm))
+				regs[in.Rd] = mem.Load32(addr)
+				var l int
+				_, l = hier.AccessInto(addr, false, act)
+				lat = uint64(l)
+			case isa.ST:
+				addr := uint64(regs[in.Rs1] + uint32(in.Imm))
+				mem.Store32(addr, regs[in.Rd])
+				var l int
+				_, l = hier.AccessInto(addr, true, act)
+				lat = uint64(l)
+			case isa.BEQ, isa.BNE, isa.JMP:
+				taken := true
+				switch in.Op {
+				case isa.BEQ:
+					taken = regs[in.Rd] == regs[in.Rs1]
+				case isa.BNE:
+					taken = regs[in.Rd] != regs[in.Rs1]
+				}
+				branchN++
+				lat = branchLat
+				// Static prediction: backward taken, forward not-taken; JMP always
+				// predicted taken.
+				predictTaken := in.Imm < 0 || in.Op == isa.JMP
+				if taken != predictTaken {
+					lat += mispredictLat
+					mispredicts++
+				}
+				if taken {
+					next = pc + 1 + int(in.Imm)
+					if ff = c.loops[pc]; ff != nil {
+						pc = next
+						cycle += lat
+						steps++
+						break dispatch
 					}
 				}
+			default:
+				err = fmt.Errorf("cpu: undefined opcode %d at pc %d", in.Op, pc)
 			}
-		default:
-			err = fmt.Errorf("cpu: undefined opcode %d at pc %d", in.Op, pc)
-		}
-		if err != nil {
-			break
+			if err != nil {
+				break
+			}
+
+			pc = next
+			cycle += lat
+			steps++
+			if halted {
+				break
+			}
 		}
 
-		pc = next
-		cycle += lat
-		steps++
-		if halted {
+		// Whole iterations start at the loop head, at steps and cycle.
+		lp := ff
+		if lp == nil || steps >= maxSteps || cycle >= cycleLimit {
 			break
 		}
+		k := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps, cycleLimit-cycle))
+		steps += k * lp.steps
+		c.skipped += k * lp.steps
+		cycle += k * lp.cycles
+		fetchN += k * lp.fetchN
+		aluN += k * lp.aluN
+		mulN += k * lp.mulN
+		divN += k * lp.divN
+		branchN += k * lp.branchN
+		mispredicts += k * lp.mispredicts
 	}
 
 	c.pc = pc
 	c.cycle = cycle
 	c.halted = halted
 	c.retired += steps
-	c.interpreted += steps - skipped
 	c.mispredicts += mispredicts
 	c.fetchN += fetchN
 	c.aluN += aluN

@@ -16,16 +16,9 @@ func SameMemory(a, b *Memory) bool {
 	return true
 }
 
-// LoopShape reports how New classifies the branch at pc end: "none"
-// when it closes no counted loop, "replay" for a counted loop replayed
-// op by op, or "closed" for one fast-forwarded in closed form.
-func LoopShape(prog []isa.Instruction, end int) string {
+// CountedLoop reports whether New finds a counted loop, which it
+// fast-forwards, closing at pc end.
+func CountedLoop(prog []isa.Instruction, end int) bool {
 	cfg := DefaultConfig()
-	switch lp := countedLoop(prog, end, &cfg, 3); {
-	case lp == nil:
-		return "none"
-	case lp.sweep == nil:
-		return "replay"
-	}
-	return "closed"
+	return countedLoop(prog, end, &cfg, 3) != nil
 }

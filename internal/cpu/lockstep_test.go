@@ -431,31 +431,34 @@ func TestFastForwardIsExact(t *testing.T) {
 	}
 }
 
-// TestLoopShapes pins which loops are counted and which take the
-// closed form, one condition at a time, and holds each to Step.
+// TestLoopShapes pins which loops are counted, one condition at a
+// time, and holds each to Step.
 func TestLoopShapes(t *testing.T) {
-	cases := []struct{ body, want string }{
-		{"", "closed"},
-		{"ld r1, [r2]", "closed"},
-		{"st [r2+4], r12", "closed"},
-		{"ld r1, [r9+8]", "closed"}, // a base the body never writes
-		{"addi r14, r14, 173", "closed"},
-		{"mul r14, r14, r14\ndivi r13, r13, 7\nxori r11, r11, 5", "closed"},
-		{"jmp over\nhalt\nover:", "closed"},
-		{"beq r7, r7, over\nnop\nover:", "closed"},
-		{"bne r7, r7, over\nnop\nover:", "closed"},
-		{"ld r3, [r2]", "replay"},                 // clobbers the mask
-		{"ld r1, [r2]\naddi r1, r1, 1", "replay"}, // reads the loaded value back
-		{"st [r2], r2", "replay"},                 // stores the pointer itself
-		{"st [r5], r12", "replay"},                // addresses through the temporary
-		{"addi r11, r14, 1", "replay"},            // not self-contained
-		{"ld r1, [r2]\nld r1, [r2+64]", "none"},
-		{"addi r0, r0, 1", "none"},   // moves the bound
-		{"addi r11, r10, 1", "none"}, // reads the counter
-		{"subi r10, r10, 1", "none"}, // a second decrement
-		{"beq r1, r12, over\nnop\nover:", "none"},
-		{"halt", "none"},
-		{"back:\nbne r7, r7, back", "none"},
+	cases := []struct {
+		body    string
+		counted bool
+	}{
+		{"", true},
+		{"ld r1, [r2]", true},
+		{"st [r2+4], r12", true},
+		{"ld r1, [r9+8]", true}, // a base the body never writes
+		{"addi r14, r14, 173", true},
+		{"mul r14, r14, r14\ndivi r13, r13, 7\nxori r11, r11, 5", true},
+		{"jmp over\nhalt\nover:", true},
+		{"beq r7, r7, over\nnop\nover:", true},
+		{"bne r7, r7, over\nnop\nover:", true},
+		{"ld r3, [r2]", false},                 // clobbers the mask
+		{"ld r1, [r2]\naddi r1, r1, 1", false}, // reads the loaded value back
+		{"st [r2], r2", false},                 // stores the pointer itself
+		{"st [r5], r12", false},                // addresses through the temporary
+		{"addi r11, r14, 1", false},            // not self-contained
+		{"ld r1, [r2]\nld r1, [r2+64]", false},
+		{"addi r0, r0, 1", false},   // moves the bound
+		{"addi r11, r10, 1", false}, // reads the counter
+		{"subi r10, r10, 1", false}, // a second decrement
+		{"beq r1, r12, over\nnop\nover:", false},
+		{"halt", false},
+		{"back:\nbne r7, r7, back", false},
 	}
 	for _, tc := range cases {
 		src := `
@@ -481,8 +484,8 @@ func TestLoopShapes(t *testing.T) {
 			t.Fatalf("%q: %v", tc.body, err)
 		}
 		prog := p.Instructions
-		if got := cpu.LoopShape(prog, len(prog)-2); got != tc.want {
-			t.Errorf("%q: shape %s, want %s", tc.body, got, tc.want)
+		if got := cpu.CountedLoop(prog, len(prog)-2); got != tc.counted {
+			t.Errorf("%q: counted %v, want %v", tc.body, got, tc.counted)
 		}
 		lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 0, 20_000)
 	}

@@ -2,52 +2,48 @@ package cpu
 
 import "repro/internal/isa"
 
-// exec applies a straight-line run of register-only instructions — every
-// opcode except NOP, HALT, LD, ST and the branches — to regs in order.
-// It is the one definition of the ALU, multiplier and divider semantics:
-// the interpreter executes each such instruction through it, and
-// fastForward replays loop bodies through it.
-func exec(ops []isa.Instruction, regs *[isa.NumRegs]uint32) {
-	for i := range ops {
-		in := &ops[i]
-		switch in.Op {
-		case isa.MOVI:
-			regs[in.Rd] = uint32(in.Imm)
-		case isa.LUI:
-			regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-		case isa.ADDI:
-			regs[in.Rd] = regs[in.Rs1] + uint32(in.Imm)
-		case isa.ADDR:
-			regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
-		case isa.SUBI:
-			regs[in.Rd] = regs[in.Rs1] - uint32(in.Imm)
-		case isa.SUBR:
-			regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
-		case isa.ANDI:
-			regs[in.Rd] = regs[in.Rs1] & uint32(in.Imm)
-		case isa.ANDR:
-			regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
-		case isa.ORI:
-			regs[in.Rd] = regs[in.Rs1] | uint32(in.Imm)
-		case isa.ORR:
-			regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
-		case isa.XORI:
-			regs[in.Rd] = regs[in.Rs1] ^ uint32(in.Imm)
-		case isa.XORR:
-			regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
-		case isa.SHLI:
-			regs[in.Rd] = regs[in.Rs1] << uint(in.Imm)
-		case isa.SHRI:
-			regs[in.Rd] = regs[in.Rs1] >> uint(in.Imm)
-		case isa.MULI:
-			regs[in.Rd] = uint32(int32(regs[in.Rs1]) * in.Imm)
-		case isa.MULR:
-			regs[in.Rd] = uint32(int32(regs[in.Rs1]) * int32(regs[in.Rs2]))
-		case isa.DIVI:
-			regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), in.Imm))
-		case isa.DIVR:
-			regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), int32(regs[in.Rs2])))
-		}
+// exec applies one register-only instruction — any opcode except NOP,
+// HALT, LD, ST and the branches — to regs. It mirrors the interpreter's
+// inline cases for selfForward; the lockstep tests hold the two to each
+// other.
+func exec(in *isa.Instruction, regs *[isa.NumRegs]uint32) {
+	switch in.Op {
+	case isa.MOVI:
+		regs[in.Rd] = uint32(in.Imm)
+	case isa.LUI:
+		regs[in.Rd] = regs[in.Rd]&0xFFFF | uint32(in.Imm)<<16
+	case isa.ADDI:
+		regs[in.Rd] = regs[in.Rs1] + uint32(in.Imm)
+	case isa.ADDR:
+		regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
+	case isa.SUBI:
+		regs[in.Rd] = regs[in.Rs1] - uint32(in.Imm)
+	case isa.SUBR:
+		regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
+	case isa.ANDI:
+		regs[in.Rd] = regs[in.Rs1] & uint32(in.Imm)
+	case isa.ANDR:
+		regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
+	case isa.ORI:
+		regs[in.Rd] = regs[in.Rs1] | uint32(in.Imm)
+	case isa.ORR:
+		regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
+	case isa.XORI:
+		regs[in.Rd] = regs[in.Rs1] ^ uint32(in.Imm)
+	case isa.XORR:
+		regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
+	case isa.SHLI:
+		regs[in.Rd] = regs[in.Rs1] << uint(in.Imm)
+	case isa.SHRI:
+		regs[in.Rd] = regs[in.Rs1] >> uint(in.Imm)
+	case isa.MULI:
+		regs[in.Rd] = uint32(int32(regs[in.Rs1]) * in.Imm)
+	case isa.MULR:
+		regs[in.Rd] = uint32(int32(regs[in.Rs1]) * int32(regs[in.Rs2]))
+	case isa.DIVI:
+		regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), in.Imm))
+	case isa.DIVR:
+		regs[in.Rd] = uint32(divide(int32(regs[in.Rs1]), int32(regs[in.Rs2])))
 	}
 }
 
@@ -60,24 +56,20 @@ func exec(ops []isa.Instruction, regs *[isa.NumRegs]uint32) {
 //   - no HALT and no undefined opcode;
 //   - at most one LD or ST;
 //   - exactly one `SUBI rc, rc, 1`, and no other read or write of rc;
-//   - no write of rz.
+//   - no write of rz;
 //
-// Every iteration then executes the same instructions, so its steps,
-// cycles (the memory op at the L1 hit latency a repeated access costs),
+// and whose register work has a closed form (see sweep). Every
+// iteration then executes the same instructions, so its steps, cycles
+// (the memory op at the L1 hit latency a repeated access costs),
 // core-event tallies and mispredicts are constants, and once the back
 // edge is taken regs[rc]−regs[rz] iterations remain, the last of which
-// falls through.
+// falls through. Loops of any other shape are interpreted.
 type loop struct {
-	head, end int     // body pcs; end is the back edge
-	rc, rz    isa.Reg // counter and bound
-
-	// Register ops of the static path in order, split around the memory
-	// op (all in pre when there is none), without the counter decrement:
-	// nothing else reads rc, so it is applied once in closed form.
-	pre, post []isa.Instruction
+	head, end int             // body pcs; end is the back edge
+	rc, rz    isa.Reg         // counter and bound
 	mem       isa.Instruction // the LD or ST when hasMem
 	hasMem    bool
-	sweep     *sweep // the body in closed form, or nil
+	sw        sweep // the body in closed form
 
 	steps, cycles, lastLat                         uint64
 	fetchN, aluN, mulN, divN, branchN, mispredicts uint64
@@ -138,6 +130,11 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 	}
 	lp.head, lp.end = head, end
 
+	// ops are the path's register ops in order, without the counter
+	// decrement (applied once in closed form: nothing else reads rc);
+	// the first nPre of them precede the memory op.
+	var ops []isa.Instruction
+	nPre := 0
 	branchLat := uint64(cfg.BranchCycles)
 	for _, pc := range path {
 		in := prog[pc]
@@ -161,6 +158,7 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 			}
 			lp.cycles += l1Hit
 			lp.mem, lp.hasMem = in, true
+			nPre = len(ops)
 			continue
 		case isa.ClassBranch:
 			lp.cycles += branchLat
@@ -174,11 +172,10 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 		if in.Op == isa.NOP || (in.Op == isa.SUBI && in.Rd == lp.rc) {
 			continue
 		}
-		if lp.hasMem {
-			lp.post = append(lp.post, in)
-		} else {
-			lp.pre = append(lp.pre, in)
-		}
+		ops = append(ops, in)
+	}
+	if !lp.hasMem {
+		nPre = len(ops)
 	}
 	// The back edge: taken backward, so predicted.
 	lp.steps++
@@ -186,7 +183,9 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 	lp.branchN++
 	lp.cycles += branchLat
 	lp.lastLat = branchLat
-	lp.sweep = sweepOf(lp)
+	if !lp.closedForm(ops, nPre) {
+		return nil
+	}
 	return lp
 }
 
@@ -241,50 +240,18 @@ func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft,
 }
 
 // fastForward executes up to n whole iterations of lp from its head and
-// returns how many it executed. Registers and data memory take their
-// real values; the memory hierarchy is advanced only while AccessRepeat
-// confirms the access repeats the previous one, and the first access
-// that does not is left, with its iteration, to the interpreter.
+// returns how many it executed: none unless the registers give the body
+// its closed form (see sweep.holds). Registers and data memory take
+// their real values; the memory hierarchy is advanced only while
+// AccessRepeat confirms the access repeats the previous one, and the
+// first access that does not is left, with its iteration, to the
+// interpreter.
 func (c *CPU) fastForward(lp *loop, n uint64) uint64 {
-	if n == 0 {
+	if n == 0 || !lp.sw.holds(&c.regs) {
 		return 0
 	}
-	if sw := lp.sweep; sw != nil && sw.holds(&c.regs) {
-		n = c.sweepForward(lp, sw, n)
-	} else {
-		n = c.replayForward(lp, n)
-	}
+	n = c.sweepForward(lp, n)
 	c.regs[lp.rc] -= uint32(n)
-	return n
-}
-
-// replayForward executes up to n iterations by replaying the body's
-// register ops, one iteration at a time.
-func (c *CPU) replayForward(lp *loop, n uint64) uint64 {
-	regs := &c.regs
-	if !lp.hasMem {
-		for i := uint64(0); i < n; i++ {
-			exec(lp.pre, regs)
-		}
-		return n
-	}
-	m := &lp.mem
-	write := m.Op == isa.ST
-	for i := uint64(0); i < n; i++ {
-		saved := *regs
-		exec(lp.pre, regs)
-		addr := uint64(regs[m.Rs1] + uint32(m.Imm))
-		if !c.hier.AccessRepeat(addr, write, &c.act) {
-			*regs = saved
-			return i
-		}
-		if write {
-			c.mem.Store32(addr, regs[m.Rd])
-		} else {
-			regs[m.Rd] = c.mem.Load32(addr)
-		}
-		exec(lp.post, regs)
-	}
 	return n
 }
 
@@ -312,9 +279,10 @@ type sweep struct {
 	self        []isa.Instruction
 }
 
-// sweepOf returns lp's body in closed form, or nil when it has none.
-func sweepOf(lp *loop) *sweep {
-	ops := append(append([]isa.Instruction(nil), lp.pre...), lp.post...)
+// closedForm sets lp.sw to the closed form of the body's register ops
+// (the first nPre of them before the memory op), or reports that it has
+// none.
+func (lp *loop) closedForm(ops []isa.Instruction, nPre int) bool {
 	var touched [isa.NumRegs]int
 	note := func(in isa.Instruction) {
 		w, r := in.RegSets()
@@ -330,7 +298,7 @@ func sweepOf(lp *loop) *sweep {
 	if lp.hasMem {
 		note(lp.mem)
 	}
-	sw := &sweep{}
+	sw := &lp.sw
 	var group []isa.Instruction
 	groupInPre := true
 	for i, in := range ops {
@@ -340,49 +308,49 @@ func sweepOf(lp *loop) *sweep {
 			continue
 		}
 		group = append(group, in)
-		if i >= len(lp.pre) {
+		if i >= nPre {
 			groupInPre = false
 		}
 	}
 	if len(group) != 4 {
-		return nil
+		return false
 	}
 	first, last := group[0], group[3]
 	if first.Op != isa.ADDI || first.Rd == first.Rs1 {
-		return nil
+		return false
 	}
 	sw.t, sw.p, sw.stride = first.Rd, first.Rs1, uint32(first.Imm)
 	if last.Op != isa.ORR || last.Rd != sw.p || operand(last, sw.p) != sw.t {
-		return nil
+		return false
 	}
 	haveM, haveNM := false, false
 	for _, in := range group[1:3] {
 		switch {
 		case in.Op != isa.ANDR:
-			return nil
+			return false
 		case in.Rd == sw.t && !haveM:
 			sw.m, haveM = operand(in, sw.t), true
 		case in.Rd == sw.p && !haveNM:
 			sw.nm, haveNM = operand(in, sw.p), true
 		default:
-			return nil
+			return false
 		}
 	}
 	if !haveM || !haveNM || !distinct(sw.p, sw.t, sw.m, sw.nm) {
-		return nil
+		return false
 	}
 	if lp.hasMem {
 		m := lp.mem
 		if m.Op == isa.LD && (m.Rd == m.Rs1 || touched[m.Rd] != 1) ||
 			m.Op == isa.ST && (m.Rd == sw.p || m.Rd == sw.t) || m.Rs1 == sw.t {
-			return nil
+			return false
 		}
 		sw.memAtP = m.Rs1 == sw.p
 		if sw.memAtP && !groupInPre {
-			return nil
+			return false
 		}
 	}
-	return sw
+	return true
 }
 
 // operand returns the source of the two-source op in other than x, or
@@ -416,8 +384,8 @@ func (sw *sweep) holds(regs *[isa.NumRegs]uint32) bool {
 }
 
 // sweepForward executes up to n iterations of a body in closed form.
-func (c *CPU) sweepForward(lp *loop, sw *sweep, n uint64) uint64 {
-	regs := &c.regs
+func (c *CPU) sweepForward(lp *loop, n uint64) uint64 {
+	regs, sw := &c.regs, &lp.sw
 	p0, m := regs[sw.p], regs[sw.m]
 	hi := p0 & ^m
 	if lp.hasMem {
@@ -446,16 +414,15 @@ func (c *CPU) sweepForward(lp *loop, sw *sweep, n uint64) uint64 {
 	regs[sw.t] = (p0 + uint32(n)*sw.stride) & m
 	regs[sw.p] = hi | regs[sw.t]
 	for i := range sw.self {
-		selfForward(sw.self[i:i+1], regs, n)
+		selfForward(&sw.self[i], regs, n)
 	}
 	return n
 }
 
-// selfForward applies n iterations of the self-contained op one[0]: in
+// selfForward applies n iterations of the self-contained op in: in
 // closed form for adds, subtracts and multiplies by a constant,
 // otherwise one at a time until the register reaches a fixed point.
-func selfForward(one []isa.Instruction, regs *[isa.NumRegs]uint32, n uint64) {
-	in := &one[0]
+func selfForward(in *isa.Instruction, regs *[isa.NumRegs]uint32, n uint64) {
 	r := &regs[in.Rd]
 	imm := uint32(in.Imm)
 	switch in.Op {
@@ -477,7 +444,7 @@ func selfForward(one []isa.Instruction, regs *[isa.NumRegs]uint32, n uint64) {
 	default:
 		for ; n > 0; n-- {
 			v := *r
-			exec(one, regs)
+			exec(in, regs)
 			if *r == v {
 				return
 			}

@@ -20,7 +20,7 @@ func BenchmarkSimulateFig9Pairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for a := Event(0); a < NumEvents; a++ {
 			for bb := Event(0); bb < NumEvents; bb++ {
-				k, err := buildKernel(mc, a, bb, cfg.Frequency, SweepOffset, &work)
+				k, err := BuildKernelStride(mc, a, bb, cfg.Frequency, SweepOffset)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -28,11 +28,13 @@ func BenchmarkSimulateFig9Pairs(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = k.alternationHier(mc, cfg.WarmupPeriods, cfg.MeasurePeriods, hier, &work)
+				alt, err := k.alternationHier(mc, cfg.WarmupPeriods, cfg.MeasurePeriods, hier)
 				returnHier(mc.Mem, hier)
 				if err != nil {
 					b.Fatal(err)
 				}
+				work.add(k.calibration)
+				work.add(alt.work)
 			}
 		}
 	}

@@ -100,6 +100,9 @@ type Kernel struct {
 	// constructors; it keys the shared alternation cache. Kernels are
 	// never mutated after construction.
 	sum kernelSum
+	// calibration is the work of the runs that chose LoopCount (zero
+	// for kernels built with a given count).
+	calibration simWork
 }
 
 // arrayBytes picks the sweep-array size that produces the event's cache
@@ -268,12 +271,6 @@ func BuildKernel(mc machine.Config, a, b Event, frequency float64) (*Kernel, err
 // slows the memory rows' loops by an order of magnitude — the design-choice
 // ablation DESIGN.md calls out.
 func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride int) (*Kernel, error) {
-	return buildKernel(mc, a, b, frequency, stride, nil)
-}
-
-// buildKernel is BuildKernelStride, adding the calibration runs' work
-// to work when it is non-nil.
-func buildKernel(mc machine.Config, a, b Event, frequency float64, stride int, work *simWork) (*Kernel, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,15 +298,17 @@ func buildKernel(mc machine.Config, a, b Event, frequency float64, stride int, w
 	}
 	defer returnHier(mc.Mem, hier)
 	loopCount := 256
+	var calibration simWork
 	for round := 0; round < 2; round++ {
 		k, err := assemble(mc, a, b, frequency, loopCount, stride)
 		if err != nil {
 			return nil, err
 		}
-		period, err := k.measurePeriodCycles(mc, hier, work)
+		period, work, err := k.measurePeriodCycles(mc, hier)
 		if err != nil {
 			return nil, err
 		}
+		calibration.add(work)
 		next := int(float64(loopCount) * targetCycles / period)
 		if next < 1 {
 			next = 1
@@ -319,7 +318,12 @@ func buildKernel(mc machine.Config, a, b Event, frequency float64, stride int, w
 		}
 		loopCount = next
 	}
-	return assemble(mc, a, b, frequency, loopCount, stride)
+	k, err := assemble(mc, a, b, frequency, loopCount, stride)
+	if err != nil {
+		return nil, err
+	}
+	k.calibration = calibration
+	return k, nil
 }
 
 // assemble builds the Kernel value for a specific loop count.
@@ -357,28 +361,30 @@ func memArrayBytes(e Event, mc machine.Config) int {
 	return arrayBytes(e, mc)
 }
 
-// simWork tallies the simulator's work over a set of runs: the
+// simWork is the simulator's work in one or more runs: the
 // deterministic counts the simulator layer benchmark reports next to
 // its time, which tell "more work" from "slower work".
 type simWork struct {
 	retired, cycles, interpreted uint64
 }
 
-func (w *simWork) add(res *machine.RunResult) {
-	if w != nil {
-		w.retired += res.Retired
-		w.cycles += res.Cycles
-		w.interpreted += res.CPU.Interpreted()
-	}
+func workOf(res *machine.RunResult) simWork {
+	return simWork{res.Retired, res.Cycles, res.CPU.Interpreted()}
+}
+
+func (w *simWork) add(o simWork) {
+	w.retired += o.retired
+	w.cycles += o.cycles
+	w.interpreted += o.interpreted
 }
 
 // measurePeriodCycles runs a few alternations and returns the mean number
-// of core cycles per full A/B period, skipping cache warm-up. The run's
-// work is added to work when it is non-nil.
-func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy, work *simWork) (float64, error) {
+// of core cycles per full A/B period, skipping cache warm-up, and the
+// run's work.
+func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy) (float64, simWork, error) {
 	m, err := machine.New(mc)
 	if err != nil {
-		return 0, err
+		return 0, simWork{}, err
 	}
 	const periods = 5
 	res, err := m.RunPhases(k.Program, k.PhaseAt, machine.RunOptions{
@@ -386,30 +392,28 @@ func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy,
 		Hier:       hier,
 	})
 	if err != nil {
-		return 0, err
+		return 0, simWork{}, err
 	}
-	work.add(res)
 	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, 2)
 	sa, oka := ph[PhaseA]
 	sb, okb := ph[PhaseB]
 	if !oka || !okb {
-		return 0, fmt.Errorf("savat: calibration run produced no steady-state phases")
+		return 0, simWork{}, fmt.Errorf("savat: calibration run produced no steady-state phases")
 	}
-	return sa.MeanCycles + sb.MeanCycles, nil
+	return sa.MeanCycles + sb.MeanCycles, workOf(res), nil
 }
 
 // Alternation runs the kernel cycle-accurately for enough periods to
 // reach steady state and returns the per-phase activity rates and
 // durations, ready for EM synthesis.
 func (k *Kernel) Alternation(mc machine.Config, warmupPeriods, measurePeriods int) (*AlternationResult, error) {
-	return k.alternationHier(mc, warmupPeriods, measurePeriods, nil, nil)
+	return k.alternationHier(mc, warmupPeriods, measurePeriods, nil)
 }
 
 // alternationHier is Alternation with an optional reusable memory
-// hierarchy (see machine.RunOptions.Hier) — the simulation cache threads
-// a pooled hierarchy through here — adding the run's work to work when
-// it is non-nil.
-func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriods int, hier *memhier.Hierarchy, work *simWork) (*AlternationResult, error) {
+// hierarchy (see machine.RunOptions.Hier); the simulation cache threads
+// a pooled hierarchy through here.
+func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriods int, hier *memhier.Hierarchy) (*AlternationResult, error) {
 	if warmupPeriods < 0 || measurePeriods <= 0 {
 		return nil, fmt.Errorf("savat: bad period counts warmup=%d measure=%d", warmupPeriods, measurePeriods)
 	}
@@ -424,7 +428,6 @@ func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriod
 	if err != nil {
 		return nil, err
 	}
-	work.add(res)
 	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, warmupPeriods)
 	sa, oka := ph[PhaseA]
 	sb, okb := ph[PhaseB]
@@ -435,6 +438,7 @@ func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriod
 		Kernel:      k,
 		PhaseStats:  [2]activity.PhaseStats{sa, sb},
 		HalfSeconds: [2]float64{sa.MeanCycles / mc.ClockHz, sb.MeanCycles / mc.ClockHz},
+		work:        workOf(res),
 	}, nil
 }
 
@@ -444,6 +448,8 @@ type AlternationResult struct {
 	Kernel      *Kernel
 	PhaseStats  [2]activity.PhaseStats
 	HalfSeconds [2]float64
+
+	work simWork // the alternation run's
 }
 
 // Period returns the achieved alternation period in seconds.

@@ -129,7 +129,7 @@ func BuildSequenceKernel(mc machine.Config, a, b Sequence, frequency float64) (*
 		if err != nil {
 			return nil, err
 		}
-		period, err := k.measurePeriodCycles(mc, hier, nil)
+		period, _, err := k.measurePeriodCycles(mc, hier)
 		if err != nil {
 			return nil, err
 		}

@@ -272,7 +272,7 @@ func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel
 			return nil, err
 		}
 		defer returnHier(mc.Mem, hier)
-		return k.alternationHier(mc, warm, meas, hier, nil)
+		return k.alternationHier(mc, warm, meas, hier)
 	})
 	countLookup(mo.altHits, mo.altMisses, computed, err)
 	return alt, err
