@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/isa:FuzzDecodeEncodeRoundTrip \
 	./internal/isa:FuzzEncodeDecodeInstruction \
 	./internal/savat:FuzzCampaignSpec \
+	./internal/specan:FuzzBandWalkVsDisplay \
 	./internal/store:FuzzStoreRecord \
 	./internal/store:FuzzStoreHeader
 

@@ -110,7 +110,7 @@ type Cache struct {
 	// a line resident, and the way slot holding it; lastSlot < 0 when
 	// there is none. Every access that changes residency passes through
 	// Access or AccessHit and updates the pair, so the line is still in
-	// that slot until the next one: RepeatHit relies on it.
+	// that slot until the next one: RepeatHits relies on it.
 	lastLine uint64
 	lastSlot int
 }
@@ -279,7 +279,7 @@ func (c *Cache) AccessHit(addr uint64, write bool) bool {
 	want := tag | vtagValid
 	for wi, v := range vt {
 		if v == want {
-			c.hitSlot(int(set)*c.assoc+wi, write)
+			c.hitSlot(int(set)*c.assoc+wi, write, 1)
 			c.lastLine, c.lastSlot = addr>>c.lineShift, int(set)*c.assoc+wi
 			return true
 		}
@@ -287,33 +287,37 @@ func (c *Cache) AccessHit(addr uint64, write bool) bool {
 	return false
 }
 
-// hitSlot applies a hit's effects to the way in slot: a fresh LRU
-// stamp, the dirty bit on a write, and the access and hit counts.
-func (c *Cache) hitSlot(slot int, write bool) {
-	c.stamp++
+// hitSlot applies the effects of n hits on the way in slot: the LRU
+// stamp advanced by n, the dirty bit on a write, and n access and hit
+// counts. Only the last of n successive stamps survives in the slot, so
+// one addition is exact.
+func (c *Cache) hitSlot(slot int, write bool, n uint64) {
+	c.stamp += n
 	c.lru[slot] = c.stamp
 	if write {
-		c.stats.Writes++
-		c.stats.WriteHits++
+		c.stats.Writes += n
+		c.stats.WriteHits += n
 		c.dirty[slot] = true
 	} else {
-		c.stats.Reads++
-		c.stats.ReadHits++
+		c.stats.Reads += n
+		c.stats.ReadHits += n
 	}
 }
 
-// RepeatHit performs the access only when addr lies in the line of the
-// previous access that left a line resident, which is then still in
-// the way that access left it: it applies exactly the hit Access and
-// AccessHit would (LRU stamp, dirty bit, statistics) without walking
-// the set, and returns true. Otherwise it changes nothing and returns
-// false. A loop that sweeps within one line pays one compare per access
-// instead of a set walk.
-func (c *Cache) RepeatHit(addr uint64, write bool) bool {
+// RepeatHits performs n ≥ 1 accesses to the line of addr only when it
+// is the line of the previous access that left a line resident, which
+// is then still in the way that access left it: it applies exactly the
+// n hits as many Access or AccessHit calls would (LRU stamps, dirty
+// bit, statistics) in O(1), without walking the set, and returns true.
+// A hit on that line leaves it the previous access's line, so the n
+// accesses repeat it one after another. Otherwise RepeatHits changes
+// nothing and returns false. A loop that sweeps within one line pays
+// one compare per line instead of a set walk per access.
+func (c *Cache) RepeatHits(addr uint64, write bool, n uint64) bool {
 	if c.lastSlot < 0 || addr>>c.lineShift != c.lastLine {
 		return false
 	}
-	c.hitSlot(c.lastSlot, write)
+	c.hitSlot(c.lastSlot, write, n)
 	return true
 }
 

@@ -305,8 +305,9 @@ func TestLRUStackPropertyQuick(t *testing.T) {
 	}
 }
 
-// RepeatHit either declines and changes nothing, or leaves the cache
-// exactly as Access would: same ways, LRU stamps, dirty bits and Stats.
+// RepeatHits of n accesses either declines and changes nothing, or
+// leaves the cache exactly as n Access calls would: same ways, LRU
+// stamps, dirty bits and Stats.
 func TestRepeatHitMatchesAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fast, ref := MustNew(smallCfg()), MustNew(smallCfg())
@@ -326,10 +327,12 @@ func TestRepeatHitMatchesAccess(t *testing.T) {
 			fast.Reset()
 			ref.Reset()
 		}
-		if fast.RepeatHit(addr, write) {
+		if n := 1 + uint64(rng.Intn(40)); fast.RepeatHits(addr, write, n) {
 			repeats++
-			if r := ref.Access(addr, write); !r.Hit {
-				t.Fatalf("access %d: RepeatHit on %#x, which misses", i, addr)
+			for ; n > 0; n-- {
+				if r := ref.Access(addr, write); !r.Hit {
+					t.Fatalf("access %d: RepeatHits on %#x, which misses", i, addr)
+				}
 			}
 		} else if rng.Intn(2) == 0 {
 			fast.Access(addr, write)

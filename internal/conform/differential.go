@@ -210,7 +210,7 @@ func RunStreamingDifferential(specs []DiffSpec) (*Report, error) {
 			Detail: fmt.Sprintf("streaming %.17g zJ vs buffered %.17g zJ (band %.17g vs %.17g W)",
 				sm.ZJ(), bm.ZJ(), sm.BandPower, bm.BandPower),
 		})
-		sp, bp := sm.Trace.Spectrum.PSD, bm.Trace.Spectrum.PSD
+		sp, bp := sm.Trace.Spectrum().PSD, bm.Trace.Spectrum().PSD
 		mismatch, firstBin := 0, -1
 		if len(sp) != len(bp) {
 			mismatch, firstBin = len(sp)+len(bp), 0
@@ -269,7 +269,7 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 			return nil, fmt.Errorf("conform: %s: cold cell: %w", s.Name, err)
 		}
 		coldSAVAT, coldBand := cold.SAVAT, cold.BandPower
-		coldPSD := append([]float64(nil), cold.Trace.Spectrum.PSD...)
+		coldPSD := append([]float64(nil), cold.Trace.Spectrum().PSD...)
 
 		cache := savat.NewSynthCache(8)
 		if _, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
@@ -289,7 +289,7 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 			Detail: fmt.Sprintf("warm %.17g zJ vs cold %.17g zJ (band %.17g vs %.17g W)",
 				warm.ZJ(), coldSAVAT*1e21, warm.BandPower, coldBand),
 		})
-		wp := warm.Trace.Spectrum.PSD
+		wp := warm.Trace.Spectrum().PSD
 		mismatch, firstBin := 0, -1
 		if len(wp) != len(coldPSD) {
 			mismatch, firstBin = len(wp)+len(coldPSD), 0

@@ -183,7 +183,7 @@ func psdSlice(tr *specan.Trace, center, halfSpan float64) ([]float64, []float64,
 	if tr == nil {
 		return nil, nil, fmt.Errorf("conform: measurement carries no trace")
 	}
-	sp := tr.Spectrum
+	sp := tr.Spectrum()
 	klo, err := sp.BinFor(center - halfSpan)
 	if err != nil {
 		return nil, nil, err

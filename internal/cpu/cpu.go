@@ -88,6 +88,9 @@ type CPU struct {
 	// loops holds the program's counted loops by back-edge pc (nil
 	// where none ends); see findLoops.
 	loops []*loop
+	// block is the span a fast-forwarded run of accesses stays within:
+	// the L1 line, or the data-memory page when that is smaller.
+	block uint32
 }
 
 // New builds a core running prog against the given memory hierarchy.
@@ -101,8 +104,13 @@ func New(cfg Config, prog []isa.Instruction, hier *memhier.Hierarchy) (*CPU, err
 	if hier == nil {
 		return nil, fmt.Errorf("cpu: nil memory hierarchy")
 	}
-	loops := findLoops(prog, &cfg, uint64(hier.Config().L1HitCycles))
-	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier, loops: loops}, nil
+	hc := hier.Config()
+	loops := findLoops(prog, &cfg, uint64(hc.L1HitCycles))
+	block := uint32(pageBytes)
+	if hc.L1.LineBytes < pageBytes {
+		block = uint32(hc.L1.LineBytes)
+	}
+	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier, loops: loops, block: block}, nil
 }
 
 // PC returns the current program counter (instruction word index).

@@ -196,7 +196,7 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 		}
 		return in
 	}
-	strides := []int32{0, 4, 4, 8, 16, 60, 64, 68, 256}
+	strides := []int32{0, 4, 4, 8, 12, 16, 24, 60, 64, 68, 256, -4, -24}
 	offsets := []int32{0, 0, 4, 60, 64, -4, 1000}
 	self := func() isa.Instruction { // an op on a register of its own
 		x := reg(7 + r.Intn(3))
@@ -488,5 +488,76 @@ func TestLoopShapes(t *testing.T) {
 			t.Errorf("%q: counted %v, want %v", tc.body, got, tc.counted)
 		}
 		lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 0, 20_000)
+	}
+}
+
+// TestSweepRuns holds the line-at-a-time memory fast-forward to Step on
+// Figure 4 sweeps whose runs do not align to lines: odd addresses,
+// strides that do not divide the line or step backwards, masks smaller
+// than a line, and offsets that put the mask's wrap in the middle of a
+// line, over L1 lines shorter than, equal to, and longer than a
+// data-memory page (the sweep's page boundary falls inside the long
+// line).
+func TestSweepRuns(t *testing.T) {
+	hier := func(line int) memhier.Config {
+		c := smallHier()
+		c.L1.LineBytes, c.L2.LineBytes = line, line
+		if line > 64 {
+			c.L1.SizeBytes, c.L2.SizeBytes = 4*line, 16*line
+		}
+		return c
+	}
+	engaged := 0
+	for _, line := range []int{16, 64, 8192} {
+		for _, op := range []string{"ld r1, [r2+%d]", "st [r2+%d], r12"} {
+			for _, stride := range []int{8, 12, 13, 24, 60, -4, -12, 0} {
+				for _, mask := range []int{15, 63, 127, 4095} {
+					for _, off := range []int{0, 4, 36, 60} {
+						// The fill loop, interpreted, gives every word a
+						// load may read a value of its own.
+						src := fmt.Sprintf(`
+							movi r6, 1
+							movi r7, 0x1f00
+							movi r8, 0x4100
+						fill:
+							st [r7], r6
+							addi r6, r6, 7
+							addi r7, r7, 4
+							bne r7, r8, fill
+							movi r2, 0x2235
+							movi r3, %d
+							movi r4, %d
+							movi r12, 0x5a5a
+							movi r10, 3000
+						loop:
+							addi r5, r2, %d
+							and r5, r5, r3
+							and r2, r2, r4
+							or r2, r2, r5
+							`+op+`
+							subi r10, r10, 1
+							bne r10, r0, loop
+							halt`, mask, ^mask, stride, off)
+						p, err := asm.Assemble(src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("line%d/%s/stride%d/mask%d", line, fmt.Sprintf(op, off), stride, mask)
+						t.Run(name, func(t *testing.T) {
+							// Stopping mid-sweep exposes the registers and
+							// memory of a partly fast-forwarded loop.
+							lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 0, 15_001)
+							fast := lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 0, 50_000)
+							if fast.Interpreted()*2 < fast.Retired() {
+								engaged++
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if engaged < 300 {
+		t.Fatalf("the fast-forward engaged on only %d sweeps", engaged)
 	}
 }

@@ -243,7 +243,7 @@ func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft,
 // returns how many it executed: none unless the registers give the body
 // its closed form (see sweep.holds). Registers and data memory take
 // their real values; the memory hierarchy is advanced only while
-// AccessRepeat confirms the access repeats the previous one, and the
+// AccessRepeats confirms the accesses repeat the previous one, and the
 // first access that does not is left, with its iteration, to the
 // interpreter.
 func (c *CPU) fastForward(lp *loop, n uint64) uint64 {
@@ -386,37 +386,74 @@ func (sw *sweep) holds(regs *[isa.NumRegs]uint32) bool {
 // sweepForward executes up to n iterations of a body in closed form.
 func (c *CPU) sweepForward(lp *loop, n uint64) uint64 {
 	regs, sw := &c.regs, &lp.sw
-	p0, m := regs[sw.p], regs[sw.m]
-	hi := p0 & ^m
 	if lp.hasMem {
-		mi := &lp.mem
-		write := mi.Op == isa.ST
-		base := regs[mi.Rs1]
-		for j := uint64(1); j <= n; j++ {
-			if sw.memAtP {
-				base = hi | (p0+uint32(j)*sw.stride)&m
-			}
-			addr := uint64(base + uint32(mi.Imm))
-			if !c.hier.AccessRepeat(addr, write, &c.act) {
-				n = j - 1
-				break
-			}
-			if write {
-				c.mem.Store32(addr, regs[mi.Rd])
-			} else {
-				regs[mi.Rd] = c.mem.Load32(addr)
-			}
-		}
-		if n == 0 {
+		if n = c.sweepMemory(lp, n); n == 0 {
 			return 0
 		}
 	}
+	p0, m := regs[sw.p], regs[sw.m]
 	regs[sw.t] = (p0 + uint32(n)*sw.stride) & m
-	regs[sw.p] = hi | regs[sw.t]
+	regs[sw.p] = p0&^m | regs[sw.t]
 	for i := range sw.self {
 		selfForward(&sw.self[i], regs, n)
 	}
 	return n
+}
+
+// sweepMemory applies the memory op of up to n iterations of a body in
+// closed form, before its registers advance, and returns how many it
+// applied. It goes one run at a time: the iterations, from the first
+// not yet applied, whose addresses step through one block (see
+// CPU.block) without the mask wrapping — all of them when the address
+// does not move. AccessRepeats applies a run whole or not at all, as
+// the accesses one by one would; the run it declines is left to the
+// interpreter. A store run writes its words with one page lookup; a
+// load's destination is private to it, so only the last word loaded
+// is read.
+func (c *CPU) sweepMemory(lp *loop, n uint64) uint64 {
+	regs, sw, mi := &c.regs, &lp.sw, &lp.mem
+	write := mi.Op == isa.ST
+	p0, m, imm := regs[sw.p], regs[sw.m], uint32(mi.Imm)
+	// Within the mask's region of size 2^k the pointer moves forward by
+	// step per iteration, wrapping to the region's start.
+	region := uint64(m) + 1
+	var step uint64
+	if sw.memAtP {
+		step = uint64(sw.stride & m)
+	}
+	block := uint64(c.block)
+	done := uint64(0)
+	var last uint64 // the address of the last access applied
+	for done < n {
+		base := regs[mi.Rs1]
+		var t uint64
+		if sw.memAtP {
+			t = uint64((p0 + uint32(done+1)*sw.stride) & m)
+			base = p0&^m | uint32(t)
+		}
+		addr := uint64(base + imm)
+		// The run's i-th access is at addr + i·step while that keeps t
+		// inside the region and addr's block; a fixed address is one
+		// word however long the run.
+		run, words := n-done, uint64(1)
+		if step != 0 {
+			more := min((region-1-t)/step, (block-1-addr%block)/step)
+			run = min(run, 1+more)
+			words = run
+		}
+		if !c.hier.AccessRepeats(addr, write, run, &c.act) {
+			break
+		}
+		if write {
+			c.mem.Store32Run(addr, step, words, regs[mi.Rd])
+		}
+		done += run
+		last = addr + step*(words-1)
+	}
+	if done > 0 && !write {
+		regs[mi.Rd] = c.mem.Load32(last)
+	}
+	return done
 }
 
 // selfForward applies n iterations of the self-contained op in: in

@@ -79,5 +79,17 @@ func (m *Memory) Store32(addr uint64, v uint32) {
 	binary.LittleEndian.PutUint32(p[o:o+4], v)
 }
 
+// Store32Run writes v to the n words at addr, addr+step, …,
+// addr+(n−1)·step, each aligned down to 4 as Store32 aligns it. All of
+// them must lie on addr's page, so one page lookup serves the run.
+func (m *Memory) Store32Run(addr, step, n uint64, v uint32) {
+	p := m.page(addr, true)
+	for o := addr % pageBytes; n > 0; n-- {
+		w := o &^ 3
+		binary.LittleEndian.PutUint32(p[w:w+4], v)
+		o += step
+	}
+}
+
 // PageCount returns the number of materialized pages.
 func (m *Memory) PageCount() int { return len(m.pages) }

@@ -31,11 +31,11 @@ func (s *Spectrum) Freq(k int) float64 {
 }
 
 // BinFor returns the bin index whose center is closest to f. f may be
-// negative; it must lie within ±fs/2.
+// negative; it must lie within ±fs/2 (NaN does not).
 func (s *Spectrum) BinFor(f float64) (int, error) {
 	n := len(s.PSD)
 	half := s.SampleRate / 2
-	if f < -half || f >= half {
+	if !(f >= -half && f < half) {
 		return 0, fmt.Errorf("dsp: frequency %g outside ±%g", f, half)
 	}
 	k := int(math.Round(f / s.BinWidth()))

@@ -280,10 +280,11 @@ func TestConfigAccessorAndNewErrors(t *testing.T) {
 	}
 }
 
-// AccessRepeat either declines and changes nothing, or does exactly
-// what AccessInto does: twin hierarchies, one trying AccessRepeat first,
-// agree after every access of random streams that mix line-local
-// sweeps, streaming stores, L2 traffic and loads after stores.
+// AccessRepeats of n accesses either declines and changes nothing, or
+// does exactly what n AccessInto calls do, each in L1HitCycles: twin
+// hierarchies, one trying it first, agree after every step of random
+// streams that mix line-local sweeps, streaming stores, L2 traffic and
+// loads after stores.
 func TestAccessRepeatMatchesAccessInto(t *testing.T) {
 	cfg := testCfg()
 	for seed := int64(0); seed < 20; seed++ {
@@ -306,7 +307,8 @@ func TestAccessRepeatMatchesAccessInto(t *testing.T) {
 				write = i%200 < 100
 			}
 			_, _, memBefore := fast.ServiceCounts()
-			lat, ok := cfg.L1HitCycles, fast.AccessRepeat(addr, write, &actF)
+			n := 1 + uint64(rng.Intn(30))
+			lat, ok := cfg.L1HitCycles, fast.AccessRepeats(addr, write, n, &actF)
 			if ok {
 				if _, _, mem := fast.ServiceCounts(); mem > memBefore {
 					wcRepeats++
@@ -315,11 +317,15 @@ func TestAccessRepeatMatchesAccessInto(t *testing.T) {
 				}
 			} else {
 				_, lat = fast.AccessInto(addr, write, &actF)
+				n = 1
 			}
-			_, refLat := ref.AccessInto(addr, write, &actR)
-			if lat != refLat || actF != actR {
-				t.Fatalf("seed %d access %d (%#x write=%v repeat=%v): latency %d vs %d, activity %v vs %v",
-					seed, i, addr, write, ok, lat, refLat, actF, actR)
+			for ; n > 0; n-- {
+				if _, refLat := ref.AccessInto(addr, write, &actR); lat != refLat {
+					t.Fatalf("seed %d access %d (%#x write=%v repeat=%v): latency %d vs %d", seed, i, addr, write, ok, lat, refLat)
+				}
+			}
+			if actF != actR {
+				t.Fatalf("seed %d access %d (%#x write=%v repeat=%v): activity %v vs %v", seed, i, addr, write, ok, actF, actR)
 			}
 			sameHier(t, fast, ref)
 		}

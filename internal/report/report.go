@@ -166,15 +166,16 @@ func SpectrumPlot(tr *specan.Trace, center, span float64, cols, rows int) (strin
 		rows = 16
 	}
 	lo, hi := center-span, center+span
-	kLo, err := tr.Spectrum.BinFor(lo)
+	sp := tr.Spectrum()
+	kLo, err := sp.BinFor(lo)
 	if err != nil {
 		return "", err
 	}
-	kHi, err := tr.Spectrum.BinFor(hi)
+	kHi, err := sp.BinFor(hi)
 	if err != nil {
 		return "", err
 	}
-	n := tr.Spectrum.Bins()
+	n := sp.Bins()
 	count := (kHi - kLo + n) % n
 	if count <= 0 {
 		return "", fmt.Errorf("report: empty spectrum span")
@@ -187,7 +188,7 @@ func SpectrumPlot(tr *specan.Trace, center, span float64, cols, rows int) (strin
 	for i := 0; i <= count; i++ {
 		k := (kLo + i) % n
 		c := i * (cols - 1) / count
-		col[c] = math.Max(col[c], tr.Spectrum.PSD[k])
+		col[c] = math.Max(col[c], sp.PSD[k])
 	}
 	minV := tr.FloorPSD
 	if minV <= 0 {

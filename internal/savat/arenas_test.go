@@ -60,7 +60,7 @@ func TestOneSecondCellArenaHoldsOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := len(m.Trace.Spectrum.PSD)
+	seg := len(m.Trace.Spectrum().PSD)
 	if seg != 1<<18 {
 		t.Fatalf("1 s capture analyzed in %d-point segments, want one 2^18-point segment", seg)
 	}

@@ -55,6 +55,10 @@ func FuzzCampaignSpec(f *testing.F) {
 	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"distance":0.1`, `"distance":NaN`, 1)))
 	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"distance":0.1`, `"distance":1e999`, 1)))
 	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"channel":"em"`, `"channel":"power"`, 1)))
+	// The band's top edge at fs/2 is refused; just below it, the spec
+	// validates and its cell measures.
+	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"sample_rate":262144`, `"sample_rate":162000`, 1)))
+	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"sample_rate":262144`, `"sample_rate":162002`, 1)))
 	f.Add([]byte(`{"machine":"Core2Duo"}`))
 	f.Add([]byte(`{`))
 

@@ -123,8 +123,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.BandHalfWidth <= 0 || c.BandHalfWidth >= c.Frequency:
 		return fmt.Errorf("%w: band half-width %g outside (0, f0)", ErrBadConfig, c.BandHalfWidth)
-	case c.SampleRate < 2*(c.Frequency+c.BandHalfWidth):
-		return fmt.Errorf("%w: sample rate %g below Nyquist for %g Hz", ErrBadConfig, c.SampleRate, c.Frequency)
+	case c.SampleRate <= 2*(c.Frequency+c.BandHalfWidth):
+		// The band's top edge must lie below fs/2: the spectrum's bins
+		// stop short of it.
+		return fmt.Errorf("%w: sample rate %g not above Nyquist for the band %g ± %g Hz", ErrBadConfig, c.SampleRate, c.Frequency, c.BandHalfWidth)
 	case c.Duration <= 0:
 		return fmt.Errorf("%w: non-positive duration %g", ErrBadConfig, c.Duration)
 	case c.WarmupPeriods < 0 || c.MeasurePeriods <= 0:

@@ -52,7 +52,7 @@ func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 		t.Errorf("%s: %+v vs %+v", name, a, b)
 		return
 	}
-	pa, pb := a.Trace.Spectrum.PSD, b.Trace.Spectrum.PSD
+	pa, pb := a.Trace.Spectrum().PSD, b.Trace.Spectrum().PSD
 	if len(pa) != len(pb) {
 		t.Errorf("%s: spectrum lengths %d vs %d", name, len(pa), len(pb))
 		return

@@ -67,6 +67,9 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"repeats-over", func(s *CampaignSpec) { s.Repeats = MaxRepeats + 1 }, ErrTooLarge},
 		{"repeats-max-int", func(s *CampaignSpec) { s.Repeats = math.MaxInt }, ErrTooLarge},
 		{"unknown-channel", func(s *CampaignSpec) { s.Config.Channel = "acoustic" }, ErrUnknownChannel},
+		{"band-at-nyquist", func(s *CampaignSpec) {
+			s.Config.SampleRate = 2 * (s.Config.Frequency + s.Config.BandHalfWidth)
+		}, ErrBadConfig},
 		{"bad-countermeasure", func(s *CampaignSpec) {
 			s.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 2}}
 		}, ErrBadCountermeasure},

@@ -45,6 +45,9 @@ func TestConfigValidateNonFiniteAndBounds(t *testing.T) {
 		{"warmup-over", func(c *Config) { c.WarmupPeriods = MaxPeriods + 1 }, ErrTooLarge},
 		{"measure-over", func(c *Config) { c.MeasurePeriods = MaxPeriods + 1 }, ErrTooLarge},
 		{"capture-over", func(c *Config) { c.Duration = 2 * MaxCaptureSamples / c.SampleRate }, ErrTooLarge},
+		// The band's top edge exactly at fs/2 has no bin.
+		{"band-at-nyquist", func(c *Config) { c.SampleRate = 2 * (c.Frequency + c.BandHalfWidth) }, ErrBadConfig},
+		{"band-above-nyquist", func(c *Config) { c.SampleRate = 2*(c.Frequency+c.BandHalfWidth) - 1 }, ErrBadConfig},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,5 +65,10 @@ func TestConfigValidateNonFiniteAndBounds(t *testing.T) {
 	cfg.Duration = MaxCaptureSamples / cfg.SampleRate
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("configuration at the bounds rejected: %v", err)
+	}
+	cfg = DefaultConfig()
+	cfg.SampleRate = 2*(cfg.Frequency+cfg.BandHalfWidth) + 2
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("sample rate just above the band's Nyquist rate rejected: %v", err)
 	}
 }

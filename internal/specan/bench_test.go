@@ -62,3 +62,58 @@ func BenchmarkProducts1s(b *testing.B) {
 	}
 	b.ReportMetric(float64(2*segments*seg), "points/op")
 }
+
+// BenchmarkRender is the render layer of one fig9-fast-shaped cell: a
+// 0.25 s capture at 2^18 samples/s, so 65,536-bin envelope and noise
+// products, folded with three groups' coefficients and read the way a
+// SAVAT cell reads its trace — the band power within ±1 kHz of the
+// 80 kHz alternation. bins/op counts the display bins computed, the
+// deterministic work count; allocs/op must be 0.
+func BenchmarkRender(b *testing.B) {
+	const fs = 1 << 18
+	const n = fs / 4
+	a, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewScratch()
+	s.Mem = arena.New()
+	rng := rand.New(rand.NewSource(1))
+	var env emsim.EnvelopeStream
+	if err := env.Init(emsim.CanonicalTimeline(80e3), fs, n, emsim.DefaultJitter(), rng); err != nil {
+		b.Fatal(err)
+	}
+	prod, err := a.EnvelopeProductsStream(n, &env, fs, s, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nz noise.Stream
+	if err := nz.Init(noise.Lab(), fs, n, rng); err != nil {
+		b.Fatal(err)
+	}
+	noisePSD, err := a.NoiseProductsStream(n, &nz, fs, s, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coeffs := [][2]complex128{{1e-6, 2e-6i}, {3e-7 + 1e-7i, -2e-7}, {5e-8, 5e-8}}
+
+	bins := 0
+	render := func() {
+		tr, err := a.Render(n, coeffs, prod, noisePSD, fs, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.BandPower(80e3, 1e3); err != nil {
+			b.Fatal(err)
+		}
+		bins += tr.bins
+	}
+	render() // warm: carve the display buffer
+	bins = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		render()
+	}
+	b.ReportMetric(float64(bins)/float64(b.N), "bins/op")
+}

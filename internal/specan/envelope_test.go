@@ -68,18 +68,18 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 		if got.ActualRBW != want.ActualRBW {
 			t.Fatalf("pass %d ActualRBW %g, want %g", pass, got.ActualRBW, want.ActualRBW)
 		}
-		if got.Spectrum.Bins() != want.Spectrum.Bins() {
-			t.Fatalf("pass %d bins %d, want %d", pass, got.Spectrum.Bins(), want.Spectrum.Bins())
+		if got.Spectrum().Bins() != want.Spectrum().Bins() {
+			t.Fatalf("pass %d bins %d, want %d", pass, got.Spectrum().Bins(), want.Spectrum().Bins())
 		}
 		var peak float64
-		for _, v := range want.Spectrum.PSD {
+		for _, v := range want.Spectrum().PSD {
 			if v > peak {
 				peak = v
 			}
 		}
-		for k := range want.Spectrum.PSD {
-			if d := math.Abs(got.Spectrum.PSD[k] - want.Spectrum.PSD[k]); d > 1e-12*peak {
-				t.Fatalf("pass %d bin %d: %g, want %g (Δ %g)", pass, k, got.Spectrum.PSD[k], want.Spectrum.PSD[k], d)
+		for k := range want.Spectrum().PSD {
+			if d := math.Abs(got.Spectrum().PSD[k] - want.Spectrum().PSD[k]); d > 1e-12*peak {
+				t.Fatalf("pass %d bin %d: %g, want %g (Δ %g)", pass, k, got.Spectrum().PSD[k], want.Spectrum().PSD[k], d)
 			}
 		}
 	}
@@ -89,9 +89,9 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.Spectrum.PSD {
-		if d := math.Abs(got.Spectrum.PSD[k] - want.Spectrum.PSD[k]); d > 1e-12*want.Spectrum.PSD[k]+1e-60 {
-			t.Fatalf("nil-scratch bin %d: %g, want %g", k, got.Spectrum.PSD[k], want.Spectrum.PSD[k])
+	for k := range want.Spectrum().PSD {
+		if d := math.Abs(got.Spectrum().PSD[k] - want.Spectrum().PSD[k]); d > 1e-12*want.Spectrum().PSD[k]+1e-60 {
+			t.Fatalf("nil-scratch bin %d: %g, want %g", k, got.Spectrum().PSD[k], want.Spectrum().PSD[k])
 		}
 	}
 }
@@ -116,9 +116,9 @@ func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.Spectrum.PSD {
-		if got.Spectrum.PSD[k] != want.Spectrum.PSD[k] {
-			t.Fatalf("noise-only bin %d: %g, want %g", k, got.Spectrum.PSD[k], want.Spectrum.PSD[k])
+	for k := range want.Spectrum().PSD {
+		if got.Spectrum().PSD[k] != want.Spectrum().PSD[k] {
+			t.Fatalf("noise-only bin %d: %g, want %g", k, got.Spectrum().PSD[k], want.Spectrum().PSD[k])
 		}
 	}
 

@@ -59,11 +59,91 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Trace is one recorded spectrum.
+// Trace is one recorded spectrum. A rendered trace keeps its display
+// as the per-bin recipe it was rendered from (see Render) and computes
+// only the bins a caller reads: BandPower and Peak compute the band's,
+// and Spectrum builds the full display once, on first use. A Trace is
+// not safe for concurrent use.
 type Trace struct {
-	Spectrum  *dsp.Spectrum
 	ActualRBW float64 // achieved resolution bandwidth in Hz
 	FloorPSD  float64
+
+	spec  dsp.Spectrum // PSD holds the display bins computed so far
+	src   display      // the recipe of the bins not yet computed
+	built bool         // every bin of spec.PSD is computed
+	bins  int          // display bins computed, for the work count
+}
+
+// display is the per-bin recipe of a rendered trace: the group
+// coefficients folded over the pair-Welch products (env nil when there
+// are none), the noise PSD (nil to omit), and the sensitivity floor. By
+// Welch linearity the per-bin group-sum PSD is
+// CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB)) with CA = Σ|a_g|²,
+// CB = Σ|b_g|², CX = Σ a_g·conj(b_g) = cr + i·ci. The products and the
+// noise PSD are only read — they may be shared, cached state.
+type display struct {
+	ca, cb, cr, ci float64
+	env            *PairPSD
+	noise          []float64
+	floor          float64
+}
+
+// bin computes display bin k.
+func (d *display) bin(k int) float64 {
+	var t float64
+	if d.env != nil {
+		x := d.env.Cross[k]
+		t = d.ca*d.env.PA[k] + d.cb*d.env.PB[k] + 2*(d.cr*real(x)-d.ci*imag(x))
+		if d.noise != nil {
+			t += d.noise[k]
+		}
+	} else {
+		t = d.noise[k]
+	}
+	if t < d.floor {
+		t = d.floor
+	}
+	return t
+}
+
+// Spectrum returns the displayed spectrum, computing the bins no band
+// read has computed yet on the first call.
+func (t *Trace) Spectrum() *dsp.Spectrum {
+	if !t.built {
+		for k := range t.spec.PSD {
+			t.spec.PSD[k] = t.src.bin(k)
+		}
+		t.bins += len(t.spec.PSD)
+		t.built = true
+	}
+	return &t.spec
+}
+
+// fillBand computes the display bins a band walk over [lo, hi] reads —
+// from lo's bin up to hi's, wrapping past the last bin, as
+// dsp.Spectrum's band walks visit them — so the walk reads exactly the
+// values a fully built display holds. Bounds the walk rejects are left
+// to it to report.
+func (t *Trace) fillBand(lo, hi float64) {
+	if t.built {
+		return
+	}
+	klo, err := t.spec.BinFor(lo)
+	if err != nil {
+		return
+	}
+	khi, err := t.spec.BinFor(hi)
+	if err != nil {
+		return
+	}
+	psd := t.spec.PSD
+	for k := klo; ; k = (k + 1) % len(psd) {
+		psd[k] = t.src.bin(k)
+		t.bins++
+		if k == khi {
+			return
+		}
+	}
 }
 
 // Analyzer is the instrument.
@@ -187,9 +267,10 @@ func (a *Analyzer) AnalyzeIncoherent(xs [][]complex128, fs float64) (*Trace, err
 		}
 	}
 	tr := &Trace{
-		Spectrum:  &dsp.Spectrum{PSD: sum, SampleRate: fs},
 		ActualRBW: enbw * fs / float64(seg),
 		FloorPSD:  a.cfg.FloorPSD,
+		spec:      dsp.Spectrum{PSD: sum, SampleRate: fs},
+		built:     true,
 	}
 	// Apply the sensitivity floor once, to the summed display.
 	for i, v := range sum {
@@ -249,7 +330,6 @@ type Scratch struct {
 	noisePSD []float64
 	sum      []float64
 	trace    Trace
-	spectrum dsp.Spectrum
 
 	// Streaming working set: the rolling 50%-overlap windows (two real
 	// envelope streams and one complex noise stream) and the segment
@@ -330,79 +410,6 @@ func (a *Analyzer) setup(n int, fs float64, s *Scratch) (seg int, enbw float64, 
 	return seg, enbw, s.prepare(seg, a.cfg.Window)
 }
 
-// combineDisplay folds the pair-Welch products into the summed display
-// using the group coefficients, adds the noise PSD (nil to omit), and
-// applies the sensitivity floor, all in one pass over the sum — the
-// display assembly is pure streaming arithmetic, so fusing the combine
-// with the noise/floor finish halves its memory traffic. By Welch
-// linearity the per-bin group-sum PSD is
-// CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB)) with CA = Σ|a_g|²,
-// CB = Σ|b_g|², CX = Σ a_g·conj(b_g). The products and the noise PSD
-// are only read — they may be shared, cached state.
-func (s *Scratch) combineDisplay(coeffs [][2]complex128, p *PairPSD, floor float64, noisePSD []float64) {
-	var ca, cb float64
-	var cx complex128
-	for _, c := range coeffs {
-		a0, b0 := c[0], c[1]
-		ca += real(a0)*real(a0) + imag(a0)*imag(a0)
-		cb += real(b0)*real(b0) + imag(b0)*imag(b0)
-		cx += a0 * complex(real(b0), -imag(b0))
-	}
-	cr, ci := real(cx), imag(cx)
-	sum := s.sum
-	pa, pb, cross := p.PA[:len(sum)], p.PB[:len(sum)], p.Cross[:len(sum)]
-	if noisePSD != nil {
-		noise := noisePSD[:len(sum)]
-		for k := range sum {
-			x := cross[k]
-			t := ca*pa[k] + cb*pb[k] + 2*(cr*real(x)-ci*imag(x))
-			t += noise[k]
-			if t < floor {
-				t = floor
-			}
-			sum[k] = t
-		}
-		return
-	}
-	for k := range sum {
-		x := cross[k]
-		t := ca*pa[k] + cb*pb[k] + 2*(cr*real(x)-ci*imag(x))
-		if t < floor {
-			t = floor
-		}
-		sum[k] = t
-	}
-}
-
-// noiseDisplay fills the sum with the floored noise PSD — the display
-// of a measurement with no coherent envelope content.
-func (s *Scratch) noiseDisplay(floor float64, noisePSD []float64) {
-	sum := s.sum
-	if noisePSD == nil {
-		for k := range sum {
-			sum[k] = floor
-		}
-		return
-	}
-	for k, v := range noisePSD[:len(sum)] {
-		if v < floor {
-			v = floor
-		}
-		sum[k] = v
-	}
-}
-
-// traceFor points the scratch-owned Trace at the summed display.
-func (s *Scratch) traceFor(fs float64, seg int, enbw, floor float64) *Trace {
-	s.spectrum = dsp.Spectrum{PSD: s.sum, SampleRate: fs}
-	s.trace = Trace{
-		Spectrum:  &s.spectrum,
-		ActualRBW: enbw * fs / float64(seg),
-		FloorPSD:  floor,
-	}
-	return &s.trace
-}
-
 // EnvelopeProducts computes the pair-Welch products of the envelope
 // pair at the segmentation an n = len(envA) capture gets, into dst
 // (grown as needed; nil allocates a fresh PairPSD) and returns it. The
@@ -457,14 +464,17 @@ func (a *Analyzer) NoiseProducts(x []complex128, fs float64, s *Scratch, dst []f
 // Render combines precomputed products into the displayed trace for an
 // n-sample capture: the group-coefficient fold of the envelope products
 // (skipped when coeffs is empty; env may then be nil), the noise PSD
-// (nil to omit), and the sensitivity floor. It performs no FFT work at
-// all — a measurement whose products come from a cache pays only the
-// O(segment) combine — and n must be the original capture length so the
-// segmentation (and achieved RBW) match the product computation.
+// (nil to omit), and the sensitivity floor. It performs no FFT work and
+// computes no display bin: the trace computes the bins its readers ask
+// for from env and noisePSD (see Trace), so a measurement that reads
+// only its band power pays for the band's bins alone. n must be the
+// original capture length so the segmentation (and achieved RBW) match
+// the product computation.
 //
-// The returned Trace aliases the scratch's buffers: it is valid until
-// the scratch's next analysis call. Pass a nil scratch to allocate a
-// private one (and a fresh, unaliased Trace).
+// The returned Trace aliases the scratch's buffers and reads env and
+// noisePSD, which must stay unchanged while it is in use: it is valid
+// until the scratch's next analysis call. Pass a nil scratch to
+// allocate a private one (and a Trace that aliases no scratch).
 func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs float64, s *Scratch) (*Trace, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
@@ -497,12 +507,24 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 	// directly), so it must honour the arena epoch itself.
 	s.refreshEpoch()
 	s.sum = s.growFloats(s.sum, seg)
+	src := display{noise: noisePSD, floor: a.cfg.FloorPSD}
 	if len(coeffs) > 0 {
-		s.combineDisplay(coeffs, env, a.cfg.FloorPSD, noisePSD)
-	} else {
-		s.noiseDisplay(a.cfg.FloorPSD, noisePSD)
+		var cx complex128
+		for _, c := range coeffs {
+			a0, b0 := c[0], c[1]
+			src.ca += real(a0)*real(a0) + imag(a0)*imag(a0)
+			src.cb += real(b0)*real(b0) + imag(b0)*imag(b0)
+			cx += a0 * complex(real(b0), -imag(b0))
+		}
+		src.cr, src.ci, src.env = real(cx), imag(cx), env
 	}
-	return s.traceFor(fs, seg, enbw, a.cfg.FloorPSD), nil
+	s.trace = Trace{
+		ActualRBW: enbw * fs / float64(seg),
+		FloorPSD:  a.cfg.FloorPSD,
+		spec:      dsp.Spectrum{PSD: s.sum, SampleRate: fs},
+		src:       src,
+	}
+	return &s.trace, nil
 }
 
 // AnalyzeEnvelopes records the summed incoherent spectrum of a family
@@ -569,20 +591,24 @@ func (a *Analyzer) AnalyzeEnvelopes(envA, envB []float64, coeffs [][2]complex128
 // BandPower integrates the displayed PSD over center ± halfSpan Hz and
 // returns watts — the paper's "total received signal power in the
 // frequency band from 1 kHz below to 1 kHz above the alternation
-// frequency".
+// frequency". It computes only the band's display bins.
 func (t *Trace) BandPower(center, halfSpan float64) (float64, error) {
 	if halfSpan <= 0 {
 		return 0, fmt.Errorf("specan: non-positive half span %g", halfSpan)
 	}
-	return t.Spectrum.BandPower(center-halfSpan, center+halfSpan)
+	lo, hi := center-halfSpan, center+halfSpan
+	t.fillBand(lo, hi)
+	return t.spec.BandPower(lo, hi)
 }
 
 // Peak returns the frequency and PSD of the strongest bin within
-// center ± halfSpan.
+// center ± halfSpan. It computes only the band's display bins.
 func (t *Trace) Peak(center, halfSpan float64) (freq, psd float64, err error) {
-	k, v, err := t.Spectrum.PeakIn(center-halfSpan, center+halfSpan)
+	lo, hi := center-halfSpan, center+halfSpan
+	t.fillBand(lo, hi)
+	k, v, err := t.spec.PeakIn(lo, hi)
 	if err != nil {
 		return 0, 0, err
 	}
-	return t.Spectrum.Freq(k), v, nil
+	return t.spec.Freq(k), v, nil
 }

@@ -50,7 +50,7 @@ func TestSensitivityFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range tr.Spectrum.PSD {
+	for k, v := range tr.Spectrum().PSD {
 		if v < 1e-17 {
 			t.Fatalf("bin %d below the floor: %v", k, v)
 		}
@@ -111,7 +111,7 @@ func TestRBWSelection(t *testing.T) {
 	if tr2.ActualRBW < 50 || tr2.ActualRBW > 200 {
 		t.Errorf("achieved RBW = %v Hz for 100 Hz request", tr2.ActualRBW)
 	}
-	if tr2.Spectrum.Bins() >= tr.Spectrum.Bins() {
+	if tr2.Spectrum().Bins() >= tr.Spectrum().Bins() {
 		t.Error("coarser RBW should use shorter segments")
 	}
 }
@@ -132,10 +132,10 @@ func TestNoisePSDIndependentOfRBW(t *testing.T) {
 			t.Fatal(err)
 		}
 		mean := 0.0
-		for _, v := range tr.Spectrum.PSD {
+		for _, v := range tr.Spectrum().PSD {
 			mean += v
 		}
-		mean /= float64(tr.Spectrum.Bins())
+		mean /= float64(tr.Spectrum().Bins())
 		if math.Abs(mean-1e-12) > 0.15e-12 {
 			t.Errorf("RBW %v: mean PSD = %v, want 1e-12", rbw, mean)
 		}

@@ -162,13 +162,13 @@ func requireSamePSD(t *testing.T, want, got *Trace, format string, args ...any) 
 	if format != "" {
 		prefix += " (" + format + ")"
 	}
-	if len(want.Spectrum.PSD) != len(got.Spectrum.PSD) {
-		t.Fatalf(prefix+": %d bins, want %d", append(args, len(got.Spectrum.PSD), len(want.Spectrum.PSD))...)
+	if len(want.Spectrum().PSD) != len(got.Spectrum().PSD) {
+		t.Fatalf(prefix+": %d bins, want %d", append(args, len(got.Spectrum().PSD), len(want.Spectrum().PSD))...)
 	}
-	for i := range want.Spectrum.PSD {
-		if want.Spectrum.PSD[i] != got.Spectrum.PSD[i] {
+	for i := range want.Spectrum().PSD {
+		if want.Spectrum().PSD[i] != got.Spectrum().PSD[i] {
 			t.Fatalf(prefix+": bin %d: %g, want %g (exact)",
-				append(args, i, got.Spectrum.PSD[i], want.Spectrum.PSD[i])...)
+				append(args, i, got.Spectrum().PSD[i], want.Spectrum().PSD[i])...)
 		}
 	}
 	if want.ActualRBW != got.ActualRBW || want.FloorPSD != got.FloorPSD {
