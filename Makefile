@@ -15,7 +15,7 @@ FUZZ_TARGETS := \
 	./internal/store:FuzzStoreRecord \
 	./internal/store:FuzzStoreHeader
 
-.PHONY: build test bench bench-json bench-guard lint verify fuzz-smoke daemon-smoke
+.PHONY: build test bench bench-json bench-guard lint verify fuzz-smoke daemon-smoke repro-check
 
 # Baseline snapshot cmd/benchguard compares against; re-record with
 # `make bench-json` after intentional performance changes.
@@ -88,6 +88,19 @@ verify:
 # restart resumes from the durable cell store.
 daemon-smoke:
 	$(GO) run ./cmd/daemonsmoke
+
+# "Same numbers" end to end: build cmd/reproduce, run the full protocol
+# (about 15 s on 2 vCPUs), and diff its output against the committed
+# reproduce_full.txt. The output is deterministic (fixed seeds, FFT
+# kernels bit-identical by construction), so any difference is a change
+# in a reproduced number. After an intentional model change, regenerate
+# the file with `go run ./cmd/reproduce > reproduce_full.txt`.
+repro-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/reproduce" ./cmd/reproduce; \
+	"$$tmp/reproduce" > "$$tmp/out.txt"; \
+	diff -u reproduce_full.txt "$$tmp/out.txt"; \
+	echo "repro-check: output matches reproduce_full.txt"
 
 # Short coverage-guided run of every fuzz target (FUZZTIME each); the
 # committed seed corpora additionally run as plain unit tests in `test`.

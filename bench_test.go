@@ -143,13 +143,13 @@ func benchMeasureKernelScratch(b *testing.B, obsOn bool) {
 	// One advancing rng across iterations: every measurement draws fresh
 	// seeds, so every iteration is a synthesis-cache MISS and the full
 	// synthesize-and-analyze path is what gets timed. (A fixed seed per
-	// iteration would hit the scratch's synthesis-product cache from the
-	// second iteration on — that path is BenchmarkMeasureKernelCached.)
+	// iteration would hit the scratch's product slots from the second
+	// iteration on — that path is BenchmarkMeasureKernelCached.)
 	rng := rand.New(rand.NewSource(1))
 	// Warm the working set before the timer: the first few measurements
-	// carve the arena, grow the product-cache freelists, and build the
-	// FFT plan; after that the path is allocation-free, which is what
-	// the timed region asserts.
+	// carve the arena, size the product slots, and build the FFT plan;
+	// after that the path is allocation-free, which is what the timed
+	// region asserts.
 	for i := 0; i < 8; i++ {
 		if _, err := m.MeasureKernel(k, rng); err != nil {
 			b.Fatal(err)
@@ -174,8 +174,8 @@ func BenchmarkMeasureKernelScratchObsOn(b *testing.B) { benchMeasureKernelScratc
 
 // BenchmarkMeasureKernelCached times the synthesis-cache HIT path: the
 // same per-stage seeds every iteration, so after the first call the
-// envelope and noise products come from the scratch's cache and only
-// the per-cell work (alternation lookup, coefficient combine, band
+// envelope and noise products come from the scratch's product slots and
+// only the per-cell work (alternation lookup, coefficient combine, band
 // power) remains — the cost of a campaign cell whose row-mates already
 // synthesized, i.e. 10 of every 11 Figure 9 cells.
 func BenchmarkMeasureKernelCached(b *testing.B) {

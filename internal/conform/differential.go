@@ -176,69 +176,6 @@ func RunDifferentialKernels(specs []DiffSpec, relTol float64) (*Report, error) {
 	return r, nil
 }
 
-// RunStreamingDifferential drives every spec through the streaming
-// measurement path (the default Measurer mode) and the buffered
-// oracle (savat.WithBuffered) with identical rng streams and
-// demands BIT-EXACT agreement — zero ULP, not a tolerance. The
-// streaming pipeline is a re-segmentation of the buffered one over the
-// same renderers and the same per-segment transform primitives, so any
-// nonzero difference, however small, means the segmentation leaked
-// into the arithmetic and is a bug. The whole recorded spectrum is
-// compared bin by bin, not just the scalar SAVAT value, so a
-// compensating error cannot hide in the band integral.
-func RunStreamingDifferential(specs []DiffSpec) (*Report, error) {
-	r := &Report{}
-	stream := savat.NewMeasureScratch()
-	buffered := savat.NewMeasureScratch()
-	for _, s := range specs {
-		k, err := savat.BuildKernel(s.Machine, s.A, s.B, s.Config.Frequency)
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: build kernel: %w", s.Name, err)
-		}
-		sm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream)).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: streaming path: %w", s.Name, err)
-		}
-		bm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(buffered), savat.WithBuffered()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: buffered path: %w", s.Name, err)
-		}
-		name := "streaming/" + s.Name
-		r.Add(Check{
-			Name: name + "/savat",
-			Pass: sm.SAVAT == bm.SAVAT && sm.BandPower == bm.BandPower,
-			Detail: fmt.Sprintf("streaming %.17g zJ vs buffered %.17g zJ (band %.17g vs %.17g W)",
-				sm.ZJ(), bm.ZJ(), sm.BandPower, bm.BandPower),
-		})
-		sp, bp := sm.Trace.Spectrum().PSD, bm.Trace.Spectrum().PSD
-		mismatch, firstBin := 0, -1
-		if len(sp) != len(bp) {
-			mismatch, firstBin = len(sp)+len(bp), 0
-		} else {
-			for i := range sp {
-				if sp[i] != bp[i] {
-					if mismatch == 0 {
-						firstBin = i
-					}
-					mismatch++
-				}
-			}
-		}
-		detail := fmt.Sprintf("%d bins", len(sp))
-		if mismatch > 0 {
-			detail = fmt.Sprintf("%d of %d bins differ, first at %d", mismatch, len(sp), firstBin)
-		}
-		r.Add(Check{Name: name + "/psd", Pass: mismatch == 0, Detail: detail})
-		r.Add(Check{
-			Name: name + "/trace-meta",
-			Pass: sm.Trace.ActualRBW == bm.Trace.ActualRBW && sm.Trace.FloorPSD == bm.Trace.FloorPSD,
-			Detail: fmt.Sprintf("RBW %g vs %g, floor %.17g vs %.17g",
-				sm.Trace.ActualRBW, bm.Trace.ActualRBW, sm.Trace.FloorPSD, bm.Trace.FloorPSD),
-		})
-	}
-	return r, nil
-}
-
 // RunCacheDifferential verifies that synthesis-product cache HITS are
 // bit-identical to the computations they replace. For every spec it
 // measures the campaign cell (A, C, rep 0) — C a deterministic second

@@ -8,27 +8,6 @@ import (
 	"repro/internal/workpool"
 )
 
-// TestStreamingDifferentialSweep sweeps randomized measurement specs
-// through the streaming pipeline and the buffered oracle and requires
-// bit-exact agreement on the SAVAT value and on every spectrum bin —
-// the streaming path is a re-segmentation of the same arithmetic, so
-// the tolerance is zero ULP.
-func TestStreamingDifferentialSweep(t *testing.T) {
-	n := 25
-	if testing.Short() {
-		n = 8
-	}
-	specs := GenDiffSpecs(17, n)
-	rep, err := RunStreamingDifferential(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rep.Failures() {
-		t.Error(c.String())
-	}
-	t.Logf("%d specs, %d bit-exactness checks", n, len(rep.Checks))
-}
-
 // TestStreamingParallelCampaign runs a concurrent campaign whose
 // workers fan per-segment transforms out on an explicit shared worker
 // pool — engine workers and segment workers interleave freely — and

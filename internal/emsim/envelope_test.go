@@ -292,3 +292,48 @@ func TestPhaseAmplitudesErrors(t *testing.T) {
 		t.Error("invalid alternation should fail")
 	}
 }
+
+// Draining an EnvelopeStream in blocks of any size must reproduce the
+// one-block SynthesizeEnvelopes bit for bit — with drift and amplitude
+// fluctuation on, so the edge walk, the drift walk, and the AR(1)
+// state all have to carry across Next calls — and leave the rng where
+// the one-block render leaves it.
+func TestEnvelopeStreamChunkInvariant(t *testing.T) {
+	alt := richAlt(t)
+	jit := DefaultJitter()
+	jit.AmpNoiseStd = 0.1
+	const fs, seg, n = 1 << 18, 4096, 3*4096 + 1234
+	wantRng := rand.New(rand.NewSource(11))
+	want, err := SynthesizeEnvelopes(alt, fs, n, jit, wantRng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNext := wantRng.Int63()
+	for _, chunk := range []int{1, 7, 999, seg, n} {
+		rng := rand.New(rand.NewSource(11))
+		s, err := NewEnvelopeStream(alt, fs, n, jit, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := make([]float64, n), make([]float64, n)
+		for off := 0; off < n; {
+			k, err := s.Next(a[off:min(off+chunk, n)], b[off:min(off+chunk, n)])
+			if err != nil || k == 0 {
+				t.Fatalf("chunk %d: Next at %d = %d, %v", chunk, off, k, err)
+			}
+			off += k
+		}
+		if k, _ := s.Next(a, b); k != 0 {
+			t.Errorf("chunk %d: drained stream produced %d more samples", chunk, k)
+		}
+		for m := range a {
+			if a[m] != want.A[m] || b[m] != want.B[m] {
+				t.Fatalf("chunk %d: sample %d = (%v, %v), one block gives (%v, %v)",
+					chunk, m, a[m], b[m], want.A[m], want.B[m])
+			}
+		}
+		if rng.Int63() != wantNext {
+			t.Errorf("chunk %d: rng left at a different draw than the one-block render", chunk)
+		}
+	}
+}

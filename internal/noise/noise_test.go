@@ -176,3 +176,44 @@ func TestLabHasFloorBackgroundAndCarrier(t *testing.T) {
 		t.Error("Lab should include the Figure 8 radio carrier")
 	}
 }
+
+// Draining a Stream in blocks of any size must reproduce the one-block
+// Render bit for bit in the lab environment — thermal noise, a spread
+// background level, and an AM carrier whose phasors re-anchor every
+// carrierRenorm samples — and leave the rng where Render leaves it.
+func TestStreamChunkInvariant(t *testing.T) {
+	env := Lab()
+	const fs, seg, n = 1 << 18, 4096, 3*4096 + 1234
+	want := make([]complex128, n)
+	wantRng := rand.New(rand.NewSource(13))
+	if err := env.Render(want, fs, wantRng); err != nil {
+		t.Fatal(err)
+	}
+	wantNext := wantRng.Int63()
+	for _, chunk := range []int{1, 7, 999, seg, n} {
+		rng := rand.New(rand.NewSource(13))
+		s, err := NewStream(env, fs, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, n)
+		for off := 0; off < n; {
+			k, err := s.Next(got[off:min(off+chunk, n)])
+			if err != nil || k == 0 {
+				t.Fatalf("chunk %d: Next at %d = %d, %v", chunk, off, k, err)
+			}
+			off += k
+		}
+		if k, _ := s.Next(got); k != 0 {
+			t.Errorf("chunk %d: drained stream produced %d more samples", chunk, k)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d: sample %d = %v, Render gives %v", chunk, i, got[i], want[i])
+			}
+		}
+		if rng.Int63() != wantNext {
+			t.Errorf("chunk %d: rng left at a different draw than Render", chunk)
+		}
+	}
+}

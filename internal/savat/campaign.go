@@ -28,14 +28,6 @@ type CampaignOptions struct {
 	// (nil = the process-default pool, shared with the engine's own
 	// workers so campaigns never oversubscribe the machine).
 	AnalyzerPool *workpool.Pool
-	// SynthCache, when non-nil, is the shared synthesis-product cache
-	// the campaign workers read envelope and noise spectral products
-	// through; sharing one across campaigns (e.g. a distance sweep over
-	// one seed) extends the reuse across runs. Nil uses a fresh cache
-	// sized to the campaign's repetition working set. Cache hits are
-	// bit-identical to the computation they replace, so cell values
-	// never depend on this option.
-	SynthCache *SynthCache
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
 	// finished (pair, repetition) cell — cache-served cells included. The campaign closes the channel when
@@ -124,11 +116,8 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	// The campaign's shared synthesis-product cache. The engine
 	// enumerates repetitions innermost, so the live working set is one
 	// envelope-product entry plus one noise entry per repetition; the
-	// default capacity covers it with headroom for scheduling skew.
-	cache := opts.SynthCache
-	if cache == nil {
-		cache = NewSynthCache(2*opts.Repeats + 2)
-	}
+	// capacity covers it with headroom for scheduling skew.
+	cache := NewSynthCache(2*opts.Repeats + 2)
 
 	// The worker arenas go back to the free list only after eng.Run has
 	// returned — after every worker has stopped — so no arena is ever

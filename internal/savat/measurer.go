@@ -14,28 +14,12 @@ import (
 	"repro/internal/workpool"
 )
 
-// measureMode selects which of the three equivalent pipeline
-// implementations a Measurer runs.
-type measureMode int
-
-const (
-	// modeStream is the segment-fused streaming fast path: O(segment)
-	// working set, no sample-sized buffers. The default.
-	modeStream measureMode = iota
-	// modeBuffered materializes full captures and analyzes them with the
-	// buffered shared-envelope path; bit-identical to modeStream.
-	modeBuffered
-	// modeReference renders every coherence group in the time domain and
-	// analyzes each with its own Welch pass — the readable specification
-	// of the pipeline; equal to the fast paths within 1e-9 relative.
-	modeReference
-)
-
 // Measurer is the single entry point to the SAVAT measurement
 // pipeline: one machine and measurement configuration, bound at
-// construction, measured through whichever pipeline implementation the
-// options select. The zero option set is the right choice almost
-// always — the streaming fast path on a Measurer-owned scratch:
+// construction, measured through the streaming fast path — or, with
+// WithReference, through the reference pipeline that is its oracle.
+// The zero option set is the right choice almost always — the
+// streaming fast path on a Measurer-owned scratch:
 //
 //	m := savat.NewMeasurer(mc, cfg)
 //	meas, err := m.Measure(savat.ADD, savat.SUB, rng)
@@ -43,12 +27,15 @@ const (
 // Options:
 //
 //	WithScratch(s)     reuse the caller's MeasureScratch across Measurers
-//	WithBuffered()     capture-at-once path (bit-identical, O(capture) memory)
 //	WithReference()    direct-rendering reference pipeline
 //	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
 //	WithObs(r)         stage metrics on a private obs.Registry
+//
+// Without WithSynthCache, the scratch keeps the last envelope and noise
+// products, so a repeated seed skips synthesis and a new one
+// recomputes them in place.
 //
 // Measurements are returned by value, so their scalars outlive later
 // calls. A Measurer reuses one scratch across its measurements, though,
@@ -57,14 +44,14 @@ const (
 // use one Measurer per retained trace. A Measurer is NOT safe for
 // concurrent use — the campaign engine gives each worker its own.
 type Measurer struct {
-	mc      machine.Config
-	cfg     Config
-	mode    measureMode
-	scratch *MeasureScratch
-	pool    *workpool.Pool
-	mobs    *measureObs
-	cache   *SynthCache
-	arena   *arena.Arena
+	mc        machine.Config
+	cfg       Config
+	reference bool // WithReference: the oracle instead of the fast path
+	scratch   *MeasureScratch
+	pool      *workpool.Pool
+	mobs      *measureObs
+	cache     *SynthCache
+	arena     *arena.Arena
 
 	// Effective measurement setup, resolved lazily on first measurement
 	// (NewMeasurer deliberately cannot fail): the configured channel's
@@ -95,19 +82,10 @@ type MeasureOption func(*Measurer)
 
 // WithScratch makes the Measurer measure through the caller's scratch
 // instead of owning a fresh one, sharing its buffers, FFT plans, and
-// private synthesis-product cache with whatever else uses it. A nil
-// scratch is allowed and equivalent to omitting the option.
+// product slots with whatever else uses it. A nil scratch is allowed
+// and equivalent to omitting the option.
 func WithScratch(s *MeasureScratch) MeasureOption {
 	return func(m *Measurer) { m.scratch = s }
-}
-
-// WithBuffered selects the capture-at-once pipeline: full envelope and
-// noise captures materialized in the scratch, analyzed with the
-// buffered shared-envelope path. Bit-identical to the default
-// streaming path; useful when the rendered captures themselves are
-// wanted.
-func WithBuffered() MeasureOption {
-	return func(m *Measurer) { m.mode = modeBuffered }
 }
 
 // WithReference selects the direct-rendering reference pipeline: every
@@ -115,7 +93,7 @@ func WithBuffered() MeasureOption {
 // own Welch pass. It consumes the same rng draws as the fast paths and
 // agrees with them within 1e-9 relative.
 func WithReference() MeasureOption {
-	return func(m *Measurer) { m.mode = modeReference }
+	return func(m *Measurer) { m.reference = true }
 }
 
 // WithPool directs the spectrum analyzer's per-segment transforms
@@ -128,10 +106,10 @@ func WithPool(p *workpool.Pool) MeasureOption {
 
 // WithSynthCache makes the Measurer read envelope and noise spectral
 // products through c — a concurrency-safe cache from NewSynthCache,
-// typically shared by many Measurers — instead of the scratch's private
-// single-owner cache. Campaign workers share one cache this way so an
-// entire matrix row reuses its row event's envelope products (see
-// CampaignSeeds). A nil cache is equivalent to omitting the option.
+// typically shared by many Measurers — instead of the scratch's
+// one-entry product slots. Campaign workers share one cache this way
+// so an entire matrix row reuses its row event's envelope products
+// (see CampaignSeeds). A nil cache is equivalent to omitting the option.
 // The cache never influences values: hits are bit-identical to the
 // computation they replace.
 func WithSynthCache(c *SynthCache) MeasureOption {
@@ -139,10 +117,9 @@ func WithSynthCache(c *SynthCache) MeasureOption {
 }
 
 // WithArena backs the Measurer's scratch working set — rolling Welch
-// windows, in-flight segment transforms, the display accumulator, the
-// buffered noise capture — with the single-owner bump allocator a (see
-// internal/arena), so steady-state measurements perform zero heap
-// allocations. The arena must not be shared with any other scratch.
+// windows, in-flight segment transforms, the display accumulator —
+// with the single-owner bump allocator a (see internal/arena), so
+// steady-state measurements perform zero heap allocations. The arena must not be shared with any other scratch.
 // Values are identical with or without an arena; a nil a is equivalent
 // to omitting the option. The campaign engine installs one per worker.
 func WithArena(a *arena.Arena) MeasureOption {
@@ -171,14 +148,11 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 	for _, o := range opts {
 		o(m)
 	}
-	if m.scratch == nil && m.mode != modeReference {
+	if m.scratch == nil && !m.reference {
 		m.scratch = NewMeasureScratch()
 	}
 	if m.scratch != nil && m.pool != nil {
 		m.scratch.SetAnalyzerPool(m.pool)
-	}
-	if m.scratch != nil && m.cache != nil {
-		m.scratch.cache = m.cache
 	}
 	if m.scratch != nil && m.arena != nil {
 		m.scratch.SetArena(m.arena)
@@ -318,16 +292,11 @@ func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds Synt
 	if err != nil {
 		return Measurement{}, err
 	}
-	switch m.mode {
-	case modeBuffered:
-		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelBuffered(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
-	case modeReference:
+	if m.reference {
 		return measureKernelReference(mc, k, cfg, law, seeds, m.mobs)
-	default:
-		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
 	}
+	envKey, noiseKey := m.productKeys(seeds)
+	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.cache, m.mobs)
 }
 
 // MeasurePair measures one event pair `repeats` times with the

@@ -65,10 +65,9 @@ func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 	}
 }
 
-// The streaming (default) and buffered Measurer modes must agree with
-// each other exactly (the shared-envelope contract), and the reference
-// pipeline must agree within 1e-9 relative (it computes the same
-// quantity through per-group Welch passes).
+// The streaming (default) Measurer and the reference pipeline must
+// agree within 1e-9 relative (the reference computes the same quantity
+// through per-group Welch passes).
 func TestMeasurerModeAgreement(t *testing.T) {
 	for _, s := range equivSpecs() {
 		cfg := equivConfig(s.tweak)
@@ -80,12 +79,6 @@ func TestMeasurerModeAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buffered, err := NewMeasurer(s.mc, cfg, WithBuffered()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, s.name+"/stream-vs-buffered", stream, buffered)
-
 		ref, err := NewMeasurer(s.mc, cfg, WithReference()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)

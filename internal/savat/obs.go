@@ -12,7 +12,7 @@ type measureObs struct {
 	measure      *obs.Histogram // the pipeline from a kernel to its SAVAT value
 	alternation  *obs.Histogram // alternation lookup, simulating it on a miss
 	radiate      *obs.Histogram // radiator init + group phase amplitudes
-	synthesize   *obs.Histogram // buffered/reference time-domain rendering
+	synthesize   *obs.Histogram // envelope and noise synthesis (+ Welch products when streamed)
 	kernelHits   *obs.Counter   // simulation-cache kernel hits
 	kernelMisses *obs.Counter   // kernels actually calibrated (or rewritten)
 	altHits      *obs.Counter   // simulation-cache alternation hits

@@ -32,34 +32,34 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 }
 
 // MeasureScratch holds every reusable buffer of the measurement fast
-// path: the shared envelope streams, the noise capture, the spectrum
+// path: the streaming envelope and noise sources, the spectrum
 // analyzer's working set, the radiator value, the per-stage rngs, and
-// the synthesis-product cache that lets cells sharing a stochastic
-// realization skip synthesis and Welch analysis entirely. A warmed
-// scratch lets the streaming path allocate no sample-sized buffers at
-// all. Cycle-accurate alternation results are not per scratch: they
-// come from the process-wide simulation cache (see simCache), which
-// every scratch shares.
+// the last envelope and noise products (see productSlot), which a
+// measurement without a shared SynthCache reuses when its seed repeats
+// and recomputes in place otherwise. A warmed scratch lets the
+// measurement allocate no sample-sized buffers at all. Cycle-accurate
+// alternation results are not per scratch: they come from the
+// process-wide simulation cache (see simCache), which every scratch
+// shares.
 //
 // A MeasureScratch is NOT safe for concurrent use; the campaign engine
-// gives each worker its own (the workers' scratches then share one
-// concurrency-safe SynthCache — see CampaignOptions.SynthCache).
+// gives each worker its own, and the workers share one
+// concurrency-safe SynthCache instead of the scratch slots.
 type MeasureScratch struct {
-	env    emsim.Envelopes
-	noise  []complex128
 	coeffs [][2]complex128
 	rad    emsim.Radiator
 	specan *specan.Scratch
-	cache  *SynthCache
 
 	// Per-stage rngs, reseeded from the measurement's SynthSeeds.
 	calRng, envRng, noiseRng seededRand
 
-	// Streaming sources, re-initialized per measurement. Only the
-	// buffered path (WithBuffered) materializes env and noise above;
-	// the streaming path renders through these instead.
+	// Streaming sources, re-initialized per measurement.
 	envStream   emsim.EnvelopeStream
 	noiseStream noise.Stream
+
+	// The last products computed through this scratch without a shared
+	// cache, keyed by recipe.
+	envSlot, noiseSlot productSlot
 
 	analyzer    *specan.Analyzer
 	analyzerCfg specan.Config
@@ -68,9 +68,8 @@ type MeasureScratch struct {
 	// working set (see internal/arena); nil means plain heap buffers.
 	// prepare resets it — retiring every carved buffer at once — exactly
 	// when the measurement shape below changes, which is the one point
-	// where no carved buffer of the new shape is live yet (the reset
-	// drops s.noise, the one arena-carved buffer this struct itself
-	// caches; specan.Scratch tracks the epoch for its own).
+	// where no carved buffer of the new shape is live yet
+	// (specan.Scratch tracks the epoch for its own buffers).
 	mem      *arena.Arena
 	memShape measureShape
 }
@@ -112,22 +111,11 @@ func (s *MeasureScratch) SetArena(a *arena.Arena) {
 	s.memShape = measureShape{} // force a reset on the next prepare
 }
 
-// synthCache returns the scratch's product cache, defaulting to a
-// private single-owner one. Campaigns and WithSynthCache install a
-// shared concurrency-safe cache instead.
-func (s *MeasureScratch) synthCache() *SynthCache {
-	if s.cache == nil {
-		s.cache = newPrivateSynthCache()
-	}
-	return s.cache
-}
-
 // prepare runs the shared front half of a measurement — validation,
 // the shared cycle-accurate alternation (ctx bounds only the wait for
 // another caller's simulation of it), radiator calibration (on the
 // Cal seed), and the duty-scaled group-coefficient filter (left in
-// s.coeffs) — and caches the analyzer. Both the streaming and buffered
-// paths start here.
+// s.coeffs) — and caches the analyzer.
 //
 // The returned canon timeline is the canonical 50/50 alternation at the
 // nominal frequency — the one every cell of a campaign row synthesizes
@@ -173,7 +161,6 @@ func (s *MeasureScratch) prepare(ctx context.Context, mc machine.Config, k *Kern
 			// rewind the slabs. Consumers notice through the epoch.
 			s.memShape = sh
 			s.mem.Reset()
-			s.noise = nil
 		}
 	}
 	jit = cfg.Jitter
@@ -223,22 +210,21 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Me
 	}, nil
 }
 
-// measureKernelStream is the streaming fast path behind the default
-// Measurer mode: the envelope and noise spectral products are read
-// through the synthesis-product cache — computed, on a miss, by the
-// O(segment) streaming renderers (emsim.EnvelopeStream + noise.Stream
-// feeding specan's product walks) into cache-owned buffers; skipped
-// entirely on a hit — and the cell's trace is assembled by the FFT-free
-// specan.Render. Values are bit-identical to measureKernelBuffered
-// (the per-segment primitives are shared and the reduction order is
-// fixed) and match the reference pipeline within rounding (the
-// equivalence tests bound the relative difference by 1e-9).
+// measureKernelStream is the measurement fast path: the envelope and
+// noise spectral products are read through cache — or, when it is nil,
+// the scratch's product slots — computed, on a miss, by the O(segment)
+// streaming renderers (emsim.EnvelopeStream + noise.Stream feeding
+// specan's product walks); skipped entirely on a hit — and the cell's
+// trace is assembled by the FFT-free specan.Render. Values match the
+// reference pipeline within rounding (the equivalence tests bound the
+// relative difference by 1e-9), and the per-segment primitives are
+// bit-identical to specan's buffered Welch passes.
 //
 // The returned Measurement's Trace aliases the scratch and is valid
 // until the scratch's next measurement; callers that keep traces must
 // use distinct scratches. A nil scratch is allowed; a fresh one is
 // used.
-func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (Measurement, error) {
+func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, cache *SynthCache, mo *measureObs) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
@@ -246,109 +232,56 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	if err != nil {
 		return Measurement{}, err
 	}
-	cache := s.synthCache()
 
 	// 3+4. Synthesis and per-segment Welch analysis, fused and cached:
 	// a miss streams the envelope pair (guarded exactly like
 	// SynthesizeGroups' active check, so a fully silent kernel renders
 	// no envelopes) and then the noise stream through the segment walks;
-	// a hit reuses the published products untouched. Group signals and
-	// noise are mutually incoherent: powers add, which is exactly what
-	// the frequency-domain combination in Render computes.
-	var env *specan.PairPSD
+	// a hit reuses the products untouched. Group signals and noise are
+	// mutually incoherent: powers add, which is exactly what the
+	// frequency-domain combination in Render computes.
+	var envP synthProduct
 	if len(s.coeffs) > 0 {
-		env, err = cache.envProducts(envKey, func(dst *specan.PairPSD) (*specan.PairPSD, error) {
+		envP, err = product(ctx, cache, &s.envSlot, envKey, func(dst synthProduct) (synthProduct, error) {
 			sp := mo.synthesize.Start()
 			defer sp.End()
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
-				return nil, err
+				return synthProduct{}, err
 			}
-			return s.analyzer.EnvelopeProductsStream(n, &s.envStream, cfg.SampleRate, s.specan, dst)
+			v, err := s.analyzer.EnvelopeProductsStream(n, &s.envStream, cfg.SampleRate, s.specan, dst.env)
+			return synthProduct{env: v}, err
 		})
 		if err != nil {
 			return Measurement{}, err
 		}
 	}
-	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
+	noiseP, err := product(ctx, cache, &s.noiseSlot, noiseKey, func(dst synthProduct) (synthProduct, error) {
 		sp := mo.synthesize.Start()
 		defer sp.End()
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {
-			return nil, err
+			return synthProduct{}, err
 		}
-		return s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst)
+		v, err := s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst.noise)
+		return synthProduct{noise: v}, err
 	})
 	if err != nil {
 		return Measurement{}, err
 	}
 
-	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
+	tr, err := s.analyzer.Render(n, s.coeffs, envP.env, noiseP.noise, cfg.SampleRate, s.specan)
 	if err != nil {
 		return Measurement{}, err
 	}
 	return finish(k, alt, cfg, tr)
 }
 
-// measureKernelBuffered is the capture-at-once form of
-// measureKernelStream: it always materializes the full envelope and
-// noise captures in the scratch (callers that want the rendered
-// captures get them even on a cache hit) and reads the spectral
-// products through the same cache — computed, on a miss, by the
-// buffered Welch passes over those captures. It produces bit-identical
-// Measurements to measureKernelStream — the conformance suite asserts
-// this — at O(capture) memory; it exists as the plain-shaped oracle for
-// the streaming path and for callers that want the captures.
-func measureKernelBuffered(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (Measurement, error) {
-	if s == nil {
-		s = NewMeasureScratch()
+// product returns the product for key from the shared cache when there
+// is one, and otherwise from slot, which compute refills in place on a
+// miss. compute receives the buffers it may overwrite: the slot's, or
+// none for the cache, whose published products must never be reused.
+func product(ctx context.Context, cache *SynthCache, slot *productSlot, key productKey, compute func(dst synthProduct) (synthProduct, error)) (synthProduct, error) {
+	if cache != nil {
+		return cache.get(ctx, key, func() (synthProduct, error) { return compute(synthProduct{}) })
 	}
-	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
-	if err != nil {
-		return Measurement{}, err
-	}
-	cache := s.synthCache()
-
-	// 3. Full-capture synthesis: both shared envelope streams, then the
-	// environment noise as one more incoherent contribution. Render
-	// overwrites the buffers, so the previous cell's capture needs no
-	// clear.
-	synSp := mo.synthesize.Start()
-	var env *specan.PairPSD
-	if len(s.coeffs) > 0 {
-		if _, err := emsim.SynthesizeEnvelopes(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env), &s.env); err != nil {
-			synSp.End()
-			return Measurement{}, err
-		}
-	}
-	if cap(s.noise) >= n {
-		s.noise = s.noise[:n]
-	} else {
-		s.noise = s.mem.Complexes(n) // nil-safe: heap when no arena
-	}
-	err = cfg.Environment.Render(s.noise, cfg.SampleRate, s.noiseRng.at(seeds.Noise))
-	synSp.End()
-	if err != nil {
-		return Measurement{}, err
-	}
-
-	// 4. Buffered spectrum analysis, products read through the cache.
-	if len(s.coeffs) > 0 {
-		env, err = cache.envProducts(envKey, func(dst *specan.PairPSD) (*specan.PairPSD, error) {
-			return s.analyzer.EnvelopeProducts(s.env.A, s.env.B, cfg.SampleRate, s.specan, dst)
-		})
-		if err != nil {
-			return Measurement{}, err
-		}
-	}
-	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
-		return s.analyzer.NoiseProducts(s.noise, cfg.SampleRate, s.specan, dst)
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-
-	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return finish(k, alt, cfg, tr)
+	return slot.get(key, compute)
 }

@@ -98,11 +98,11 @@ func (k *Kernel) contentSum() kernelSum {
 
 // onceLRU is a bounded, content-keyed cache that computes each entry
 // exactly once: concurrent misses on one key elect a leader through the
-// engine.Group protocol (the one SynthCache uses) and every other
-// caller waits for its result, honoring its own context while it
-// waits. Errors are shared with the callers already waiting but never
+// engine.Group protocol and every other caller waits for its result,
+// honoring its own context while it waits. Errors are shared with the callers already waiting but never
 // stored, so the next caller recomputes. Keys are comparable structs,
-// so a hit allocates nothing.
+// so a hit allocates nothing. The simulation cache and SynthCache are
+// both built on it.
 type onceLRU[K comparable, V any] struct {
 	mu         sync.Mutex
 	cap        int

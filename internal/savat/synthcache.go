@@ -2,9 +2,7 @@ package savat
 
 import (
 	"context"
-	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/specan"
 )
@@ -27,35 +25,13 @@ var (
 // reuses its products, and each repetition's noise capture is analyzed
 // once for the whole matrix.
 //
-// A SynthCache built with NewSynthCache is safe for concurrent use and
-// deduplicates concurrent computations of one key in flight (the
-// engine.Group exactly-once protocol): the first caller computes, the
-// rest wait for its published result. Published products are immutable
-// and shared read-only; eviction is safe because live references keep
-// the backing arrays alive.
-//
-// The scratch-private variant (newPrivateSynthCache) is single-owner —
-// a MeasureScratch is not safe for concurrent use, and its cache
-// inherits that contract — which buys two things: no in-flight
-// protocol, and recycling of evicted entries' buffers into later
-// computations, so a steady stream of distinct-seed measurements
-// through one Measurer allocates no product-sized buffers after
-// warm-up.
+// A SynthCache is an onceLRU: safe for concurrent use, and each key is
+// computed exactly once across concurrent callers — the rest wait for
+// the leader's result under their own context. Published products are
+// immutable and shared read-only; eviction is safe because live
+// references keep the backing arrays alive.
 type SynthCache struct {
-	mu         sync.Mutex
-	cap        int
-	private    bool
-	entries    map[productKey]*synthEntry
-	head, tail *synthEntry // doubly-linked LRU; head = most recent
-	count      int
-
-	// Recycling freelists (private mode only).
-	freeEnv     []*specan.PairPSD
-	freeNoise   [][]float64
-	freeEntries *synthEntry // single-linked through next
-
-	envFlight   engine.Group[productKey, *specan.PairPSD]
-	noiseFlight engine.Group[productKey, []float64]
+	lru *onceLRU[productKey, synthProduct]
 }
 
 // productKey identifies one synthesis product: the (mc, cfg)-fixed
@@ -69,240 +45,65 @@ type productKey struct {
 	seed   int64
 }
 
-// synthEntry is one cached product. Exactly one of env/noise is set;
-// typed fields rather than an `any` so storing a noise PSD does not box
-// its slice header on every insert (the steady-state miss path must not
-// allocate).
-type synthEntry struct {
-	key        productKey
-	env        *specan.PairPSD
-	noise      []float64
-	prev, next *synthEntry
+// synthProduct is one cached product. Exactly one field is set; typed
+// fields rather than an `any` so storing a noise PSD does not box its
+// slice header on every insert. Envelope and noise keys never collide
+// (their prefixes differ), so one LRU holds both kinds.
+type synthProduct struct {
+	env   *specan.PairPSD
+	noise []float64
 }
 
 // NewSynthCache returns a concurrency-safe cache bounded to capacity
 // entries (an envelope entry and a noise entry each count as one).
-// Campaigns size it to their repetition working set; see
-// CampaignOptions.SynthCache.
+// Campaigns size it to their repetition working set.
 func NewSynthCache(capacity int) *SynthCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &SynthCache{cap: capacity, entries: make(map[productKey]*synthEntry)}
+	return &SynthCache{lru: newOnceLRU[productKey, synthProduct](capacity)}
 }
 
-// privateSynthCacheCap covers one measurement's working set (one
-// envelope + one noise entry) plus an alternating-configuration pair,
-// which is as much reuse as a single scratch ever sees.
-const privateSynthCacheCap = 4
-
-// newPrivateSynthCache is the scratch-owned, single-goroutine variant.
-func newPrivateSynthCache() *SynthCache {
-	c := NewSynthCache(privateSynthCacheCap)
-	c.private = true
-	return c
-}
-
-func (c *SynthCache) unlink(e *synthEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *SynthCache) pushFront(e *synthEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// lookup returns the cached entry for key, refreshing its recency. The
-// returned entry is only valid under the single-owner contract (private
-// mode) or until the next cache operation publishes it; callers read
-// one field and let go.
-func (c *SynthCache) lookup(key productKey) (*synthEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if c.head != e {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e, true
-}
-
-// put publishes a computed product (exactly one of env/noise set),
-// evicting the least-recent entry beyond capacity. Evicted buffers go
-// to the freelists only in private mode; shared caches let old
-// references keep them alive instead.
-func (c *SynthCache) put(key productKey, env *specan.PairPSD, noise []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
-		return
-	}
-	e := c.freeEntries
-	if e != nil {
-		c.freeEntries = e.next
-		e.next = nil
-	} else {
-		e = &synthEntry{}
-	}
-	e.key, e.env, e.noise = key, env, noise
-	c.pushFront(e)
-	c.entries[key] = e
-	c.count++
-	for c.count > c.cap {
-		ev := c.tail
-		c.unlink(ev)
-		delete(c.entries, ev.key)
-		c.count--
-		if c.private {
-			if ev.env != nil {
-				c.freeEnv = append(c.freeEnv, ev.env)
-			}
-			if ev.noise != nil {
-				c.freeNoise = append(c.freeNoise, ev.noise)
-			}
-			ev.key, ev.env, ev.noise = productKey{}, nil, nil
-			ev.next = c.freeEntries
-			c.freeEntries = ev
-		}
-	}
-}
-
-func (c *SynthCache) takeFreeEnv() *specan.PairPSD {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.freeEnv); n > 0 {
-		v := c.freeEnv[n-1]
-		c.freeEnv = c.freeEnv[:n-1]
-		return v
-	}
-	return nil
-}
-
-func (c *SynthCache) takeFreeNoise() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.freeNoise); n > 0 {
-		v := c.freeNoise[n-1]
-		c.freeNoise = c.freeNoise[:n-1]
-		return v
-	}
-	return nil
-}
-
-// envProducts returns the envelope products for key, computing them at
-// most once across concurrent callers. compute receives a recycled
-// destination (nil when none is available) and must return buffers the
-// cache may own — never scratch-aliased ones.
-func (c *SynthCache) envProducts(key productKey, compute func(dst *specan.PairPSD) (*specan.PairPSD, error)) (*specan.PairPSD, error) {
-	if e, ok := c.lookup(key); ok {
-		mSynthHits.Inc()
-		return e.env, nil
-	}
-	if c.private {
-		mSynthMisses.Inc()
-		v, err := compute(c.takeFreeEnv())
-		if err != nil {
-			return nil, err
-		}
-		c.put(key, v, nil)
-		return v, nil
-	}
-	for {
-		call, leader := c.envFlight.Lead(key)
-		if !leader {
-			if v, err := call.Wait(context.Background()); err == nil {
-				mSynthHits.Inc()
-				return v, nil
-			}
-			// The leader failed with its own error; retry — hit an
-			// entry published meanwhile, or become the new leader.
-			continue
-		}
-		if e, ok := c.lookup(key); ok {
-			// Lost the lookup→Lead race against a finishing leader.
-			c.envFlight.Finish(key, call, e.env, nil)
-			mSynthHits.Inc()
-			return e.env, nil
-		}
-		mSynthMisses.Inc()
-		v, err := compute(nil)
-		if err != nil {
-			c.envFlight.Finish(key, call, nil, err)
-			return nil, err
-		}
-		c.put(key, v, nil)
-		c.envFlight.Finish(key, call, v, nil)
-		return v, nil
-	}
-}
-
-// noiseProducts is envProducts for noise PSDs.
-func (c *SynthCache) noiseProducts(key productKey, compute func(dst []float64) ([]float64, error)) ([]float64, error) {
-	if e, ok := c.lookup(key); ok {
-		mSynthHits.Inc()
-		return e.noise, nil
-	}
-	if c.private {
-		mSynthMisses.Inc()
-		v, err := compute(c.takeFreeNoise())
-		if err != nil {
-			return nil, err
-		}
-		c.put(key, nil, v)
-		return v, nil
-	}
-	for {
-		call, leader := c.noiseFlight.Lead(key)
-		if !leader {
-			if v, err := call.Wait(context.Background()); err == nil {
-				mSynthHits.Inc()
-				return v, nil
-			}
-			continue
-		}
-		if e, ok := c.lookup(key); ok {
-			c.noiseFlight.Finish(key, call, e.noise, nil)
-			mSynthHits.Inc()
-			return e.noise, nil
-		}
-		mSynthMisses.Inc()
-		v, err := compute(nil)
-		if err != nil {
-			c.noiseFlight.Finish(key, call, nil, err)
-			return nil, err
-		}
-		c.put(key, nil, v)
-		c.noiseFlight.Finish(key, call, v, nil)
-		return v, nil
-	}
+// get returns the product for key, computing it at most once across
+// concurrent callers; ctx bounds only the wait for another caller's
+// computation. compute must return buffers the cache may own — never
+// scratch-aliased ones. A failed computation is shared with the
+// callers already waiting and not stored: compute is a deterministic
+// function of its key, so a retry could only fail the same way.
+func (c *SynthCache) get(ctx context.Context, key productKey, compute func() (synthProduct, error)) (synthProduct, error) {
+	p, computed, err := c.lru.get(ctx, key, compute)
+	countLookup(mSynthHits, mSynthMisses, computed, err)
+	return p, err
 }
 
 // Len returns the number of cached entries (for tests and diagnostics).
-func (c *SynthCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
+func (c *SynthCache) Len() int { return c.lru.Len() }
+
+// productSlot is a scratch's one-entry memo of one product kind, used
+// when its Measurer has no shared SynthCache: the last product and its
+// key. A repeated key is a hit; any other key recomputes into the
+// slot's own buffers, so a stream of distinct seeds through one
+// scratch allocates no product-sized buffers after the first.
+type productSlot struct {
+	key productKey
+	ok  bool
+	p   synthProduct
+}
+
+// get returns the slot's product when key matches, and otherwise the
+// product compute writes over the slot's buffers. Lookups count on the
+// same hit and miss counters as SynthCache.
+func (sl *productSlot) get(key productKey, compute func(dst synthProduct) (synthProduct, error)) (synthProduct, error) {
+	if sl.ok && sl.key == key {
+		mSynthHits.Inc()
+		return sl.p, nil
+	}
+	sl.ok = false // compute may leave the buffers half overwritten
+	p, err := compute(sl.p)
+	if err != nil {
+		return synthProduct{}, err
+	}
+	mSynthMisses.Inc()
+	sl.key, sl.p, sl.ok = key, p, true
+	return p, nil
 }

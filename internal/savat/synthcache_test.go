@@ -1,87 +1,172 @@
 package savat
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/arena"
 	"repro/internal/machine"
+	"repro/internal/noise"
 	"repro/internal/obs"
-	"repro/internal/specan"
 )
 
-// The LRU must evict strictly least-recently-used entries and, in
-// private mode, recycle evicted product buffers into later
-// computations.
+// The shared cache must evict strictly least-recently-used entries.
 func TestSynthCacheLRU(t *testing.T) {
 	c := NewSynthCache(2)
 	nk := func(s string) productKey { return productKey{prefix: s} }
 	mk := func(key string, v float64) {
-		if _, err := c.noiseProducts(nk(key), func(dst []float64) ([]float64, error) {
-			return []float64{v}, nil
+		if _, err := c.get(context.Background(), nk(key), func() (synthProduct, error) {
+			return synthProduct{noise: []float64{v}}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mk("a", 1)
 	mk("b", 2)
-	if _, ok := c.lookup(nk("a")); !ok { // refresh a: b becomes LRU
+	if _, ok := c.lru.lookup(nk("a")); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
 	mk("c", 3) // evicts b
-	if _, ok := c.lookup(nk("b")); ok {
+	if _, ok := c.lru.lookup(nk("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.lookup(nk("a")); !ok {
+	if _, ok := c.lru.lookup(nk("a")); !ok {
 		t.Error("a should have survived (recently used)")
 	}
 	if got := c.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2", got)
 	}
+}
 
-	p := newPrivateSynthCache()
-	var bufs []*float64
-	for i := 0; i < privateSynthCacheCap+2; i++ {
-		key := productKey{prefix: string(rune('a' + i))}
-		v, err := p.noiseProducts(key, func(dst []float64) ([]float64, error) {
-			if dst == nil {
-				dst = make([]float64, 1)
-			}
-			dst[0] = float64(i)
-			return dst, nil
+// A waiter on another caller's synthesis must give up as soon as its
+// own context is cancelled, without disturbing the leader: the
+// leader's product is still published, and the next lookup hits it.
+func TestSynthCacheWaiterHonoursContext(t *testing.T) {
+	c := NewSynthCache(4)
+	key := productKey{prefix: "noise", seed: 1}
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := c.get(context.Background(), key, func() (synthProduct, error) {
+			close(entered)
+			<-release
+			return synthProduct{noise: []float64{42}}, nil
 		})
-		if err != nil {
+		leaderDone <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.get(ctx, key, func() (synthProduct, error) {
+			t.Error("a follower must not compute while the leader is in flight")
+			return synthProduct{}, nil
+		})
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled follower: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("cancelled follower is still waiting on the leader")
+	}
+
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	p, err := c.get(context.Background(), key, func() (synthProduct, error) {
+		t.Error("the leader's product should have been published")
+		return synthProduct{}, nil
+	})
+	if err != nil || len(p.noise) != 1 || p.noise[0] != 42 {
+		t.Errorf("after the leader: %v, %v; want the published [42]", p.noise, err)
+	}
+}
+
+// Without a shared cache, a scratch keeps its last envelope and noise
+// products: a repeated seed is served from the slots, a new seed
+// recomputes into the same buffers without allocating, and a scratch
+// shared by Measurers of different recipes never serves one recipe's
+// products to the other.
+func TestMeasureScratchProductSlot(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	mc := machine.Core2Duo()
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 16
+	k, err := BuildKernel(mc, ADD, LDM, cfg.Frequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewMeasureScratch()
+	m := NewMeasurer(mc, cfg, WithScratch(s), WithArena(arena.New()))
+	seeds := SynthSeeds{Cal: 1, Env: 2, Noise: 3}
+	first, err := m.MeasureKernelSeeds(k, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses0 := mSynthMisses.Value()
+	again, err := m.MeasureKernelSeeds(k, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mSynthMisses.Value() - misses0; d != 0 {
+		t.Errorf("repeated seed recomputed %d products, want 0", d)
+	}
+	if again.SAVAT != first.SAVAT {
+		t.Errorf("repeated seed: %g, first measurement %g", again.SAVAT, first.SAVAT)
+	}
+
+	envBuf, noiseBuf := &s.envSlot.p.env.PA[0], &s.noiseSlot.p.noise[0]
+	misses0 = mSynthMisses.Value()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() {
+		seeds.Env++
+		seeds.Noise++
+		if _, err := m.MeasureKernelSeeds(k, seeds); err != nil {
 			t.Fatal(err)
 		}
-		bufs = append(bufs, &v[0])
+	})
+	if allocs != 0 {
+		t.Errorf("distinct-seed measurement allocates %.1f objects per call, want 0", allocs)
 	}
-	// Eviction happens on put, after the overflow computation ran, so
-	// the freelist lags one computation: the first overflow allocates
-	// fresh, every later one reuses the previously evicted buffer —
-	// which is all the steady-state allocation budget needs.
-	if bufs[privateSynthCacheCap] == bufs[0] {
-		t.Error("first overflow computation ran before any eviction; it cannot reuse a buffer")
+	if got, want := mSynthMisses.Value()-misses0, uint64(2*(runs+1)); got != want {
+		t.Errorf("distinct seeds computed %d products, want %d (one envelope + one noise each)", got, want)
 	}
-	if bufs[privateSynthCacheCap+1] != bufs[0] {
-		t.Error("second overflow computation should have received the first evicted buffer")
+	if &s.envSlot.p.env.PA[0] != envBuf || &s.noiseSlot.p.noise[0] != noiseBuf {
+		t.Error("distinct seeds moved the slot products to new buffers")
 	}
 
-	// Envelope entries recycle through their own freelist.
-	pe := newPrivateSynthCache()
-	var envs []*specan.PairPSD
-	for i := 0; i < privateSynthCacheCap+2; i++ {
-		key := productKey{prefix: string(rune('a' + i))}
-		v, err := pe.envProducts(key, func(dst *specan.PairPSD) (*specan.PairPSD, error) {
-			if dst == nil {
-				dst = &specan.PairPSD{}
+	// Alternate two recipes through one scratch — a different RBW, then
+	// a different noise environment — at equal seeds: every value must
+	// equal a fresh Measurer's.
+	rbw := cfg
+	rbw.Analyzer.RBW = 100
+	quiet := cfg
+	quiet.Environment = noise.Quiet()
+	shared := NewMeasureScratch()
+	for _, other := range []Config{rbw, quiet} {
+		for i, c := range []Config{cfg, other, cfg, other} {
+			got, err := NewMeasurer(mc, c, WithScratch(shared)).MeasureKernelSeeds(k, seeds)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return dst, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			want, err := NewMeasurer(mc, c).MeasureKernelSeeds(k, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.SAVAT != want.SAVAT {
+				t.Errorf("alternation step %d: shared scratch %g, fresh Measurer %g", i, got.SAVAT, want.SAVAT)
+			}
 		}
-		envs = append(envs, v)
-	}
-	if last := envs[len(envs)-1]; last != envs[0] {
-		t.Error("second overflow envelope computation should have received the evicted PairPSD")
 	}
 }
 
