@@ -1,12 +1,14 @@
 package cliconf
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/savat"
 )
@@ -247,6 +249,23 @@ func TestStartProfiles(t *testing.T) {
 	}
 }
 
+// cellCampaign runs a one-cell campaign keyed key over cache: it
+// computes v on a miss and reports whether the cell was served cached.
+func cellCampaign(t *testing.T, cache *engine.Cache, key string, v float64) (float64, bool) {
+	t.Helper()
+	res, err := engine.New(engine.Options{Cache: cache}).Run(context.Background(), engine.Spec{
+		Rows: 1, Cols: 1, Reps: 1,
+		Key: func(int, int, int) string { return key },
+		Compute: func(context.Context, any, int, int, int) (float64, error) {
+			return v, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Values[0][0][0], res.Stats.Cached == 1
+}
+
 func TestOpenCacheBackends(t *testing.T) {
 	// Without -cache-dir: memory-only cache, no-op closer.
 	f := parse(t, All|CacheDir)
@@ -254,8 +273,8 @@ func TestOpenCacheBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put("k", 1)
-	if v, ok := cache.Get("k"); !ok || v != 1 {
+	cellCampaign(t, cache, "k", 1)
+	if v, ok := cellCampaign(t, cache, "k", -1); !ok || v != 1 {
 		t.Fatalf("memory-only cache: (%v, %v)", v, ok)
 	}
 	closeCache()
@@ -268,7 +287,7 @@ func TestOpenCacheBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put("cell", 42.5)
+	cellCampaign(t, cache, "cell", 42.5)
 	closeCache()
 	if seg, err := os.Stat(filepath.Join(dir, "000001.seg")); err != nil || seg.Size() == 0 {
 		t.Fatalf("store cache wrote no segment: %v", err)
@@ -277,7 +296,7 @@ func TestOpenCacheBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := cache.Get("cell"); !ok || v != 42.5 {
+	if v, ok := cellCampaign(t, cache, "cell", -1); !ok || v != 42.5 {
 		t.Fatalf("reopened store cache: (%v, %v)", v, ok)
 	}
 	closeCache()

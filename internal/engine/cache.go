@@ -1,11 +1,13 @@
 package engine
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
+	"fmt"
+	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/store"
 )
 
@@ -23,27 +25,32 @@ func Key(material string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// Cache memoizes per-cell results under content-addressed keys. It has
-// an in-memory LRU layer and, optionally, a durable layer — the batched
-// append-only segment log of internal/store (NewStoreCache): every Put
-// is handed to the store, and a Get that misses in memory falls back to
-// it (promoting the value back into the LRU). The store is the only way
-// a finished cell outlives its process, and so what lets interrupted or
-// repeated campaigns skip finished cells across processes. All methods
-// are safe for concurrent use.
+// Cache memoizes per-cell results under content-addressed keys and
+// computes each distinct cell exactly once across every engine that
+// shares it. Its memory layer is a memo.LRU; its optional durable layer
+// is the batched append-only segment log of internal/store
+// (NewStoreCache), the only way a finished cell outlives its process
+// and so what lets interrupted or repeated campaigns skip finished
+// cells across processes.
+//
+// A cell missing from memory is led by one caller, which reads the
+// store and, only when that misses too, computes the cell and hands the
+// value to the store. Concurrent lookups of the same key wait for the
+// leader instead (Stats.Deduped): campaigns submitted together never
+// compute a cell twice. A leader's failure reaches its waiters under
+// memo's error rule — a cancelled campaign's cells are recomputed by
+// the campaigns still waiting for them; any other failure is shared,
+// because cells are deterministic and would only fail again.
+//
+// Correctness rests on the cache-key contract: two cells share a key
+// exactly when their values are bit-identical by construction, so
+// handing one campaign's cell value to another can never change a
+// matrix. All methods are safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	st       *store.Store // nil = memory only; immutable, read without mu
+	lru *memo.LRU[string, float64]
+	st  *store.Store // nil = memory only
 
-	hits, misses, diskHits uint64
-}
-
-type cacheEntry struct {
-	key string
-	val float64
+	hits, misses, diskHits atomic.Uint64
 }
 
 // NewCache returns a memory-only cache holding up to capacity entries
@@ -52,86 +59,84 @@ func NewCache(capacity int) *Cache {
 	return newCache(capacity, nil)
 }
 
+// NewStoreCache returns a cache whose durable layer is the append-only
+// segment log of internal/store rooted at dir (created if needed).
+//
+// Store writes are write-behind — batched to disk by the store's
+// flusher — so campaign workers never block on the disk; call Sync (or
+// Close, which the CLI closers do) to force durability at a boundary.
+// Values round-trip bit-exactly, non-finite included.
+func NewStoreCache(capacity int, dir string) (*Cache, error) {
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("engine: store cache: %w", err)
+	}
+	return newCache(capacity, st), nil
+}
+
+// NewStoreCacheWith wraps an already-open store (tests tune its
+// Options) in a cache. The cache owns the store from then on: Close
+// closes it.
+func NewStoreCacheWith(capacity int, st *store.Store) *Cache {
+	return newCache(capacity, st)
+}
+
 func newCache(capacity int, st *store.Store) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		st:       st,
-	}
+	return &Cache{lru: memo.New[string, float64](capacity, mEvictions.Inc), st: st}
 }
 
-// Get returns the cached value for key, consulting memory first and
-// then the store. The store read happens outside the cache lock, so a
-// slow disk miss never stalls concurrent in-memory hits.
-func (c *Cache) Get(key string) (float64, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		return v, true
-	}
-	c.mu.Unlock()
+// source says how a cell lookup was satisfied.
+type source int
 
-	if c.st != nil {
-		if v, ok := loadFloat(c.st, key); ok {
-			c.mu.Lock()
-			if el, raced := c.items[key]; raced {
-				// Another goroutine promoted (or Put) the key while we
-				// were reading; keep its entry.
-				c.ll.MoveToFront(el)
-				v = el.Value.(*cacheEntry).val
-			} else {
-				c.insertLocked(key, v)
+const (
+	cached   source = iota // memory or store
+	deduped                // another caller's in-flight computation
+	computed               // this caller's compute
+)
+
+// get returns the value for key from memory, the store, another
+// caller's in-flight computation, or compute — run at most once per key
+// across concurrent callers. Store write failures are deliberately
+// swallowed: the cache is an accelerator, and a full or read-only disk
+// must not fail the campaign; persistent failures resurface on Sync and
+// Close.
+func (c *Cache) get(ctx context.Context, key string, compute func() (float64, error)) (float64, source, error) {
+	disk := false
+	v, how, err := c.lru.Get(ctx, key, func() (float64, error) {
+		if c.st != nil {
+			if data, ok := c.st.Get(key); ok {
+				if v, ok := store.DecodeFloat64(data); ok {
+					disk = true
+					return v, nil
+				}
 			}
-			c.hits++
-			c.diskHits++
-			c.mu.Unlock()
-			return v, true
 		}
-	}
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	return 0, false
-}
-
-// Put stores the value for key in memory and hands it to the store's
-// write-behind buffer when one is present. Store write failures are
-// deliberately swallowed: the cache is an accelerator, and a full or
-// read-only disk must not fail the campaign; persistent failures
-// resurface on Sync and Close.
-func (c *Cache) Put(key string, v float64) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).val = v
-		c.ll.MoveToFront(el)
-	} else {
-		c.insertLocked(key, v)
-	}
-	c.mu.Unlock()
-	if c.st != nil {
-		_ = c.st.Put(key, store.EncodeFloat64(v))
+		v, err := compute()
+		if err == nil && c.st != nil {
+			_ = c.st.Put(key, store.EncodeFloat64(v))
+		}
+		return v, err
+	})
+	switch {
+	case how == memo.Hit || disk:
+		c.hits.Add(1)
+		if disk {
+			c.diskHits.Add(1)
+		}
+		return v, cached, err
+	case how == memo.Waited:
+		c.misses.Add(1)
+		return v, deduped, err
+	default:
+		c.misses.Add(1)
+		return v, computed, err
 	}
 }
 
-// insertLocked adds a fresh entry, evicting the LRU tail past capacity.
-func (c *Cache) insertLocked(key string, v float64) {
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: v})
-	for c.ll.Len() > c.capacity {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheEntry).key)
-		mEvictions.Inc()
-	}
-}
-
-// Sync blocks until every Put accepted so far is durable in the store.
+// Sync blocks until every value handed to the store so far is durable.
 // Memory-only caches return nil immediately.
 func (c *Cache) Sync() error {
 	if c.st == nil {
@@ -150,22 +155,16 @@ func (c *Cache) Close() error {
 }
 
 // Len returns the number of entries resident in memory.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // CacheStats counts cache traffic since creation.
 type CacheStats struct {
-	Hits     uint64 // Get calls served (DiskHits included)
-	Misses   uint64 // Get calls not served by either layer
+	Hits     uint64 // lookups served by memory or the store (DiskHits included)
+	Misses   uint64 // lookups computed, or waited for, instead
 	DiskHits uint64 // hits that needed the store
 }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), DiskHits: c.diskHits.Load()}
 }

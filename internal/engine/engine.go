@@ -1,7 +1,8 @@
 // Package engine executes measurement campaigns: a worker pool fans out
 // the cells of a (row, col, repetition) grid, a content-addressed
-// per-cell result cache (in-memory LRU, optionally backed by the
-// durable segment log of internal/store) makes campaigns resumable,
+// per-cell result cache (an exactly-once memo.LRU, optionally backed by
+// the durable segment log of internal/store) makes campaigns resumable
+// and computes each distinct cell once across concurrent campaigns,
 // transient cell failures are retried with exponential backoff, and
 // progress is streamed as typed events with a running Stats snapshot.
 //
@@ -39,64 +40,47 @@ type Spec struct {
 	Key func(row, col, rep int) string
 	// Compute produces the value of one cell. It must be deterministic
 	// in (row, col, rep) — resumability and cache correctness depend on
-	// it — and should honor ctx cancellation where it can. Exactly one
-	// of Compute and ComputeState must be set.
-	Compute func(ctx context.Context, row, col, rep int) (float64, error)
+	// it — and should honor ctx cancellation where it can. state is the
+	// calling worker's NewWorkerState value (nil without one); it must
+	// never influence the computed value.
+	Compute func(ctx context.Context, state any, row, col, rep int) (float64, error)
 
 	// NewWorkerState, when non-nil, is called once per worker goroutine
 	// at the start of a Run; the value it returns is handed to every
-	// ComputeState call that worker makes. It lets cells reuse expensive
+	// Compute call that worker makes. It lets cells reuse expensive
 	// per-worker scratch (buffers, plans, caches) without locking —
-	// state is never shared between workers. Requires ComputeState.
+	// state is never shared between workers.
 	NewWorkerState func() any
-	// ComputeState is Compute with the worker's state threaded through.
-	// The state must never influence the computed value — it is an
-	// optimization carrier only; resumability and cache correctness
-	// still require determinism in (row, col, rep) alone.
-	ComputeState func(ctx context.Context, state any, row, col, rep int) (float64, error)
 }
 
 func (s Spec) validate() error {
 	if s.Rows <= 0 || s.Cols <= 0 || s.Reps <= 0 {
 		return fmt.Errorf("engine: bad grid %dx%dx%d", s.Rows, s.Cols, s.Reps)
 	}
-	if s.Compute == nil && s.ComputeState == nil {
+	if s.Compute == nil {
 		return fmt.Errorf("engine: nil Compute")
-	}
-	if s.Compute != nil && s.ComputeState != nil {
-		return fmt.Errorf("engine: both Compute and ComputeState set")
-	}
-	if s.NewWorkerState != nil && s.ComputeState == nil {
-		return fmt.Errorf("engine: NewWorkerState requires ComputeState")
 	}
 	return nil
 }
+
+// Every compute error is treated as transient: a cell gets maxAttempts
+// attempts, the retries backing off exponentially from retryBackoff.
+const (
+	maxAttempts  = 3
+	retryBackoff = 10 * time.Millisecond
+)
 
 // Options configure an Engine.
 type Options struct {
 	// Parallelism bounds concurrent cell computations (0 = GOMAXPROCS).
 	Parallelism int
-	// MaxAttempts bounds compute attempts per cell (0 = 3). Attempts
-	// beyond the first back off exponentially from RetryBackoff.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt (0 = 10ms).
-	RetryBackoff time.Duration
-	// Retryable, when non-nil, limits retries to errors it accepts;
-	// a nil predicate treats every compute error as transient.
-	Retryable func(error) bool
 	// Cache memoizes cell results across Run calls and — when backed by
 	// a store (NewStoreCache) — across processes; it is what resumes an
-	// interrupted campaign. Nil uses a fresh in-memory cache of
-	// DefaultCacheCapacity.
+	// interrupted campaign. Engines sharing one Cache also compute each
+	// distinct cell once while their campaigns run concurrently; the
+	// others wait for that result and count it as Stats.Deduped. Nil
+	// uses a fresh in-memory cache of DefaultCacheCapacity.
 	Cache *Cache
-	// Flight, when non-nil, deduplicates identical cells while they are
-	// in flight: campaigns on engines sharing one Flight (and one Cache)
-	// compute each distinct cell key once even when they run
-	// concurrently; the others wait for that result and count it as
-	// Stats.Deduped. Nil disables in-flight deduplication (the cache
-	// still collapses identical cells across time).
-	Flight *Flight
 	// Monitor, when non-nil, receives one ProgressEvent per finished
 	// cell. Run closes it when the campaign ends, so an Engine with a
 	// Monitor serves exactly one Run; drain the channel until it closes —
@@ -117,12 +101,6 @@ type Engine struct {
 func New(opts Options) *Engine {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 10 * time.Millisecond
 	}
 	if opts.Cache == nil {
 		opts.Cache = NewCache(DefaultCacheCapacity)
@@ -165,9 +143,9 @@ type run struct {
 // Run executes the campaign described by spec, honoring ctx: on
 // cancellation no new cells start, in-flight cells finish (landing in
 // the cache, so a rerun resumes from them), and the context's error is
-// returned. A permanent cell failure (retries exhausted or not
-// retryable) likewise stops the campaign. When Options.Monitor is set
-// it is closed before Run returns.
+// returned. A permanent cell failure (retries exhausted) likewise stops
+// the campaign. When Options.Monitor is set it is closed before Run
+// returns.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	res, err := e.runCampaign(ctx, spec)
 	if e.opts.Monitor != nil {
@@ -270,82 +248,31 @@ feed:
 	return &Result{Values: r.values, Stats: st}, nil
 }
 
-// cell completes one grid cell: cache lookup, then in-flight
-// deduplication (when a Flight is shared), then bounded-retry compute,
-// then accounting and eventing. state is the
-// owning worker's NewWorkerState value (nil without one).
+// cell completes one grid cell through the cache — a hit, a wait for
+// an identical cell in flight, or this worker's bounded-retry compute —
+// then does its accounting and eventing. state is the owning worker's
+// NewWorkerState value (nil without one).
 func (r *run) cell(ctx context.Context, idx int, state any) error {
 	row, col, rep := r.unflatten(idx)
+	ev := ProgressEvent{Row: row, Col: col, Rep: rep}
+	compute := func() (float64, error) {
+		atomic.AddInt64(&r.inflight, 1)
+		mInFlight.Add(1)
+		begin := time.Now()
+		v, attempts, err := r.compute(ctx, state, row, col, rep)
+		ev.Duration, ev.Attempts = time.Since(begin), attempts
+		atomic.AddInt64(&r.inflight, -1)
+		mInFlight.Add(-1)
+		return v, err
+	}
 
-	var key string
-	if r.spec.Key != nil {
-		key = Key(r.spec.Key(row, col, rep))
-	}
-	if key != "" {
-		if v, ok := r.eng.opts.Cache.Get(key); ok {
-			mCellsCached.Inc()
-			r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Cached: true})
-			return nil
-		}
-	}
-
-	fl := r.eng.opts.Flight
-	if key == "" || fl == nil {
-		return r.computeCell(ctx, state, key, row, col, rep, nil)
-	}
-	for {
-		c, leader := fl.lead(key)
-		if leader {
-			// Double-check the cache as leader: a previous leader may have
-			// finished (retiring the key) between our Get above and lead
-			// here. Re-checking makes "each distinct key computed once
-			// across engines sharing Flight and Cache" exact, not
-			// best-effort.
-			if v, ok := r.eng.opts.Cache.Get(key); ok {
-				fl.finish(key, c, v, nil)
-				mCellsCached.Inc()
-				r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Cached: true})
-				return nil
-			}
-			return r.computeCell(ctx, state, key, row, col, rep, func(v float64, err error) {
-				fl.finish(key, c, v, err)
-			})
-		}
-		v, err := c.Wait(ctx)
-		if err == nil {
-			mCellsDeduped.Inc()
-			r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Deduped: true})
-			return nil
-		}
-		if ctx.Err() != nil {
-			return nil // our own cancellation, not a cell failure
-		}
-		// The leading campaign failed or was cancelled; its error is its
-		// own. Loop and compute the cell ourselves (possibly becoming the
-		// next leader).
-	}
-}
-
-// computeCell runs the bounded-retry computation of one cell and does
-// its accounting, eventing, and caching. publish, when non-nil, hands
-// the outcome to in-flight waiters (it runs before the error is acted
-// on, so waiters never block on a failed leader).
-func (r *run) computeCell(ctx context.Context, state any, key string, row, col, rep int, publish func(float64, error)) error {
-	atomic.AddInt64(&r.inflight, 1)
-	mInFlight.Add(1)
-	begin := time.Now()
-	v, attempts, err := r.compute(ctx, state, row, col, rep)
-	dur := time.Since(begin)
-	atomic.AddInt64(&r.inflight, -1)
-	mInFlight.Add(-1)
-	// Cache before publishing to in-flight waiters: once the flight key
-	// retires, the value must already be visible in the cache, so the
-	// leader double-check in cell never loses a result.
-	if err == nil && key != "" {
-		r.eng.opts.Cache.Put(key, v)
-	}
-	if publish != nil {
-		publish(v, err)
+	var v float64
+	var err error
+	src := computed
+	if r.spec.Key == nil {
+		v, err = compute()
+	} else {
+		v, src, err = r.eng.opts.Cache.get(ctx, Key(r.spec.Key(row, col, rep)), compute)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -353,35 +280,34 @@ func (r *run) computeCell(ctx context.Context, state any, key string, row, col, 
 		}
 		return err
 	}
-	mCellsComputed.Inc()
-	mCellLatency.Observe(dur)
-	r.record(row, col, rep, v, ProgressEvent{
-		Row: row, Col: col, Rep: rep,
-		Duration: dur, Attempts: attempts,
-	})
+	switch src {
+	case cached:
+		ev.Cached = true
+		mCellsCached.Inc()
+	case deduped:
+		ev.Deduped = true
+		mCellsDeduped.Inc()
+	default:
+		mCellsComputed.Inc()
+		mCellLatency.Observe(ev.Duration)
+	}
+	r.record(row, col, rep, v, ev)
 	return nil
 }
 
 // compute runs the spec's compute function with bounded retry and
 // exponential, context-aware backoff.
 func (r *run) compute(ctx context.Context, state any, row, col, rep int) (float64, int, error) {
-	opts := r.eng.opts
-	backoff := opts.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		var v float64
-		var err error
-		if r.spec.ComputeState != nil {
-			v, err = r.spec.ComputeState(ctx, state, row, col, rep)
-		} else {
-			v, err = r.spec.Compute(ctx, row, col, rep)
-		}
+		v, err := r.spec.Compute(ctx, state, row, col, rep)
 		if err == nil {
 			return v, attempt, nil
 		}
 		if ctx.Err() != nil {
 			return 0, attempt, ctx.Err()
 		}
-		if attempt >= opts.MaxAttempts || (opts.Retryable != nil && !opts.Retryable(err)) {
+		if attempt >= maxAttempts {
 			return 0, attempt, fmt.Errorf("engine: cell (%d,%d,%d) failed after %d attempt(s): %w",
 				row, col, rep, attempt, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // testSpec builds a deterministic grid whose cell values encode their
@@ -18,7 +17,7 @@ func testSpec(rows, cols, reps int) Spec {
 		Key: func(r, c, p int) string {
 			return fmt.Sprintf("test-cell/v1|%d|%d|%d", r, c, p)
 		},
-		Compute: func(_ context.Context, r, c, p int) (float64, error) {
+		Compute: func(_ context.Context, _ any, r, c, p int) (float64, error) {
 			return float64(r*10000 + c*100 + p), nil
 		},
 	}
@@ -105,54 +104,12 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEvictionAndDiskLayer(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := NewStoreCache(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, k2, k3 := Key("a"), Key("b"), Key("c")
-	cache.Put(k1, 1)
-	cache.Put(k2, 2)
-	cache.Put(k3, 3) // evicts k1 from memory
-	if cache.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cache.Len())
-	}
-	// k1 must come back via the disk layer.
-	if v, ok := cache.Get(k1); !ok || v != 1 {
-		t.Fatalf("Get(k1) = %v, %v; want 1 from disk", v, ok)
-	}
-	if cs := cache.Stats(); cs.DiskHits != 1 {
-		t.Fatalf("cache stats = %+v, want one disk hit", cs)
-	}
-	if err := cache.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second cache over the same directory sees everything.
-	cache2, err := NewStoreCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache2.Close()
-	for key, want := range map[string]float64{k1: 1, k2: 2, k3: 3} {
-		if v, ok := cache2.Get(key); !ok || v != want {
-			t.Fatalf("fresh cache Get = %v, %v; want %v", v, ok, want)
-		}
-	}
-
-	// Memory-only caches miss cleanly.
-	if _, ok := NewCache(2).Get(k1); ok {
-		t.Fatal("memory-only cache should miss")
-	}
-}
-
 func TestRetryTransientThenSuccess(t *testing.T) {
 	var mu sync.Mutex
 	failures := map[string]int{}
 	spec := testSpec(2, 1, 2)
 	spec.Key = nil
-	spec.Compute = func(_ context.Context, r, c, p int) (float64, error) {
+	spec.Compute = func(_ context.Context, _ any, r, c, p int) (float64, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		id := fmt.Sprintf("%d/%d/%d", r, c, p)
@@ -162,7 +119,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 		}
 		return wantValue(r, c, p), nil
 	}
-	res, err := New(Options{RetryBackoff: time.Microsecond}).Run(context.Background(), spec)
+	res, err := New(Options{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +133,13 @@ func TestRetryGivesUpAfterConfiguredAttempts(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	spec := testSpec(1, 1, 1)
-	spec.Compute = func(context.Context, int, int, int) (float64, error) {
+	spec.Compute = func(context.Context, any, int, int, int) (float64, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
 		return 0, errors.New("always broken")
 	}
-	_, err := New(Options{MaxAttempts: 3, RetryBackoff: time.Microsecond}).Run(context.Background(), spec)
+	_, err := New(Options{}).Run(context.Background(), spec)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -191,30 +148,6 @@ func TestRetryGivesUpAfterConfiguredAttempts(t *testing.T) {
 	}
 	if want := "after 3 attempt"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q should mention %q", err, want)
-	}
-}
-
-func TestRetryablePredicateStopsRetry(t *testing.T) {
-	permanent := errors.New("permanent")
-	var mu sync.Mutex
-	calls := 0
-	spec := testSpec(1, 1, 1)
-	spec.Compute = func(context.Context, int, int, int) (float64, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return 0, permanent
-	}
-	_, err := New(Options{
-		MaxAttempts:  5,
-		RetryBackoff: time.Microsecond,
-		Retryable:    func(err error) bool { return !errors.Is(err, permanent) },
-	}).Run(context.Background(), spec)
-	if err == nil || !errors.Is(err, permanent) {
-		t.Fatalf("err = %v, want wrapped permanent error", err)
-	}
-	if calls != 1 {
-		t.Errorf("compute called %d times, want 1", calls)
 	}
 }
 
@@ -235,14 +168,14 @@ func TestCancellationResumeFromCache(t *testing.T) {
 	interrupted := spec
 	var mu sync.Mutex
 	computed := 0
-	interrupted.Compute = func(c context.Context, r, cc, p int) (float64, error) {
+	interrupted.Compute = func(c context.Context, state any, r, cc, p int) (float64, error) {
 		mu.Lock()
 		computed++
 		if computed == 5 {
 			cancel() // simulate the campaign being killed partway
 		}
 		mu.Unlock()
-		return spec.Compute(c, r, cc, p)
+		return spec.Compute(c, state, r, cc, p)
 	}
 	cacheA, err := NewStoreCache(64, dir)
 	if err != nil {
@@ -292,28 +225,15 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := eng.Run(context.Background(), bad); err == nil {
 		t.Error("nil compute should fail")
 	}
-	both := testSpec(2, 2, 2)
-	both.ComputeState = func(_ context.Context, _ any, r, c, p int) (float64, error) {
-		return 0, nil
-	}
-	if _, err := eng.Run(context.Background(), both); err == nil {
-		t.Error("both Compute and ComputeState should fail")
-	}
-	orphan := testSpec(2, 2, 2)
-	orphan.NewWorkerState = func() any { return nil }
-	if _, err := eng.Run(context.Background(), orphan); err == nil {
-		t.Error("NewWorkerState without ComputeState should fail")
-	}
 }
 
 // Worker state must be created once per worker and threaded through every
-// ComputeState call that worker makes, without affecting values.
+// Compute call that worker makes, without affecting values.
 func TestWorkerStatePerWorker(t *testing.T) {
 	type counter struct{ calls int }
 	var mu sync.Mutex
 	states := make(map[*counter]bool)
 	spec := testSpec(4, 4, 2)
-	spec.Compute = nil
 	spec.NewWorkerState = func() any {
 		s := &counter{}
 		mu.Lock()
@@ -321,7 +241,7 @@ func TestWorkerStatePerWorker(t *testing.T) {
 		mu.Unlock()
 		return s
 	}
-	spec.ComputeState = func(_ context.Context, state any, r, c, p int) (float64, error) {
+	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
 		s := state.(*counter)
 		mu.Lock()
 		if !states[s] {
@@ -349,11 +269,10 @@ func TestWorkerStatePerWorker(t *testing.T) {
 	}
 }
 
-// ComputeState without NewWorkerState is valid: state is nil.
+// Without NewWorkerState, Compute's state is nil.
 func TestComputeStateWithoutWorkerState(t *testing.T) {
 	spec := testSpec(2, 2, 1)
-	spec.Compute = nil
-	spec.ComputeState = func(_ context.Context, state any, r, c, p int) (float64, error) {
+	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
 		if state != nil {
 			return 0, fmt.Errorf("state = %v, want nil", state)
 		}

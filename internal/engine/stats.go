@@ -23,7 +23,7 @@ type Stats struct {
 	// Computed counts cells that ran the compute function.
 	Computed int `json:"computed"`
 	// Deduped counts cells satisfied by an identical cell computed
-	// concurrently by another campaign sharing this engine's Flight —
+	// concurrently by another campaign sharing this engine's Cache —
 	// in-flight deduplication, as opposed to the after-the-fact kind
 	// counted by Cached.
 	Deduped int `json:"deduped"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -42,19 +41,12 @@ type CampaignOptions struct {
 	// figures in a distance sweep. A store-backed cache
 	// (engine.NewStoreCache) is what makes campaigns resumable: rerun an
 	// interrupted campaign over the same cache and its finished cells
-	// are served, not recomputed. Nil uses a fresh in-memory cache.
+	// are served, not recomputed. Concurrent campaigns sharing one
+	// cache also compute each distinct cell once — the others wait for
+	// that result — which is how the campaign service keeps overlapping
+	// submissions from duplicating work. Nil uses a fresh in-memory
+	// cache.
 	Cache *engine.Cache
-	// Flight, when non-nil, deduplicates identical cells in flight
-	// across concurrent campaigns sharing it (and sharing Cache): each
-	// distinct cell is computed once, the others wait for that result.
-	// Used by the campaign service so overlapping submissions never
-	// duplicate work; nil disables it.
-	Flight *engine.Flight
-	// MaxAttempts bounds per-cell measurement attempts for transient
-	// failures (0 = engine default of 3).
-	MaxAttempts int
-	// RetryBackoff is the base exponential backoff between attempts.
-	RetryBackoff time.Duration
 }
 
 // DefaultCampaignOptions mirrors the paper's campaign: all 11 events,
@@ -146,7 +138,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 			return NewMeasurer(mc, cfg, WithPool(opts.AnalyzerPool),
 				WithSynthCache(cache), WithArena(lease.take()))
 		},
-		ComputeState: func(ctx context.Context, state any, i, j, r int) (float64, error) {
+		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
 			// The chain's program countermeasures rewrite the pair's kernel
 			// deterministically (CounterSeed), so the rewritten kernel, like
 			// the paper's fixed binary, is shared across repetitions.
@@ -164,12 +156,9 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 
 	eng := engine.New(engine.Options{
-		Parallelism:  opts.Parallelism,
-		MaxAttempts:  opts.MaxAttempts,
-		RetryBackoff: opts.RetryBackoff,
-		Cache:        opts.Cache,
-		Flight:       opts.Flight,
-		Monitor:      opts.Monitor,
+		Parallelism: opts.Parallelism,
+		Cache:       opts.Cache,
+		Monitor:     opts.Monitor,
 	})
 	res, err := eng.Run(ctx, spec)
 	lease.release()

@@ -65,8 +65,8 @@ type CountermeasureReport struct {
 // (which must carry a non-empty countermeasure chain) and scores the
 // chain. rt supplies the runtime-only options; its Monitor is ignored —
 // the report runs two campaigns, and the per-cell monitor contract
-// binds to exactly one. Cache and Flight are shared by both runs; their
-// cell keys differ in the countermeasure dimension, so the runs never
+// binds to exactly one. The Cache is shared by both runs; their cell
+// keys differ in the countermeasure dimension, so the runs never
 // collide.
 func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*CountermeasureReport, error) {
 	spec = spec.Normalized()

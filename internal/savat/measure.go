@@ -238,8 +238,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// alternation sets the phase amplitudes (droop compensation
 	// included) and its duty cycle d scales them by sin(πd), restoring
 	// the duty-d fundamental on the canonical 50/50 timeline — see
-	// MeasureScratch.prepare, whose coefficient computation this
-	// mirrors.
+	// measureKernelStream, whose coefficient computation this mirrors.
 	radSp := mo.radiate.Start()
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()

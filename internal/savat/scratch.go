@@ -66,9 +66,9 @@ type MeasureScratch struct {
 
 	// mem is the scratch's bump allocator for the shape-dependent
 	// working set (see internal/arena); nil means plain heap buffers.
-	// prepare resets it — retiring every carved buffer at once — exactly
-	// when the measurement shape below changes, which is the one point
-	// where no carved buffer of the new shape is live yet
+	// measureKernelStream resets it — retiring every carved buffer at
+	// once — exactly when the measurement shape below changes, which is
+	// the one point where no carved buffer of the new shape is live yet
 	// (specan.Scratch tracks the epoch for its own buffers).
 	mem      *arena.Arena
 	memShape measureShape
@@ -108,87 +108,7 @@ func (s *MeasureScratch) SetAnalyzerPool(p *workpool.Pool) { s.specan.Pool = p }
 func (s *MeasureScratch) SetArena(a *arena.Arena) {
 	s.mem = a
 	s.specan.Mem = a
-	s.memShape = measureShape{} // force a reset on the next prepare
-}
-
-// prepare runs the shared front half of a measurement — validation,
-// the shared cycle-accurate alternation (ctx bounds only the wait for
-// another caller's simulation of it), radiator calibration (on the
-// Cal seed), and the duty-scaled group-coefficient filter (left in
-// s.coeffs) — and caches the analyzer.
-//
-// The returned canon timeline is the canonical 50/50 alternation at the
-// nominal frequency — the one every cell of a campaign row synthesizes
-// its envelopes on. The pair's actual duty cycle d is restored in the
-// coefficients: a duty-d alternation's fundamental is sin(πd)/sin(π/2)
-// times the 50/50 one's, so both phase amplitudes of every group are
-// scaled by emsim.DutyAmplitudeFactor(d), which preserves the measured
-// fundamental-band power while keeping the envelope realization — and
-// therefore its cached spectral products — pair-independent. Droop
-// compensation stays on the pair's achieved period via PhaseAmplitudes.
-func (s *MeasureScratch) prepare(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
-	if err = cfg.Validate(); err != nil {
-		return nil, canon, 0, jit, err
-	}
-
-	// 1. Cycle-accurate steady-state activity of the alternation loop.
-	altSp := mo.alternation.Start()
-	alt, err = sims.alternation(ctx, mc, k, cfg.WarmupPeriods, cfg.MeasurePeriods, mo)
-	altSp.End()
-	if err != nil {
-		return nil, canon, 0, jit, err
-	}
-
-	// 2. Radiate: per-component coupling at the measurement distance with
-	// repetition-specific spatial phases (one antenna placement per
-	// campaign repetition). Only the two shared envelope streams are ever
-	// rendered; each group is carried as its pair of complex phase
-	// amplitudes.
-	radSp := mo.radiate.Start()
-	defer radSp.End()
-	if err = s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, s.calRng.at(seeds.Cal)); err != nil {
-		return nil, canon, 0, jit, err
-	}
-	actual := emsim.Alternation{
-		Rates:       [2]activity.Vector{alt.PhaseStats[0].MeanRates, alt.PhaseStats[1].MeanRates},
-		HalfSeconds: alt.HalfSeconds,
-	}
-	n = int(cfg.Duration * cfg.SampleRate)
-	if s.mem != nil {
-		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer}); sh != s.memShape {
-			// New measurement shape: every arena-backed buffer will be
-			// re-carved at its new size, so this is the one safe point to
-			// rewind the slabs. Consumers notice through the epoch.
-			s.memShape = sh
-			s.mem.Reset()
-		}
-	}
-	jit = cfg.Jitter
-	if jit.AmpNoiseStd == 0 {
-		jit.AmpNoiseStd = mc.AmplitudeNoiseStd
-	}
-	amps, err := s.rad.PhaseAmplitudes(actual, cfg.SampleRate)
-	if err != nil {
-		return nil, canon, 0, jit, err
-	}
-	duty := complex(emsim.DutyAmplitudeFactor(actual.Duty()), 0)
-	coeffs := s.coeffs[:0]
-	for g := 0; g < emsim.NumGroups; g++ {
-		if amps[g][0] != 0 || amps[g][1] != 0 {
-			coeffs = append(coeffs, [2]complex128{amps[g][0] * duty, amps[g][1] * duty})
-		}
-	}
-	s.coeffs = coeffs
-	canon = emsim.CanonicalTimeline(cfg.Frequency)
-
-	if s.analyzer == nil || s.analyzerCfg != cfg.Analyzer {
-		var an *specan.Analyzer
-		if an, err = specan.New(cfg.Analyzer); err != nil {
-			return nil, canon, 0, jit, err
-		}
-		s.analyzer, s.analyzerCfg = an, cfg.Analyzer
-	}
-	return alt, canon, n, jit, nil
+	s.memShape = measureShape{} // force a reset on the next measurement
 }
 
 // finish turns a recorded trace into the Measurement: band power
@@ -228,10 +148,80 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	if s == nil {
 		s = NewMeasureScratch()
 	}
-	alt, canon, n, jit, err := s.prepare(ctx, mc, k, cfg, law, seeds, mo)
+	if err := cfg.Validate(); err != nil {
+		return Measurement{}, err
+	}
+
+	// 1. Cycle-accurate steady-state activity of the alternation loop,
+	// shared process-wide (ctx bounds only the wait for another
+	// caller's simulation of it).
+	altSp := mo.alternation.Start()
+	alt, err := sims.alternation(ctx, mc, k, cfg.WarmupPeriods, cfg.MeasurePeriods, mo)
+	altSp.End()
 	if err != nil {
 		return Measurement{}, err
 	}
+
+	// 2. Radiate: per-component coupling at the measurement distance with
+	// repetition-specific spatial phases (the Cal seed — one antenna
+	// placement per campaign repetition). Only the two shared envelope
+	// streams are ever rendered; each group is carried as its pair of
+	// complex phase amplitudes, left in s.coeffs.
+	//
+	// The envelopes are synthesized on canon, the canonical 50/50
+	// alternation at the nominal frequency — the one every cell of a
+	// campaign row shares. The pair's actual duty cycle d is restored in
+	// the coefficients: a duty-d alternation's fundamental is
+	// sin(πd)/sin(π/2) times the 50/50 one's, so both phase amplitudes of
+	// every group are scaled by emsim.DutyAmplitudeFactor(d), which
+	// preserves the measured fundamental-band power while keeping the
+	// envelope realization — and therefore its cached spectral products —
+	// pair-independent. Droop compensation stays on the pair's achieved
+	// period via PhaseAmplitudes.
+	radSp := mo.radiate.Start()
+	if err := s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, s.calRng.at(seeds.Cal)); err != nil {
+		return Measurement{}, err
+	}
+	actual := emsim.Alternation{
+		Rates:       [2]activity.Vector{alt.PhaseStats[0].MeanRates, alt.PhaseStats[1].MeanRates},
+		HalfSeconds: alt.HalfSeconds,
+	}
+	n := int(cfg.Duration * cfg.SampleRate)
+	if s.mem != nil {
+		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer}); sh != s.memShape {
+			// New measurement shape: every arena-backed buffer will be
+			// re-carved at its new size, so this is the one safe point to
+			// rewind the slabs. Consumers notice through the epoch.
+			s.memShape = sh
+			s.mem.Reset()
+		}
+	}
+	jit := cfg.Jitter
+	if jit.AmpNoiseStd == 0 {
+		jit.AmpNoiseStd = mc.AmplitudeNoiseStd
+	}
+	amps, err := s.rad.PhaseAmplitudes(actual, cfg.SampleRate)
+	if err != nil {
+		return Measurement{}, err
+	}
+	duty := complex(emsim.DutyAmplitudeFactor(actual.Duty()), 0)
+	coeffs := s.coeffs[:0]
+	for g := 0; g < emsim.NumGroups; g++ {
+		if amps[g][0] != 0 || amps[g][1] != 0 {
+			coeffs = append(coeffs, [2]complex128{amps[g][0] * duty, amps[g][1] * duty})
+		}
+	}
+	s.coeffs = coeffs
+	canon := emsim.CanonicalTimeline(cfg.Frequency)
+
+	if s.analyzer == nil || s.analyzerCfg != cfg.Analyzer {
+		an, err := specan.New(cfg.Analyzer)
+		if err != nil {
+			return Measurement{}, err
+		}
+		s.analyzer, s.analyzerCfg = an, cfg.Analyzer
+	}
+	radSp.End()
 
 	// 3+4. Synthesis and per-segment Welch analysis, fused and cached:
 	// a miss streams the envelope pair (guarded exactly like

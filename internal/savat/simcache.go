@@ -5,14 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"repro/internal/counter"
 	"repro/internal/cpu"
-	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/memhier"
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -96,122 +95,6 @@ func (k *Kernel) contentSum() kernelSum {
 	return sumKernel(k.Program, k.PhaseAt)
 }
 
-// onceLRU is a bounded, content-keyed cache that computes each entry
-// exactly once: concurrent misses on one key elect a leader through the
-// engine.Group protocol and every other caller waits for its result,
-// honoring its own context while it waits. Errors are shared with the callers already waiting but never
-// stored, so the next caller recomputes. Keys are comparable structs,
-// so a hit allocates nothing. The simulation cache and SynthCache are
-// both built on it.
-type onceLRU[K comparable, V any] struct {
-	mu         sync.Mutex
-	cap        int
-	entries    map[K]*lruEntry[K, V]
-	head, tail *lruEntry[K, V] // doubly-linked; head = most recent
-	flight     engine.Group[K, V]
-}
-
-type lruEntry[K comparable, V any] struct {
-	key        K
-	val        V
-	prev, next *lruEntry[K, V]
-}
-
-func newOnceLRU[K comparable, V any](capacity int) *onceLRU[K, V] {
-	return &onceLRU[K, V]{cap: capacity, entries: make(map[K]*lruEntry[K, V])}
-}
-
-// get returns the value for key, calling compute on a miss. computed
-// reports whether this call ran compute — the miss the caller counts.
-func (c *onceLRU[K, V]) get(ctx context.Context, key K, compute func() (V, error)) (v V, computed bool, err error) {
-	if v, ok := c.lookup(key); ok {
-		return v, false, nil
-	}
-	call, leader := c.flight.Lead(key)
-	if !leader {
-		v, err = call.Wait(ctx)
-		return v, false, err
-	}
-	if v, ok := c.lookup(key); ok {
-		// Lost the lookup→Lead race against a finishing leader.
-		c.flight.Finish(key, call, v, nil)
-		return v, false, nil
-	}
-	v, err = compute()
-	if err == nil {
-		c.put(key, v)
-	}
-	c.flight.Finish(key, call, v, err)
-	return v, err == nil, err
-}
-
-func (c *onceLRU[K, V]) lookup(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.moveToFront(e)
-	return e.val, true
-}
-
-func (c *onceLRU[K, V]) put(key K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &lruEntry[K, V]{key: key}
-		c.entries[key] = e
-	}
-	e.val = v
-	c.moveToFront(e)
-	if len(c.entries) > c.cap {
-		ev := c.tail
-		c.unlink(ev)
-		delete(c.entries, ev.key)
-	}
-}
-
-func (c *onceLRU[K, V]) moveToFront(e *lruEntry[K, V]) {
-	if c.head == e {
-		return
-	}
-	if e.prev != nil || c.tail == e {
-		c.unlink(e)
-	}
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *onceLRU[K, V]) unlink(e *lruEntry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// Len returns the number of cached entries.
-func (c *onceLRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // simCache is the process-wide simulation cache: calibrated kernels and
 // alternation results, the two products of the cycle-level simulator a
 // measurement needs. Both are fixed by the machine's simulation inputs,
@@ -220,14 +103,14 @@ func (c *onceLRU[K, V]) Len() int {
 // them, as the paper reuses one binary across its campaigns and
 // distances. Entries are immutable once published.
 type simCache struct {
-	kernels *onceLRU[kernelRecipe, *Kernel]
-	alts    *onceLRU[altRecipe, *AlternationResult]
+	kernels *memo.LRU[kernelRecipe, *Kernel]
+	alts    *memo.LRU[altRecipe, *AlternationResult]
 }
 
 func newSimCache(capacity int) *simCache {
 	return &simCache{
-		kernels: newOnceLRU[kernelRecipe, *Kernel](capacity),
-		alts:    newOnceLRU[altRecipe, *AlternationResult](capacity),
+		kernels: memo.New[kernelRecipe, *Kernel](capacity, nil),
+		alts:    memo.New[altRecipe, *AlternationResult](capacity, nil),
 	}
 }
 
@@ -243,18 +126,18 @@ func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, fr
 	sp := mo.kernel.Start()
 	defer sp.End()
 	key := kernelRecipe{sim: simInputs(mc), a: a, b: b, frequency: frequency, stride: SweepOffset}
-	k, computed, err := c.kernels.get(ctx, key, func() (*Kernel, error) {
+	k, how, err := c.kernels.Get(ctx, key, func() (*Kernel, error) {
 		return BuildKernel(mc, a, b, frequency)
 	})
-	countLookup(mo.kernelHits, mo.kernelMisses, computed, err)
+	countLookup(mo.kernelHits, mo.kernelMisses, how, err)
 	if err != nil || chainKey == "" {
 		return k, err
 	}
 	key.chain, key.seed = chainKey, seed
-	k, computed, err = c.kernels.get(ctx, key, func() (*Kernel, error) {
+	k, how, err = c.kernels.Get(ctx, key, func() (*Kernel, error) {
 		return applyProgramCountermeasures(k, chain, seed)
 	})
-	countLookup(mo.kernelHits, mo.kernelMisses, computed, err)
+	countLookup(mo.kernelHits, mo.kernelMisses, how, err)
 	return k, err
 }
 
@@ -266,7 +149,7 @@ func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, fr
 // the program) equals k's.
 func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel, warm, meas int, mo *measureObs) (*AlternationResult, error) {
 	key := altRecipe{kernel: k.contentSum(), sim: simInputs(mc), warm: warm, meas: meas}
-	alt, computed, err := c.alts.get(ctx, key, func() (*AlternationResult, error) {
+	alt, how, err := c.alts.Get(ctx, key, func() (*AlternationResult, error) {
 		hier, err := borrowHier(mc.Mem)
 		if err != nil {
 			return nil, err
@@ -274,15 +157,15 @@ func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel
 		defer returnHier(mc.Mem, hier)
 		return k.alternationHier(mc, warm, meas, hier)
 	})
-	countLookup(mo.altHits, mo.altMisses, computed, err)
+	countLookup(mo.altHits, mo.altMisses, how, err)
 	return alt, err
 }
 
 // countLookup records one cache lookup: a miss when the call computed
 // the entry, a hit when it was served one; failures count as neither.
-func countLookup(hits, misses *obs.Counter, computed bool, err error) {
+func countLookup(hits, misses *obs.Counter, how memo.Outcome, err error) {
 	switch {
-	case computed:
+	case how == memo.Computed && err == nil:
 		misses.Inc()
 	case err == nil:
 		hits.Inc()

@@ -1,12 +1,9 @@
 package savat
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/counter"
 	"repro/internal/machine"
@@ -139,108 +136,6 @@ func TestSimCacheValueIndependent(t *testing.T) {
 		if cold[r] != warm[r] {
 			t.Errorf("rep %d: cold %g, warm %g", r, cold[r], warm[r])
 		}
-	}
-}
-
-// More distinct recipes than the capacity keep the cache at its bound,
-// evicting least-recently-used entries, which a later request
-// recomputes.
-func TestOnceLRUBound(t *testing.T) {
-	const capacity = 4
-	c := newOnceLRU[int, int](capacity)
-	computes := 0
-	get := func(k int) int {
-		t.Helper()
-		v, computed, err := c.get(context.Background(), k, func() (int, error) { return 10 * k, nil })
-		if err != nil || v != 10*k {
-			t.Fatalf("get(%d) = %d, %v", k, v, err)
-		}
-		if computed {
-			computes++
-		}
-		return v
-	}
-	for k := 0; k < 3*capacity; k++ {
-		get(k)
-		get(0) // keep 0 most recent
-		if n := c.Len(); n > capacity {
-			t.Fatalf("after %d recipes Len = %d > capacity %d", k+1, n, capacity)
-		}
-	}
-	if c.Len() != capacity {
-		t.Errorf("Len = %d, want %d", c.Len(), capacity)
-	}
-	if computes != 3*capacity {
-		t.Errorf("%d computations for %d distinct keys", computes, 3*capacity)
-	}
-	before := computes
-	get(0) // recently used: still cached
-	get(1) // evicted long ago: recomputed
-	if computes != before+1 {
-		t.Errorf("computations %d → %d, want exactly one recompute", before, computes)
-	}
-}
-
-// A waiter blocked on another caller's computation returns as soon as
-// its own context is cancelled; waiters with a live context still get
-// the leader's value, and nobody computes twice.
-func TestOnceLRUWaiterHonorsContext(t *testing.T) {
-	c := newOnceLRU[string, int](8)
-	entered, release := make(chan struct{}), make(chan struct{})
-	leader := make(chan error, 1)
-	go func() {
-		_, _, err := c.get(context.Background(), "k", func() (int, error) {
-			close(entered)
-			<-release
-			return 42, nil
-		})
-		leader <- err
-	}()
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancelled := make(chan error, 1)
-	go func() {
-		_, _, err := c.get(ctx, "k", func() (int, error) { return 0, errors.New("waiter computed") })
-		cancelled <- err
-	}()
-	live := make(chan int, 1)
-	go func() {
-		v, _, _ := c.get(context.Background(), "k", func() (int, error) { return 0, errors.New("waiter computed") })
-		live <- v
-	}()
-	cancel()
-	select {
-	case err := <-cancelled:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter did not return while the leader was still computing")
-	}
-	close(release)
-	if err := <-leader; err != nil {
-		t.Fatal(err)
-	}
-	if v := <-live; v != 42 {
-		t.Errorf("live waiter got %d, want the leader's 42", v)
-	}
-}
-
-// Errors reach the callers but are never stored: the next request
-// computes again.
-func TestOnceLRUErrorsNotCached(t *testing.T) {
-	c := newOnceLRU[int, int](8)
-	boom := errors.New("boom")
-	if _, computed, err := c.get(context.Background(), 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) || computed {
-		t.Fatalf("failing compute: computed=%v err=%v", computed, err)
-	}
-	if c.Len() != 0 {
-		t.Errorf("failed entry stored: Len = %d", c.Len())
-	}
-	v, computed, err := c.get(context.Background(), 1, func() (int, error) { return 7, nil })
-	if err != nil || !computed || v != 7 {
-		t.Errorf("retry after failure: v=%d computed=%v err=%v", v, computed, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package savat
 import (
 	"context"
 
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/specan"
 )
@@ -25,13 +26,13 @@ var (
 // reuses its products, and each repetition's noise capture is analyzed
 // once for the whole matrix.
 //
-// A SynthCache is an onceLRU: safe for concurrent use, and each key is
+// A SynthCache is a memo.LRU: safe for concurrent use, and each key is
 // computed exactly once across concurrent callers — the rest wait for
 // the leader's result under their own context. Published products are
 // immutable and shared read-only; eviction is safe because live
 // references keep the backing arrays alive.
 type SynthCache struct {
-	lru *onceLRU[productKey, synthProduct]
+	lru *memo.LRU[productKey, synthProduct]
 }
 
 // productKey identifies one synthesis product: the (mc, cfg)-fixed
@@ -61,18 +62,17 @@ func NewSynthCache(capacity int) *SynthCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &SynthCache{lru: newOnceLRU[productKey, synthProduct](capacity)}
+	return &SynthCache{lru: memo.New[productKey, synthProduct](capacity, nil)}
 }
 
 // get returns the product for key, computing it at most once across
 // concurrent callers; ctx bounds only the wait for another caller's
 // computation. compute must return buffers the cache may own — never
 // scratch-aliased ones. A failed computation is shared with the
-// callers already waiting and not stored: compute is a deterministic
-// function of its key, so a retry could only fail the same way.
+// callers already waiting and not stored (see memo.LRU).
 func (c *SynthCache) get(ctx context.Context, key productKey, compute func() (synthProduct, error)) (synthProduct, error) {
-	p, computed, err := c.lru.get(ctx, key, compute)
-	countLookup(mSynthHits, mSynthMisses, computed, err)
+	p, how, err := c.lru.Get(ctx, key, compute)
+	countLookup(mSynthHits, mSynthMisses, how, err)
 	return p, err
 }
 

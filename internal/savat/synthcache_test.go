@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/obs"
 )
@@ -23,16 +24,23 @@ func TestSynthCacheLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// has reports a hit; a miss computes an error, which is not stored.
+	has := func(key string) bool {
+		_, how, _ := c.lru.Get(context.Background(), nk(key), func() (synthProduct, error) {
+			return synthProduct{}, errors.New("not cached")
+		})
+		return how == memo.Hit
+	}
 	mk("a", 1)
 	mk("b", 2)
-	if _, ok := c.lru.lookup(nk("a")); !ok { // refresh a: b becomes LRU
+	if !has("a") { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
 	mk("c", 3) // evicts b
-	if _, ok := c.lru.lookup(nk("b")); ok {
+	if has("b") {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.lru.lookup(nk("a")); !ok {
+	if !has("a") {
 		t.Error("a should have survived (recently used)")
 	}
 	if got := c.Len(); got != 2 {

@@ -112,7 +112,6 @@ func (s *Server) runJob(ctx context.Context, j *job, monitor chan<- engine.Progr
 	res, err := savat.RunSpecContext(ctx, j.spec, savat.CampaignOptions{
 		Parallelism: s.opts.Parallelism,
 		Cache:       s.cache,
-		Flight:      s.flight,
 		Monitor:     monitor,
 	})
 	// The campaign closed the monitor; wait for the relay to drain it so

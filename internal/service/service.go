@@ -1,9 +1,9 @@
 // Package service runs measurement campaigns as long-lived jobs behind
 // an HTTP JSON API (cmd/savatd). A Server owns one content-addressed
-// result cache and one in-flight deduplication table shared by every
-// campaign it runs, so concurrent submissions that overlap — identical
-// campaigns, or campaigns sharing cells — compute each distinct cell
-// exactly once between them. Jobs are queued with per-tenant fair
+// result cache shared by every campaign it runs; the cache deduplicates
+// cells in flight too, so concurrent submissions that overlap —
+// identical campaigns, or campaigns sharing cells — compute each
+// distinct cell exactly once between them. Jobs are queued with per-tenant fair
 // scheduling, and stream typed progress events while they run. Every
 // finished cell lands in the shared cache under its content key, so a
 // cancelled campaign resumes where it stopped when the same spec is
@@ -125,9 +125,8 @@ type job struct {
 // Server runs campaign jobs. Create one with New, serve its API with
 // Handler, and Close it to shut down.
 type Server struct {
-	opts   Options
-	cache  *engine.Cache
-	flight *engine.Flight
+	opts  Options
+	cache *engine.Cache
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -160,10 +159,9 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	return &Server{
-		opts:   opts,
-		cache:  cache,
-		flight: engine.NewFlight(),
-		jobs:   make(map[string]*job),
+		opts:  opts,
+		cache: cache,
+		jobs:  make(map[string]*job),
 	}, nil
 }
 
@@ -180,8 +178,8 @@ type SubmitOptions struct {
 
 // Submit validates the spec, enqueues a job for it, and returns the
 // job's snapshot. Identical specs submitted concurrently each get their
-// own job; the shared cache and in-flight deduplication make their
-// overlap cost one campaign's compute.
+// own job; the shared cache, which deduplicates cells in flight, makes
+// their overlap cost one campaign's compute.
 func (s *Server) Submit(spec savat.CampaignSpec, opts SubmitOptions) (Job, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
