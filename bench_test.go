@@ -52,15 +52,12 @@ func benchMatrix(b *testing.B, id string) (*savat.MatrixStats, paperdata.Experim
 	if got, ok := matrixCache[id]; ok {
 		return got, exp
 	}
-	mc, err := machine.ConfigByName(exp.Machine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := savat.FastConfig()
-	cfg.Distance = exp.Distance
-	opts := savat.DefaultCampaignOptions()
-	opts.Repeats = benchRepeats
-	res, err := savat.RunCampaign(mc, cfg, opts)
+	spec := savat.DefaultCampaignSpec()
+	spec.Machine = exp.Machine
+	spec.Config = savat.FastConfig()
+	spec.Config.Distance = exp.Distance
+	spec.Repeats = benchRepeats
+	res, err := runSpec(spec, savat.CampaignOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,9 +407,26 @@ func measureCoherent(b *testing.B, mc machine.Config, a, ev savat.Event, cfg sav
 		HalfSeconds: alt.HalfSeconds,
 	}
 	n := int(cfg.Duration * cfg.SampleRate)
-	x, err := rad.Synthesize(spec, cfg.SampleRate, n, cfg.Jitter, rng)
+	amps, err := rad.PhaseAmplitudes(spec, cfg.SampleRate)
 	if err != nil {
 		b.Fatal(err)
+	}
+	env, err := emsim.SynthesizeEnvelopes(spec, cfg.SampleRate, n, cfg.Jitter, rng, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The coherent scalar sum: every radiating group's stream, added
+	// sample by sample in group order.
+	x := make([]complex128, n)
+	for g := range amps {
+		a0, b0 := amps[g][0], amps[g][1]
+		if a0 == 0 && b0 == 0 {
+			continue
+		}
+		for m := range x {
+			v := a0*complex(env.A[m], 0) + b0*complex(env.B[m], 0)
+			x[m] += v
+		}
 	}
 	if err := cfg.Environment.Apply(x, cfg.SampleRate, rng); err != nil {
 		b.Fatal(err)
@@ -421,7 +435,7 @@ func measureCoherent(b *testing.B, mc machine.Config, a, ev savat.Event, cfg sav
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := an.Analyze(x, cfg.SampleRate)
+	tr, err := an.AnalyzeIncoherent([][]complex128{x}, cfg.SampleRate)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -657,16 +671,14 @@ func BenchmarkCampaignStoreBacked(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cache.Close()
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	cfg.Duration = 1.0 / 32
-	opts := savat.CampaignOptions{
+	spec := savat.CampaignSpec{
+		Machine: "Core2Duo", Config: savat.FastConfig(),
 		Events:  []savat.Event{savat.ADD, savat.LDM, savat.DIV, savat.NOI},
 		Repeats: 2, Seed: 3,
-		Cache: cache,
 	}
+	spec.Config.Duration = 1.0 / 32
 	for i := 0; i < b.N; i++ {
-		res, err := savat.RunCampaign(mc, cfg, opts)
+		res, err := runSpec(spec, savat.CampaignOptions{Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

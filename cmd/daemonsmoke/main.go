@@ -9,7 +9,7 @@
 //     cells > 0),
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
-//     direct in-process savat.RunSpec of the same spec,
+//     direct in-process savat.RunSpecContext of the same spec,
 //  5. SIGKILL the daemon mid-campaign, restart it on the same state
 //     directory, and watch the resubmitted campaign resume from the
 //     durable cell store (a SIGKILL skips every shutdown path, so each
@@ -26,6 +26,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -149,7 +150,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+second.ID+"/result", &served); err != nil {
 		return err
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
 	if err != nil {
 		return err
 	}
@@ -213,7 +214,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+resumed.ID+"/result", &served2); err != nil {
 		return err
 	}
-	direct2, err := savat.RunSpec(spec2, savat.CampaignOptions{})
+	direct2, err := savat.RunSpecContext(context.Background(), spec2, savat.CampaignOptions{})
 	if err != nil {
 		return err
 	}
@@ -275,7 +276,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+pr.ID+"/result", &served3); err != nil {
 		return err
 	}
-	direct3, err := savat.RunSpec(spec3, savat.CampaignOptions{})
+	direct3, err := savat.RunSpecContext(context.Background(), spec3, savat.CampaignOptions{})
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,7 @@ func main() {
 	}
 
 	// Fetch alice's finished matrix; equal specs would give
-	// bit-identical results from a direct savat.RunSpec.
+	// bit-identical results from a direct savat.RunSpecContext.
 	res, err := srv.Result(jobA.ID)
 	if err != nil {
 		log.Fatal(err)

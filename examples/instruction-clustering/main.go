@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,19 +19,15 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/savat"
 )
 
 func main() {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-
-	opts := savat.DefaultCampaignOptions()
-	opts.Repeats = 2
+	spec := savat.DefaultCampaignSpec()
+	spec.Config = savat.FastConfig()
+	spec.Repeats = 2
 	ch := make(chan engine.ProgressEvent, 64)
-	opts.Monitor = ch
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -40,7 +37,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}()
-	res, err := savat.RunCampaign(mc, cfg, opts)
+	res, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		log.Fatal(err)

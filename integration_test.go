@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,23 +35,25 @@ func TestIntegrationQuickstart(t *testing.T) {
 	}
 }
 
+// runSpec runs a test campaign through savat.RunSpecContext with a
+// background context.
+func runSpec(spec savat.CampaignSpec, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
+	return savat.RunSpecContext(context.Background(), spec, rt)
+}
+
 // Campaign results must not depend on scheduling: running the same
 // campaign with different parallelism gives identical matrices.
 func TestIntegrationCampaignSchedulingIndependence(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	opts := savat.CampaignOptions{
+	spec := savat.CampaignSpec{
+		Machine: "Core2Duo", Config: savat.FastConfig(),
 		Events:  []savat.Event{savat.ADD, savat.LDM, savat.DIV},
-		Repeats: 2,
-		Seed:    3,
+		Repeats: 2, Seed: 3,
 	}
-	opts.Parallelism = 1
-	seq, err := savat.RunCampaign(mc, cfg, opts)
+	seq, err := runSpec(spec, savat.CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallelism = 4
-	par, err := savat.RunCampaign(mc, cfg, opts)
+	par, err := runSpec(spec, savat.CampaignOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +73,11 @@ func TestIntegrationFigure9Orderings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity orderings take ~10 s")
 	}
-	mc := machine.Core2Duo()
-	cfg := savat.DefaultConfig()
 	events := []savat.Event{savat.LDM, savat.STL2, savat.LDL2, savat.ADD, savat.DIV}
-	res, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
+	res, err := runSpec(savat.CampaignSpec{
+		Machine: "Core2Duo", Config: savat.DefaultConfig(),
 		Events: events, Repeats: 3, Seed: 1,
-	})
+	}, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +143,7 @@ func TestIntegrationMeasuredMatrixClusters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 11×11 fast-path campaign takes ~1.5 s")
 	}
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	res, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{Repeats: 1, Seed: 1})
+	res, err := runSpec(savat.CampaignSpec{Machine: "Core2Duo", Config: savat.FastConfig(), Repeats: 1, Seed: 1}, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

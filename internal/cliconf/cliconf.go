@@ -24,8 +24,9 @@ import (
 
 // Sentinel validation errors; test with errors.Is. The setup sentinels
 // are aliases of the savat package's — flag validation delegates to
-// savat.Validate, so a bad -distance fails with the same identity at
-// the CLI, the campaign runner, and the measurement pipeline.
+// savat.CampaignSpec.Validate, so a bad -distance fails with the same
+// identity at the CLI, the campaign runner, and the measurement
+// pipeline.
 var (
 	// ErrUnknownMachine reports a -machine that is not a case-study system.
 	ErrUnknownMachine = savat.ErrUnknownMachine

@@ -252,7 +252,7 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 // ReferenceMatrix measures the full pairwise matrix for events through
 // the reference pipeline (savat.WithReference) — the readable specification —
 // with the same per-cell seeding as a campaign, so the result is
-// directly comparable to savat.RunCampaign's mean matrix at Repeats 1.
+// directly comparable to savat.RunSpecContext's mean matrix at Repeats 1.
 func ReferenceMatrix(mc machine.Config, cfg savat.Config, events []savat.Event, seed int64) (*savat.Matrix, error) {
 	m := savat.NewMatrix(events)
 	for i, a := range events {

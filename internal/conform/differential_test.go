@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/engine"
-	"repro/internal/machine"
 	"repro/internal/savat"
 )
 
@@ -95,19 +94,16 @@ func TestGenDiffSpecsDeterministic(t *testing.T) {
 // identical to an uninterrupted run. The package's -race CI job makes
 // this a data race detector for the engine/campaign seam as well.
 func TestCampaignCancelResumeStoreBacked(t *testing.T) {
-	mc := machine.Core2Duo()
 	cfg := savat.FastConfig()
 	cfg.Duration = 1.0 / 32
 	events := []savat.Event{savat.LDM, savat.STM, savat.NOI, savat.ADD}
-	opts := func(cache *engine.Cache) savat.CampaignOptions {
-		return savat.CampaignOptions{
-			Events: events, Repeats: 3, Seed: 9,
-			Parallelism: 4,
-			Cache:       cache,
-		}
+	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 3, Seed: 9}
+	run := func(ctx context.Context, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
+		rt.Parallelism = 4
+		return savat.RunSpecContext(ctx, spec, rt)
 	}
 
-	clean, err := savat.RunCampaign(mc, cfg, opts(nil))
+	clean, err := run(context.Background(), savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +128,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		}
 		done <- n
 	}()
-	o := opts(cache)
-	o.Monitor = monitor
-	_, err = savat.RunCampaignContext(ctx, mc, cfg, o)
+	_, err = run(ctx, savat.CampaignOptions{Cache: cache, Monitor: monitor})
 	seen := <-done
 	cancel()
 	if err == nil {
@@ -153,7 +147,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		t.Fatalf("reopening cache dir: %v", err)
 	}
 	defer resumed.Close()
-	res, err := savat.RunCampaign(mc, cfg, opts(resumed))
+	res, err := run(context.Background(), savat.CampaignOptions{Cache: resumed})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -29,9 +29,7 @@ func goldenEvents() []savat.Event {
 }
 
 var goldenMeasured = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return savat.RunCampaign(machine.Core2Duo(), savat.FastConfig(), savat.CampaignOptions{
-		Events: goldenEvents(), Repeats: 1, Seed: goldenSeed,
-	})
+	return runCampaign(savat.FastConfig(), goldenEvents(), goldenSeed, savat.CampaignOptions{})
 })
 
 func goldenPath(name string) string {

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -139,13 +140,14 @@ func relSpread(xs []float64) float64 {
 	return (max - min) / mean
 }
 
-// VerifyPermutationInvariance runs the same campaign twice with the
-// event list in two different orders and demands exactly equal
+// VerifyPermutationInvariance runs the campaign spec twice, with its
+// grid events in two different orders, and demands exactly equal
 // per-pair energies: campaign cells are seeded by event identity, not
 // matrix position, so the measured physics must not depend on where a
 // pair happens to sit (the matrix analogue of the paper placing
 // identical instructions at different program addresses).
-func VerifyPermutationInvariance(mc machine.Config, cfg savat.Config, events []savat.Event, repeats int, seed int64) (*Report, error) {
+func VerifyPermutationInvariance(spec savat.CampaignSpec) (*Report, error) {
+	events := spec.GridEvents()
 	if len(events) < 2 {
 		return nil, fmt.Errorf("conform: permutation check needs ≥2 events, have %d", len(events))
 	}
@@ -154,9 +156,9 @@ func VerifyPermutationInvariance(mc machine.Config, cfg savat.Config, events []s
 		perm[(i+1)%len(events)] = e
 	}
 	run := func(evs []savat.Event) (*savat.MatrixStats, error) {
-		return savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-			Events: evs, Repeats: repeats, Seed: seed,
-		})
+		s := spec
+		s.Events = evs
+		return savat.RunSpecContext(context.Background(), s, savat.CampaignOptions{})
 	}
 	base, err := run(events)
 	if err != nil {

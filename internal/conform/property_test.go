@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -14,10 +15,15 @@ import (
 const propertySeed = 1
 
 var fastMatrix = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return savat.RunCampaign(machine.Core2Duo(), savat.FastConfig(), savat.CampaignOptions{
-		Events: savat.Events(), Repeats: 1, Seed: propertySeed,
-	})
+	return runCampaign(savat.FastConfig(), savat.Events(), propertySeed, savat.CampaignOptions{})
 })
+
+// runCampaign runs a one-repetition test campaign of events on the
+// Core 2 Duo through savat.RunSpecContext.
+func runCampaign(cfg savat.Config, events []savat.Event, seed int64, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
+	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 1, Seed: seed}
+	return savat.RunSpecContext(context.Background(), spec, rt)
+}
 
 var referenceMatrix = sync.OnceValues(func() (*savat.Matrix, error) {
 	return ReferenceMatrix(machine.Core2Duo(), savat.FastConfig(), savat.Events(), propertySeed)
@@ -111,7 +117,9 @@ func TestLoopCountScalingRejectsShortSweep(t *testing.T) {
 
 func TestPermutationInvariance(t *testing.T) {
 	events := []savat.Event{savat.NOI, savat.ADD, savat.MUL, savat.LDM, savat.STM}
-	r, err := VerifyPermutationInvariance(machine.Core2Duo(), savat.FastConfig(), events, 1, propertySeed)
+	r, err := VerifyPermutationInvariance(savat.CampaignSpec{
+		Machine: "Core2Duo", Config: savat.FastConfig(), Events: events, Repeats: 1, Seed: propertySeed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +147,7 @@ func TestChannelMatrices(t *testing.T) {
 		if name != "em" {
 			cfg.Environment = ch.Environment()
 		}
-		st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
-			Events: events, Repeats: 1, Seed: propertySeed,
-		})
+		st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
 		if err != nil {
 			t.Fatalf("channel %s: %v", name, err)
 		}
@@ -172,9 +178,7 @@ func TestDistanceFlatConducted(t *testing.T) {
 			cfg.Channel = name
 			cfg.Environment = ch.Environment()
 			cfg.Distance = d
-			st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
-				Events: events, Repeats: 1, Seed: propertySeed,
-			})
+			st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
 			if err != nil {
 				t.Fatalf("channel %s at %g m: %v", name, d, err)
 			}
@@ -198,9 +202,7 @@ func TestDistanceDecayMeasured(t *testing.T) {
 	for _, d := range distances {
 		cfg := savat.FastConfig()
 		cfg.Distance = d
-		st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
-			Events: events, Repeats: 1, Seed: propertySeed,
-		})
+		st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

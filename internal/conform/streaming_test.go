@@ -1,9 +1,9 @@
 package conform
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/savat"
 	"repro/internal/workpool"
 )
@@ -17,24 +17,20 @@ import (
 // this doubles as the data-race check on the segment pool inside the
 // campaign engine.
 func TestStreamingParallelCampaign(t *testing.T) {
-	mc := machine.Core2Duo()
 	cfg := savat.DefaultConfig()
 	cfg.Duration = 1.0 / 16
 	cfg.Analyzer.RBW = 50 // several Welch segments per capture
 	events := []savat.Event{savat.ADD, savat.LDM, savat.DIV}
+	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 2, Seed: 5}
 
-	parallel, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-		Events: events, Repeats: 2, Seed: 5,
+	parallel, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{
 		Parallelism:  3,
 		AnalyzerPool: workpool.New(3),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-		Events: events, Repeats: 2, Seed: 5,
-		Parallelism: 1,
-	})
+	sequential, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,24 @@ import (
 	"testing"
 )
 
-// ForwardBatch's stage-outer sweep must be invisible in the values:
-// every array of a batch comes out bit-identical to Forward on that
-// array alone, at every length parity (odd stage counts lead with a
-// radix-2 pass) and batch size (including empty and single).
-func TestForwardBatchMatchesForward(t *testing.T) {
+// bitReverseAll puts every array into the bit-reversed order
+// butterfliesBatch expects, as Forward does before its passes.
+func bitReverseAll(p *Plan, xs [][]complex128) {
+	for _, x := range xs {
+		for i, pi := range p.perm {
+			if j := int(pi); j > i {
+				x[i], x[j] = x[j], x[i]
+			}
+		}
+	}
+}
+
+// butterfliesBatch's stage-outer sweep (the one SlotRing.flush runs)
+// must be invisible in the values: every array of a batch comes out
+// bit-identical to Forward on that array alone, at every length parity
+// (odd stage counts lead with a radix-2 pass) and batch size (including
+// empty and single).
+func TestButterfliesBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{2, 8, 64, 128, 1024} {
 		p, err := NewPlan(n)
@@ -29,9 +42,8 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := p.ForwardBatch(xs); err != nil {
-				t.Fatal(err)
-			}
+			bitReverseAll(p, xs)
+			p.butterfliesBatch(xs)
 			for i := range xs {
 				for j := range xs[i] {
 					if xs[i][j] != want[i][j] {
@@ -44,21 +56,11 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	}
 }
 
-func TestForwardBatchErrors(t *testing.T) {
-	p, err := NewPlan(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := [][]complex128{make([]complex128, 8), make([]complex128, 4)}
-	if err := p.ForwardBatch(xs); err == nil {
-		t.Error("length mismatch inside a batch should fail")
-	}
-}
-
 // The batched sweep exists to keep one stage's twiddle table hot across
 // transforms; this benchmark measures it against the transform-at-a-time
-// loop it replaces on a Welch-segment-shaped workload.
-func BenchmarkForwardBatch(b *testing.B) {
+// loop it replaces on a Welch-segment-shaped workload. Both variants
+// include the bit-reversal permutation.
+func BenchmarkButterfliesBatch(b *testing.B) {
 	const n, batch = 1 << 12, 4
 	p, err := NewPlan(n)
 	if err != nil {
@@ -76,9 +78,8 @@ func BenchmarkForwardBatch(b *testing.B) {
 		b.SetBytes(int64(batch * n * 16))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := p.ForwardBatch(xs); err != nil {
-				b.Fatal(err)
-			}
+			bitReverseAll(p, xs)
+			p.butterfliesBatch(xs)
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {

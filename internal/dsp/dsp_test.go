@@ -23,9 +23,6 @@ func TestFFTErrors(t *testing.T) {
 	if err := FFT(nil); err == nil {
 		t.Error("empty FFT should fail")
 	}
-	if err := IFFT(make([]complex128, 5)); err == nil {
-		t.Error("IFFT with bad length should fail")
-	}
 }
 
 func TestFFTImpulse(t *testing.T) {
@@ -102,7 +99,7 @@ func TestFFTLinearity(t *testing.T) {
 	}
 }
 
-// Property: IFFT(FFT(x)) == x.
+// Property: Inverse(FFT(x)) == x.
 func TestFFTRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -115,7 +112,11 @@ func TestFFTRoundTripQuick(t *testing.T) {
 		if err := FFT(y); err != nil {
 			return false
 		}
-		if err := IFFT(y); err != nil {
+		p, err := PlanFor(n)
+		if err != nil {
+			return false
+		}
+		if err := p.Inverse(y); err != nil {
 			return false
 		}
 		for i := range x {
@@ -156,58 +157,12 @@ func TestParsevalQuick(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 256
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	fx := append([]complex128(nil), x...)
-	if err := FFT(fx); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 1, 17, 128, 255} {
-		g := Goertzel(x, float64(k)/n)
-		if cmplx.Abs(g-fx[k]) > 1e-8 {
-			t.Errorf("Goertzel bin %d = %v, FFT = %v", k, g, fx[k])
-		}
-	}
-}
-
-func TestGoertzelOffBin(t *testing.T) {
-	const n = 1024
-	f := 0.123456
-	x := tone(n, f, 3.0, 1.1)
-	g := Goertzel(x, f)
-	if math.Abs(cmplx.Abs(g)-3*n) > 1e-6*n {
-		t.Errorf("off-bin Goertzel magnitude = %v, want %v", cmplx.Abs(g), 3.0*n)
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024}
 	for in, want := range cases {
 		if got := NextPow2(in); got != want {
 			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
 		}
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []complex128{1, 3, 5, 7, 9, 11}
-	y, err := Decimate(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []complex128{2, 6, 10}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("decimated[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-	if _, err := Decimate(x, 0); err == nil {
-		t.Error("zero factor should fail")
 	}
 }
 
@@ -426,64 +381,5 @@ func BenchmarkFFT64k(b *testing.B) {
 		if err := FFT(buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSTFTErrors(t *testing.T) {
-	x := make([]complex128, 64)
-	if _, err := ComputeSTFT(x, 1e3, 48, Hann); err == nil {
-		t.Error("non-power-of-two frame should fail")
-	}
-	if _, err := ComputeSTFT(x, 1e3, 128, Hann); err == nil {
-		t.Error("too-short input should fail")
-	}
-	s, err := ComputeSTFT(x, 1e3, 32, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Spectrum(-1); err == nil {
-		t.Error("negative frame should fail")
-	}
-	if _, err := s.Spectrum(len(s.Frames)); err == nil {
-		t.Error("out-of-range frame should fail")
-	}
-}
-
-// A chirped tone's STFT peak track follows the frequency ramp.
-func TestSTFTTracksChirp(t *testing.T) {
-	fs := float64(1 << 14)
-	n := 1 << 14 // 1 second
-	x := make([]complex128, n)
-	f0, f1 := 1000.0, 2000.0
-	phase := 0.0
-	for i := range x {
-		f := f0 + (f1-f0)*float64(i)/float64(n)
-		phase += 2 * math.Pi * f / fs
-		x[i] = cmplx.Rect(1, phase)
-	}
-	s, err := ComputeSTFT(x, fs, 1024, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	track, err := s.PeakTrack(500, 2500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(track) < 10 {
-		t.Fatalf("only %d frames", len(track))
-	}
-	first, last := track[0], track[len(track)-1]
-	if first > 1200 || last < 1800 {
-		t.Errorf("chirp track %v..%v, want ≈1000→2000", first, last)
-	}
-	// Monotone within tolerance.
-	for i := 1; i < len(track); i++ {
-		if track[i] < track[i-1]-2*s.SampleRate/float64(s.FrameLen) {
-			t.Fatalf("track not increasing at frame %d: %v after %v", i, track[i], track[i-1])
-		}
-	}
-	// Frame times advance by hop/fs.
-	if dt := s.FrameTime(1) - s.FrameTime(0); math.Abs(dt-512/fs) > 1e-12 {
-		t.Errorf("frame spacing %v", dt)
 	}
 }

@@ -1,18 +1,14 @@
 // Package dsp provides the signal-processing primitives the simulated
-// spectrum analyzer is built from: a radix-2 FFT, window functions,
-// periodogram and Welch power-spectral-density estimation, a Goertzel
-// single-bin DFT, band-power integration, and decimation.
+// spectrum analyzer is built from: a planned radix-2/4 FFT, window
+// functions, periodogram and Welch power-spectral-density estimation,
+// segment feeds that stream Welch accumulation, and band-power
+// integration.
 //
 // Conventions: signals are complex baseband samples; PSDs are one-sided in
 // W/Hz against a 1 Ω reference (|x|² is watts), with frequencies in Hz.
 package dsp
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-	"math/cmplx"
-)
+import "math/bits"
 
 // FFT computes the in-place forward discrete Fourier transform of x.
 // len(x) must be a power of two. It runs on the process-wide shared
@@ -26,75 +22,10 @@ func FFT(x []complex128) error {
 	return p.Forward(x)
 }
 
-// IFFT computes the in-place inverse DFT of x (normalized by 1/N).
-// len(x) must be a power of two.
-func IFFT(x []complex128) error {
-	p, err := PlanFor(len(x))
-	if err != nil {
-		return err
-	}
-	return p.Inverse(x)
-}
-
-// goertzelRenorm is the number of samples between exact recomputations
-// of the Goertzel rotation phasor. The `rot *= w` recurrence loses
-// roughly one ulp per step; resetting the phasor from the true angle
-// every block keeps the worst-case phase error bounded by ~1024 ulps
-// regardless of capture length.
-const goertzelRenorm = 1024
-
-// Goertzel evaluates the DFT of x at a single (possibly non-bin)
-// normalized frequency f/fs and returns the complex projection X(f)
-// (no 1/N normalization, matching FFT output scaling).
-func Goertzel(x []complex128, freqNorm float64) complex128 {
-	// Complex-input Goertzel via direct recurrence on the rotated sum.
-	w := cmplx.Exp(complex(0, -2*math.Pi*freqNorm))
-	var acc complex128
-	for base := 0; base < len(x); base += goertzelRenorm {
-		end := base + goertzelRenorm
-		if end > len(x) {
-			end = len(x)
-		}
-		// Exact start-of-block phasor: the phase is reduced mod 1 turn
-		// before scaling by 2π so large sample indices don't cost
-		// precision in the multiplication.
-		rot := cmplx.Exp(complex(0, -2*math.Pi*math.Mod(freqNorm*float64(base), 1)))
-		for _, v := range x[base:end] {
-			acc += v * rot
-			rot *= w
-		}
-	}
-	return acc
-}
-
 // NextPow2 returns the smallest power of two ≥ n (n ≥ 1).
 func NextPow2(n int) int {
 	if n <= 1 {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// Decimate returns every factor-th sample of x after block averaging
-// (a crude anti-alias filter adequate for the envelope signals here).
-// A final partial block is averaged over the samples it actually has,
-// so no tail samples are dropped when len(x) is not a multiple of
-// factor.
-func Decimate(x []complex128, factor int) ([]complex128, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("dsp: decimation factor %d", factor)
-	}
-	out := make([]complex128, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		end := i + factor
-		if end > len(x) {
-			end = len(x)
-		}
-		var s complex128
-		for j := i; j < end; j++ {
-			s += x[j]
-		}
-		out = append(out, s/complex(float64(end-i), 0))
-	}
-	return out, nil
 }

@@ -88,7 +88,11 @@ func (p *Plan) Len() int { return p.n }
 // Forward computes the in-place forward DFT of x; len(x) must equal the
 // plan length.
 func (p *Plan) Forward(x []complex128) error {
-	return p.transform(x, false)
+	if len(x) != p.n {
+		return fmt.Errorf("dsp: plan length %d, input length %d", p.n, len(x))
+	}
+	p.forward(x)
+	return nil
 }
 
 // Inverse computes the in-place inverse DFT of x (normalized by 1/N);
@@ -106,17 +110,6 @@ func (p *Plan) Inverse(x []complex128) error {
 	for i := range x {
 		x[i] = complex(real(x[i])*inv, -imag(x[i])*inv)
 	}
-	return nil
-}
-
-func (p *Plan) transform(x []complex128, inverse bool) error {
-	if len(x) != p.n {
-		return fmt.Errorf("dsp: plan length %d, input length %d", p.n, len(x))
-	}
-	if inverse {
-		return p.Inverse(x)
-	}
-	p.forward(x)
 	return nil
 }
 
@@ -181,27 +174,6 @@ func (p *Plan) butterfliesBatch(xs [][]complex128) {
 			radix4Stage(x, st, h)
 		}
 	}
-}
-
-// ForwardBatch computes the in-place forward DFT of every array in xs
-// through one stage-outer sweep (see butterfliesBatch). Each result is
-// bit-identical to Forward on that array alone; every array must have
-// the plan's length.
-func (p *Plan) ForwardBatch(xs [][]complex128) error {
-	for _, x := range xs {
-		if len(x) != p.n {
-			return fmt.Errorf("dsp: plan length %d, input length %d", p.n, len(x))
-		}
-	}
-	for _, x := range xs {
-		for i, pi := range p.perm {
-			if j := int(pi); j > i {
-				x[i], x[j] = x[j], x[i]
-			}
-		}
-	}
-	p.butterfliesBatch(xs)
-	return nil
 }
 
 var planCache sync.Map // int -> *Plan

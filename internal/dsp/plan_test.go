@@ -120,56 +120,6 @@ func TestPlanLongTransformAccuracy(t *testing.T) {
 	}
 }
 
-// Goertzel must hold DFT-level accuracy on captures far longer than the
-// phasor renormalization block, where the plain rot *= w recurrence
-// visibly drifts.
-func TestGoertzelLongInputAccuracy(t *testing.T) {
-	const n = 1 << 18
-	freqNorm := 0.1234567891
-	rng := rand.New(rand.NewSource(13))
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	// Direct DFT at the single frequency with per-sample exact phasors.
-	var want complex128
-	for i, v := range x {
-		ph := -2 * math.Pi * math.Mod(freqNorm*float64(i), 1)
-		s, c := math.Sincos(ph)
-		want += v * complex(c, s)
-	}
-	got := Goertzel(x, freqNorm)
-	if d := cmplx.Abs(got-want) / cmplx.Abs(want); d > 1e-10 {
-		t.Errorf("long-input Goertzel relative error %g, want ≤1e-10", d)
-	}
-}
-
-func TestDecimatePartialTail(t *testing.T) {
-	x := []complex128{2, 4, 6, 8, 10, 12, 14}
-	y, err := Decimate(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two full blocks and one partial: mean(2,4,6), mean(8,10,12), mean(14).
-	want := []complex128{4, 10, 14}
-	if len(y) != len(want) {
-		t.Fatalf("decimated length %d, want %d", len(y), len(want))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("decimated[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-	// Factor larger than the input: one partial block, the plain mean.
-	y, err = Decimate(x[:2], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(y) != 1 || y[0] != 3 {
-		t.Errorf("oversized-factor decimation = %v, want [3]", y)
-	}
-}
-
 func TestWelchScratchMatchesWelch(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const n = 1 << 13

@@ -418,8 +418,7 @@ type Envelopes struct {
 //
 // dst, when non-nil, provides buffers to reuse (grown as needed) and is
 // also the return value; pass nil to allocate fresh envelopes. The rng
-// draws are exactly those of a SynthesizeGroups call with at least one
-// active group: the two initial fluctuation values, the edge phase, and
+// draws are the two initial fluctuation values, the edge phase, and
 // the per-period walk and fluctuation steps. It is one full-length
 // drain of an EnvelopeStream, so buffered and streaming synthesis are
 // bit-identical by construction.
@@ -437,82 +436,4 @@ func SynthesizeEnvelopes(alt Alternation, fs float64, n int, jit Jitter, rng *ra
 		return nil, err
 	}
 	return dst, nil
-}
-
-// SynthesizeGroups renders n complex baseband samples at rate fs for each
-// coherence group, sharing one jittered alternation timeline (the groups
-// radiate from the same loop execution). Groups with no signal at all are
-// returned as nil slices. It is a thin linear combination over the two
-// shared envelope streams (see SynthesizeEnvelopes); the measurement
-// fast path skips the per-group time-domain streams entirely and
-// combines the envelope FFTs in the frequency domain instead.
-func (r *Radiator) SynthesizeGroups(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) ([NumGroups][]complex128, error) {
-	var out [NumGroups][]complex128
-	if err := alt.Validate(); err != nil {
-		return out, err
-	}
-	if fs <= 0 || n <= 0 {
-		return out, fmt.Errorf("emsim: bad synthesis parameters fs=%v n=%d", fs, n)
-	}
-	amps, err := r.PhaseAmplitudes(alt, fs)
-	if err != nil {
-		return out, err
-	}
-	active := 0
-	for g := 0; g < NumGroups; g++ {
-		if amps[g][0] != 0 || amps[g][1] != 0 {
-			out[g] = make([]complex128, n)
-			active++
-		}
-	}
-	if active == 0 {
-		return out, nil
-	}
-	env, err := SynthesizeEnvelopes(alt, fs, n, jit, rng, nil)
-	if err != nil {
-		return out, err
-	}
-	for g := 0; g < NumGroups; g++ {
-		if out[g] == nil {
-			continue
-		}
-		a, b := amps[g][0], amps[g][1]
-		for m := range out[g] {
-			out[g][m] = a*complex(env.A[m], 0) + b*complex(env.B[m], 0)
-		}
-	}
-	return out, nil
-}
-
-// Synthesize renders the coherent sum of all groups into one stream —
-// used by the coherent-combining ablation and by tests; the measurement
-// pipeline uses SynthesizeGroups and combines group powers instead.
-func (r *Radiator) Synthesize(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) ([]complex128, error) {
-	groups, err := r.SynthesizeGroups(alt, fs, n, jit, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, n)
-	for g := range groups {
-		if groups[g] == nil {
-			continue
-		}
-		for i, v := range groups[g] {
-			out[i] += v
-		}
-	}
-	return out, nil
-}
-
-// MeanPower returns the mean of |x|² — total signal power in watts.
-func MeanPower(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		re, im := real(v), imag(v)
-		s += re*re + im*im
-	}
-	return s / float64(len(x))
 }

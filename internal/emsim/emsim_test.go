@@ -285,23 +285,51 @@ func altFor(test *testing.T, rateA, rateB float64) Alternation {
 	return a
 }
 
-func TestSynthesizeGroupsNilForSilent(t *testing.T) {
+// coherentSum renders the coherent sum of every coherence group's
+// baseband stream from the shared envelope pair: sample m is
+// Σ_g amps[g][0]·A[m] + amps[g][1]·B[m] with the radiator's phase
+// amplitudes.
+func coherentSum(t *testing.T, r *Radiator, alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) []complex128 {
+	t.Helper()
+	amps, err := r.PhaseAmplitudes(alt, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := SynthesizeEnvelopes(alt, fs, n, jit, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b complex128
+	for g := range amps {
+		a += amps[g][0]
+		b += amps[g][1]
+	}
+	x := make([]complex128, n)
+	for m := range x {
+		x[m] = a*complex(env.A[m], 0) + b*complex(env.B[m], 0)
+	}
+	return x
+}
+
+// Groups with no coupled activity get zero phase amplitudes, so the
+// measurement pipelines render no stream for them.
+func TestPhaseAmplitudesZeroForSilentGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r, err := NewRadiator(simpleTable(), RefDistance, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alt := altFor(t, 1e6, 4e6) // bus only
-	groups, err := r.SynthesizeGroups(alt, 1<<18, 1024, Jitter{}, rng)
+	amps, err := r.PhaseAmplitudes(alt, 1<<18)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups[GroupOffchip] == nil {
-		t.Error("off-chip group should be synthesized")
+	if amps[GroupOffchip] == [2]complex128{} {
+		t.Error("off-chip group should radiate")
 	}
 	for _, g := range []int{GroupCore, GroupDiv, GroupL2} {
-		if groups[g] != nil {
-			t.Errorf("group %d should be nil (silent)", g)
+		if amps[g] != [2]complex128{} {
+			t.Errorf("group %d should be silent, got %v", g, amps[g])
 		}
 	}
 }
@@ -314,17 +342,18 @@ func TestSynthesizeBasics(t *testing.T) {
 	}
 	alt := altFor(t, 1e6, 4e6)
 	fs := 1 << 18
-	x, err := r.Synthesize(alt, float64(fs), fs/4, Jitter{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := coherentSum(t, r, alt, float64(fs), fs/4, Jitter{}, rng)
 	if len(x) != fs/4 {
 		t.Fatalf("got %d samples", len(x))
 	}
 	// Mean power should sit between the two phase powers.
 	aA := cmplx.Abs(r.GroupAmplitude(alt.Rates[0], 0, GroupOffchip))
 	aB := cmplx.Abs(r.GroupAmplitude(alt.Rates[1], 1, GroupOffchip))
-	p := MeanPower(x)
+	var p float64
+	for _, v := range x {
+		p += real(v)*real(v) + imag(v)*imag(v)
+	}
+	p /= float64(len(x))
 	lo, hi := aA*aA, aB*aB
 	if lo > hi {
 		lo, hi = hi, lo
@@ -334,20 +363,29 @@ func TestSynthesizeBasics(t *testing.T) {
 	}
 }
 
+// Both halves of synthesis — the phase amplitudes and the shared
+// envelope pair — reject a bad sample rate, an empty capture, and an
+// invalid alternation.
 func TestSynthesizeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r, _ := NewRadiator(simpleTable(), RefDistance, 0, rng)
 	alt := altFor(t, 1, 1)
-	if _, err := r.Synthesize(alt, 0, 10, Jitter{}, rng); err == nil {
-		t.Error("zero fs should fail")
+	if _, err := r.PhaseAmplitudes(alt, 0); err == nil {
+		t.Error("zero fs should fail the phase amplitudes")
 	}
-	if _, err := r.Synthesize(alt, 1e6, 0, Jitter{}, rng); err == nil {
+	if _, err := SynthesizeEnvelopes(alt, 0, 10, Jitter{}, rng, nil); err == nil {
+		t.Error("zero fs should fail the envelopes")
+	}
+	if _, err := SynthesizeEnvelopes(alt, 1e6, 0, Jitter{}, rng, nil); err == nil {
 		t.Error("zero n should fail")
 	}
 	bad := alt
 	bad.HalfSeconds[1] = 0
-	if _, err := r.Synthesize(bad, 1e6, 10, Jitter{}, rng); err == nil {
-		t.Error("invalid alternation should fail")
+	if _, err := r.PhaseAmplitudes(bad, 1e6); err == nil {
+		t.Error("invalid alternation should fail the phase amplitudes")
+	}
+	if _, err := SynthesizeEnvelopes(bad, 1e6, 10, Jitter{}, rng, nil); err == nil {
+		t.Error("invalid alternation should fail the envelopes")
 	}
 }
 
@@ -363,10 +401,7 @@ func TestSynthesizeSpectralLocation(t *testing.T) {
 	alt := altFor(t, 0, 4e6)
 	fs := float64(1 << 18)
 	n := 1 << 16
-	x, err := r.Synthesize(alt, fs, n, Jitter{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := coherentSum(t, r, alt, fs, n, Jitter{}, rng)
 	f0 := 1 / alt.Period()
 
 	proj := func(f float64) float64 {
@@ -403,10 +438,7 @@ func TestJitterFrequencyShift(t *testing.T) {
 	fs := float64(1 << 18)
 	n := 1 << 16
 	jit := Jitter{FreqOffset: 0.01}
-	x, err := r.Synthesize(alt, fs, n, jit, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := coherentSum(t, r, alt, fs, n, jit, rng)
 	f0 := 1 / alt.Period()
 	proj := func(f float64) float64 {
 		var acc complex128
@@ -426,15 +458,5 @@ func TestDefaultJitter(t *testing.T) {
 	j := DefaultJitter()
 	if j.FreqOffset <= 0 || j.DriftStd <= 0 || j.MaxDrift <= 0 {
 		t.Errorf("DefaultJitter has non-positive fields: %+v", j)
-	}
-}
-
-func TestMeanPower(t *testing.T) {
-	if MeanPower(nil) != 0 {
-		t.Error("empty MeanPower should be 0")
-	}
-	x := []complex128{complex(3, 4), complex(0, 0)}
-	if got := MeanPower(x); math.Abs(got-12.5) > 1e-12 {
-		t.Errorf("MeanPower = %v, want 12.5", got)
 	}
 }

@@ -37,8 +37,9 @@ func richAlt(test *testing.T) Alternation {
 
 // referenceGroups is the pre-factorization synthesis: one timeline walk
 // accumulating every group's complex amplitude per sample directly.
-// SynthesizeGroups must reproduce it (up to reassociation rounding) and
-// consume the identical rng draws.
+// The group streams combined from SynthesizeEnvelopes and
+// PhaseAmplitudes must reproduce it (up to reassociation rounding), and
+// SynthesizeEnvelopes must consume the identical rng draws.
 func referenceGroups(r *Radiator, alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) [NumGroups][]complex128 {
 	amps, err := r.PhaseAmplitudes(alt, fs)
 	if err != nil {
@@ -110,7 +111,10 @@ func referenceGroups(r *Radiator, alt Alternation, fs float64, n int, jit Jitter
 	return out
 }
 
-func TestSynthesizeGroupsMatchesDirectAccumulation(t *testing.T) {
+// Every active group's stream is amps[g][0]·A + amps[g][1]·B over the
+// one shared envelope pair — the combination both measurement pipelines
+// rely on — and equals the direct per-group accumulation.
+func TestEnvelopeCombinationMatchesDirectAccumulation(t *testing.T) {
 	alt := richAlt(t)
 	jit := DefaultJitter()
 	jit.AmpNoiseStd = 0.15
@@ -124,16 +128,20 @@ func TestSynthesizeGroupsMatchesDirectAccumulation(t *testing.T) {
 		n := 4096
 		rngA := rand.New(rand.NewSource(seed + 100))
 		rngB := rand.New(rand.NewSource(seed + 100))
-		got, err := r.SynthesizeGroups(alt, fs, n, jit, rngA)
+		amps, err := r.PhaseAmplitudes(alt, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := SynthesizeEnvelopes(alt, fs, n, jit, rngA, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := referenceGroups(r, alt, fs, n, jit, rngB)
 		for g := 0; g < NumGroups; g++ {
-			if (got[g] == nil) != (want[g] == nil) {
-				t.Fatalf("seed %d group %d nil mismatch", seed, g)
+			if silent := amps[g] == [2]complex128{}; silent != (want[g] == nil) {
+				t.Fatalf("seed %d group %d: silent %v, direct accumulation disagrees", seed, g, silent)
 			}
-			if got[g] == nil {
+			if want[g] == nil {
 				continue
 			}
 			var peak float64
@@ -143,8 +151,9 @@ func TestSynthesizeGroupsMatchesDirectAccumulation(t *testing.T) {
 				}
 			}
 			for m := range want[g] {
-				if d := cmplx.Abs(got[g][m] - want[g][m]); d > 1e-12*peak {
-					t.Fatalf("seed %d group %d sample %d: %v vs %v (Δ %g)", seed, g, m, got[g][m], want[g][m], d)
+				got := amps[g][0]*complex(env.A[m], 0) + amps[g][1]*complex(env.B[m], 0)
+				if d := cmplx.Abs(got - want[g][m]); d > 1e-12*peak {
+					t.Fatalf("seed %d group %d sample %d: %v vs %v (Δ %g)", seed, g, m, got, want[g][m], d)
 				}
 			}
 		}
@@ -154,27 +163,6 @@ func TestSynthesizeGroupsMatchesDirectAccumulation(t *testing.T) {
 				t.Fatalf("seed %d rng diverged at draw %d: %v vs %v", seed, i, a, b)
 			}
 		}
-	}
-}
-
-// A fully silent alternation must consume no rng draws — campaigns rely
-// on the downstream noise realization being unchanged by whether any
-// group radiates.
-func TestSynthesizeGroupsSilentConsumesNoDraws(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	r, err := NewRadiator(NewSourceTable(), RefDistance, 0, rng) // zero couplings
-	if err != nil {
-		t.Fatal(err)
-	}
-	var alt Alternation
-	alt.HalfSeconds = [2]float64{6.25e-6, 6.25e-6}
-	before := rand.New(rand.NewSource(33))
-	after := rand.New(rand.NewSource(33))
-	if _, err := r.SynthesizeGroups(alt, 1<<18, 256, DefaultJitter(), after); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := before.Float64(), after.Float64(); a != b {
-		t.Errorf("silent synthesis consumed rng draws: %v vs %v", a, b)
 	}
 }
 

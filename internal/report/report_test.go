@@ -134,7 +134,7 @@ func TestSpectrumPlot(t *testing.T) {
 		x[i] = cmplx.Rect(1e-6, 2*math.Pi*80e3*float64(i)/fs)
 	}
 	an := specan.MustNew(specan.Config{RBW: 16, Window: dsp.Hann, FloorPSD: 6e-18})
-	tr, err := an.Analyze(x, fs)
+	tr, err := an.AnalyzeIncoherent([][]complex128{x}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,13 +78,16 @@ func TestOneSecondCellArenaHoldsOneSlot(t *testing.T) {
 // fresh arenas.
 func TestCampaignsBackToBackReuseArenas(t *testing.T) {
 	mc := machine.Core2Duo()
-	opts := CampaignOptions{Events: []Event{ADD, LDM}, Repeats: 1, Seed: 3, Parallelism: 2}
+	spec := func(d float64) CampaignSpec {
+		return CampaignSpec{Machine: mc.Name, Config: secondsConfig(d), Events: []Event{ADD, LDM}, Repeats: 1, Seed: 3}
+	}
+	rt := CampaignOptions{Parallelism: 2}
 	durations := []float64{0.25, 1, 0.25}
 
 	list := isolateArenas(t)
 	var got []*MatrixStats
 	for i, d := range durations {
-		ms, err := RunCampaign(mc, secondsConfig(d), opts)
+		ms, err := runSpec(spec(d), rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +100,7 @@ func TestCampaignsBackToBackReuseArenas(t *testing.T) {
 
 	for i, d := range durations {
 		isolateArenas(t)
-		alone, err := RunCampaign(mc, secondsConfig(d), opts)
+		alone, err := runSpec(spec(d), rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +115,16 @@ func TestCampaignsBackToBackReuseArenas(t *testing.T) {
 // each matrix equals its campaign run alone.
 func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 	mc := machine.Core2Duo()
-	opts := CampaignOptions{Events: []Event{ADD, LDM, MUL}, Repeats: 1, Seed: 9, Parallelism: 2}
+	spec := func(cfg Config) CampaignSpec {
+		return CampaignSpec{Machine: mc.Name, Config: cfg, Events: []Event{ADD, LDM, MUL}, Repeats: 1, Seed: 9}
+	}
+	rt := CampaignOptions{Parallelism: 2}
 	cfgs := []Config{secondsConfig(1.0 / 16), secondsConfig(1.0 / 8)}
 
 	isolateArenas(t)
 	want := make([]*MatrixStats, len(cfgs))
 	for i, cfg := range cfgs {
-		ms, err := RunCampaign(mc, cfg, opts)
+		ms, err := runSpec(spec(cfg), rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +140,7 @@ func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = RunCampaign(mc, cfg, opts)
+				got[i], errs[i] = runSpec(spec(cfg), rt)
 			}()
 		}
 		wg.Wait()

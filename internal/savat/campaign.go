@@ -11,15 +11,9 @@ import (
 	"repro/internal/workpool"
 )
 
-// CampaignOptions configure a full pairwise measurement campaign.
+// CampaignOptions are a campaign's runtime-only knobs: how it is
+// executed, never what it measures (that is the CampaignSpec).
 type CampaignOptions struct {
-	// Events to measure pairwise; defaults to all 11 Figure 5 events.
-	Events []Event
-	// Repeats is the number of independent measurements per cell
-	// (paper: 10, over multiple days).
-	Repeats int
-	// Seed feeds the deterministic per-cell, per-repetition rngs.
-	Seed int64
 	// Parallelism bounds concurrent cell measurements (0 = GOMAXPROCS).
 	Parallelism int
 	// AnalyzerPool, when non-nil, is the worker pool each campaign
@@ -29,9 +23,11 @@ type CampaignOptions struct {
 	AnalyzerPool *workpool.Pool
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
-	// finished (pair, repetition) cell — cache-served cells included. The campaign closes the channel when
-	// the run ends, so pass a fresh channel per campaign and drain it
-	// until it closes. Event Row/Col index into the campaign's Events.
+	// finished (pair, repetition) cell — cache-served cells included.
+	// The campaign closes the channel when the run ends, on success and
+	// on every failure, so pass a fresh channel per campaign and drain
+	// it until it closes. Event Row/Col index into the spec's grid
+	// events.
 	Monitor chan<- engine.ProgressEvent
 
 	// Cache memoizes per-cell results across campaigns. Cells are keyed
@@ -49,23 +45,11 @@ type CampaignOptions struct {
 	Cache *engine.Cache
 }
 
-// DefaultCampaignOptions mirrors the paper's campaign: all 11 events,
-// 10 repetitions.
-func DefaultCampaignOptions() CampaignOptions {
-	return CampaignOptions{Events: Events(), Repeats: 10, Seed: 1}
-}
-
-// RunCampaign measures the full pairwise SAVAT matrix for one machine
-// and one measurement configuration. It is RunCampaignContext with a
-// background context, kept for existing callers.
-func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixStats, error) {
-	return RunCampaignContext(context.Background(), mc, cfg, opts)
-}
-
-// RunCampaignContext measures the full pairwise SAVAT matrix on the
-// campaign engine: a worker pool fans out the (pair, repetition) cells,
-// the content-addressed cache makes the campaign resumable, and
-// transient cell failures are retried.
+// RunSpecContext measures the full pairwise SAVAT matrix a spec
+// describes on the campaign engine, with rt supplying the runtime-only
+// options: a worker pool fans out the (pair, repetition) cells and the
+// content-addressed cache makes the campaign resumable. It is the one
+// way to run a campaign; spec.Validate is its only check.
 //
 // Every (pair, repetition) gets its own rng seeded from the event
 // identities — not matrix positions — so results are reproducible,
@@ -78,48 +62,47 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 // cached pairs never build a kernel at all.
 //
 // Cancelling ctx stops new cells promptly, lets in-flight cells finish
-// (they land in opts.Cache, so a rerun over the same cache resumes from
+// (they land in rt.Cache, so a rerun over the same cache resumes from
 // them), and returns the context's error.
-func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixStats, error) {
-	// fail closes the caller's Monitor on paths that never reach the
-	// engine, honoring the "closed when the run ends" contract.
-	fail := func(err error) (*MatrixStats, error) {
-		if opts.Monitor != nil {
-			close(opts.Monitor)
-		}
-		return nil, err
-	}
+func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
 	// Normalizing first makes the legacy empty channel name and the
 	// explicit "em" the same campaign: same validation, same fingerprint,
 	// same cache cells.
-	cfg = cfg.Normalized()
-	if err := mc.Validate(); err != nil {
-		return fail(err)
+	spec = spec.Normalized()
+	mc, err := spec.validated()
+	if err != nil {
+		// The engine closes the Monitor on every run it starts; a run
+		// that never reaches it closes the Monitor here.
+		if rt.Monitor != nil {
+			close(rt.Monitor)
+		}
+		return nil, err
 	}
-	if err := Validate(cfg, opts); err != nil {
-		return fail(err)
-	}
-	events := opts.Events
-	if len(events) == 0 {
-		events = Events()
-	}
+	return runCampaign(ctx, mc, spec, rt)
+}
+
+// runCampaign runs a normalized spec that has passed validation on its
+// resolved machine mc.
+func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
+	cfg, seed := spec.Config, spec.Seed
+	events := spec.GridEvents()
 	n := len(events)
 
 	// The campaign's shared synthesis-product cache. The engine
 	// enumerates repetitions innermost, so the live working set is one
 	// envelope-product entry plus one noise entry per repetition; the
 	// capacity covers it with headroom for scheduling skew.
-	cache := NewSynthCache(2*opts.Repeats + 2)
+	cache := NewSynthCache(2*spec.Repeats + 2)
 
 	// The worker arenas go back to the free list only after eng.Run has
 	// returned — after every worker has stopped — so no arena is ever
 	// held by two campaigns, or two workers, at once.
 	var lease arenaLease
 
-	spec := engine.Spec{
-		Rows: n, Cols: n, Reps: opts.Repeats,
+	grid := engine.Spec{
+		Rows: n, Cols: n, Reps: spec.Repeats,
 		Key: func(i, j, r int) string {
-			return cellKeyMaterial(mc, cfg, events[i], events[j], opts.Seed, r)
+			return cellKeyMaterial(mc, cfg, events[i], events[j], seed, r)
 		},
 		// Each engine worker owns one Measurer (and through it one
 		// MeasureScratch), so steady-state cells reuse sample buffers and
@@ -135,7 +118,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 		// from the process-wide free list, so a warm process starts each
 		// campaign with its working set already carved.
 		NewWorkerState: func() any {
-			return NewMeasurer(mc, cfg, WithPool(opts.AnalyzerPool),
+			return NewMeasurer(mc, cfg, WithPool(rt.AnalyzerPool),
 				WithSynthCache(cache), WithArena(lease.take()))
 		},
 		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
@@ -143,11 +126,11 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 			// deterministically (CounterSeed), so the rewritten kernel, like
 			// the paper's fixed binary, is shared across repetitions.
 			meas := state.(*Measurer)
-			k, err := meas.kernel(ctx, events[i], events[j], CounterSeed(opts.Seed, events[i], events[j]))
+			k, err := meas.kernel(ctx, events[i], events[j], CounterSeed(seed, events[i], events[j]))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v: %w", events[i], events[j], err)
 			}
-			m, err := meas.measureKernelSeeds(ctx, k, CampaignSeeds(opts.Seed, events[i], r))
+			m, err := meas.measureKernelSeeds(ctx, k, CampaignSeeds(seed, events[i], r))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v rep %d: %w", events[i], events[j], r, err)
 			}
@@ -156,11 +139,11 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 
 	eng := engine.New(engine.Options{
-		Parallelism: opts.Parallelism,
-		Cache:       opts.Cache,
-		Monitor:     opts.Monitor,
+		Parallelism: rt.Parallelism,
+		Cache:       rt.Cache,
+		Monitor:     rt.Monitor,
 	})
-	res, err := eng.Run(ctx, spec)
+	res, err := eng.Run(ctx, grid)
 	lease.release()
 	if err != nil {
 		return nil, err

@@ -70,7 +70,8 @@ type CountermeasureReport struct {
 // collide.
 func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*CountermeasureReport, error) {
 	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
+	mc, err := spec.validated()
+	if err != nil {
 		return nil, err
 	}
 	if len(spec.Config.Countermeasures) == 0 {
@@ -78,14 +79,16 @@ func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt Campaign
 	}
 	rt.Monitor = nil
 
+	// Dropping the chain keeps a valid spec valid, so both runs share
+	// the one validation above.
 	base := spec
 	base.Config.Countermeasures = nil
 
-	baseline, err := RunSpecContext(ctx, base, rt)
+	baseline, err := runCampaign(ctx, mc, base, rt)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure baseline: %w", err)
 	}
-	protected, err := RunSpecContext(ctx, spec, rt)
+	protected, err := runCampaign(ctx, mc, spec, rt)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure protected: %w", err)
 	}

@@ -48,7 +48,7 @@ func TestRunCountermeasureReport(t *testing.T) {
 	// directly: the report changes nothing about how campaigns measure.
 	base := spec
 	base.Config.Countermeasures = nil
-	direct, err := RunSpec(base, CampaignOptions{})
+	direct, err := runSpec(base, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

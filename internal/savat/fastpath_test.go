@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/emsim"
 	"repro/internal/machine"
 )
 
@@ -60,6 +61,42 @@ func TestFastPathMatchesReferenceFigure9(t *testing.T) {
 		}
 	}
 	t.Logf("worst relative difference across %d cells: %g", len(events)*len(events), worst)
+}
+
+// A machine whose every coupling is zero radiates nothing: both
+// pipelines skip envelope synthesis when every group is silent and
+// measure the noise capture alone, so they still agree and the
+// envelope seed has no effect.
+func TestSilentMachineMeasuresNoiseOnly(t *testing.T) {
+	mc := machine.Core2Duo()
+	mc.Sources = emsim.NewSourceTable()
+	mc.AsymmetrySourceAmp = 0
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 16
+	k, err := BuildKernel(mc, ADD, LDM, cfg.Frequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := SynthSeeds{Cal: 1, Env: 2, Noise: 3}
+	fast, err := NewMeasurer(mc, cfg).MeasureKernelSeeds(k, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewMeasurer(mc, cfg, WithReference()).MeasureKernelSeeds(k, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relDiff(fast.SAVAT, ref.SAVAT); d > 1e-9 {
+		t.Errorf("silent machine: fast %g vs reference %g (rel %g)", fast.SAVAT, ref.SAVAT, d)
+	}
+	// A different envelope seed changes nothing: no envelope is drawn.
+	other, err := NewMeasurer(mc, cfg).MeasureKernelSeeds(k, SynthSeeds{Cal: 1, Env: 99, Noise: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.SAVAT != fast.SAVAT {
+		t.Errorf("silent machine depends on the envelope seed: %g vs %g", other.SAVAT, fast.SAVAT)
+	}
 }
 
 // Equivalence must hold across machine, distance, jitter, and noise

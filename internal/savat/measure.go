@@ -219,13 +219,13 @@ func (m Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 // equivalence tests hold the two within 1e-9 relative — and remains
 // the readable specification of the pipeline as well as the ablations'
 // entry point.
-func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (Measurement, error) {
+func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
 		return Measurement{}, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
-	altSp := mo.alternation.Start()
+	altSp := mAlternation.Start()
 	alt, err := k.Alternation(mc, cfg.WarmupPeriods, cfg.MeasurePeriods)
 	altSp.End()
 	if err != nil {
@@ -239,7 +239,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// included) and its duty cycle d scales them by sin(πd), restoring
 	// the duty-d fundamental on the canonical 50/50 timeline — see
 	// measureKernelStream, whose coefficient computation this mirrors.
-	radSp := mo.radiate.Start()
+	radSp := mRadiate.Start()
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()
 	if err != nil {
@@ -270,7 +270,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// into one time-domain stream per active group, then the
 	// environment noise (Noise seed) as one more incoherent
 	// contribution. A fully silent kernel renders no envelopes at all.
-	synSp := mo.synthesize.Start()
+	synSp := mSynthesize.Start()
 	streams := make([][]complex128, 0, active+1)
 	if active > 0 {
 		envs, err := emsim.SynthesizeEnvelopes(emsim.CanonicalTimeline(cfg.Frequency),

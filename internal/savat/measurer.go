@@ -9,7 +9,6 @@ import (
 	"repro/internal/counter"
 	"repro/internal/emsim"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workpool"
 )
@@ -31,7 +30,6 @@ import (
 //	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
-//	WithObs(r)         stage metrics on a private obs.Registry
 //
 // Without WithSynthCache, the scratch keeps the last envelope and noise
 // products, so a repeated seed skips synthesis and a new one
@@ -49,7 +47,6 @@ type Measurer struct {
 	reference bool // WithReference: the oracle instead of the fast path
 	scratch   *MeasureScratch
 	pool      *workpool.Pool
-	mobs      *measureObs
 	cache     *SynthCache
 	arena     *arena.Arena
 
@@ -126,25 +123,11 @@ func WithArena(a *arena.Arena) MeasureOption {
 	return func(m *Measurer) { m.arena = a }
 }
 
-// WithObs records the Measurer's stage metrics (savat.measure,
-// savat.stage.*, savat.kernelcache.*, savat.altcache.*) on r instead
-// of the process registry obs.Default. The synthesis-product cache counters
-// (savat.synthcache.*) always stay on the process registry — the cache
-// is shared across Measurers, so per-Measurer attribution would be
-// arbitrary. A nil registry is equivalent to omitting the option.
-func WithObs(r *obs.Registry) MeasureOption {
-	return func(m *Measurer) {
-		if r != nil {
-			m.mobs = newMeasureObs(r)
-		}
-	}
-}
-
 // NewMeasurer binds a machine and measurement configuration and
 // applies the options. Configuration problems surface on the first
-// measurement (wrapped sentinel errors — see Validate), not here.
+// measurement (wrapped sentinel errors — see Config.Validate), not here.
 func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer {
-	m := &Measurer{mc: mc, cfg: cfg, mobs: defaultMeasureObs}
+	m := &Measurer{mc: mc, cfg: cfg}
 	for _, o := range opts {
 		o(m)
 	}
@@ -226,7 +209,7 @@ func (m *Measurer) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel,
 	if _, _, _, err := m.resolve(); err != nil {
 		return nil, err
 	}
-	return sims.kernel(ctx, m.mc, a, b, m.cfg.Frequency, m.cfg.Countermeasures, m.chainKey, seed, m.mobs)
+	return sims.kernel(ctx, m.mc, a, b, m.cfg.Frequency, m.cfg.Countermeasures, m.chainKey, seed)
 }
 
 // MeasureKernel measures a prebuilt kernel, avoiding re-calibration
@@ -286,17 +269,17 @@ func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement,
 // campaign cell's — which bounds the wait for a shared alternation
 // another worker is simulating.
 func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds SynthSeeds) (Measurement, error) {
-	sp := m.mobs.measure.Start()
+	sp := mMeasure.Start()
 	defer sp.End()
 	mc, cfg, law, err := m.resolve()
 	if err != nil {
 		return Measurement{}, err
 	}
 	if m.reference {
-		return measureKernelReference(mc, k, cfg, law, seeds, m.mobs)
+		return measureKernelReference(mc, k, cfg, law, seeds)
 	}
 	envKey, noiseKey := m.productKeys(seeds)
-	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.cache, m.mobs)
+	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.cache)
 }
 
 // MeasurePair measures one event pair `repeats` times with the
@@ -304,7 +287,7 @@ func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds Synt
 // per-repetition SAVAT values and their summary. Values agree exactly
 // with the corresponding campaign cells for the same seed.
 func (m *Measurer) MeasurePair(a, b Event, repeats int, seed int64) ([]float64, stats.Summary, error) {
-	if err := (CampaignOptions{Repeats: repeats}).Validate(); err != nil {
+	if err := validateRepeats(repeats); err != nil {
 		return nil, stats.Summary{}, err
 	}
 	k, err := m.kernel(context.Background(), a, b, CounterSeed(seed, a, b))

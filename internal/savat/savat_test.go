@@ -382,15 +382,10 @@ func TestSingleInstructionSAVAT(t *testing.T) {
 
 // A small campaign: deterministic, self-consistent statistics, sane
 // repeatability.
-func TestRunCampaignSmall(t *testing.T) {
-	mc := machine.Core2Duo()
+func TestRunSpecSmall(t *testing.T) {
 	cfg := FastConfig()
-	opts := CampaignOptions{
-		Events:  []Event{ADD, LDM},
-		Repeats: 3,
-		Seed:    5,
-	}
-	res, err := RunCampaign(mc, cfg, opts)
+	spec := CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: []Event{ADD, LDM}, Repeats: 3, Seed: 5}
+	res, err := runSpec(spec, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +416,7 @@ func TestRunCampaignSmall(t *testing.T) {
 	}
 
 	// Determinism.
-	res2, err := RunCampaign(mc, cfg, opts)
+	res2, err := runSpec(spec, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,21 +426,6 @@ func TestRunCampaignSmall(t *testing.T) {
 				t.Fatal("campaign not deterministic")
 			}
 		}
-	}
-}
-
-func TestRunCampaignErrors(t *testing.T) {
-	mc := machine.Core2Duo()
-	if _, err := RunCampaign(mc, FastConfig(), CampaignOptions{Repeats: 0}); err == nil {
-		t.Error("zero repeats should fail")
-	}
-	if _, err := RunCampaign(machine.Config{}, FastConfig(), DefaultCampaignOptions()); err == nil {
-		t.Error("bad machine should fail")
-	}
-	bad := FastConfig()
-	bad.Duration = 0
-	if _, err := RunCampaign(mc, bad, DefaultCampaignOptions()); err == nil {
-		t.Error("bad config should fail")
 	}
 }
 
@@ -479,9 +459,9 @@ func TestSwapAsymmetry(t *testing.T) {
 	}
 }
 
-func TestDefaultCampaignOptions(t *testing.T) {
-	o := DefaultCampaignOptions()
-	if len(o.Events) != 11 || o.Repeats != 10 {
-		t.Errorf("defaults: %+v", o)
+func TestDefaultCampaignSpec(t *testing.T) {
+	s := DefaultCampaignSpec()
+	if len(s.GridEvents()) != 11 || s.Repeats != 10 || s.Machine != "Core2Duo" {
+		t.Errorf("defaults: %+v", s)
 	}
 }

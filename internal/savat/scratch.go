@@ -144,7 +144,7 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Me
 // until the scratch's next measurement; callers that keep traces must
 // use distinct scratches. A nil scratch is allowed; a fresh one is
 // used.
-func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, cache *SynthCache, mo *measureObs) (Measurement, error) {
+func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, cache *SynthCache) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
@@ -155,8 +155,8 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	// 1. Cycle-accurate steady-state activity of the alternation loop,
 	// shared process-wide (ctx bounds only the wait for another
 	// caller's simulation of it).
-	altSp := mo.alternation.Start()
-	alt, err := sims.alternation(ctx, mc, k, cfg.WarmupPeriods, cfg.MeasurePeriods, mo)
+	altSp := mAlternation.Start()
+	alt, err := sims.alternation(ctx, mc, k, cfg.WarmupPeriods, cfg.MeasurePeriods)
 	altSp.End()
 	if err != nil {
 		return Measurement{}, err
@@ -178,7 +178,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	// envelope realization — and therefore its cached spectral products —
 	// pair-independent. Droop compensation stays on the pair's achieved
 	// period via PhaseAmplitudes.
-	radSp := mo.radiate.Start()
+	radSp := mRadiate.Start()
 	if err := s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, s.calRng.at(seeds.Cal)); err != nil {
 		return Measurement{}, err
 	}
@@ -224,16 +224,17 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	radSp.End()
 
 	// 3+4. Synthesis and per-segment Welch analysis, fused and cached:
-	// a miss streams the envelope pair (guarded exactly like
-	// SynthesizeGroups' active check, so a fully silent kernel renders
-	// no envelopes) and then the noise stream through the segment walks;
+	// a miss streams the envelope pair (skipped when every group is
+	// silent, as in the reference pipeline, so a fully silent kernel
+	// renders no envelopes) and then the noise stream through the
+	// segment walks;
 	// a hit reuses the products untouched. Group signals and noise are
 	// mutually incoherent: powers add, which is exactly what the
 	// frequency-domain combination in Render computes.
 	var envP synthProduct
 	if len(s.coeffs) > 0 {
 		envP, err = product(ctx, cache, &s.envSlot, envKey, func(dst synthProduct) (synthProduct, error) {
-			sp := mo.synthesize.Start()
+			sp := mSynthesize.Start()
 			defer sp.End()
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
 				return synthProduct{}, err
@@ -246,7 +247,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 		}
 	}
 	noiseP, err := product(ctx, cache, &s.noiseSlot, noiseKey, func(dst synthProduct) (synthProduct, error) {
-		sp := mo.synthesize.Start()
+		sp := mSynthesize.Start()
 		defer sp.End()
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {
 			return synthProduct{}, err

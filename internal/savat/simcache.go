@@ -122,14 +122,14 @@ var sims = newSimCache(simCacheCap)
 // it rewrites nothing). The rewritten kernel is its own entry on top of
 // the base one, so sweeps over countermeasure seeds calibrate once.
 func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, frequency float64,
-	chain counter.Chain, chainKey string, seed int64, mo *measureObs) (*Kernel, error) {
-	sp := mo.kernel.Start()
+	chain counter.Chain, chainKey string, seed int64) (*Kernel, error) {
+	sp := mKernel.Start()
 	defer sp.End()
 	key := kernelRecipe{sim: simInputs(mc), a: a, b: b, frequency: frequency, stride: SweepOffset}
 	k, how, err := c.kernels.Get(ctx, key, func() (*Kernel, error) {
 		return BuildKernel(mc, a, b, frequency)
 	})
-	countLookup(mo.kernelHits, mo.kernelMisses, how, err)
+	countLookup(mKernelHits, mKernelMisses, how, err)
 	if err != nil || chainKey == "" {
 		return k, err
 	}
@@ -137,7 +137,7 @@ func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, fr
 	k, how, err = c.kernels.Get(ctx, key, func() (*Kernel, error) {
 		return applyProgramCountermeasures(k, chain, seed)
 	})
-	countLookup(mo.kernelHits, mo.kernelMisses, how, err)
+	countLookup(mKernelHits, mKernelMisses, how, err)
 	return k, err
 }
 
@@ -147,7 +147,7 @@ func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, fr
 // cannot change any measured value. The result's Kernel field is the
 // kernel that first simulated this content: its loop count (encoded in
 // the program) equals k's.
-func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel, warm, meas int, mo *measureObs) (*AlternationResult, error) {
+func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel, warm, meas int) (*AlternationResult, error) {
 	key := altRecipe{kernel: k.contentSum(), sim: simInputs(mc), warm: warm, meas: meas}
 	alt, how, err := c.alts.Get(ctx, key, func() (*AlternationResult, error) {
 		hier, err := borrowHier(mc.Mem)
@@ -157,7 +157,7 @@ func (c *simCache) alternation(ctx context.Context, mc machine.Config, k *Kernel
 		defer returnHier(mc.Mem, hier)
 		return k.alternationHier(mc, warm, meas, hier)
 	})
-	countLookup(mo.altHits, mo.altMisses, how, err)
+	countLookup(mAltHits, mAltMisses, how, err)
 	return alt, err
 }
 

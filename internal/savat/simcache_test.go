@@ -64,7 +64,7 @@ func TestSimCacheNoDuplicate(t *testing.T) {
 			<-start
 			ccfg := cfg
 			ccfg.Channel, ccfg.Countermeasures = cp.channel, cp.chain
-			_, err := RunCampaign(mc, ccfg, CampaignOptions{Events: events, Repeats: 2, Seed: cp.seed, Parallelism: 2})
+			_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: ccfg, Events: events, Repeats: 2, Seed: cp.seed}, CampaignOptions{Parallelism: 2})
 			errs <- err
 		}(cp)
 	}

@@ -2,7 +2,6 @@ package savat
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,8 +33,8 @@ const SpecVersion = 2
 //
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
-// nothing about how the campaign is executed (parallelism, caches,
-// monitors stay in CampaignOptions). Two specs with
+// nothing about how the campaign is executed (parallelism, analyzer
+// pool, monitor and cache stay in CampaignOptions). Two specs with
 // equal fingerprints therefore produce bit-identical matrices on any
 // executor, which is what lets the service deduplicate overlapping
 // submissions cell-by-cell.
@@ -85,23 +84,43 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 
 // Validate reports the first problem with the spec as a wrapped
 // sentinel error: version (ErrSpecVersion), machine (ErrUnknownMachine),
-// events (ErrBadSpec), then the shared Validate path over the measurement
-// configuration and campaign options — so a spec rejected here would
-// have been rejected identically by RunCampaignContext, and vice versa.
+// events — unknown or repeated — (ErrBadSpec), the measurement
+// configuration (Config.Validate's sentinels), then repeats
+// (ErrBadRepeats, ErrTooLarge). It is the only check a campaign run
+// makes: RunSpecContext rejects exactly the specs Validate rejects.
 func (s CampaignSpec) Validate() error {
+	_, err := s.validated()
+	return err
+}
+
+// validated is Validate returning the resolved machine, so a run
+// resolves it once.
+func (s CampaignSpec) validated() (machine.Config, error) {
 	s = s.Normalized()
 	if s.Version != SpecVersion {
-		return fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
+		return machine.Config{}, fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
 	}
-	if _, err := s.MachineConfig(); err != nil {
-		return err
+	mc, err := s.MachineConfig()
+	if err != nil {
+		return machine.Config{}, err
 	}
+	var seen [NumExtEvents]bool
 	for _, e := range s.Events {
 		if !e.Valid() {
-			return fmt.Errorf("%w: event %d invalid", ErrBadSpec, uint8(e))
+			return machine.Config{}, fmt.Errorf("%w: event %d invalid", ErrBadSpec, uint8(e))
 		}
+		if seen[e] {
+			return machine.Config{}, fmt.Errorf("%w: event %v repeated", ErrBadSpec, e)
+		}
+		seen[e] = true
 	}
-	return Validate(s.Config, CampaignOptions{Events: s.Events, Repeats: s.Repeats, Seed: s.Seed})
+	if err := s.Config.Validate(); err != nil {
+		return machine.Config{}, err
+	}
+	if err := validateRepeats(s.Repeats); err != nil {
+		return machine.Config{}, err
+	}
+	return mc, nil
 }
 
 // MachineConfig resolves the spec's machine name.
@@ -119,18 +138,6 @@ func (s CampaignSpec) GridEvents() []Event {
 		return Events()
 	}
 	return append([]Event(nil), s.Events...)
-}
-
-// Options merges the spec into rt: the spec supplies everything that
-// determines cell values (events, repeats, seed) and rt supplies the
-// runtime-only knobs (parallelism, cache, monitor, retry policy).
-// Values already present in rt's identity fields are overwritten — the
-// spec is the single source of truth.
-func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
-	rt.Events = s.GridEvents()
-	rt.Repeats = s.Repeats
-	rt.Seed = s.Seed
-	return rt
 }
 
 // Fingerprint canonically identifies the campaign the spec describes;
@@ -183,31 +190,4 @@ func LoadCampaignSpec(path string) (CampaignSpec, error) {
 		return CampaignSpec{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// RunSpec is RunSpecContext with a background context.
-func RunSpec(spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
-	return RunSpecContext(context.Background(), spec, rt)
-}
-
-// RunSpecContext measures the campaign a spec describes on the engine,
-// with rt supplying the runtime-only options (see CampaignSpec.Options).
-// It is the spec-shaped face of RunCampaignContext: for equal specs the
-// two produce bit-identical matrices regardless of executor or cache
-// state.
-func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
-	if err := spec.Validate(); err != nil {
-		if rt.Monitor != nil {
-			close(rt.Monitor)
-		}
-		return nil, err
-	}
-	mc, err := spec.MachineConfig()
-	if err != nil {
-		if rt.Monitor != nil {
-			close(rt.Monitor)
-		}
-		return nil, err
-	}
-	return RunCampaignContext(ctx, mc, spec.Config, spec.Options(rt))
 }

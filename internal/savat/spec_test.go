@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/counter"
-	"repro/internal/engine"
 )
 
 func TestCampaignSpecRoundTrip(t *testing.T) {
@@ -67,6 +66,7 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"repeats-over", func(s *CampaignSpec) { s.Repeats = MaxRepeats + 1 }, ErrTooLarge},
 		{"repeats-max-int", func(s *CampaignSpec) { s.Repeats = math.MaxInt }, ErrTooLarge},
 		{"unknown-channel", func(s *CampaignSpec) { s.Config.Channel = "acoustic" }, ErrUnknownChannel},
+		{"repeated-event", func(s *CampaignSpec) { s.Events = []Event{ADD, LDM, ADD} }, ErrBadSpec},
 		{"band-at-nyquist", func(s *CampaignSpec) {
 			s.Config.SampleRate = 2 * (s.Config.Frequency + s.Config.BandHalfWidth)
 		}, ErrBadConfig},
@@ -265,45 +265,30 @@ func TestSpecVersionGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// RunSpecContext and RunCampaignContext must produce bit-identical
-// matrices for the same campaign, and a spec-validation failure must
-// still close the caller's monitor channel.
-func TestRunSpecMatchesRunCampaign(t *testing.T) {
-	spec := DefaultCampaignSpec()
-	spec.Config = FastConfig()
-	spec.Config.Duration = 1.0 / 16
-	spec.Events = []Event{ADD, LDM}
-	spec.Repeats = 2
-	spec.Seed = 5
+// A grid that names an event twice is rejected at parse time, so a
+// small body can never describe an unbounded campaign: 170,001 "ADD"
+// events at MaxRepeats fit in under 1 MiB of JSON but would be a
+// 2.9e13-cell grid.
+func TestParseCampaignSpecRejectsRepeatedEvents(t *testing.T) {
+	body := fmt.Sprintf(`{"machine": "Core2Duo", "config": %s, "events": [%s"ADD"], "repeats": %d, "seed": 1}`,
+		mustJSON(t, FastConfig()), strings.Repeat(`"ADD", `, 170000), MaxRepeats)
+	if _, err := ParseCampaignSpec([]byte(body)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("170,001 repeated events: got %v, want ErrBadSpec", err)
+	}
+	// Every distinct event once is the largest grid a spec can name.
+	all := DefaultCampaignSpec()
+	all.Events = ExtendedEvents()
+	all.Repeats = MaxRepeats
+	if err := all.Validate(); err != nil {
+		t.Errorf("all %d extended events once: %v", NumExtEvents, err)
+	}
+}
 
-	got, err := RunSpec(spec, CampaignOptions{})
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := spec.MachineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunCampaign(mc, spec.Config, CampaignOptions{
-		Events: spec.Events, Repeats: spec.Repeats, Seed: spec.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(got.Cells)
-	b, _ := json.Marshal(want.Cells)
-	if string(a) != string(b) {
-		t.Errorf("RunSpec and RunCampaign disagree:\n%s\nvs\n%s", a, b)
-	}
-
-	// A validation failure must still close the monitor channel.
-	bad := spec
-	bad.Machine = "nope"
-	mon := make(chan engine.ProgressEvent, 4)
-	if _, err := RunSpec(bad, CampaignOptions{Monitor: mon}); !errors.Is(err, ErrUnknownMachine) {
-		t.Fatalf("got %v, want ErrUnknownMachine", err)
-	}
-	if _, open := <-mon; open {
-		t.Error("monitor should be closed on validation failure")
-	}
+	return string(data)
 }

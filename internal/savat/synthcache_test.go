@@ -194,8 +194,7 @@ func TestCampaignSynthCacheHitRate(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
 	cfg.Duration = 1.0 / 16
-	_, err := RunCampaign(mc, cfg, CampaignOptions{
-		Events: Events(), Repeats: 1, Seed: 3,
+	_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: cfg, Repeats: 1, Seed: 3}, CampaignOptions{
 		Parallelism: 1, // deterministic access order: exactly one env miss per row
 	})
 	if err != nil {

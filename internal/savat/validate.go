@@ -6,7 +6,7 @@ import (
 )
 
 // Sentinel validation errors, shared by Config.Validate,
-// CampaignOptions.Validate, and the CLI flag layer (internal/cliconf
+// CampaignSpec.Validate, and the CLI flag layer (internal/cliconf
 // aliases them), so every surface rejects a bad setup with the same
 // identity. Test with errors.Is.
 var (
@@ -35,7 +35,8 @@ var (
 	// noise environment or analyzer setup.
 	ErrBadConfig = errors.New("savat: invalid measurement configuration")
 	// ErrBadSpec reports a campaign spec that does not decode — malformed
-	// JSON, an unknown field, a mistyped value, or an unknown event.
+	// JSON, an unknown field, a mistyped value, or an unknown event — or
+	// whose event grid names an event twice.
 	ErrBadSpec = errors.New("savat: malformed campaign spec")
 	// ErrTooLarge reports a period count, capture length, or repetition
 	// count beyond the resource bounds (MaxPeriods, MaxCaptureSamples,
@@ -43,33 +44,22 @@ var (
 	ErrTooLarge = errors.New("savat: configuration exceeds a resource bound")
 )
 
-// MaxRepeats bounds CampaignOptions.Repeats (and CampaignSpec.Repeats).
+// MaxRepeats bounds CampaignSpec.Repeats (and MeasurePair's count).
 // A campaign allocates its whole value grid — events² × repeats cells —
 // before the first cell runs, so an unbounded count is an unbounded
 // allocation; 1000 is a hundred times the paper's ten repetitions.
+// With repeated events rejected, a grid holds at most NumExtEvents² ×
+// MaxRepeats cells.
 const MaxRepeats = 1000
 
-// Validate checks a measurement configuration and campaign options
-// together — the single validation entry point shared by the campaign
-// runner and every CLI command. The configuration is checked first
-// (order: distance, frequency, finiteness, band, Nyquist, duration,
-// periods, resource bounds, environment, analyzer), then the options,
-// and the first problem wins.
-func Validate(cfg Config, opts CampaignOptions) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+// validateRepeats reports a repetition count outside [1, MaxRepeats]
+// as a wrapped sentinel error.
+func validateRepeats(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("%w: %d", ErrBadRepeats, n)
 	}
-	return opts.Validate()
-}
-
-// Validate reports the first problem with the campaign options as a
-// wrapped sentinel error.
-func (o CampaignOptions) Validate() error {
-	if o.Repeats <= 0 {
-		return fmt.Errorf("%w: %d", ErrBadRepeats, o.Repeats)
-	}
-	if o.Repeats > MaxRepeats {
-		return fmt.Errorf("%w: repeats %d exceeds %d", ErrTooLarge, o.Repeats, MaxRepeats)
+	if n > MaxRepeats {
+		return fmt.Errorf("%w: repeats %d exceeds %d", ErrTooLarge, n, MaxRepeats)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -113,7 +114,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +311,48 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("%d jobs after the bad submissions, want only the valid one", n)
 	}
 	awaitDone(t, s, jb.ID)
+}
+
+// A spec that names an event twice is refused with 400 and creates no
+// job — including a body that fits under maxSubmitBytes but would grid
+// 170,001 events at savat.MaxRepeats.
+func TestHTTPRejectsRepeatedEvents(t *testing.T) {
+	s := newServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	twice := smokeSpec()
+	twice.Events = []savat.Event{savat.ADD, savat.LDM, savat.ADD}
+	huge := smokeSpec()
+	huge.Events = make([]savat.Event, 170001)
+	for i := range huge.Events {
+		huge.Events[i] = savat.ADD
+	}
+	huge.Repeats = savat.MaxRepeats
+	for name, spec := range map[string]savat.CampaignSpec{"twice": twice, "huge": huge} {
+		body := submitBody(t, spec, "")
+		if body.Len() >= maxSubmitBytes {
+			t.Fatalf("%s: body of %d bytes is not under the %d-byte bound", name, body.Len(), maxSubmitBytes)
+		}
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Errorf("%s: error body: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, savat.ErrBadSpec.Error()) {
+			t.Errorf("%s: error %q does not name ErrBadSpec", name, e.Error)
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("%d jobs after the rejected submissions, want 0", n)
+	}
 }
 
 // An oversized submit body is refused with 413 before the daemon

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -90,7 +91,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func testCancelAndResume(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,12 @@ func randomEnvelopes(rng *rand.Rand, n int) (a, b []float64) {
 	return a, b
 }
 
-func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
+// The product path — EnvelopeProductsStream + NoiseProductsStream +
+// Render, as the measurement fast path runs it — must agree with
+// AnalyzeIncoherent over the rendered group streams and the noise
+// capture up to rounding: by Welch linearity the per-bin group-sum PSD
+// is CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB)).
+func TestStreamProductsMatchIncoherent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 1 << 12
 	fs := 1e5
@@ -60,46 +65,29 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 	}
 
 	scratch := NewScratch()
+	var warmed *Trace
 	for pass := 0; pass < 2; pass++ { // second pass: warmed scratch, same result
-		got, err := a.AnalyzeEnvelopes(envA, envB, coeffs, noise, fs, scratch)
+		got, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ActualRBW != want.ActualRBW {
-			t.Fatalf("pass %d ActualRBW %g, want %g", pass, got.ActualRBW, want.ActualRBW)
-		}
-		if got.Spectrum().Bins() != want.Spectrum().Bins() {
-			t.Fatalf("pass %d bins %d, want %d", pass, got.Spectrum().Bins(), want.Spectrum().Bins())
-		}
-		var peak float64
-		for _, v := range want.Spectrum().PSD {
-			if v > peak {
-				peak = v
-			}
-		}
-		for k := range want.Spectrum().PSD {
-			if d := math.Abs(got.Spectrum().PSD[k] - want.Spectrum().PSD[k]); d > 1e-12*peak {
-				t.Fatalf("pass %d bin %d: %g, want %g (Δ %g)", pass, k, got.Spectrum().PSD[k], want.Spectrum().PSD[k], d)
-			}
-		}
+		requireNearPSD(t, want, got, "pass %d", pass)
+		warmed = got
 	}
 
-	// Nil scratch allocates a private one and must agree too.
-	got, err := a.AnalyzeEnvelopes(envA, envB, coeffs, noise, fs, nil)
+	// Nil scratch allocates a private one and gives the same bits.
+	got, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.Spectrum().PSD {
-		if d := math.Abs(got.Spectrum().PSD[k] - want.Spectrum().PSD[k]); d > 1e-12*want.Spectrum().PSD[k]+1e-60 {
-			t.Fatalf("nil-scratch bin %d: %g, want %g", k, got.Spectrum().PSD[k], want.Spectrum().PSD[k])
-		}
-	}
+	requireSamePSD(t, warmed, got, "nil scratch")
 }
 
-// Without coefficients the call degenerates to a plain incoherent
-// analysis of the extra stream; without anything it must report
-// ErrNoCaptures, as AnalyzeIncoherent now does.
-func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
+// Without coefficients the product path degenerates to a plain
+// incoherent analysis of the noise stream; without anything Render
+// reports ErrNoCaptures, as AnalyzeIncoherent does. Bad capture shapes
+// fail in the stream functions.
+func TestStreamProductsNoiseOnlyAndErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 1 << 10
 	fs := 1e5
@@ -112,7 +100,7 @@ func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.AnalyzeEnvelopes(nil, nil, nil, noise, fs, nil)
+	got, err := analyzeSlices(a, nil, nil, nil, noise, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,23 +110,43 @@ func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
 		}
 	}
 
-	if _, err := a.AnalyzeEnvelopes(nil, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
-		t.Errorf("all-nil should return ErrNoCaptures, got %v", err)
+	if _, err := a.Render(n, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
+		t.Errorf("no coefficients and no noise should return ErrNoCaptures, got %v", err)
 	}
 	if _, err := a.AnalyzeIncoherent([][]complex128{nil, nil}, fs); !errors.Is(err, ErrNoCaptures) {
 		t.Errorf("all-nil incoherent should return ErrNoCaptures, got %v", err)
 	}
-	if _, err := a.AnalyzeEnvelopes(nil, nil, nil, noise, 0, nil); err == nil {
+	if _, err := a.NoiseProductsStream(n, &sliceSampleSource{x: noise, block: n}, 0, nil, nil); err == nil {
 		t.Error("zero sample rate should fail")
 	}
+	if _, err := a.Render(n, nil, nil, make([]float64, 8), 0, nil); err == nil {
+		t.Error("zero sample rate should fail in Render")
+	}
 	env := make([]float64, n)
-	if _, err := a.AnalyzeEnvelopes(env, env[:8], [][2]complex128{{1, 1}}, nil, fs, nil); err == nil {
-		t.Error("envelope length mismatch should fail")
+	if _, err := a.EnvelopeProductsStream(n, &slicePairSource{a: env[:8], b: env[:8], block: n}, fs, nil, nil); err == nil {
+		t.Error("envelope stream shorter than the capture should fail")
 	}
-	if _, err := a.AnalyzeEnvelopes(env, env, [][2]complex128{{1, 1}}, noise[:8], fs, nil); err == nil {
-		t.Error("extra length mismatch should fail")
+	if _, err := a.NoiseProductsStream(n, &sliceSampleSource{x: noise[:8], block: n}, fs, nil, nil); err == nil {
+		t.Error("noise stream shorter than the capture should fail")
 	}
-	if _, err := a.AnalyzeEnvelopes(env[:1], env[:1], [][2]complex128{{1, 1}}, nil, fs, nil); err == nil {
+	if _, err := a.EnvelopeProductsStream(1, &slicePairSource{a: env[:1], b: env[:1], block: 1}, fs, nil, nil); err == nil {
 		t.Error("one-sample capture should fail")
+	}
+	if _, err := a.EnvelopeProductsStream(n, nil, fs, nil, nil); err == nil {
+		t.Error("nil envelope source should fail")
+	}
+	short, err := a.NoiseProductsStream(n/2, &sliceSampleSource{x: noise[:n/2], block: n}, fs, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short) != n/2 {
+		// The fixture relies on the whole capture being one segment.
+		t.Fatalf("fixture broken: %d-bin noise PSD for a %d-sample capture", len(short), n/2)
+	}
+	if _, err := a.Render(n, nil, nil, short, fs, nil); err == nil {
+		t.Error("noise PSD at another capture's segment length should fail")
+	}
+	if _, err := a.Render(n, [][2]complex128{{1, 1}}, nil, nil, fs, nil); err == nil {
+		t.Error("coefficients without envelope products should fail")
 	}
 }

@@ -171,14 +171,6 @@ func MustNew(cfg Config) *Analyzer {
 // Config returns the analyzer settings.
 func (a *Analyzer) Config() Config { return a.cfg }
 
-// Analyze records the spectrum of the capture x at sample rate fs.
-// The segment length is chosen as the largest power of two that fits the
-// capture and meets (or comes closest to) the requested RBW; segments are
-// averaged Welch-style when the capture is longer than one segment.
-func (a *Analyzer) Analyze(x []complex128, fs float64) (*Trace, error) {
-	return a.AnalyzeIncoherent([][]complex128{x}, fs)
-}
-
 // segmentFor picks the Welch segment length for an n-sample capture:
 // the largest power of two that fits the capture, shortened when a
 // shorter segment meets (or comes closest to) the requested RBW. It
@@ -303,7 +295,7 @@ func (p *PairPSD) grow(seg int) {
 }
 
 // Scratch holds the reusable working set of the envelope analysis — the
-// Welch scratch, the scratch-owned products, and the display
+// Welch scratch, the rolling windows and segment feeds, and the display
 // accumulator — so steady-state measurement cells allocate no
 // sample-sized buffers. A Scratch adapts itself to whatever segment
 // length and window a call needs (rebuilding is the only allocating
@@ -325,11 +317,9 @@ type Scratch struct {
 	Mem    *arena.Arena
 	memGen uint64
 
-	welch    *dsp.WelchScratch
-	prod     PairPSD
-	noisePSD []float64
-	sum      []float64
-	trace    Trace
+	welch *dsp.WelchScratch
+	sum   []float64
+	trace Trace
 
 	// Streaming working set: the rolling 50%-overlap windows (two real
 	// envelope streams and one complex noise stream) and the segment
@@ -410,57 +400,6 @@ func (a *Analyzer) setup(n int, fs float64, s *Scratch) (seg int, enbw float64, 
 	return seg, enbw, s.prepare(seg, a.cfg.Window)
 }
 
-// EnvelopeProducts computes the pair-Welch products of the envelope
-// pair at the segmentation an n = len(envA) capture gets, into dst
-// (grown as needed; nil allocates a fresh PairPSD) and returns it. The
-// products depend only on the envelopes, the sample rate, and the
-// analyzer's RBW/window — not on group coefficients or the floor — so
-// callers may cache and share them across every measurement rendered
-// from the same envelope realization.
-func (a *Analyzer) EnvelopeProducts(envA, envB []float64, fs float64, s *Scratch, dst *PairPSD) (*PairPSD, error) {
-	sp := mAnalyze.Start()
-	defer sp.End()
-	if len(envA) != len(envB) {
-		return nil, fmt.Errorf("specan: envelope length mismatch %d vs %d", len(envA), len(envB))
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	seg, _, err := a.setup(len(envA), fs, s)
-	if err != nil {
-		return nil, err
-	}
-	if dst == nil {
-		dst = &PairPSD{}
-	}
-	dst.grow(seg)
-	if err := s.welch.WelchPairInto(dst.PA, dst.PB, dst.Cross, envA, envB, fs); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// NoiseProducts computes the Welch PSD of the complex capture x at the
-// segmentation an n = len(x) capture gets, into dst (grown as needed;
-// nil allocates) and returns it. Like EnvelopeProducts, the result is
-// coefficient- and floor-independent and may be cached and shared.
-func (a *Analyzer) NoiseProducts(x []complex128, fs float64, s *Scratch, dst []float64) ([]float64, error) {
-	sp := mAnalyze.Start()
-	defer sp.End()
-	if s == nil {
-		s = NewScratch()
-	}
-	seg, _, err := a.setup(len(x), fs, s)
-	if err != nil {
-		return nil, err
-	}
-	dst = buf.Grow(dst, seg)
-	if err := s.welch.WelchInto(dst, x, fs); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // Render combines precomputed products into the displayed trace for an
 // n-sample capture: the group-coefficient fold of the envelope products
 // (skipped when coeffs is empty; env may then be nil), the noise PSD
@@ -525,67 +464,6 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 		src:       src,
 	}
 	return &s.trace, nil
-}
-
-// AnalyzeEnvelopes records the summed incoherent spectrum of a family
-// of streams that are all linear combinations of the same two REAL
-// envelope streams — stream g is coeffs[g][0]·envA + coeffs[g][1]·envB
-// — plus one optional extra complex capture (the noise stream; nil to
-// omit). No group stream is ever rendered: by Welch linearity the
-// per-bin group-sum PSD is
-//
-//	CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB))
-//
-// with CA = Σ|a_g|², CB = Σ|b_g|², CX = Σ a_g·conj(b_g), so the whole
-// family costs one packed envelope FFT pass plus one noise pass instead
-// of one full Welch pass per stream. The result equals
-// AnalyzeIncoherent over the rendered streams up to rounding.
-//
-// It is exactly EnvelopeProducts + NoiseProducts + Render on the
-// scratch-owned product buffers.
-//
-// The returned Trace aliases the scratch's buffers: it is valid until
-// the scratch's next Analyze call. Pass a nil scratch to allocate a
-// private one (and a fresh, unaliased Trace).
-func (a *Analyzer) AnalyzeEnvelopes(envA, envB []float64, coeffs [][2]complex128, extra []complex128, fs float64, s *Scratch) (*Trace, error) {
-	if fs <= 0 {
-		return nil, fmt.Errorf("specan: sample rate %g", fs)
-	}
-	if len(envA) != len(envB) {
-		return nil, fmt.Errorf("specan: envelope length mismatch %d vs %d", len(envA), len(envB))
-	}
-	n := -1
-	if len(coeffs) > 0 {
-		n = len(envA)
-	}
-	if extra != nil {
-		if n >= 0 && len(extra) != n {
-			return nil, fmt.Errorf("specan: capture length mismatch %d vs %d", len(extra), n)
-		}
-		n = len(extra)
-	}
-	if n < 0 {
-		return nil, ErrNoCaptures
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	var env *PairPSD
-	if len(coeffs) > 0 {
-		var err error
-		if env, err = a.EnvelopeProducts(envA, envB, fs, s, &s.prod); err != nil {
-			return nil, err
-		}
-	}
-	var noisePSD []float64
-	if extra != nil {
-		var err error
-		if noisePSD, err = a.NoiseProducts(extra, fs, s, s.noisePSD); err != nil {
-			return nil, err
-		}
-		s.noisePSD = noisePSD
-	}
-	return a.Render(n, coeffs, env, noisePSD, fs, s)
 }
 
 // BandPower integrates the displayed PSD over center ± halfSpan Hz and

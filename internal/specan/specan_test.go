@@ -35,10 +35,10 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestAnalyzeErrors(t *testing.T) {
 	a := MustNew(DefaultConfig())
-	if _, err := a.Analyze(make([]complex128, 1024), 0); err == nil {
+	if _, err := a.AnalyzeIncoherent([][]complex128{make([]complex128, 1024)}, 0); err == nil {
 		t.Error("zero fs should fail")
 	}
-	if _, err := a.Analyze(make([]complex128, 1), 1e3); err == nil {
+	if _, err := a.AnalyzeIncoherent([][]complex128{make([]complex128, 1)}, 1e3); err == nil {
 		t.Error("too-short capture should fail")
 	}
 }
@@ -46,7 +46,7 @@ func TestAnalyzeErrors(t *testing.T) {
 func TestSensitivityFloor(t *testing.T) {
 	a := MustNew(Config{RBW: 10, Window: dsp.Hann, FloorPSD: 1e-17})
 	x := make([]complex128, 1<<12) // silence
-	tr, err := a.Analyze(x, 1e5)
+	tr, err := a.AnalyzeIncoherent([][]complex128{x}, 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestToneMeasurement(t *testing.T) {
 		x[i] = cmplx.Rect(amp, 2*math.Pi*f0*float64(i)/fs)
 	}
 	a := MustNew(Config{RBW: 4, Window: dsp.Hann, FloorPSD: 6e-18})
-	tr, err := a.Analyze(x, fs)
+	tr, err := a.AnalyzeIncoherent([][]complex128{x}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRBWSelection(t *testing.T) {
 	// Request 1 Hz: the capture limits the achieved RBW; it must be
 	// reported honestly and be within a small factor of the request.
 	a := MustNew(Config{RBW: 1, Window: dsp.Hann, FloorPSD: 0})
-	tr, err := a.Analyze(x, fs)
+	tr, err := a.AnalyzeIncoherent([][]complex128{x}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRBWSelection(t *testing.T) {
 	// A coarse request should use short segments (averaging) and report a
 	// correspondingly coarse RBW.
 	a2 := MustNew(Config{RBW: 100, Window: dsp.Hann, FloorPSD: 0})
-	tr2, err := a2.Analyze(x, fs)
+	tr2, err := a2.AnalyzeIncoherent([][]complex128{x}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestNoisePSDIndependentOfRBW(t *testing.T) {
 	}
 	for _, rbw := range []float64{30, 300, 3000} {
 		a := MustNew(Config{RBW: rbw, Window: dsp.Hann, FloorPSD: 0})
-		tr, err := a.Analyze(x, fs)
+		tr, err := a.AnalyzeIncoherent([][]complex128{x}, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestNoisePSDIndependentOfRBW(t *testing.T) {
 func TestBandPowerErrors(t *testing.T) {
 	a := MustNew(DefaultConfig())
 	x := make([]complex128, 4096)
-	tr, err := a.Analyze(x, 1e5)
+	tr, err := a.AnalyzeIncoherent([][]complex128{x}, 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package specan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,56 +79,89 @@ func streamFixture(t *testing.T, n int) (a *Analyzer, envA, envB []float64, coef
 	return a, envA, envB, coeffs, noise, fs
 }
 
-// TestStreamMatchesBuffered drives the segment-fused streaming analysis
-// and the buffered analysis over the same data and demands bit-exact
-// agreement bin by bin, across block sizes that misalign with the
-// segmentation, with and without the noise stream, and with the
-// envelope family absent.
+// analyzeStream is the analysis the measurement fast path runs:
+// EnvelopeProductsStream (skipped without coefficients), then
+// NoiseProductsStream (skipped without a noise source), then Render.
+// The envelope source is drained before the noise source's first Next,
+// the fast path's rng draw order.
+func analyzeStream(a *Analyzer, n int, envs PairSource, coeffs [][2]complex128, noise SampleSource, fs float64, s *Scratch) (*Trace, error) {
+	var env *PairPSD
+	if len(coeffs) > 0 {
+		var err error
+		if env, err = a.EnvelopeProductsStream(n, envs, fs, s, nil); err != nil {
+			return nil, err
+		}
+	}
+	var noisePSD []float64
+	if noise != nil {
+		var err error
+		if noisePSD, err = a.NoiseProductsStream(n, noise, fs, s, nil); err != nil {
+			return nil, err
+		}
+	}
+	return a.Render(n, coeffs, env, noisePSD, fs, s)
+}
+
+// analyzeSlices is analyzeStream over in-memory captures, read in
+// blocks of 999 samples (nil noise omits the noise stream).
+func analyzeSlices(a *Analyzer, envA, envB []float64, coeffs [][2]complex128, noise []complex128, fs float64, s *Scratch) (*Trace, error) {
+	n := len(envA)
+	var ns SampleSource
+	if noise != nil {
+		n = len(noise)
+		ns = &sliceSampleSource{x: noise, block: 999}
+	}
+	return analyzeStream(a, n, &slicePairSource{a: envA, b: envB, block: 999}, coeffs, ns, fs, s)
+}
+
+// TestStreamMatchesBuffered drives the segment-fused product path over
+// in-memory captures and checks it two ways: against AnalyzeIncoherent
+// over the rendered group streams (up to rounding), and bit-exactly
+// across block sizes that misalign with the segmentation — with and
+// without the noise stream, and with the envelope family absent.
 func TestStreamMatchesBuffered(t *testing.T) {
 	const n = 1 << 15
 	a, envA, envB, coeffs, noise, fs := streamFixture(t, n)
 
-	want, err := a.AnalyzeEnvelopes(envA, envB, coeffs, noise, fs, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		coeffs [][2]complex128
+		noise  []complex128
+	}{
+		{"envelopes+noise", coeffs, noise},
+		{"no noise", coeffs, nil},
+		{"noise only", nil, noise},
 	}
-
-	for _, block := range []int{1 << 20, 4096, 999, 1} {
-		if block == 1 && testing.Short() {
-			continue // one-sample blocks are slow; full runs only
+	for _, c := range cases {
+		streams := renderStreams(envA, envB, c.coeffs)
+		if c.noise != nil {
+			streams = append(streams, c.noise)
 		}
-		got, err := a.AnalyzeEnvelopesStream(n,
-			&slicePairSource{a: envA, b: envB, block: block}, coeffs,
-			&sliceSampleSource{x: noise, block: block}, fs, nil)
+		want, err := a.AnalyzeIncoherent(streams, fs)
 		if err != nil {
-			t.Fatalf("block %d: %v", block, err)
+			t.Fatal(err)
 		}
-		requireSamePSD(t, want, got, "block size %d", block)
+		var first *Trace
+		for _, block := range []int{1 << 20, 4096, 999, 1} {
+			if block == 1 && testing.Short() {
+				continue // one-sample blocks are slow; full runs only
+			}
+			var ns SampleSource
+			if c.noise != nil {
+				ns = &sliceSampleSource{x: c.noise, block: block}
+			}
+			got, err := analyzeStream(a, n, &slicePairSource{a: envA, b: envB, block: block}, c.coeffs, ns, fs, nil)
+			if err != nil {
+				t.Fatalf("%s, block %d: %v", c.name, block, err)
+			}
+			if first == nil {
+				first = got
+				requireNearPSD(t, want, got, "%s", c.name)
+				continue
+			}
+			requireSamePSD(t, first, got, "%s, block size %d", c.name, block)
+		}
 	}
-
-	// No noise stream.
-	want, err = a.AnalyzeEnvelopes(envA, envB, coeffs, nil, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.AnalyzeEnvelopesStream(n,
-		&slicePairSource{a: envA, b: envB, block: 777}, coeffs, nil, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePSD(t, want, got, "no noise")
-
-	// No envelope family (noise only).
-	want, err = a.AnalyzeEnvelopes(nil, nil, nil, noise, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = a.AnalyzeEnvelopesStream(n, nil, nil,
-		&sliceSampleSource{x: noise, block: 777}, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePSD(t, want, got, "noise only")
 }
 
 // TestStreamPoolInvariance checks the determinism argument of the
@@ -137,22 +171,43 @@ func TestStreamMatchesBuffered(t *testing.T) {
 func TestStreamPoolInvariance(t *testing.T) {
 	const n = 1 << 15
 	a, envA, envB, coeffs, noise, fs := streamFixture(t, n)
-	inline, err := a.AnalyzeEnvelopesStream(n,
-		&slicePairSource{a: envA, b: envB, block: 999}, coeffs,
-		&sliceSampleSource{x: noise, block: 999}, fs, nil)
+	inline, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cap := range []int{1, 3, 16} {
 		s := NewScratch()
 		s.Pool = workpool.New(cap)
-		got, err := a.AnalyzeEnvelopesStream(n,
-			&slicePairSource{a: envA, b: envB, block: 999}, coeffs,
-			&sliceSampleSource{x: noise, block: 999}, fs, s)
+		got, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, s)
 		if err != nil {
 			t.Fatalf("pool cap %d: %v", cap, err)
 		}
 		requireSamePSD(t, inline, got, "pool cap %d", cap)
+	}
+}
+
+// requireNearPSD demands agreement within 1e-12 of the peak bin — the
+// rounding of combining pair-Welch products instead of rendering each
+// group stream — and identical segmentation, RBW and floor.
+func requireNearPSD(t *testing.T, want, got *Trace, format string, args ...any) {
+	t.Helper()
+	prefix := "product path vs AnalyzeIncoherent (" + format + ")"
+	if got.ActualRBW != want.ActualRBW || got.FloorPSD != want.FloorPSD {
+		t.Fatalf(prefix+": RBW/floor %g/%g, want %g/%g",
+			append(args, got.ActualRBW, got.FloorPSD, want.ActualRBW, want.FloorPSD)...)
+	}
+	wp, gp := want.Spectrum().PSD, got.Spectrum().PSD
+	if len(gp) != len(wp) {
+		t.Fatalf(prefix+": %d bins, want %d", append(args, len(gp), len(wp))...)
+	}
+	var peak float64
+	for _, v := range wp {
+		peak = math.Max(peak, v)
+	}
+	for k := range wp {
+		if d := math.Abs(gp[k] - wp[k]); d > 1e-12*peak {
+			t.Fatalf(prefix+": bin %d: %g, want %g (Δ %g)", append(args, k, gp[k], wp[k], d)...)
+		}
 	}
 }
 
@@ -177,17 +232,24 @@ func requireSamePSD(t *testing.T, want, got *Trace, format string, args ...any) 
 	}
 }
 
-// TestStreamFootprint checks the tentpole's memory claim at the
+// TestStreamFootprint checks the streaming memory claim at the
 // analyzer layer: after a streaming analysis of an n-sample capture
-// with segment length seg ≪ n, every buffer the scratch retains is
-// O(seg) — the capture itself was never materialized.
+// with segment length seg ≪ n, every buffer the scratch retains and
+// every product it returns is O(seg) — the capture itself was never
+// materialized.
 func TestStreamFootprint(t *testing.T) {
 	const n = 1 << 18
 	a, envA, envB, coeffs, noise, fs := streamFixture(t, n)
 	s := NewScratch()
-	if _, err := a.AnalyzeEnvelopesStream(n,
-		&slicePairSource{a: envA, b: envB, block: 4096}, coeffs,
-		&sliceSampleSource{x: noise, block: 4096}, fs, s); err != nil {
+	env, err := a.EnvelopeProductsStream(n, &slicePairSource{a: envA, b: envB, block: 4096}, fs, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisePSD, err := a.NoiseProductsStream(n, &sliceSampleSource{x: noise, block: 4096}, fs, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Render(n, coeffs, env, noisePSD, fs, s); err != nil {
 		t.Fatal(err)
 	}
 	seg := s.welch.SegLen()
@@ -198,12 +260,12 @@ func TestStreamFootprint(t *testing.T) {
 		name string
 		cap  int
 	}{
-		{"wa", cap(s.wa)}, {"wb", cap(s.wb)}, {"wn", cap(s.wn)},
-		{"pa", cap(s.prod.PA)}, {"pb", cap(s.prod.PB)}, {"cross", cap(s.prod.Cross)},
-		{"noisePSD", cap(s.noisePSD)}, {"sum", cap(s.sum)},
+		{"wa", cap(s.wa)}, {"wb", cap(s.wb)}, {"wn", cap(s.wn)}, {"sum", cap(s.sum)},
+		{"pa", cap(env.PA)}, {"pb", cap(env.PB)}, {"cross", cap(env.Cross)},
+		{"noisePSD", cap(noisePSD)},
 	} {
 		if b.cap > seg {
-			t.Errorf("scratch buffer %s holds %d samples; want ≤ segment %d", b.name, b.cap, seg)
+			t.Errorf("buffer %s holds %d samples; want ≤ segment %d", b.name, b.cap, seg)
 		}
 	}
 }

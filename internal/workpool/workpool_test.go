@@ -1,9 +1,11 @@
 package workpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCapacityAccounting(t *testing.T) {
@@ -66,8 +68,11 @@ func TestGoRunsAndReleases(t *testing.T) {
 	if !ran.Load() {
 		t.Fatal("f did not run")
 	}
-	// The token must come back after f returns.
-	for i := 0; i < 1000; i++ {
+	// The token must come back after f returns. Go releases it just
+	// after f's deferred wg.Done, so yield to that goroutine instead of
+	// spinning a fixed number of times (a race-detector build may not
+	// have run it yet).
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
 		if p.TryAcquire() {
 			p.Release()
 			return
