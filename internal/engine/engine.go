@@ -82,7 +82,9 @@ type Options struct {
 	// uses a fresh in-memory cache of DefaultCacheCapacity.
 	Cache *Cache
 	// Monitor, when non-nil, receives one ProgressEvent per finished
-	// cell. Run closes it when the campaign ends, so an Engine with a
+	// cell, in completion order: each event's Stats.Done is one more
+	// than the last, so the final event carries the run's final Stats.
+	// Run closes it when the campaign ends, so an Engine with a
 	// Monitor serves exactly one Run; drain the channel until it closes —
 	// sends block.
 	Monitor chan<- ProgressEvent
@@ -138,6 +140,10 @@ type run struct {
 	mu      sync.Mutex
 	st      Stats
 	firstEr error
+
+	// sendMu keeps Monitor sends in the order record numbered them, so
+	// the last event received carries the campaign's final Stats.
+	sendMu sync.Mutex
 }
 
 // Run executes the campaign described by spec, honoring ctx: on
@@ -337,11 +343,14 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	r.mu.Unlock()
-
-	if r.eng.opts.Monitor != nil {
-		r.eng.opts.Monitor <- ev
+	if r.eng.opts.Monitor == nil {
+		r.mu.Unlock()
+		return
 	}
+	r.sendMu.Lock()
+	r.mu.Unlock()
+	r.eng.opts.Monitor <- ev
+	r.sendMu.Unlock()
 }
 
 // healthLocked derives the pipeline-health snapshot attached to each

@@ -93,9 +93,12 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	if len(events) != 12 {
 		t.Fatalf("got %d monitor events, want 12", len(events))
 	}
-	for _, ev := range events {
+	for i, ev := range events {
 		if !ev.Cached || ev.Attempts != 0 {
 			t.Fatalf("expected cached event, got %+v", ev)
+		}
+		if ev.Stats.Done != i+1 {
+			t.Fatalf("event %d has Stats.Done %d: events out of completion order", i, ev.Stats.Done)
 		}
 	}
 	final := events[len(events)-1].Stats
