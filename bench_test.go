@@ -641,7 +641,7 @@ func BenchmarkAnalyticCrossCheck(b *testing.B) {
 // BenchmarkStorePut measures the store's Put throughput including the
 // final Sync, reporting observed write-path syscalls per record.
 func BenchmarkStorePut(b *testing.B) {
-	st, err := store.Open(b.TempDir(), store.Options{})
+	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -692,7 +692,7 @@ func BenchmarkCampaignStoreBacked(b *testing.B) {
 // log — the acceptance bound is well under a second.
 func BenchmarkStoreReopen100k(b *testing.B) {
 	dir := b.TempDir()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -707,7 +707,7 @@ func BenchmarkStoreReopen100k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := store.Open(dir, store.Options{})
+		st, err := store.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}

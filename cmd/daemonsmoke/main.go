@@ -10,11 +10,12 @@
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
 //     direct in-process savat.RunSpecContext of the same spec,
-//  5. SIGKILL the daemon mid-campaign, restart it on the same state
-//     directory, and watch the resubmitted campaign resume from the
-//     durable cell store (a SIGKILL skips every shutdown path, so each
-//     resumed cell must have come through the store's write-behind
-//     flusher), finishing bit-identical to a direct run,
+//  5. SIGKILL the daemon mid-campaign, as soon as its store reports
+//     cells durable, restart it on the same state directory, and watch
+//     the resubmitted campaign resume from the durable cell store (a
+//     SIGKILL skips every shutdown path, so each resumed cell must have
+//     come through the store's write-behind flusher) and compute the
+//     rest, finishing bit-identical to a direct run,
 //  6. run a power-channel campaign through the same cancel/resume
 //     cycle: the channel dimension must reach the daemon's fingerprint
 //     and cell keys intact, and the resumed matrix must be
@@ -39,6 +40,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/savat"
 	"repro/internal/service"
 )
@@ -164,20 +166,33 @@ func run() error {
 	// Phase 5: SIGKILL mid-campaign. A fresh spec (different seed) avoids
 	// the cells already persisted above, and the restarted daemon starts
 	// with an empty memory cache, so it can only resume from cells the
-	// durable store flushed before the kill.
+	// durable store flushed before the kill. Four-second captures take
+	// tens of milliseconds a cell, so the kill lands with most of the
+	// grid outstanding.
 	spec2 := smokeSpec()
 	spec2.Seed = 23
+	spec2.Config.Duration = 4
+	flushed, err := flushedRecords(base)
+	if err != nil {
+		return err
+	}
 	killed, err := submit(base, spec2)
 	if err != nil {
 		return err
 	}
 	fmt.Println("daemon-smoke: submitted", killed.ID, "(kill phase)")
-	if err := streamEvents(base, killed.ID, 3); err != nil {
-		return err
+	// Kill without any shutdown path as soon as the store has made
+	// three of the campaign's cells durable.
+	deadline := time.Now().Add(time.Minute)
+	for n := flushed; n < flushed+3; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("kill-phase job %s: %d cells durable after 1m, want 3", killed.ID, n-flushed)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if n, err = flushedRecords(base); err != nil {
+			return err
+		}
 	}
-	// Give the store's write-behind flusher (25 ms cadence) time to make
-	// the streamed cells durable, then kill without any shutdown path.
-	time.Sleep(150 * time.Millisecond)
 	if err := daemon.Process.Kill(); err != nil {
 		return fmt.Errorf("SIGKILL: %w", err)
 	}
@@ -204,8 +219,9 @@ func run() error {
 	if final.State != service.StateDone {
 		return fmt.Errorf("post-kill job %s: state %s, error %q", resumed.ID, final.State, final.Error)
 	}
-	if final.Stats.Cached == 0 {
-		return fmt.Errorf("post-kill job %s recomputed everything; the store recovered nothing", resumed.ID)
+	if final.Stats.Cached == 0 || final.Stats.Computed == 0 {
+		return fmt.Errorf("post-kill job %s: %d cells from the store, %d computed; want both > 0 (the store recovers the flushed cells of a campaign killed mid-run)",
+			resumed.ID, final.Stats.Cached, final.Stats.Computed)
 	}
 	fmt.Printf("daemon-smoke: resumed %s after SIGKILL (%d cells from the store, %d computed)\n",
 		resumed.ID, final.Stats.Cached, final.Stats.Computed)
@@ -422,6 +438,21 @@ func awaitTerminal(base, id string) (service.Job, error) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// flushedRecords reads savatd's store.flush.records counter: the cell
+// records its store has written and fsynced since the daemon started.
+func flushedRecords(base string) (uint64, error) {
+	var snap obs.Snapshot
+	if err := getJSON(base+"/metrics", &snap); err != nil {
+		return 0, err
+	}
+	for _, c := range snap.Counters {
+		if c.Name == "store.flush.records" {
+			return c.Value, nil
+		}
+	}
+	return 0, nil
 }
 
 func getJSON(url string, v any) error {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/savat"
+	"repro/internal/store"
 )
 
 func parse(t *testing.T, which Set, args ...string) *Flags {
@@ -298,6 +299,10 @@ func TestOpenCacheBackends(t *testing.T) {
 	}
 	if v, ok := cellCampaign(t, cache, "cell", -1); !ok || v != 42.5 {
 		t.Fatalf("reopened store cache: (%v, %v)", v, ok)
+	}
+	// A second run on a -cache-dir that a live run holds is refused.
+	if _, _, err := f.OpenCache(); !errors.Is(err, store.ErrLocked) {
+		t.Fatalf("second OpenCache on a held -cache-dir: %v, want store.ErrLocked", err)
 	}
 	closeCache()
 }

@@ -60,25 +60,20 @@ func NewCache(capacity int) *Cache {
 }
 
 // NewStoreCache returns a cache whose durable layer is the append-only
-// segment log of internal/store rooted at dir (created if needed).
+// segment log of internal/store rooted at dir (created if needed). A
+// directory another open store cache holds, in this process or
+// another, is refused with an error wrapping store.ErrLocked.
 //
 // Store writes are write-behind — batched to disk by the store's
 // flusher — so campaign workers never block on the disk; call Sync (or
 // Close, which the CLI closers do) to force durability at a boundary.
 // Values round-trip bit-exactly, non-finite included.
 func NewStoreCache(capacity int, dir string) (*Cache, error) {
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("engine: store cache: %w", err)
 	}
 	return newCache(capacity, st), nil
-}
-
-// NewStoreCacheWith wraps an already-open store (tests tune its
-// Options) in a cache. The cache owns the store from then on: Close
-// closes it.
-func NewStoreCacheWith(capacity int, st *store.Store) *Cache {
-	return newCache(capacity, st)
 }
 
 func newCache(capacity int, st *store.Store) *Cache {

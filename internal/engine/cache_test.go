@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/store"
 )
 
 // valueSpec is a one-row campaign whose cell col is keyed by keys[col]
@@ -131,11 +129,10 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 // write-behind batching behind every computed cell.
 func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{FlushEvery: time.Millisecond})
+	cache, err := NewStoreCache(DefaultCacheCapacity, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStoreCacheWith(DefaultCacheCapacity, st)
 	var computes int64
 
 	spec := Spec{

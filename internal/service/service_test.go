@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/savat"
+	"repro/internal/store"
 )
 
 // smokeSpec is a tiny campaign for service tests: 2×2 events, 2
@@ -324,4 +325,24 @@ func TestClosedServerRejectsSubmit(t *testing.T) {
 	if _, err := s.Submit(smokeSpec(), SubmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
+}
+
+// Two servers on one state directory would serve each other's cells
+// out of one interleaved segment log; the second is refused until the
+// first closes.
+func TestNewRefusesHeldStateDir(t *testing.T) {
+	dir := t.TempDir()
+	first, err := New(Options{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Options{StateDir: dir}); !errors.Is(err, store.ErrLocked) {
+		if err == nil {
+			s.Close()
+		}
+		first.Close()
+		t.Fatalf("second New on one state dir: %v, want store.ErrLocked", err)
+	}
+	first.Close()
+	newServer(t, Options{StateDir: dir})
 }

@@ -192,7 +192,7 @@ func TestCrashRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := openT(t, dir, fastOpts())
+			s := openT(t, dir)
 			for i := 0; i < tc.durable; i++ {
 				put(t, s, crashKey(i), string(crashVal(i)))
 			}
@@ -205,7 +205,7 @@ func TestCrashRecovery(t *testing.T) {
 			s.Crash()
 			tc.corrupt(t, dir)
 
-			s2 := openT(t, dir, fastOpts())
+			s2 := openT(t, dir)
 			// Every record before the corruption horizon is intact …
 			for i := 0; i < tc.minRecovered; i++ {
 				got, ok := s2.Get(crashKey(i))
@@ -228,7 +228,7 @@ func TestCrashRecovery(t *testing.T) {
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			s3 := openT(t, dir, fastOpts())
+			s3 := openT(t, dir)
 			defer s3.Close()
 			expect(t, s3, "post-crash", "still-writable")
 			for i := 0; i < tc.minRecovered; i++ {
@@ -253,7 +253,7 @@ func TestCrashEveryTruncationOffset(t *testing.T) {
 	recLen := lastRecordLen(total)
 	for cut := int64(1); cut < recLen; cut++ {
 		dir := t.TempDir()
-		s := openT(t, dir, fastOpts())
+		s := openT(t, dir)
 		for i := 0; i < total; i++ {
 			put(t, s, crashKey(i), string(crashVal(i)))
 		}
@@ -263,7 +263,7 @@ func TestCrashEveryTruncationOffset(t *testing.T) {
 		s.Crash()
 		truncateTail(t, dir, cut)
 
-		s2 := openT(t, dir, fastOpts())
+		s2 := openT(t, dir)
 		if st := s2.Stats(); st.Truncations != 1 {
 			t.Fatalf("cut=%d: %d truncations, want 1", cut, st.Truncations)
 		}
@@ -286,7 +286,7 @@ func TestCrashEveryTruncationOffset(t *testing.T) {
 // carried it survives whole.
 func TestCrashMidBatchFlushOrder(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	for i := 0; i < 20; i++ {
 		put(t, s, crashKey(i), string(crashVal(i)))
 		if i%5 == 4 {
@@ -299,7 +299,7 @@ func TestCrashMidBatchFlushOrder(t *testing.T) {
 	put(t, s, crashKey(20), string(crashVal(20)))
 	s.Crash()
 
-	s2 := openT(t, dir, fastOpts())
+	s2 := openT(t, dir)
 	defer s2.Close()
 	for i := 0; i < 20; i++ {
 		got, ok := s2.Get(crashKey(i))

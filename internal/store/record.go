@@ -1,14 +1,20 @@
-// Package store is a pure-Go single-file embedded key/value store for
-// campaign cell results: an append-only log of length-prefixed,
-// CRC32C-checksummed (key, value) records split across numbered segment
-// files, with an in-memory index rebuilt on open. Writes are
-// write-behind — Put parks the record in a bounded in-memory buffer and
-// a dedicated flusher goroutine batches records to disk on a ticker or
-// a size threshold, so callers on the measurement hot path never wait
-// for a syscall — while reads are served from the buffer or by a single
-// pread through the index. Superseded records are dropped by rewriting
-// the live ones (compaction). Files in the directory other than segment
-// files are ignored.
+// Package store is a pure-Go embedded key/value store for campaign cell
+// results: an append-only log of length-prefixed, CRC32C-checksummed
+// (key, value) records in numbered segment files, with an in-memory
+// index rebuilt on open. Writes are write-behind — Put parks the record
+// in a bounded in-memory buffer and a dedicated flusher goroutine
+// batches records to disk on a ticker or a size threshold, so callers
+// on the measurement hot path never wait for a syscall — while reads
+// are served from the buffer or by a single pread through the index.
+//
+// Records are immutable in practice: the engine keys each cell by a
+// content address of everything that determines its value, and stores
+// a key only after missing it, so nothing is ever superseded and the
+// log is never rewritten. Every segment file present is replayed in id
+// order (a later record of a key wins); new records go to the
+// highest-numbered segment, whose exclusive lock makes one open store
+// per directory. Files in the directory other than segment files are
+// ignored.
 //
 // Durability contract: everything written before a successful Sync (or
 // Close) survives a crash; a torn or bit-flipped tail is detected by
@@ -62,6 +68,9 @@ var (
 	ErrBadHeader = errors.New("store: not a segment file")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("store: closed")
+	// ErrLocked reports an Open of a directory that another open store
+	// (in this process or another) already holds.
+	ErrLocked = errors.New("store: directory is locked by another open store")
 	// errTorn reports an incomplete record at the end of a segment — the
 	// expected shape of a crash mid-append. Recovery truncates it.
 	errTorn = errors.New("store: torn record")

@@ -13,76 +13,35 @@ import (
 	"time"
 )
 
-// Options configure Open. The zero value selects the defaults, which
-// suit the campaign cache workload (tens of bytes per record, bursts of
-// thousands of writes per second); tests shrink the thresholds to force
-// rotation and compaction on small data.
-type Options struct {
-	// MaxSegmentBytes rotates the active segment once it grows past
-	// this size (0 = 64 MiB).
-	MaxSegmentBytes int64
-	// FlushEvery is the flusher's ticker interval: the longest a
-	// quiet-period write sits in memory before reaching disk
-	// (0 = 25 ms).
-	FlushEvery time.Duration
-	// FlushBytes is the size threshold that triggers an immediate batch
-	// flush between ticks (0 = 256 KiB).
-	FlushBytes int
-	// MaxPendingBytes bounds the write-behind buffer. Put blocks only
-	// when the buffer is full — backpressure for a disk that cannot
-	// keep up, never a per-write stall (0 = 8 MiB).
-	MaxPendingBytes int
-	// CompactFraction triggers automatic compaction when at least this
-	// fraction of the records in sealed segments is superseded
-	// (0 = 0.5; ≥ 1 disables automatic compaction).
-	CompactFraction float64
-	// CompactMinDead is the minimum number of superseded sealed records
-	// before automatic compaction is considered (0 = 1024).
-	CompactMinDead int
-}
-
-func (o *Options) defaults() {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 64 << 20
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 25 * time.Millisecond
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
-	}
-	if o.MaxPendingBytes <= 0 {
-		o.MaxPendingBytes = 8 << 20
-	}
-	if o.CompactFraction == 0 {
-		o.CompactFraction = 0.5
-	}
-	if o.CompactMinDead <= 0 {
-		o.CompactMinDead = 1024
-	}
-}
+// Write-behind tuning for the campaign cache workload: 84-byte cell
+// records in bursts of thousands per second.
+const (
+	// flushEvery is the flusher's tick: the longest a quiet-period write
+	// sits in memory before reaching disk.
+	flushEvery = 25 * time.Millisecond
+	// flushBytes of buffered records trigger a batch flush between ticks.
+	flushBytes = 256 << 10
+	// maxPendingBytes bounds the write-behind buffer. Put blocks only
+	// when it is full — backpressure for a disk that cannot keep up,
+	// never a per-write stall.
+	maxPendingBytes = 8 << 20
+)
 
 // ref locates the latest durable value of one key.
 type ref struct {
-	seg  int   // segment id
+	seg  int   // index into Store.segs
 	off  int64 // file offset of the value bytes
 	vlen int
-}
-
-// segment is one on-disk log file plus its liveness accounting.
-type segment struct {
-	id    int
-	f     *os.File
-	size  int64
-	total int // records written
-	live  int // records still current in the index
 }
 
 // Store is an open segment-log store. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
+	// segs holds every segment file in id order, fixed at Open. The
+	// last is the active segment: the only one written, and the one
+	// whose lock claims the directory.
+	segs []*os.File
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast after every completed flush
@@ -90,8 +49,7 @@ type Store struct {
 	pending  map[string][]byte // written, not yet picked up by the flusher
 	pendBy   int
 	flushing map[string][]byte // the batch the flusher is writing right now
-	segs     map[int]*segment
-	active   *segment
+	size     int64             // bytes in the active segment
 	closed   bool
 	crashed  bool
 	err      error // sticky flush I/O error
@@ -99,13 +57,11 @@ type Store struct {
 	kick      chan struct{}
 	stop      chan struct{}
 	flusherWG sync.WaitGroup
-	compactMu sync.Mutex // serializes Compact calls
 
 	puts        uint64 // atomic
-	syscalls    uint64 // atomic: write-path syscalls (write, fsync, open, rename, unlink)
+	syscalls    uint64 // atomic: write-path syscalls (write, fsync, open, truncate)
 	batches     uint64
 	batchedRecs uint64
-	compactions uint64
 	truncations int
 }
 
@@ -115,50 +71,35 @@ type Stats struct {
 	Batches        uint64 // flusher batches written
 	BatchedRecords uint64 // records across all batches
 	Syscalls       uint64 // write-path syscalls issued since Open
-	Compactions    uint64
-	Truncations    int // torn/corrupt tails truncated during Open
-	Records        int // live keys in the index
-	Segments       int
-	SealedRecords  int // records in sealed segments
-	SealedDead     int // superseded records in sealed segments
+	Truncations    int    // torn/corrupt tails truncated during Open
+	Records        int    // live keys in the index
 }
 
-// Open opens (creating if needed) the store rooted at dir. Segment
-// files are replayed to rebuild the index, truncating any torn tail;
+// Open opens (creating if needed) the store rooted at dir. It locks
+// the directory — a second Open fails with ErrLocked until the first
+// store is closed or its process dies — then replays every segment
+// file in id order to rebuild the index, truncating any torn tail;
 // every other file in dir is left untouched and never served. The
 // returned store has a running flusher; Close it to drain and release
 // it.
-func Open(dir string, opts Options) (*Store, error) {
-	opts.defaults()
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
 		dir:     dir,
-		opts:    opts,
 		index:   make(map[string]ref),
 		pending: make(map[string][]byte),
-		segs:    make(map[int]*segment),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-
-	// Leftovers of an interrupted compaction are incomplete by
-	// definition (the rename is the commit point): discard them.
-	stray, _ := filepath.Glob(filepath.Join(dir, "*"+compactSuffix))
-	for _, p := range stray {
-		os.Remove(p)
-		s.sys(1)
-	}
-
 	if err := s.replay(); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
 	s.flusherWG.Add(1)
 	go s.flusher()
-	mSegments.Set(int64(len(s.segs)))
 	return s, nil
 }
 
@@ -189,108 +130,109 @@ func segmentIDs(dir string) ([]int, error) {
 	return ids, nil
 }
 
-// replay opens every segment file in id order, rebuilds the index, and
-// truncates torn or corrupt tails. The highest-numbered segment becomes
-// the active one.
+// replay opens every segment file, locks the highest-numbered one (the
+// active segment, creating 000001.seg in an empty directory), and only
+// then reads them in id order into the index — so no store ever reads
+// or truncates a segment another open store is appending to. Later
+// records supersede earlier ones.
 func (s *Store) replay() error {
 	ids, err := segmentIDs(s.dir)
 	if err != nil {
 		return err
 	}
+	flag := os.O_RDWR
 	if len(ids) == 0 {
-		seg, err := s.createSegment(1)
+		ids = []int{1}
+		flag |= os.O_CREATE
+	}
+	for _, id := range ids {
+		f, err := os.OpenFile(s.segPath(id), flag, 0o644)
 		if err != nil {
-			return err
+			return fmt.Errorf("store: %w", err)
 		}
-		s.segs[1] = seg
-		s.active = seg
-		return nil
+		s.segs = append(s.segs, f)
+		s.sys(1)
+	}
+	if err := lockFile(s.segs[len(s.segs)-1]); errors.Is(err, ErrLocked) {
+		return fmt.Errorf("%w: %s", err, s.dir)
+	} else if err != nil {
+		return fmt.Errorf("store: locking %s: %w", s.dir, err)
 	}
 	for i, id := range ids {
-		last := i == len(ids)-1
-		seg, err := s.replaySegment(id, last)
+		size, err := s.replaySegment(i, id)
 		if err != nil {
 			return err
 		}
-		s.segs[id] = seg
-		if last {
-			s.active = seg
-		}
+		s.size = size
+	}
+	if flag&os.O_CREATE != 0 {
+		s.syncDir()
 	}
 	return nil
 }
 
-// replaySegment reads one segment file into the index. For the
-// highest-numbered (last) segment — the only one a crash can tear — a
-// bad header resets the file and a torn or corrupt record truncates it
-// at the last valid record. Earlier segments were sealed by a clean
-// rotation, but the same checksum-guarded truncation applies: a record
-// that does not verify is never served.
-func (s *Store) replaySegment(id int, last bool) (*segment, error) {
+// replaySegment reads segment id (s.segs[i]) into the index and
+// returns its valid length. For the active (last) segment — the only
+// one a crash can tear — an empty file or a bad header resets the file,
+// and a torn or corrupt record truncates it at the last valid record.
+// Earlier segments were sealed by a store that rotated, but the same
+// checksum-guarded truncation applies: a record that does not verify is
+// never served.
+func (s *Store) replaySegment(i, id int) (int64, error) {
 	path := s.segPath(id)
+	f := s.segs[i]
+	active := i == len(s.segs)-1
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s.sys(2)
+	s.sys(1)
 
+	if active && len(data) == 0 {
+		// Freshly created (or created and never written): give it a
+		// durable header.
+		if err := resetSegmentFile(f); err != nil {
+			return 0, err
+		}
+		s.sys(3)
+		return headerSize, nil
+	}
 	if err := checkHeader(data); err != nil {
-		if last && !errors.Is(err, ErrFutureVersion) {
+		if active && !errors.Is(err, ErrFutureVersion) {
 			// A torn header means the segment was created but never
 			// fsynced past its header write: it provably holds no
 			// durable records. Reset it.
 			if err := resetSegmentFile(f); err != nil {
-				f.Close()
-				return nil, err
+				return 0, err
 			}
 			s.sys(3)
 			s.truncations++
 			mTruncations.Inc()
-			return &segment{id: id, f: f, size: headerSize}, nil
+			return headerSize, nil
 		}
-		f.Close()
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+		return 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 
-	seg := &segment{id: id, f: f}
 	off := int64(headerSize)
 	for int(off) < len(data) {
 		key, val, n, derr := DecodeRecord(data[off:])
 		if derr != nil {
 			// Torn or corrupt tail: truncate to the last valid record.
 			if terr := f.Truncate(off); terr != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: truncating %s: %w", path, terr)
+				return 0, fmt.Errorf("store: truncating %s: %w", path, terr)
 			}
 			if terr := f.Sync(); terr != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: %w", terr)
+				return 0, fmt.Errorf("store: %w", terr)
 			}
 			s.sys(2)
 			s.truncations++
 			mTruncations.Inc()
 			break
 		}
-		if old, ok := s.index[key]; ok {
-			if old.seg == id {
-				// Superseded within this very segment, which is not in
-				// s.segs until replay finishes.
-				seg.live--
-			} else if o := s.segs[old.seg]; o != nil {
-				o.live--
-			}
-		}
-		s.index[key] = ref{seg: id, off: off + int64(valueOffset(key)), vlen: len(val)}
-		seg.total++
-		seg.live++
+		s.index[key] = ref{seg: i, off: off + int64(valueOffset(key)), vlen: len(val)}
 		off += int64(n)
 	}
-	seg.size = off
-	return seg, nil
+	return off, nil
 }
 
 // resetSegmentFile rewrites f as a fresh, empty segment.
@@ -305,22 +247,6 @@ func resetSegmentFile(f *os.File) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// createSegment creates segment id with a durable header, fsyncing the
-// directory so the file itself survives a crash.
-func (s *Store) createSegment(id int) (*segment, error) {
-	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := resetSegmentFile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.sys(4)
-	s.syncDir()
-	return &segment{id: id, f: f, size: headerSize}, nil
 }
 
 // syncDir fsyncs the store directory (best-effort: some filesystems
@@ -342,7 +268,7 @@ func (s *Store) sys(n uint64) { atomic.AddUint64(&s.syscalls, n) }
 // Put stores value under key. The write is buffered in memory and
 // becomes durable at the next flush (ticker, size threshold, Sync, or
 // Close); Get observes it immediately. Put blocks only when the
-// write-behind buffer is at MaxPendingBytes. The value is copied.
+// write-behind buffer is full. The value is copied.
 func (s *Store) Put(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,7 +279,7 @@ func (s *Store) Put(key string, val []byte) error {
 		if s.err != nil {
 			return s.err
 		}
-		if s.pendBy < s.opts.MaxPendingBytes {
+		if s.pendBy < maxPendingBytes {
 			break
 		}
 		s.kickLocked()
@@ -366,7 +292,7 @@ func (s *Store) Put(key string, val []byte) error {
 	s.pendBy += recordSize(key, val)
 	atomic.AddUint64(&s.puts, 1)
 	mPuts.Inc()
-	if s.pendBy >= s.opts.FlushBytes {
+	if s.pendBy >= flushBytes {
 		s.kickLocked()
 	}
 	return nil
@@ -383,38 +309,26 @@ func (s *Store) kickLocked() {
 // Get returns the value stored under key: the write-behind buffer
 // first (read-your-writes), then one pread through the index.
 func (s *Store) Get(key string) ([]byte, bool) {
-	// A concurrent compaction can retire the segment file between the
-	// index lookup and the pread; re-resolving the ref once covers it.
-	for attempt := 0; attempt < 2; attempt++ {
-		s.mu.Lock()
-		if v, ok := s.pending[key]; ok {
-			out := append([]byte(nil), v...)
-			s.mu.Unlock()
-			return out, true
-		}
-		if v, ok := s.flushing[key]; ok {
-			out := append([]byte(nil), v...)
-			s.mu.Unlock()
-			return out, true
-		}
-		r, ok := s.index[key]
-		if !ok {
-			s.mu.Unlock()
-			return nil, false
-		}
-		seg := s.segs[r.seg]
-		if seg == nil {
-			s.mu.Unlock()
-			continue
-		}
-		f := seg.f
-		s.mu.Unlock()
-		out := make([]byte, r.vlen)
-		if _, err := f.ReadAt(out, r.off); err == nil {
-			return out, true
-		}
+	s.mu.Lock()
+	v, ok := s.pending[key]
+	if !ok {
+		v, ok = s.flushing[key]
 	}
-	return nil, false
+	if ok {
+		out := append([]byte(nil), v...)
+		s.mu.Unlock()
+		return out, true
+	}
+	r, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	out := make([]byte, r.vlen)
+	if _, err := s.segs[r.seg].ReadAt(out, r.off); err != nil {
+		return nil, false
+	}
+	return out, true
 }
 
 // Sync blocks until every Put accepted before the call is durable on
@@ -450,28 +364,18 @@ func (s *Store) Len() int {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Puts:           atomic.LoadUint64(&s.puts),
 		Batches:        s.batches,
 		BatchedRecords: s.batchedRecs,
 		Syscalls:       atomic.LoadUint64(&s.syscalls),
-		Compactions:    s.compactions,
 		Truncations:    s.truncations,
 		Records:        len(s.index),
-		Segments:       len(s.segs),
 	}
-	for _, seg := range s.segs {
-		if seg == s.active {
-			continue
-		}
-		st.SealedRecords += seg.total
-		st.SealedDead += seg.total - seg.live
-	}
-	return st
 }
 
 // Close drains the write-behind buffer to disk, fsyncs, and releases
-// the store. Further Puts fail with ErrClosed.
+// the store and its directory lock. Further Puts fail with ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -493,9 +397,9 @@ func (s *Store) Close() error {
 }
 
 // Crash abandons the store without flushing: buffered writes are
-// dropped and file handles are closed as-is, leaving the directory
-// exactly as a process kill would. It is a test hook for crash-recovery
-// coverage; production code uses Close.
+// dropped and file handles are closed as-is (releasing the directory
+// lock), leaving the directory exactly as a process kill would. It is a
+// test hook for crash-recovery coverage; production code uses Close.
 func (s *Store) Crash() {
 	s.mu.Lock()
 	if s.closed {
@@ -516,20 +420,16 @@ func (s *Store) Crash() {
 }
 
 func (s *Store) closeFiles() {
-	for _, seg := range s.segs {
-		if seg.f != nil {
-			seg.f.Close()
-			seg.f = nil
-		}
+	for _, f := range s.segs {
+		f.Close()
 	}
 }
 
 // flusher is the dedicated write-behind goroutine: it batches buffered
-// records into one write + one fsync per flush, rotates oversized
-// segments, and triggers compaction when sealed garbage accumulates.
+// records into one write + one fsync per flush.
 func (s *Store) flusher() {
 	defer s.flusherWG.Done()
-	t := time.NewTicker(s.opts.FlushEvery)
+	t := time.NewTicker(flushEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -545,14 +445,14 @@ func (s *Store) flusher() {
 		case <-s.kick:
 		}
 		s.flushOnce()
-		s.maybeCompact()
 	}
 }
 
-// flushOnce writes the current buffer as one batch: encode every
-// pending record, one WriteAt, one fsync, then publish the new index
-// refs. Errors are sticky — the store keeps serving reads and memory
-// writes, but reports the failure on Put/Sync/Close.
+// flushOnce appends the current buffer to the active segment as one
+// batch: encode every pending record, one WriteAt, one fsync, then
+// publish the new index refs. Errors are sticky — the store keeps
+// serving reads and memory writes, but reports the failure on
+// Put/Sync/Close.
 func (s *Store) flushOnce() {
 	s.mu.Lock()
 	if len(s.pending) == 0 || s.err != nil {
@@ -563,8 +463,7 @@ func (s *Store) flushOnce() {
 	s.pending = make(map[string][]byte)
 	s.pendBy = 0
 	s.flushing = batch
-	seg := s.active
-	base := seg.size
+	base := s.size
 	s.mu.Unlock()
 
 	sp := mFlushLatency.Start()
@@ -575,28 +474,28 @@ func (s *Store) flushOnce() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	seg := len(s.segs) - 1
 	var buf []byte
-	type loc struct {
-		key  string
-		off  int64
-		vlen int
-	}
-	locs := make([]loc, 0, len(batch))
-	for _, k := range keys {
+	refs := make([]ref, len(keys))
+	for i, k := range keys {
 		v := batch[k]
-		locs = append(locs, loc{key: k, off: base + int64(len(buf)) + int64(valueOffset(k)), vlen: len(v)})
+		refs[i] = ref{seg: seg, off: base + int64(len(buf)) + int64(valueOffset(k)), vlen: len(v)}
 		buf = AppendRecord(buf, k, v)
 	}
+	f := s.segs[seg]
 	var werr error
-	if _, err := seg.f.WriteAt(buf, base); err != nil {
+	if _, err := f.WriteAt(buf, base); err != nil {
 		werr = err
-	} else if err := seg.f.Sync(); err != nil {
+	} else if err := f.Sync(); err != nil {
 		werr = err
 	}
 	s.sys(2)
 	sp.End()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.cond.Broadcast()
+	s.flushing = nil
 	if werr != nil {
 		// The batch may be partially on disk with no fsync; put it back
 		// in front so a later recovery of the disk retries it. The torn
@@ -607,213 +506,16 @@ func (s *Store) flushOnce() {
 				s.pendBy += recordSize(k, v)
 			}
 		}
-		s.flushing = nil
 		s.err = fmt.Errorf("store: flush: %w", werr)
-		s.cond.Broadcast()
-		s.mu.Unlock()
 		return
 	}
-	seg.size = base + int64(len(buf))
-	seg.total += len(locs)
-	seg.live += len(locs)
-	for _, l := range locs {
-		if old, ok := s.index[l.key]; ok {
-			if o := s.segs[old.seg]; o != nil {
-				o.live--
-			}
-		}
-		s.index[l.key] = ref{seg: seg.id, off: l.off, vlen: l.vlen}
+	s.size = base + int64(len(buf))
+	for i, k := range keys {
+		s.index[k] = refs[i]
 	}
-	s.flushing = nil
 	s.batches++
-	s.batchedRecs += uint64(len(locs))
+	s.batchedRecs += uint64(len(keys))
 	mBatches.Inc()
-	mBatchRecords.Add(uint64(len(locs)))
+	mBatchRecords.Add(uint64(len(keys)))
 	mAppendBytes.Add(uint64(len(buf)))
-	rotate := seg.size >= s.opts.MaxSegmentBytes
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	if rotate {
-		s.rotate()
-	}
-}
-
-// rotate seals the active segment and opens the next numbered one.
-// Runs on the flusher goroutine only.
-func (s *Store) rotate() {
-	s.mu.Lock()
-	id := s.active.id + 1
-	s.mu.Unlock()
-	seg, err := s.createSegment(id)
-	if err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Lock()
-	s.segs[id] = seg
-	s.active = seg
-	mSegments.Set(int64(len(s.segs)))
-	s.mu.Unlock()
-}
-
-// maybeCompact triggers compaction when the superseded fraction of
-// sealed records crosses the configured threshold.
-func (s *Store) maybeCompact() {
-	s.mu.Lock()
-	var total, dead int
-	for _, seg := range s.segs {
-		if seg == s.active {
-			continue
-		}
-		total += seg.total
-		dead += seg.total - seg.live
-	}
-	frac := s.opts.CompactFraction
-	s.mu.Unlock()
-	if frac >= 1 || total == 0 || dead < s.opts.CompactMinDead {
-		return
-	}
-	if float64(dead)/float64(total) < frac {
-		return
-	}
-	_ = s.Compact()
-}
-
-const compactSuffix = ".compact"
-
-// Compact rewrites the live records of every sealed segment into one
-// new segment and deletes the originals, reclaiming the space of
-// superseded records. The active segment is untouched, so writes and
-// reads proceed concurrently; the commit point is an atomic rename.
-//
-// Crash safety: the compacted file is built under a temporary name and
-// renamed over the highest-numbered sealed segment after an fsync. A
-// crash before the rename leaves the originals; a crash after it leaves
-// the compacted segment (which replays after any older original that
-// was not yet deleted, superseding it), so every interleaving replays
-// to the same live values.
-func (s *Store) Compact() error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	sealedIDs := make([]int, 0, len(s.segs))
-	for id, seg := range s.segs {
-		if seg != s.active {
-			sealedIDs = append(sealedIDs, id)
-		}
-	}
-	sort.Ints(sealedIDs)
-	if len(sealedIDs) == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	sealedSet := make(map[int]bool, len(sealedIDs))
-	for _, id := range sealedIDs {
-		sealedSet[id] = true
-	}
-	type liveRec struct {
-		key string
-		ref ref
-	}
-	var live []liveRec
-	for k, r := range s.index {
-		if sealedSet[r.seg] {
-			live = append(live, liveRec{key: k, ref: r})
-		}
-	}
-	// Deterministic output bytes: sort by key.
-	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
-	target := sealedIDs[len(sealedIDs)-1]
-	files := make(map[int]*os.File, len(sealedIDs))
-	for _, id := range sealedIDs {
-		files[id] = s.segs[id].f
-	}
-	s.mu.Unlock()
-
-	// Read every live value and build the compacted segment image.
-	buf := encodeHeader()
-	type newLoc struct {
-		key  string
-		old  ref
-		off  int64
-		vlen int
-	}
-	locs := make([]newLoc, 0, len(live))
-	for _, lr := range live {
-		val := make([]byte, lr.ref.vlen)
-		if _, err := files[lr.ref.seg].ReadAt(val, lr.ref.off); err != nil {
-			return fmt.Errorf("store: compact read: %w", err)
-		}
-		locs = append(locs, newLoc{key: lr.key, old: lr.ref, off: int64(len(buf)) + int64(valueOffset(lr.key)), vlen: len(val)})
-		buf = AppendRecord(buf, lr.key, val)
-	}
-
-	tmpPath := s.segPath(target) + compactSuffix
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if _, err := tmp.WriteAt(buf, 0); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.sys(3)
-	if err := os.Rename(tmpPath, s.segPath(target)); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.sys(1)
-	s.syncDir()
-
-	newSeg := &segment{id: target, f: tmp, size: int64(len(buf)), total: len(locs), live: len(locs)}
-
-	s.mu.Lock()
-	for _, l := range locs {
-		cur, ok := s.index[l.key]
-		if ok && cur == l.old {
-			s.index[l.key] = ref{seg: target, off: l.off, vlen: l.vlen}
-		} else {
-			// Superseded while compacting: the compacted copy is dead.
-			newSeg.live--
-		}
-	}
-	for _, id := range sealedIDs {
-		if old := s.segs[id]; old != nil && old.f != nil {
-			old.f.Close()
-		}
-		delete(s.segs, id)
-	}
-	s.segs[target] = newSeg
-	s.compactions++
-	mCompactions.Inc()
-	mSegments.Set(int64(len(s.segs)))
-	s.mu.Unlock()
-
-	for _, id := range sealedIDs {
-		if id == target {
-			continue
-		}
-		os.Remove(s.segPath(id))
-		s.sys(1)
-	}
-	s.syncDir()
-	return nil
 }

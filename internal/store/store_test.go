@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -11,17 +12,9 @@ import (
 	"time"
 )
 
-// fastOpts keeps tests snappy: small segments and instant flushing.
-func fastOpts() Options {
-	return Options{
-		FlushEvery:      time.Millisecond,
-		CompactFraction: 2, // manual compaction only, unless a test overrides
-	}
-}
-
-func openT(t *testing.T, dir string, opts Options) *Store {
+func openT(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +54,7 @@ func TestOpenIgnoresStrayJSONFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	for _, key := range []string{"key-a", "key-b", "key-a.json", "key-b.json"} {
 		if v, ok := s.Get(key); ok {
 			t.Errorf("Get(%q) served %q from a stray file", key, v)
@@ -83,14 +76,14 @@ func TestOpenIgnoresStrayJSONFiles(t *testing.T) {
 			t.Errorf("stray %s rewritten: %q, want %q", name, got, body)
 		}
 	}
-	s2 := openT(t, dir, fastOpts())
+	s2 := openT(t, dir)
 	defer s2.Close()
 	expect(t, s2, "key-a", "from the log")
 }
 
 func TestPutGetReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	for i := 0; i < 100; i++ {
 		put(t, s, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
 	}
@@ -109,7 +102,7 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatalf("Put after Close: %v, want ErrClosed", err)
 	}
 
-	s2 := openT(t, dir, fastOpts())
+	s2 := openT(t, dir)
 	defer s2.Close()
 	if s2.Len() != 100 {
 		t.Fatalf("reopened store has %d keys, want 100", s2.Len())
@@ -124,7 +117,7 @@ func TestPutGetReopen(t *testing.T) {
 
 func TestOverwriteLatestWins(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	put(t, s, "k", "first")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -133,7 +126,7 @@ func TestOverwriteLatestWins(t *testing.T) {
 	expect(t, s, "k", "second")
 	s.Close()
 
-	s2 := openT(t, dir, fastOpts())
+	s2 := openT(t, dir)
 	defer s2.Close()
 	expect(t, s2, "k", "second")
 	if s2.Len() != 1 {
@@ -141,116 +134,15 @@ func TestOverwriteLatestWins(t *testing.T) {
 	}
 }
 
-func TestRotation(t *testing.T) {
-	dir := t.TempDir()
-	opts := fastOpts()
-	opts.MaxSegmentBytes = 256 // a few records per segment
-	s := openT(t, dir, opts)
-	for i := 0; i < 50; i++ {
-		put(t, s, fmt.Sprintf("key-%03d", i), "0123456789abcdef")
-		// Per-record Sync forces one batch per record, growing the
-		// active segment past the rotation threshold repeatedly.
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("only %d segments after 50 oversized appends", st.Segments)
-	}
-	s.Close()
-
-	s2 := openT(t, dir, opts)
-	defer s2.Close()
-	for i := 0; i < 50; i++ {
-		expect(t, s2, fmt.Sprintf("key-%03d", i), "0123456789abcdef")
-	}
-}
-
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opts := fastOpts()
-	opts.MaxSegmentBytes = 512
-	s := openT(t, dir, opts)
-	// Write every key several times so sealed segments fill with
-	// superseded records.
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 20; i++ {
-			put(t, s, fmt.Sprintf("key-%02d", i), fmt.Sprintf("round-%d-value-%02d", round, i))
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := s.Stats()
-	if before.SealedDead == 0 {
-		t.Fatal("no dead sealed records to compact; test setup is wrong")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats()
-	if after.Compactions != before.Compactions+1 {
-		t.Fatalf("compactions %d, want %d", after.Compactions, before.Compactions+1)
-	}
-	if after.SealedDead != 0 {
-		t.Fatalf("%d dead sealed records survived compaction", after.SealedDead)
-	}
-	if after.Segments >= before.Segments {
-		t.Fatalf("segments %d → %d; compaction reclaimed nothing", before.Segments, after.Segments)
-	}
-	for i := 0; i < 20; i++ {
-		expect(t, s, fmt.Sprintf("key-%02d", i), fmt.Sprintf("round-4-value-%02d", i))
-	}
-	// Disk usage shrank: the dead rounds are gone.
-	s.Close()
-	s2 := openT(t, dir, opts)
-	defer s2.Close()
-	if s2.Len() != 20 {
-		t.Fatalf("%d keys after compacted reopen, want 20", s2.Len())
-	}
-	for i := 0; i < 20; i++ {
-		expect(t, s2, fmt.Sprintf("key-%02d", i), fmt.Sprintf("round-4-value-%02d", i))
-	}
-}
-
-func TestAutoCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opts := fastOpts()
-	opts.MaxSegmentBytes = 512
-	opts.CompactFraction = 0.5
-	opts.CompactMinDead = 1
-	s := openT(t, dir, opts)
-	defer s.Close()
-	for round := 0; round < 6; round++ {
-		for i := 0; i < 20; i++ {
-			put(t, s, fmt.Sprintf("key-%02d", i), fmt.Sprintf("round-%d-value-%02d", round, i))
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("automatic compaction never triggered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 20; i++ {
-		expect(t, s, fmt.Sprintf("key-%02d", i), fmt.Sprintf("round-5-value-%02d", i))
-	}
-}
-
 func TestFloat64RoundTrip(t *testing.T) {
 	vals := []float64{0, 1.5, -2.25e-21, math.MaxFloat64, math.Inf(1), math.NaN(), math.Copysign(0, -1)}
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	for i, v := range vals {
 		put(t, s, fmt.Sprintf("f%d", i), string(EncodeFloat64(v)))
 	}
 	s.Close()
-	s2 := openT(t, dir, fastOpts())
+	s2 := openT(t, dir)
 	defer s2.Close()
 	for i, v := range vals {
 		b, ok := s2.Get(fmt.Sprintf("f%d", i))
@@ -267,15 +159,13 @@ func TestFloat64RoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersReadersCompaction is the store's -race exercise:
-// many writers and readers race a compaction mid-stream, and after a
-// final Sync every writer's last value must be durable and visible
-// (read-your-writes through reopen).
-func TestConcurrentWritersReadersCompaction(t *testing.T) {
+// TestConcurrentWritersReaders is the store's -race exercise: many
+// writers and readers race the flusher, and after a final Sync every
+// writer's last value must be durable and visible (read-your-writes
+// through reopen).
+func TestConcurrentWritersReaders(t *testing.T) {
 	dir := t.TempDir()
-	opts := fastOpts()
-	opts.MaxSegmentBytes = 4 << 10
-	s := openT(t, dir, opts)
+	s := openT(t, dir)
 
 	const writers = 8
 	const perWriter = 200
@@ -287,7 +177,7 @@ func TestConcurrentWritersReadersCompaction(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("w%d-k%03d", w, i%50) // overwrites → garbage for compaction
+				key := fmt.Sprintf("w%d-k%03d", w, i%50) // overwrites: the latest write must win
 				if err := s.Put(key, []byte(fmt.Sprintf("w%d-i%03d", w, i))); err != nil {
 					t.Errorf("Put: %v", err)
 					return
@@ -313,18 +203,6 @@ func TestConcurrentWritersReadersCompaction(t *testing.T) {
 			}
 		}(r)
 	}
-	// Compactions racing the writers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if err := s.Compact(); err != nil && !errors.Is(err, ErrClosed) {
-				t.Errorf("Compact: %v", err)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
 	// Let writers finish, then stop readers.
 	done := make(chan struct{})
 	go func() {
@@ -352,7 +230,7 @@ func TestConcurrentWritersReadersCompaction(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openT(t, dir, opts)
+	s2 := openT(t, dir)
 	defer s2.Close()
 	for w := 0; w < writers; w++ {
 		for k := 0; k < 50; k++ {
@@ -363,26 +241,34 @@ func TestConcurrentWritersReadersCompaction(t *testing.T) {
 
 func TestBackpressureBounded(t *testing.T) {
 	dir := t.TempDir()
-	opts := fastOpts()
-	opts.MaxPendingBytes = 1 << 10
-	s := openT(t, dir, opts)
+	s := openT(t, dir)
 	defer s.Close()
-	// Far more than MaxPendingBytes of writes must all be accepted —
-	// Put blocks for the flusher instead of failing.
-	for i := 0; i < 2000; i++ {
-		put(t, s, fmt.Sprintf("key-%04d", i), "some-value-larger-than-a-float")
+	// Twice maxPendingBytes of writes must all be accepted — Put blocks
+	// for the flusher instead of failing — and the buffer never holds
+	// more than the bound plus the one record that crossed it.
+	val := string(make([]byte, 64<<10))
+	n := 2 * maxPendingBytes / len(val)
+	peak := 0
+	for i := 0; i < n; i++ {
+		put(t, s, fmt.Sprintf("key-%04d", i), val)
+		s.mu.Lock()
+		peak = max(peak, s.pendBy)
+		s.mu.Unlock()
+	}
+	if bound := maxPendingBytes + recordSize("key-0000", []byte(val)); peak > bound {
+		t.Fatalf("write-behind buffer peaked at %d bytes, bound %d", peak, bound)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2000 {
-		t.Fatalf("%d keys, want 2000", s.Len())
+	if s.Len() != n {
+		t.Fatalf("%d keys, want %d", s.Len(), n)
 	}
 }
 
 func TestFutureVersionRejected(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	put(t, s, "k", "v")
 	s.Close()
 
@@ -397,7 +283,7 @@ func TestFutureVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, fastOpts()); !errors.Is(err, ErrFutureVersion) {
+	if _, err := Open(dir); !errors.Is(err, ErrFutureVersion) {
 		t.Fatalf("Open of a v%d segment: %v, want ErrFutureVersion", Version+1, err)
 	}
 	// The future-version file must be untouched (no truncate, no reset).
@@ -412,10 +298,10 @@ func TestFutureVersionRejected(t *testing.T) {
 
 func TestSyncSurfacesFlushError(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, fastOpts())
+	s := openT(t, dir)
 	// Sabotage the active segment's file handle: further flushes fail.
 	s.mu.Lock()
-	s.active.f.Close()
+	s.segs[len(s.segs)-1].Close()
 	s.mu.Unlock()
 	_ = s.Put("k", []byte("v"))
 	err := s.Sync()
@@ -424,5 +310,97 @@ func TestSyncSurfacesFlushError(t *testing.T) {
 	}
 	if cerr := s.Close(); cerr == nil {
 		t.Fatal("Close returned nil after a sticky flush error")
+	}
+}
+
+// A second Open of a directory an open store holds fails with
+// ErrLocked instead of interleaving two logs in one segment file; the
+// directory opens again once the holder is closed or crashed.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	put(t, s, "k", "held")
+	if s2, err := Open(dir); !errors.Is(err, ErrLocked) {
+		if err == nil {
+			s2.Close()
+		}
+		t.Fatalf("second Open: %v, want ErrLocked", err)
+	}
+	expect(t, s, "k", "held")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openT(t, dir)
+	expect(t, s, "k", "held")
+	s.Crash()
+
+	s = openT(t, dir)
+	defer s.Close()
+	expect(t, s, "k", "held")
+}
+
+// A directory written by a store that rotated and compacted segments —
+// here 000001.seg and 000003.seg with a key superseded across them,
+// plus the temporary file of an interrupted compaction — serves every
+// key's latest value, ignores the stray file, and appends new records
+// to the highest-numbered segment only.
+func TestOpenReplaysParentSegments(t *testing.T) {
+	dir := t.TempDir()
+	segment := func(kv ...string) []byte {
+		b := encodeHeader()
+		for i := 0; i < len(kv); i += 2 {
+			b = AppendRecord(b, kv[i], []byte(kv[i+1]))
+		}
+		return b
+	}
+	files := map[string][]byte{
+		"000001.seg":         segment("a", "a-old", "b", "b-only-in-1"),
+		"000003.seg":         segment("c", "c-only-in-3", "a", "a-new"),
+		"000003.seg.compact": segment("a", "from-an-interrupted-compaction", "z", "z"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := openT(t, dir)
+	want := map[string]string{"a": "a-new", "b": "b-only-in-1", "c": "c-only-in-3"}
+	for k, v := range want {
+		expect(t, s, k, v)
+	}
+	if v, ok := s.Get("z"); ok {
+		t.Fatalf("Get(z) served %q from the stray compaction file", v)
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("%d keys, want %d", s.Len(), len(want))
+	}
+	put(t, s, "d", "new")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "000003.seg" {
+			data = AppendRecord(data, "d", []byte("new"))
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("%s: %d bytes after the put, want %d", name, len(got), len(data))
+		}
+	}
+	if ids, _ := segmentIDs(dir); len(ids) != 2 {
+		t.Errorf("segments %v, want [1 3]", ids)
+	}
+
+	s = openT(t, dir)
+	defer s.Close()
+	want["d"] = "new"
+	for k, v := range want {
+		expect(t, s, k, v)
 	}
 }
