@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/dsp:FuzzPlanForwardVsNaiveDFT \
 	./internal/dsp:FuzzForwardAsmVsPure \
 	./internal/dsp:FuzzWelchPairVsSingle \
+	./internal/dsp:FuzzBandProductsVsFull \
 	./internal/isa:FuzzDecodeEncodeRoundTrip \
 	./internal/isa:FuzzEncodeDecodeInstruction \
 	./internal/savat:FuzzCampaignSpec \

@@ -185,7 +185,7 @@ func RunDifferentialKernels(specs []DiffSpec, relTol float64) (*Report, error) {
 // prior (A, B) measurement already populated. The warm run serves both
 // the envelope products and the noise PSD from the cache, and the
 // report demands zero-ULP agreement on the SAVAT value, the band power,
-// and every spectrum bin.
+// and every bin of the analyzed band.
 func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 	r := &Report{}
 	events := savat.ExtendedEvents()
@@ -206,7 +206,8 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 			return nil, fmt.Errorf("conform: %s: cold cell: %w", s.Name, err)
 		}
 		coldSAVAT, coldBand := cold.SAVAT, cold.BandPower
-		coldPSD := append([]float64(nil), cold.Trace.Spectrum().PSD...)
+		cb := cold.Trace.Band()
+		coldOffset, coldPSD := cb.Offset, append([]float64(nil), cb.PSD...)
 
 		cache := savat.NewSynthCache(8)
 		if _, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
@@ -226,15 +227,16 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 			Detail: fmt.Sprintf("warm %.17g zJ vs cold %.17g zJ (band %.17g vs %.17g W)",
 				warm.ZJ(), coldSAVAT*1e21, warm.BandPower, coldBand),
 		})
-		wp := warm.Trace.Spectrum().PSD
+		warmBand := warm.Trace.Band()
+		wp := warmBand.PSD
 		mismatch, firstBin := 0, -1
-		if len(wp) != len(coldPSD) {
+		if len(wp) != len(coldPSD) || warmBand.Offset != coldOffset {
 			mismatch, firstBin = len(wp)+len(coldPSD), 0
 		} else {
 			for i := range wp {
 				if wp[i] != coldPSD[i] {
 					if mismatch == 0 {
-						firstBin = i
+						firstBin = coldOffset + i
 					}
 					mismatch++
 				}

@@ -183,23 +183,14 @@ func psdSlice(tr *specan.Trace, center, halfSpan float64) ([]float64, []float64,
 	if tr == nil {
 		return nil, nil, fmt.Errorf("conform: measurement carries no trace")
 	}
-	sp := tr.Spectrum()
-	klo, err := sp.BinFor(center - halfSpan)
-	if err != nil {
-		return nil, nil, err
-	}
-	khi, err := sp.BinFor(center + halfSpan)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := sp.Bins()
+	sp := tr.Band()
 	var freqs, psd []float64
-	for k := klo; ; k = (k + 1) % n {
+	err := sp.Walk(center-halfSpan, center+halfSpan, func(k int, v float64) {
 		freqs = append(freqs, sp.Freq(k))
-		psd = append(psd, sp.PSD[k])
-		if k == khi {
-			break
-		}
+		psd = append(psd, v)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return freqs, psd, nil
 }

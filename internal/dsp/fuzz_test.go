@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"repro/internal/workpool"
 )
 
 // FuzzPlanForwardVsNaiveDFT cross-checks the planned radix-2² FFT
@@ -191,6 +193,92 @@ func FuzzWelchPairVsSingle(f *testing.F) {
 			mag := alpha*alpha*pa[k] + beta*beta*pb[k] + 2*math.Abs(alpha*beta)*cmplx.Abs(cross[k])
 			if d := math.Abs(dm[k] - want); d > relTol*(mag+1e-300) {
 				t.Fatalf("segLen=%d bin %d: combined PSD %g, identity %g (|Δ|=%g)", segLen, k, dm[k], want, d)
+			}
+		}
+	})
+}
+
+// FuzzBandProductsVsFull holds the streaming band feeds to the
+// buffered full-spectrum passes: for random power-of-two segment
+// lengths, overlapping segment counts with a dropped tail, bands of the
+// non-negative bins and push block sizes, every band bin of PairFeed
+// equals WelchPairInto's and every band bin of Feed equals WelchInto's,
+// bit for bit.
+func FuzzBandProductsVsFull(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(0), uint16(0), uint16(2), uint16(1), int64(1))
+	f.Add(uint8(6), uint8(3), uint16(17), uint16(5), uint16(40), uint16(33), int64(7))
+	f.Add(uint8(10), uint8(6), uint16(300), uint16(0), uint16(513), uint16(4096), int64(-2))
+	f.Fuzz(func(t *testing.T, segExp, extraSegs uint8, tail, lo, width, block uint16, seed int64) {
+		segLen := 1 << (1 + segExp%11) // 2 … 2048
+		half := segLen / 2
+		segs := 1 + int(extraSegs%8)
+		n := segLen + (segs-1)*half + int(tail)%half
+		band := Band{Lo: int(lo) % (half + 1)}
+		band.Hi = band.Lo + 1 + int(width)%(half+1-band.Lo)
+		blk := 1 + int(block)%(n+1)
+		const fs = 1000.0
+		rng := rand.New(rand.NewSource(seed))
+		a, b := make([]float64, n), make([]float64, n)
+		x := make([]complex128, n)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+
+		s, err := NewWelchScratch(segLen, Hann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, wantB := make([]float64, segLen), make([]float64, segLen)
+		wantX := make([]complex128, segLen)
+		if err := s.WelchPairInto(wantA, wantB, wantX, a, b, fs); err != nil {
+			t.Fatal(err)
+		}
+		wantN := make([]float64, segLen)
+		if err := s.WelchInto(wantN, x, fs); err != nil {
+			t.Fatal(err)
+		}
+
+		m := band.Len()
+		pa, pb, cross := make([]float64, m), make([]float64, m), make([]complex128, m)
+		psd := make([]float64, m)
+		var ring SlotRing
+		var pf PairFeed
+		if err := pf.Init(s, n, band, pa, pb, cross, fs, &ring, workpool.New(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		var nf Feed
+		for off := 0; off < n; off += blk {
+			end := min(off+blk, n)
+			if err := pf.Push(a[off:end], b[off:end]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pf.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := nf.Init(s, n, band, psd, fs, &ring, workpool.New(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < n; off += blk {
+			nf.Push(x[off:min(off+blk, n)])
+		}
+		if err := nf.Finish(); err != nil {
+			t.Fatal(err)
+		}
+
+		for i := 0; i < m; i++ {
+			k := band.Lo + i
+			if math.Float64bits(pa[i]) != math.Float64bits(wantA[k]) ||
+				math.Float64bits(pb[i]) != math.Float64bits(wantB[k]) ||
+				math.Float64bits(real(cross[i])) != math.Float64bits(real(wantX[k])) ||
+				math.Float64bits(imag(cross[i])) != math.Float64bits(imag(wantX[k])) {
+				t.Fatalf("segLen=%d n=%d band %v block %d: pair bin %d is %g/%g/%v, WelchPairInto %g/%g/%v",
+					segLen, n, band, blk, k, pa[i], pb[i], cross[i], wantA[k], wantB[k], wantX[k])
+			}
+			if math.Float64bits(psd[i]) != math.Float64bits(wantN[k]) {
+				t.Fatalf("segLen=%d n=%d band %v block %d: bin %d is %g, WelchInto %g",
+					segLen, n, band, blk, k, psd[i], wantN[k])
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Plan is a reusable FFT plan for one transform length: the
@@ -176,19 +177,45 @@ func (p *Plan) butterfliesBatch(xs [][]complex128) {
 	}
 }
 
-var planCache sync.Map // int -> *Plan
+var planCache onceMap[int, *Plan]
 
 // PlanFor returns a process-wide shared plan for length n, building and
-// caching it on first use. Plans are immutable after construction, so
-// the shared instance is safe for concurrent transforms.
+// caching it on first use; concurrent first callers wait for one build.
+// Plans are immutable after construction, so the shared instance is
+// safe for concurrent transforms.
 func PlanFor(n int) (*Plan, error) {
-	if v, ok := planCache.Load(n); ok {
-		return v.(*Plan), nil
+	return planCache.get(n, func() (*Plan, error) {
+		planBuilds.Add(1)
+		return NewPlan(n)
+	})
+}
+
+// planBuilds counts the plans PlanFor has built, for tests.
+var planBuilds atomic.Int64
+
+// onceMap is a process-wide table whose values are built exactly once
+// per key, however many goroutines ask for a missing key at the same
+// time: they all wait for the first caller's build. A failed build is
+// not kept, so the next caller retries it.
+type onceMap[K comparable, V any] struct{ m sync.Map }
+
+type onceCell[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (m *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
+	c, ok := m.m.Load(k)
+	if !ok {
+		c, _ = m.m.LoadOrStore(k, new(onceCell[V]))
 	}
-	p, err := NewPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := planCache.LoadOrStore(n, p)
-	return v.(*Plan), nil
+	cell := c.(*onceCell[V])
+	cell.once.Do(func() {
+		cell.v, cell.err = build()
+		if cell.err != nil {
+			m.m.CompareAndDelete(k, cell)
+		}
+	})
+	return cell.v, cell.err
 }

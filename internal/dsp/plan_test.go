@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -90,6 +91,47 @@ func TestPlanForShared(t *testing.T) {
 	}
 	if a != b {
 		t.Error("PlanFor should return the shared cached plan")
+	}
+}
+
+// Concurrent first calls for one length build its plan exactly once:
+// every caller waits for the first build and gets the same plan.
+func TestPlanForBuildsOnce(t *testing.T) {
+	n := 16
+	for ; n <= 1<<16; n *= 2 {
+		if _, cached := planCache.m.Load(n); !cached {
+			break
+		}
+	}
+	if n > 1<<16 {
+		t.Skip("every candidate length is already planned")
+	}
+	before := planBuilds.Load()
+	const callers = 8
+	plans := make([]*Plan, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range plans {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			p, err := PlanFor(n)
+			if err != nil {
+				t.Error(err)
+			}
+			plans[i] = p
+		}()
+	}
+	start.Done()
+	done.Wait()
+	if built := planBuilds.Load() - before; built != 1 {
+		t.Errorf("%d concurrent PlanFor(%d) calls built %d plans, want 1", callers, n, built)
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("caller %d got a different plan", i)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,20 +11,34 @@ import (
 // Spectrum is a power-spectral-density estimate of complex baseband data.
 // Bin k covers frequency Freq(k) = k·fs/N for k < N/2 and (k−N)·fs/N for
 // k ≥ N/2 (negative frequencies). Values are in W/Hz.
+//
+// A spectrum may hold only a band of its bins: with N > 0, PSD[i] is
+// bin Offset+i of an N-bin spectrum, and every read that leaves those
+// bins fails with ErrOutsideBand. With N == 0, PSD holds all bins.
 type Spectrum struct {
 	PSD        []float64
 	SampleRate float64
+	Offset, N  int
 }
 
-// Bins returns the number of frequency bins.
-func (s *Spectrum) Bins() int { return len(s.PSD) }
+// ErrOutsideBand is returned by a read of a band spectrum that reaches a
+// bin the band does not hold.
+var ErrOutsideBand = errors.New("dsp: read outside the analyzed band")
+
+// Bins returns the number of frequency bins of the full spectrum.
+func (s *Spectrum) Bins() int {
+	if s.N > 0 {
+		return s.N
+	}
+	return len(s.PSD)
+}
 
 // BinWidth returns the bin spacing in Hz.
-func (s *Spectrum) BinWidth() float64 { return s.SampleRate / float64(len(s.PSD)) }
+func (s *Spectrum) BinWidth() float64 { return s.SampleRate / float64(s.Bins()) }
 
 // Freq returns the center frequency of bin k (negative for k ≥ N/2).
 func (s *Spectrum) Freq(k int) float64 {
-	n := len(s.PSD)
+	n := s.Bins()
 	if k >= n/2 {
 		k -= n
 	}
@@ -33,7 +48,7 @@ func (s *Spectrum) Freq(k int) float64 {
 // BinFor returns the bin index whose center is closest to f. f may be
 // negative; it must lie within ±fs/2 (NaN does not).
 func (s *Spectrum) BinFor(f float64) (int, error) {
-	n := len(s.PSD)
+	n := s.Bins()
 	half := s.SampleRate / 2
 	if !(f >= -half && f < half) {
 		return 0, fmt.Errorf("dsp: frequency %g outside ±%g", f, half)
@@ -48,25 +63,53 @@ func (s *Spectrum) BinFor(f float64) (int, error) {
 	return k, nil
 }
 
+// BinRange returns the first and last bins of [lo, hi] Hz: a walk over
+// the range visits klo up to khi, wrapping past the last bin when
+// khi < klo. A band spectrum rejects a range that leaves its bins with
+// ErrOutsideBand.
+func (s *Spectrum) BinRange(lo, hi float64) (klo, khi int, err error) {
+	if klo, err = s.BinFor(lo); err != nil {
+		return 0, 0, err
+	}
+	if khi, err = s.BinFor(hi); err != nil {
+		return 0, 0, err
+	}
+	if s.N > 0 && (khi < klo || klo < s.Offset || khi >= s.Offset+len(s.PSD)) {
+		return 0, 0, fmt.Errorf("%w: [%g, %g] Hz is not within bins [%d, %d)", ErrOutsideBand, lo, hi, s.Offset, s.Offset+len(s.PSD))
+	}
+	return klo, khi, nil
+}
+
+// Walk visits the bins of [lo, hi] Hz in order (see BinRange) with each
+// bin's index and value.
+func (s *Spectrum) Walk(lo, hi float64, visit func(k int, v float64)) error {
+	klo, khi, err := s.BinRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	for k := klo; ; k = (k + 1) % s.Bins() {
+		visit(k, s.PSD[k-s.Offset])
+		if k == khi {
+			return nil
+		}
+	}
+}
+
 // BandPower integrates the PSD over [lo, hi] (Hz, may span zero) and
 // returns total power in watts.
 func (s *Spectrum) BandPower(lo, hi float64) (float64, error) {
 	if hi < lo {
 		return 0, fmt.Errorf("dsp: inverted band [%g,%g]", lo, hi)
 	}
-	klo, err := s.BinFor(lo)
-	if err != nil {
-		return 0, err
-	}
-	khi, err := s.BinFor(hi)
+	klo, khi, err := s.BinRange(lo, hi)
 	if err != nil {
 		return 0, err
 	}
 	bw := s.BinWidth()
-	n := len(s.PSD)
+	n := s.Bins()
 	total := 0.0
 	for k := klo; ; k = (k + 1) % n {
-		total += s.PSD[k] * bw
+		total += s.PSD[k-s.Offset] * bw
 		if k == khi {
 			break
 		}
@@ -77,19 +120,15 @@ func (s *Spectrum) BandPower(lo, hi float64) (float64, error) {
 // PeakIn returns the bin index and PSD value of the maximum within
 // [lo, hi] Hz.
 func (s *Spectrum) PeakIn(lo, hi float64) (int, float64, error) {
-	klo, err := s.BinFor(lo)
+	klo, khi, err := s.BinRange(lo, hi)
 	if err != nil {
 		return 0, 0, err
 	}
-	khi, err := s.BinFor(hi)
-	if err != nil {
-		return 0, 0, err
-	}
-	n := len(s.PSD)
-	best, bestV := klo, s.PSD[klo]
+	n := s.Bins()
+	best, bestV := klo, s.PSD[klo-s.Offset]
 	for k := klo; ; k = (k + 1) % n {
-		if s.PSD[k] > bestV {
-			best, bestV = k, s.PSD[k]
+		if v := s.PSD[k-s.Offset]; v > bestV {
+			best, bestV = k, v
 		}
 		if k == khi {
 			break
@@ -173,16 +212,16 @@ func (s *WelchScratch) SegLen() int { return s.segLen }
 // Window returns the scratch's window.
 func (s *WelchScratch) Window() Window { return s.win }
 
-// scatter windows one complex segment directly into bit-reversed order
-// in dst, so the FFT skips its separate permutation pass.
-func (s *WelchScratch) scatter(dst []complex128, seg []complex128) {
-	perm := s.plan.perm
-	for i := range seg {
-		// seg[i] · (w + 0i) decomposed: the products against the zero
+// scatter windows len(x) samples that start at position w of a
+// complex segment directly into their bit-reversed places in dst, so
+// the FFT skips its separate permutation pass.
+func (s *WelchScratch) scatter(dst []complex128, w int, x []complex128) {
+	perm, coeff := s.plan.perm[w:w+len(x)], s.coeff[w:w+len(x)]
+	for i, v := range x {
+		// v · (c + 0i) decomposed: the products against the zero
 		// imaginary part vanish exactly, so two real multiplies suffice.
-		w := s.coeff[i]
-		v := seg[i]
-		dst[perm[i]] = complex(real(v)*w, imag(v)*w)
+		c := coeff[i]
+		dst[perm[i]] = complex(real(v)*c, imag(v)*c)
 	}
 }
 
@@ -230,7 +269,7 @@ func (s *WelchScratch) WelchInto(dst []float64, x []complex128, fs float64) erro
 	step := s.segLen / 2
 	count := 0
 	for start := 0; start+s.segLen <= len(x); start += step {
-		s.scatter(s.buf, x[start:start+s.segLen])
+		s.scatter(s.buf, 0, x[start:start+s.segLen])
 		s.plan.butterflies(s.buf)
 		// The first segment always exists (len(x) ≥ segLen was checked).
 		s.accumulate(dst, s.buf, count == 0)
@@ -270,7 +309,7 @@ func (s *WelchScratch) WelchPairInto(pa, pb []float64, cross []complex128, a, b 
 	step := n / 2
 	count := 0
 	for start := 0; start+n <= len(a); start += step {
-		s.scatterPair(s.buf, a[start:start+n], b[start:start+n])
+		s.scatterPair(s.buf, 0, a[start:start+n], b[start:start+n])
 		s.plan.butterflies(s.buf)
 		// The first segment always exists (len(a) ≥ segLen was checked).
 		s.accumulatePair(pa, pb, cross, s.buf, count == 0)
@@ -280,15 +319,34 @@ func (s *WelchScratch) WelchPairInto(pa, pb []float64, cross []complex128, a, b 
 	return nil
 }
 
-// scatterPair packs one segment of the real pair as a[i] + i·b[i],
-// windowed directly into bit-reversed order in dst so the FFT skips
-// its separate permutation pass. len(a) == len(b) == segLen.
-func (s *WelchScratch) scatterPair(dst []complex128, a, b []float64) {
-	perm := s.plan.perm
+// scatterPair packs len(a) samples that start at position w of a
+// segment of the real pair as a[i] + i·b[i], windowed directly into
+// their bit-reversed places in dst so the FFT skips its separate
+// permutation pass. len(a) == len(b).
+func (s *WelchScratch) scatterPair(dst []complex128, w int, a, b []float64) {
+	perm, coeff := s.plan.perm[w:w+len(a)], s.coeff[w:w+len(a)]
+	b = b[:len(a)]
 	for i := range a {
-		w := s.coeff[i]
-		dst[perm[i]] = complex(w*a[i], w*b[i])
+		c := coeff[i]
+		dst[perm[i]] = complex(c*a[i], c*b[i])
 	}
+}
+
+// unpackPair splits bin k of a packed-pair transform, given zk = F[k]
+// and zm = F[N−k], into the two streams' periodogram values and their
+// cross-spectrum term: A[k] = (Z[k]+conj(Z[−k]))/2 and
+// B[k] = −i·(Z[k]−conj(Z[−k]))/2. Bin N−k holds the same powers and the
+// conjugate cross term. Every pair accumulation goes through this one
+// function, so full and band products agree bit for bit.
+func unpackPair(zk, zm complex128) (pwa, pwb float64, cr complex128) {
+	zmc := complex(real(zm), -imag(zm))
+	wa := (zk + zmc) * 0.5
+	d := zk - zmc
+	wb := complex(imag(d)*0.5, -real(d)*0.5) // −i/2 · d
+	pwa = real(wa)*real(wa) + imag(wa)*imag(wa)
+	pwb = real(wb)*real(wb) + imag(wb)*imag(wb)
+	cr = wa * complex(real(wb), -imag(wb))
+	return pwa, pwb, cr
 }
 
 // accumulatePair unpacks one packed-pair transform f and adds the two
@@ -303,14 +361,7 @@ func (s *WelchScratch) scatterPair(dst []complex128, a, b []float64) {
 func (s *WelchScratch) accumulatePair(pa, pb []float64, cross []complex128, f []complex128, first bool) {
 	n := s.segLen
 	for _, k := range [2]int{0, n / 2} {
-		z := f[k]
-		zc := complex(real(z), -imag(z))
-		wa := (z + zc) * 0.5
-		d := z - zc
-		wb := complex(imag(d)*0.5, -real(d)*0.5) // −i/2 · d
-		pwa := real(wa)*real(wa) + imag(wa)*imag(wa)
-		pwb := real(wb)*real(wb) + imag(wb)*imag(wb)
-		cr := wa * complex(real(wb), -imag(wb))
+		pwa, pwb, cr := unpackPair(f[k], f[k])
 		if first {
 			pa[k], pb[k], cross[k] = pwa, pwb, cr
 		} else {
@@ -325,14 +376,7 @@ func (s *WelchScratch) accumulatePair(pa, pb []float64, cross []complex128, f []
 	if first {
 		for k := 1; k < n/2; k++ {
 			m := n - k
-			zk, zm := f[k], f[m]
-			zmc := complex(real(zm), -imag(zm))
-			wa := (zk + zmc) * 0.5
-			d := zk - zmc
-			wb := complex(imag(d)*0.5, -real(d)*0.5) // −i/2 · d
-			pwa := real(wa)*real(wa) + imag(wa)*imag(wa)
-			pwb := real(wb)*real(wb) + imag(wb)*imag(wb)
-			cr := wa * complex(real(wb), -imag(wb))
+			pwa, pwb, cr := unpackPair(f[k], f[m])
 			pa[k], pb[k], cross[k] = pwa, pwb, cr
 			pa[m], pb[m] = pwa, pwb
 			cross[m] = complex(real(cr), -imag(cr))
@@ -340,20 +384,33 @@ func (s *WelchScratch) accumulatePair(pa, pb []float64, cross []complex128, f []
 	} else {
 		for k := 1; k < n/2; k++ {
 			m := n - k
-			zk, zm := f[k], f[m]
-			zmc := complex(real(zm), -imag(zm))
-			wa := (zk + zmc) * 0.5
-			d := zk - zmc
-			wb := complex(imag(d)*0.5, -real(d)*0.5) // −i/2 · d
-			pwa := real(wa)*real(wa) + imag(wa)*imag(wa)
-			pwb := real(wb)*real(wb) + imag(wb)*imag(wb)
-			cr := wa * complex(real(wb), -imag(wb))
+			pwa, pwb, cr := unpackPair(f[k], f[m])
 			pa[k] += pwa
 			pb[k] += pwb
 			cross[k] += cr
 			pa[m] += pwa
 			pb[m] += pwb
 			cross[m] += complex(real(cr), -imag(cr))
+		}
+	}
+}
+
+// accumulatePairBand is accumulatePair for the non-negative bins
+// lo, lo+1, … , lo+len(pa)−1 only (lo+len(pa) ≤ n/2+1): destination
+// index i holds bin lo+i, unpacked from f[k] and f[n−k] exactly as
+// accumulatePair unpacks it.
+func (s *WelchScratch) accumulatePairBand(pa, pb []float64, cross []complex128, f []complex128, lo int, first bool) {
+	n := s.segLen
+	pb, cross = pb[:len(pa)], cross[:len(pa)]
+	for i := range pa {
+		k := lo + i
+		pwa, pwb, cr := unpackPair(f[k], f[(n-k)&(n-1)])
+		if first {
+			pa[i], pb[i], cross[i] = pwa, pwb, cr
+		} else {
+			pa[i] += pwa
+			pb[i] += pwb
+			cross[i] += cr
 		}
 	}
 }

@@ -3,7 +3,6 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Window identifies a tapering function applied before spectral analysis.
@@ -64,7 +63,7 @@ type windowEntry struct {
 	coherent, noise float64
 }
 
-var windowCache sync.Map // windowKey -> *windowEntry
+var windowCache onceMap[windowKey, *windowEntry]
 
 type windowKey struct {
 	w Window
@@ -76,24 +75,21 @@ type windowKey struct {
 // per-call trigonometry — which dominates repeated Welch runs at fixed
 // segment length — into a one-time cost.
 func (w Window) cached(n int) (*windowEntry, error) {
-	key := windowKey{w, n}
-	if v, ok := windowCache.Load(key); ok {
-		return v.(*windowEntry), nil
-	}
-	coeff, err := w.compute(n)
-	if err != nil {
-		return nil, err
-	}
-	e := &windowEntry{coeff: coeff}
-	var s, s2 float64
-	for _, v := range coeff {
-		s += v
-		s2 += v * v
-	}
-	fn := float64(n)
-	e.coherent, e.noise = s/fn, s2/fn
-	v, _ := windowCache.LoadOrStore(key, e)
-	return v.(*windowEntry), nil
+	return windowCache.get(windowKey{w, n}, func() (*windowEntry, error) {
+		coeff, err := w.compute(n)
+		if err != nil {
+			return nil, err
+		}
+		e := &windowEntry{coeff: coeff}
+		var s, s2 float64
+		for _, v := range coeff {
+			s += v
+			s2 += v * v
+		}
+		fn := float64(n)
+		e.coherent, e.noise = s/fn, s2/fn
+		return e, nil
+	})
 }
 
 // Coefficients returns the n window coefficients. The slice is the

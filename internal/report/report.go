@@ -158,6 +158,7 @@ func SelectedPairsChart(title string, m *savat.Matrix, pairs [][2]savat.Event) (
 
 // SpectrumPlot renders the trace's PSD around center ± span as an ASCII
 // plot with a logarithmic vertical axis, in the style of Figures 7/8.
+// The span must lie within the trace's analyzed band.
 func SpectrumPlot(tr *specan.Trace, center, span float64, cols, rows int) (string, error) {
 	if cols <= 0 {
 		cols = 78
@@ -166,17 +167,11 @@ func SpectrumPlot(tr *specan.Trace, center, span float64, cols, rows int) (strin
 		rows = 16
 	}
 	lo, hi := center-span, center+span
-	sp := tr.Spectrum()
-	kLo, err := sp.BinFor(lo)
-	if err != nil {
+	var vals []float64
+	if err := tr.Band().Walk(lo, hi, func(_ int, v float64) { vals = append(vals, v) }); err != nil {
 		return "", err
 	}
-	kHi, err := sp.BinFor(hi)
-	if err != nil {
-		return "", err
-	}
-	n := sp.Bins()
-	count := (kHi - kLo + n) % n
+	count := len(vals) - 1
 	if count <= 0 {
 		return "", fmt.Errorf("report: empty spectrum span")
 	}
@@ -185,10 +180,9 @@ func SpectrumPlot(tr *specan.Trace, center, span float64, cols, rows int) (strin
 	for i := range col {
 		col[i] = tr.FloorPSD
 	}
-	for i := 0; i <= count; i++ {
-		k := (kLo + i) % n
+	for i, v := range vals {
 		c := i * (cols - 1) / count
-		col[c] = math.Max(col[c], sp.PSD[k])
+		col[c] = math.Max(col[c], v)
 	}
 	minV := tr.FloorPSD
 	if minV <= 0 {

@@ -44,10 +44,10 @@ func secondsConfig(d float64) Config {
 }
 
 // After one 1 s capture cell — the paper's measurement, one 2^18-point
-// Welch segment per product — a worker's arena holds the two envelope
-// windows, the noise window, the display sum, and exactly one in-flight
-// transform buffer, shared by the envelope and noise feeds (it used to
-// carve four slots per feed: eight 4 MiB buffers).
+// Welch segment per product — a worker's arena holds exactly one
+// segment transform buffer, shared by the envelope and noise feeds,
+// the band-length display sum, and the O(block) source blocks: no
+// rolling segment windows, no second slot.
 func TestOneSecondCellArenaHoldsOneSlot(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := DefaultConfig()
@@ -60,15 +60,15 @@ func TestOneSecondCellArenaHoldsOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := len(m.Trace.Spectrum().PSD)
+	band := m.Trace.Band()
+	seg := band.N
 	if seg != 1<<18 {
 		t.Fatalf("1 s capture analyzed in %d-point segments, want one 2^18-point segment", seg)
 	}
-	windows := 8*seg + 8*seg + 16*seg // wa, wb (real envelopes), wn (complex noise)
-	sum := 8 * seg
-	slots := mem.InUse() - windows - sum
-	if slot := 16 * seg; slots != slot {
-		t.Errorf("arena holds %d bytes of transform slots, want one %d-byte slot", slots, slot)
+	slot, sum := 16*seg, 8*len(band.PSD)
+	if rest := mem.InUse() - slot - sum; rest <= 0 || rest > 256<<10 {
+		t.Errorf("arena holds %d bytes; want one %d-byte slot, a %d-byte display and at most 256 KiB of source blocks",
+			mem.InUse(), slot, sum)
 	}
 }
 

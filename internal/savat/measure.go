@@ -69,6 +69,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// DisplayHalfSpan is the half-width of the paper's spectrum displays
+// (Figures 7 and 8 show 78–82 kHz): the analyzed band is never narrower.
+const DisplayHalfSpan = 2e3
+
+// AnalysisHalfSpan is the half-width of the band around the alternation
+// frequency whose bins a measurement's spectral products and trace
+// hold: the measured band, widened to the paper's display span.
+func (c Config) AnalysisHalfSpan() float64 { return math.Max(c.BandHalfWidth, DisplayHalfSpan) }
+
+// analysisBand is the analyzed band, f0 ± AnalysisHalfSpan, clamped to
+// the non-negative frequencies below Nyquist. Validate guarantees the
+// measured band lies inside it.
+func (c Config) analysisBand() specan.Band {
+	h := c.AnalysisHalfSpan()
+	return specan.Band{Lo: math.Max(c.Frequency-h, 0), Hi: math.Min(c.Frequency+h, c.SampleRate/2)}
+}
+
 // FastConfig is DefaultConfig with a quarter-second capture — ~4× faster
 // with a proportionally coarser RBW; used by tests and benchmarks.
 func FastConfig() Config {

@@ -113,8 +113,8 @@ func WithSynthCache(c *SynthCache) MeasureOption {
 	return func(m *Measurer) { m.cache = c }
 }
 
-// WithArena backs the Measurer's scratch working set — rolling Welch
-// windows, in-flight segment transforms, the display accumulator —
+// WithArena backs the Measurer's scratch working set — source blocks,
+// segment transforms, the display accumulator —
 // with the single-owner bump allocator a (see internal/arena), so
 // steady-state measurements perform zero heap allocations. The arena must not be shared with any other scratch.
 // Values are identical with or without an arena; a nil a is equivalent
@@ -229,9 +229,10 @@ func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (Measurement, error)
 // plus the stage seed. Two measurements share a key exactly when their
 // products are bit-identical by construction: same seed, same
 // synthesis parameters (nominal frequency, sample rate, capture
-// length, resolved jitter, noise environment) and same segmentation
-// parameters (RBW request, window). The instrument floor and the group
-// coefficients are excluded — products are computed upstream of both.
+// length, resolved jitter, noise environment), same segmentation
+// parameters (RBW request, window) and same analyzed band. The
+// instrument floor and the group coefficients are excluded — products
+// are computed upstream of both.
 // The keys are comparable structs around the interned prefix, so the
 // steady-state measurement path allocates nothing here; map equality
 // compares prefix content, so equal recipes hit across Measurers.
@@ -247,10 +248,11 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 			jit.AmpNoiseStd = mc.AmplitudeNoiseStd
 		}
 		n := int(cfg.Duration * cfg.SampleRate)
-		m.envKeyPrefix = fmt.Sprintf("env|f0=%g|fs=%g|n=%d|jit=%+v|rbw=%g|win=%v",
-			cfg.Frequency, cfg.SampleRate, n, jit, cfg.Analyzer.RBW, cfg.Analyzer.Window)
-		m.noiseKeyPrefix = fmt.Sprintf("noise|env=%+v|fs=%g|n=%d|rbw=%g|win=%v",
-			cfg.Environment, cfg.SampleRate, n, cfg.Analyzer.RBW, cfg.Analyzer.Window)
+		band := cfg.analysisBand()
+		m.envKeyPrefix = fmt.Sprintf("env|f0=%g|fs=%g|n=%d|jit=%+v|rbw=%g|win=%v|band=%g-%g",
+			cfg.Frequency, cfg.SampleRate, n, jit, cfg.Analyzer.RBW, cfg.Analyzer.Window, band.Lo, band.Hi)
+		m.noiseKeyPrefix = fmt.Sprintf("noise|env=%+v|fs=%g|n=%d|rbw=%g|win=%v|band=%g-%g",
+			cfg.Environment, cfg.SampleRate, n, cfg.Analyzer.RBW, cfg.Analyzer.Window, band.Lo, band.Hi)
 	}
 	return productKey{prefix: m.envKeyPrefix, seed: seeds.Env},
 		productKey{prefix: m.noiseKeyPrefix, seed: seeds.Noise}

@@ -52,9 +52,10 @@ func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 		t.Errorf("%s: %+v vs %+v", name, a, b)
 		return
 	}
-	pa, pb := a.Trace.Spectrum().PSD, b.Trace.Spectrum().PSD
-	if len(pa) != len(pb) {
-		t.Errorf("%s: spectrum lengths %d vs %d", name, len(pa), len(pb))
+	sa, sb := a.Trace.Band(), b.Trace.Band()
+	pa, pb := sa.PSD, sb.PSD
+	if len(pa) != len(pb) || sa.Offset != sb.Offset || sa.N != sb.N {
+		t.Errorf("%s: spectrum bins %d+%d of %d vs %d+%d of %d", name, sa.Offset, len(pa), sa.N, sb.Offset, len(pb), sb.N)
 		return
 	}
 	for i := range pa {

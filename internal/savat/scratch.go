@@ -75,13 +75,14 @@ type MeasureScratch struct {
 }
 
 // measureShape is everything the sizes of the arena-carved working
-// buffers depend on: the capture length (via duration and rate) and the
-// segmentation (via the analyzer config). Equal shapes carve equal
-// sizes, so the arena never grows between resets.
+// buffers depend on: the capture length (via duration and rate), the
+// segmentation (via the analyzer config) and the analyzed band. Equal
+// shapes carve equal sizes, so the arena never grows between resets.
 type measureShape struct {
 	n        int
 	rate     float64
 	analyzer specan.Config
+	band     specan.Band
 }
 
 // NewMeasureScratch returns an empty scratch; buffers are sized on
@@ -187,8 +188,9 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 		HalfSeconds: alt.HalfSeconds,
 	}
 	n := int(cfg.Duration * cfg.SampleRate)
+	band := cfg.analysisBand()
 	if s.mem != nil {
-		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer}); sh != s.memShape {
+		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer, band: band}); sh != s.memShape {
 			// New measurement shape: every arena-backed buffer will be
 			// re-carved at its new size, so this is the one safe point to
 			// rewind the slabs. Consumers notice through the epoch.
@@ -239,7 +241,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
 				return synthProduct{}, err
 			}
-			v, err := s.analyzer.EnvelopeProductsStream(n, &s.envStream, cfg.SampleRate, s.specan, dst.env)
+			v, err := s.analyzer.EnvelopeProductsStream(n, band, &s.envStream, cfg.SampleRate, s.specan, dst.env)
 			return synthProduct{env: v}, err
 		})
 		if err != nil {
@@ -252,14 +254,14 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {
 			return synthProduct{}, err
 		}
-		v, err := s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst.noise)
+		v, err := s.analyzer.NoiseProductsStream(n, band, &s.noiseStream, cfg.SampleRate, s.specan, dst.noise)
 		return synthProduct{noise: v}, err
 	})
 	if err != nil {
 		return Measurement{}, err
 	}
 
-	tr, err := s.analyzer.Render(n, s.coeffs, envP.env, noiseP.noise, cfg.SampleRate, s.specan)
+	tr, err := s.analyzer.Render(n, band, s.coeffs, envP.env, noiseP.noise, cfg.SampleRate, s.specan)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -65,9 +65,10 @@ func TestStreamProductsMatchIncoherent(t *testing.T) {
 	}
 
 	scratch := NewScratch()
+	band := Band{Lo: fs / 8, Hi: fs / 4}
 	var warmed *Trace
 	for pass := 0; pass < 2; pass++ { // second pass: warmed scratch, same result
-		got, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, scratch)
+		got, err := analyzeSlices(a, band, envA, envB, coeffs, noise, fs, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestStreamProductsMatchIncoherent(t *testing.T) {
 	}
 
 	// Nil scratch allocates a private one and gives the same bits.
-	got, err := analyzeSlices(a, envA, envB, coeffs, noise, fs, nil)
+	got, err := analyzeSlices(a, band, envA, envB, coeffs, noise, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,53 +101,69 @@ func TestStreamProductsNoiseOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := analyzeSlices(a, nil, nil, nil, noise, fs, nil)
+	band := Band{Lo: 0, Hi: fs / 2}
+	got, err := analyzeSlices(a, band, nil, nil, nil, noise, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.Spectrum().PSD {
-		if got.Spectrum().PSD[k] != want.Spectrum().PSD[k] {
-			t.Fatalf("noise-only bin %d: %g, want %g", k, got.Spectrum().PSD[k], want.Spectrum().PSD[k])
+	wb, gb := want.Band(), got.Band()
+	if gb.Offset != 0 || len(gb.PSD) != gb.N/2+1 {
+		t.Fatalf("band [0, fs/2] holds bins %d+%d of %d, want every non-negative bin", gb.Offset, len(gb.PSD), gb.N)
+	}
+	for k := range gb.PSD {
+		if gb.PSD[k] != wb.PSD[k] {
+			t.Fatalf("noise-only bin %d: %g, want %g", k, gb.PSD[k], wb.PSD[k])
 		}
 	}
 
-	if _, err := a.Render(n, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
+	if _, err := a.Render(n, band, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
 		t.Errorf("no coefficients and no noise should return ErrNoCaptures, got %v", err)
 	}
 	if _, err := a.AnalyzeIncoherent([][]complex128{nil, nil}, fs); !errors.Is(err, ErrNoCaptures) {
 		t.Errorf("all-nil incoherent should return ErrNoCaptures, got %v", err)
 	}
-	if _, err := a.NoiseProductsStream(n, &sliceSampleSource{x: noise, block: n}, 0, nil, nil); err == nil {
+	if _, err := a.NoiseProductsStream(n, band, &sliceSampleSource{x: noise, block: n}, 0, nil, nil); err == nil {
 		t.Error("zero sample rate should fail")
 	}
-	if _, err := a.Render(n, nil, nil, make([]float64, 8), 0, nil); err == nil {
+	if _, err := a.Render(n, band, nil, nil, make([]float64, 8), 0, nil); err == nil {
 		t.Error("zero sample rate should fail in Render")
 	}
 	env := make([]float64, n)
-	if _, err := a.EnvelopeProductsStream(n, &slicePairSource{a: env[:8], b: env[:8], block: n}, fs, nil, nil); err == nil {
+	if _, err := a.EnvelopeProductsStream(n, band, &slicePairSource{a: env[:8], b: env[:8], block: n}, fs, nil, nil); err == nil {
 		t.Error("envelope stream shorter than the capture should fail")
 	}
-	if _, err := a.NoiseProductsStream(n, &sliceSampleSource{x: noise[:8], block: n}, fs, nil, nil); err == nil {
+	if _, err := a.NoiseProductsStream(n, band, &sliceSampleSource{x: noise[:8], block: n}, fs, nil, nil); err == nil {
 		t.Error("noise stream shorter than the capture should fail")
 	}
-	if _, err := a.EnvelopeProductsStream(1, &slicePairSource{a: env[:1], b: env[:1], block: 1}, fs, nil, nil); err == nil {
+	if _, err := a.EnvelopeProductsStream(1, band, &slicePairSource{a: env[:1], b: env[:1], block: 1}, fs, nil, nil); err == nil {
 		t.Error("one-sample capture should fail")
 	}
-	if _, err := a.EnvelopeProductsStream(n, nil, fs, nil, nil); err == nil {
+	if _, err := a.EnvelopeProductsStream(n, band, nil, fs, nil, nil); err == nil {
 		t.Error("nil envelope source should fail")
 	}
-	short, err := a.NoiseProductsStream(n/2, &sliceSampleSource{x: noise[:n/2], block: n}, fs, nil, nil)
+	short, err := a.NoiseProductsStream(n/2, band, &sliceSampleSource{x: noise[:n/2], block: n}, fs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(short) != n/2 {
+	if len(short) != n/4+1 {
 		// The fixture relies on the whole capture being one segment.
 		t.Fatalf("fixture broken: %d-bin noise PSD for a %d-sample capture", len(short), n/2)
 	}
-	if _, err := a.Render(n, nil, nil, short, fs, nil); err == nil {
+	if _, err := a.Render(n, band, nil, nil, short, fs, nil); err == nil {
 		t.Error("noise PSD at another capture's segment length should fail")
 	}
-	if _, err := a.Render(n, [][2]complex128{{1, 1}}, nil, nil, fs, nil); err == nil {
+	if _, err := a.Render(n, Band{Lo: 0, Hi: fs / 4}, nil, nil, got.Band().PSD, fs, nil); err == nil {
+		t.Error("noise PSD of another band should fail")
+	}
+	if _, err := a.Render(n, band, [][2]complex128{{1, 1}}, nil, nil, fs, nil); err == nil {
 		t.Error("coefficients without envelope products should fail")
+	}
+	for _, bad := range []Band{{Lo: -1, Hi: 10}, {Lo: 10, Hi: 5}, {Lo: 0, Hi: fs/2 + 1}, {Lo: math.NaN(), Hi: 10}} {
+		if _, err := a.NoiseProductsStream(n, bad, &sliceSampleSource{x: noise, block: n}, fs, nil, nil); err == nil {
+			t.Errorf("band %v should fail", bad)
+		}
+		if _, err := a.Render(n, bad, nil, nil, short, fs, nil); err == nil {
+			t.Errorf("Render of band %v should fail", bad)
+		}
 	}
 }

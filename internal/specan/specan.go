@@ -59,16 +59,35 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Trace is one recorded spectrum. A rendered trace keeps its display
-// as the per-bin recipe it was rendered from (see Render) and computes
-// only the bins a caller reads: BandPower and Peak compute the band's,
-// and Spectrum builds the full display once, on first use. A Trace is
-// not safe for concurrent use.
+// Band is the frequency range [Lo, Hi] Hz, 0 ≤ Lo ≤ Hi ≤ fs/2, whose
+// bins the products hold and a rendered trace serves: every bin from
+// the one nearest Lo to the one nearest Hi (see dsp.BandFor).
+type Band struct{ Lo, Hi float64 }
+
+// bins resolves the band to the bins of a seg-point analysis at fs.
+func (b Band) bins(seg int, fs float64) (dsp.Band, error) {
+	if !(b.Lo >= 0 && b.Lo <= b.Hi && b.Hi <= fs/2) {
+		return dsp.Band{}, fmt.Errorf("specan: band [%g, %g] Hz outside [0, %g]", b.Lo, b.Hi, fs/2)
+	}
+	return dsp.BandFor(b.Lo, b.Hi, fs, seg), nil
+}
+
+// ErrOutsideBand is returned by a Trace read that reaches a bin outside
+// the trace's analyzed band.
+var ErrOutsideBand = dsp.ErrOutsideBand
+
+// Trace is one recorded spectrum. A rendered trace holds the bins of
+// its analyzed band only, and keeps them as the per-bin recipe it was
+// rendered from (see Render): BandPower and Peak compute just the bins
+// they read, and Band builds the whole band once, on first use. Reads
+// outside the band fail with ErrOutsideBand. A trace from
+// AnalyzeIncoherent holds the full spectrum. A Trace is not safe for
+// concurrent use.
 type Trace struct {
 	ActualRBW float64 // achieved resolution bandwidth in Hz
 	FloorPSD  float64
 
-	spec  dsp.Spectrum // PSD holds the display bins computed so far
+	spec  dsp.Spectrum // the analyzed band; PSD holds the bins computed so far
 	src   display      // the recipe of the bins not yet computed
 	built bool         // every bin of spec.PSD is computed
 	bins  int          // display bins computed, for the work count
@@ -80,7 +99,8 @@ type Trace struct {
 // Welch linearity the per-bin group-sum PSD is
 // CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB)) with CA = Σ|a_g|²,
 // CB = Σ|b_g|², CX = Σ a_g·conj(b_g) = cr + i·ci. The products and the
-// noise PSD are only read — they may be shared, cached state.
+// noise PSD are only read — they may be shared, cached state. Bin i of
+// the recipe is bin i of the band.
 type display struct {
 	ca, cb, cr, ci float64
 	env            *PairPSD
@@ -88,17 +108,17 @@ type display struct {
 	floor          float64
 }
 
-// bin computes display bin k.
-func (d *display) bin(k int) float64 {
+// bin computes display bin i.
+func (d *display) bin(i int) float64 {
 	var t float64
 	if d.env != nil {
-		x := d.env.Cross[k]
-		t = d.ca*d.env.PA[k] + d.cb*d.env.PB[k] + 2*(d.cr*real(x)-d.ci*imag(x))
+		x := d.env.Cross[i]
+		t = d.ca*d.env.PA[i] + d.cb*d.env.PB[i] + 2*(d.cr*real(x)-d.ci*imag(x))
 		if d.noise != nil {
-			t += d.noise[k]
+			t += d.noise[i]
 		}
 	} else {
-		t = d.noise[k]
+		t = d.noise[i]
 	}
 	if t < d.floor {
 		t = d.floor
@@ -106,12 +126,14 @@ func (d *display) bin(k int) float64 {
 	return t
 }
 
-// Spectrum returns the displayed spectrum, computing the bins no band
-// read has computed yet on the first call.
-func (t *Trace) Spectrum() *dsp.Spectrum {
+// Band returns the displayed spectrum of the analyzed band — a band
+// dsp.Spectrum, whose reads outside the band fail with ErrOutsideBand;
+// the full spectrum for AnalyzeIncoherent's traces — computing the bins
+// no read has computed yet on the first call.
+func (t *Trace) Band() *dsp.Spectrum {
 	if !t.built {
-		for k := range t.spec.PSD {
-			t.spec.PSD[k] = t.src.bin(k)
+		for i := range t.spec.PSD {
+			t.spec.PSD[i] = t.src.bin(i)
 		}
 		t.bins += len(t.spec.PSD)
 		t.built = true
@@ -119,26 +141,20 @@ func (t *Trace) Spectrum() *dsp.Spectrum {
 	return &t.spec
 }
 
-// fillBand computes the display bins a band walk over [lo, hi] reads —
-// from lo's bin up to hi's, wrapping past the last bin, as
-// dsp.Spectrum's band walks visit them — so the walk reads exactly the
-// values a fully built display holds. Bounds the walk rejects are left
-// to it to report.
+// fillBand computes the display bins a band walk over [lo, hi] reads,
+// so the walk reads exactly the values a fully built display holds.
+// Bounds the walk rejects are left to it to report.
 func (t *Trace) fillBand(lo, hi float64) {
 	if t.built {
 		return
 	}
-	klo, err := t.spec.BinFor(lo)
+	klo, khi, err := t.spec.BinRange(lo, hi)
 	if err != nil {
 		return
 	}
-	khi, err := t.spec.BinFor(hi)
-	if err != nil {
-		return
-	}
-	psd := t.spec.PSD
-	for k := klo; ; k = (k + 1) % len(psd) {
-		psd[k] = t.src.bin(k)
+	psd, off, n := t.spec.PSD, t.spec.Offset, t.spec.Bins()
+	for k := klo; ; k = (k + 1) % n {
+		psd[k-off] = t.src.bin(k - off)
 		t.bins++
 		if k == khi {
 			return
@@ -176,7 +192,8 @@ func (a *Analyzer) Config() Config { return a.cfg }
 // shorter segment meets (or comes closest to) the requested RBW. It
 // returns the chosen length together with the window's ENBW at that
 // length, computed once — the ENBW only needs refreshing when the
-// RBW request actually shortens the segment.
+// RBW request actually shortens the segment. A segment is never
+// shorter than two samples, so 50%-overlapped segments always advance.
 func (a *Analyzer) segmentFor(n int, fs float64) (seg int, enbw float64, err error) {
 	maxSeg := 1
 	for maxSeg*2 <= n {
@@ -187,10 +204,13 @@ func (a *Analyzer) segmentFor(n int, fs float64) (seg int, enbw float64, err err
 		return 0, 0, err
 	}
 	seg = maxSeg
-	if need := dsp.NextPow2(int(enbw * fs / a.cfg.RBW)); need < seg {
-		seg = need
-		if enbw, err = a.cfg.Window.ENBW(seg); err != nil {
-			return 0, 0, err
+	// Compared as a float first: a tiny RBW request overflows int.
+	if r := enbw * fs / a.cfg.RBW; r < float64(seg) {
+		if need := max(dsp.NextPow2(int(r)), 2); need < seg {
+			seg = need
+			if enbw, err = a.cfg.Window.ENBW(seg); err != nil {
+				return 0, 0, err
+			}
 		}
 	}
 	return seg, enbw, nil
@@ -274,9 +294,10 @@ func (a *Analyzer) AnalyzeIncoherent(xs [][]complex128, fs float64) (*Trace, err
 }
 
 // PairPSD holds the pair-Welch products of a two-envelope linear
-// family: the two envelope PSDs and their cross-spectrum, all at the
-// analysis segment length. They are independent of the family's group
-// coefficients and of the instrument floor — every stream
+// family: the two envelope PSDs and their cross-spectrum over the bins
+// of the analyzed band (index i is the band's bin i). They are
+// independent of the family's group coefficients and of the
+// instrument floor — every stream
 // a·envA + b·envB has per-bin Welch PSD |a|²·PA + |b|²·PB +
 // 2·Re(a·conj(b)·Cross) — which is what makes them reusable: one
 // PairPSD computed from one envelope realization serves every
@@ -288,14 +309,14 @@ type PairPSD struct {
 	Cross  []complex128
 }
 
-func (p *PairPSD) grow(seg int) {
-	p.PA = buf.Grow(p.PA, seg)
-	p.PB = buf.Grow(p.PB, seg)
-	p.Cross = buf.Grow(p.Cross, seg)
+func (p *PairPSD) grow(bins int) {
+	p.PA = buf.Grow(p.PA, bins)
+	p.PB = buf.Grow(p.PB, bins)
+	p.Cross = buf.Grow(p.Cross, bins)
 }
 
 // Scratch holds the reusable working set of the envelope analysis — the
-// Welch scratch, the rolling windows and segment feeds, and the display
+// Welch scratch, the source blocks and segment feeds, and the display
 // accumulator — so steady-state measurement cells allocate no
 // sample-sized buffers. A Scratch adapts itself to whatever segment
 // length and window a call needs (rebuilding is the only allocating
@@ -307,13 +328,13 @@ type Scratch struct {
 	Pool *workpool.Pool
 
 	// Mem, when non-nil, backs the scratch's shape-dependent working
-	// buffers — the rolling windows, the display accumulator, the
-	// in-flight segment transforms — with the owner's per-worker bump
-	// allocator instead of the heap. The owner resets the arena only
-	// when the measurement shape changes (see internal/arena's lifetime
-	// rules); the scratch re-carves after every reset, tracked by
-	// memGen. Published products (PairPSD, noise PSDs handed to caches)
-	// are never arena-backed.
+	// buffers — the source blocks, the display accumulator, the
+	// segment transforms — with the owner's per-worker bump allocator
+	// instead of the heap. The owner resets the arena only when the
+	// measurement shape changes (see internal/arena's lifetime rules);
+	// the scratch re-carves after every reset, tracked by memGen.
+	// Published products (PairPSD, noise PSDs handed to caches) are
+	// never arena-backed.
 	Mem    *arena.Arena
 	memGen uint64
 
@@ -321,14 +342,14 @@ type Scratch struct {
 	sum   []float64
 	trace Trace
 
-	// Streaming working set: the rolling 50%-overlap windows (two real
-	// envelope streams and one complex noise stream) and the segment
-	// feeds. All O(segLen), reused across captures. The envelope and
-	// noise feeds always run one after the other, so they share one
-	// slot ring: its in-flight transform buffers are carved once, on
-	// first use, for both.
-	wa, wb    []float64
-	wn        []complex128
+	// Streaming working set: one block of each source (two real
+	// envelope streams and one complex noise stream), blockLen samples
+	// whatever the segment length, and the segment feeds. The envelope
+	// and noise feeds always run one after the other, so they share one
+	// slot ring — the only segment-sized buffers — whose transform
+	// buffers are carved once, on first use, for both.
+	ba, bb    []float64
+	bn        []complex128
 	ring      dsp.SlotRing
 	pairFeed  dsp.PairFeed
 	noiseFeed dsp.Feed
@@ -347,7 +368,7 @@ func (s *Scratch) refreshEpoch() {
 	}
 	if g := s.Mem.Gen(); g != s.memGen {
 		s.memGen = g
-		s.wa, s.wb, s.wn, s.sum = nil, nil, nil, nil
+		s.ba, s.bb, s.bn, s.sum = nil, nil, nil, nil
 	}
 }
 
@@ -381,40 +402,45 @@ func (s *Scratch) prepare(seg int, win dsp.Window) error {
 	return nil
 }
 
-// setup validates the capture parameters, picks the segmentation, and
-// readies the Welch scratch — the shared front of every product and
-// render entry point, so hits and misses of a product cache see the
-// exact same segmentation decision.
-func (a *Analyzer) setup(n int, fs float64, s *Scratch) (seg int, enbw float64, err error) {
+// setup validates the capture parameters and the band, picks the
+// segmentation, and readies the Welch scratch — the shared front of
+// both product entry points, so hits and misses of a product cache see
+// the exact same segmentation decision.
+func (a *Analyzer) setup(n int, band Band, fs float64, s *Scratch) (dsp.Band, error) {
 	if fs <= 0 {
-		return 0, 0, fmt.Errorf("specan: sample rate %g", fs)
+		return dsp.Band{}, fmt.Errorf("specan: sample rate %g", fs)
 	}
 	if n < 2 {
-		return 0, 0, fmt.Errorf("specan: capture of %d samples too short", n)
+		return dsp.Band{}, fmt.Errorf("specan: capture of %d samples too short", n)
 	}
-	seg, enbw, err = a.segmentFor(n, fs)
+	seg, _, err := a.segmentFor(n, fs)
 	if err != nil {
-		return 0, 0, err
+		return dsp.Band{}, err
+	}
+	bins, err := band.bins(seg, fs)
+	if err != nil {
+		return dsp.Band{}, err
 	}
 	s.refreshEpoch()
-	return seg, enbw, s.prepare(seg, a.cfg.Window)
+	return bins, s.prepare(seg, a.cfg.Window)
 }
 
-// Render combines precomputed products into the displayed trace for an
-// n-sample capture: the group-coefficient fold of the envelope products
-// (skipped when coeffs is empty; env may then be nil), the noise PSD
-// (nil to omit), and the sensitivity floor. It performs no FFT work and
-// computes no display bin: the trace computes the bins its readers ask
-// for from env and noisePSD (see Trace), so a measurement that reads
-// only its band power pays for the band's bins alone. n must be the
-// original capture length so the segmentation (and achieved RBW) match
-// the product computation.
+// Render combines precomputed products into the displayed trace of
+// band for an n-sample capture: the group-coefficient fold of the
+// envelope products (skipped when coeffs is empty; env may then be
+// nil), the noise PSD (nil to omit), and the sensitivity floor. The
+// products must hold the band's bins, as EnvelopeProductsStream and
+// NoiseProductsStream compute them for the same n, band and fs. Render
+// performs no FFT work and computes no display bin: the trace computes
+// the bins its readers ask for from env and noisePSD (see Trace), so a
+// measurement that reads only its band power pays for those bins
+// alone.
 //
 // The returned Trace aliases the scratch's buffers and reads env and
 // noisePSD, which must stay unchanged while it is in use: it is valid
 // until the scratch's next analysis call. Pass a nil scratch to
 // allocate a private one (and a Trace that aliases no scratch).
-func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs float64, s *Scratch) (*Trace, error) {
+func (a *Analyzer) Render(n int, band Band, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs float64, s *Scratch) (*Trace, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
 	mCaptures.Inc()
@@ -434,18 +460,23 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 	if err != nil {
 		return nil, err
 	}
+	bins, err := band.bins(seg, fs)
+	if err != nil {
+		return nil, err
+	}
+	m := bins.Len()
 	if len(coeffs) > 0 {
-		if env == nil || len(env.PA) != seg || len(env.PB) != seg || len(env.Cross) != seg {
-			return nil, fmt.Errorf("specan: envelope products missing or not at segment length %d", seg)
+		if env == nil || len(env.PA) != m || len(env.PB) != m || len(env.Cross) != m {
+			return nil, fmt.Errorf("specan: envelope products missing or not of the band's %d bins", m)
 		}
 	}
-	if noisePSD != nil && len(noisePSD) != seg {
-		return nil, fmt.Errorf("specan: noise PSD length %d, segment length %d", len(noisePSD), seg)
+	if noisePSD != nil && len(noisePSD) != m {
+		return nil, fmt.Errorf("specan: noise PSD of %d bins, band of %d", len(noisePSD), m)
 	}
 	// Render is reachable without setup (cache-hit measurements call it
 	// directly), so it must honour the arena epoch itself.
 	s.refreshEpoch()
-	s.sum = s.growFloats(s.sum, seg)
+	s.sum = s.growFloats(s.sum, m)
 	src := display{noise: noisePSD, floor: a.cfg.FloorPSD}
 	if len(coeffs) > 0 {
 		var cx complex128
@@ -460,7 +491,7 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 	s.trace = Trace{
 		ActualRBW: enbw * fs / float64(seg),
 		FloorPSD:  a.cfg.FloorPSD,
-		spec:      dsp.Spectrum{PSD: s.sum, SampleRate: fs},
+		spec:      dsp.Spectrum{PSD: s.sum, SampleRate: fs, Offset: bins.Lo, N: seg},
 		src:       src,
 	}
 	return &s.trace, nil
@@ -469,7 +500,8 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 // BandPower integrates the displayed PSD over center ± halfSpan Hz and
 // returns watts — the paper's "total received signal power in the
 // frequency band from 1 kHz below to 1 kHz above the alternation
-// frequency". It computes only the band's display bins.
+// frequency". It computes only the band's display bins; a band that
+// leaves the analyzed one fails with ErrOutsideBand.
 func (t *Trace) BandPower(center, halfSpan float64) (float64, error) {
 	if halfSpan <= 0 {
 		return 0, fmt.Errorf("specan: non-positive half span %g", halfSpan)
@@ -480,7 +512,8 @@ func (t *Trace) BandPower(center, halfSpan float64) (float64, error) {
 }
 
 // Peak returns the frequency and PSD of the strongest bin within
-// center ± halfSpan. It computes only the band's display bins.
+// center ± halfSpan. It computes only the band's display bins; a band
+// that leaves the analyzed one fails with ErrOutsideBand.
 func (t *Trace) Peak(center, halfSpan float64) (freq, psd float64, err error) {
 	lo, hi := center-halfSpan, center+halfSpan
 	t.fillBand(lo, hi)

@@ -50,7 +50,7 @@ func TestSensitivityFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range tr.Spectrum().PSD {
+	for k, v := range tr.Band().PSD {
 		if v < 1e-17 {
 			t.Fatalf("bin %d below the floor: %v", k, v)
 		}
@@ -111,8 +111,37 @@ func TestRBWSelection(t *testing.T) {
 	if tr2.ActualRBW < 50 || tr2.ActualRBW > 200 {
 		t.Errorf("achieved RBW = %v Hz for 100 Hz request", tr2.ActualRBW)
 	}
-	if tr2.Spectrum().Bins() >= tr.Spectrum().Bins() {
+	if tr2.Band().Bins() >= tr.Band().Bins() {
 		t.Error("coarser RBW should use shorter segments")
+	}
+}
+
+// An RBW request coarser than fs never shortens segments below two
+// samples — one-sample segments never advanced the 50%-overlap walk —
+// and one so fine that enbw·fs/RBW overflows int keeps the longest
+// segment. Both captures analyze.
+func TestRBWExtremes(t *testing.T) {
+	const n = 1 << 10
+	fs := 1e5
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(float64(i%7), 1)
+	}
+	for _, c := range []struct {
+		rbw float64
+		seg int
+	}{{1e12, 2}, {1e-300, n}} {
+		a := MustNew(Config{RBW: c.rbw, Window: dsp.Hann})
+		seg, _, err := a.segmentFor(n, fs)
+		if err != nil || seg != c.seg {
+			t.Errorf("RBW %g: segment %d, %v; want %d", c.rbw, seg, err, c.seg)
+		}
+		if _, err := a.AnalyzeIncoherent([][]complex128{x}, fs); err != nil {
+			t.Errorf("RBW %g: %v", c.rbw, err)
+		}
+		if _, err := a.NoiseProductsStream(n, Band{Lo: 0, Hi: fs / 2}, &sliceSampleSource{x: x, block: 100}, fs, nil, nil); err != nil {
+			t.Errorf("RBW %g: products: %v", c.rbw, err)
+		}
 	}
 }
 
@@ -132,10 +161,10 @@ func TestNoisePSDIndependentOfRBW(t *testing.T) {
 			t.Fatal(err)
 		}
 		mean := 0.0
-		for _, v := range tr.Spectrum().PSD {
+		for _, v := range tr.Band().PSD {
 			mean += v
 		}
-		mean /= float64(tr.Spectrum().Bins())
+		mean /= float64(tr.Band().Bins())
 		if math.Abs(mean-1e-12) > 0.15e-12 {
 			t.Errorf("RBW %v: mean PSD = %v, want 1e-12", rbw, mean)
 		}
