@@ -5,12 +5,11 @@
 // The campaign engine gives each worker one Arena (see
 // savat.WithArena); the worker's MeasureScratch and specan.Scratch
 // carve their shape-dependent working buffers — source sample blocks,
-// segment transforms, the band display accumulator, the buffered
-// noise capture — from it instead of the heap. Steady-state cell
-// compute then performs zero heap allocations (cmd/benchguard
-// -zeroalloc enforces this), the whole working set lives in one
-// contiguous block the GC scans as a single object, and buffers a
-// worker touches together sit together.
+// segment transforms, the band display accumulator — from it instead
+// of the heap. Steady-state cell compute then performs zero heap
+// allocations (cmd/benchguard -zeroalloc enforces this), the whole
+// working set lives in one contiguous block the GC scans as a single
+// object, and buffers a worker touches together sit together.
 //
 // # Lifetime rules
 //

@@ -54,16 +54,21 @@ const (
 	regNMaskB isa.Reg = 8 // ^mask2
 	regTmpB   isa.Reg = 9
 	regCount  isa.Reg = 10 // i
+	regPtrA2  isa.Reg = 11 // half A's second memory stream
 	regStVal  isa.Reg = 12 // 0xFFFFFFFF store data
+	regPtrB2  isa.Reg = 13 // half B's second memory stream
 	regArith  isa.Reg = 14 // eax for ADD/SUB/MUL/DIV
 )
 
-// Array base addresses for the two instructions under test. They are far
-// apart so the A and B instructions access separate groups of cache
-// blocks, as Section III requires.
+// Array base addresses for the two halves under test. They are far apart
+// so the A and B instructions access separate groups of cache blocks, as
+// Section III requires.
 const (
 	arrayABase uint32 = 0x0400_0000
 	arrayBBase uint32 = 0x2000_0000
+	// stream2Offset places a half's second sweep array away from its first
+	// (and from the other half's arrays).
+	stream2Offset uint32 = 0x0800_0000
 )
 
 // SweepOffset is the pointer-update stride in bytes. The paper's code
@@ -82,6 +87,8 @@ const (
 
 // Kernel is a generated A/B alternation microbenchmark.
 type Kernel struct {
+	// A and B are the events under test. A sequence half longer than one
+	// event is represented by its memory event, or NOI if it has none.
 	A, B Event
 	// LoopCount is inst_loop_count: instances of each instruction per
 	// half, chosen so one full A/B alternation takes 1/Frequency seconds.
@@ -93,7 +100,7 @@ type Kernel struct {
 	// PhaseAt maps instruction indices to phase IDs for machine.RunPhases.
 	PhaseAt map[int]int
 	// ArrayBytes records the sweep-array size chosen for each half
-	// (0 for non-memory events).
+	// (0 for a half with no memory event).
 	ArrayBytes [2]int
 
 	// sum is the content address of Program and PhaseAt, sealed by the
@@ -132,16 +139,9 @@ func arrayBytes(e Event, mc machine.Config) int {
 	}
 }
 
-// emitEvent emits the code for one instance of the instruction/event
-// under test; site makes the labels of branch events unique.
-func emitEvent(bld *asm.Builder, e Event, ptr isa.Reg, site string) {
-	emitEventOffset(bld, e, ptr, 0, site)
-}
-
-// emitEventOffset is emitEvent with an explicit memory-operand offset,
-// used by sequence kernels so consecutive memory events in one iteration
-// touch distinct cache lines.
-func emitEventOffset(bld *asm.Builder, e Event, ptr isa.Reg, off int32, site string) {
+// emitInstance emits the code for one instance of the event under test;
+// site makes the labels of branch events unique.
+func emitInstance(bld *asm.Builder, e Event, ptr isa.Reg, site string) {
 	switch e {
 	case BPH:
 		// An unconditional forward jump: always taken, always predicted.
@@ -158,9 +158,6 @@ func emitEventOffset(bld *asm.Builder, e Event, ptr isa.Reg, off int32, site str
 		bld.Label(lbl)
 	default:
 		if in, ok := testInstruction(e, ptr); ok {
-			if in.IsMem() {
-				in.Imm = off
-			}
 			bld.Emit(in)
 		}
 	}
@@ -188,11 +185,12 @@ func testInstruction(e Event, ptr isa.Reg) (isa.Instruction, bool) {
 	}
 }
 
-// buildProgram emits the full kernel for a given loop count and
-// pointer-update stride.
-func buildProgram(a, b Event, mc machine.Config, loopCount, stride int) (*asm.Program, error) {
-	sizeA := arrayBytes(a, mc)
-	sizeB := arrayBytes(b, mc)
+// emitProgram emits the full kernel — the Figure 4 loop with sequence a
+// in one half and b in the other — for a given loop count and
+// pointer-update stride. A single-instruction pair is the one-event case.
+func emitProgram(a, b Sequence, mc machine.Config, loopCount, stride int) (*asm.Program, error) {
+	sizeA := arrayBytes(a.memEvent(), mc)
+	sizeB := arrayBytes(b.memEvent(), mc)
 	bld := asm.NewBuilder()
 
 	// Setup: pointers, masks, constants.
@@ -202,6 +200,12 @@ func buildProgram(a, b Event, mc machine.Config, loopCount, stride int) (*asm.Pr
 	bld.Mov32(regPtrB, arrayBBase)
 	bld.Mov32(regMaskB, uint32(sizeB-1))
 	bld.Mov32(regNMaskB, ^uint32(sizeB-1))
+	if a.memStreams() > 1 {
+		bld.Mov32(regPtrA2, arrayABase+stream2Offset)
+	}
+	if b.memStreams() > 1 {
+		bld.Mov32(regPtrB2, arrayBBase+stream2Offset)
+	}
 	bld.Movi(regStVal, -1) // 0xFFFFFFFF
 	bld.Movi(regArith, 173)
 
@@ -217,41 +221,65 @@ func buildProgram(a, b Event, mc machine.Config, loopCount, stride int) (*asm.Pr
 	// the dirty-line steady state — the STL2 double-transaction behaviour —
 	// holds from the first measured period.
 	lineBytes := int32(mc.Mem.L1.LineBytes)
-	emitWarm := func(label string, e Event, base uint32, size int, tmp isa.Reg) {
+	emitWarm := func(label string, s Sequence, base uint32, size int, tmp isa.Reg) {
+		e := s.memEvent()
 		if !e.IsMem() || e == LDM || e == STM {
 			return
 		}
-		bld.Mov32(tmp, base)
-		bld.Mov32(regCount, uint32(size/int(lineBytes)))
-		bld.Label(label)
-		bld.Ld(regValue, tmp, 0)
-		if e.IsStore() {
-			bld.St(tmp, 0, regStVal)
+		for st := 0; st < s.memStreams(); st++ {
+			lbl := fmt.Sprintf("%s%d", label, st)
+			bld.Mov32(tmp, base+uint32(st)*stream2Offset)
+			bld.Mov32(regCount, uint32(size/int(lineBytes)))
+			bld.Label(lbl)
+			bld.Ld(regValue, tmp, 0)
+			if e.IsStore() {
+				bld.St(tmp, 0, regStVal)
+			}
+			bld.Op3i(isa.ADDI, tmp, tmp, lineBytes)
+			bld.Op3i(isa.SUBI, regCount, regCount, 1)
+			bld.Bne(regCount, regZero, lbl)
 		}
-		bld.Op3i(isa.ADDI, tmp, tmp, lineBytes)
-		bld.Op3i(isa.SUBI, regCount, regCount, 1)
-		bld.Bne(regCount, regZero, label)
 	}
 	emitWarm("warmA", a, arrayABase, sizeA, regTmpA)
 	emitWarm("warmB", b, arrayBBase, sizeB, regTmpB)
 
-	emitHalf := func(label string, e Event, ptr, mask, nmask, tmp isa.Reg) {
+	// A half with two or more memory events sweeps two independent
+	// arrays, alternating its memory events between them, so each event
+	// generates its own miss traffic (two offsets into one swept array
+	// would share lines — the second access prefetches for the first).
+	emitHalf := func(label string, s Sequence, ptr, ptr2, mask, nmask, tmp isa.Reg) {
 		bld.Mov32(regCount, uint32(loopCount))
 		bld.Label(label)
 		// ptr = (ptr & ~mask) | ((ptr+offset) & mask) — Figure 4 lines 4/10.
-		bld.Op3i(isa.ADDI, tmp, ptr, int32(stride))
-		bld.Op3r(isa.ANDR, tmp, tmp, mask)
-		bld.Op3r(isa.ANDR, ptr, ptr, nmask)
-		bld.Op3r(isa.ORR, ptr, ptr, tmp)
-		emitEvent(bld, e, ptr, label)
+		update := func(p isa.Reg) {
+			bld.Op3i(isa.ADDI, tmp, p, int32(stride))
+			bld.Op3r(isa.ANDR, tmp, tmp, mask)
+			bld.Op3r(isa.ANDR, p, p, nmask)
+			bld.Op3r(isa.ORR, p, p, tmp)
+		}
+		update(ptr)
+		if s.memStreams() > 1 {
+			update(ptr2)
+		}
+		memIdx := 0
+		for i, e := range s {
+			p := ptr
+			if e.IsMem() {
+				if memIdx%2 == 1 {
+					p = ptr2
+				}
+				memIdx++
+			}
+			emitInstance(bld, e, p, fmt.Sprintf("%s_%d", label, i))
+		}
 		bld.Op3i(isa.SUBI, regCount, regCount, 1)
 		bld.Bne(regCount, regZero, label)
 	}
 
 	bld.Label("outer") // phase A begins at the counter reload
-	emitHalf("loopA", a, regPtrA, regMaskA, regNMaskA, regTmpA)
+	emitHalf("loopA", a, regPtrA, regPtrA2, regMaskA, regNMaskA, regTmpA)
 	bld.Label("phaseB")
-	emitHalf("loopB", b, regPtrB, regMaskB, regNMaskB, regTmpB)
+	emitHalf("loopB", b, regPtrB, regPtrB2, regMaskB, regNMaskB, regTmpB)
 	bld.Jmp("outer")
 
 	return bld.Program()
@@ -271,11 +299,21 @@ func BuildKernel(mc machine.Config, a, b Event, frequency float64) (*Kernel, err
 // slows the memory rows' loops by an order of magnitude — the design-choice
 // ablation DESIGN.md calls out.
 func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride int) (*Kernel, error) {
+	return buildKernel(mc, Sequence{a}, Sequence{b}, frequency, stride)
+}
+
+// buildKernel validates, calibrates and assembles the alternation kernel
+// for sequence halves a and b: the one path behind BuildKernel and
+// BuildSequenceKernel.
+func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int) (*Kernel, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	if !a.Valid() || !b.Valid() {
-		return nil, fmt.Errorf("savat: invalid event pair %v/%v", a, b)
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if err := b.Validate(); err != nil {
+		return nil, err
 	}
 	if !(frequency > 0) || math.IsInf(frequency, 1) {
 		return nil, fmt.Errorf("savat: alternation frequency %g not positive and finite", frequency)
@@ -288,10 +326,11 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 		return nil, fmt.Errorf("savat: alternation frequency %g too high for a %g Hz clock", frequency, mc.ClockHz)
 	}
 
-	// Fixed-point calibration: run a trial kernel, measure the achieved
-	// period, rescale the loop count. Two rounds converge because the
-	// per-iteration cost is nearly independent of the count. The probe
-	// runs share one pooled memory hierarchy (reset between runs).
+	// Fixed-point calibration: run a trial kernel for five periods past a
+	// two-period warm-up, measure the achieved period, rescale the loop
+	// count. Two rounds converge because the per-iteration cost is nearly
+	// independent of the count. The probe runs share one pooled memory
+	// hierarchy (reset between runs).
 	hier, err := borrowHier(mc.Mem)
 	if err != nil {
 		return nil, err
@@ -304,11 +343,12 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 		if err != nil {
 			return nil, err
 		}
-		period, work, err := k.measurePeriodCycles(mc, hier)
+		ph, work, err := k.runPhases(mc, 2*(5+2), 2, hier)
 		if err != nil {
 			return nil, err
 		}
 		calibration.add(work)
+		period := ph[PhaseA].MeanCycles + ph[PhaseB].MeanCycles
 		next := int(float64(loopCount) * targetCycles / period)
 		if next < 1 {
 			next = 1
@@ -327,8 +367,8 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 }
 
 // assemble builds the Kernel value for a specific loop count.
-func assemble(mc machine.Config, a, b Event, frequency float64, loopCount, stride int) (*Kernel, error) {
-	prog, err := buildProgram(a, b, mc, loopCount, stride)
+func assemble(mc machine.Config, a, b Sequence, frequency float64, loopCount, stride int) (*Kernel, error) {
+	prog, err := emitProgram(a, b, mc, loopCount, stride)
 	if err != nil {
 		return nil, err
 	}
@@ -340,25 +380,29 @@ func assemble(mc machine.Config, a, b Event, frequency float64, loopCount, strid
 	if !ok {
 		return nil, fmt.Errorf("savat: kernel missing phaseB label")
 	}
-	phaseAt := map[int]int{int(outer): PhaseA, int(phaseB): PhaseB}
-	return &Kernel{
-		A: a, B: b,
-		LoopCount: loopCount,
-		Frequency: frequency,
-		Program:   prog.Instructions,
-		PhaseAt:   phaseAt,
-		ArrayBytes: [2]int{
-			memArrayBytes(a, mc), memArrayBytes(b, mc),
-		},
-		sum: sumKernel(prog.Instructions, phaseAt),
-	}, nil
-}
-
-func memArrayBytes(e Event, mc machine.Config) int {
-	if !e.IsMem() {
+	// A one-event half is its event; a longer one its representative.
+	event := func(s Sequence) Event {
+		if len(s) == 1 {
+			return s[0]
+		}
+		return s.memEvent()
+	}
+	memBytes := func(s Sequence) int {
+		if e := s.memEvent(); e.IsMem() {
+			return arrayBytes(e, mc)
+		}
 		return 0
 	}
-	return arrayBytes(e, mc)
+	phaseAt := map[int]int{int(outer): PhaseA, int(phaseB): PhaseB}
+	return &Kernel{
+		A: event(a), B: event(b),
+		LoopCount:  loopCount,
+		Frequency:  frequency,
+		Program:    prog.Instructions,
+		PhaseAt:    phaseAt,
+		ArrayBytes: [2]int{memBytes(a), memBytes(b)},
+		sum:        sumKernel(prog.Instructions, phaseAt),
+	}, nil
 }
 
 // simWork is the simulator's work in one or more runs: the
@@ -378,29 +422,28 @@ func (w *simWork) add(o simWork) {
 	w.interpreted += o.interpreted
 }
 
-// measurePeriodCycles runs a few alternations and returns the mean number
-// of core cycles per full A/B period, skipping cache warm-up, and the
-// run's work.
-func (k *Kernel) measurePeriodCycles(mc machine.Config, hier *memhier.Hierarchy) (float64, simWork, error) {
+// runPhases runs the kernel for at most maxSamples phase samples, on hier
+// when it is non-nil, and summarizes phases A and B past the first skip
+// periods. Calibration and Alternation both measure through it.
+func (k *Kernel) runPhases(mc machine.Config, maxSamples, skip int, hier *memhier.Hierarchy) ([2]activity.PhaseStats, simWork, error) {
 	m, err := machine.New(mc)
 	if err != nil {
-		return 0, simWork{}, err
+		return [2]activity.PhaseStats{}, simWork{}, err
 	}
-	const periods = 5
 	res, err := m.RunPhases(k.Program, k.PhaseAt, machine.RunOptions{
-		MaxSamples: 2 * (periods + 2),
+		MaxSamples: maxSamples,
 		Hier:       hier,
 	})
 	if err != nil {
-		return 0, simWork{}, err
+		return [2]activity.PhaseStats{}, simWork{}, err
 	}
-	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, 2)
+	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, skip)
 	sa, oka := ph[PhaseA]
 	sb, okb := ph[PhaseB]
 	if !oka || !okb {
-		return 0, simWork{}, fmt.Errorf("savat: calibration run produced no steady-state phases")
+		return [2]activity.PhaseStats{}, simWork{}, fmt.Errorf("savat: run produced no steady-state phases (have %d samples)", len(res.Samples))
 	}
-	return sa.MeanCycles + sb.MeanCycles, workOf(res), nil
+	return [2]activity.PhaseStats{sa, sb}, workOf(res), nil
 }
 
 // Alternation runs the kernel cycle-accurately for enough periods to
@@ -417,28 +460,15 @@ func (k *Kernel) alternationHier(mc machine.Config, warmupPeriods, measurePeriod
 	if warmupPeriods < 0 || measurePeriods <= 0 {
 		return nil, fmt.Errorf("savat: bad period counts warmup=%d measure=%d", warmupPeriods, measurePeriods)
 	}
-	m, err := machine.New(mc)
+	ph, work, err := k.runPhases(mc, 2*(warmupPeriods+measurePeriods+1), warmupPeriods, hier)
 	if err != nil {
 		return nil, err
-	}
-	res, err := m.RunPhases(k.Program, k.PhaseAt, machine.RunOptions{
-		MaxSamples: 2 * (warmupPeriods + measurePeriods + 1),
-		Hier:       hier,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ph := activity.SummarizePhases(res.Samples, mc.ClockHz, warmupPeriods)
-	sa, oka := ph[PhaseA]
-	sb, okb := ph[PhaseB]
-	if !oka || !okb {
-		return nil, fmt.Errorf("savat: run produced no steady-state phases (have %d samples)", len(res.Samples))
 	}
 	return &AlternationResult{
 		Kernel:      k,
-		PhaseStats:  [2]activity.PhaseStats{sa, sb},
-		HalfSeconds: [2]float64{sa.MeanCycles / mc.ClockHz, sb.MeanCycles / mc.ClockHz},
-		work:        workOf(res),
+		PhaseStats:  ph,
+		HalfSeconds: [2]float64{ph[PhaseA].MeanCycles / mc.ClockHz, ph[PhaseB].MeanCycles / mc.ClockHz},
+		work:        work,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -79,6 +80,9 @@ func TestBuildKernelErrors(t *testing.T) {
 	}
 	if _, err := BuildKernel(mc, ADD, ADD, 0); err == nil {
 		t.Error("zero frequency should fail")
+	}
+	if _, err := BuildKernel(mc, ADD, ADD, math.NaN()); err == nil {
+		t.Error("NaN frequency should fail")
 	}
 	if _, err := BuildKernel(mc, ADD, ADD, 1e9); err == nil {
 		t.Error("absurd frequency should fail")

@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/asm"
-	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/memhier"
 )
 
 // This file implements the paper's Section III extension from single
@@ -55,7 +52,7 @@ func (s Sequence) Validate() error {
 	haveMem := false
 	for _, e := range s {
 		if !e.Valid() {
-			return fmt.Errorf("savat: invalid event %v in sequence", e)
+			return fmt.Errorf("savat: invalid event %v", e)
 		}
 		if e.IsMem() {
 			if haveMem && arrayClass(e) != arrayClass(memEvent) {
@@ -82,101 +79,37 @@ func arrayClass(e Event) int {
 	}
 }
 
-// memEventOf returns the sequence's memory event class representative
-// (ok=false if the sequence has no memory events).
-func (s Sequence) memEventOf() (Event, bool) {
+// memEvent returns the sequence's memory event, which stands for the
+// cache level all of its memory events share, or NOI if it has none.
+func (s Sequence) memEvent() Event {
 	for _, e := range s {
 		if e.IsMem() {
-			return e, true
+			return e
 		}
 	}
-	return 0, false
+	return NOI
 }
 
-// seqArrayBytes sizes the sweep array for a sequence half.
-func seqArrayBytes(s Sequence, mc machine.Config) int {
-	if e, ok := s.memEventOf(); ok {
-		return arrayBytes(e, mc)
+// memStreams counts how many independent sweep streams the sequence needs
+// (0, 1, or 2; three or more memory events alternate between two streams).
+func (s Sequence) memStreams() int {
+	n := 0
+	for _, e := range s {
+		if e.IsMem() {
+			n++
+		}
 	}
-	return 4096
+	if n > 2 {
+		n = 2
+	}
+	return n
 }
 
 // BuildSequenceKernel generates the alternation kernel for two sequences,
-// calibrated to the intended alternation frequency like BuildKernel.
+// calibrated to the intended alternation frequency like BuildKernel, whose
+// pair is the one-event case.
 func BuildSequenceKernel(mc machine.Config, a, b Sequence, frequency float64) (*Kernel, error) {
-	if err := mc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if frequency <= 0 {
-		return nil, fmt.Errorf("savat: non-positive alternation frequency %g", frequency)
-	}
-	if mc.ClockHz/frequency < 100 {
-		return nil, fmt.Errorf("savat: alternation frequency %g too high for a %g Hz clock", frequency, mc.ClockHz)
-	}
-	hier, err := memhier.New(mc.Mem)
-	if err != nil {
-		return nil, err
-	}
-	loopCount := 256
-	for round := 0; round < 2; round++ {
-		k, err := assembleSequence(mc, a, b, frequency, loopCount)
-		if err != nil {
-			return nil, err
-		}
-		period, _, err := k.measurePeriodCycles(mc, hier)
-		if err != nil {
-			return nil, err
-		}
-		next := int(float64(loopCount) * mc.ClockHz / frequency / period)
-		if next < 1 {
-			next = 1
-		}
-		if next > 1_000_000 {
-			return nil, fmt.Errorf("savat: sequence loop count %d unreasonable", next)
-		}
-		loopCount = next
-	}
-	return assembleSequence(mc, a, b, frequency, loopCount)
-}
-
-func assembleSequence(mc machine.Config, a, b Sequence, frequency float64, loopCount int) (*Kernel, error) {
-	prog, err := buildSequenceProgramStride(a, b, mc, loopCount, SweepOffset)
-	if err != nil {
-		return nil, err
-	}
-	outer, ok := prog.Symbol("outer")
-	if !ok {
-		return nil, fmt.Errorf("savat: sequence kernel missing outer label")
-	}
-	phaseB, ok := prog.Symbol("phaseB")
-	if !ok {
-		return nil, fmt.Errorf("savat: sequence kernel missing phaseB label")
-	}
-	aRep, bRep := NOI, NOI
-	if e, ok := a.memEventOf(); ok {
-		aRep = e
-	}
-	if e, ok := b.memEventOf(); ok {
-		bRep = e
-	}
-	phaseAt := map[int]int{int(outer): PhaseA, int(phaseB): PhaseB}
-	return &Kernel{
-		A: aRep, B: bRep, // representatives; sequences carry the real identity
-		LoopCount: loopCount,
-		Frequency: frequency,
-		Program:   prog.Instructions,
-		PhaseAt:   phaseAt,
-		ArrayBytes: [2]int{
-			seqArrayBytes(a, mc), seqArrayBytes(b, mc),
-		},
-		sum: sumKernel(prog.Instructions, phaseAt),
-	}, nil
+	return buildKernel(mc, a, b, frequency, SweepOffset)
 }
 
 // SequenceMeasurement is the result of one A/B sequence measurement.
@@ -192,13 +125,28 @@ type SequenceMeasurement struct {
 // ZJ returns the sequence SAVAT in zeptojoules.
 func (m *SequenceMeasurement) ZJ() float64 { return m.SAVAT * 1e21 }
 
-// MeasureSequence measures the SAVAT between two instruction sequences.
+// MeasureSequence measures the SAVAT between two instruction sequences,
+// through the same steps as Measurer.Measure for a pair.
 func MeasureSequence(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Rand) (*SequenceMeasurement, error) {
+	if rng == nil {
+		return nil, fmt.Errorf("savat: nil rng")
+	}
+	meas := NewMeasurer(mc, cfg)
+	if _, _, _, err := meas.resolve(); err != nil {
+		return nil, err
+	}
 	k, err := BuildSequenceKernel(mc, a, b, cfg.Frequency)
 	if err != nil {
 		return nil, err
 	}
-	m, err := NewMeasurer(mc, cfg).MeasureKernel(k, rng)
+	// The chain's program countermeasures rewrite the kernel as they do
+	// in Measure, seeded from rng only when there are any.
+	if chain := cfg.Countermeasures; chain.HasProgram() {
+		if k, err = applyProgramCountermeasures(k, chain, rng.Int63()); err != nil {
+			return nil, err
+		}
+	}
+	m, err := meas.MeasureKernel(k, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -258,118 +206,4 @@ func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.
 	}
 	estimated += fl.SAVAT * float64(fl.Measurement.LoopCount) / float64(seq.Measurement.LoopCount)
 	return seq.SAVAT, estimated, nil
-}
-
-// Second-stream pointer registers: a sequence half with two or more
-// memory events sweeps two independent arrays so each event generates its
-// own miss traffic (two offsets into one swept array would share lines —
-// the second access prefetches for the first).
-const (
-	regPtrA2 isa.Reg = 11
-	regPtrB2 isa.Reg = 13
-	// stream2Offset places the second array of each half away from the
-	// first (and from the other half's arrays).
-	stream2Offset uint32 = 0x0800_0000
-)
-
-// memStreams counts how many independent sweep streams the sequence needs
-// (0, 1, or 2; three or more memory events alternate between two streams).
-func (s Sequence) memStreams() int {
-	n := 0
-	for _, e := range s {
-		if e.IsMem() {
-			n++
-		}
-	}
-	if n > 2 {
-		n = 2
-	}
-	return n
-}
-
-// buildSequenceProgramStride is the sequence analogue of buildProgram.
-func buildSequenceProgramStride(a, b Sequence, mc machine.Config, loopCount, stride int) (*asm.Program, error) {
-	sizeA := seqArrayBytes(a, mc)
-	sizeB := seqArrayBytes(b, mc)
-	bld := asm.NewBuilder()
-
-	bld.Mov32(regPtrA, arrayABase)
-	bld.Mov32(regMaskA, uint32(sizeA-1))
-	bld.Mov32(regNMaskA, ^uint32(sizeA-1))
-	bld.Mov32(regPtrB, arrayBBase)
-	bld.Mov32(regMaskB, uint32(sizeB-1))
-	bld.Mov32(regNMaskB, ^uint32(sizeB-1))
-	if a.memStreams() > 1 {
-		bld.Mov32(regPtrA2, arrayABase+stream2Offset)
-	}
-	if b.memStreams() > 1 {
-		bld.Mov32(regPtrB2, arrayBBase+stream2Offset)
-	}
-	bld.Movi(regStVal, -1)
-	bld.Movi(regArith, 173)
-
-	lineBytes := int32(mc.Mem.L1.LineBytes)
-	warm := func(label string, e Event, base uint32, size int, tmp isa.Reg) {
-		if e == LDM || e == STM {
-			return
-		}
-		bld.Mov32(tmp, base)
-		bld.Mov32(regCount, uint32(size/int(lineBytes)))
-		bld.Label(label)
-		bld.Ld(regValue, tmp, 0)
-		if e.IsStore() {
-			bld.St(tmp, 0, regStVal)
-		}
-		bld.Op3i(isa.ADDI, tmp, tmp, lineBytes)
-		bld.Op3i(isa.SUBI, regCount, regCount, 1)
-		bld.Bne(regCount, regZero, label)
-	}
-	emitWarm := func(label string, s Sequence, base uint32, size int, tmp isa.Reg) {
-		e, ok := s.memEventOf()
-		if !ok {
-			return
-		}
-		warm(label, e, base, size, tmp)
-		if s.memStreams() > 1 {
-			warm(label+"2", e, base+stream2Offset, size, tmp)
-		}
-	}
-	emitWarm("warmA", a, arrayABase, sizeA, regTmpA)
-	emitWarm("warmB", b, arrayBBase, sizeB, regTmpB)
-
-	emitHalf := func(label string, s Sequence, ptr, ptr2, mask, nmask, tmp isa.Reg) {
-		bld.Mov32(regCount, uint32(loopCount))
-		bld.Label(label)
-		update := func(p isa.Reg) {
-			bld.Op3i(isa.ADDI, tmp, p, int32(stride))
-			bld.Op3r(isa.ANDR, tmp, tmp, mask)
-			bld.Op3r(isa.ANDR, p, p, nmask)
-			bld.Op3r(isa.ORR, p, p, tmp)
-		}
-		update(ptr)
-		if s.memStreams() > 1 {
-			update(ptr2)
-		}
-		memIdx := 0
-		for i, e := range s {
-			p := ptr
-			if e.IsMem() {
-				if memIdx%2 == 1 {
-					p = ptr2
-				}
-				memIdx++
-			}
-			emitEventOffset(bld, e, p, 0, fmt.Sprintf("%s_%d", label, i))
-		}
-		bld.Op3i(isa.SUBI, regCount, regCount, 1)
-		bld.Bne(regCount, regZero, label)
-	}
-
-	bld.Label("outer")
-	emitHalf("loopA", a, regPtrA, regPtrA2, regMaskA, regNMaskA, regTmpA)
-	bld.Label("phaseB")
-	emitHalf("loopB", b, regPtrB, regPtrB2, regMaskB, regNMaskB, regTmpB)
-	bld.Jmp("outer")
-
-	return bld.Program()
 }

@@ -1,9 +1,11 @@
 package savat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/machine"
 )
 
@@ -45,14 +47,22 @@ func TestSequenceValidate(t *testing.T) {
 
 func TestBuildSequenceKernelErrors(t *testing.T) {
 	mc := machine.Core2Duo()
-	if _, err := BuildSequenceKernel(mc, Sequence{}, Sequence{ADD}, 80e3); err == nil {
-		t.Error("empty sequence should fail")
-	}
-	if _, err := BuildSequenceKernel(mc, Sequence{ADD}, Sequence{ADD}, 0); err == nil {
-		t.Error("zero frequency should fail")
-	}
-	if _, err := BuildSequenceKernel(machine.Config{}, Sequence{ADD}, Sequence{ADD}, 80e3); err == nil {
-		t.Error("bad machine should fail")
+	for _, c := range []struct {
+		name string
+		mc   machine.Config
+		a    Sequence
+		f    float64
+	}{
+		{"empty sequence", mc, Sequence{}, 80e3},
+		{"zero frequency", mc, Sequence{ADD}, 0},
+		{"NaN frequency", mc, Sequence{ADD}, math.NaN()},
+		{"+Inf frequency", mc, Sequence{ADD}, math.Inf(1)},
+		{"-Inf frequency", mc, Sequence{ADD}, math.Inf(-1)},
+		{"bad machine", machine.Config{}, Sequence{ADD}, 80e3},
+	} {
+		if k, err := BuildSequenceKernel(c.mc, c.a, Sequence{ADD}, c.f); err == nil {
+			t.Errorf("%s should fail, got a kernel with LoopCount %d", c.name, k.LoopCount)
+		}
 	}
 }
 
@@ -73,25 +83,32 @@ func TestSequenceKernelFrequency(t *testing.T) {
 	}
 }
 
-// A single-event sequence must agree with the plain single-instruction
-// measurement (same methodology, same structure).
+// A single-event sequence is the plain single-instruction measurement:
+// one builder, one calibration, the same rng draws.
 func TestSingleEventSequenceMatchesSingle(t *testing.T) {
 	mc := machine.Core2Duo()
-	cfg := FastConfig()
-	rngA := rand.New(rand.NewSource(5))
-	seq, err := MeasureSequence(mc, Sequence{ADD}, Sequence{LDM}, cfg, rngA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rngB := rand.New(rand.NewSource(5))
-	single, err := NewMeasurer(mc, cfg).Measure(ADD, LDM, rngB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := seq.SAVAT / single.SAVAT
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Errorf("single-event sequence %.3g vs single %.3g (ratio %.2f)",
-			seq.ZJ(), single.ZJ()*1e21, ratio)
+	for _, chain := range []string{"", "noop-insert:0.5"} {
+		cfg := FastConfig()
+		if chain != "" {
+			c, err := counter.ParseChain([]string{chain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Countermeasures = c
+		}
+		seq, err := MeasureSequence(mc, Sequence{ADD}, Sequence{LDM}, cfg, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := NewMeasurer(mc, cfg).Measure(ADD, LDM, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := seq.Measurement
+		if seq.SAVAT != single.SAVAT || got.LoopCount != single.LoopCount || got.A != ADD || got.B != LDM {
+			t.Errorf("chain %q: single-event sequence %v/%v %.6g zJ (N=%d) vs single %v/%v %.6g zJ (N=%d)",
+				chain, got.A, got.B, seq.ZJ(), got.LoopCount, single.A, single.B, single.ZJ(), single.LoopCount)
+		}
 	}
 }
 
