@@ -102,7 +102,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		k, err := savat.BuildKernel(mc, a, b, cfg.Frequency)
+		// The kernel -pair measures: with the chain's program
+		// countermeasures applied under the pair's campaign seed.
+		k, err := savat.NewMeasurer(mc, cfg).Kernel(context.Background(), a, b, savat.CounterSeed(spec.Seed, a, b))
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/arena"
+	"repro/internal/buf"
 	"repro/internal/obs"
 	"repro/internal/workpool"
 )
@@ -60,12 +60,13 @@ type feedSlot struct {
 // results are bit-identical either way, and the FIFO reduction order
 // never changes.
 //
-// A slot's buffer is carved the first time the ring hands that slot
-// out, so a capture of k segments touches min(k, maxFeedSlots) buffers
-// — a one-segment capture carves exactly one. One ring may serve
-// several feeds that run one after the other (each feed's
-// Init…Finish completes before the next feed's Init), which is how
-// specan.Scratch shares one ring between its envelope and noise feeds.
+// A slot's buffer is allocated the first time the ring hands that slot
+// out and reused by capacity after that, so a capture of k segments
+// touches min(k, maxFeedSlots) buffers — a one-segment capture
+// allocates exactly one. One ring may serve several feeds that run one
+// after the other (each feed's Init…Finish completes before the next
+// feed's Init), which is how specan.Scratch shares one ring between its
+// envelope and noise feeds.
 // The zero value is ready to use; a SlotRing is NOT safe for
 // concurrent use.
 type SlotRing struct {
@@ -83,15 +84,9 @@ type SlotRing struct {
 	plan     *Plan
 	pending  []*feedSlot    // scattered slots awaiting a batch sweep
 	batch    [][]complex128 // reused batch argument storage
-
-	// Arena backing for the slot buffers (nil = heap). memGen remembers
-	// the epoch the buffers were carved in: a Reset upstream retires
-	// them no matter their capacity (see internal/arena lifetime rules).
-	mem    *arena.Arena
-	memGen uint64
 }
 
-func (r *SlotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.Arena) {
+func (r *SlotRing) init(segLen int, plan *Plan, pool *workpool.Pool) {
 	r.Settle()
 	if pool == nil {
 		pool = workpool.Default
@@ -99,24 +94,26 @@ func (r *SlotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.
 	r.pool = pool
 	r.plan = plan
 	r.segLen = segLen
-	if g := mem.Gen(); mem != r.mem || g != r.memGen {
-		// Retired epoch, or another backing: nothing carved before may
-		// be reused, so every slot re-carves on its next use.
-		r.mem, r.memGen = mem, g
-		for i := range r.slots {
-			r.slots[i].fft = nil
-		}
-	}
 	r.head = 0
 	r.count = 0
+}
+
+// Footprint returns the bytes of segment buffers the ring holds (for
+// tests and diagnostics).
+func (r *SlotRing) Footprint() int {
+	n := 0
+	for i := range r.slots {
+		n += 16 * cap(r.slots[i].fft)
+	}
+	return n
 }
 
 // Settle abandons whatever a feed left in the ring without finishing —
 // a producer that errored between Init and Finish: segments being
 // scattered are dropped, pending transforms too, and in-flight ones
 // waited for, so no pool worker still writes a slot buffer once Settle
-// returns. The next Init settles implicitly; an owner about to release
-// the ring's arena calls it on its error paths.
+// returns. The next Init settles implicitly; a feed's owner calls it on
+// its error paths, so no transform outlives the call that fed it.
 func (r *SlotRing) Settle() {
 	r.open = 0
 	for _, sl := range r.pending {
@@ -131,18 +128,14 @@ func (r *SlotRing) Settle() {
 
 // next opens the slot the caller scatters the next segment into,
 // draining the oldest in-flight slot first if the ring is full and
-// carving the slot's buffer on its first use this epoch.
+// growing the slot's buffer when it is shorter than a segment.
 func (r *SlotRing) next(reduce func(f []complex128, first bool)) *feedSlot {
 	if r.inFlight+r.open == len(r.slots) {
 		r.drainOne(reduce)
 	}
 	sl := &r.slots[(r.head+r.inFlight+r.open)%len(r.slots)]
 	r.open++
-	if cap(sl.fft) >= r.segLen {
-		sl.fft = sl.fft[:r.segLen]
-	} else {
-		sl.fft = r.mem.Complexes(r.segLen) // nil-safe: heap when no arena
-	}
+	sl.fft = buf.Grow(sl.fft, r.segLen)
 	if sl.run == nil {
 		sl.run = func() {
 			sp := mFFTSegment.Start()
@@ -244,7 +237,7 @@ type segWalk struct {
 
 // init readies the walk for an n-sample capture whose band bins a feed
 // accumulates at rate fs, transforming through ring.
-func (w *segWalk) init(s *WelchScratch, n int, band Band, fs float64, ring *SlotRing, pool *workpool.Pool, mem *arena.Arena) error {
+func (w *segWalk) init(s *WelchScratch, n int, band Band, fs float64, ring *SlotRing, pool *workpool.Pool) error {
 	switch {
 	case fs <= 0:
 		return fmt.Errorf("dsp: sample rate %g", fs)
@@ -256,7 +249,7 @@ func (w *segWalk) init(s *WelchScratch, n int, band Band, fs float64, ring *Slot
 		return fmt.Errorf("dsp: nil slot ring")
 	}
 	*w = segWalk{s: s, ring: ring, count: (n-s.segLen)/(s.segLen/2) + 1}
-	ring.init(s.segLen, s.plan, pool, mem)
+	ring.init(s.segLen, s.plan, pool)
 	return nil
 }
 
@@ -334,14 +327,12 @@ type PairFeed struct {
 // accumulates into pa, pb and cross (all band.Len() long), transforming
 // through ring. It may be called repeatedly on one PairFeed, and ring
 // may be shared with other feeds that run before or after this one
-// (see SlotRing). The ring's slot buffers are carved from mem when
-// non-nil (heap otherwise); the ring honours the arena epoch,
-// re-carving after a Reset.
-func (f *PairFeed) Init(s *WelchScratch, n int, band Band, pa, pb []float64, cross []complex128, fs float64, ring *SlotRing, pool *workpool.Pool, mem *arena.Arena) error {
+// (see SlotRing).
+func (f *PairFeed) Init(s *WelchScratch, n int, band Band, pa, pb []float64, cross []complex128, fs float64, ring *SlotRing, pool *workpool.Pool) error {
 	if m := band.Len(); len(pa) != m || len(pb) != m || len(cross) != m {
 		return fmt.Errorf("dsp: Welch pair destination lengths %d/%d/%d, band of %d bins", len(pa), len(pb), len(cross), m)
 	}
-	if err := f.walk.init(s, n, band, fs, ring, pool, mem); err != nil {
+	if err := f.walk.init(s, n, band, fs, ring, pool); err != nil {
 		return err
 	}
 	f.lo = band.Lo
@@ -403,11 +394,11 @@ type Feed struct {
 // Init readies the feed for an n-sample capture whose band bins it
 // accumulates into dst (band.Len() long), transforming through ring
 // (see PairFeed.Init).
-func (f *Feed) Init(s *WelchScratch, n int, band Band, dst []float64, fs float64, ring *SlotRing, pool *workpool.Pool, mem *arena.Arena) error {
+func (f *Feed) Init(s *WelchScratch, n int, band Band, dst []float64, fs float64, ring *SlotRing, pool *workpool.Pool) error {
 	if len(dst) != band.Len() {
 		return fmt.Errorf("dsp: Welch destination length %d, band of %d bins", len(dst), band.Len())
 	}
-	if err := f.walk.init(s, n, band, fs, ring, pool, mem); err != nil {
+	if err := f.walk.init(s, n, band, fs, ring, pool); err != nil {
 		return err
 	}
 	f.band = band

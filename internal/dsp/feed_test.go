@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/workpool"
 )
 
@@ -26,10 +25,11 @@ func push(f *Feed, x []complex128, block int) {
 	}
 }
 
-// A one-segment capture touches one slot: the ring carves a slot's
+// A one-segment capture touches one slot: the ring allocates a slot's
 // buffer when it first hands the slot out, so a one-segment PairFeed
-// grows its arena by exactly one segment buffer, and a one-segment Feed
-// run after it on the same ring reuses that buffer and carves nothing.
+// leaves the ring holding exactly one segment buffer, and a one-segment
+// Feed run after it on the same ring reuses that buffer and allocates
+// nothing.
 func TestOneSegmentFeedCarvesOneSlot(t *testing.T) {
 	const seg = 4096
 	ws, err := NewWelchScratch(seg, Hann)
@@ -47,43 +47,59 @@ func TestOneSegmentFeedCarvesOneSlot(t *testing.T) {
 	pa, pb, cross := make([]float64, band.Len()), make([]float64, band.Len()), make([]complex128, band.Len())
 	dst := make([]float64, band.Len())
 
-	mem := arena.New()
 	var ring SlotRing
 	var pf PairFeed
-	if err := pf.Init(ws, seg, band, pa, pb, cross, 1, &ring, workpool.New(2), mem); err != nil {
+	if err := pf.Init(ws, seg, band, pa, pb, cross, 1, &ring, workpool.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := mem.Footprint(); got != 0 {
-		t.Fatalf("Init carved %d bytes; slots must be carved on first use", got)
+	if got := ring.Footprint(); got != 0 {
+		t.Fatalf("Init allocated %d bytes; slots must be allocated on first use", got)
 	}
 	pushPair(t, &pf, a, b, 1000)
 	if err := pf.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	one := 16 * seg
-	if got := mem.Footprint(); got != one {
-		t.Errorf("one-segment PairFeed grew the arena by %d bytes, want one segment buffer (%d)", got, one)
+	if got := ring.Footprint(); got != one {
+		t.Errorf("one-segment PairFeed left the ring holding %d bytes, want one segment buffer (%d)", got, one)
 	}
+	slot := heldSlots(&ring)
 
 	var f Feed
-	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2), mem); err != nil {
+	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2)); err != nil {
 		t.Fatal(err)
 	}
 	push(&f, x, 1000)
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mem.Footprint(); got != one {
-		t.Errorf("one-segment Feed on the shared ring grew the arena to %d bytes, want %d", got, one)
+	if got := ring.Footprint(); got != one {
+		t.Errorf("one-segment Feed on the shared ring grew it to %d bytes, want %d", got, one)
 	}
+	if again := heldSlots(&ring); len(again) != 1 || again[0] != slot[0] {
+		t.Error("one-segment Feed did not reuse the PairFeed's slot buffer")
+	}
+}
+
+// heldSlots returns the first element of every slot buffer the ring
+// holds, identifying each buffer by its backing array.
+func heldSlots(r *SlotRing) []*complex128 {
+	var held []*complex128
+	for i := range r.slots {
+		if cap(r.slots[i].fft) > 0 {
+			held = append(held, &r.slots[i].fft[:1][0])
+		}
+	}
+	return held
 }
 
 // Feeds of 1 to maxFeedSlots+2 segments (plus a dropped tail) through
 // one shared ring — the pair feed, then the single-stream feed, as
 // specan runs them — give bins bit-identical to the buffered
 // WelchPairInto and WelchInto over every band, whether the pool runs
-// transforms concurrently or refuses them all, with heap or arena
-// slots, and for blocks that straddle the half-segment boundaries.
+// transforms concurrently or refuses them all, on a fresh ring or one
+// whose slots a longer capture already holds, and for blocks that
+// straddle the half-segment boundaries.
 func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 	const seg = 256
 	const half = seg / 2
@@ -93,6 +109,10 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	bands := []Band{{0, half + 1}, {0, 1}, {half, half + 1}, {37, 60}}
+	stale := make([]complex128, seg+maxFeedSlots*half)
+	for i := range stale {
+		stale[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
 	for segs := 1; segs <= maxFeedSlots+2; segs++ {
 		n := seg + (segs-1)*half + half/3
 		a, b := make([]float64, n), make([]float64, n)
@@ -112,12 +132,15 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 
 		for bi, band := range bands {
 			for _, pool := range []*workpool.Pool{workpool.New(0), workpool.New(3)} {
-				for _, mem := range []*arena.Arena{nil, arena.New()} {
+				for _, warm := range []bool{false, true} {
 					var ring SlotRing
+					if warm {
+						warmRing(t, ws, &ring, stale)
+					}
 					m := band.Len()
 					pa, pb, cross := make([]float64, m), make([]float64, m), make([]complex128, m)
 					var pf PairFeed
-					if err := pf.Init(ws, n, band, pa, pb, cross, 7, &ring, pool, mem); err != nil {
+					if err := pf.Init(ws, n, band, pa, pb, cross, 7, &ring, pool); err != nil {
 						t.Fatal(err)
 					}
 					block := []int{n, half, 37}[bi%3]
@@ -128,7 +151,7 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 
 					dst := make([]float64, m)
 					var f Feed
-					if err := f.Init(ws, n, band, dst, 7, &ring, pool, mem); err != nil {
+					if err := f.Init(ws, n, band, dst, 7, &ring, pool); err != nil {
 						t.Fatal(err)
 					}
 					push(&f, x, block)
@@ -139,21 +162,39 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 					for i := 0; i < m; i++ {
 						k := band.Lo + i
 						if pa[i] != wantPA[k] || pb[i] != wantPB[k] || cross[i] != wantCross[k] {
-							t.Fatalf("%d segments, band %v, pool cap %d, arena %v: pair bin %d differs from WelchPairInto",
-								segs, band, pool.Cap(), mem != nil, k)
+							t.Fatalf("%d segments, band %v, pool cap %d, warm ring %v: pair bin %d differs from WelchPairInto",
+								segs, band, pool.Cap(), warm, k)
 						}
 						if dst[i] != wantN[k] {
-							t.Fatalf("%d segments, band %v, pool cap %d, arena %v: bin %d differs from WelchInto",
-								segs, band, pool.Cap(), mem != nil, k)
+							t.Fatalf("%d segments, band %v, pool cap %d, warm ring %v: bin %d differs from WelchInto",
+								segs, band, pool.Cap(), warm, k)
 						}
 					}
-					if want := min(segs, maxFeedSlots); mem != nil && mem.InUse() != want*16*seg {
-						t.Errorf("%d segments: arena holds %d bytes of slots, want %d slots (%d bytes)",
-							segs, mem.InUse(), want, want*16*seg)
+					want := min(segs, maxFeedSlots)
+					if warm {
+						want = maxFeedSlots
+					}
+					if got := ring.Footprint(); got != want*16*seg {
+						t.Errorf("%d segments, warm ring %v: ring holds %d bytes of slots, want %d slots (%d bytes)",
+							segs, warm, got, want, want*16*seg)
 					}
 				}
 			}
 		}
+	}
+}
+
+// warmRing runs a capture of x through ring, leaving every slot holding a
+// segment buffer whose contents a later feed must fully overwrite.
+func warmRing(t *testing.T, ws *WelchScratch, ring *SlotRing, x []complex128) {
+	t.Helper()
+	var f Feed
+	if err := f.Init(ws, len(x), Band{0, 1}, make([]float64, 1), 1, ring, workpool.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	push(&f, x, len(x))
+	if err := f.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -180,11 +221,11 @@ func TestFeedErrors(t *testing.T) {
 		{"band length", seg, Band{0, 5}, 1},
 		{"sample rate", seg, Band{0, 4}, 0},
 	} {
-		if err := f.Init(ws, c.n, c.band, dst, c.fs, &ring, nil, nil); err == nil {
+		if err := f.Init(ws, c.n, c.band, dst, c.fs, &ring, nil); err == nil {
 			t.Errorf("%s: Init accepted", c.name)
 		}
 	}
-	if err := f.Init(ws, 2*seg, Band{0, 4}, dst, 1, &ring, nil, nil); err != nil {
+	if err := f.Init(ws, 2*seg, Band{0, 4}, dst, 1, &ring, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(make([]complex128, seg+seg/4)) // one segment of three, and a bit
@@ -219,7 +260,7 @@ func TestSettleAbandonedFeed(t *testing.T) {
 	var f Feed
 	band := Band{0, seg/2 + 1}
 	dst := make([]float64, band.Len())
-	if err := f.Init(ws, len(x), band, dst, 1, &ring, workpool.New(2), nil); err != nil {
+	if err := f.Init(ws, len(x), band, dst, 1, &ring, workpool.New(2)); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(x[:len(x)-seg/4])
@@ -228,7 +269,7 @@ func TestSettleAbandonedFeed(t *testing.T) {
 		t.Fatalf("after Settle: %d in flight, %d open, %d pending", ring.inFlight, ring.open, len(ring.pending))
 	}
 
-	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2), nil); err != nil {
+	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2)); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(x[:seg])

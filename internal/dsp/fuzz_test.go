@@ -244,7 +244,7 @@ func FuzzBandProductsVsFull(f *testing.F) {
 		psd := make([]float64, m)
 		var ring SlotRing
 		var pf PairFeed
-		if err := pf.Init(s, n, band, pa, pb, cross, fs, &ring, workpool.New(1), nil); err != nil {
+		if err := pf.Init(s, n, band, pa, pb, cross, fs, &ring, workpool.New(1)); err != nil {
 			t.Fatal(err)
 		}
 		var nf Feed
@@ -257,7 +257,7 @@ func FuzzBandProductsVsFull(f *testing.F) {
 		if err := pf.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if err := nf.Init(s, n, band, psd, fs, &ring, workpool.New(1), nil); err != nil {
+		if err := nf.Init(s, n, band, psd, fs, &ring, workpool.New(1)); err != nil {
 			t.Fatal(err)
 		}
 		for off := 0; off < n; off += blk {

@@ -305,18 +305,14 @@ func NewRadiatorLaw(table SourceTable, distance, asymmetryAmp float64, law Dista
 	return r, nil
 }
 
-// Init re-initializes r in place with freshly drawn gain perturbations,
-// exactly as NewRadiator does for a new radiator. It lets a measurement
-// scratch reuse one Radiator value across campaign cells without
-// allocating. On error r is left unchanged and rng is not consumed.
-func (r *Radiator) Init(table SourceTable, distance, asymmetryAmp float64, rng *rand.Rand) error {
-	return r.InitLaw(table, distance, asymmetryAmp, LawNearFar, rng)
-}
-
-// InitLaw is Init with an explicit distance law. LawNearFar reproduces
-// Init bit for bit; LawFlat makes every coupling (and the asymmetry
-// source) distance-invariant, which is the conducted-channel contract
-// conform.VerifyDistanceFlat asserts exactly.
+// InitLaw re-initializes r in place with freshly drawn gain
+// perturbations under the distance law, exactly as NewRadiatorLaw does
+// for a new radiator. It lets a measurement scratch reuse one Radiator
+// value across campaign cells without allocating. On error r is left
+// unchanged and rng is not consumed. LawFlat makes every coupling (and
+// the asymmetry source) distance-invariant, which is the
+// conducted-channel contract conform.VerifyDistanceFlat asserts
+// exactly.
 func (r *Radiator) InitLaw(table SourceTable, distance, asymmetryAmp float64, law DistanceLaw, rng *rand.Rand) error {
 	if err := table.Validate(); err != nil {
 		return err

@@ -229,39 +229,52 @@ func TestSynthesizeEnvelopesErrors(t *testing.T) {
 	}
 }
 
+// InitLaw over a used radiator reproduces NewRadiatorLaw bit for bit
+// under either law, and a failed InitLaw leaves the radiator and the rng
+// untouched.
 func TestRadiatorInitMatchesNewRadiator(t *testing.T) {
 	table := richTable()
-	a, err := NewRadiator(table, 0.5, 1e-7, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused := &Radiator{}
-	// Prime with different state first; Init must fully overwrite it.
-	if err := reused.Init(simpleTable(), RefDistance, 0, rand.New(rand.NewSource(99))); err != nil {
-		t.Fatal(err)
-	}
-	if err := reused.Init(table, 0.5, 1e-7, rand.New(rand.NewSource(21))); err != nil {
-		t.Fatal(err)
-	}
-	if *a != *reused {
-		t.Error("Init should reproduce NewRadiator exactly")
-	}
+	for _, law := range []DistanceLaw{LawNearFar, LawFlat} {
+		a, err := NewRadiatorLaw(table, 0.5, 1e-7, law, rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := &Radiator{}
+		// Prime with different state first, under the other law;
+		// InitLaw must fully overwrite it.
+		other := LawFlat
+		if law == LawFlat {
+			other = LawNearFar
+		}
+		if err := reused.InitLaw(simpleTable(), RefDistance, 0, other, rand.New(rand.NewSource(99))); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.InitLaw(table, 0.5, 1e-7, law, rand.New(rand.NewSource(21))); err != nil {
+			t.Fatal(err)
+		}
+		if *a != *reused {
+			t.Errorf("law %d: InitLaw should reproduce NewRadiatorLaw exactly", law)
+		}
 
-	// Errors leave the rng unconsumed and the radiator unchanged.
-	rng := rand.New(rand.NewSource(55))
-	saved := *reused
-	if err := reused.Init(table, -1, 0, rng); err == nil {
-		t.Error("negative distance should fail")
-	}
-	if err := reused.Init(table, 0.5, -1, rng); err == nil {
-		t.Error("negative asymmetry should fail")
-	}
-	if *reused != saved {
-		t.Error("failed Init should leave the radiator unchanged")
-	}
-	fresh := rand.New(rand.NewSource(55))
-	if rng.Float64() != fresh.Float64() {
-		t.Error("failed Init should not consume rng draws")
+		// Errors leave the rng unconsumed and the radiator unchanged.
+		rng := rand.New(rand.NewSource(55))
+		saved := *reused
+		if err := reused.InitLaw(table, -1, 0, law, rng); err == nil {
+			t.Error("negative distance should fail")
+		}
+		if err := reused.InitLaw(table, 0.5, -1, law, rng); err == nil {
+			t.Error("negative asymmetry should fail")
+		}
+		if err := reused.InitLaw(table, 0.5, 0, DistanceLaw(99), rng); err == nil {
+			t.Error("unknown distance law should fail")
+		}
+		if *reused != saved {
+			t.Errorf("law %d: failed InitLaw should leave the radiator unchanged", law)
+		}
+		fresh := rand.New(rand.NewSource(55))
+		if rng.Float64() != fresh.Float64() {
+			t.Errorf("law %d: failed InitLaw should not consume rng draws", law)
+		}
 	}
 }
 

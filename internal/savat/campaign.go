@@ -94,10 +94,10 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt C
 	// capacity covers it with headroom for scheduling skew.
 	cache := NewSynthCache(2*spec.Repeats + 2)
 
-	// The worker arenas go back to the free list only after eng.Run has
-	// returned — after every worker has stopped — so no arena is ever
-	// held by two campaigns, or two workers, at once.
-	var lease arenaLease
+	// The worker scratches go back to the free list only after eng.Run
+	// has returned — after every worker has stopped — so no scratch is
+	// ever held by two campaigns, or two workers, at once.
+	var lease scratchLease
 
 	grid := engine.Spec{
 		Rows: n, Cols: n, Reps: spec.Repeats,
@@ -112,21 +112,19 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt C
 		// and repetition-mate — and the process-wide simulation cache of
 		// kernels and alternations. No cache ever influences values:
 		// cells remain exactly equal to Measurer.MeasurePair for the same
-		// seed. Each worker also gets its own arena so steady-state cell
-		// compute performs zero heap allocations (arenas are
-		// single-owner — never shared across workers). The arenas come
-		// from the process-wide free list, so a warm process starts each
-		// campaign with its working set already carved.
+		// seed. The scratches come from the process-wide free list, so a
+		// warm process starts each campaign with its working set already
+		// allocated and steady-state cells perform zero heap allocations.
 		NewWorkerState: func() any {
-			return NewMeasurer(mc, cfg, WithPool(rt.AnalyzerPool),
-				WithSynthCache(cache), WithArena(lease.take()))
+			return NewMeasurer(mc, cfg, WithScratch(lease.take()),
+				WithSynthCache(cache), WithPool(rt.AnalyzerPool))
 		},
 		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
 			// The chain's program countermeasures rewrite the pair's kernel
 			// deterministically (CounterSeed), so the rewritten kernel, like
 			// the paper's fixed binary, is shared across repetitions.
 			meas := state.(*Measurer)
-			k, err := meas.kernel(ctx, events[i], events[j], CounterSeed(seed, events[i], events[j]))
+			k, err := meas.Kernel(ctx, events[i], events[j], CounterSeed(seed, events[i], events[j]))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v: %w", events[i], events[j], err)
 			}

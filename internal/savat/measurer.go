@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/arena"
 	"repro/internal/counter"
 	"repro/internal/emsim"
 	"repro/internal/machine"
@@ -29,7 +28,6 @@ import (
 //	WithReference()    direct-rendering reference pipeline
 //	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
-//	WithArena(a)       arena-backed working set (zero steady-state allocation)
 //
 // Without WithSynthCache, the scratch keeps the last envelope and noise
 // products, so a repeated seed skips synthesis and a new one
@@ -48,7 +46,6 @@ type Measurer struct {
 	scratch   *MeasureScratch
 	pool      *workpool.Pool
 	cache     *SynthCache
-	arena     *arena.Arena
 
 	// Effective measurement setup, resolved lazily on first measurement
 	// (NewMeasurer deliberately cannot fail): the configured channel's
@@ -113,16 +110,6 @@ func WithSynthCache(c *SynthCache) MeasureOption {
 	return func(m *Measurer) { m.cache = c }
 }
 
-// WithArena backs the Measurer's scratch working set — source blocks,
-// segment transforms, the display accumulator —
-// with the single-owner bump allocator a (see internal/arena), so
-// steady-state measurements perform zero heap allocations. The arena must not be shared with any other scratch.
-// Values are identical with or without an arena; a nil a is equivalent
-// to omitting the option. The campaign engine installs one per worker.
-func WithArena(a *arena.Arena) MeasureOption {
-	return func(m *Measurer) { m.arena = a }
-}
-
 // NewMeasurer binds a machine and measurement configuration and
 // applies the options. Configuration problems surface on the first
 // measurement (wrapped sentinel errors — see Config.Validate), not here.
@@ -136,9 +123,6 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 	}
 	if m.scratch != nil && m.pool != nil {
 		m.scratch.SetAnalyzerPool(m.pool)
-	}
-	if m.scratch != nil && m.arena != nil {
-		m.scratch.SetArena(m.arena)
 	}
 	return m
 }
@@ -194,18 +178,21 @@ func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
 	if m.cfg.Countermeasures.HasProgram() {
 		seed = rng.Int63()
 	}
-	k, err := m.kernel(context.Background(), a, b, seed)
+	k, err := m.Kernel(context.Background(), a, b, seed)
 	if err != nil {
 		return Measurement{}, err
 	}
 	return m.MeasureKernel(k, rng)
 }
 
-// kernel returns the pair's calibrated kernel — with the chain's
+// Kernel returns the pair's calibrated kernel — with the chain's
 // program countermeasures applied under seed when it has any — from
 // the process-wide simulation cache, inside the savat.stage.kernel
-// span. ctx bounds only the wait for another caller's calibration.
-func (m *Measurer) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
+// span: the kernel the Measurer measures for the pair. MeasurePair and
+// campaign cells pass CounterSeed(campaign seed, a, b); Measure draws
+// seed from its rng. ctx bounds only the wait for another caller's
+// calibration.
+func (m *Measurer) Kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
 	if _, _, _, err := m.resolve(); err != nil {
 		return nil, err
 	}
@@ -292,7 +279,7 @@ func (m *Measurer) MeasurePair(a, b Event, repeats int, seed int64) ([]float64, 
 	if err := validateRepeats(repeats); err != nil {
 		return nil, stats.Summary{}, err
 	}
-	k, err := m.kernel(context.Background(), a, b, CounterSeed(seed, a, b))
+	k, err := m.Kernel(context.Background(), a, b, CounterSeed(seed, a, b))
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/activity"
-	"repro/internal/arena"
 	"repro/internal/emsim"
 	"repro/internal/machine"
 	"repro/internal/noise"
@@ -36,15 +35,20 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 // analyzer's working set, the radiator value, the per-stage rngs, and
 // the last envelope and noise products (see productSlot), which a
 // measurement without a shared SynthCache reuses when its seed repeats
-// and recomputes in place otherwise. A warmed scratch lets the
-// measurement allocate no sample-sized buffers at all. Cycle-accurate
+// and recomputes in place otherwise. Every buffer grows on demand and
+// is reused by capacity, so a warmed scratch measures without
+// allocating unless a measurement outgrows the buffers it already
+// holds. Cycle-accurate
 // alternation results are not per scratch: they come from the
 // process-wide simulation cache (see simCache), which every scratch
 // shares.
 //
 // A MeasureScratch is NOT safe for concurrent use; the campaign engine
 // gives each worker its own, and the workers share one
-// concurrency-safe SynthCache instead of the scratch slots.
+// concurrency-safe SynthCache instead of the scratch slots. Campaigns
+// take their workers' scratches from a process-wide free list (see
+// workerScratches), so a warm process starts each campaign with its
+// working set already allocated.
 type MeasureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
@@ -63,26 +67,6 @@ type MeasureScratch struct {
 
 	analyzer    *specan.Analyzer
 	analyzerCfg specan.Config
-
-	// mem is the scratch's bump allocator for the shape-dependent
-	// working set (see internal/arena); nil means plain heap buffers.
-	// measureKernelStream resets it — retiring every carved buffer at
-	// once — exactly when the measurement shape below changes, which is
-	// the one point where no carved buffer of the new shape is live yet
-	// (specan.Scratch tracks the epoch for its own buffers).
-	mem      *arena.Arena
-	memShape measureShape
-}
-
-// measureShape is everything the sizes of the arena-carved working
-// buffers depend on: the capture length (via duration and rate), the
-// segmentation (via the analyzer config) and the analyzed band. Equal
-// shapes carve equal sizes, so the arena never grows between resets.
-type measureShape struct {
-	n        int
-	rate     float64
-	analyzer specan.Config
-	band     specan.Band
 }
 
 // NewMeasureScratch returns an empty scratch; buffers are sized on
@@ -96,21 +80,10 @@ func NewMeasureScratch() *MeasureScratch {
 // is right for campaigns — workers and segment transforms share one
 // CPU budget — but tests (and callers that know the machine is
 // otherwise idle) can hand each scratch an explicit pool to force
-// parallel segment transforms regardless of GOMAXPROCS. Results are
-// bit-identical either way: segment PSDs are reduced in capture order.
+// parallel segment transforms regardless of GOMAXPROCS. A nil p
+// restores the default. Results are bit-identical either way: segment
+// PSDs are reduced in capture order.
 func (s *MeasureScratch) SetAnalyzerPool(p *workpool.Pool) { s.specan.Pool = p }
-
-// SetArena backs the scratch's shape-dependent working buffers — and
-// the embedded analyzer scratch's — with a, a single-owner bump
-// allocator that must not be shared with any other scratch. A nil a
-// restores plain heap buffers. Values are identical either way; the
-// arena only changes where the working set lives. The campaign engine
-// installs one per worker (see WithArena).
-func (s *MeasureScratch) SetArena(a *arena.Arena) {
-	s.mem = a
-	s.specan.Mem = a
-	s.memShape = measureShape{} // force a reset on the next measurement
-}
 
 // finish turns a recorded trace into the Measurement: band power
 // around the intended frequency, then energy per A/B instruction pair.
@@ -189,15 +162,6 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	}
 	n := int(cfg.Duration * cfg.SampleRate)
 	band := cfg.analysisBand()
-	if s.mem != nil {
-		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer, band: band}); sh != s.memShape {
-			// New measurement shape: every arena-backed buffer will be
-			// re-carved at its new size, so this is the one safe point to
-			// rewind the slabs. Consumers notice through the epoch.
-			s.memShape = sh
-			s.mem.Reset()
-		}
-	}
 	jit := cfg.Jitter
 	if jit.AmpNoiseStd == 0 {
 		jit.AmpNoiseStd = mc.AmplitudeNoiseStd

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/machine"
 	"repro/internal/memo"
 	"repro/internal/noise"
@@ -115,7 +114,7 @@ func TestMeasureScratchProductSlot(t *testing.T) {
 	}
 
 	s := NewMeasureScratch()
-	m := NewMeasurer(mc, cfg, WithScratch(s), WithArena(arena.New()))
+	m := NewMeasurer(mc, cfg, WithScratch(s))
 	seeds := SynthSeeds{Cal: 1, Env: 2, Noise: 3}
 	first, err := m.MeasureKernelSeeds(k, seeds)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/emsim"
 	"repro/internal/noise"
 )
@@ -15,9 +14,8 @@ import (
 // each stream through one 2^18-point Welch segment. Every iteration
 // synthesizes fresh envelopes (emsim.EnvelopeStream) and noise
 // (noise.Stream) from an advancing rng — the product-cache miss a
-// campaign pays once per row and repetition — on an arena-backed
-// scratch warmed before the timer, exactly as campaign workers hold
-// one. The products hold the 78–82 kHz band, the paper's 4 kHz display
+// campaign pays once per row and repetition — on a scratch warmed
+// before the timer, exactly as campaign workers hold one. The products hold the 78–82 kHz band, the paper's 4 kHz display
 // span around its 80 kHz alternation. points/op counts the FFT points
 // transformed (segments × segment length, both products) and bins/op
 // the product bins accumulated (segments × band bins, both products) —
@@ -31,7 +29,6 @@ func BenchmarkProducts1s(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := NewScratch()
-	s.Mem = arena.New()
 	var prod PairPSD
 	var noisePSD []float64
 	var env emsim.EnvelopeStream
@@ -55,7 +52,7 @@ func BenchmarkProducts1s(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	run() // warm: carve the arena, build the plan and window tables
+	run() // warm: size the ring and blocks, build the plan and window tables
 
 	seg := s.welch.SegLen()
 	segments := 1 + (n-seg)/(seg/2)
@@ -82,7 +79,6 @@ func BenchmarkRender(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := NewScratch()
-	s.Mem = arena.New()
 	rng := rand.New(rand.NewSource(1))
 	band := Band{Lo: 78e3, Hi: 82e3}
 	var env emsim.EnvelopeStream
@@ -114,7 +110,7 @@ func BenchmarkRender(b *testing.B) {
 		}
 		bins += tr.bins
 	}
-	render() // warm: carve the display buffer
+	render() // warm: size the display buffer
 	bins = 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,7 +11,6 @@ package specan
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/buf"
 	"repro/internal/dsp"
 	"repro/internal/obs"
@@ -327,17 +326,6 @@ type Scratch struct {
 	// workpool.Default. Results are bit-identical for any pool.
 	Pool *workpool.Pool
 
-	// Mem, when non-nil, backs the scratch's shape-dependent working
-	// buffers — the source blocks, the display accumulator, the
-	// segment transforms — with the owner's per-worker bump allocator
-	// instead of the heap. The owner resets the arena only when the
-	// measurement shape changes (see internal/arena's lifetime rules);
-	// the scratch re-carves after every reset, tracked by memGen.
-	// Published products (PairPSD, noise PSDs handed to caches) are
-	// never arena-backed.
-	Mem    *arena.Arena
-	memGen uint64
-
 	welch *dsp.WelchScratch
 	sum   []float64
 	trace Trace
@@ -347,7 +335,9 @@ type Scratch struct {
 	// whatever the segment length, and the segment feeds. The envelope
 	// and noise feeds always run one after the other, so they share one
 	// slot ring — the only segment-sized buffers — whose transform
-	// buffers are carved once, on first use, for both.
+	// buffers are allocated once, on first use, for both. Every buffer
+	// is reused by capacity, so a shape change back to a smaller
+	// capture allocates nothing.
 	ba, bb    []float64
 	bn        []complex128
 	ring      dsp.SlotRing
@@ -358,36 +348,11 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers are sized on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// refreshEpoch drops every arena-carved buffer when the arena has
-// entered a new epoch since they were carved — their memory belongs to
-// the next carver now, whatever their capacity. Heap-backed scratches
-// (Mem == nil) never drop anything.
-func (s *Scratch) refreshEpoch() {
-	if s.Mem == nil {
-		return
-	}
-	if g := s.Mem.Gen(); g != s.memGen {
-		s.memGen = g
-		s.ba, s.bb, s.bn, s.sum = nil, nil, nil, nil
-	}
-}
-
-// growFloats sizes an arena-epoch-managed float buffer: reuse within
-// the epoch, carve (from the arena, or the heap when none) otherwise.
-// Callers must have run refreshEpoch this analysis call.
-func (s *Scratch) growFloats(b []float64, n int) []float64 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return s.Mem.Floats(n) // nil-safe: heap fallback
-}
-
-// growComplexes is growFloats for complex128 buffers.
-func (s *Scratch) growComplexes(b []complex128, n int) []complex128 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return s.Mem.Complexes(n)
+// Footprint returns the bytes of the scratch's shape-dependent working
+// set — the ring's segment buffers, the source blocks and the display
+// accumulator — for tests and diagnostics.
+func (s *Scratch) Footprint() int {
+	return s.ring.Footprint() + 8*(cap(s.ba)+cap(s.bb)+cap(s.sum)) + 16*cap(s.bn)
 }
 
 // prepare readies the Welch scratch for the segment length and window.
@@ -421,7 +386,6 @@ func (a *Analyzer) setup(n int, band Band, fs float64, s *Scratch) (dsp.Band, er
 	if err != nil {
 		return dsp.Band{}, err
 	}
-	s.refreshEpoch()
 	return bins, s.prepare(seg, a.cfg.Window)
 }
 
@@ -473,10 +437,7 @@ func (a *Analyzer) Render(n int, band Band, coeffs [][2]complex128, env *PairPSD
 	if noisePSD != nil && len(noisePSD) != m {
 		return nil, fmt.Errorf("specan: noise PSD of %d bins, band of %d", len(noisePSD), m)
 	}
-	// Render is reachable without setup (cache-hit measurements call it
-	// directly), so it must honour the arena epoch itself.
-	s.refreshEpoch()
-	s.sum = s.growFloats(s.sum, m)
+	s.sum = buf.Grow(s.sum, m)
 	src := display{noise: noisePSD, floor: a.cfg.FloorPSD}
 	if len(coeffs) > 0 {
 		var cx complex128

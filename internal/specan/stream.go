@@ -88,9 +88,9 @@ func (a *Analyzer) EnvelopeProductsStream(n int, band Band, src PairSource, fs f
 		dst = &PairPSD{}
 	}
 	dst.grow(bins.Len())
-	s.ba = s.growFloats(s.ba, blockLen)
-	s.bb = s.growFloats(s.bb, blockLen)
-	if err := s.pairFeed.Init(s.welch, n, bins, dst.PA, dst.PB, dst.Cross, fs, &s.ring, s.Pool, s.Mem); err != nil {
+	s.ba = buf.Grow(s.ba, blockLen)
+	s.bb = buf.Grow(s.bb, blockLen)
+	if err := s.pairFeed.Init(s.welch, n, bins, dst.PA, dst.PB, dst.Cross, fs, &s.ring, s.Pool); err != nil {
 		return nil, err
 	}
 	if err := walkPair(src, s); err != nil {
@@ -119,9 +119,9 @@ func (a *Analyzer) NoiseProductsStream(n int, band Band, src SampleSource, fs fl
 	if err != nil {
 		return nil, err
 	}
-	dst = buf.Grow(dst, bins.Len()) // published product: heap, never arena
-	s.bn = s.growComplexes(s.bn, blockLen)
-	if err := s.noiseFeed.Init(s.welch, n, bins, dst, fs, &s.ring, s.Pool, s.Mem); err != nil {
+	dst = buf.Grow(dst, bins.Len())
+	s.bn = buf.Grow(s.bn, blockLen)
+	if err := s.noiseFeed.Init(s.welch, n, bins, dst, fs, &s.ring, s.Pool); err != nil {
 		return nil, err
 	}
 	if err := walk(src, s); err != nil {

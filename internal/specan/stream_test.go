@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/workpool"
 )
 
@@ -248,8 +247,8 @@ func requireSamePSD(t *testing.T, want, got *Trace, format string, args ...any) 
 // buffer the scratch retains is O(block) or band-length — the capture
 // was never materialized, and the ring's slots are the only
 // segment-sized buffers. A 1 s capture at 2^18 samples/s (one 2^18-point
-// segment) carves exactly one slot plus O(block) from the arena: no
-// rolling window exists.
+// segment) leaves the scratch holding exactly one slot plus O(block)
+// and the band-length display: no rolling window exists.
 func TestStreamFootprint(t *testing.T) {
 	const n = 1 << 18
 	a, envA, envB, coeffs, noise, fs := streamFixture(t, n)
@@ -290,10 +289,9 @@ func TestStreamFootprint(t *testing.T) {
 	}
 
 	// The paper's capture: 1 s at 1 Hz RBW, one 2^18-point segment, the
-	// 76–84 kHz band. The arena holds one slot, the blocks and the
+	// 76–84 kHz band. The scratch holds one slot, the blocks and the
 	// band-length display, nothing else.
 	one := NewScratch()
-	one.Mem = arena.New()
 	full := MustNew(DefaultConfig())
 	band = Band{Lo: 76e3, Hi: 84e3}
 	if _, err := full.EnvelopeProductsStream(n, band, &slicePairSource{a: envA, b: envB, block: 4096}, fs, one, nil); err != nil {
@@ -314,8 +312,8 @@ func TestStreamFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	slot, blocks, display := 16*n, (8+8+16)*blockLen, 8*bins.Len()
-	if got, want := one.Mem.InUse(), slot+blocks+display; got != want {
-		t.Errorf("1 s capture carved %d bytes from the arena; want one %d-byte slot + %d bytes of blocks + a %d-byte display (%d)",
+	if got, want := one.Footprint(), slot+blocks+display; got != want {
+		t.Errorf("1 s capture left the scratch holding %d bytes; want one %d-byte slot + %d bytes of blocks + a %d-byte display (%d)",
 			got, slot, blocks, display, want)
 	}
 	if len(noisePSD) != bins.Len() || bins.Len() > 8001 {
