@@ -31,12 +31,12 @@ import (
 
 	"repro/internal/cliconf"
 	"repro/internal/cluster"
+	"repro/internal/conform"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/paperdata"
 	"repro/internal/report"
 	"repro/internal/savat"
-	"repro/internal/stats"
 )
 
 type runner struct {
@@ -302,26 +302,14 @@ func (r *runner) figMatrix(id string) error {
 // compareToPaper prints quantitative shape agreement with the published
 // matrix.
 func compareToPaper(m *savat.Matrix, exp paperdata.Experiment) error {
-	paper := exp.Matrix()
-	rho, err := stats.SpearmanRank(m.Flat(), paper.Flat())
+	g, err := conform.CompareMatrices(m, exp.Matrix())
 	if err != nil {
 		return err
 	}
-	// Mean |log10 ratio| over cells.
-	var logSum float64
-	var n int
-	for i := range m.Vals {
-		for j := range m.Vals[i] {
-			if m.Vals[i][j] > 0 && paper.Vals[i][j] > 0 {
-				logSum += math.Abs(math.Log10(m.Vals[i][j] / paper.Vals[i][j]))
-				n++
-			}
-		}
-	}
 	fmt.Printf("\npaper comparison (%s):\n", exp.ID)
-	fmt.Printf("  Spearman rank correlation vs published matrix: %.3f\n", rho)
+	fmt.Printf("  Spearman rank correlation vs published matrix: %.3f\n", g.Spearman)
 	fmt.Printf("  mean |log10(measured/paper)|: %.3f (%.2fx typical cell ratio)\n",
-		logSum/float64(n), math.Pow(10, logSum/float64(n)))
+		g.MeanAbsLog10, g.TypicalRatio())
 	viol := m.DiagonalViolations(0.20)
 	fmt.Printf("  diagonal-smallest violations (20%% tolerance): %d\n", len(viol))
 	for _, v := range viol {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -27,25 +28,29 @@ import (
 	"sync"
 
 	"repro/internal/cliconf"
+	"repro/internal/conform"
 	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/savat"
-	"repro/internal/stats"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "savatcmp:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		cf  = cliconf.Register(flag.CommandLine, cliconf.All|cliconf.Spec)
-		top = flag.Int("top", 10, "how many largest deviations to list")
+		cf  = cliconf.Register(fs, cliconf.All|cliconf.Spec)
+		top = fs.Int("top", 10, "how many largest deviations to list")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
+	if *top < 0 {
+		return fmt.Errorf("-top must not be negative, got %d", *top)
+	}
 
 	// -emit-spec serializes the live-measurement campaign instead of
 	// running a comparison; -spec drives the live side from a file.
@@ -55,19 +60,19 @@ func run() error {
 
 	var a, b *savat.Matrix
 	var aName, bName string
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 2:
 		var err error
-		if a, err = load(flag.Arg(0)); err != nil {
+		if a, err = load(fs.Arg(0)); err != nil {
 			return err
 		}
-		if b, err = load(flag.Arg(1)); err != nil {
+		if b, err = load(fs.Arg(1)); err != nil {
 			return err
 		}
-		aName, bName = flag.Arg(0), flag.Arg(1)
+		aName, bName = fs.Arg(0), fs.Arg(1)
 	case 1:
 		var err error
-		if b, err = load(flag.Arg(0)); err != nil {
+		if b, err = load(fs.Arg(0)); err != nil {
 			return err
 		}
 		if a, err = measureLive(cf); err != nil {
@@ -77,65 +82,28 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		aName, bName = "live "+spec.Machine, flag.Arg(0)
+		aName, bName = "live "+spec.Machine, fs.Arg(0)
 	default:
 		return fmt.Errorf("usage: savatcmp [flags] a.csv b.csv  |  savatcmp [flags] baseline.csv")
 	}
 
-	if a.Size() != b.Size() {
-		return fmt.Errorf("matrix sizes differ: %d vs %d", a.Size(), b.Size())
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			return fmt.Errorf("event order differs at %d: %v vs %v", i, a.Events[i], b.Events[i])
-		}
-	}
-
-	rho, err := stats.SpearmanRank(a.Flat(), b.Flat())
+	g, err := conform.CompareMatrices(a, b)
 	if err != nil {
 		return err
 	}
-	type cell struct {
-		name     string
-		av, bv   float64
-		logRatio float64
-	}
-	var cells []cell
-	var logSum float64
-	var n int
-	for i := range a.Vals {
-		for j := range a.Vals[i] {
-			av, bv := a.Vals[i][j], b.Vals[i][j]
-			if av <= 0 || bv <= 0 {
-				continue
-			}
-			lr := math.Log10(av / bv)
-			logSum += math.Abs(lr)
-			n++
-			cells = append(cells, cell{
-				name: fmt.Sprintf("%v/%v", a.Events[i], a.Events[j]),
-				av:   av, bv: bv, logRatio: lr,
-			})
-		}
-	}
-	if n == 0 {
-		return fmt.Errorf("no comparable cells")
-	}
-	fmt.Printf("A: %s\nB: %s\n", aName, bName)
-	fmt.Printf("cells compared:        %d\n", n)
-	fmt.Printf("Spearman rank corr:    %.3f\n", rho)
-	fmt.Printf("typical cell ratio:    %.2fx\n", math.Pow(10, logSum/float64(n)))
+	fmt.Fprintf(stdout, "A: %s\nB: %s\n", aName, bName)
+	fmt.Fprintf(stdout, "cells compared:        %d\n", len(g.Cells))
+	fmt.Fprintf(stdout, "Spearman rank corr:    %.3f\n", g.Spearman)
+	fmt.Fprintf(stdout, "typical cell ratio:    %.2fx\n", g.TypicalRatio())
 
+	cells := g.Cells
 	sort.Slice(cells, func(x, y int) bool {
-		return math.Abs(cells[x].logRatio) > math.Abs(cells[y].logRatio)
+		return math.Abs(cells[x].Log10) > math.Abs(cells[y].Log10)
 	})
-	if *top > len(cells) {
-		*top = len(cells)
-	}
-	fmt.Printf("\nlargest deviations (A vs B, zJ):\n")
-	for _, c := range cells[:*top] {
-		fmt.Printf("  %-10s %8.2f vs %8.2f  (%+.2fx)\n",
-			c.name, c.av*1e21, c.bv*1e21, math.Pow(10, c.logRatio))
+	fmt.Fprintf(stdout, "\nlargest deviations (A vs B, zJ):\n")
+	for _, c := range cells[:min(*top, len(cells))] {
+		fmt.Fprintf(stdout, "  %-10s %8.2f vs %8.2f  (%+.2fx)\n",
+			fmt.Sprintf("%v/%v", c.Row, c.Col), c.A*1e21, c.B*1e21, math.Pow(10, c.Log10))
 	}
 	return nil
 }

@@ -62,3 +62,25 @@ func TestLoadMalformedCSV(t *testing.T) {
 		})
 	}
 }
+
+// A negative -top is refused before anything is compared; a -top past
+// the comparable cells lists them all.
+func TestTopFlag(t *testing.T) {
+	path := writeTemp(t, "A/B,LDM,NOI\nLDM,1.5,2.0\nNOI,2.0,0.5\n")
+	var out strings.Builder
+	err := run([]string{"-top", "-1", path, path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-top") {
+		t.Fatalf("-top -1: err = %v, want a -top error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-top -1 printed %q before failing", out.String())
+	}
+
+	out.Reset()
+	if err := run([]string{"-top", "99", path, path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "x)\n"); got != 4 {
+		t.Errorf("-top 99 over 4 cells listed %d deviations:\n%s", got, out.String())
+	}
+}

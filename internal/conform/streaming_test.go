@@ -5,17 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/savat"
-	"repro/internal/workpool"
 )
 
-// TestStreamingParallelCampaign runs a concurrent campaign whose
-// workers fan per-segment transforms out on an explicit shared worker
-// pool — engine workers and segment workers interleave freely — and
-// checks the result against a sequential, inline-transform campaign.
-// Exact equality is required: the FIFO segment reduction makes the
-// parallel schedule invisible in the values. Run under -race (CI does)
-// this doubles as the data-race check on the segment pool inside the
-// campaign engine.
+// TestStreamingParallelCampaign runs a campaign over three engine
+// workers, each streaming multi-segment captures through its own
+// scratch, and checks the result against a one-worker campaign. Exact
+// equality is required: cells are independent of scheduling, and each
+// capture's segments reduce in capture order. Run under -race (CI
+// does) this doubles as the data-race check on the workers' scratches,
+// free list and shared caches inside the campaign engine.
 func TestStreamingParallelCampaign(t *testing.T) {
 	cfg := savat.DefaultConfig()
 	cfg.Duration = 1.0 / 16
@@ -23,10 +21,7 @@ func TestStreamingParallelCampaign(t *testing.T) {
 	events := []savat.Event{savat.ADD, savat.LDM, savat.DIV}
 	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 2, Seed: 5}
 
-	parallel, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{
-		Parallelism:  3,
-		AnalyzerPool: workpool.New(3),
-	})
+	parallel, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package dsp
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/workpool"
 )
 
 // pushPair pushes a and b through f in blocks of block samples.
@@ -49,7 +47,7 @@ func TestOneSegmentFeedCarvesOneSlot(t *testing.T) {
 
 	var ring SlotRing
 	var pf PairFeed
-	if err := pf.Init(ws, seg, band, pa, pb, cross, 1, &ring, workpool.New(2)); err != nil {
+	if err := pf.Init(ws, seg, band, pa, pb, cross, 1, &ring); err != nil {
 		t.Fatal(err)
 	}
 	if got := ring.Footprint(); got != 0 {
@@ -66,7 +64,7 @@ func TestOneSegmentFeedCarvesOneSlot(t *testing.T) {
 	slot := heldSlots(&ring)
 
 	var f Feed
-	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2)); err != nil {
+	if err := f.Init(ws, seg, band, dst, 1, &ring); err != nil {
 		t.Fatal(err)
 	}
 	push(&f, x, 1000)
@@ -86,20 +84,21 @@ func TestOneSegmentFeedCarvesOneSlot(t *testing.T) {
 func heldSlots(r *SlotRing) []*complex128 {
 	var held []*complex128
 	for i := range r.slots {
-		if cap(r.slots[i].fft) > 0 {
-			held = append(held, &r.slots[i].fft[:1][0])
+		if cap(r.slots[i]) > 0 {
+			held = append(held, &r.slots[i][:1][0])
 		}
 	}
 	return held
 }
 
-// Feeds of 1 to maxFeedSlots+2 segments (plus a dropped tail) through
-// one shared ring — the pair feed, then the single-stream feed, as
-// specan runs them — give bins bit-identical to the buffered
-// WelchPairInto and WelchInto over every band, whether the pool runs
-// transforms concurrently or refuses them all, on a fresh ring or one
-// whose slots a longer capture already holds, and for blocks that
-// straddle the half-segment boundaries.
+// Feeds of 1 to 6 segments (plus a dropped tail) through one shared
+// ring — the pair feed, then the single-stream feed, as specan runs
+// them — give bins bit-identical to the buffered WelchPairInto and
+// WelchInto over every band, on a fresh ring or one whose slots a
+// longer capture already holds, and for blocks that straddle the
+// half-segment boundaries. Whatever the capture length, the ring holds
+// at most two segment buffers: the segment being closed and the one
+// being opened.
 func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 	const seg = 256
 	const half = seg / 2
@@ -109,11 +108,11 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	bands := []Band{{0, half + 1}, {0, 1}, {half, half + 1}, {37, 60}}
-	stale := make([]complex128, seg+maxFeedSlots*half)
+	stale := make([]complex128, seg+4*half)
 	for i := range stale {
 		stale[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	for segs := 1; segs <= maxFeedSlots+2; segs++ {
+	for segs := 1; segs <= 6; segs++ {
 		n := seg + (segs-1)*half + half/3
 		a, b := make([]float64, n), make([]float64, n)
 		x := make([]complex128, n)
@@ -131,53 +130,51 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 		}
 
 		for bi, band := range bands {
-			for _, pool := range []*workpool.Pool{workpool.New(0), workpool.New(3)} {
-				for _, warm := range []bool{false, true} {
-					var ring SlotRing
-					if warm {
-						warmRing(t, ws, &ring, stale)
-					}
-					m := band.Len()
-					pa, pb, cross := make([]float64, m), make([]float64, m), make([]complex128, m)
-					var pf PairFeed
-					if err := pf.Init(ws, n, band, pa, pb, cross, 7, &ring, pool); err != nil {
-						t.Fatal(err)
-					}
-					block := []int{n, half, 37}[bi%3]
-					pushPair(t, &pf, a, b, block)
-					if err := pf.Finish(); err != nil {
-						t.Fatal(err)
-					}
+			for _, warm := range []bool{false, true} {
+				var ring SlotRing
+				if warm {
+					warmRing(t, ws, &ring, stale)
+				}
+				m := band.Len()
+				pa, pb, cross := make([]float64, m), make([]float64, m), make([]complex128, m)
+				var pf PairFeed
+				if err := pf.Init(ws, n, band, pa, pb, cross, 7, &ring); err != nil {
+					t.Fatal(err)
+				}
+				block := []int{n, half, 37}[bi%3]
+				pushPair(t, &pf, a, b, block)
+				if err := pf.Finish(); err != nil {
+					t.Fatal(err)
+				}
 
-					dst := make([]float64, m)
-					var f Feed
-					if err := f.Init(ws, n, band, dst, 7, &ring, pool); err != nil {
-						t.Fatal(err)
-					}
-					push(&f, x, block)
-					if err := f.Finish(); err != nil {
-						t.Fatal(err)
-					}
+				dst := make([]float64, m)
+				var f Feed
+				if err := f.Init(ws, n, band, dst, 7, &ring); err != nil {
+					t.Fatal(err)
+				}
+				push(&f, x, block)
+				if err := f.Finish(); err != nil {
+					t.Fatal(err)
+				}
 
-					for i := 0; i < m; i++ {
-						k := band.Lo + i
-						if pa[i] != wantPA[k] || pb[i] != wantPB[k] || cross[i] != wantCross[k] {
-							t.Fatalf("%d segments, band %v, pool cap %d, warm ring %v: pair bin %d differs from WelchPairInto",
-								segs, band, pool.Cap(), warm, k)
-						}
-						if dst[i] != wantN[k] {
-							t.Fatalf("%d segments, band %v, pool cap %d, warm ring %v: bin %d differs from WelchInto",
-								segs, band, pool.Cap(), warm, k)
-						}
+				for i := 0; i < m; i++ {
+					k := band.Lo + i
+					if pa[i] != wantPA[k] || pb[i] != wantPB[k] || cross[i] != wantCross[k] {
+						t.Fatalf("%d segments, band %v, warm ring %v: pair bin %d differs from WelchPairInto",
+							segs, band, warm, k)
 					}
-					want := min(segs, maxFeedSlots)
-					if warm {
-						want = maxFeedSlots
+					if dst[i] != wantN[k] {
+						t.Fatalf("%d segments, band %v, warm ring %v: bin %d differs from WelchInto",
+							segs, band, warm, k)
 					}
-					if got := ring.Footprint(); got != want*16*seg {
-						t.Errorf("%d segments, warm ring %v: ring holds %d bytes of slots, want %d slots (%d bytes)",
-							segs, warm, got, want, want*16*seg)
-					}
+				}
+				want := min(segs, 2)
+				if warm {
+					want = 2
+				}
+				if got := ring.Footprint(); got != want*16*seg {
+					t.Errorf("%d segments, warm ring %v: ring holds %d bytes of slots, want %d slots (%d bytes)",
+						segs, warm, got, want, want*16*seg)
 				}
 			}
 		}
@@ -189,7 +186,7 @@ func TestSharedRingFeedsMatchBuffered(t *testing.T) {
 func warmRing(t *testing.T, ws *WelchScratch, ring *SlotRing, x []complex128) {
 	t.Helper()
 	var f Feed
-	if err := f.Init(ws, len(x), Band{0, 1}, make([]float64, 1), 1, ring, workpool.New(0)); err != nil {
+	if err := f.Init(ws, len(x), Band{0, 1}, make([]float64, 1), 1, ring); err != nil {
 		t.Fatal(err)
 	}
 	push(&f, x, len(x))
@@ -221,25 +218,22 @@ func TestFeedErrors(t *testing.T) {
 		{"band length", seg, Band{0, 5}, 1},
 		{"sample rate", seg, Band{0, 4}, 0},
 	} {
-		if err := f.Init(ws, c.n, c.band, dst, c.fs, &ring, nil); err == nil {
+		if err := f.Init(ws, c.n, c.band, dst, c.fs, &ring); err == nil {
 			t.Errorf("%s: Init accepted", c.name)
 		}
 	}
-	if err := f.Init(ws, 2*seg, Band{0, 4}, dst, 1, &ring, nil); err != nil {
+	if err := f.Init(ws, 2*seg, Band{0, 4}, dst, 1, &ring); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(make([]complex128, seg+seg/4)) // one segment of three, and a bit
 	if err := f.Finish(); err == nil {
 		t.Error("Finish accepted a capture that ended before its last segment")
 	}
-	if ring.inFlight != 0 || ring.open != 0 || len(ring.pending) != 0 {
-		t.Errorf("after a failed Finish: %d in flight, %d open, %d pending", ring.inFlight, ring.open, len(ring.pending))
-	}
 }
 
-// A feed abandoned mid-capture (its producer errored before Finish)
-// leaves nothing running once Settle returns, and the ring serves the
-// next feed bit-identically.
+// A feed abandoned mid-capture (its producer errored before Finish,
+// with a segment half scattered) is settled by the next Init: the walk
+// starts over and the ring serves the next feed bit-identically.
 func TestSettleAbandonedFeed(t *testing.T) {
 	const seg = 256
 	ws, err := NewWelchScratch(seg, Hann)
@@ -260,16 +254,12 @@ func TestSettleAbandonedFeed(t *testing.T) {
 	var f Feed
 	band := Band{0, seg/2 + 1}
 	dst := make([]float64, band.Len())
-	if err := f.Init(ws, len(x), band, dst, 1, &ring, workpool.New(2)); err != nil {
+	if err := f.Init(ws, len(x), band, dst, 1, &ring); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(x[:len(x)-seg/4])
-	ring.Settle()
-	if ring.inFlight != 0 || ring.open != 0 || len(ring.pending) != 0 {
-		t.Fatalf("after Settle: %d in flight, %d open, %d pending", ring.inFlight, ring.open, len(ring.pending))
-	}
 
-	if err := f.Init(ws, seg, band, dst, 1, &ring, workpool.New(2)); err != nil {
+	if err := f.Init(ws, seg, band, dst, 1, &ring); err != nil {
 		t.Fatal(err)
 	}
 	f.Push(x[:seg])

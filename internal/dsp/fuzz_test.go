@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-
-	"repro/internal/workpool"
 )
 
 // FuzzPlanForwardVsNaiveDFT cross-checks the planned radix-2² FFT
@@ -244,7 +242,7 @@ func FuzzBandProductsVsFull(f *testing.F) {
 		psd := make([]float64, m)
 		var ring SlotRing
 		var pf PairFeed
-		if err := pf.Init(s, n, band, pa, pb, cross, fs, &ring, workpool.New(1)); err != nil {
+		if err := pf.Init(s, n, band, pa, pb, cross, fs, &ring); err != nil {
 			t.Fatal(err)
 		}
 		var nf Feed
@@ -257,7 +255,7 @@ func FuzzBandProductsVsFull(f *testing.F) {
 		if err := pf.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if err := nf.Init(s, n, band, psd, fs, &ring, workpool.New(1)); err != nil {
+		if err := nf.Init(s, n, band, psd, fs, &ring); err != nil {
 			t.Fatal(err)
 		}
 		for off := 0; off < n; off += blk {

@@ -147,36 +147,6 @@ func (p *Plan) butterflies(x []complex128) {
 	}
 }
 
-// butterfliesBatch runs the butterfly passes of several independent
-// transforms stage by stage: every array's lead pass, then every
-// array's first tabled pass, and so on. Per array the operations —
-// and therefore the results — are exactly those of butterflies; the
-// point of the stage-outer order is that one stage's twiddle table is
-// read repeatedly while hot in cache instead of being re-fetched per
-// transform. Arrays must all have the plan's length and already be in
-// bit-reversed order.
-func (p *Plan) butterfliesBatch(xs [][]complex128) {
-	h := 1
-	if bits.TrailingZeros(uint(p.n))&1 == 1 {
-		for _, x := range xs {
-			leadRadix2(x)
-		}
-		h = 2
-	} else if p.n >= 4 {
-		for _, x := range xs {
-			radix4Pass1(x)
-		}
-		h = 4
-	}
-	for si := 0; 4*h <= p.n; h *= 4 {
-		st := p.stages[si]
-		si++
-		for _, x := range xs {
-			radix4Stage(x, st, h)
-		}
-	}
-}
-
 var planCache onceMap[int, *Plan]
 
 // PlanFor returns a process-wide shared plan for length n, building and

@@ -294,3 +294,29 @@ func TestWelchScratchErrors(t *testing.T) {
 		t.Error("too-short input should fail")
 	}
 }
+
+// PlanFor must make plan construction cost disappear from steady-state
+// callers: a cache hit is two orders of magnitude under building the
+// tables (compare the NewPlan sub-benchmark).
+func BenchmarkPlanFor(b *testing.B) {
+	const n = 1 << 12
+	if _, err := PlanFor(n); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cached", func(b *testing.B) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := PlanFor(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("new-plan", func(b *testing.B) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewPlan(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -25,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/workpool"
 )
 
 // Spec describes one campaign: the grid shape, the identity of its
@@ -190,19 +188,9 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 	work := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(e.opts.Parallelism)
-	for w := 0; w < e.opts.Parallelism; w++ {
-		reserve := w > 0
+	for range e.opts.Parallelism {
 		go func() {
 			defer wg.Done()
-			if reserve {
-				// Campaign workers beyond the first occupy shared worker-pool
-				// slots for their lifetime, so per-cell transform fan-out
-				// (specan's segment feeds) plus campaign parallelism never
-				// oversubscribes the machine: every concurrent executor past
-				// the first holds a pool token, whoever it belongs to.
-				_, release := workpool.Default.Reserve(1)
-				defer release()
-			}
 			var state any
 			if spec.NewWorkerState != nil {
 				state = spec.NewWorkerState()

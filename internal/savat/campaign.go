@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/stats"
-	"repro/internal/workpool"
 )
 
 // CampaignOptions are a campaign's runtime-only knobs: how it is
@@ -16,11 +15,6 @@ import (
 type CampaignOptions struct {
 	// Parallelism bounds concurrent cell measurements (0 = GOMAXPROCS).
 	Parallelism int
-	// AnalyzerPool, when non-nil, is the worker pool each campaign
-	// worker's spectrum analyzer uses for per-segment transforms
-	// (nil = the process-default pool, shared with the engine's own
-	// workers so campaigns never oversubscribe the machine).
-	AnalyzerPool *workpool.Pool
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
 	// finished (pair, repetition) cell — cache-served cells included.
@@ -116,8 +110,7 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt C
 		// warm process starts each campaign with its working set already
 		// allocated and steady-state cells perform zero heap allocations.
 		NewWorkerState: func() any {
-			return NewMeasurer(mc, cfg, WithScratch(lease.take()),
-				WithSynthCache(cache), WithPool(rt.AnalyzerPool))
+			return NewMeasurer(mc, cfg, WithScratch(lease.take()), WithSynthCache(cache))
 		},
 		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
 			// The chain's program countermeasures rewrite the pair's kernel

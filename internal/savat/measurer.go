@@ -9,7 +9,6 @@ import (
 	"repro/internal/emsim"
 	"repro/internal/machine"
 	"repro/internal/stats"
-	"repro/internal/workpool"
 )
 
 // Measurer is the single entry point to the SAVAT measurement
@@ -26,7 +25,6 @@ import (
 //
 //	WithScratch(s)     reuse the caller's MeasureScratch across Measurers
 //	WithReference()    direct-rendering reference pipeline
-//	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //
 // Without WithSynthCache, the scratch keeps the last envelope and noise
@@ -44,7 +42,6 @@ type Measurer struct {
 	cfg       Config
 	reference bool // WithReference: the oracle instead of the fast path
 	scratch   *MeasureScratch
-	pool      *workpool.Pool
 	cache     *SynthCache
 
 	// Effective measurement setup, resolved lazily on first measurement
@@ -90,14 +87,6 @@ func WithReference() MeasureOption {
 	return func(m *Measurer) { m.reference = true }
 }
 
-// WithPool directs the spectrum analyzer's per-segment transforms
-// through p instead of the process-default pool. Results are
-// bit-identical for any pool. When combined with WithScratch, the
-// caller's scratch is retargeted to p.
-func WithPool(p *workpool.Pool) MeasureOption {
-	return func(m *Measurer) { m.pool = p }
-}
-
 // WithSynthCache makes the Measurer read envelope and noise spectral
 // products through c — a concurrency-safe cache from NewSynthCache,
 // typically shared by many Measurers — instead of the scratch's
@@ -120,9 +109,6 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 	}
 	if m.scratch == nil && !m.reference {
 		m.scratch = NewMeasureScratch()
-	}
-	if m.scratch != nil && m.pool != nil {
-		m.scratch.SetAnalyzerPool(m.pool)
 	}
 	return m
 }

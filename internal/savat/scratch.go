@@ -9,7 +9,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noise"
 	"repro/internal/specan"
-	"repro/internal/workpool"
 )
 
 // seededRand is a reseedable rng: one source allocated on first use,
@@ -74,16 +73,6 @@ type MeasureScratch struct {
 func NewMeasureScratch() *MeasureScratch {
 	return &MeasureScratch{specan: specan.NewScratch()}
 }
-
-// SetAnalyzerPool directs the spectrum analyzer's per-segment
-// transforms through p instead of the process-default pool. The default
-// is right for campaigns — workers and segment transforms share one
-// CPU budget — but tests (and callers that know the machine is
-// otherwise idle) can hand each scratch an explicit pool to force
-// parallel segment transforms regardless of GOMAXPROCS. A nil p
-// restores the default. Results are bit-identical either way: segment
-// PSDs are reduced in capture order.
-func (s *MeasureScratch) SetAnalyzerPool(p *workpool.Pool) { s.specan.Pool = p }
 
 // finish turns a recorded trace into the Measurement: band power
 // around the intended frequency, then energy per A/B instruction pair.

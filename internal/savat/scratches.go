@@ -40,15 +40,12 @@ func (l *scratchFreeList) get() *MeasureScratch {
 }
 
 // put keeps each scratch while the list has room; the rest are left to
-// the GC. It resets each scratch's analyzer pool to the default, so no
-// scratch carries one campaign's pool into the next: a campaign's
-// WithPool retargets only when it names a pool. Callers must guarantee
-// no worker still measures through the scratches.
+// the GC. Callers must guarantee no worker still measures through the
+// scratches.
 func (l *scratchFreeList) put(ss []*MeasureScratch) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, s := range ss {
-		s.SetAnalyzerPool(nil)
 		if len(l.free) < workerScratchCap {
 			l.free = append(l.free, s)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/workpool"
 )
 
 // isolateScratches gives the test an empty process-wide scratch free
@@ -266,44 +265,4 @@ func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 	if len(list.free) == 0 {
 		t.Fatal("concurrent campaigns returned no scratch to the free list")
 	}
-}
-
-// A scratch pooled after a campaign that named an analyzer pool does
-// not bring that pool into the next campaign: a worker of a campaign
-// without one measures on workpool.Default, and the pool-free
-// campaign's matrix equals the same campaign run alone.
-func TestPooledScratchDropsCampaignPool(t *testing.T) {
-	mc := machine.Core2Duo()
-	spec := CampaignSpec{Machine: mc.Name, Config: secondsConfig(1.0 / 16), Events: []Event{ADD, LDM}, Repeats: 1, Seed: 5}
-
-	isolateScratches(t)
-	alone, err := runSpec(spec, CampaignOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	list := isolateScratches(t)
-	pool := workpool.New(1)
-	if _, err := runSpec(spec, CampaignOptions{Parallelism: 2, AnalyzerPool: pool}); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.free) == 0 {
-		t.Fatal("campaign returned no scratch to the free list")
-	}
-	// Take every pooled scratch the way the next pool-free campaign's
-	// workers do.
-	var lease scratchLease
-	for range len(list.free) {
-		m := NewMeasurer(mc, spec.Config, WithScratch(lease.take()), WithPool(nil))
-		if got := m.scratch.specan.Pool; got != nil {
-			t.Errorf("pooled scratch kept the earlier campaign's analyzer pool %p; want the default", got)
-		}
-	}
-	lease.release()
-
-	next, err := runSpec(spec, CampaignOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matricesEqual(t, next, alone)
 }

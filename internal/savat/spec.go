@@ -33,8 +33,8 @@ const SpecVersion = 2
 //
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
-// nothing about how the campaign is executed (parallelism, analyzer
-// pool, monitor and cache stay in CampaignOptions). Two specs with
+// nothing about how the campaign is executed (parallelism, monitor and
+// cache stay in CampaignOptions). Two specs with
 // equal fingerprints therefore produce bit-identical matrices on any
 // executor, which is what lets the service deduplicate overlapping
 // submissions cell-by-cell.

@@ -70,10 +70,10 @@ type Options struct {
 	// resubmitted (while their cells stay resident), but nothing
 	// survives a server restart.
 	StateDir string
-	// MaxActive bounds concurrently running campaigns (0 = 2). The
-	// campaigns share one process-wide worker budget (see workpool), so
-	// raising this trades per-campaign latency for fairness, not for
-	// extra throughput.
+	// MaxActive bounds concurrently running campaigns (0 = 2). Each
+	// running campaign has its own Parallelism workers and the cores are
+	// shared, so raising this trades per-campaign latency for fairness,
+	// not for extra throughput.
 	MaxActive int
 	// Parallelism is each campaign's worker count (0 = GOMAXPROCS).
 	Parallelism int

@@ -14,7 +14,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/dsp"
 	"repro/internal/obs"
-	"repro/internal/workpool"
 )
 
 // Analyzer-stage metrics: one span per analysis stage (an envelope or
@@ -321,11 +320,6 @@ func (p *PairPSD) grow(bins int) {
 // length and window a call needs (rebuilding is the only allocating
 // path) and is NOT safe for concurrent use.
 type Scratch struct {
-	// Pool, when non-nil, is the worker pool the streaming analysis
-	// fans its per-segment transforms out on; nil means
-	// workpool.Default. Results are bit-identical for any pool.
-	Pool *workpool.Pool
-
 	welch *dsp.WelchScratch
 	sum   []float64
 	trace Trace
@@ -334,10 +328,10 @@ type Scratch struct {
 	// envelope streams and one complex noise stream), blockLen samples
 	// whatever the segment length, and the segment feeds. The envelope
 	// and noise feeds always run one after the other, so they share one
-	// slot ring — the only segment-sized buffers — whose transform
-	// buffers are allocated once, on first use, for both. Every buffer
-	// is reused by capacity, so a shape change back to a smaller
-	// capture allocates nothing.
+	// slot ring: at most two segment buffers, the only segment-sized
+	// ones, allocated on first use for both. Every buffer is reused by
+	// capacity, so a shape change back to a smaller capture allocates
+	// nothing.
 	ba, bb    []float64
 	bn        []complex128
 	ring      dsp.SlotRing

@@ -68,9 +68,9 @@ func walk(src SampleSource, s *Scratch) error {
 // envelopes, the band, the sample rate, and the analyzer's RBW/window —
 // not on group coefficients or the floor — so callers may cache and
 // share them across every measurement rendered from the same envelope
-// realization. The source is fully drained. Per-segment transforms fan
-// out on the scratch's Pool (workpool.Default when nil); reduction
-// order is fixed, so results do not depend on the pool.
+// realization. The source is fully drained, and each Welch segment is
+// transformed and reduced on the caller as soon as its last sample
+// arrives.
 func (a *Analyzer) EnvelopeProductsStream(n int, band Band, src PairSource, fs float64, s *Scratch, dst *PairPSD) (*PairPSD, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
@@ -90,11 +90,10 @@ func (a *Analyzer) EnvelopeProductsStream(n int, band Band, src PairSource, fs f
 	dst.grow(bins.Len())
 	s.ba = buf.Grow(s.ba, blockLen)
 	s.bb = buf.Grow(s.bb, blockLen)
-	if err := s.pairFeed.Init(s.welch, n, bins, dst.PA, dst.PB, dst.Cross, fs, &s.ring, s.Pool); err != nil {
+	if err := s.pairFeed.Init(s.welch, n, bins, dst.PA, dst.PB, dst.Cross, fs, &s.ring); err != nil {
 		return nil, err
 	}
 	if err := walkPair(src, s); err != nil {
-		s.ring.Settle() // no transform outlives the call that fed it
 		return nil, err
 	}
 	return dst, nil
@@ -105,7 +104,7 @@ func (a *Analyzer) EnvelopeProductsStream(n int, band Band, src PairSource, fs f
 // PSD accumulated into dst (grown as needed; nil allocates). Like the
 // envelope products, the result is coefficient- and floor-independent
 // and may be cached and shared. The source is fully drained, with the
-// same pool and ordering guarantees as EnvelopeProductsStream.
+// same segment-by-segment reduction as EnvelopeProductsStream.
 func (a *Analyzer) NoiseProductsStream(n int, band Band, src SampleSource, fs float64, s *Scratch, dst []float64) ([]float64, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
@@ -121,11 +120,10 @@ func (a *Analyzer) NoiseProductsStream(n int, band Band, src SampleSource, fs fl
 	}
 	dst = buf.Grow(dst, bins.Len())
 	s.bn = buf.Grow(s.bn, blockLen)
-	if err := s.noiseFeed.Init(s.welch, n, bins, dst, fs, &s.ring, s.Pool); err != nil {
+	if err := s.noiseFeed.Init(s.welch, n, bins, dst, fs, &s.ring); err != nil {
 		return nil, err
 	}
 	if err := walk(src, s); err != nil {
-		s.ring.Settle()
 		return nil, err
 	}
 	return dst, nil

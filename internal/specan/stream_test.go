@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/workpool"
 )
 
 // slicePairSource yields two in-memory real streams in fixed-size
@@ -168,28 +166,6 @@ func TestStreamMatchesBuffered(t *testing.T) {
 	}
 }
 
-// TestStreamPoolInvariance checks the determinism argument of the
-// parallel segment fan-out: per-segment transforms may run on any pool
-// shape, but the fixed reduction order keeps the result bit-identical
-// to the inline (capacity-0) execution.
-func TestStreamPoolInvariance(t *testing.T) {
-	const n = 1 << 15
-	a, envA, envB, coeffs, noise, fs := streamFixture(t, n)
-	inline, err := analyzeSlices(a, fixtureBand, envA, envB, coeffs, noise, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cap := range []int{1, 3, 16} {
-		s := NewScratch()
-		s.Pool = workpool.New(cap)
-		got, err := analyzeSlices(a, fixtureBand, envA, envB, coeffs, noise, fs, s)
-		if err != nil {
-			t.Fatalf("pool cap %d: %v", cap, err)
-		}
-		requireSamePSD(t, inline, got, "pool cap %d", cap)
-	}
-}
-
 // requireNearPSD demands that every bin of got's band agree with the
 // same bin of want's full spectrum within 1e-12 of the band's peak —
 // the rounding of combining pair-Welch products instead of rendering
@@ -245,7 +221,7 @@ func requireSamePSD(t *testing.T, want, got *Trace, format string, args ...any) 
 // analyzer layer. After a streaming analysis of an n-sample capture
 // with segment length seg ≪ n, the products are band-length and every
 // buffer the scratch retains is O(block) or band-length — the capture
-// was never materialized, and the ring's slots are the only
+// was never materialized, and the ring's two slots are the only
 // segment-sized buffers. A 1 s capture at 2^18 samples/s (one 2^18-point
 // segment) leaves the scratch holding exactly one slot plus O(block)
 // and the band-length display: no rolling window exists.
@@ -286,6 +262,10 @@ func TestStreamFootprint(t *testing.T) {
 		if b.cap != b.want {
 			t.Errorf("buffer %s holds %d samples; want %d", b.name, b.cap, b.want)
 		}
+	}
+	if got, want := s.ring.Footprint(), 2*16*seg; got != want {
+		t.Errorf("a %d-segment capture left the ring holding %d bytes; want two %d-point slots (%d)",
+			(n-seg)/(seg/2)+1, got, seg, want)
 	}
 
 	// The paper's capture: 1 s at 1 Hz RBW, one 2^18-point segment, the
