@@ -56,7 +56,7 @@ func benchMatrix(b *testing.B, id string) (*savat.MatrixStats, paperdata.Experim
 	spec.Config = savat.FastConfig()
 	spec.Config.Distance = exp.Distance
 	spec.Repeats = benchRepeats
-	res, err := runSpec(spec, savat.CampaignOptions{})
+	res, err := runSpec(spec, engine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func BenchmarkCampaignStoreBacked(b *testing.B) {
 	}
 	spec.Config.Duration = 1.0 / 32
 	for i := 0; i < b.N; i++ {
-		res, err := runSpec(spec, savat.CampaignOptions{Cache: cache})
+		res, err := runSpec(spec, engine.Options{Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -152,7 +152,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+second.ID+"/result", &served); err != nil {
 		return err
 	}
-	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, engine.Options{})
 	if err != nil {
 		return err
 	}
@@ -230,7 +230,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+resumed.ID+"/result", &served2); err != nil {
 		return err
 	}
-	direct2, err := savat.RunSpecContext(context.Background(), spec2, savat.CampaignOptions{})
+	direct2, err := savat.RunSpecContext(context.Background(), spec2, engine.Options{})
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+pr.ID+"/result", &served3); err != nil {
 		return err
 	}
-	direct3, err := savat.RunSpecContext(context.Background(), spec3, savat.CampaignOptions{})
+	direct3, err := savat.RunSpecContext(context.Background(), spec3, engine.Options{})
 	if err != nil {
 		return err
 	}

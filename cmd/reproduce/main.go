@@ -248,10 +248,7 @@ func (r *runner) campaign(id string) (*savat.MatrixStats, paperdata.Experiment, 
 	spec.Config.Distance = exp.Distance
 	spec.Repeats = r.repeats
 	spec.Seed = r.seed
-	var opts savat.CampaignOptions
-	opts.Cache = r.cache
 	ch := make(chan engine.ProgressEvent, 64)
-	opts.Monitor = ch
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -271,7 +268,7 @@ func (r *runner) campaign(id string) (*savat.MatrixStats, paperdata.Experiment, 
 			progress.End()
 		}
 	}()
-	res, err := savat.RunSpecContext(r.ctx, spec, opts)
+	res, err := savat.RunSpecContext(r.ctx, spec, engine.Options{Cache: r.cache, Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		return nil, exp, err

@@ -144,7 +144,6 @@ func run() error {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 
-		var opts savat.CampaignOptions
 		// The closer flushes a store-backed cache's write-behind buffer,
 		// so even a Ctrl-C'd campaign keeps every measured cell.
 		cache, closeCache, err := cf.OpenCache()
@@ -152,9 +151,7 @@ func run() error {
 			return err
 		}
 		defer closeCache()
-		opts.Cache = cache
 		ch := make(chan engine.ProgressEvent, 64)
-		opts.Monitor = ch
 		var last engine.Stats
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -169,7 +166,7 @@ func run() error {
 			}
 			progress.End()
 		}()
-		res, err := savat.RunSpecContext(ctx, spec, opts)
+		res, err := savat.RunSpecContext(ctx, spec, engine.Options{Cache: cache, Monitor: ch})
 		wg.Wait()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -183,8 +180,8 @@ func run() error {
 			}
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d cells (%d cached, %d computed, %d retries) in %s (%.1f cells/s)\n",
-			res.Engine.Done, res.Engine.Cached, res.Engine.Computed, res.Engine.Retries,
+		fmt.Fprintf(os.Stderr, "engine: %d cells (%d cached, %d computed) in %s (%.1f cells/s)\n",
+			res.Engine.Done, res.Engine.Cached, res.Engine.Computed,
 			res.Engine.Elapsed.Round(1e7), res.Engine.CellsPerSecond())
 		switch *format {
 		case "table":
@@ -216,14 +213,12 @@ func run() error {
 		// SAVAT attenuation and matrix-level distinguishability loss.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		var opts savat.CampaignOptions
 		cache, closeCache, err := cf.OpenCache()
 		if err != nil {
 			return err
 		}
 		defer closeCache()
-		opts.Cache = cache
-		rep, err := savat.RunCountermeasureReport(ctx, spec, opts)
+		rep, err := savat.RunCountermeasureReport(ctx, spec, engine.Options{Cache: cache})
 		if err != nil {
 			return err
 		}

@@ -117,9 +117,7 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var opts savat.CampaignOptions
 	ch := make(chan engine.ProgressEvent, 64)
-	opts.Monitor = ch
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -131,7 +129,7 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 		}
 		progress.End()
 	}()
-	res, err := savat.RunSpecContext(ctx, spec, opts)
+	res, err := savat.RunSpecContext(ctx, spec, engine.Options{Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		return nil, err

@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"repro/internal/counter"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/savat"
 )
@@ -70,7 +71,7 @@ func main() {
 		spec.Repeats = 2
 		spec.Seed = 7
 
-		rep, err := savat.RunCountermeasureReport(context.Background(), spec, savat.CampaignOptions{})
+		rep, err := savat.RunCountermeasureReport(context.Background(), spec, engine.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func main() {
 	spec.Events = events
 	spec.Repeats = 2
 	spec.Seed = 7
-	rep, err := savat.RunCountermeasureReport(context.Background(), spec, savat.CampaignOptions{})
+	rep, err := savat.RunCountermeasureReport(context.Background(), spec, engine.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}()
-	res, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Monitor: ch})
+	res, err := savat.RunSpecContext(context.Background(), spec, engine.Options{Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		log.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/conform"
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/memhier"
 	"repro/internal/paperdata"
@@ -37,8 +38,8 @@ func TestIntegrationQuickstart(t *testing.T) {
 
 // runSpec runs a test campaign through savat.RunSpecContext with a
 // background context.
-func runSpec(spec savat.CampaignSpec, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
-	return savat.RunSpecContext(context.Background(), spec, rt)
+func runSpec(spec savat.CampaignSpec, opts engine.Options) (*savat.MatrixStats, error) {
+	return savat.RunSpecContext(context.Background(), spec, opts)
 }
 
 // Campaign results must not depend on scheduling: running the same
@@ -49,11 +50,11 @@ func TestIntegrationCampaignSchedulingIndependence(t *testing.T) {
 		Events:  []savat.Event{savat.ADD, savat.LDM, savat.DIV},
 		Repeats: 2, Seed: 3,
 	}
-	seq, err := runSpec(spec, savat.CampaignOptions{Parallelism: 1})
+	seq, err := runSpec(spec, engine.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runSpec(spec, savat.CampaignOptions{Parallelism: 4})
+	par, err := runSpec(spec, engine.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestIntegrationFigure9Orderings(t *testing.T) {
 	res, err := runSpec(savat.CampaignSpec{
 		Machine: "Core2Duo", Config: savat.DefaultConfig(),
 		Events: events, Repeats: 3, Seed: 1,
-	}, savat.CampaignOptions{})
+	}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestIntegrationMeasuredMatrixClusters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 11×11 fast-path campaign takes ~1.5 s")
 	}
-	res, err := runSpec(savat.CampaignSpec{Machine: "Core2Duo", Config: savat.FastConfig(), Repeats: 1, Seed: 1}, savat.CampaignOptions{})
+	res, err := runSpec(savat.CampaignSpec{Machine: "Core2Duo", Config: savat.FastConfig(), Repeats: 1, Seed: 1}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,8 @@ var (
 	ErrUnknownMachine = savat.ErrUnknownMachine
 	// ErrBadDistance reports a non-positive -distance.
 	ErrBadDistance = savat.ErrBadDistance
-	// ErrBadFrequency reports a non-positive -freq.
+	// ErrBadFrequency reports a -freq that is not positive, or too
+	// high for the machine's clock.
 	ErrBadFrequency = savat.ErrBadFrequency
 	// ErrBadRepeats reports a -repeats below one.
 	ErrBadRepeats = savat.ErrBadRepeats

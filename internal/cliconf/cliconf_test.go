@@ -254,13 +254,13 @@ func TestStartProfiles(t *testing.T) {
 // computes v on a miss and reports whether the cell was served cached.
 func cellCampaign(t *testing.T, cache *engine.Cache, key string, v float64) (float64, bool) {
 	t.Helper()
-	res, err := engine.New(engine.Options{Cache: cache}).Run(context.Background(), engine.Spec{
+	res, err := engine.Run(context.Background(), engine.Spec{
 		Rows: 1, Cols: 1, Reps: 1,
 		Key: func(int, int, int) string { return key },
 		Compute: func(context.Context, any, int, int, int) (float64, error) {
 			return v, nil
 		},
-	})
+	}, engine.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,12 +98,12 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	cfg.Duration = 1.0 / 32
 	events := []savat.Event{savat.LDM, savat.STM, savat.NOI, savat.ADD}
 	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 3, Seed: 9}
-	run := func(ctx context.Context, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
-		rt.Parallelism = 4
-		return savat.RunSpecContext(ctx, spec, rt)
+	run := func(ctx context.Context, opts engine.Options) (*savat.MatrixStats, error) {
+		opts.Parallelism = 4
+		return savat.RunSpecContext(ctx, spec, opts)
 	}
 
-	clean, err := run(context.Background(), savat.CampaignOptions{})
+	clean, err := run(context.Background(), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		}
 		done <- n
 	}()
-	_, err = run(ctx, savat.CampaignOptions{Cache: cache, Monitor: monitor})
+	_, err = run(ctx, engine.Options{Cache: cache, Monitor: monitor})
 	seen := <-done
 	cancel()
 	if err == nil {
@@ -147,7 +147,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		t.Fatalf("reopening cache dir: %v", err)
 	}
 	defer resumed.Close()
-	res, err := run(context.Background(), savat.CampaignOptions{Cache: resumed})
+	res, err := run(context.Background(), engine.Options{Cache: resumed})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

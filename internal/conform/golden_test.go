@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/savat"
 )
@@ -29,7 +30,7 @@ func goldenEvents() []savat.Event {
 }
 
 var goldenMeasured = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return runCampaign(savat.FastConfig(), goldenEvents(), goldenSeed, savat.CampaignOptions{})
+	return runCampaign(savat.FastConfig(), goldenEvents(), goldenSeed, engine.Options{})
 })
 
 func goldenPath(name string) string {

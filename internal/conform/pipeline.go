@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/savat"
 )
@@ -158,7 +159,7 @@ func VerifyPermutationInvariance(spec savat.CampaignSpec) (*Report, error) {
 	run := func(evs []savat.Event) (*savat.MatrixStats, error) {
 		s := spec
 		s.Events = evs
-		return savat.RunSpecContext(context.Background(), s, savat.CampaignOptions{})
+		return savat.RunSpecContext(context.Background(), s, engine.Options{})
 	}
 	base, err := run(events)
 	if err != nil {

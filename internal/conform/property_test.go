@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/savat"
 )
@@ -15,14 +16,14 @@ import (
 const propertySeed = 1
 
 var fastMatrix = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return runCampaign(savat.FastConfig(), savat.Events(), propertySeed, savat.CampaignOptions{})
+	return runCampaign(savat.FastConfig(), savat.Events(), propertySeed, engine.Options{})
 })
 
 // runCampaign runs a one-repetition test campaign of events on the
 // Core 2 Duo through savat.RunSpecContext.
-func runCampaign(cfg savat.Config, events []savat.Event, seed int64, rt savat.CampaignOptions) (*savat.MatrixStats, error) {
+func runCampaign(cfg savat.Config, events []savat.Event, seed int64, opts engine.Options) (*savat.MatrixStats, error) {
 	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 1, Seed: seed}
-	return savat.RunSpecContext(context.Background(), spec, rt)
+	return savat.RunSpecContext(context.Background(), spec, opts)
 }
 
 var referenceMatrix = sync.OnceValues(func() (*savat.Matrix, error) {
@@ -147,7 +148,7 @@ func TestChannelMatrices(t *testing.T) {
 		if name != "em" {
 			cfg.Environment = ch.Environment()
 		}
-		st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
+		st, err := runCampaign(cfg, events, propertySeed, engine.Options{})
 		if err != nil {
 			t.Fatalf("channel %s: %v", name, err)
 		}
@@ -178,7 +179,7 @@ func TestDistanceFlatConducted(t *testing.T) {
 			cfg.Channel = name
 			cfg.Environment = ch.Environment()
 			cfg.Distance = d
-			st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
+			st, err := runCampaign(cfg, events, propertySeed, engine.Options{})
 			if err != nil {
 				t.Fatalf("channel %s at %g m: %v", name, d, err)
 			}
@@ -202,7 +203,7 @@ func TestDistanceDecayMeasured(t *testing.T) {
 	for _, d := range distances {
 		cfg := savat.FastConfig()
 		cfg.Distance = d
-		st, err := runCampaign(cfg, events, propertySeed, savat.CampaignOptions{})
+		st, err := runCampaign(cfg, events, propertySeed, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/savat"
 )
 
@@ -21,11 +22,11 @@ func TestStreamingParallelCampaign(t *testing.T) {
 	events := []savat.Event{savat.ADD, savat.LDM, savat.DIV}
 	spec := savat.CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: events, Repeats: 2, Seed: 5}
 
-	parallel, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Parallelism: 3})
+	parallel, err := savat.RunSpecContext(context.Background(), spec, engine.Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{Parallelism: 1})
+	sequential, err := savat.RunSpecContext(context.Background(), spec, engine.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,10 +94,7 @@ func (s *EnvelopeStream) Init(alt Alternation, fs float64, n int, jit Jitter, rn
 	return nil
 }
 
-// Remaining returns how many samples the stream has yet to produce.
-func (s *EnvelopeStream) Remaining() int { return s.remaining }
-
-// Next renders the next min(len(dstA), Remaining) samples into dstA
+// Next renders the next min(len(dstA), remaining) samples into dstA
 // and dstB (which must have equal length) and returns how many were
 // written; 0 means the stream is drained.
 func (s *EnvelopeStream) Next(dstA, dstB []float64) (int, error) {

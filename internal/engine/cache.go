@@ -11,8 +11,8 @@ import (
 	"repro/internal/store"
 )
 
-// DefaultCacheCapacity is the in-memory LRU size used when an Engine is
-// created without an explicit cache (≈34 full 11×11×10 campaigns).
+// DefaultCacheCapacity is the in-memory LRU size used when a Run is
+// given no cache (≈34 full 11×11×10 campaigns).
 const DefaultCacheCapacity = 4096
 
 // Key hashes arbitrary cell-identity material into the fixed-width
@@ -26,7 +26,7 @@ func Key(material string) string {
 }
 
 // Cache memoizes per-cell results under content-addressed keys and
-// computes each distinct cell exactly once across every engine that
+// computes each distinct cell exactly once across every Run that
 // shares it. Its memory layer is a memo.LRU; its optional durable layer
 // is the batched append-only segment log of internal/store
 // (NewStoreCache), the only way a finished cell outlives its process

@@ -27,7 +27,7 @@ func valueSpec(keys []string, vals []float64, computes *int64) Spec {
 // order.
 func runSerial(t *testing.T, cache *Cache, spec Spec) *Result {
 	t.Helper()
-	res, err := New(Options{Parallelism: 1, Cache: cache}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,11 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := range results {
-		eng := New(Options{Parallelism: 4, Cache: cache})
 		wg.Add(1)
-		go func(i int, eng *Engine) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Run(context.Background(), spec)
-		}(i, eng)
+			results[i], errs[i] = Run(context.Background(), spec, Options{Parallelism: 4, Cache: cache})
+		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -187,7 +186,7 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumed.Close()
-	third, err := New(Options{Parallelism: 4, Cache: resumed}).Run(context.Background(), spec)
+	third, err := Run(context.Background(), spec, Options{Parallelism: 4, Cache: resumed})
 	if err != nil {
 		t.Fatal(err)
 	}

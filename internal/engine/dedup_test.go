@@ -37,12 +37,11 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := range results {
-		eng := New(Options{Parallelism: 4, Cache: cache})
 		wg.Add(1)
-		go func(i int, eng *Engine) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Run(context.Background(), spec)
-		}(i, eng)
+			results[i], errs[i] = Run(context.Background(), spec, Options{Parallelism: 4, Cache: cache})
+		}(i)
 	}
 	wg.Wait()
 
@@ -80,7 +79,7 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 // blockingCell is a one-cell campaign keyed "contested" whose compute
 // signals entered on its first call and then blocks until release is
 // closed or its context ends; fail, when set, is what it returns after
-// release (every later attempt returns it at once).
+// release (every later call returns it at once).
 type blockingCell struct {
 	entered, release chan struct{}
 	fail             error
@@ -154,12 +153,12 @@ func TestFlightLeaderFailureDoesNotPoison(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() {
-		_, err := New(Options{Cache: cache}).Run(context.Background(), leader.spec())
+		_, err := Run(context.Background(), leader.spec(), Options{Cache: cache})
 		errs <- err
 	}()
 	<-leader.entered
 	go func() {
-		_, err := New(Options{Cache: cache}).Run(context.Background(), waiterSpec)
+		_, err := Run(context.Background(), waiterSpec, Options{Cache: cache})
 		errs <- err
 	}()
 	awaitWaiter(t)
@@ -177,7 +176,7 @@ func TestFlightLeaderFailureDoesNotPoison(t *testing.T) {
 	}
 
 	var calls int64
-	res, err := New(Options{Cache: cache}).Run(context.Background(), countingCell(&calls))
+	res, err := Run(context.Background(), countingCell(&calls), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestFlightWaitHonorsContext(t *testing.T) {
 	leader := newBlockingCell(nil)
 	defer close(leader.release)
 	go func() {
-		_, _ = New(Options{Cache: cache}).Run(context.Background(), leader.spec())
+		_, _ = Run(context.Background(), leader.spec(), Options{Cache: cache})
 	}()
 	<-leader.entered
 
@@ -201,7 +200,7 @@ func TestFlightWaitHonorsContext(t *testing.T) {
 	var calls int64
 	done := make(chan error, 1)
 	go func() {
-		_, err := New(Options{Cache: cache}).Run(ctx, countingCell(&calls))
+		_, err := Run(ctx, countingCell(&calls), Options{Cache: cache})
 		done <- err
 	}()
 	cancel()
@@ -224,7 +223,7 @@ func TestFlightWaitHonorsContext(t *testing.T) {
 // uncancelled run, and the cell is computed at most twice in total.
 func TestCancelledLeaderDoesNotFailWaiter(t *testing.T) {
 	var refCalls int64
-	ref, err := New(Options{}).Run(context.Background(), countingCell(&refCalls))
+	ref, err := Run(context.Background(), countingCell(&refCalls), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestCancelledLeaderDoesNotFailWaiter(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, err := New(Options{Cache: cache}).Run(ctxA, leader.spec())
+		_, err := Run(ctxA, leader.spec(), Options{Cache: cache})
 		errA <- err
 	}()
 	<-leader.entered
@@ -250,7 +249,7 @@ func TestCancelledLeaderDoesNotFailWaiter(t *testing.T) {
 	var errB error
 	go func() {
 		defer close(doneB)
-		resB, errB = New(Options{Cache: cache}).Run(context.Background(), countingCell(&calls))
+		resB, errB = Run(context.Background(), countingCell(&calls), Options{Cache: cache})
 	}()
 	awaitWaiter(t)
 	cancelA()

@@ -2,9 +2,9 @@
 // the cells of a (row, col, repetition) grid, a content-addressed
 // per-cell result cache (an exactly-once memo.LRU, optionally backed by
 // the durable segment log of internal/store) makes campaigns resumable
-// and computes each distinct cell once across concurrent campaigns,
-// transient cell failures are retried with exponential backoff, and
-// progress is streamed as typed events with a running Stats snapshot.
+// and computes each distinct cell once across concurrent campaigns, a
+// cell's first failure fails the campaign, and progress is streamed as
+// typed events with a running Stats snapshot.
 //
 // Resuming an interrupted campaign is rerunning it: every cell is a
 // deterministic function of its content key, so the cells the first
@@ -34,7 +34,7 @@ type Spec struct {
 	// [0,Rows)×[0,Cols)×[0,Reps) is one cell.
 	Rows, Cols, Reps int
 	// Key returns the cache-key material identifying one cell's result
-	// (hashed with Key before use). Nil disables result caching.
+	// (hashed with Key before use).
 	Key func(row, col, rep int) string
 	// Compute produces the value of one cell. It must be deterministic
 	// in (row, col, rep) — resumability and cache correctness depend on
@@ -55,26 +55,20 @@ func (s Spec) validate() error {
 	if s.Rows <= 0 || s.Cols <= 0 || s.Reps <= 0 {
 		return fmt.Errorf("engine: bad grid %dx%dx%d", s.Rows, s.Cols, s.Reps)
 	}
-	if s.Compute == nil {
-		return fmt.Errorf("engine: nil Compute")
+	if s.Key == nil || s.Compute == nil {
+		return fmt.Errorf("engine: nil Key or Compute")
 	}
 	return nil
 }
 
-// Every compute error is treated as transient: a cell gets maxAttempts
-// attempts, the retries backing off exponentially from retryBackoff.
-const (
-	maxAttempts  = 3
-	retryBackoff = 10 * time.Millisecond
-)
-
-// Options configure an Engine.
+// Options configure one Run.
 type Options struct {
 	// Parallelism bounds concurrent cell computations (0 = GOMAXPROCS).
+	// Run starts no more workers than the grid has cells.
 	Parallelism int
 	// Cache memoizes cell results across Run calls and — when backed by
 	// a store (NewStoreCache) — across processes; it is what resumes an
-	// interrupted campaign. Engines sharing one Cache also compute each
+	// interrupted campaign. Runs sharing one Cache also compute each
 	// distinct cell once while their campaigns run concurrently; the
 	// others wait for that result and count it as Stats.Deduped. Nil
 	// uses a fresh in-memory cache of DefaultCacheCapacity.
@@ -82,41 +76,10 @@ type Options struct {
 	// Monitor, when non-nil, receives one ProgressEvent per finished
 	// cell, in completion order: each event's Stats.Done is one more
 	// than the last, so the final event carries the run's final Stats.
-	// Run closes it when the campaign ends, so an Engine with a
-	// Monitor serves exactly one Run; drain the channel until it closes —
-	// sends block.
+	// Run closes it when the campaign ends, on success and on every
+	// failure, so pass a fresh channel per Run and drain it until it
+	// closes — sends block.
 	Monitor chan<- ProgressEvent
-}
-
-// Engine runs campaigns with one shared cache and cumulative stats.
-// An Engine is cheap; sharing one across Run calls shares its cache.
-type Engine struct {
-	opts Options
-
-	mu  sync.Mutex
-	cum Stats
-}
-
-// New returns an engine with defaults applied.
-func New(opts Options) *Engine {
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.Cache == nil {
-		opts.Cache = NewCache(DefaultCacheCapacity)
-	}
-	bindCacheGauges(opts.Cache)
-	return &Engine{opts: opts}
-}
-
-// Cache returns the engine's result cache.
-func (e *Engine) Cache() *Cache { return e.opts.Cache }
-
-// Stats returns the cumulative statistics over all completed Run calls.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cum
 }
 
 // Result is one campaign's output.
@@ -129,8 +92,8 @@ type Result struct {
 
 // run carries the mutable state of one Run call.
 type run struct {
-	eng      *Engine
 	spec     Spec
+	opts     Options
 	start    time.Time
 	values   [][][]float64
 	inflight int64 // cells currently in compute (atomic)
@@ -144,29 +107,31 @@ type run struct {
 	sendMu sync.Mutex
 }
 
-// Run executes the campaign described by spec, honoring ctx: on
-// cancellation no new cells start, in-flight cells finish (landing in
-// the cache, so a rerun resumes from them), and the context's error is
-// returned. A permanent cell failure (retries exhausted) likewise stops
-// the campaign. When Options.Monitor is set it is closed before Run
-// returns.
-func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	res, err := e.runCampaign(ctx, spec)
-	if e.opts.Monitor != nil {
-		close(e.opts.Monitor)
+// Run executes the campaign described by spec, computing each cell at
+// most once, and honoring ctx: on cancellation no new cells start,
+// in-flight cells finish (landing in the cache, so a rerun resumes from
+// them), and the context's error is returned. A cell's first error
+// fails the campaign — cells are deterministic, so it would only
+// recur. When opts.Monitor is set it is closed before Run returns.
+func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	if opts.Monitor != nil {
+		defer close(opts.Monitor)
 	}
-	return res, err
-}
-
-func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if opts.Cache == nil {
+		opts.Cache = NewCache(DefaultCacheCapacity)
+	}
+	bindCacheGauges(opts.Cache)
 
 	total := spec.Rows * spec.Cols * spec.Reps
 	r := &run{
-		eng:    e,
 		spec:   spec,
+		opts:   opts,
 		start:  time.Now(),
 		values: make([][][]float64, spec.Rows),
 		st:     Stats{Total: total},
@@ -187,8 +152,9 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 
 	work := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(e.opts.Parallelism)
-	for range e.opts.Parallelism {
+	workers := min(opts.Parallelism, total)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
 			var state any
@@ -223,16 +189,6 @@ feed:
 	firstErr := r.firstEr
 	r.mu.Unlock()
 
-	e.mu.Lock()
-	e.cum.Total += st.Total
-	e.cum.Done += st.Done
-	e.cum.Cached += st.Cached
-	e.cum.Computed += st.Computed
-	e.cum.Deduped += st.Deduped
-	e.cum.Retries += st.Retries
-	e.cum.Elapsed += st.Elapsed
-	e.mu.Unlock()
-
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: campaign interrupted after %d/%d cells: %w", st.Done, st.Total, err)
 	}
@@ -243,36 +199,27 @@ feed:
 }
 
 // cell completes one grid cell through the cache — a hit, a wait for
-// an identical cell in flight, or this worker's bounded-retry compute —
-// then does its accounting and eventing. state is the owning worker's
-// NewWorkerState value (nil without one).
+// an identical cell in flight, or this worker's compute — then does its
+// accounting and eventing. state is the owning worker's NewWorkerState
+// value (nil without one).
 func (r *run) cell(ctx context.Context, idx int, state any) error {
 	row, col, rep := r.unflatten(idx)
 	ev := ProgressEvent{Row: row, Col: col, Rep: rep}
-	compute := func() (float64, error) {
+	v, src, err := r.opts.Cache.get(ctx, Key(r.spec.Key(row, col, rep)), func() (float64, error) {
 		atomic.AddInt64(&r.inflight, 1)
 		mInFlight.Add(1)
 		begin := time.Now()
-		v, attempts, err := r.compute(ctx, state, row, col, rep)
-		ev.Duration, ev.Attempts = time.Since(begin), attempts
+		v, err := r.spec.Compute(ctx, state, row, col, rep)
+		ev.Duration = time.Since(begin)
 		atomic.AddInt64(&r.inflight, -1)
 		mInFlight.Add(-1)
 		return v, err
-	}
-
-	var v float64
-	var err error
-	src := computed
-	if r.spec.Key == nil {
-		v, err = compute()
-	} else {
-		v, src, err = r.eng.opts.Cache.get(ctx, Key(r.spec.Key(row, col, rep)), compute)
-	}
+	})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil // cancellation, not a cell failure
 		}
-		return err
+		return fmt.Errorf("engine: cell (%d,%d,%d): %w", row, col, rep, err)
 	}
 	switch src {
 	case cached:
@@ -287,32 +234,6 @@ func (r *run) cell(ctx context.Context, idx int, state any) error {
 	}
 	r.record(row, col, rep, v, ev)
 	return nil
-}
-
-// compute runs the spec's compute function with bounded retry and
-// exponential, context-aware backoff.
-func (r *run) compute(ctx context.Context, state any, row, col, rep int) (float64, int, error) {
-	backoff := retryBackoff
-	for attempt := 1; ; attempt++ {
-		v, err := r.spec.Compute(ctx, state, row, col, rep)
-		if err == nil {
-			return v, attempt, nil
-		}
-		if ctx.Err() != nil {
-			return 0, attempt, ctx.Err()
-		}
-		if attempt >= maxAttempts {
-			return 0, attempt, fmt.Errorf("engine: cell (%d,%d,%d) failed after %d attempt(s): %w",
-				row, col, rep, attempt, err)
-		}
-		r.bumpRetries()
-		select {
-		case <-ctx.Done():
-			return 0, attempt, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
 }
 
 // record stores a finished cell and emits its progress event.
@@ -331,13 +252,13 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	if r.eng.opts.Monitor == nil {
+	if r.opts.Monitor == nil {
 		r.mu.Unlock()
 		return
 	}
 	r.sendMu.Lock()
 	r.mu.Unlock()
-	r.eng.opts.Monitor <- ev
+	r.opts.Monitor <- ev
 	r.sendMu.Unlock()
 }
 
@@ -358,13 +279,6 @@ func (r *run) healthLocked() Health {
 	h.LatencyP50, h.LatencyP90, h.LatencyP99 = mCellLatency.Quantiles(0.50, 0.90, 0.99)
 	mQueueDepth.Set(int64(h.QueueDepth))
 	return h
-}
-
-func (r *run) bumpRetries() {
-	r.mu.Lock()
-	r.st.Retries++
-	r.mu.Unlock()
-	mRetries.Inc()
 }
 
 func (r *run) fail(err error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,13 +41,13 @@ func checkValues(t *testing.T, res *Result, spec Spec) {
 
 func TestRunComputesAllCells(t *testing.T) {
 	spec := testSpec(3, 4, 2)
-	res, err := New(Options{Parallelism: 4}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValues(t, res, spec)
 	st := res.Stats
-	if st.Total != 24 || st.Done != 24 || st.Computed != 24 || st.Cached != 0 || st.Retries != 0 {
+	if st.Total != 24 || st.Done != 24 || st.Computed != 24 || st.Cached != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Elapsed <= 0 || st.CellsPerSecond() <= 0 {
@@ -58,7 +59,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	cache := NewCache(64)
 	spec := testSpec(2, 2, 3)
 
-	first, err := New(Options{Cache: cache}).Run(context.Background(), spec)
+	first, err := Run(context.Background(), spec, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 			events = append(events, ev)
 		}
 	}()
-	second, err := New(Options{Cache: cache, Monitor: ch}).Run(context.Background(), spec)
+	second, err := Run(context.Background(), spec, Options{Cache: cache, Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 		t.Fatalf("got %d monitor events, want 12", len(events))
 	}
 	for i, ev := range events {
-		if !ev.Cached || ev.Attempts != 0 {
+		if !ev.Cached || ev.Duration != 0 {
 			t.Fatalf("expected cached event, got %+v", ev)
 		}
 		if ev.Stats.Done != i+1 {
@@ -107,50 +108,25 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	}
 }
 
-func TestRetryTransientThenSuccess(t *testing.T) {
-	var mu sync.Mutex
-	failures := map[string]int{}
-	spec := testSpec(2, 1, 2)
-	spec.Key = nil
-	spec.Compute = func(_ context.Context, _ any, r, c, p int) (float64, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		id := fmt.Sprintf("%d/%d/%d", r, c, p)
-		if r == 1 && p == 1 && failures[id] < 2 {
-			failures[id]++
-			return 0, fmt.Errorf("transient glitch %d", failures[id])
-		}
-		return wantValue(r, c, p), nil
-	}
-	res, err := New(Options{}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValues(t, res, spec)
-	if res.Stats.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", res.Stats.Retries)
-	}
-}
-
-func TestRetryGivesUpAfterConfiguredAttempts(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
+// Cells are deterministic, so a failing cell is computed once: its
+// error fails the campaign, wrapped with the cell's coordinates.
+func TestFailingCellRunsOnce(t *testing.T) {
+	var calls atomic.Int64
+	broken := errors.New("always broken")
 	spec := testSpec(1, 1, 1)
 	spec.Compute = func(context.Context, any, int, int, int) (float64, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return 0, errors.New("always broken")
+		calls.Add(1)
+		return 0, broken
 	}
-	_, err := New(Options{}).Run(context.Background(), spec)
-	if err == nil {
-		t.Fatal("expected failure")
+	_, err := Run(context.Background(), spec, Options{})
+	if !errors.Is(err, broken) {
+		t.Fatalf("err = %v, want %v", err, broken)
 	}
-	if calls != 3 {
-		t.Errorf("compute called %d times, want 3", calls)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("compute called %d times, want 1", n)
 	}
-	if want := "after 3 attempt"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q should mention %q", err, want)
+	if want := "cell (0,0,0)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q should name %q", err, want)
 	}
 }
 
@@ -160,7 +136,7 @@ func TestRetryGivesUpAfterConfiguredAttempts(t *testing.T) {
 // are computed, and the matrix is identical to an uninterrupted run.
 func TestCancellationResumeFromCache(t *testing.T) {
 	spec := testSpec(3, 3, 2)
-	ref, err := New(Options{}).Run(context.Background(), spec)
+	ref, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +160,7 @@ func TestCancellationResumeFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(Options{Parallelism: 1, Cache: cacheA}).Run(ctx, interrupted)
+	_, err = Run(ctx, interrupted, Options{Parallelism: 1, Cache: cacheA})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -199,7 +175,7 @@ func TestCancellationResumeFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cacheB.Close()
-	res, err := New(Options{Cache: cacheB}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Cache: cacheB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +195,18 @@ func TestCancellationResumeFromCache(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	eng := New(Options{})
-	if _, err := eng.Run(context.Background(), Spec{}); err == nil {
+	if _, err := Run(context.Background(), Spec{}, Options{}); err == nil {
 		t.Error("empty spec should fail")
 	}
 	bad := testSpec(2, 2, 2)
 	bad.Compute = nil
-	if _, err := eng.Run(context.Background(), bad); err == nil {
+	if _, err := Run(context.Background(), bad, Options{}); err == nil {
 		t.Error("nil compute should fail")
+	}
+	bad = testSpec(2, 2, 2)
+	bad.Key = nil
+	if _, err := Run(context.Background(), bad, Options{}); err == nil {
+		t.Error("nil key should fail")
 	}
 }
 
@@ -255,7 +235,7 @@ func TestWorkerStatePerWorker(t *testing.T) {
 		mu.Unlock()
 		return wantValue(r, c, p), nil
 	}
-	res, err := New(Options{Parallelism: 3}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,24 +261,28 @@ func TestComputeStateWithoutWorkerState(t *testing.T) {
 		}
 		return wantValue(r, c, p), nil
 	}
-	res, err := New(Options{Parallelism: 2}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValues(t, res, spec)
 }
 
-func TestEngineCumulativeStats(t *testing.T) {
-	eng := New(Options{Cache: NewCache(64)})
-	spec := testSpec(2, 2, 1)
-	if _, err := eng.Run(context.Background(), spec); err != nil {
+// Run starts no more workers than the grid has cells, so a small grid
+// at high parallelism builds no idle worker state.
+func TestWorkersBoundedByCells(t *testing.T) {
+	var states atomic.Int64
+	spec := testSpec(1, 1, 2)
+	spec.NewWorkerState = func() any {
+		states.Add(1)
+		return nil
+	}
+	res, err := Run(context.Background(), spec, Options{Parallelism: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Total != 8 || st.Computed != 4 || st.Cached != 4 {
-		t.Errorf("cumulative stats = %+v", st)
+	checkValues(t, res, spec)
+	if n := states.Load(); n > 2 {
+		t.Errorf("NewWorkerState called %d times for 2 cells, want at most 2", n)
 	}
 }

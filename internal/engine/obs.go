@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Engine scheduling metrics. Cell latency feeds the quantiles surfaced
 // on ProgressEvent.Health; the cache gauges are bound as functions in
-// New so a snapshot always reports the engine cache's own counters —
+// Run so a snapshot always reports the run cache's own counters —
 // never a second accounting that could drift. All are no-ops until the
 // observability registry is enabled.
 var (
@@ -12,16 +12,15 @@ var (
 	mCellsComputed = obs.Default.Counter("engine.cells.computed")
 	mCellsCached   = obs.Default.Counter("engine.cells.cached")
 	mCellsDeduped  = obs.Default.Counter("engine.cells.deduped")
-	mRetries       = obs.Default.Counter("engine.retries")
 	mEvictions     = obs.Default.Counter("engine.cache.evictions")
 	mInFlight      = obs.Default.Gauge("engine.inflight")
 	mQueueDepth    = obs.Default.Gauge("engine.queue")
 )
 
 // bindCacheGauges publishes the cache's own traffic counters as gauge
-// functions, evaluated only at snapshot time. Re-binding (a second
-// engine) replaces the previous binding; the snapshot reflects the most
-// recently constructed engine's cache.
+// functions, evaluated only at snapshot time. Re-binding (a later Run)
+// replaces the previous binding; the snapshot reflects the cache of the
+// most recently started Run.
 func bindCacheGauges(c *Cache) {
 	obs.Default.GaugeFunc("engine.cache.hits", func() int64 { return int64(c.Stats().Hits) })
 	obs.Default.GaugeFunc("engine.cache.misses", func() int64 { return int64(c.Stats().Misses) })

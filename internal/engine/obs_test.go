@@ -38,7 +38,7 @@ func TestProgressEventHealth(t *testing.T) {
 				events = append(events, ev)
 			}
 		}()
-		if _, err := New(opts).Run(context.Background(), spec); err != nil {
+		if _, err := Run(context.Background(), spec, opts); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
@@ -89,7 +89,7 @@ func TestHealthZeroQuantilesWhenDisabled(t *testing.T) {
 			last = ev
 		}
 	}()
-	if _, err := New(Options{Monitor: ch}).Run(context.Background(), testSpec(2, 2, 1)); err != nil {
+	if _, err := Run(context.Background(), testSpec(2, 2, 1), Options{Monitor: ch}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -109,11 +109,11 @@ func TestCacheGaugesMatchCacheStats(t *testing.T) {
 	withObs(t)
 	cache := NewCache(64)
 	spec := testSpec(3, 2, 2)
-	if _, err := New(Options{Cache: cache}).Run(context.Background(), spec); err != nil {
+	if _, err := Run(context.Background(), spec, Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	// Second run over the same cache: all hits.
-	res, err := New(Options{Cache: cache}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

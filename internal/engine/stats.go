@@ -23,12 +23,10 @@ type Stats struct {
 	// Computed counts cells that ran the compute function.
 	Computed int `json:"computed"`
 	// Deduped counts cells satisfied by an identical cell computed
-	// concurrently by another campaign sharing this engine's Cache —
+	// concurrently by another campaign sharing this run's Cache —
 	// in-flight deduplication, as opposed to the after-the-fact kind
 	// counted by Cached.
 	Deduped int `json:"deduped"`
-	// Retries counts extra compute attempts beyond each cell's first.
-	Retries int `json:"retries"`
 	// Elapsed is the wall time since the campaign started.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
@@ -44,8 +42,7 @@ func (s Stats) CellsPerSecond() float64 {
 
 // ProgressEvent reports one finished cell on the campaign's monitor
 // channel: which cell, whether it was served from the cache or
-// computed, how long the computation took, and how many attempts it
-// needed.
+// computed, and how long the computation took.
 type ProgressEvent struct {
 	// Row, Col, Rep locate the cell in the campaign grid.
 	Row int `json:"row"`
@@ -59,9 +56,6 @@ type ProgressEvent struct {
 	Deduped bool `json:"deduped,omitempty"`
 	// Duration is the compute time for this cell (0 when Cached).
 	Duration time.Duration `json:"duration_ns"`
-	// Attempts is the number of compute attempts used (0 when Cached,
-	// 1 for a first-try success).
-	Attempts int `json:"attempts"`
 	// Stats is a consistent snapshot taken when this cell finished.
 	Stats Stats `json:"stats"`
 	// Health is a pipeline-health snapshot taken when this cell

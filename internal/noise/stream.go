@@ -95,9 +95,6 @@ func (s *Stream) Init(env Environment, fs float64, n int, rng *rand.Rand) error 
 	return nil
 }
 
-// Remaining returns how many samples the stream has yet to produce.
-func (s *Stream) Remaining() int { return s.n - s.pos }
-
 // start performs the capture-level draws: the campaign's background
 // level, then each carrier's starting phase, in carrier order.
 func (s *Stream) start() {
@@ -121,7 +118,7 @@ func (s *Stream) start() {
 	s.inited = true
 }
 
-// Next overwrites dst[:k] with the next k = min(len(dst), Remaining())
+// Next overwrites dst[:k] with the next k = min(len(dst), remaining)
 // noise samples and returns k; 0 means the stream is drained.
 func (s *Stream) Next(dst []complex128) (int, error) {
 	if s.rng == nil {

@@ -10,40 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
-// CampaignOptions are a campaign's runtime-only knobs: how it is
-// executed, never what it measures (that is the CampaignSpec).
-type CampaignOptions struct {
-	// Parallelism bounds concurrent cell measurements (0 = GOMAXPROCS).
-	Parallelism int
-
-	// Monitor, when non-nil, receives one engine.ProgressEvent per
-	// finished (pair, repetition) cell — cache-served cells included.
-	// The campaign closes the channel when the run ends, on success and
-	// on every failure, so pass a fresh channel per campaign and drain
-	// it until it closes. Event Row/Col index into the spec's grid
-	// events.
-	Monitor chan<- engine.ProgressEvent
-
-	// Cache memoizes per-cell results across campaigns. Cells are keyed
-	// by (machine config, measurement config, event pair, seed,
-	// repetition) — event identity, not matrix position — so campaigns
-	// over different event subsets or orders share work, as do repeated
-	// figures in a distance sweep. A store-backed cache
-	// (engine.NewStoreCache) is what makes campaigns resumable: rerun an
-	// interrupted campaign over the same cache and its finished cells
-	// are served, not recomputed. Concurrent campaigns sharing one
-	// cache also compute each distinct cell once — the others wait for
-	// that result — which is how the campaign service keeps overlapping
-	// submissions from duplicating work. Nil uses a fresh in-memory
-	// cache.
-	Cache *engine.Cache
-}
-
 // RunSpecContext measures the full pairwise SAVAT matrix a spec
-// describes on the campaign engine, with rt supplying the runtime-only
-// options: a worker pool fans out the (pair, repetition) cells and the
-// content-addressed cache makes the campaign resumable. It is the one
-// way to run a campaign; spec.Validate is its only check.
+// describes on the campaign engine, with opts supplying how it runs,
+// never what it measures: a worker pool fans out the (pair, repetition)
+// cells and the content-addressed cache makes the campaign resumable.
+// It is the one way to run a campaign; spec.Validate is its only check.
+// Cells are keyed by event identity, not matrix position, so campaigns
+// over different event subsets or orders share opts.Cache; Monitor
+// events' Row/Col index the spec's grid events.
 //
 // Every (pair, repetition) gets its own rng seeded from the event
 // identities — not matrix positions — so results are reproducible,
@@ -56,9 +30,9 @@ type CampaignOptions struct {
 // cached pairs never build a kernel at all.
 //
 // Cancelling ctx stops new cells promptly, lets in-flight cells finish
-// (they land in rt.Cache, so a rerun over the same cache resumes from
+// (they land in opts.Cache, so a rerun over the same cache resumes from
 // them), and returns the context's error.
-func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
+func RunSpecContext(ctx context.Context, spec CampaignSpec, opts engine.Options) (*MatrixStats, error) {
 	// Normalizing first makes the legacy empty channel name and the
 	// explicit "em" the same campaign: same validation, same fingerprint,
 	// same cache cells.
@@ -67,17 +41,17 @@ func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) 
 	if err != nil {
 		// The engine closes the Monitor on every run it starts; a run
 		// that never reaches it closes the Monitor here.
-		if rt.Monitor != nil {
-			close(rt.Monitor)
+		if opts.Monitor != nil {
+			close(opts.Monitor)
 		}
 		return nil, err
 	}
-	return runCampaign(ctx, mc, spec, rt)
+	return runCampaign(ctx, mc, spec, opts)
 }
 
 // runCampaign runs a normalized spec that has passed validation on its
 // resolved machine mc.
-func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
+func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, opts engine.Options) (*MatrixStats, error) {
 	cfg, seed := spec.Config, spec.Seed
 	events := spec.GridEvents()
 	n := len(events)
@@ -88,9 +62,9 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt C
 	// capacity covers it with headroom for scheduling skew.
 	cache := NewSynthCache(2*spec.Repeats + 2)
 
-	// The worker scratches go back to the free list only after eng.Run
-	// has returned — after every worker has stopped — so no scratch is
-	// ever held by two campaigns, or two workers, at once.
+	// The worker scratches go back to the free list only after
+	// engine.Run has returned — after every worker has stopped — so no
+	// scratch is ever held by two campaigns, or two workers, at once.
 	var lease scratchLease
 
 	grid := engine.Spec{
@@ -129,12 +103,7 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, rt C
 		},
 	}
 
-	eng := engine.New(engine.Options{
-		Parallelism: rt.Parallelism,
-		Cache:       rt.Cache,
-		Monitor:     rt.Monitor,
-	})
-	res, err := eng.Run(ctx, grid)
+	res, err := engine.Run(ctx, grid, opts)
 	lease.release()
 	if err != nil {
 		return nil, err

@@ -13,8 +13,8 @@ import (
 
 // runSpec runs a test campaign through RunSpecContext with a
 // background context.
-func runSpec(spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
-	return RunSpecContext(context.Background(), spec, rt)
+func runSpec(spec CampaignSpec, opts engine.Options) (*MatrixStats, error) {
+	return RunSpecContext(context.Background(), spec, opts)
 }
 
 func matricesEqual(t *testing.T, a, b *MatrixStats) {
@@ -38,7 +38,7 @@ func matricesEqual(t *testing.T, a, b *MatrixStats) {
 func TestRunSpecCancelAndResume(t *testing.T) {
 	spec := CampaignSpec{Machine: "Core2Duo", Config: FastConfig(), Events: []Event{ADD, LDM}, Repeats: 2, Seed: 7}
 
-	ref, err := runSpec(spec, CampaignOptions{})
+	ref, err := runSpec(spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunSpecCancelAndResume(t *testing.T) {
 		}
 	}()
 	cache := engine.NewCache(64)
-	_, err = RunSpecContext(ctx, spec, CampaignOptions{Parallelism: 1, Monitor: ch, Cache: cache})
+	_, err = RunSpecContext(ctx, spec, engine.Options{Parallelism: 1, Monitor: ch, Cache: cache})
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -68,7 +68,7 @@ func TestRunSpecCancelAndResume(t *testing.T) {
 	}
 
 	// Rerun over the same cache: the finished cells are served from it.
-	res, err := runSpec(spec, CampaignOptions{Cache: cache})
+	res, err := runSpec(spec, engine.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,9 @@ func TestRunSpecCancelAndResume(t *testing.T) {
 func TestRunSpecCellIdentityCache(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
-	rt := CampaignOptions{Cache: engine.NewCache(64)}
+	opts := engine.Options{Cache: engine.NewCache(64)}
 	spec := CampaignSpec{Machine: mc.Name, Config: cfg, Events: []Event{ADD, LDM}, Repeats: 2, Seed: 3}
-	first, err := runSpec(spec, rt)
+	first, err := runSpec(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunSpecCellIdentityCache(t *testing.T) {
 	}
 
 	spec.Events = []Event{LDM, ADD} // same pairs, different matrix positions
-	second, err := runSpec(spec, rt)
+	second, err := runSpec(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunSpecMonitorPairCompletion(t *testing.T) {
 		}
 	}()
 	spec := CampaignSpec{Machine: "Core2Duo", Config: FastConfig(), Events: []Event{ADD, LDM}, Repeats: repeats, Seed: 1}
-	if _, err := runSpec(spec, CampaignOptions{Monitor: ch}); err != nil {
+	if _, err := runSpec(spec, engine.Options{Monitor: ch}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -191,7 +191,7 @@ func rejectedSpecs() []struct {
 // Every rejected spec fails with its sentinel before the engine starts.
 func TestRunCampaignErrors(t *testing.T) {
 	for _, c := range rejectedSpecs() {
-		if _, err := runSpec(c.spec, CampaignOptions{}); !errors.Is(err, c.want) {
+		if _, err := runSpec(c.spec, engine.Options{}); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -208,7 +208,7 @@ func TestRunCampaignContextClosesMonitorOnValidationError(t *testing.T) {
 			}
 			close(done)
 		}()
-		if _, err := RunSpecContext(context.Background(), c.spec, CampaignOptions{Monitor: ch}); err == nil {
+		if _, err := RunSpecContext(context.Background(), c.spec, engine.Options{Monitor: ch}); err == nil {
 			t.Fatalf("%s: spec should fail", c.name)
 		}
 		select {

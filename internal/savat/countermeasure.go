@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/counter"
+	"repro/internal/engine"
 )
 
 // applyProgramCountermeasures returns the kernel with the chain's
@@ -63,12 +64,12 @@ type CountermeasureReport struct {
 
 // RunCountermeasureReport measures the matched campaign pair for spec
 // (which must carry a non-empty countermeasure chain) and scores the
-// chain. rt supplies the runtime-only options; its Monitor is ignored —
+// chain. opts supplies how the campaigns run; its Monitor is ignored —
 // the report runs two campaigns, and the per-cell monitor contract
 // binds to exactly one. The Cache is shared by both runs; their cell
 // keys differ in the countermeasure dimension, so the runs never
 // collide.
-func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*CountermeasureReport, error) {
+func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, opts engine.Options) (*CountermeasureReport, error) {
 	spec = spec.Normalized()
 	mc, err := spec.validated()
 	if err != nil {
@@ -77,18 +78,18 @@ func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt Campaign
 	if len(spec.Config.Countermeasures) == 0 {
 		return nil, fmt.Errorf("%w: report needs a non-empty countermeasure chain", ErrBadCountermeasure)
 	}
-	rt.Monitor = nil
+	opts.Monitor = nil
 
 	// Dropping the chain keeps a valid spec valid, so both runs share
 	// the one validation above.
 	base := spec
 	base.Config.Countermeasures = nil
 
-	baseline, err := runCampaign(ctx, mc, base, rt)
+	baseline, err := runCampaign(ctx, mc, base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure baseline: %w", err)
 	}
-	protected, err := runCampaign(ctx, mc, spec, rt)
+	protected, err := runCampaign(ctx, mc, spec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure protected: %w", err)
 	}

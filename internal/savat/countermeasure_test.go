@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/engine"
 	"repro/internal/machine"
 )
 
@@ -26,7 +27,7 @@ func reportSpec() CampaignSpec {
 
 func TestRunCountermeasureReport(t *testing.T) {
 	spec := reportSpec()
-	rep, err := RunCountermeasureReport(context.Background(), spec, CampaignOptions{})
+	rep, err := RunCountermeasureReport(context.Background(), spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunCountermeasureReport(t *testing.T) {
 	// directly: the report changes nothing about how campaigns measure.
 	base := spec
 	base.Config.Countermeasures = nil
-	direct, err := runSpec(base, CampaignOptions{})
+	direct, err := runSpec(base, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRunCountermeasureReport(t *testing.T) {
 	}
 
 	// A chain-less spec has no matched pair to compare.
-	if _, err := RunCountermeasureReport(context.Background(), base, CampaignOptions{}); !errors.Is(err, ErrBadCountermeasure) {
+	if _, err := RunCountermeasureReport(context.Background(), base, engine.Options{}); !errors.Is(err, ErrBadCountermeasure) {
 		t.Errorf("chain-less report: got %v, want ErrBadCountermeasure", err)
 	}
 }

@@ -285,6 +285,23 @@ func emitProgram(a, b Sequence, mc machine.Config, loopCount, stride int) (*asm.
 	return bld.Program()
 }
 
+// minPeriodCycles is the fewest clock cycles one alternation period may
+// span. A shorter period leaves the calibration no room for the A and B
+// loops, so both CampaignSpec.Validate and the kernel builder reject a
+// frequency above ClockHz/minPeriodCycles.
+const minPeriodCycles = 100
+
+// checkPeriodCycles reports, wrapping ErrBadFrequency, an alternation
+// frequency whose period spans fewer than minPeriodCycles cycles of a
+// clockHz clock.
+func checkPeriodCycles(clockHz, frequency float64) error {
+	if clockHz/frequency < minPeriodCycles {
+		return fmt.Errorf("%w: %g Hz is too high for a %g Hz clock (under %d cycles per period)",
+			ErrBadFrequency, frequency, clockHz, minPeriodCycles)
+	}
+	return nil
+}
+
 // BuildKernel generates the alternation kernel for events a and b on
 // machine mc, calibrating inst_loop_count so that the alternation runs at
 // the intended frequency (paper Section III: "we select a value that
@@ -316,15 +333,15 @@ func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int
 		return nil, err
 	}
 	if !(frequency > 0) || math.IsInf(frequency, 1) {
-		return nil, fmt.Errorf("savat: alternation frequency %g not positive and finite", frequency)
+		return nil, fmt.Errorf("%w: %g Hz not positive and finite", ErrBadFrequency, frequency)
 	}
 	if stride <= 0 || stride&3 != 0 {
 		return nil, fmt.Errorf("savat: stride %d must be a positive multiple of 4", stride)
 	}
-	targetCycles := mc.ClockHz / frequency
-	if targetCycles < 100 {
-		return nil, fmt.Errorf("savat: alternation frequency %g too high for a %g Hz clock", frequency, mc.ClockHz)
+	if err := checkPeriodCycles(mc.ClockHz, frequency); err != nil {
+		return nil, err
 	}
+	targetCycles := mc.ClockHz / frequency
 
 	// Fixed-point calibration: run a trial kernel for five periods past a
 	// two-period warm-up, measure the achieved period, rescale the loop

@@ -1,12 +1,14 @@
 package savat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/activity"
+	"repro/internal/engine"
 	"repro/internal/machine"
 )
 
@@ -78,14 +80,14 @@ func TestBuildKernelErrors(t *testing.T) {
 	if _, err := BuildKernel(mc, Event(99), ADD, 80e3); err == nil {
 		t.Error("invalid event should fail")
 	}
-	if _, err := BuildKernel(mc, ADD, ADD, 0); err == nil {
-		t.Error("zero frequency should fail")
+	if _, err := BuildKernel(mc, ADD, ADD, 0); !errors.Is(err, ErrBadFrequency) {
+		t.Errorf("zero frequency: err = %v, want ErrBadFrequency", err)
 	}
-	if _, err := BuildKernel(mc, ADD, ADD, math.NaN()); err == nil {
-		t.Error("NaN frequency should fail")
+	if _, err := BuildKernel(mc, ADD, ADD, math.NaN()); !errors.Is(err, ErrBadFrequency) {
+		t.Errorf("NaN frequency: err = %v, want ErrBadFrequency", err)
 	}
-	if _, err := BuildKernel(mc, ADD, ADD, 1e9); err == nil {
-		t.Error("absurd frequency should fail")
+	if _, err := BuildKernel(mc, ADD, ADD, 1e9); !errors.Is(err, ErrBadFrequency) {
+		t.Errorf("absurd frequency: err = %v, want ErrBadFrequency", err)
 	}
 	if _, err := BuildKernel(machine.Config{}, ADD, ADD, 80e3); err == nil {
 		t.Error("invalid machine should fail")
@@ -389,7 +391,7 @@ func TestSingleInstructionSAVAT(t *testing.T) {
 func TestRunSpecSmall(t *testing.T) {
 	cfg := FastConfig()
 	spec := CampaignSpec{Machine: "Core2Duo", Config: cfg, Events: []Event{ADD, LDM}, Repeats: 3, Seed: 5}
-	res, err := runSpec(spec, CampaignOptions{})
+	res, err := runSpec(spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +422,7 @@ func TestRunSpecSmall(t *testing.T) {
 	}
 
 	// Determinism.
-	res2, err := runSpec(spec, CampaignOptions{})
+	res2, err := runSpec(spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

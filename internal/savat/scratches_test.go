@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 )
 
@@ -190,13 +191,13 @@ func TestCampaignsBackToBackReuseArenas(t *testing.T) {
 	spec := func(d float64) CampaignSpec {
 		return CampaignSpec{Machine: mc.Name, Config: secondsConfig(d), Events: []Event{ADD, LDM}, Repeats: 1, Seed: 3}
 	}
-	rt := CampaignOptions{Parallelism: 2}
+	opts := engine.Options{Parallelism: 2}
 	durations := []float64{0.25, 1, 0.25}
 
 	list := isolateScratches(t)
 	var got []*MatrixStats
 	for i, d := range durations {
-		ms, err := runSpec(spec(d), rt)
+		ms, err := runSpec(spec(d), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestCampaignsBackToBackReuseArenas(t *testing.T) {
 
 	for i, d := range durations {
 		isolateScratches(t)
-		alone, err := runSpec(spec(d), rt)
+		alone, err := runSpec(spec(d), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,13 +229,13 @@ func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 	spec := func(cfg Config) CampaignSpec {
 		return CampaignSpec{Machine: mc.Name, Config: cfg, Events: []Event{ADD, LDM, MUL}, Repeats: 1, Seed: 9}
 	}
-	rt := CampaignOptions{Parallelism: 2}
+	opts := engine.Options{Parallelism: 2}
 	cfgs := []Config{secondsConfig(1.0 / 16), secondsConfig(1.0 / 8)}
 
 	isolateScratches(t)
 	want := make([]*MatrixStats, len(cfgs))
 	for i, cfg := range cfgs {
-		ms, err := runSpec(spec(cfg), rt)
+		ms, err := runSpec(spec(cfg), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = runSpec(spec(cfg), rt)
+				got[i], errs[i] = runSpec(spec(cfg), opts)
 			}()
 		}
 		wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -64,7 +65,7 @@ func TestSimCacheNoDuplicate(t *testing.T) {
 			<-start
 			ccfg := cfg
 			ccfg.Channel, ccfg.Countermeasures = cp.channel, cp.chain
-			_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: ccfg, Events: events, Repeats: 2, Seed: cp.seed}, CampaignOptions{Parallelism: 2})
+			_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: ccfg, Events: events, Repeats: 2, Seed: cp.seed}, engine.Options{Parallelism: 2})
 			errs <- err
 		}(cp)
 	}

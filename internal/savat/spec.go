@@ -34,10 +34,10 @@ const SpecVersion = 2
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
 // nothing about how the campaign is executed (parallelism, monitor and
-// cache stay in CampaignOptions). Two specs with
-// equal fingerprints therefore produce bit-identical matrices on any
-// executor, which is what lets the service deduplicate overlapping
-// submissions cell-by-cell.
+// cache stay in engine.Options). Two specs with equal fingerprints
+// therefore produce bit-identical matrices on any executor, which is
+// what lets the service deduplicate overlapping submissions
+// cell-by-cell.
 type CampaignSpec struct {
 	// Version is the spec wire version; zero is normalized to
 	// SpecVersion so hand-written specs may omit it.
@@ -85,7 +85,8 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 // Validate reports the first problem with the spec as a wrapped
 // sentinel error: version (ErrSpecVersion), machine (ErrUnknownMachine),
 // events — unknown or repeated — (ErrBadSpec), the measurement
-// configuration (Config.Validate's sentinels), then repeats
+// configuration (Config.Validate's sentinels, then ErrBadFrequency for
+// a frequency the machine's clock cannot alternate at), then repeats
 // (ErrBadRepeats, ErrTooLarge). It is the only check a campaign run
 // makes: RunSpecContext rejects exactly the specs Validate rejects.
 func (s CampaignSpec) Validate() error {
@@ -115,6 +116,9 @@ func (s CampaignSpec) validated() (machine.Config, error) {
 		seen[e] = true
 	}
 	if err := s.Config.Validate(); err != nil {
+		return machine.Config{}, err
+	}
+	if err := checkPeriodCycles(mc.ClockHz, s.Config.Frequency); err != nil {
 		return machine.Config{}, err
 	}
 	if err := validateRepeats(s.Repeats); err != nil {

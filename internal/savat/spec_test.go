@@ -62,6 +62,10 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"unknown-machine", func(s *CampaignSpec) { s.Machine = "Cray1" }, ErrUnknownMachine},
 		{"bad-distance", func(s *CampaignSpec) { s.Config.Distance = -1 }, ErrBadDistance},
 		{"bad-frequency", func(s *CampaignSpec) { s.Config.Frequency = 0 }, ErrBadFrequency},
+		{"frequency-above-clock", func(s *CampaignSpec) {
+			// 30 MHz leaves the 2 GHz Core 2 Duo under 100 cycles per period.
+			s.Config.Frequency, s.Config.SampleRate, s.Config.Duration = 30e6, 1<<26, 0.01
+		}, ErrBadFrequency},
 		{"bad-repeats", func(s *CampaignSpec) { s.Repeats = 0 }, ErrBadRepeats},
 		{"repeats-over", func(s *CampaignSpec) { s.Repeats = MaxRepeats + 1 }, ErrTooLarge},
 		{"repeats-max-int", func(s *CampaignSpec) { s.Repeats = math.MaxInt }, ErrTooLarge},

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/memo"
 	"repro/internal/noise"
@@ -193,7 +194,7 @@ func TestCampaignSynthCacheHitRate(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
 	cfg.Duration = 1.0 / 16
-	_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: cfg, Repeats: 1, Seed: 3}, CampaignOptions{
+	_, err := runSpec(CampaignSpec{Machine: mc.Name, Config: cfg, Repeats: 1, Seed: 3}, engine.Options{
 		Parallelism: 1, // deterministic access order: exactly one env miss per row
 	})
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 var (
 	// ErrBadDistance reports a non-positive antenna distance.
 	ErrBadDistance = errors.New("savat: distance must be positive")
-	// ErrBadFrequency reports a non-positive alternation frequency.
-	ErrBadFrequency = errors.New("savat: frequency must be positive")
+	// ErrBadFrequency reports an alternation frequency that is not
+	// positive, or too high for the machine's clock to alternate at.
+	ErrBadFrequency = errors.New("savat: frequency out of range")
 	// ErrBadRepeats reports a repetition count below one.
 	ErrBadRepeats = errors.New("savat: repeats must be at least 1")
 	// ErrUnknownMachine reports a CampaignSpec machine name that is not a

@@ -114,7 +114,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +275,10 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Bad submissions: invalid JSON, missing spec, unknown field in the
-	// spec, invalid spec values, and repeats beyond savat.MaxRepeats —
-	// refused before the engine would size its value grid from them.
+	// spec, invalid spec values, a frequency the machine's clock cannot
+	// alternate at (30 MHz leaves the 2 GHz Core 2 Duo under 100 cycles
+	// per period), and repeats beyond savat.MaxRepeats — refused before
+	// the engine would size its value grid from them.
 	overBound := submitBody(t, smokeSpec(), "").String()
 	if !strings.Contains(overBound, `"repeats":2,`) {
 		t.Fatalf("submit body lacks the repeats field: %s", overBound)
@@ -287,6 +289,9 @@ func TestHTTPErrors(t *testing.T) {
 		"unknown-field": `{"spec": {"machine": "Core2Duo", "sede": 1}}`,
 		"bad-machine":   `{"spec": {"machine": "Cray1"}}`,
 	}
+	unreachable := smokeSpec()
+	unreachable.Config.Frequency, unreachable.Config.SampleRate, unreachable.Config.Duration = 30e6, 1<<26, 0.01
+	bad["unreachable-frequency"] = submitBody(t, unreachable, "").String()
 	for _, n := range []string{fmt.Sprint(savat.MaxRepeats + 1), "100000000000", "9223372036854775807"} {
 		bad["repeats-"+n] = strings.Replace(overBound, `"repeats":2,`, `"repeats":`+n+`,`, 1)
 	}
@@ -305,6 +310,9 @@ func TestHTTPErrors(t *testing.T) {
 		}
 		if strings.HasPrefix(name, "repeats-") && !strings.Contains(e.Error, savat.ErrTooLarge.Error()) {
 			t.Errorf("%s: error %q does not name the bound", name, e.Error)
+		}
+		if name == "unreachable-frequency" && !strings.Contains(e.Error, savat.ErrBadFrequency.Error()) {
+			t.Errorf("%s: error %q does not name ErrBadFrequency", name, e.Error)
 		}
 	}
 	if n := len(s.List()); n != 1 {

@@ -109,7 +109,7 @@ func (s *Server) runJob(ctx context.Context, j *job, monitor chan<- engine.Progr
 	defer s.wg.Done()
 	defer j.cancel()
 
-	res, err := savat.RunSpecContext(ctx, j.spec, savat.CampaignOptions{
+	res, err := savat.RunSpecContext(ctx, j.spec, engine.Options{
 		Parallelism: s.opts.Parallelism,
 		Cache:       s.cache,
 		Monitor:     monitor,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/savat"
 	"repro/internal/store"
 )
@@ -92,7 +93,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func testCancelAndResume(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpecContext(context.Background(), spec, savat.CampaignOptions{})
+	direct, err := savat.RunSpecContext(context.Background(), spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
