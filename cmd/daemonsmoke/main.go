@@ -10,13 +10,20 @@
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
 //     direct in-process savat.RunSpecContext of the same spec,
-//  5. SIGKILL the daemon mid-campaign, as soon as its store reports
+//  5. submit the first spec again at another distance: every cell
+//     computes (the distance is in each cell key), but no synthesis
+//     product does (no product key holds a distance, and the daemon's
+//     products are shared process-wide), so savat.synthcache.misses on
+//     /metrics stays put, and the matrix is bit-identical to one
+//     measured pair by pair through savat.Measurer.MeasurePair, which
+//     computes every product itself,
+//  6. SIGKILL the daemon mid-campaign, as soon as its store reports
 //     cells durable, restart it on the same state directory, and watch
 //     the resubmitted campaign resume from the durable cell store (a
 //     SIGKILL skips every shutdown path, so each resumed cell must have
 //     come through the store's write-behind flusher) and compute the
 //     rest, finishing bit-identical to a direct run,
-//  6. run a power-channel campaign through the same cancel/resume
+//  7. run a power-channel campaign through the same cancel/resume
 //     cycle: the channel dimension must reach the daemon's fingerprint
 //     and cell keys intact, and the resumed matrix must be
 //     bit-identical to a direct in-process run of the same spec.
@@ -43,6 +50,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/savat"
 	"repro/internal/service"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -163,7 +171,63 @@ func run() error {
 	}
 	fmt.Println("daemon-smoke: matrix bit-identical to direct run")
 
-	// Phase 5: SIGKILL mid-campaign. A fresh spec (different seed) avoids
+	// Phase 5: the first spec again at another distance, as the paper
+	// measures one pair set at three distances.
+	far := spec
+	far.Config.Distance = 0.5
+	misses, err := counterValue(base, "savat.synthcache.misses")
+	if err != nil {
+		return err
+	}
+	fj, err := submit(base, far)
+	if err != nil {
+		return err
+	}
+	if final, err = awaitTerminal(base, fj.ID); err != nil {
+		return err
+	}
+	if final.State != service.StateDone {
+		return fmt.Errorf("job %s at %g m: state %s, error %q", fj.ID, far.Config.Distance, final.State, final.Error)
+	}
+	if final.Stats.Computed != total {
+		return fmt.Errorf("job %s at %g m computed %d of %d cells; the distance is in every cell key",
+			fj.ID, far.Config.Distance, final.Stats.Computed, total)
+	}
+	after, err := counterValue(base, "savat.synthcache.misses")
+	if err != nil {
+		return err
+	}
+	if after != misses {
+		return fmt.Errorf("job %s at %g m computed %d synthesis products; the first campaign's products should serve it",
+			fj.ID, far.Config.Distance, after-misses)
+	}
+	fmt.Printf("daemon-smoke: %s at %g m computed %d cells and no synthesis product\n", fj.ID, far.Config.Distance, total)
+	var servedFar savat.MatrixStats
+	if err := getJSON(base+"/v1/campaigns/"+fj.ID+"/result", &servedFar); err != nil {
+		return err
+	}
+	mc, err := far.MachineConfig()
+	if err != nil {
+		return err
+	}
+	events := far.GridEvents()
+	pairwise := make([][]stats.Summary, len(events))
+	for i, ea := range events {
+		pairwise[i] = make([]stats.Summary, len(events))
+		for j, eb := range events {
+			if _, pairwise[i][j], err = savat.NewMeasurer(mc, far.Config).MeasurePair(ea, eb, far.Repeats, far.Seed); err != nil {
+				return err
+			}
+		}
+	}
+	a, _ = json.Marshal(servedFar.Cells)
+	b, _ = json.Marshal(pairwise)
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("result at %g m diverges from pairwise measurement:\n%s\nvs\n%s", far.Config.Distance, a, b)
+	}
+	fmt.Println("daemon-smoke: matrix at another distance bit-identical to pairwise measurement")
+
+	// Phase 6: SIGKILL mid-campaign. A fresh spec (different seed) avoids
 	// the cells already persisted above, and the restarted daemon starts
 	// with an empty memory cache, so it can only resume from cells the
 	// durable store flushed before the kill. Four-second captures take
@@ -172,7 +236,7 @@ func run() error {
 	spec2 := smokeSpec()
 	spec2.Seed = 23
 	spec2.Config.Duration = 4
-	flushed, err := flushedRecords(base)
+	flushed, err := counterValue(base, "store.flush.records")
 	if err != nil {
 		return err
 	}
@@ -189,7 +253,7 @@ func run() error {
 			return fmt.Errorf("kill-phase job %s: %d cells durable after 1m, want 3", killed.ID, n-flushed)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if n, err = flushedRecords(base); err != nil {
+		if n, err = counterValue(base, "store.flush.records"); err != nil {
 			return err
 		}
 	}
@@ -241,7 +305,7 @@ func run() error {
 	}
 	fmt.Println("daemon-smoke: post-kill matrix bit-identical to direct run")
 
-	// Phase 6: a conducted-channel campaign through the cancel/resume
+	// Phase 7: a conducted-channel campaign through the cancel/resume
 	// cycle. The channel dimension is part of the spec's fingerprint and
 	// cell keys, so the resumed run may only be served cells the power
 	// campaign itself finished — never the EM cells persisted above.
@@ -440,15 +504,16 @@ func awaitTerminal(base, id string) (service.Job, error) {
 	}
 }
 
-// flushedRecords reads savatd's store.flush.records counter: the cell
-// records its store has written and fsynced since the daemon started.
-func flushedRecords(base string) (uint64, error) {
+// counterValue reads one of savatd's counters from /metrics, such as
+// store.flush.records (the cell records its store has written and
+// fsynced since the daemon started); 0 when it has none of that name.
+func counterValue(base, name string) (uint64, error) {
 	var snap obs.Snapshot
 	if err := getJSON(base+"/metrics", &snap); err != nil {
 		return 0, err
 	}
 	for _, c := range snap.Counters {
-		if c.Name == "store.flush.records" {
+		if c.Name == name {
 			return c.Value, nil
 		}
 	}

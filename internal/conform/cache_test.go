@@ -1,12 +1,6 @@
 package conform
 
-import (
-	"sync"
-	"testing"
-
-	"repro/internal/machine"
-	"repro/internal/savat"
-)
+import "testing"
 
 // TestCacheDifferentialSweep sweeps randomized measurement specs
 // through warm-cache row-mate cells and requires bit-exact agreement
@@ -27,67 +21,4 @@ func TestCacheDifferentialSweep(t *testing.T) {
 		t.Error(c.String())
 	}
 	t.Logf("%d specs, %d bit-exactness checks", n, len(rep.Checks))
-}
-
-// TestSynthCacheConcurrentRowMates hammers one shared SynthCache with
-// concurrent row-mate measurements — every goroutine wants the same
-// envelope and noise products at the same instant, so the in-flight
-// exactly-once protocol is on the hot path from the first call. Run
-// under -race (CI does) this is the data-race check on the cache;
-// either way every concurrent result must be bit-identical to the
-// cold-cache value.
-func TestSynthCacheConcurrentRowMates(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	cfg.Duration = 1.0 / 16
-	row := savat.ADD
-	cols := []savat.Event{savat.LDM, savat.STM, savat.MUL, savat.DIV, savat.NOI, savat.LDL2}
-	seeds := savat.CampaignSeeds(42, row, 0)
-
-	want := make([]float64, len(cols))
-	for i, c := range cols {
-		k, err := savat.BuildKernel(mc, row, c, cfg.Frequency)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := savat.NewMeasurer(mc, cfg).MeasureKernelSeeds(k, seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = m.SAVAT
-	}
-
-	const lapsPerCol = 3
-	cache := savat.NewSynthCache(8)
-	got := make([]float64, len(cols)*lapsPerCol)
-	errs := make([]error, len(got))
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := cols[g%len(cols)]
-			k, err := savat.BuildKernel(mc, row, c, cfg.Frequency)
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			m, err := savat.NewMeasurer(mc, cfg, savat.WithSynthCache(cache)).MeasureKernelSeeds(k, seeds)
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			got[g] = m.SAVAT
-		}(g)
-	}
-	wg.Wait()
-	for g := range got {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
-		}
-		if want[g%len(cols)] != got[g] {
-			t.Errorf("goroutine %d (%v/%v): contended %g != cold %g (must be bit-identical)",
-				g, row, cols[g%len(cols)], got[g], want[g%len(cols)])
-		}
-	}
 }

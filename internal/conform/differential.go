@@ -180,12 +180,13 @@ func RunDifferentialKernels(specs []DiffSpec, relTol float64) (*Report, error) {
 // bit-identical to the computations they replace. For every spec it
 // measures the campaign cell (A, C, rep 0) — C a deterministic second
 // column event, so (A, B) and (A, C) are row-mates sharing A's envelope
-// realization under CampaignSeeds — twice: cold, on a fresh Measurer
-// with a fresh cache, and warm, on a Measurer sharing a cache that a
-// prior (A, B) measurement already populated. The warm run serves both
-// the envelope products and the noise PSD from the cache, and the
-// report demands zero-ULP agreement on the SAVAT value, the band power,
-// and every bin of the analyzed band.
+// realization under CampaignSeeds — twice: cold, on a fresh Measurer,
+// and warm, through a scratch whose product slots a prior (A, B)
+// measurement already filled. The warm run serves both the envelope
+// products and the noise PSD from the slots, and the report demands
+// zero-ULP agreement on the SAVAT value, the band power, and every bin
+// of the analyzed band. (The campaigns' process-wide product layer is
+// held to the same bins by savat's own tests.)
 func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 	r := &Report{}
 	events := savat.ExtendedEvents()
@@ -209,12 +210,12 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 		cb := cold.Trace.Band()
 		coldOffset, coldPSD := cb.Offset, append([]float64(nil), cb.PSD...)
 
-		cache := savat.NewSynthCache(8)
-		if _, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
+		scratch := savat.NewMeasureScratch()
+		if _, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(scratch)).
 			MeasureKernelSeeds(kAB, seeds); err != nil {
 			return nil, fmt.Errorf("conform: %s: cache-priming cell: %w", s.Name, err)
 		}
-		warm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
+		warm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(scratch)).
 			MeasureKernelSeeds(kAC, seeds)
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: warm cell: %w", s.Name, err)

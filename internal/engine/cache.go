@@ -80,7 +80,7 @@ func newCache(capacity int, st *store.Store) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{lru: memo.New[string, float64](capacity, mEvictions.Inc), st: st}
+	return &Cache{lru: memo.New[string, float64](capacity, nil, mEvictions.Inc), st: st}
 }
 
 // source says how a cell lookup was satisfied.

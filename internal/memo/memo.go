@@ -41,7 +41,8 @@ const (
 // for concurrent use; create one with New.
 type LRU[K comparable, V any] struct {
 	mu         sync.Mutex
-	cap        int
+	cap, used  int // bound on, and sum of, the resident entries' sizes
+	size       func(V) int
 	onEvict    func()
 	entries    map[K]*entry[K, V]
 	head, tail *entry[K, V] // doubly linked; head = most recent
@@ -51,6 +52,7 @@ type LRU[K comparable, V any] struct {
 type entry[K comparable, V any] struct {
 	key        K
 	val        V
+	size       int
 	prev, next *entry[K, V]
 }
 
@@ -62,12 +64,16 @@ type call[V any] struct {
 	err  error
 }
 
-// New returns an empty LRU holding at most capacity (≥ 1) entries.
-// onEvict, when non-nil, runs under the cache lock once per evicted
-// entry.
-func New[K comparable, V any](capacity int, onEvict func()) *LRU[K, V] {
+// New returns an empty LRU whose resident entries' sizes sum to at
+// most capacity (≥ 1). size, when non-nil, gives a value's size, run
+// under the cache lock; nil sizes every entry 1, so capacity is an
+// entry count. A value larger than capacity is handed to its caller
+// and waiters but never kept. onEvict, when non-nil, runs under the
+// cache lock once per evicted entry.
+func New[K comparable, V any](capacity int, size func(V) int, onEvict func()) *LRU[K, V] {
 	return &LRU[K, V]{
 		cap:     capacity,
+		size:    size,
 		onEvict: onEvict,
 		entries: make(map[K]*entry[K, V]),
 		calls:   make(map[K]*call[V]),
@@ -127,17 +133,27 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// insert adds key as the most recent entry, evicting the least recent
-// past capacity. Only a leader inserts, so key is not resident.
-// Callers hold c.mu.
+// insert adds key as the most recent entry, evicting least recent
+// entries until the sizes fit capacity; a value larger than capacity is
+// not kept. Only a leader inserts, so key is not resident. Callers hold
+// c.mu.
 func (c *LRU[K, V]) insert(key K, v V) {
-	e := &entry[K, V]{key: key, val: v}
+	size := 1
+	if c.size != nil {
+		size = c.size(v)
+	}
+	if size > c.cap {
+		return
+	}
+	e := &entry[K, V]{key: key, val: v, size: size}
 	c.entries[key] = e
 	c.moveToFront(e)
-	if len(c.entries) > c.cap {
+	c.used += size
+	for c.used > c.cap {
 		ev := c.tail
 		c.unlink(ev)
 		delete(c.entries, ev.key)
+		c.used -= ev.size
 		if c.onEvict != nil {
 			c.onEvict()
 		}

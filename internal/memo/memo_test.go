@@ -15,7 +15,7 @@ import (
 func TestLRUBound(t *testing.T) {
 	const capacity = 4
 	evictions := 0
-	c := New[int, int](capacity, func() { evictions++ })
+	c := New[int, int](capacity, nil, func() { evictions++ })
 	computes := 0
 	get := func(k int) int {
 		t.Helper()
@@ -49,6 +49,76 @@ func TestLRUBound(t *testing.T) {
 	get(1) // evicted long ago: recomputed
 	if computes != before+1 {
 		t.Errorf("computations %d → %d, want exactly one recompute", before, computes)
+	}
+}
+
+// A sized LRU bounds the sum of its entries' sizes, not their count:
+// under a stream of inserts many times over the budget, the resident
+// size never passes it, equals the sum over the resident entries, and
+// the least recent entries leave first.
+func TestLRUSizedBound(t *testing.T) {
+	const budget = 100
+	evictions := 0
+	c := New[int, int](budget, func(v int) int { return v }, func() { evictions++ })
+	inserted := 0
+	for k := 0; k < 200; k++ {
+		size := 1 + (k*37)%40 // 1..40: several entries fit, never all
+		if _, _, err := c.Get(context.Background(), k, func() (int, error) { return size, nil }); err != nil {
+			t.Fatal(err)
+		}
+		inserted += size
+		c.mu.Lock()
+		sum, prev := 0, k+1
+		for e := c.head; e != nil; e = e.next {
+			sum += e.size
+			if e.key >= prev {
+				t.Fatalf("after key %d: key %d is more recent than key %d", k, prev, e.key)
+			}
+			prev = e.key
+		}
+		used := c.used
+		c.mu.Unlock()
+		if used > budget || used != sum {
+			t.Fatalf("after key %d: resident size %d (entries sum to %d), budget %d", k, used, sum, budget)
+		}
+	}
+	if inserted < 10*budget || evictions == 0 {
+		t.Fatalf("stream of %d inserted units caused %d evictions; want one far over the %d budget", inserted, evictions, budget)
+	}
+}
+
+// A value larger than the whole budget reaches its leader and every
+// waiter but is never kept, and it evicts nothing: the resident entries
+// stay, and the next request for it computes again.
+func TestLRUOversizedNotKept(t *testing.T) {
+	const budget = 10
+	c := New[string, int](budget, func(v int) int { return v }, nil)
+	if _, _, err := c.Get(context.Background(), "small", func() (int, error) { return 4, nil }); err != nil {
+		t.Fatal(err)
+	}
+	release, leader := leadBlocked(c, "big")
+	ctx := newWaitingCtx()
+	waiter := make(chan int, 1)
+	go func() {
+		v, _, _ := c.Get(ctx, "big", func() (int, error) { return 0, errors.New("waiter computed") })
+		waiter <- v
+	}()
+	<-ctx.waiting
+	release(budget+1, nil)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if v := <-waiter; v != budget+1 {
+		t.Errorf("waiter got %d, want the leader's %d", v, budget+1)
+	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("Len = %d after an oversized value, want 1 (the small entry only)", n)
+	}
+	if _, how, _ := c.Get(context.Background(), "small", func() (int, error) { return 4, nil }); how != Hit {
+		t.Errorf("resident entry evicted by an oversized value: outcome %v", how)
+	}
+	if _, how, _ := c.Get(context.Background(), "big", func() (int, error) { return budget + 1, nil }); how != Computed {
+		t.Errorf("oversized value was kept: outcome %v, want Computed", how)
 	}
 }
 
@@ -93,7 +163,7 @@ func (c *waitingCtx) Done() <-chan struct{} {
 // its own context is cancelled; waiters with a live context still get
 // the leader's value, and nobody computes twice.
 func TestLRUWaiterHonorsContext(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := New[string, int](8, nil, nil)
 	release, leader := leadBlocked(c, "k")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +198,7 @@ func TestLRUWaiterHonorsContext(t *testing.T) {
 // Errors reach the callers but are never stored: the next request
 // computes again.
 func TestLRUErrorsNotCached(t *testing.T) {
-	c := New[int, int](8, nil)
+	c := New[int, int](8, nil, nil)
 	boom := errors.New("boom")
 	if _, how, err := c.Get(context.Background(), 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) || how != Computed {
 		t.Fatalf("failing compute: outcome=%v err=%v", how, err)
@@ -147,7 +217,7 @@ func TestLRUErrorsNotCached(t *testing.T) {
 // shared with the waiter, which does not compute again.
 func TestLRUErrorRule(t *testing.T) {
 	t.Run("context error re-leads", func(t *testing.T) {
-		c := New[string, int](8, nil)
+		c := New[string, int](8, nil, nil)
 		release, leader := leadBlocked(c, "k")
 		ctx := newWaitingCtx()
 		var computes int64
@@ -177,7 +247,7 @@ func TestLRUErrorRule(t *testing.T) {
 		}
 	})
 	t.Run("other error shared", func(t *testing.T) {
-		c := New[string, int](8, nil)
+		c := New[string, int](8, nil, nil)
 		release, leader := leadBlocked(c, "k")
 		ctx := newWaitingCtx()
 		var computes int64

@@ -56,12 +56,6 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, opts
 	events := spec.GridEvents()
 	n := len(events)
 
-	// The campaign's shared synthesis-product cache. The engine
-	// enumerates repetitions innermost, so the live working set is one
-	// envelope-product entry plus one noise entry per repetition; the
-	// capacity covers it with headroom for scheduling skew.
-	cache := NewSynthCache(2*spec.Repeats + 2)
-
 	// The worker scratches go back to the free list only after
 	// engine.Run has returned — after every worker has stopped — so no
 	// scratch is ever held by two campaigns, or two workers, at once.
@@ -74,17 +68,20 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, opts
 		},
 		// Each engine worker owns one Measurer (and through it one
 		// MeasureScratch), so steady-state cells reuse sample buffers and
-		// FFT plans without locking, while all workers share the campaign
-		// synthesis-product cache — a matrix row's envelope products and a
-		// repetition's noise PSD are computed once and reused by every row-
-		// and repetition-mate — and the process-wide simulation cache of
-		// kernels and alternations. No cache ever influences values:
+		// FFT plans without locking, while all workers share the process-
+		// wide synthesis-product layer — a matrix row's envelope products
+		// and a repetition's noise PSD are computed once and reused by every
+		// row- and repetition-mate, and by later campaigns at other
+		// distances — and the process-wide simulation cache of kernels and
+		// alternations. No cache ever influences values:
 		// cells remain exactly equal to Measurer.MeasurePair for the same
 		// seed. The scratches come from the process-wide free list, so a
 		// warm process starts each campaign with its working set already
 		// allocated and steady-state cells perform zero heap allocations.
 		NewWorkerState: func() any {
-			return NewMeasurer(mc, cfg, WithScratch(lease.take()), WithSynthCache(cache))
+			m := NewMeasurer(mc, cfg, WithScratch(lease.take()))
+			m.synths = synths
+			return m
 		},
 		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
 			// The chain's program countermeasures rewrite the pair's kernel

@@ -43,7 +43,12 @@ func TestRunSpecCancelAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the campaign after the first finished cell.
+	// Kill the campaign after the first finished cell. The reference
+	// run left the spec's products in the process-wide layer, where they
+	// would make every cell render-only and let the campaign finish
+	// before the cancel lands; an empty layer makes the killed run
+	// compute them, as a cold process does.
+	withFreshSynths(t, synthBudget)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := make(chan engine.ProgressEvent, 16)

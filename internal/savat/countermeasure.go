@@ -64,12 +64,17 @@ type CountermeasureReport struct {
 
 // RunCountermeasureReport measures the matched campaign pair for spec
 // (which must carry a non-empty countermeasure chain) and scores the
-// chain. opts supplies how the campaigns run; its Monitor is ignored —
-// the report runs two campaigns, and the per-cell monitor contract
-// binds to exactly one. The Cache is shared by both runs; their cell
-// keys differ in the countermeasure dimension, so the runs never
+// chain. opts supplies how the campaigns run. Its Monitor receives no
+// event — the report runs two campaigns, and the per-cell monitor
+// contract binds to exactly one — and is closed on every return, as
+// RunSpecContext closes it. The Cache is shared by both runs; their
+// cell keys differ in the countermeasure dimension, so the runs never
 // collide.
 func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, opts engine.Options) (*CountermeasureReport, error) {
+	if opts.Monitor != nil {
+		defer close(opts.Monitor)
+		opts.Monitor = nil
+	}
 	spec = spec.Normalized()
 	mc, err := spec.validated()
 	if err != nil {
@@ -78,7 +83,6 @@ func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, opts engine
 	if len(spec.Config.Countermeasures) == 0 {
 		return nil, fmt.Errorf("%w: report needs a non-empty countermeasure chain", ErrBadCountermeasure)
 	}
-	opts.Monitor = nil
 
 	// Dropping the chain keeps a valid spec valid, so both runs share
 	// the one validation above.

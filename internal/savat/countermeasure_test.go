@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/counter"
 	"repro/internal/engine"
@@ -71,6 +72,45 @@ func TestRunCountermeasureReport(t *testing.T) {
 	// A chain-less spec has no matched pair to compare.
 	if _, err := RunCountermeasureReport(context.Background(), base, engine.Options{}); !errors.Is(err, ErrBadCountermeasure) {
 		t.Errorf("chain-less report: got %v, want ErrBadCountermeasure", err)
+	}
+}
+
+// A report's Monitor gets no per-cell event but is closed on every
+// return, so a caller ranging over it ends — after a finished report
+// and after a rejected one alike.
+func TestRunCountermeasureReportClosesMonitor(t *testing.T) {
+	spec := reportSpec()
+	spec.Events = []Event{LDM, NOI}
+	chainless := spec
+	chainless.Config.Countermeasures = nil
+	for _, tc := range []struct {
+		name    string
+		spec    CampaignSpec
+		wantErr bool
+	}{{"report", spec, false}, {"chain-less", chainless, true}} {
+		// Buffered so that a report that did forward cell events could
+		// not block on it, and the test counts them instead.
+		mon := make(chan engine.ProgressEvent, 64)
+		_, err := RunCountermeasureReport(context.Background(), tc.spec, engine.Options{Monitor: mon})
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		ended := make(chan int)
+		go func() {
+			n := 0
+			for range mon {
+				n++
+			}
+			ended <- n
+		}()
+		select {
+		case n := <-ended:
+			if n != 0 {
+				t.Errorf("%s: Monitor carried %d events, want none", tc.name, n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: ranging over the Monitor did not end: it was never closed", tc.name)
+		}
 	}
 }
 

@@ -237,10 +237,6 @@ func (m Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 // the readable specification of the pipeline as well as the ablations'
 // entry point.
 func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds) (Measurement, error) {
-	if err := cfg.Validate(); err != nil {
-		return Measurement{}, err
-	}
-
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
 	altSp := mAlternation.Start()
 	alt, err := k.Alternation(mc, cfg.WarmupPeriods, cfg.MeasurePeriods)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/counter"
 	"repro/internal/emsim"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/stats"
 )
 
@@ -23,13 +24,13 @@ import (
 //
 // Options:
 //
-//	WithScratch(s)     reuse the caller's MeasureScratch across Measurers
-//	WithReference()    direct-rendering reference pipeline
-//	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
+//	WithScratch(s)   reuse the caller's MeasureScratch across Measurers
+//	WithReference()  direct-rendering reference pipeline
 //
-// Without WithSynthCache, the scratch keeps the last envelope and noise
-// products, so a repeated seed skips synthesis and a new one
-// recomputes them in place.
+// The scratch keeps the last envelope and noise products, so a repeated
+// seed skips synthesis and a new one recomputes them in place. Campaign
+// workers instead share every product through the process-wide layer
+// (synths), which only the campaign runner selects.
 //
 // Measurements are returned by value, so their scalars outlive later
 // calls. A Measurer reuses one scratch across its measurements, though,
@@ -42,7 +43,9 @@ type Measurer struct {
 	cfg       Config
 	reference bool // WithReference: the oracle instead of the fast path
 	scratch   *MeasureScratch
-	cache     *SynthCache
+	// synths, set only by runCampaign, is the product layer its workers
+	// share; nil reads products through the scratch's slots.
+	synths *memo.LRU[productKey, synthProduct]
 
 	// Effective measurement setup, resolved lazily on first measurement
 	// (NewMeasurer deliberately cannot fail): the configured channel's
@@ -87,18 +90,6 @@ func WithReference() MeasureOption {
 	return func(m *Measurer) { m.reference = true }
 }
 
-// WithSynthCache makes the Measurer read envelope and noise spectral
-// products through c — a concurrency-safe cache from NewSynthCache,
-// typically shared by many Measurers — instead of the scratch's
-// one-entry product slots. Campaign workers share one cache this way
-// so an entire matrix row reuses its row event's envelope products
-// (see CampaignSeeds). A nil cache is equivalent to omitting the option.
-// The cache never influences values: hits are bit-identical to the
-// computation they replace.
-func WithSynthCache(c *SynthCache) MeasureOption {
-	return func(m *Measurer) { m.cache = c }
-}
-
 // NewMeasurer binds a machine and measurement configuration and
 // applies the options. Configuration problems surface on the first
 // measurement (wrapped sentinel errors — see Config.Validate), not here.
@@ -117,21 +108,20 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 // source-table rewrite and distance law, then the countermeasure
 // chain's model-side effects (supply filters on the conducted
 // couplings, noise generators on the environment, run-time timing
-// randomness on the jitter). Configuration problems surface here as
-// the same wrapped sentinels Config.Validate reports; the machine is
-// validated here too, once, because the shared simulation cache keys
-// on its simulation inputs only.
+// randomness on the jitter). It is the Measurer's one validation: the
+// machine — once, because the shared simulation cache keys on its
+// simulation inputs only — then the configuration as given, which
+// vouches for the channel and chain the derivation reads, then the
+// effective configuration every measurement runs; problems surface as
+// Config.Validate's wrapped sentinels.
 func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) {
 	if !m.resolved {
 		m.resolved = true
-		ch, chErr := machine.ChannelByName(m.cfg.Channel)
-		if err := m.mc.Validate(); err != nil {
-			m.effErr = err
-		} else if chErr != nil {
-			m.effErr = fmt.Errorf("%w: %q (have %v)", ErrUnknownChannel, m.cfg.Channel, machine.ChannelNames())
-		} else if err := m.cfg.Countermeasures.Validate(); err != nil {
-			m.effErr = fmt.Errorf("%w: %v", ErrBadCountermeasure, err)
-		} else {
+		if m.effErr = m.mc.Validate(); m.effErr == nil {
+			m.effErr = m.cfg.Validate()
+		}
+		if m.effErr == nil {
+			ch, _ := machine.ChannelByName(m.cfg.Channel) // validated above
 			chain := m.cfg.Countermeasures
 			m.effMC = ch.Apply(m.mc)
 			m.effMC.Sources = counter.ApplySources(m.effMC.Sources, chain, m.cfg.Frequency)
@@ -142,6 +132,7 @@ func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) 
 			if chain.HasProgram() {
 				m.chainKey = chain.String()
 			}
+			m.effErr = m.effCfg.Validate()
 		}
 	}
 	return m.effMC, m.effCfg, m.effLaw, m.effErr
@@ -234,7 +225,7 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // MeasureKernelSeeds measures a prebuilt kernel from explicit per-stage
 // seeds — the campaign entry point, where CampaignSeeds' scoping makes
 // row-mates share envelope products and repetition-mates share noise
-// products through the synthesis cache. The selected pipeline
+// products through the product layer. The selected pipeline
 // implementation runs inside the savat.measure span.
 func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
 	return m.measureKernelSeeds(context.Background(), k, seeds)
@@ -254,7 +245,7 @@ func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds Synt
 		return measureKernelReference(mc, k, cfg, law, seeds)
 	}
 	envKey, noiseKey := m.productKeys(seeds)
-	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.cache)
+	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.synths)
 }
 
 // MeasurePair measures one event pair `repeats` times with the

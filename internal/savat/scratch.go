@@ -7,6 +7,7 @@ import (
 	"repro/internal/activity"
 	"repro/internal/emsim"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/specan"
 )
@@ -33,8 +34,8 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 // path: the streaming envelope and noise sources, the spectrum
 // analyzer's working set, the radiator value, the per-stage rngs, and
 // the last envelope and noise products (see productSlot), which a
-// measurement without a shared SynthCache reuses when its seed repeats
-// and recomputes in place otherwise. Every buffer grows on demand and
+// measurement outside a campaign reuses when its seed repeats and
+// recomputes in place otherwise. Every buffer grows on demand and
 // is reused by capacity, so a warmed scratch measures without
 // allocating unless a measurement outgrows the buffers it already
 // holds. Cycle-accurate
@@ -43,11 +44,11 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 // shares.
 //
 // A MeasureScratch is NOT safe for concurrent use; the campaign engine
-// gives each worker its own, and the workers share one
-// concurrency-safe SynthCache instead of the scratch slots. Campaigns
-// take their workers' scratches from a process-wide free list (see
-// workerScratches), so a warm process starts each campaign with its
-// working set already allocated.
+// gives each worker its own, and the workers read their products
+// through the process-wide layer (synths) instead of the scratch slots.
+// Campaigns take their workers' scratches from a process-wide free list
+// (see workerScratches), so a warm process starts each campaign with
+// its working set already allocated.
 type MeasureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
@@ -60,8 +61,8 @@ type MeasureScratch struct {
 	envStream   emsim.EnvelopeStream
 	noiseStream noise.Stream
 
-	// The last products computed through this scratch without a shared
-	// cache, keyed by recipe.
+	// The last products computed through this scratch outside a
+	// campaign, keyed by recipe.
 	envSlot, noiseSlot productSlot
 
 	analyzer    *specan.Analyzer
@@ -94,7 +95,7 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Me
 }
 
 // measureKernelStream is the measurement fast path: the envelope and
-// noise spectral products are read through cache — or, when it is nil,
+// noise spectral products are read through layer — or, when it is nil,
 // the scratch's product slots — computed, on a miss, by the O(segment)
 // streaming renderers (emsim.EnvelopeStream + noise.Stream feeding
 // specan's product walks); skipped entirely on a hit — and the cell's
@@ -105,16 +106,9 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Me
 //
 // The returned Measurement's Trace aliases the scratch and is valid
 // until the scratch's next measurement; callers that keep traces must
-// use distinct scratches. A nil scratch is allowed; a fresh one is
-// used.
-func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, cache *SynthCache) (Measurement, error) {
-	if s == nil {
-		s = NewMeasureScratch()
-	}
-	if err := cfg.Validate(); err != nil {
-		return Measurement{}, err
-	}
-
+// use distinct scratches. cfg was validated when the Measurer resolved
+// it.
+func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, layer *memo.LRU[productKey, synthProduct]) (Measurement, error) {
 	// 1. Cycle-accurate steady-state activity of the alternation loop,
 	// shared process-wide (ctx bounds only the wait for another
 	// caller's simulation of it).
@@ -188,7 +182,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	// frequency-domain combination in Render computes.
 	var envP synthProduct
 	if len(s.coeffs) > 0 {
-		envP, err = product(ctx, cache, &s.envSlot, envKey, func(dst synthProduct) (synthProduct, error) {
+		envP, err = product(ctx, layer, &s.envSlot, envKey, func(dst synthProduct) (synthProduct, error) {
 			sp := mSynthesize.Start()
 			defer sp.End()
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
@@ -201,7 +195,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 			return Measurement{}, err
 		}
 	}
-	noiseP, err := product(ctx, cache, &s.noiseSlot, noiseKey, func(dst synthProduct) (synthProduct, error) {
+	noiseP, err := product(ctx, layer, &s.noiseSlot, noiseKey, func(dst synthProduct) (synthProduct, error) {
 		sp := mSynthesize.Start()
 		defer sp.End()
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {
@@ -219,15 +213,4 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 		return Measurement{}, err
 	}
 	return finish(k, alt, cfg, tr)
-}
-
-// product returns the product for key from the shared cache when there
-// is one, and otherwise from slot, which compute refills in place on a
-// miss. compute receives the buffers it may overwrite: the slot's, or
-// none for the cache, whose published products must never be reused.
-func product(ctx context.Context, cache *SynthCache, slot *productSlot, key productKey, compute func(dst synthProduct) (synthProduct, error)) (synthProduct, error) {
-	if cache != nil {
-		return cache.get(ctx, key, func() (synthProduct, error) { return compute(synthProduct{}) })
-	}
-	return slot.get(key, compute)
 }

@@ -87,13 +87,16 @@ func TestMeasurerArenaMatchesHeap(t *testing.T) {
 	}
 }
 
-// Concurrent row-mates with per-goroutine scratches sharing one
-// SynthCache: the campaign worker topology. A scratch is single-owner
-// state, but its buffers feed computations whose PUBLISHED products
-// land in the shared cache — under -race (CI runs it) this asserts no
-// scratch buffer leaks into cross-worker state, and every contended
-// result must still be bit-identical to a cold run. (Named when each
-// worker's buffers came from its own arena.)
+// Concurrent row-mates with per-goroutine scratches reading through the
+// process-wide product layer: the campaign worker topology. Every
+// goroutine wants the same envelope and noise products at the same
+// instant, so the exactly-once protocol is on the hot path from the
+// first call. A scratch is single-owner state, but its buffers feed
+// computations whose PUBLISHED products land in the shared layer —
+// under -race (CI runs it) this asserts no scratch buffer leaks into
+// cross-worker state, and every contended result must still be
+// bit-identical to a cold run. (Named when each worker's buffers came
+// from its own arena.)
 func TestArenaWorkersConcurrentRowMates(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
@@ -116,7 +119,7 @@ func TestArenaWorkersConcurrentRowMates(t *testing.T) {
 	}
 
 	const lapsPerCol = 3
-	cache := NewSynthCache(8)
+	withFreshSynths(t, synthBudget)
 	got := make([]float64, len(cols)*lapsPerCol)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
@@ -130,8 +133,9 @@ func TestArenaWorkersConcurrentRowMates(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			m, err := NewMeasurer(mc, cfg, WithSynthCache(cache), WithScratch(NewMeasureScratch())).
-				MeasureKernelSeeds(k, seeds)
+			worker := NewMeasurer(mc, cfg, WithScratch(NewMeasureScratch()))
+			worker.synths = synths
+			m, err := worker.MeasureKernelSeeds(k, seeds)
 			if err != nil {
 				errs[g] = err
 				return

@@ -109,8 +109,8 @@ type simCache struct {
 
 func newSimCache(capacity int) *simCache {
 	return &simCache{
-		kernels: memo.New[kernelRecipe, *Kernel](capacity, nil),
-		alts:    memo.New[altRecipe, *AlternationResult](capacity, nil),
+		kernels: memo.New[kernelRecipe, *Kernel](capacity, nil, nil),
+		alts:    memo.New[altRecipe, *AlternationResult](capacity, nil, nil),
 	}
 }
 

@@ -16,23 +16,29 @@ var (
 	mSynthMisses = obs.Default.Counter("savat.synthcache.misses")
 )
 
-// SynthCache memoizes synthesis products — envelope pair-Welch products
-// (specan.PairPSD) and noise PSDs — across measurements that share a
-// stochastic realization. Entries are keyed by the full recipe (stage
-// seed plus every synthesis and segmentation parameter), so a hit is
-// exact: the cached products are bit-identical to what the measurement
-// would have computed. Combined with CampaignSeeds' scoping, a campaign
-// row synthesizes instruction A's envelope once and every row-mate
-// reuses its products, and each repetition's noise capture is analyzed
-// once for the whole matrix.
-//
-// A SynthCache is a memo.LRU: safe for concurrent use, and each key is
-// computed exactly once across concurrent callers — the rest wait for
-// the leader's result under their own context. Published products are
-// immutable and shared read-only; eviction is safe because live
-// references keep the backing arrays alive.
-type SynthCache struct {
-	lru *memo.LRU[productKey, synthProduct]
+// synthBudget bounds the bytes the process-wide product layer keeps.
+// One machine's products for an 11×11, 10-repetition figure of 1 s
+// captures are about 14 MiB (110 envelope products of 125 KiB, 10 noise
+// products of 31 KiB), so the bound holds the paper's three machines at
+// once with room to spare; the size of a product follows its capture's
+// RBW, band and sample rate, which is why the bound is in bytes.
+const synthBudget = 64 << 20
+
+// synths is the process-wide synthesis-product layer: envelope
+// pair-Welch products (specan.PairPSD) and noise PSDs, keyed by their
+// full recipe (see productKey), so a hit is bit-identical to what the
+// measurement would have computed. The keys hold neither distance nor
+// — for noise — machine, so every campaign in the process shares them:
+// with CampaignSeeds' scoping a row's envelope products are computed
+// once for every row-mate, every repetition's noise PSD once for the
+// whole matrix, and a figure at another distance recomputes nothing.
+// Each key is computed exactly once across concurrent callers (see
+// memo.LRU). Published products are immutable and shared read-only;
+// eviction is safe because live references keep their arrays alive.
+var synths = newSynths(synthBudget)
+
+func newSynths(budget int) *memo.LRU[productKey, synthProduct] {
+	return memo.New[productKey, synthProduct](budget, synthProduct.bytes, nil)
 }
 
 // productKey identifies one synthesis product: the (mc, cfg)-fixed
@@ -55,35 +61,20 @@ type synthProduct struct {
 	noise []float64
 }
 
-// NewSynthCache returns a concurrency-safe cache bounded to capacity
-// entries (an envelope entry and a noise entry each count as one).
-// Campaigns size it to their repetition working set.
-func NewSynthCache(capacity int) *SynthCache {
-	if capacity < 2 {
-		capacity = 2
+// bytes is the product's size in synths: the capacities of its slices.
+func (p synthProduct) bytes() int {
+	n := 8 * cap(p.noise)
+	if p.env != nil {
+		n += 8*(cap(p.env.PA)+cap(p.env.PB)) + 16*cap(p.env.Cross)
 	}
-	return &SynthCache{lru: memo.New[productKey, synthProduct](capacity, nil)}
+	return n
 }
-
-// get returns the product for key, computing it at most once across
-// concurrent callers; ctx bounds only the wait for another caller's
-// computation. compute must return buffers the cache may own — never
-// scratch-aliased ones. A failed computation is shared with the
-// callers already waiting and not stored (see memo.LRU).
-func (c *SynthCache) get(ctx context.Context, key productKey, compute func() (synthProduct, error)) (synthProduct, error) {
-	p, how, err := c.lru.Get(ctx, key, compute)
-	countLookup(mSynthHits, mSynthMisses, how, err)
-	return p, err
-}
-
-// Len returns the number of cached entries (for tests and diagnostics).
-func (c *SynthCache) Len() int { return c.lru.Len() }
 
 // productSlot is a scratch's one-entry memo of one product kind, used
-// when its Measurer has no shared SynthCache: the last product and its
-// key. A repeated key is a hit; any other key recomputes into the
-// slot's own buffers, so a stream of distinct seeds through one
-// scratch allocates no product-sized buffers after the first.
+// by a Measurer outside a campaign: the last product and its key. A
+// repeated key is a hit; any other key recomputes into the slot's own
+// buffers, so a stream of distinct seeds through one scratch allocates
+// no product-sized buffers after the first.
 type productSlot struct {
 	key productKey
 	ok  bool
@@ -92,7 +83,7 @@ type productSlot struct {
 
 // get returns the slot's product when key matches, and otherwise the
 // product compute writes over the slot's buffers. Lookups count on the
-// same hit and miss counters as SynthCache.
+// same hit and miss counters as synths.
 func (sl *productSlot) get(key productKey, compute func(dst synthProduct) (synthProduct, error)) (synthProduct, error) {
 	if sl.ok && sl.key == key {
 		mSynthHits.Inc()
@@ -106,4 +97,20 @@ func (sl *productSlot) get(key productKey, compute func(dst synthProduct) (synth
 	mSynthMisses.Inc()
 	sl.key, sl.p, sl.ok = key, p, true
 	return p, nil
+}
+
+// product returns the product for key from layer when the Measurer has
+// one — a campaign worker's — and otherwise from slot, which compute
+// refills in place on a miss. compute receives the buffers it may
+// overwrite: the slot's, or none for the layer, whose published
+// products must never be reused. ctx bounds only the wait for another
+// caller's computation of the key.
+func product(ctx context.Context, layer *memo.LRU[productKey, synthProduct], slot *productSlot, key productKey,
+	compute func(dst synthProduct) (synthProduct, error)) (synthProduct, error) {
+	if layer == nil {
+		return slot.get(key, compute)
+	}
+	p, how, err := layer.Get(ctx, key, func() (synthProduct, error) { return compute(synthProduct{}) })
+	countLookup(mSynthHits, mSynthMisses, how, err)
+	return p, err
 }

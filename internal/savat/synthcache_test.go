@@ -11,32 +11,54 @@ import (
 	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/obs"
+	"repro/internal/specan"
 )
 
-// The shared cache must evict strictly least-recently-used entries.
+// withFreshSynths swaps the process-wide product layer for an empty one
+// of the given byte budget for the duration of the test.
+func withFreshSynths(t *testing.T, budget int) *memo.LRU[productKey, synthProduct] {
+	t.Helper()
+	old := synths
+	synths = newSynths(budget)
+	t.Cleanup(func() { synths = old })
+	return synths
+}
+
+// The product layer must evict strictly least-recently-used products
+// once their bytes pass its budget, sizing each by its slices'
+// capacities.
 func TestSynthCacheLRU(t *testing.T) {
-	c := NewSynthCache(2)
+	noiseP := synthProduct{noise: make([]float64, 1, 2)}
+	env := synthProduct{env: &specan.PairPSD{PA: make([]float64, 3), PB: make([]float64, 3), Cross: make([]complex128, 3)}}
+	if got := noiseP.bytes(); got != 16 {
+		t.Fatalf("noise product of capacity 2 sized %d bytes, want 16", got)
+	}
+	if got := env.bytes(); got != 96 {
+		t.Fatalf("envelope product of 3 bins sized %d bytes, want 96", got)
+	}
+
+	c := newSynths(32) // two noise products
 	nk := func(s string) productKey { return productKey{prefix: s} }
-	mk := func(key string, v float64) {
-		if _, err := c.get(context.Background(), nk(key), func() (synthProduct, error) {
-			return synthProduct{noise: []float64{v}}, nil
+	mk := func(key string) {
+		if _, err := product(context.Background(), c, nil, nk(key), func(synthProduct) (synthProduct, error) {
+			return noiseP, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// has reports a hit; a miss computes an error, which is not stored.
 	has := func(key string) bool {
-		_, how, _ := c.lru.Get(context.Background(), nk(key), func() (synthProduct, error) {
+		_, how, _ := c.Get(context.Background(), nk(key), func() (synthProduct, error) {
 			return synthProduct{}, errors.New("not cached")
 		})
 		return how == memo.Hit
 	}
-	mk("a", 1)
-	mk("b", 2)
+	mk("a")
+	mk("b")
 	if !has("a") { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	mk("c", 3) // evicts b
+	mk("c") // evicts b
 	if has("b") {
 		t.Error("b should have been evicted")
 	}
@@ -52,12 +74,15 @@ func TestSynthCacheLRU(t *testing.T) {
 // own context is cancelled, without disturbing the leader: the
 // leader's product is still published, and the next lookup hits it.
 func TestSynthCacheWaiterHonoursContext(t *testing.T) {
-	c := NewSynthCache(4)
-	key := productKey{prefix: "noise", seed: 1}
+	c := newSynths(synthBudget)
+	get := func(ctx context.Context, compute func() (synthProduct, error)) (synthProduct, error) {
+		return product(ctx, c, nil, productKey{prefix: "noise", seed: 1},
+			func(synthProduct) (synthProduct, error) { return compute() })
+	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.get(context.Background(), key, func() (synthProduct, error) {
+		_, err := get(context.Background(), func() (synthProduct, error) {
 			close(entered)
 			<-release
 			return synthProduct{noise: []float64{42}}, nil
@@ -70,7 +95,7 @@ func TestSynthCacheWaiterHonoursContext(t *testing.T) {
 	cancel()
 	waited := make(chan error, 1)
 	go func() {
-		_, err := c.get(ctx, key, func() (synthProduct, error) {
+		_, err := get(ctx, func() (synthProduct, error) {
 			t.Error("a follower must not compute while the leader is in flight")
 			return synthProduct{}, nil
 		})
@@ -89,7 +114,7 @@ func TestSynthCacheWaiterHonoursContext(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	p, err := c.get(context.Background(), key, func() (synthProduct, error) {
+	p, err := get(context.Background(), func() (synthProduct, error) {
 		t.Error("the leader's product should have been published")
 		return synthProduct{}, nil
 	})
@@ -98,7 +123,7 @@ func TestSynthCacheWaiterHonoursContext(t *testing.T) {
 	}
 }
 
-// Without a shared cache, a scratch keeps its last envelope and noise
+// Outside a campaign, a scratch keeps its last envelope and noise
 // products: a repeated seed is served from the slots, a new seed
 // recomputes into the same buffers without allocating, and a scratch
 // shared by Measurers of different recipes never serves one recipe's
@@ -189,6 +214,7 @@ func TestCampaignSynthCacheHitRate(t *testing.T) {
 	}
 	obs.Default.SetEnabled(true)
 	defer obs.Default.SetEnabled(false)
+	withFreshSynths(t, synthBudget)
 	hits0, misses0 := mSynthHits.Value(), mSynthMisses.Value()
 
 	mc := machine.Core2Duo()
@@ -211,4 +237,153 @@ func TestCampaignSynthCacheHitRate(t *testing.T) {
 		t.Errorf("campaign synthesis cache: %d hits, want ≥228 of 242 lookups", hits)
 	}
 	t.Logf("synthesis cache: %d hits / %d misses", hits, misses)
+}
+
+// The paper measures one pair set at three distances (Figs 9, 17, 18),
+// and no product key holds a distance: a second campaign over the same
+// events and seed at another distance computes every cell but no
+// envelope or noise product, and its cells equal MeasurePair's at zero
+// ULP — the scratch-slot path, computing every product itself.
+func TestCampaignAtAnotherDistanceComputesNoProducts(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	layer := withFreshSynths(t, synthBudget)
+	mc := machine.Core2Duo()
+	spec := CampaignSpec{Machine: mc.Name, Config: secondsConfig(1.0 / 16), Events: []Event{ADD, LDM, DIV}, Repeats: 2, Seed: 5}
+	if _, err := runSpec(spec, engine.Options{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	resident := layer.Len()
+	if resident != 3*2+2 { // one envelope product per row and repetition, one noise product per repetition
+		t.Errorf("first campaign left %d products in the layer, want 8", resident)
+	}
+
+	spec.Config.Distance = 0.5
+	misses0 := mSynthMisses.Value()
+	far, err := runSpec(spec, engine.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mSynthMisses.Value() - misses0; d != 0 {
+		t.Errorf("campaign at another distance computed %d products, want 0", d)
+	}
+	if cells := 3 * 3 * 2; far.Engine.Computed != cells {
+		t.Errorf("campaign at another distance computed %d of %d cells", far.Engine.Computed, cells)
+	}
+	if layer.Len() != resident {
+		t.Errorf("layer holds %d products after the second campaign, want %d", layer.Len(), resident)
+	}
+	for i, a := range spec.Events {
+		for j, b := range spec.Events {
+			_, want, err := NewMeasurer(mc, spec.Config).MeasurePair(a, b, spec.Repeats, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := far.Cells[i][j]; got != want {
+				t.Errorf("%v/%v: campaign %+v, MeasurePair %+v", a, b, got, want)
+			}
+		}
+	}
+}
+
+// A product served by the process-wide layer is bit-identical, to the
+// last bin of the analyzed band, to the one a cold Measurer computes:
+// a row-mate primes the layer with the row's envelope products and the
+// repetition's noise PSD, and the warm cell computes neither.
+func TestProductLayerHitMatchesCold(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	quiet := secondsConfig(1.0 / 16)
+	quiet.Environment = noise.Quiet()
+	wide := secondsConfig(1.0 / 8)
+	wide.Analyzer.RBW = 100
+	for _, tc := range []struct {
+		mc      machine.Config
+		cfg     Config
+		a, b, c Event
+	}{
+		{machine.Core2Duo(), secondsConfig(1.0 / 16), ADD, LDM, DIV},
+		{machine.TurionX2(), quiet, LDL2, STM, NOI},
+		{machine.Pentium3M(), wide, MUL, ADD, LDM},
+	} {
+		layer := newSynths(synthBudget)
+		worker := func() *Measurer {
+			m := NewMeasurer(tc.mc, tc.cfg)
+			m.synths = layer
+			return m
+		}
+		measure := func(m *Measurer, b Event) Measurement {
+			t.Helper()
+			k, err := BuildKernel(tc.mc, tc.a, b, tc.cfg.Frequency)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meas, err := m.MeasureKernelSeeds(k, CampaignSeeds(9, tc.a, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return meas
+		}
+		cold := measure(NewMeasurer(tc.mc, tc.cfg), tc.c)
+		coldBand := cold.Trace.Band()
+		coldPSD := append([]float64(nil), coldBand.PSD...)
+
+		measure(worker(), tc.b)
+		misses0 := mSynthMisses.Value()
+		warm := measure(worker(), tc.c)
+		if d := mSynthMisses.Value() - misses0; d != 0 {
+			t.Errorf("%s %v/%v: warm cell computed %d products, want 0", tc.mc.Name, tc.a, tc.c, d)
+		}
+		if warm.SAVAT != cold.SAVAT || warm.BandPower != cold.BandPower {
+			t.Errorf("%s %v/%v: warm %.17g (band %.17g W), cold %.17g (band %.17g W)",
+				tc.mc.Name, tc.a, tc.c, warm.SAVAT, warm.BandPower, cold.SAVAT, cold.BandPower)
+		}
+		wb := warm.Trace.Band()
+		if wb.Offset != coldBand.Offset || len(wb.PSD) != len(coldPSD) {
+			t.Fatalf("%s: warm band %d+%d bins, cold %d+%d", tc.mc.Name, wb.Offset, len(wb.PSD), coldBand.Offset, len(coldPSD))
+		}
+		for i := range coldPSD {
+			if wb.PSD[i] != coldPSD[i] {
+				t.Errorf("%s %v/%v: bin %d: warm %g, cold %g", tc.mc.Name, tc.a, tc.c, wb.Offset+i, wb.PSD[i], coldPSD[i])
+				break
+			}
+		}
+	}
+}
+
+// A product larger than the layer's whole budget is handed to the
+// measurement that computed it, which still equals a cold one, but is
+// never kept: the next cell computes it again.
+func TestProductLayerKeepsNoOversizedProduct(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	mc := machine.Core2Duo()
+	cfg := secondsConfig(1.0 / 16)
+	k, err := BuildKernel(mc, ADD, LDM, cfg.Frequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := CampaignSeeds(4, ADD, 0)
+	want, err := NewMeasurer(mc, cfg).MeasureKernelSeeds(k, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMeasurer(mc, cfg)
+	m.synths = newSynths(64) // smaller than any product of the capture
+	for lap := 0; lap < 2; lap++ {
+		misses0 := mSynthMisses.Value()
+		got, err := m.MeasureKernelSeeds(k, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SAVAT != want.SAVAT {
+			t.Errorf("lap %d: %g through an over-budget layer, %g cold", lap, got.SAVAT, want.SAVAT)
+		}
+		if d := mSynthMisses.Value() - misses0; d != 2 {
+			t.Errorf("lap %d: computed %d products, want 2 (neither kept)", lap, d)
+		}
+		if n := m.synths.Len(); n != 0 {
+			t.Errorf("lap %d: layer keeps %d over-budget products", lap, n)
+		}
+	}
 }

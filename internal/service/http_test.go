@@ -175,11 +175,13 @@ func TestHTTPCancel(t *testing.T) {
 
 	// Occupy the slot with a slow campaign, then cancel a still-queued
 	// job over HTTP. Quarter-second captures and many repetitions keep
-	// the blocker busy: every repetition draws fresh per-stage seeds, so
-	// the synthesis-product cache cannot collapse the work.
+	// the blocker busy: every repetition draws fresh per-stage seeds, and
+	// a cold seed leaves no product resident from an earlier campaign,
+	// so the synthesis-product layer cannot collapse the work.
 	slow := smokeSpec()
 	slow.Config.Duration = 0.25
 	slow.Repeats = 8
+	slow.Seed = coldSeed()
 	running, err := s.Submit(slow, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)

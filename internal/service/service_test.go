@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,17 @@ func smokeSpec() savat.CampaignSpec {
 	spec.Seed = 3
 	return spec
 }
+
+// lastColdSeed numbers the seeds coldSeed hands out.
+var lastColdSeed atomic.Int64
+
+// coldSeed returns a campaign seed no earlier campaign in the test
+// process used. Synthesis products are shared process-wide, so a
+// campaign that must stay busy — to be cancelled mid-run, or to hold
+// the only slot — needs products that are not already resident (under
+// -count too): with them resident every cell only renders, and the
+// campaign can finish before the test acts.
+func coldSeed() int64 { return 1000 + lastColdSeed.Add(1) }
 
 func newServer(t *testing.T, opts Options) *Server {
 	t.Helper()
@@ -174,11 +186,13 @@ func TestCancelAndResume(t *testing.T) {
 func testCancelAndResume(t *testing.T, opts Options) {
 	s := newServer(t, opts)
 	spec := smokeSpec()
-	// Quarter-second captures and 18 serial cells: slow enough that the
-	// cancel below always lands mid-run, never after the last cell.
+	// Quarter-second captures and 18 serial cells computing their
+	// products cold: slow enough that the cancel below always lands
+	// mid-run, never after the last cell.
 	spec.Config.Duration = 0.25
 	spec.Events = []savat.Event{savat.ADD, savat.LDM, savat.DIV}
 	spec.Repeats = 2 // 18 cells
+	spec.Seed = coldSeed()
 
 	jb, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
