@@ -33,6 +33,13 @@
 // Current results match baseline rows after the "-N" GOMAXPROCS suffix
 // is stripped from both names, so a run on an N-core machine is guarded
 // against a baseline recorded at another core count.
+//
+// A ns/op ratio compares machines as well as code, so benchguard prints
+// a WARNING line naming every machine field — goos, goarch, cpu, Go
+// version, GOMAXPROCS, DSP kernel — on which the baseline differs from
+// the run (or does not record it). The run's Go version, GOMAXPROCS and
+// kernel are benchguard's own, so run it where the benchmarks ran. The
+// warning does not change the verdict.
 package main
 
 import (
@@ -42,8 +49,10 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"strings"
 
 	"repro/internal/benchfmt"
+	"repro/internal/dsp"
 )
 
 // fidelityChecks are the paper-fidelity metrics a guarded benchmark
@@ -98,6 +107,7 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	// A -count run yields one line per repetition; guard the mean, like
 	// the baselines record it.
 	cur.Aggregate()
+	cur.Stamp(dsp.ActiveKernel())
 	var keep, mustZero *regexp.Regexp
 	if only != "" {
 		if keep, err = regexp.Compile(only); err != nil {
@@ -113,6 +123,10 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	limitFactor := 1 + budget + noise
 	compared, failed := 0, 0
 	fmt.Fprintf(out, "benchguard: baseline %s (%s), limit = baseline × %.3f\n", baseline, base.Date, limitFactor)
+	if diff := base.MachineDiff(cur); len(diff) > 0 {
+		fmt.Fprintf(out, "benchguard: WARNING: baseline machine differs from this run (%s); ns/op ratios compare machines as well as code\n",
+			strings.Join(diff, ", "))
+	}
 	for _, b := range cur.Benchmarks {
 		if mustZero != nil && mustZero.MatchString(b.Name) {
 			compared++

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/benchfmt"
+	"repro/internal/dsp"
 )
 
 const baselineJSON = `{
@@ -181,5 +185,39 @@ func TestDiagViolationsRiseFails(t *testing.T) {
 	}
 	if !strings.Contains(out, "FAIL BenchmarkFig09-2") || !strings.Contains(out, "diag-violations") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// A baseline from another machine — here one that records no Go
+// version, GOMAXPROCS or kernel, and another CPU — draws a WARNING line
+// naming the fields; the verdict is the same either way. A baseline
+// stamped on the run's own machine draws none.
+func TestMachineMismatchWarns(t *testing.T) {
+	const bench = "cpu: Test CPU\nBenchmarkMeasureKernelScratch 20 1004000 ns/op\n"
+	out, err := guard(t, bench, "", 0.01, 0)
+	if err != nil {
+		t.Fatalf("within-budget run rejected: %v\n%s", err, out)
+	}
+	for _, want := range []string{"WARNING", `cpu "unrecorded"→"Test CPU"`, `go "unrecorded"`, "gomaxprocs", "dsp_kernel"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+
+	cur := &benchfmt.File{CPU: "Test CPU"}
+	cur.Stamp(dsp.ActiveKernel())
+	base := strings.Replace(baselineJSON, `"date": "20260806",`,
+		fmt.Sprintf(`"date": "20260806", "cpu": "Test CPU", "go_version": %q, "gomaxprocs": %d, "dsp_kernel": %q,`,
+			cur.GoVersion, cur.GOMAXPROCS, cur.DSPKernel), 1)
+	p := filepath.Join(t.TempDir(), "stamped.json")
+	if err := os.WriteFile(p, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run(strings.NewReader(bench), &sb, p, 0.01, 0, "", ""); err != nil {
+		t.Fatalf("within-budget run rejected: %v\n%s", err, sb.String())
+	}
+	if strings.Contains(sb.String(), "WARNING") {
+		t.Errorf("baseline stamped on this machine still warns:\n%s", sb.String())
 	}
 }

@@ -11,7 +11,10 @@
 // spearman, diag-violations, ...). Result lines are aggregated per
 // benchmark: with -count > 1 each metric is recorded as its cross-run
 // mean plus an unbiased sample variance, so a snapshot says how noisy
-// its numbers are. `make bench-json` wraps the whole flow and names
+// its numbers are. Next to the cpu, goos and goarch of the benchmark
+// header, the snapshot records the Go version, GOMAXPROCS and DSP
+// kernel of the environment benchjson runs in — run it where the
+// benchmarks ran. `make bench-json` wraps the whole flow and names
 // the file BENCH_<YYYYMMDD>.json. The snapshots feed cmd/benchguard,
 // which fails a run that regresses past a baseline.
 package main
@@ -24,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
+	"repro/internal/dsp"
 )
 
 func main() {
@@ -48,6 +52,7 @@ func run(out, date string) error {
 	// as its mean plus cross-run variance, so the snapshot carries noise
 	// information instead of a single arbitrary sample.
 	f.Aggregate()
+	f.Stamp(dsp.ActiveKernel())
 	f.Date = date
 	if out == "" {
 		out = "BENCH_" + date + ".json"

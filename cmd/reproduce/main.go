@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cliconf"
@@ -248,28 +247,21 @@ func (r *runner) campaign(id string) (*savat.MatrixStats, paperdata.Experiment, 
 	spec.Config.Distance = exp.Distance
 	spec.Repeats = r.repeats
 	spec.Seed = r.seed
-	ch := make(chan engine.ProgressEvent, 64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		shown := false
-		progress := cliconf.NewProgress(os.Stderr)
-		for ev := range ch {
-			r.storeProgress(ev)
-			// Cache-served replays finish too fast to be worth drawing.
-			if !ev.Cached || shown {
-				shown = true
-				progress.Printf(ev.Stats.Done == ev.Stats.Total, "%s: %d/%d cells (%d cached)",
-					id, ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
-			}
+	shown := false
+	progress := cliconf.NewProgress(os.Stderr)
+	monitor := func(ev engine.ProgressEvent) {
+		r.storeProgress(ev)
+		// Cache-served replays finish too fast to be worth drawing.
+		if !ev.Cached || shown {
+			shown = true
+			progress.Printf(ev.Stats.Done == ev.Stats.Total, "%s: %d/%d cells (%d cached)",
+				id, ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
 		}
-		if shown {
-			progress.End()
-		}
-	}()
-	res, err := savat.RunSpecContext(r.ctx, spec, engine.Options{Cache: r.cache, Monitor: ch})
-	wg.Wait()
+	}
+	res, err := savat.RunSpecContext(r.ctx, spec, engine.Options{Cache: r.cache, Monitor: monitor})
+	if shown {
+		progress.End()
+	}
 	if err != nil {
 		return nil, exp, err
 	}

@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cliconf"
@@ -151,23 +150,16 @@ func run() error {
 			return err
 		}
 		defer closeCache()
-		ch := make(chan engine.ProgressEvent, 64)
 		var last engine.Stats
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			progress := cliconf.NewProgress(os.Stderr)
-			for ev := range ch {
-				last = ev.Stats
-				lastEvent.Store(ev)
-				progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %d/%d cells (%d cached)",
-					ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
-			}
-			progress.End()
-		}()
-		res, err := savat.RunSpecContext(ctx, spec, engine.Options{Cache: cache, Monitor: ch})
-		wg.Wait()
+		progress := cliconf.NewProgress(os.Stderr)
+		monitor := func(ev engine.ProgressEvent) {
+			last = ev.Stats
+			lastEvent.Store(ev)
+			progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %d/%d cells (%d cached)",
+				ev.Stats.Done, ev.Stats.Total, ev.Stats.Cached)
+		}
+		res, err := savat.RunSpecContext(ctx, spec, engine.Options{Cache: cache, Monitor: monitor})
+		progress.End()
 		if err != nil {
 			if ctx.Err() != nil {
 				if cf.CacheDir != "" {

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"sync"
 
 	"repro/internal/cliconf"
 	"repro/internal/conform"
@@ -117,20 +116,13 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	ch := make(chan engine.ProgressEvent, 64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		progress := cliconf.NewProgress(os.Stderr)
-		for ev := range ch {
-			progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %s: %d/%d cells",
-				spec.Machine, ev.Stats.Done, ev.Stats.Total)
-		}
-		progress.End()
-	}()
-	res, err := savat.RunSpecContext(ctx, spec, engine.Options{Monitor: ch})
-	wg.Wait()
+	progress := cliconf.NewProgress(os.Stderr)
+	monitor := func(ev engine.ProgressEvent) {
+		progress.Printf(ev.Stats.Done == ev.Stats.Total, "measuring %s: %d/%d cells",
+			spec.Machine, ev.Stats.Done, ev.Stats.Total)
+	}
+	res, err := savat.RunSpecContext(ctx, spec, engine.Options{Monitor: monitor})
+	progress.End()
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -27,18 +26,11 @@ func main() {
 	spec := savat.DefaultCampaignSpec()
 	spec.Config = savat.FastConfig()
 	spec.Repeats = 2
-	ch := make(chan engine.ProgressEvent, 64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range ch {
-			fmt.Fprintf(os.Stderr, "\rmeasuring %d/%d cells", ev.Stats.Done, ev.Stats.Total)
-		}
-		fmt.Fprintln(os.Stderr)
-	}()
-	res, err := savat.RunSpecContext(context.Background(), spec, engine.Options{Monitor: ch})
-	wg.Wait()
+	monitor := func(ev engine.ProgressEvent) {
+		fmt.Fprintf(os.Stderr, "\rmeasuring %d/%d cells", ev.Stats.Done, ev.Stats.Total)
+	}
+	res, err := savat.RunSpecContext(context.Background(), spec, engine.Options{Monitor: monitor})
+	fmt.Fprintln(os.Stderr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,13 +31,53 @@ type Bench struct {
 	Variance map[string]float64 `json:"variance,omitempty"`
 }
 
-// File is the snapshot written to (and read back from) disk.
+// File is the snapshot written to (and read back from) disk. GOOS,
+// GOARCH and CPU come from the `go test -bench` header; GoVersion,
+// GOMAXPROCS and DSPKernel from Stamp. Together they describe the
+// machine the numbers belong to.
 type File struct {
 	Date       string  `json:"date"` // YYYYMMDD
 	GOOS       string  `json:"goos,omitempty"`
 	GOARCH     string  `json:"goarch,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
+	GoVersion  string  `json:"go_version,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	DSPKernel  string  `json:"dsp_kernel,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// Stamp records the machine fields the benchmark output does not
+// carry: this process's Go version and GOMAXPROCS, and the name of the
+// DSP butterfly kernel in use. Call it from a process started in the
+// environment the benchmarks ran in.
+func (f *File) Stamp(dspKernel string) {
+	f.GoVersion = runtime.Version()
+	f.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	f.DSPKernel = dspKernel
+}
+
+// MachineDiff lists the machine fields on which the baseline f and the
+// run differ, each as "field baseline→run". A field the baseline does
+// not record counts as different unless the run lacks it too: the
+// baseline's numbers may come from anywhere.
+func (f *File) MachineDiff(run *File) []string {
+	var diff []string
+	for _, fd := range []struct{ name, base, run string }{
+		{"goos", f.GOOS, run.GOOS},
+		{"goarch", f.GOARCH, run.GOARCH},
+		{"cpu", f.CPU, run.CPU},
+		{"go", f.GoVersion, run.GoVersion},
+		{"gomaxprocs", fmt.Sprint(f.GOMAXPROCS), fmt.Sprint(run.GOMAXPROCS)},
+		{"dsp_kernel", f.DSPKernel, run.DSPKernel},
+	} {
+		if fd.base != fd.run {
+			if fd.base == "" || fd.base == "0" {
+				fd.base = "unrecorded"
+			}
+			diff = append(diff, fmt.Sprintf("%s %q→%q", fd.name, fd.base, fd.run))
+		}
+	}
+	return diff
 }
 
 // Aggregate merges result lines that share a (package, name) — the

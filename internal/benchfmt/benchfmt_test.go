@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -149,5 +150,29 @@ func TestFindStripsGOMAXPROCSSuffix(t *testing.T) {
 		if got := baseName(name); got != want {
 			t.Errorf("baseName(%q) = %q, want %q", name, got, want)
 		}
+	}
+}
+
+// A baseline recorded on the run's machine differs in nothing; each
+// other field — or one the baseline never recorded — is named.
+func TestMachineDiff(t *testing.T) {
+	run := &File{GOOS: "linux", GOARCH: "amd64", CPU: "Xeon"}
+	run.Stamp("avx2")
+	same := *run
+	if d := same.MachineDiff(run); len(d) != 0 {
+		t.Errorf("same machine: diff %v", d)
+	}
+	other := *run
+	other.CPU, other.GOMAXPROCS = "EPYC", run.GOMAXPROCS+1
+	other.GoVersion = ""
+	d := other.MachineDiff(run)
+	got := strings.Join(d, "; ")
+	for _, want := range []string{`cpu "EPYC"→"Xeon"`, `gomaxprocs`, `go "unrecorded"→"` + runtime.Version() + `"`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diff %q lacks %q", got, want)
+		}
+	}
+	if len(d) != 3 {
+		t.Errorf("diff has %d fields, want 3: %v", len(d), d)
 	}
 }

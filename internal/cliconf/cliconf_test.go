@@ -257,7 +257,7 @@ func cellCampaign(t *testing.T, cache *engine.Cache, key string, v float64) (flo
 	res, err := engine.Run(context.Background(), engine.Spec{
 		Rows: 1, Cols: 1, Reps: 1,
 		Key: func(int, int, int) string { return key },
-		Compute: func(context.Context, any, int, int, int) (float64, error) {
+		Compute: func(context.Context, int, int, int) (float64, error) {
 			return v, nil
 		},
 	}, engine.Options{Cache: cache})

@@ -116,20 +116,14 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	monitor := make(chan engine.ProgressEvent, total)
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range monitor {
-			n++
-			if n == total/3 {
-				cancel()
-			}
+	seen := 0
+	monitor := func(engine.ProgressEvent) {
+		seen++
+		if seen == total/3 {
+			cancel()
 		}
-		done <- n
-	}()
+	}
 	_, err = run(ctx, engine.Options{Cache: cache, Monitor: monitor})
-	seen := <-done
 	cancel()
 	if err == nil {
 		t.Logf("campaign outran cancellation (%d cells seen)", seen)

@@ -268,6 +268,49 @@ type Jitter struct {
 	AmpNoiseCorr float64 `json:"amp_noise_corr"`
 }
 
+// MaxAmpNoiseStd bounds Jitter.AmpNoiseStd: a fluctuation as large as
+// the loop half's own activity level. Past it the fractional
+// fluctuation is no longer a perturbation, and a large enough one
+// overflows the rendered power.
+const MaxAmpNoiseStd = 1
+
+// MaxWalk returns the clamp on the accumulated drift walk: MaxDrift, or
+// 10×DriftStd when MaxDrift is 0.
+func (j Jitter) MaxWalk() float64 {
+	if j.MaxDrift == 0 {
+		return 10 * j.DriftStd
+	}
+	return j.MaxDrift
+}
+
+// Validate reports jitter the envelope timeline cannot render for an
+// alternation of the given period at sample rate fs: a negative drift
+// field, an amplitude-fluctuation correlation outside [0, 1) (0 selects
+// the default), a fluctuation standard deviation outside [0,
+// MaxAmpNoiseStd], or a smallest period scale 1 + FreqOffset −
+// MaxWalk() that lets the jittered alternation reach the Nyquist
+// frequency. The last keeps every jittered half-period longer than a
+// sample, so the synthesis advances by at most a few edges per sample;
+// a scale at or below zero would never advance at all.
+func (j Jitter) Validate(period, fs float64) error {
+	switch {
+	case j.DriftStd < 0 || j.MaxDrift < 0:
+		return fmt.Errorf("emsim: negative jitter drift (drift_std %g, max_drift %g)", j.DriftStd, j.MaxDrift)
+	case !(j.AmpNoiseCorr >= 0 && j.AmpNoiseCorr < 1):
+		return fmt.Errorf("emsim: amplitude noise correlation %g outside [0, 1)", j.AmpNoiseCorr)
+	case !(j.AmpNoiseStd >= 0 && j.AmpNoiseStd <= MaxAmpNoiseStd):
+		return fmt.Errorf("emsim: amplitude noise std %g outside [0, %g]", j.AmpNoiseStd, float64(MaxAmpNoiseStd))
+	}
+	lo := 1 + j.FreqOffset - j.MaxWalk()
+	if !(lo > 0) {
+		return fmt.Errorf("emsim: jitter period scale 1 + freq_offset − max walk = %g is not positive: the envelope timeline would not advance", lo)
+	}
+	if !(lo*period > 2/fs) {
+		return fmt.Errorf("emsim: jitter period scale down to %g puts the alternation at or above the Nyquist frequency %g Hz", lo, fs/2)
+	}
+	return nil
+}
+
 // DefaultJitter reproduces the paper's Figure 7: a few hundred Hz shift
 // below the 80 kHz intent and a dispersion of a couple hundred Hz.
 func DefaultJitter() Jitter {
@@ -419,8 +462,8 @@ type Envelopes struct {
 // drain of an EnvelopeStream, so buffered and streaming synthesis are
 // bit-identical by construction.
 func SynthesizeEnvelopes(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand, dst *Envelopes) (*Envelopes, error) {
-	es, err := NewEnvelopeStream(alt, fs, n, jit, rng)
-	if err != nil {
+	var es EnvelopeStream
+	if err := es.Init(alt, fs, n, jit, rng); err != nil {
 		return nil, err
 	}
 	if dst == nil {

@@ -229,6 +229,46 @@ func TestSynthesizeEnvelopesErrors(t *testing.T) {
 	}
 }
 
+// Jitter the timeline cannot render is refused before a sample is
+// drawn: a period scale at or below zero would never advance the edge
+// loop, and one that puts the alternation at Nyquist would walk many
+// edges per sample. At 80 kHz and 2^18 samples/s the scale must stay
+// above 2·80e3/2^18 ≈ 0.61.
+func TestJitterValidate(t *testing.T) {
+	const f0, fs = 80e3, 1 << 18
+	alt := CanonicalTimeline(f0)
+	for _, tc := range []struct {
+		name string
+		jit  Jitter
+		ok   bool
+	}{
+		{"default", DefaultJitter(), true},
+		{"none", Jitter{}, true},
+		{"scale-just-above-nyquist", Jitter{FreqOffset: -0.385, MaxDrift: 0.004}, true},
+		{"scale-at-nyquist", Jitter{FreqOffset: -0.386, MaxDrift: 0.004}, false},
+		{"scale-zero", Jitter{FreqOffset: -1}, false},
+		{"scale-negative", Jitter{FreqOffset: -2}, false},
+		{"walk-reaches-zero", Jitter{DriftStd: 0.1}, false}, // 10×DriftStd clamp
+		{"negative-drift", Jitter{DriftStd: -0.001}, false},
+		{"negative-max-drift", Jitter{MaxDrift: -0.001}, false},
+		{"amp-std-at-bound", Jitter{AmpNoiseStd: MaxAmpNoiseStd}, true},
+		{"amp-std-over", Jitter{AmpNoiseStd: 1e300}, false},
+		{"amp-std-negative", Jitter{AmpNoiseStd: -0.1}, false},
+		{"amp-corr-one", Jitter{AmpNoiseCorr: 1}, false},
+		{"amp-corr-negative", Jitter{AmpNoiseCorr: -0.5}, false},
+	} {
+		err := tc.jit.Validate(1/f0, fs)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		var s EnvelopeStream
+		initErr := s.Init(alt, fs, 64, tc.jit, rand.New(rand.NewSource(1)))
+		if (initErr == nil) != tc.ok {
+			t.Errorf("%s: Init = %v, want ok=%v", tc.name, initErr, tc.ok)
+		}
+	}
+}
+
 // InitLaw over a used radiator reproduces NewRadiatorLaw bit for bit
 // under either law, and a failed InitLaw leaves the radiator and the rng
 // untouched.
@@ -312,8 +352,8 @@ func TestEnvelopeStreamChunkInvariant(t *testing.T) {
 	wantNext := wantRng.Int63()
 	for _, chunk := range []int{1, 7, 999, seg, n} {
 		rng := rand.New(rand.NewSource(11))
-		s, err := NewEnvelopeStream(alt, fs, n, jit, rng)
-		if err != nil {
+		var s EnvelopeStream
+		if err := s.Init(alt, fs, n, jit, rng); err != nil {
 			t.Fatal(err)
 		}
 		a, b := make([]float64, n), make([]float64, n)

@@ -51,21 +51,10 @@ type EnvelopeStream struct {
 	remaining int
 }
 
-// NewEnvelopeStream validates the parameters, draws the stream's
-// initial state from rng (the same three leading draws as the buffered
-// renderer: two fluctuation values and the edge phase), and returns a
-// stream that will produce exactly n samples.
-func NewEnvelopeStream(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) (*EnvelopeStream, error) {
-	s := &EnvelopeStream{}
-	if err := s.Init(alt, fs, n, jit, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init re-initializes s in place for a new capture — a scratch-held
-// stream re-initialized per measurement allocates nothing. It performs
-// the stream's three leading rng draws immediately.
+// Init validates the parameters and (re)initializes s in place to
+// produce exactly n samples — a scratch-held stream re-initialized per
+// measurement allocates nothing. It performs the stream's three leading
+// rng draws (two fluctuation values and the edge phase) immediately.
 func (s *EnvelopeStream) Init(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) error {
 	if err := alt.Validate(); err != nil {
 		return err
@@ -73,13 +62,13 @@ func (s *EnvelopeStream) Init(alt Alternation, fs float64, n int, jit Jitter, rn
 	if fs <= 0 || n <= 0 {
 		return fmt.Errorf("emsim: bad synthesis parameters fs=%v n=%d", fs, n)
 	}
+	if err := jit.Validate(alt.HalfSeconds[0]+alt.HalfSeconds[1], fs); err != nil {
+		return err
+	}
 	*s = EnvelopeStream{rng: rng, jit: jit, fs: fs, remaining: n}
 	s.half = alt.HalfSeconds
 
-	s.maxDrift = jit.MaxDrift
-	if s.maxDrift == 0 {
-		s.maxDrift = 10 * jit.DriftStd
-	}
+	s.maxDrift = jit.MaxWalk()
 	s.rho = jit.AmpNoiseCorr
 	if s.rho == 0 {
 		s.rho = 0.99

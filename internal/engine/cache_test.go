@@ -16,7 +16,7 @@ func valueSpec(keys []string, vals []float64, computes *int64) Spec {
 	return Spec{
 		Rows: 1, Cols: len(keys), Reps: 1,
 		Key: func(_, col, _ int) string { return keys[col] },
-		Compute: func(_ context.Context, _ any, _, col, _ int) (float64, error) {
+		Compute: func(_ context.Context, _, col, _ int) (float64, error) {
 			atomic.AddInt64(computes, 1)
 			return vals[col], nil
 		},
@@ -110,7 +110,7 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 	}
 	defer reopened.Close()
 	spec := valueSpec(keys, vals, &computes)
-	spec.Compute = func(context.Context, any, int, int, int) (float64, error) {
+	spec.Compute = func(context.Context, int, int, int) (float64, error) {
 		return 0, fmt.Errorf("cell recomputed after reopen")
 	}
 	res := runSerial(t, reopened, spec)
@@ -140,7 +140,7 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 		Key: func(row, col, rep int) string {
 			return Key(fmt.Sprintf("store-flight|%d|%d|%d", row, col, rep))
 		},
-		Compute: func(_ context.Context, _ any, row, col, rep int) (float64, error) {
+		Compute: func(_ context.Context, row, col, rep int) (float64, error) {
 			atomic.AddInt64(&computes, 1)
 			time.Sleep(2 * time.Millisecond) // widen the in-flight window
 			return float64(row*100 + col*10 + rep), nil

@@ -25,7 +25,7 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 		Key: func(row, col, rep int) string {
 			return fmt.Sprintf("flight-test|%d|%d|%d", row, col, rep)
 		},
-		Compute: func(_ context.Context, _ any, row, col, rep int) (float64, error) {
+		Compute: func(_ context.Context, row, col, rep int) (float64, error) {
 			atomic.AddInt64(&computes, 1)
 			time.Sleep(2 * time.Millisecond) // widen the in-flight window
 			return float64(row*100 + col*10 + rep), nil
@@ -95,7 +95,7 @@ func (b *blockingCell) spec() Spec {
 	return Spec{
 		Rows: 1, Cols: 1, Reps: 1,
 		Key: func(int, int, int) string { return "contested" },
-		Compute: func(ctx context.Context, _ any, _, _, _ int) (float64, error) {
+		Compute: func(ctx context.Context, _, _, _ int) (float64, error) {
 			atomic.AddInt64(&b.calls, 1)
 			b.once.Do(func() { close(b.entered) })
 			select {
@@ -130,7 +130,7 @@ func countingCell(calls *int64) Spec {
 	return Spec{
 		Rows: 1, Cols: 1, Reps: 1,
 		Key: func(int, int, int) string { return "contested" },
-		Compute: func(context.Context, any, int, int, int) (float64, error) {
+		Compute: func(context.Context, int, int, int) (float64, error) {
 			atomic.AddInt64(calls, 1)
 			return 7, nil
 		},
@@ -146,7 +146,7 @@ func TestFlightLeaderFailureDoesNotPoison(t *testing.T) {
 	leader := newBlockingCell(boom)
 	var waiterCalls int64
 	waiterSpec := countingCell(&waiterCalls)
-	waiterSpec.Compute = func(context.Context, any, int, int, int) (float64, error) {
+	waiterSpec.Compute = func(context.Context, int, int, int) (float64, error) {
 		atomic.AddInt64(&waiterCalls, 1)
 		return 0, boom
 	}

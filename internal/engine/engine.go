@@ -3,8 +3,8 @@
 // per-cell result cache (an exactly-once memo.LRU, optionally backed by
 // the durable segment log of internal/store) makes campaigns resumable
 // and computes each distinct cell once across concurrent campaigns, a
-// cell's first failure fails the campaign, and progress is streamed as
-// typed events with a running Stats snapshot.
+// cell's first failure fails the campaign, and progress is reported as
+// one typed event per finished cell, with a running Stats snapshot.
 //
 // Resuming an interrupted campaign is rerunning it: every cell is a
 // deterministic function of its content key, so the cells the first
@@ -38,17 +38,10 @@ type Spec struct {
 	Key func(row, col, rep int) string
 	// Compute produces the value of one cell. It must be deterministic
 	// in (row, col, rep) — resumability and cache correctness depend on
-	// it — and should honor ctx cancellation where it can. state is the
-	// calling worker's NewWorkerState value (nil without one); it must
-	// never influence the computed value.
-	Compute func(ctx context.Context, state any, row, col, rep int) (float64, error)
-
-	// NewWorkerState, when non-nil, is called once per worker goroutine
-	// at the start of a Run; the value it returns is handed to every
-	// Compute call that worker makes. It lets cells reuse expensive
-	// per-worker scratch (buffers, plans, caches) without locking —
-	// state is never shared between workers.
-	NewWorkerState func() any
+	// it — and should honor ctx cancellation where it can. Run calls it
+	// from up to Parallelism goroutines at once, so anything it reuses
+	// across cells it must borrow for the cell's duration.
+	Compute func(ctx context.Context, row, col, rep int) (float64, error)
 }
 
 func (s Spec) validate() error {
@@ -73,13 +66,12 @@ type Options struct {
 	// others wait for that result and count it as Stats.Deduped. Nil
 	// uses a fresh in-memory cache of DefaultCacheCapacity.
 	Cache *Cache
-	// Monitor, when non-nil, receives one ProgressEvent per finished
-	// cell, in completion order: each event's Stats.Done is one more
-	// than the last, so the final event carries the run's final Stats.
-	// Run closes it when the campaign ends, on success and on every
-	// failure, so pass a fresh channel per Run and drain it until it
-	// closes — sends block.
-	Monitor chan<- ProgressEvent
+	// Monitor, when non-nil, is called once per finished cell, in
+	// completion order and never concurrently: each event's Stats.Done
+	// is one more than the last, so the final call carries the run's
+	// final Stats, and every call has returned before Run does. Cells
+	// finishing meanwhile wait for it, so it should return promptly.
+	Monitor func(ProgressEvent)
 }
 
 // Result is one campaign's output.
@@ -98,13 +90,11 @@ type run struct {
 	values   [][][]float64
 	inflight int64 // cells currently in compute (atomic)
 
+	// mu also serializes Monitor calls, so they see Stats.Done in the
+	// order record numbered them.
 	mu      sync.Mutex
 	st      Stats
 	firstEr error
-
-	// sendMu keeps Monitor sends in the order record numbered them, so
-	// the last event received carries the campaign's final Stats.
-	sendMu sync.Mutex
 }
 
 // Run executes the campaign described by spec, computing each cell at
@@ -112,11 +102,8 @@ type run struct {
 // in-flight cells finish (landing in the cache, so a rerun resumes from
 // them), and the context's error is returned. A cell's first error
 // fails the campaign — cells are deterministic, so it would only
-// recur. When opts.Monitor is set it is closed before Run returns.
+// recur.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
-	if opts.Monitor != nil {
-		defer close(opts.Monitor)
-	}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -157,15 +144,11 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	for range workers {
 		go func() {
 			defer wg.Done()
-			var state any
-			if spec.NewWorkerState != nil {
-				state = spec.NewWorkerState()
-			}
 			for idx := range work {
 				if runCtx.Err() != nil {
 					continue // drain: cancellation stops new cells promptly
 				}
-				if err := r.cell(runCtx, idx, state); err != nil {
+				if err := r.cell(runCtx, idx); err != nil {
 					r.fail(err)
 					cancel()
 				}
@@ -200,16 +183,15 @@ feed:
 
 // cell completes one grid cell through the cache — a hit, a wait for
 // an identical cell in flight, or this worker's compute — then does its
-// accounting and eventing. state is the owning worker's NewWorkerState
-// value (nil without one).
-func (r *run) cell(ctx context.Context, idx int, state any) error {
+// accounting and eventing.
+func (r *run) cell(ctx context.Context, idx int) error {
 	row, col, rep := r.unflatten(idx)
 	ev := ProgressEvent{Row: row, Col: col, Rep: rep}
 	v, src, err := r.opts.Cache.get(ctx, Key(r.spec.Key(row, col, rep)), func() (float64, error) {
 		atomic.AddInt64(&r.inflight, 1)
 		mInFlight.Add(1)
 		begin := time.Now()
-		v, err := r.spec.Compute(ctx, state, row, col, rep)
+		v, err := r.spec.Compute(ctx, row, col, rep)
 		ev.Duration = time.Since(begin)
 		atomic.AddInt64(&r.inflight, -1)
 		mInFlight.Add(-1)
@@ -239,6 +221,7 @@ func (r *run) cell(ctx context.Context, idx int, state any) error {
 // record stores a finished cell and emits its progress event.
 func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.values[row][col][rep] = v
 	r.st.Done++
 	switch {
@@ -252,14 +235,9 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	if r.opts.Monitor == nil {
-		r.mu.Unlock()
-		return
+	if r.opts.Monitor != nil {
+		r.opts.Monitor(ev)
 	}
-	r.sendMu.Lock()
-	r.mu.Unlock()
-	r.opts.Monitor <- ev
-	r.sendMu.Unlock()
 }
 
 // healthLocked derives the pipeline-health snapshot attached to each

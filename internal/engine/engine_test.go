@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,7 @@ func testSpec(rows, cols, reps int) Spec {
 		Key: func(r, c, p int) string {
 			return fmt.Sprintf("test-cell/v1|%d|%d|%d", r, c, p)
 		},
-		Compute: func(_ context.Context, _ any, r, c, p int) (float64, error) {
+		Compute: func(_ context.Context, r, c, p int) (float64, error) {
 			return float64(r*10000 + c*100 + p), nil
 		},
 	}
@@ -72,18 +73,10 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	}
 
 	// Same spec, same cache: every cell must be served from memory.
-	ch := make(chan ProgressEvent, 16)
 	var events []ProgressEvent
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range ch {
-			events = append(events, ev)
-		}
-	}()
-	second, err := Run(context.Background(), spec, Options{Cache: cache, Monitor: ch})
-	wg.Wait()
+	second, err := Run(context.Background(), spec, Options{Cache: cache, Monitor: func(ev ProgressEvent) {
+		events = append(events, ev)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +107,7 @@ func TestFailingCellRunsOnce(t *testing.T) {
 	var calls atomic.Int64
 	broken := errors.New("always broken")
 	spec := testSpec(1, 1, 1)
-	spec.Compute = func(context.Context, any, int, int, int) (float64, error) {
+	spec.Compute = func(context.Context, int, int, int) (float64, error) {
 		calls.Add(1)
 		return 0, broken
 	}
@@ -147,14 +140,14 @@ func TestCancellationResumeFromCache(t *testing.T) {
 	interrupted := spec
 	var mu sync.Mutex
 	computed := 0
-	interrupted.Compute = func(c context.Context, state any, r, cc, p int) (float64, error) {
+	interrupted.Compute = func(c context.Context, r, cc, p int) (float64, error) {
 		mu.Lock()
 		computed++
 		if computed == 5 {
 			cancel() // simulate the campaign being killed partway
 		}
 		mu.Unlock()
-		return spec.Compute(c, state, r, cc, p)
+		return spec.Compute(c, r, cc, p)
 	}
 	cacheA, err := NewStoreCache(64, dir)
 	if err != nil {
@@ -210,79 +203,66 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// Worker state must be created once per worker and threaded through every
-// Compute call that worker makes, without affecting values.
-func TestWorkerStatePerWorker(t *testing.T) {
-	type counter struct{ calls int }
-	var mu sync.Mutex
-	states := make(map[*counter]bool)
-	spec := testSpec(4, 4, 2)
-	spec.NewWorkerState = func() any {
-		s := &counter{}
-		mu.Lock()
-		states[s] = true
-		mu.Unlock()
-		return s
-	}
-	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
-		s := state.(*counter)
-		mu.Lock()
-		if !states[s] {
-			mu.Unlock()
-			return 0, fmt.Errorf("unknown state %p", s)
+// Run calls Monitor from its workers but never two calls at once, and
+// in completion order: at Parallelism 8 the callback sees Stats.Done
+// run 1…N with no overlap. Run it under -race: the unsynchronized
+// append is the check that the calls are serialized.
+func TestMonitorCallsSerializedInOrder(t *testing.T) {
+	spec := testSpec(6, 6, 3)
+	var inside atomic.Int32
+	var dones []int
+	res, err := Run(context.Background(), spec, Options{Parallelism: 8, Monitor: func(ev ProgressEvent) {
+		if inside.Add(1) != 1 {
+			t.Error("Monitor entered concurrently")
 		}
-		s.calls++
-		mu.Unlock()
-		return wantValue(r, c, p), nil
-	}
-	res, err := Run(context.Background(), spec, Options{Parallelism: 3})
+		dones = append(dones, ev.Stats.Done)
+		runtime.Gosched() // widen the window a concurrent call would land in
+		inside.Add(-1)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValues(t, res, spec)
-	if len(states) == 0 || len(states) > 3 {
-		t.Errorf("created %d worker states, want 1..3", len(states))
+	if len(dones) != 108 {
+		t.Fatalf("Monitor called %d times, want 108", len(dones))
 	}
-	total := 0
-	for s := range states {
-		total += s.calls
-	}
-	if total != 32 {
-		t.Errorf("state-threaded calls = %d, want 32", total)
-	}
-}
-
-// Without NewWorkerState, Compute's state is nil.
-func TestComputeStateWithoutWorkerState(t *testing.T) {
-	spec := testSpec(2, 2, 1)
-	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
-		if state != nil {
-			return 0, fmt.Errorf("state = %v, want nil", state)
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("call %d saw Stats.Done %d, want %d", i, d, i+1)
 		}
-		return wantValue(r, c, p), nil
 	}
-	res, err := Run(context.Background(), spec, Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValues(t, res, spec)
 }
 
-// Run starts no more workers than the grid has cells, so a small grid
-// at high parallelism builds no idle worker state.
+// Run computes at most min(Parallelism, cells) cells at once, and
+// reaches that bound: the first cells block until that many are in
+// flight, so a run below it would never finish.
 func TestWorkersBoundedByCells(t *testing.T) {
-	var states atomic.Int64
-	spec := testSpec(1, 1, 2)
-	spec.NewWorkerState = func() any {
-		states.Add(1)
-		return nil
-	}
-	res, err := Run(context.Background(), spec, Options{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValues(t, res, spec)
-	if n := states.Load(); n > 2 {
-		t.Errorf("NewWorkerState called %d times for 2 cells, want at most 2", n)
+	for _, tc := range []struct{ reps, par, want int }{
+		{2, 8, 2},  // fewer cells than workers
+		{12, 3, 3}, // more cells than workers
+	} {
+		var cur, peak atomic.Int64
+		var once sync.Once
+		full := make(chan struct{})
+		spec := testSpec(1, 1, tc.reps)
+		spec.Compute = func(_ context.Context, r, c, p int) (float64, error) {
+			n := cur.Add(1)
+			for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+			}
+			if n == int64(tc.want) {
+				once.Do(func() { close(full) })
+			}
+			<-full
+			cur.Add(-1)
+			return wantValue(r, c, p), nil
+		}
+		res, err := Run(context.Background(), spec, Options{Parallelism: tc.par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkValues(t, res, spec)
+		if n := peak.Load(); n != int64(tc.want) {
+			t.Errorf("%d cells at Parallelism %d: peak concurrent Compute calls = %d, want %d", tc.reps, tc.par, n, tc.want)
+		}
 	}
 }

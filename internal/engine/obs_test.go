@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -27,21 +26,11 @@ func TestProgressEventHealth(t *testing.T) {
 
 	collect := func(opts Options) []ProgressEvent {
 		t.Helper()
-		ch := make(chan ProgressEvent, 16)
-		opts.Monitor = ch
 		var events []ProgressEvent
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ev := range ch {
-				events = append(events, ev)
-			}
-		}()
+		opts.Monitor = func(ev ProgressEvent) { events = append(events, ev) }
 		if _, err := Run(context.Background(), spec, opts); err != nil {
 			t.Fatal(err)
 		}
-		wg.Wait()
 		return events
 	}
 
@@ -79,20 +68,10 @@ func TestProgressEventHealth(t *testing.T) {
 
 func TestHealthZeroQuantilesWhenDisabled(t *testing.T) {
 	obs.Default.Reset()
-	ch := make(chan ProgressEvent, 16)
 	var last ProgressEvent
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range ch {
-			last = ev
-		}
-	}()
-	if _, err := Run(context.Background(), testSpec(2, 2, 1), Options{Monitor: ch}); err != nil {
+	if _, err := Run(context.Background(), testSpec(2, 2, 1), Options{Monitor: func(ev ProgressEvent) { last = ev }}); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if last.Health.LatencyP50 != 0 || last.Health.LatencyP99 != 0 {
 		t.Errorf("disabled registry but latency quantiles = %+v", last.Health)
 	}

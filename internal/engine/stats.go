@@ -40,8 +40,8 @@ func (s Stats) CellsPerSecond() float64 {
 	return float64(s.Done) / s.Elapsed.Seconds()
 }
 
-// ProgressEvent reports one finished cell on the campaign's monitor
-// channel: which cell, whether it was served from the cache or
+// ProgressEvent reports one finished cell to the campaign's Monitor:
+// which cell, whether it was served from the cache or
 // computed, and how long the computation took.
 type ProgressEvent struct {
 	// Row, Col, Rep locate the cell in the campaign grid.

@@ -177,23 +177,23 @@ func TestLabHasFloorBackgroundAndCarrier(t *testing.T) {
 	}
 }
 
-// Draining a Stream in blocks of any size must reproduce the one-block
-// Render bit for bit in the lab environment — thermal noise, a spread
-// background level, and an AM carrier whose phasors re-anchor every
-// carrierRenorm samples — and leave the rng where Render leaves it.
+// Draining a Stream in blocks of any size must reproduce Apply on a
+// zeroed buffer bit for bit in the lab environment — thermal noise, a
+// spread background level, and an AM carrier whose phasors re-anchor
+// every carrierRenorm samples — and leave the rng where Apply leaves it.
 func TestStreamChunkInvariant(t *testing.T) {
 	env := Lab()
 	const fs, seg, n = 1 << 18, 4096, 3*4096 + 1234
 	want := make([]complex128, n)
 	wantRng := rand.New(rand.NewSource(13))
-	if err := env.Render(want, fs, wantRng); err != nil {
+	if err := env.Apply(want, fs, wantRng); err != nil {
 		t.Fatal(err)
 	}
 	wantNext := wantRng.Int63()
 	for _, chunk := range []int{1, 7, 999, seg, n} {
 		rng := rand.New(rand.NewSource(13))
-		s, err := NewStream(env, fs, n, rng)
-		if err != nil {
+		var s Stream
+		if err := s.Init(env, fs, n, rng); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]complex128, n)
@@ -209,11 +209,11 @@ func TestStreamChunkInvariant(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("chunk %d: sample %d = %v, Render gives %v", chunk, i, got[i], want[i])
+				t.Fatalf("chunk %d: sample %d = %v, Apply gives %v", chunk, i, got[i], want[i])
 			}
 		}
 		if rng.Int63() != wantNext {
-			t.Errorf("chunk %d: rng left at a different draw than Render", chunk)
+			t.Errorf("chunk %d: rng left at a different draw than Apply", chunk)
 		}
 	}
 }

@@ -41,8 +41,8 @@ type carrierState struct {
 // Rendering the capture in one block or many produces bit-identical
 // samples: white draws are per-sample, carrier phasors carry across
 // blocks, and re-anchoring happens at fixed global indices
-// (multiples of carrierRenorm) regardless of blocking. Apply and
-// Render drain a Stream, so the buffered paths are the same code.
+// (multiples of carrierRenorm) regardless of blocking. Apply drains a
+// Stream, so the buffered path is the same code.
 //
 // A Stream is NOT safe for concurrent use, and the rng must not be
 // consumed by anything else between the first Next and the last.
@@ -57,19 +57,9 @@ type Stream struct {
 	inited   bool
 }
 
-// NewStream validates the environment and returns a stream that will
-// produce exactly n samples at rate fs. No rng draws happen until the
-// first Next.
-func NewStream(env Environment, fs float64, n int, rng *rand.Rand) (*Stream, error) {
-	s := &Stream{}
-	if err := s.Init(env, fs, n, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init re-initializes s in place for a new capture, reusing its carrier
-// state storage — a scratch-held Stream re-initialized per measurement
+// Init validates the environment and (re)initializes s in place to
+// produce exactly n samples at rate fs, reusing its carrier state
+// storage — a scratch-held Stream re-initialized per measurement
 // allocates nothing in steady state. No rng draws happen until the
 // first Next.
 func (s *Stream) Init(env Environment, fs float64, n int, rng *rand.Rand) error {

@@ -37,71 +37,31 @@ func RunSpecContext(ctx context.Context, spec CampaignSpec, opts engine.Options)
 	// explicit "em" the same campaign: same validation, same fingerprint,
 	// same cache cells.
 	spec = spec.Normalized()
-	mc, err := spec.validated()
+	su, err := spec.validated()
 	if err != nil {
-		// The engine closes the Monitor on every run it starts; a run
-		// that never reaches it closes the Monitor here.
-		if opts.Monitor != nil {
-			close(opts.Monitor)
-		}
 		return nil, err
 	}
-	return runCampaign(ctx, mc, spec, opts)
+	return runCampaign(ctx, &su, spec, opts)
 }
 
 // runCampaign runs a normalized spec that has passed validation on its
-// resolved machine mc.
-func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, opts engine.Options) (*MatrixStats, error) {
-	cfg, seed := spec.Config, spec.Seed
+// effective setup su.
+func runCampaign(ctx context.Context, su *setup, spec CampaignSpec, opts engine.Options) (*MatrixStats, error) {
+	mc, cfg, seed := su.base, spec.Config, spec.Seed
 	events := spec.GridEvents()
 	n := len(events)
-
-	// The worker scratches go back to the free list only after
-	// engine.Run has returned — after every worker has stopped — so no
-	// scratch is ever held by two campaigns, or two workers, at once.
-	var lease scratchLease
 
 	grid := engine.Spec{
 		Rows: n, Cols: n, Reps: spec.Repeats,
 		Key: func(i, j, r int) string {
 			return cellKeyMaterial(mc, cfg, events[i], events[j], seed, r)
 		},
-		// Each engine worker owns one Measurer (and through it one
-		// MeasureScratch), so steady-state cells reuse sample buffers and
-		// FFT plans without locking, while all workers share the process-
-		// wide synthesis-product layer — a matrix row's envelope products
-		// and a repetition's noise PSD are computed once and reused by every
-		// row- and repetition-mate, and by later campaigns at other
-		// distances — and the process-wide simulation cache of kernels and
-		// alternations. No cache ever influences values:
-		// cells remain exactly equal to Measurer.MeasurePair for the same
-		// seed. The scratches come from the process-wide free list, so a
-		// warm process starts each campaign with its working set already
-		// allocated and steady-state cells perform zero heap allocations.
-		NewWorkerState: func() any {
-			m := NewMeasurer(mc, cfg, WithScratch(lease.take()))
-			m.synths = synths
-			return m
-		},
-		Compute: func(ctx context.Context, state any, i, j, r int) (float64, error) {
-			// The chain's program countermeasures rewrite the pair's kernel
-			// deterministically (CounterSeed), so the rewritten kernel, like
-			// the paper's fixed binary, is shared across repetitions.
-			meas := state.(*Measurer)
-			k, err := meas.Kernel(ctx, events[i], events[j], CounterSeed(seed, events[i], events[j]))
-			if err != nil {
-				return 0, fmt.Errorf("savat: cell %v/%v: %w", events[i], events[j], err)
-			}
-			m, err := meas.measureKernelSeeds(ctx, k, CampaignSeeds(seed, events[i], r))
-			if err != nil {
-				return 0, fmt.Errorf("savat: cell %v/%v rep %d: %w", events[i], events[j], r, err)
-			}
-			return m.SAVAT, nil
+		Compute: func(ctx context.Context, i, j, r int) (float64, error) {
+			return su.cell(ctx, events[i], events[j], seed, r)
 		},
 	}
 
 	res, err := engine.Run(ctx, grid, opts)
-	lease.release()
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +82,33 @@ func runCampaign(ctx context.Context, mc machine.Config, spec CampaignSpec, opts
 		}
 	}
 	return out, nil
+}
+
+// cell computes one campaign cell: the SAVAT of pair a/b in
+// repetition rep of the campaign seeded by seed. The chain's program
+// countermeasures rewrite the pair's kernel deterministically
+// (CounterSeed), so the rewritten kernel, like the paper's fixed
+// binary, is shared across repetitions through the process-wide
+// simulation cache. The cell borrows a scratch from the process-wide
+// free list for its own duration, so steady-state cells reuse sample
+// buffers and FFT plans and perform zero heap allocations, and reads
+// its products through the process-wide layer, so a matrix row's
+// envelope products and a repetition's noise PSD are computed once for
+// every row- and repetition-mate, and for later campaigns at other
+// distances. No cache ever influences values: a cell equals
+// Measurer.MeasurePair for the same seed exactly.
+func (su *setup) cell(ctx context.Context, a, b Event, seed int64, rep int) (float64, error) {
+	k, err := su.kernel(ctx, a, b, CounterSeed(seed, a, b))
+	if err != nil {
+		return 0, fmt.Errorf("savat: cell %v/%v: %w", a, b, err)
+	}
+	s := workerScratches.get()
+	m, err := su.measure(ctx, k, CampaignSeeds(seed, a, rep), s, synths)
+	workerScratches.put(s)
+	if err != nil {
+		return 0, fmt.Errorf("savat: cell %v/%v rep %d: %w", a, b, rep, err)
+	}
+	return m.SAVAT, nil
 }
 
 // campaignFingerprint canonically identifies a campaign: every

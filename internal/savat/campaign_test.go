@@ -3,9 +3,7 @@ package savat
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -51,20 +49,13 @@ func TestRunSpecCancelAndResume(t *testing.T) {
 	withFreshSynths(t, synthBudget)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := make(chan engine.ProgressEvent, 16)
 	finished := 0
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range ch {
-			finished++
-			cancel()
-		}
-	}()
+	kill := func(engine.ProgressEvent) {
+		finished++
+		cancel()
+	}
 	cache := engine.NewCache(64)
-	_, err = RunSpecContext(ctx, spec, engine.Options{Parallelism: 1, Monitor: ch, Cache: cache})
-	wg.Wait()
+	_, err = RunSpecContext(ctx, spec, engine.Options{Parallelism: 1, Monitor: kill, Cache: cache})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -122,36 +113,28 @@ func TestRunSpecCellIdentityCache(t *testing.T) {
 	}
 }
 
-// The Monitor event stream subsumes the removed per-pair Progress
-// callback: tallying events by (Row, Col) recovers pair completion
-// exactly, and the running Stats on the final event account for every
-// cell.
+// The Monitor events subsume the removed per-pair Progress callback:
+// tallying events by (Row, Col) recovers pair completion exactly, and
+// the running Stats on the final event account for every cell.
 func TestRunSpecMonitorPairCompletion(t *testing.T) {
 	const repeats = 2
-	ch := make(chan engine.ProgressEvent, 16)
 	events := 0
 	pairsDone := 0
 	var last engine.ProgressEvent
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		perPair := make(map[[2]int]int)
-		for ev := range ch {
-			events++
-			last = ev
-			p := [2]int{ev.Row, ev.Col}
-			perPair[p]++
-			if perPair[p] == repeats {
-				pairsDone++
-			}
+	perPair := make(map[[2]int]int)
+	monitor := func(ev engine.ProgressEvent) {
+		events++
+		last = ev
+		p := [2]int{ev.Row, ev.Col}
+		perPair[p]++
+		if perPair[p] == repeats {
+			pairsDone++
 		}
-	}()
+	}
 	spec := CampaignSpec{Machine: "Core2Duo", Config: FastConfig(), Events: []Event{ADD, LDM}, Repeats: repeats, Seed: 1}
-	if _, err := runSpec(spec, engine.Options{Monitor: ch}); err != nil {
+	if _, err := runSpec(spec, engine.Options{Monitor: monitor}); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if pairsDone != 4 {
 		t.Fatalf("derived %d finished pairs, want 4", pairsDone)
 	}
@@ -202,24 +185,16 @@ func TestRunCampaignErrors(t *testing.T) {
 	}
 }
 
-// A spec rejected before the engine starts still closes the Monitor
-// channel, so a caller draining it is not left waiting.
-func TestRunCampaignContextClosesMonitorOnValidationError(t *testing.T) {
+// A spec rejected before the engine starts reports no progress.
+func TestRunCampaignValidationErrorCallsNoMonitor(t *testing.T) {
 	for _, c := range rejectedSpecs() {
-		ch := make(chan engine.ProgressEvent)
-		done := make(chan struct{})
-		go func() {
-			for range ch {
-			}
-			close(done)
-		}()
-		if _, err := RunSpecContext(context.Background(), c.spec, engine.Options{Monitor: ch}); err == nil {
+		calls := 0
+		monitor := func(engine.ProgressEvent) { calls++ }
+		if _, err := RunSpecContext(context.Background(), c.spec, engine.Options{Monitor: monitor}); err == nil {
 			t.Fatalf("%s: spec should fail", c.name)
 		}
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Monitor channel left open", c.name)
+		if calls != 0 {
+			t.Errorf("%s: Monitor called %d times for a rejected spec", c.name, calls)
 		}
 	}
 }

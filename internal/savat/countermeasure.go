@@ -64,19 +64,15 @@ type CountermeasureReport struct {
 
 // RunCountermeasureReport measures the matched campaign pair for spec
 // (which must carry a non-empty countermeasure chain) and scores the
-// chain. opts supplies how the campaigns run. Its Monitor receives no
-// event — the report runs two campaigns, and the per-cell monitor
-// contract binds to exactly one — and is closed on every return, as
-// RunSpecContext closes it. The Cache is shared by both runs; their
-// cell keys differ in the countermeasure dimension, so the runs never
-// collide.
+// chain. opts supplies how the campaigns run. Its Monitor sees the
+// baseline campaign's cells and then the protected campaign's, each
+// numbered from 1 by its own run's Stats, so the call whose Stats.Done
+// equals Stats.Total ends a campaign. The Cache is shared by both runs;
+// their cell keys differ in the countermeasure dimension, so the runs
+// never collide.
 func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, opts engine.Options) (*CountermeasureReport, error) {
-	if opts.Monitor != nil {
-		defer close(opts.Monitor)
-		opts.Monitor = nil
-	}
 	spec = spec.Normalized()
-	mc, err := spec.validated()
+	su, err := spec.validated()
 	if err != nil {
 		return nil, err
 	}
@@ -84,16 +80,18 @@ func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, opts engine
 		return nil, fmt.Errorf("%w: report needs a non-empty countermeasure chain", ErrBadCountermeasure)
 	}
 
-	// Dropping the chain keeps a valid spec valid, so both runs share
-	// the one validation above.
 	base := spec
 	base.Config.Countermeasures = nil
+	baseSu, err := resolveSetup(su.base, base.Config)
+	if err != nil {
+		return nil, err
+	}
 
-	baseline, err := runCampaign(ctx, mc, base, opts)
+	baseline, err := runCampaign(ctx, &baseSu, base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure baseline: %w", err)
 	}
-	protected, err := runCampaign(ctx, mc, spec, opts)
+	protected, err := runCampaign(ctx, &su, spec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure protected: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/counter"
 	"repro/internal/engine"
@@ -75,42 +74,50 @@ func TestRunCountermeasureReport(t *testing.T) {
 	}
 }
 
-// A report's Monitor gets no per-cell event but is closed on every
-// return, so a caller ranging over it ends — after a finished report
-// and after a rejected one alike.
-func TestRunCountermeasureReportClosesMonitor(t *testing.T) {
+// A report's Monitor sees the baseline campaign's cells, numbered
+// 1…N by that run's Stats, then the protected campaign's, numbered
+// 1…N again, each final call carrying its campaign's final Stats; a
+// rejected report calls it never.
+func TestRunCountermeasureReportMonitor(t *testing.T) {
 	spec := reportSpec()
 	spec.Events = []Event{LDM, NOI}
+	var dones []int
+	var finals []engine.Stats
+	monitor := func(ev engine.ProgressEvent) {
+		dones = append(dones, ev.Stats.Done)
+		if ev.Stats.Done == ev.Stats.Total {
+			st := ev.Stats
+			st.Elapsed = 0 // Run's own Stats are timed at its return
+			finals = append(finals, st)
+		}
+	}
+	rep, err := RunCountermeasureReport(context.Background(), spec, engine.Options{Monitor: monitor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 4 * spec.Repeats
+	if len(dones) != 2*cells {
+		t.Fatalf("Monitor called %d times, want %d (two campaigns of %d cells)", len(dones), 2*cells, cells)
+	}
+	for i, d := range dones {
+		if want := i%cells + 1; d != want {
+			t.Fatalf("call %d saw Stats.Done %d, want %d", i, d, want)
+		}
+	}
+	base, prot := rep.Baseline.Engine, rep.Protected.Engine
+	base.Elapsed, prot.Elapsed = 0, 0
+	if len(finals) != 2 || finals[0] != base || finals[1] != prot {
+		t.Errorf("final calls carried %+v, want the baseline's %+v and the protected run's %+v", finals, base, prot)
+	}
+
 	chainless := spec
 	chainless.Config.Countermeasures = nil
-	for _, tc := range []struct {
-		name    string
-		spec    CampaignSpec
-		wantErr bool
-	}{{"report", spec, false}, {"chain-less", chainless, true}} {
-		// Buffered so that a report that did forward cell events could
-		// not block on it, and the test counts them instead.
-		mon := make(chan engine.ProgressEvent, 64)
-		_, err := RunCountermeasureReport(context.Background(), tc.spec, engine.Options{Monitor: mon})
-		if (err != nil) != tc.wantErr {
-			t.Fatalf("%s: err = %v", tc.name, err)
-		}
-		ended := make(chan int)
-		go func() {
-			n := 0
-			for range mon {
-				n++
-			}
-			ended <- n
-		}()
-		select {
-		case n := <-ended:
-			if n != 0 {
-				t.Errorf("%s: Monitor carried %d events, want none", tc.name, n)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: ranging over the Monitor did not end: it was never closed", tc.name)
-		}
+	dones = nil
+	if _, err := RunCountermeasureReport(context.Background(), chainless, engine.Options{Monitor: monitor}); err == nil {
+		t.Fatal("chain-less report should fail")
+	}
+	if len(dones) != 0 {
+		t.Errorf("rejected report called the Monitor %d times", len(dones))
 	}
 }
 

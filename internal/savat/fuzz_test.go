@@ -59,6 +59,28 @@ func FuzzCampaignSpec(f *testing.F) {
 	// validates and its cell measures.
 	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"sample_rate":262144`, `"sample_rate":162000`, 1)))
 	f.Add([]byte(strings.Replace(fuzzSpecSeed, `"sample_rate":262144`, `"sample_rate":162002`, 1)))
+	// Finite values the pipeline cannot measure, each refused by
+	// Validate: jitter that stalls the envelope timeline (which would
+	// hang the cell) or overflows it, a distance, noise densities, a
+	// floor and an RBW that measured NaN or ±Inf, and a capture of zero
+	// samples.
+	for _, r := range [][2]string{
+		{`"freq_offset":0.005`, `"freq_offset":-1`},
+		{`"freq_offset":0.005`, `"freq_offset":-2`},
+		{`"drift_std":0.0007`, `"drift_std":-0.1`},
+		{`"max_drift":0.004`, `"max_drift":-0.1`},
+		{`"amp_noise_std":0`, `"amp_noise_std":1e300`},
+		{`"amp_noise_corr":0`, `"amp_noise_corr":5`},
+		{`"amp_noise_corr":0`, `"amp_noise_corr":-5`},
+		{`"distance":0.1`, `"distance":1e-100`},
+		{`"thermal_psd":6e-18`, `"thermal_psd":1e308`},
+		{`"rf_background_psd":3.8e-17`, `"rf_background_psd":1e308`},
+		{`"floor_psd":6e-18`, `"floor_psd":1e308`},
+		{`"rbw":1`, `"rbw":1e300`},
+		{`"duration":0.0625`, `"duration":2e-6`},
+	} {
+		f.Add([]byte(strings.Replace(fuzzSpecSeed, r[0], r[1], 1)))
+	}
 	f.Add([]byte(`{"machine":"Core2Duo"}`))
 	f.Add([]byte(`{`))
 

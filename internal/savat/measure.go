@@ -120,6 +120,12 @@ const (
 	MaxCaptureSamples = 1 << 24
 )
 
+// MinDistance is the closest antenna distance Config.Validate accepts,
+// in metres. The coupling model's near-field term grows as 1/d³, so a
+// distance far below any probe's standoff overflows the received power
+// to a NaN SAVAT.
+const MinDistance = 1e-3
+
 // Validate reports the first configuration problem. Distance,
 // frequency, channel, and countermeasure problems wrap the package
 // sentinels (ErrBadDistance, ErrBadFrequency, ErrUnknownChannel,
@@ -131,6 +137,8 @@ func (c Config) Validate() error {
 	switch {
 	case !(c.Distance > 0) || math.IsInf(c.Distance, 1):
 		return fmt.Errorf("%w: %g m", ErrBadDistance, c.Distance)
+	case c.Distance < MinDistance:
+		return fmt.Errorf("%w: %g m is below the %g m minimum", ErrBadDistance, c.Distance, MinDistance)
 	case !(c.Frequency > 0) || math.IsInf(c.Frequency, 1):
 		return fmt.Errorf("%w: %g Hz", ErrBadFrequency, c.Frequency)
 	}
@@ -152,11 +160,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: period counts warmup=%d measure=%d exceed %d", ErrTooLarge, c.WarmupPeriods, c.MeasurePeriods, MaxPeriods)
 	case c.Duration*c.SampleRate > MaxCaptureSamples:
 		return fmt.Errorf("%w: capture of %g samples exceeds %d", ErrTooLarge, c.Duration*c.SampleRate, MaxCaptureSamples)
+	case c.Duration*c.BandHalfWidth < 1:
+		// A capture's bin spacing is about 1/Duration: a shorter capture
+		// leaves the measured band without a bin (or without a sample).
+		return fmt.Errorf("%w: a %g s capture cannot resolve the ±%g Hz band (needs at least %g s)",
+			ErrBadConfig, c.Duration, c.BandHalfWidth, 1/c.BandHalfWidth)
+	case c.Analyzer.RBW > c.BandHalfWidth:
+		return fmt.Errorf("%w: RBW %g Hz wider than the ±%g Hz band", ErrBadConfig, c.Analyzer.RBW, c.BandHalfWidth)
 	}
 	if err := c.Environment.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if err := c.Analyzer.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if err := c.Jitter.Validate(1/c.Frequency, c.SampleRate); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if _, err := machine.ChannelByName(c.Channel); err != nil {
@@ -251,7 +269,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// alternation sets the phase amplitudes (droop compensation
 	// included) and its duty cycle d scales them by sin(πd), restoring
 	// the duty-d fundamental on the canonical 50/50 timeline — see
-	// measureKernelStream, whose coefficient computation this mirrors.
+	// setup.measure, whose coefficient computation this mirrors.
 	radSp := mRadiate.Start()
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/counter"
 	"repro/internal/emsim"
 	"repro/internal/machine"
-	"repro/internal/memo"
 	"repro/internal/stats"
 )
 
@@ -29,36 +28,40 @@ import (
 //
 // The scratch keeps the last envelope and noise products, so a repeated
 // seed skips synthesis and a new one recomputes them in place. Campaign
-// workers instead share every product through the process-wide layer
-// (synths), which only the campaign runner selects.
+// cells do not measure through a Measurer: they share every product
+// through the process-wide layer (synths) instead.
 //
 // Measurements are returned by value, so their scalars outlive later
 // calls. A Measurer reuses one scratch across its measurements, though,
 // so a returned Measurement's Trace aliases that scratch and is valid
 // only until the Measurer's next measurement; callers that keep traces
 // use one Measurer per retained trace. A Measurer is NOT safe for
-// concurrent use — the campaign engine gives each worker its own.
+// concurrent use.
 type Measurer struct {
-	mc        machine.Config
 	cfg       Config
 	reference bool // WithReference: the oracle instead of the fast path
 	scratch   *MeasureScratch
-	// synths, set only by runCampaign, is the product layer its workers
-	// share; nil reads products through the scratch's slots.
-	synths *memo.LRU[productKey, synthProduct]
 
-	// Effective measurement setup, resolved lazily on first measurement
-	// (NewMeasurer deliberately cannot fail): the configured channel's
-	// Apply over mc, the countermeasure chain's model-side effects over
-	// cfg, and the channel's distance law. For the "em" channel with an
-	// empty chain the effective setup IS (mc, cfg) value-for-value, which
-	// is what keeps the redesigned seam bit-identical to the old
-	// pipeline.
-	resolved bool
-	effMC    machine.Config
-	effCfg   Config
-	effLaw   emsim.DistanceLaw
-	effErr   error
+	// su is the effective setup NewMeasurer resolved; err, the problem
+	// resolving it, is every measurement's error (NewMeasurer
+	// deliberately cannot fail).
+	su  setup
+	err error
+}
+
+// setup is the effective measurement setup of one (machine,
+// configuration): the configured channel's Apply over the machine, the
+// countermeasure chain's model-side effects over the configuration,
+// and the channel's distance law. For the "em" channel with an empty
+// chain the effective setup IS (mc, cfg) value-for-value, which is what
+// keeps the channel seam bit-identical to the pipeline before it.
+// resolveSetup derives it once per Measurer or campaign; afterwards it
+// is read-only, so a campaign's cells share one.
+type setup struct {
+	base machine.Config // the machine as given: the simulation inputs kernels are cached on
+	mc   machine.Config
+	cfg  Config
+	law  emsim.DistanceLaw
 	// chainKey is the countermeasure chain's canonical text when it
 	// rewrites the program ("" otherwise): the part of a kernel's
 	// simulation-cache key the chain contributes.
@@ -94,48 +97,62 @@ func WithReference() MeasureOption {
 // applies the options. Configuration problems surface on the first
 // measurement (wrapped sentinel errors — see Config.Validate), not here.
 func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer {
-	m := &Measurer{mc: mc, cfg: cfg}
+	m := &Measurer{cfg: cfg}
 	for _, o := range opts {
 		o(m)
 	}
 	if m.scratch == nil && !m.reference {
 		m.scratch = NewMeasureScratch()
 	}
+	m.su, m.err = resolveSetup(mc, cfg)
 	return m
 }
 
-// resolve derives the effective measurement setup once: the channel's
+// resolveSetup derives the effective measurement setup: the channel's
 // source-table rewrite and distance law, then the countermeasure
 // chain's model-side effects (supply filters on the conducted
 // couplings, noise generators on the environment, run-time timing
-// randomness on the jitter). It is the Measurer's one validation: the
-// machine — once, because the shared simulation cache keys on its
-// simulation inputs only — then the configuration as given, which
-// vouches for the channel and chain the derivation reads, then the
-// effective configuration every measurement runs; problems surface as
-// Config.Validate's wrapped sentinels.
-func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) {
-	if !m.resolved {
-		m.resolved = true
-		if m.effErr = m.mc.Validate(); m.effErr == nil {
-			m.effErr = m.cfg.Validate()
-		}
-		if m.effErr == nil {
-			ch, _ := machine.ChannelByName(m.cfg.Channel) // validated above
-			chain := m.cfg.Countermeasures
-			m.effMC = ch.Apply(m.mc)
-			m.effMC.Sources = counter.ApplySources(m.effMC.Sources, chain, m.cfg.Frequency)
-			m.effCfg = m.cfg
-			m.effCfg.Environment = counter.ApplyEnvironment(m.cfg.Environment, chain)
-			m.effCfg.Jitter = counter.ApplyJitter(m.cfg.Jitter, chain)
-			m.effLaw = ch.Law()
-			if chain.HasProgram() {
-				m.chainKey = chain.String()
-			}
-			m.effErr = m.effCfg.Validate()
-		}
+// randomness on the jitter). It is the one validation of a
+// measurement: the machine — once, because the shared simulation cache
+// keys on its simulation inputs only — then the configuration as
+// given, which vouches for the channel and chain the derivation reads,
+// then the effective configuration every measurement runs; problems
+// surface as Config.Validate's wrapped sentinels.
+func resolveSetup(mc machine.Config, cfg Config) (setup, error) {
+	if err := mc.Validate(); err != nil {
+		return setup{}, err
 	}
-	return m.effMC, m.effCfg, m.effLaw, m.effErr
+	if err := cfg.Validate(); err != nil {
+		return setup{}, err
+	}
+	ch, _ := machine.ChannelByName(cfg.Channel) // validated above
+	chain := cfg.Countermeasures
+	su := setup{base: mc, mc: ch.Apply(mc), cfg: cfg, law: ch.Law()}
+	su.mc.Sources = counter.ApplySources(su.mc.Sources, chain, cfg.Frequency)
+	su.cfg.Environment = counter.ApplyEnvironment(cfg.Environment, chain)
+	su.cfg.Jitter = counter.ApplyJitter(cfg.Jitter, chain)
+	if chain.HasProgram() {
+		su.chainKey = chain.String()
+	}
+	if err := su.cfg.Validate(); err != nil {
+		return setup{}, err
+	}
+
+	// The product key prefixes describe the EFFECTIVE setup: a
+	// countermeasure that changes the jitter or the noise environment
+	// must not hit the products of the unprotected recipe.
+	c := su.cfg
+	jit := c.Jitter
+	if jit.AmpNoiseStd == 0 {
+		jit.AmpNoiseStd = su.mc.AmplitudeNoiseStd
+	}
+	n := int(c.Duration * c.SampleRate)
+	band := c.analysisBand()
+	su.envKeyPrefix = fmt.Sprintf("env|f0=%g|fs=%g|n=%d|jit=%+v|rbw=%g|win=%v|band=%g-%g",
+		c.Frequency, c.SampleRate, n, jit, c.Analyzer.RBW, c.Analyzer.Window, band.Lo, band.Hi)
+	su.noiseKeyPrefix = fmt.Sprintf("noise|env=%+v|fs=%g|n=%d|rbw=%g|win=%v|band=%g-%g",
+		c.Environment, c.SampleRate, n, c.Analyzer.RBW, c.Analyzer.Window, band.Lo, band.Hi)
+	return su, nil
 }
 
 // Measure runs the complete pipeline for one event pair: the
@@ -170,10 +187,15 @@ func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
 // seed from its rng. ctx bounds only the wait for another caller's
 // calibration.
 func (m *Measurer) Kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
-	if _, _, _, err := m.resolve(); err != nil {
-		return nil, err
+	if m.err != nil {
+		return nil, m.err
 	}
-	return sims.kernel(ctx, m.mc, a, b, m.cfg.Frequency, m.cfg.Countermeasures, m.chainKey, seed)
+	return m.su.kernel(ctx, a, b, seed)
+}
+
+// kernel is Measurer.Kernel on a resolved setup.
+func (su *setup) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
+	return sims.kernel(ctx, su.base, a, b, su.cfg.Frequency, su.cfg.Countermeasures, su.chainKey, seed)
 }
 
 // MeasureKernel measures a prebuilt kernel, avoiding re-calibration
@@ -188,64 +210,20 @@ func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (Measurement, error)
 	return m.MeasureKernelSeeds(k, seedsFromRNG(rng))
 }
 
-// productKeys derives the synthesis-product cache keys for one
-// measurement: the (mc, cfg)-fixed prefix — built once per Measurer —
-// plus the stage seed. Two measurements share a key exactly when their
-// products are bit-identical by construction: same seed, same
-// synthesis parameters (nominal frequency, sample rate, capture
-// length, resolved jitter, noise environment), same segmentation
-// parameters (RBW request, window) and same analyzed band. The
-// instrument floor and the group coefficients are excluded — products
-// are computed upstream of both.
-// The keys are comparable structs around the interned prefix, so the
-// steady-state measurement path allocates nothing here; map equality
-// compares prefix content, so equal recipes hit across Measurers.
-func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
-	if m.envKeyPrefix == "" {
-		// The prefixes describe the EFFECTIVE setup: a countermeasure
-		// that changes the jitter or the noise environment must not hit
-		// the products of the unprotected recipe. resolve has already run
-		// on every path that reaches here.
-		mc, cfg, _, _ := m.resolve()
-		jit := cfg.Jitter
-		if jit.AmpNoiseStd == 0 {
-			jit.AmpNoiseStd = mc.AmplitudeNoiseStd
-		}
-		n := int(cfg.Duration * cfg.SampleRate)
-		band := cfg.analysisBand()
-		m.envKeyPrefix = fmt.Sprintf("env|f0=%g|fs=%g|n=%d|jit=%+v|rbw=%g|win=%v|band=%g-%g",
-			cfg.Frequency, cfg.SampleRate, n, jit, cfg.Analyzer.RBW, cfg.Analyzer.Window, band.Lo, band.Hi)
-		m.noiseKeyPrefix = fmt.Sprintf("noise|env=%+v|fs=%g|n=%d|rbw=%g|win=%v|band=%g-%g",
-			cfg.Environment, cfg.SampleRate, n, cfg.Analyzer.RBW, cfg.Analyzer.Window, band.Lo, band.Hi)
-	}
-	return productKey{prefix: m.envKeyPrefix, seed: seeds.Env},
-		productKey{prefix: m.noiseKeyPrefix, seed: seeds.Noise}
-}
-
 // MeasureKernelSeeds measures a prebuilt kernel from explicit per-stage
-// seeds — the campaign entry point, where CampaignSeeds' scoping makes
-// row-mates share envelope products and repetition-mates share noise
-// products through the product layer. The selected pipeline
+// seeds — the seeds a campaign cell uses (see CampaignSeeds), so the
+// result equals that cell's exactly. The selected pipeline
 // implementation runs inside the savat.measure span.
 func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
-	return m.measureKernelSeeds(context.Background(), k, seeds)
-}
-
-// measureKernelSeeds is MeasureKernelSeeds under a caller context — the
-// campaign cell's — which bounds the wait for a shared alternation
-// another worker is simulating.
-func (m *Measurer) measureKernelSeeds(ctx context.Context, k *Kernel, seeds SynthSeeds) (Measurement, error) {
-	sp := mMeasure.Start()
-	defer sp.End()
-	mc, cfg, law, err := m.resolve()
-	if err != nil {
-		return Measurement{}, err
+	if m.err != nil {
+		return Measurement{}, m.err
 	}
 	if m.reference {
-		return measureKernelReference(mc, k, cfg, law, seeds)
+		sp := mMeasure.Start()
+		defer sp.End()
+		return measureKernelReference(m.su.mc, k, m.su.cfg, m.su.law, seeds)
 	}
-	envKey, noiseKey := m.productKeys(seeds)
-	return measureKernelStream(ctx, mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.synths)
+	return m.su.measure(context.Background(), k, seeds, m.scratch, nil)
 }
 
 // MeasurePair measures one event pair `repeats` times with the

@@ -2,11 +2,12 @@ package savat
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/activity"
 	"repro/internal/emsim"
-	"repro/internal/machine"
 	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/specan"
@@ -43,12 +44,11 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 // process-wide simulation cache (see simCache), which every scratch
 // shares.
 //
-// A MeasureScratch is NOT safe for concurrent use; the campaign engine
-// gives each worker its own, and the workers read their products
+// A MeasureScratch is NOT safe for concurrent use. Each computed
+// campaign cell borrows one from a process-wide free list (see
+// workerScratches) for its own duration, so a warm process measures
+// with its working sets already allocated, and reads its products
 // through the process-wide layer (synths) instead of the scratch slots.
-// Campaigns take their workers' scratches from a process-wide free list
-// (see workerScratches), so a warm process starts each campaign with
-// its working set already allocated.
 type MeasureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
@@ -77,15 +77,22 @@ func NewMeasureScratch() *MeasureScratch {
 
 // finish turns a recorded trace into the Measurement: band power
 // around the intended frequency, then energy per A/B instruction pair.
+// Config.Validate keeps every input in range; a SAVAT that still comes
+// out non-finite or non-positive is refused with ErrNonFinite rather
+// than returned as a value.
 func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Measurement, error) {
 	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
 	if err != nil {
 		return Measurement{}, err
 	}
 	pairs := alt.PairsPerSecond()
+	e := p / pairs
+	if !(e > 0) || math.IsInf(e, 1) {
+		return Measurement{}, fmt.Errorf("%w: %v/%v measured a SAVAT of %g J", ErrNonFinite, k.A, k.B, e)
+	}
 	return Measurement{
 		A: k.A, B: k.B,
-		SAVAT:           p / pairs,
+		SAVAT:           e,
 		BandPower:       p,
 		PairsPerSecond:  pairs,
 		LoopCount:       k.LoopCount,
@@ -94,21 +101,26 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace) (Me
 	}, nil
 }
 
-// measureKernelStream is the measurement fast path: the envelope and
-// noise spectral products are read through layer — or, when it is nil,
-// the scratch's product slots — computed, on a miss, by the O(segment)
-// streaming renderers (emsim.EnvelopeStream + noise.Stream feeding
-// specan's product walks); skipped entirely on a hit — and the cell's
-// trace is assembled by the FFT-free specan.Render. Values match the
-// reference pipeline within rounding (the equivalence tests bound the
-// relative difference by 1e-9), and the per-segment primitives are
-// bit-identical to specan's buffered Welch passes.
+// measure is the measurement fast path on a resolved setup, inside the
+// savat.measure span: the envelope and noise spectral products are read
+// through layer — or, when it is nil, the scratch's product slots —
+// computed, on a miss, by the O(segment) streaming renderers
+// (emsim.EnvelopeStream + noise.Stream feeding specan's product walks);
+// skipped entirely on a hit — and the cell's trace is assembled by the
+// FFT-free specan.Render. Values match the reference pipeline within
+// rounding (the equivalence tests bound the relative difference by
+// 1e-9), and the per-segment primitives are bit-identical to specan's
+// buffered Welch passes. A product's key is the setup's recipe prefix
+// plus the stage seed (see productKey), so the lookup allocates nothing.
 //
-// The returned Measurement's Trace aliases the scratch and is valid
-// until the scratch's next measurement; callers that keep traces must
-// use distinct scratches. cfg was validated when the Measurer resolved
-// it.
-func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, layer *memo.LRU[productKey, synthProduct]) (Measurement, error) {
+// s holds the working set for the measurement's duration; the returned
+// Measurement's Trace aliases it and is valid until the scratch's next
+// measurement, so callers that keep traces must use distinct scratches.
+func (su *setup) measure(ctx context.Context, k *Kernel, seeds SynthSeeds, s *MeasureScratch, layer *memo.LRU[productKey, synthProduct]) (Measurement, error) {
+	sp := mMeasure.Start()
+	defer sp.End()
+	mc, cfg := su.mc, su.cfg
+
 	// 1. Cycle-accurate steady-state activity of the alternation loop,
 	// shared process-wide (ctx bounds only the wait for another
 	// caller's simulation of it).
@@ -136,7 +148,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	// pair-independent. Droop compensation stays on the pair's achieved
 	// period via PhaseAmplitudes.
 	radSp := mRadiate.Start()
-	if err := s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, s.calRng.at(seeds.Cal)); err != nil {
+	if err := s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, su.law, s.calRng.at(seeds.Cal)); err != nil {
 		return Measurement{}, err
 	}
 	actual := emsim.Alternation{
@@ -182,7 +194,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 	// frequency-domain combination in Render computes.
 	var envP synthProduct
 	if len(s.coeffs) > 0 {
-		envP, err = product(ctx, layer, &s.envSlot, envKey, func(dst synthProduct) (synthProduct, error) {
+		envP, err = product(ctx, layer, &s.envSlot, productKey{su.envKeyPrefix, seeds.Env}, func(dst synthProduct) (synthProduct, error) {
 			sp := mSynthesize.Start()
 			defer sp.End()
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
@@ -195,7 +207,7 @@ func measureKernelStream(ctx context.Context, mc machine.Config, k *Kernel, cfg 
 			return Measurement{}, err
 		}
 	}
-	noiseP, err := product(ctx, layer, &s.noiseSlot, noiseKey, func(dst synthProduct) (synthProduct, error) {
+	noiseP, err := product(ctx, layer, &s.noiseSlot, productKey{su.noiseKeyPrefix, seeds.Noise}, func(dst synthProduct) (synthProduct, error) {
 		sp := mSynthesize.Start()
 		defer sp.End()
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {

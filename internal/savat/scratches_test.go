@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -120,6 +121,10 @@ func TestArenaWorkersConcurrentRowMates(t *testing.T) {
 
 	const lapsPerCol = 3
 	withFreshSynths(t, synthBudget)
+	su, err := resolveSetup(mc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]float64, len(cols)*lapsPerCol)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
@@ -133,9 +138,7 @@ func TestArenaWorkersConcurrentRowMates(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			worker := NewMeasurer(mc, cfg, WithScratch(NewMeasureScratch()))
-			worker.synths = synths
-			m, err := worker.MeasureKernelSeeds(k, seeds)
+			m, err := su.measure(context.Background(), k, seeds, NewMeasureScratch(), synths)
 			if err != nil {
 				errs[g] = err
 				return
@@ -269,5 +272,32 @@ func TestConcurrentCampaignsNeverShareArenas(t *testing.T) {
 	}
 	if len(list.free) == 0 {
 		t.Fatal("concurrent campaigns returned no scratch to the free list")
+	}
+}
+
+// A cell borrows a scratch only to compute: a campaign served wholly
+// from the cell cache takes none from the free list, while computing
+// the same campaign returns the scratches its cells borrowed.
+func TestCachedCampaignTakesNoScratch(t *testing.T) {
+	spec := CampaignSpec{Machine: "Core2Duo", Config: FastConfig(), Events: []Event{ADD, LDM}, Repeats: 1, Seed: 11}
+	opts := engine.Options{Parallelism: 2, Cache: engine.NewCache(64)}
+	list := isolateScratches(t)
+	if _, err := runSpec(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.free) == 0 {
+		t.Fatal("computing campaign returned no scratch to the free list")
+	}
+
+	list = isolateScratches(t)
+	res, err := runSpec(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine.Cached != 4 {
+		t.Fatalf("rerun stats = %+v, want 4 cached cells", res.Engine)
+	}
+	if n := len(list.free); n != 0 {
+		t.Errorf("fully cached campaign took %d scratches", n)
 	}
 }

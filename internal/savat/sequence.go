@@ -132,8 +132,8 @@ func MeasureSequence(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Ran
 		return nil, fmt.Errorf("savat: nil rng")
 	}
 	meas := NewMeasurer(mc, cfg)
-	if _, _, _, err := meas.resolve(); err != nil {
-		return nil, err
+	if meas.err != nil {
+		return nil, meas.err
 	}
 	k, err := BuildSequenceKernel(mc, a, b, cfg.Frequency)
 	if err != nil {

@@ -85,8 +85,9 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 // Validate reports the first problem with the spec as a wrapped
 // sentinel error: version (ErrSpecVersion), machine (ErrUnknownMachine),
 // events — unknown or repeated — (ErrBadSpec), the measurement
-// configuration (Config.Validate's sentinels, then ErrBadFrequency for
-// a frequency the machine's clock cannot alternate at), then repeats
+// configuration as given and as its channel and countermeasure chain
+// make it (Config.Validate's sentinels, then ErrBadFrequency for a
+// frequency the machine's clock cannot alternate at), then repeats
 // (ErrBadRepeats, ErrTooLarge). It is the only check a campaign run
 // makes: RunSpecContext rejects exactly the specs Validate rejects.
 func (s CampaignSpec) Validate() error {
@@ -94,37 +95,38 @@ func (s CampaignSpec) Validate() error {
 	return err
 }
 
-// validated is Validate returning the resolved machine, so a run
-// resolves it once.
-func (s CampaignSpec) validated() (machine.Config, error) {
+// validated is Validate returning the campaign's effective setup, so a
+// run resolves it once.
+func (s CampaignSpec) validated() (setup, error) {
 	s = s.Normalized()
 	if s.Version != SpecVersion {
-		return machine.Config{}, fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
+		return setup{}, fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
 	}
 	mc, err := s.MachineConfig()
 	if err != nil {
-		return machine.Config{}, err
+		return setup{}, err
 	}
 	var seen [NumExtEvents]bool
 	for _, e := range s.Events {
 		if !e.Valid() {
-			return machine.Config{}, fmt.Errorf("%w: event %d invalid", ErrBadSpec, uint8(e))
+			return setup{}, fmt.Errorf("%w: event %d invalid", ErrBadSpec, uint8(e))
 		}
 		if seen[e] {
-			return machine.Config{}, fmt.Errorf("%w: event %v repeated", ErrBadSpec, e)
+			return setup{}, fmt.Errorf("%w: event %v repeated", ErrBadSpec, e)
 		}
 		seen[e] = true
 	}
-	if err := s.Config.Validate(); err != nil {
-		return machine.Config{}, err
+	su, err := resolveSetup(mc, s.Config)
+	if err != nil {
+		return setup{}, err
 	}
 	if err := checkPeriodCycles(mc.ClockHz, s.Config.Frequency); err != nil {
-		return machine.Config{}, err
+		return setup{}, err
 	}
 	if err := validateRepeats(s.Repeats); err != nil {
-		return machine.Config{}, err
+		return setup{}, err
 	}
-	return mc, nil
+	return su, nil
 }
 
 // MachineConfig resolves the spec's machine name.

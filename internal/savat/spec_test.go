@@ -77,6 +77,31 @@ func TestCampaignSpecValidate(t *testing.T) {
 		{"bad-countermeasure", func(s *CampaignSpec) {
 			s.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 2}}
 		}, ErrBadCountermeasure},
+		// Finite values the pipeline cannot measure: a jitter period
+		// scale at or below zero never advances the envelope timeline;
+		// the rest measured NaN or ±Inf, or failed after validation.
+		{"freq-offset-stalls", func(s *CampaignSpec) { s.Config.Jitter.FreqOffset = -1 }, ErrBadConfig},
+		{"freq-offset-negative-scale", func(s *CampaignSpec) { s.Config.Jitter.FreqOffset = -2 }, ErrBadConfig},
+		{"freq-offset-above-nyquist", func(s *CampaignSpec) { s.Config.Jitter.FreqOffset = -0.999 }, ErrBadConfig},
+		{"negative-drift", func(s *CampaignSpec) { s.Config.Jitter.DriftStd = -0.1 }, ErrBadConfig},
+		{"negative-max-drift", func(s *CampaignSpec) { s.Config.Jitter.MaxDrift = -0.1 }, ErrBadConfig},
+		{"amp-noise-huge", func(s *CampaignSpec) { s.Config.Jitter.AmpNoiseStd = 1e300 }, ErrBadConfig},
+		{"amp-corr-above", func(s *CampaignSpec) { s.Config.Jitter.AmpNoiseCorr = 5 }, ErrBadConfig},
+		{"amp-corr-below", func(s *CampaignSpec) { s.Config.Jitter.AmpNoiseCorr = -5 }, ErrBadConfig},
+		{"distance-tiny", func(s *CampaignSpec) { s.Config.Distance = 1e-100 }, ErrBadDistance},
+		{"thermal-huge", func(s *CampaignSpec) { s.Config.Environment.ThermalPSD = 1e308 }, ErrBadConfig},
+		{"background-huge", func(s *CampaignSpec) { s.Config.Environment.RFBackgroundPSD = 1e308 }, ErrBadConfig},
+		{"floor-huge", func(s *CampaignSpec) { s.Config.Analyzer.FloorPSD = 1e308 }, ErrBadConfig},
+		{"rbw-huge", func(s *CampaignSpec) { s.Config.Analyzer.RBW = 1e300 }, ErrBadConfig},
+		{"zero-sample-capture", func(s *CampaignSpec) { s.Config.Duration = 2e-6 }, ErrBadConfig},
+		// A valid chain whose model-side effects push the effective
+		// jitter out of range: shuffling adds drift, and with MaxDrift 0
+		// the walk's clamp follows it.
+		{"chain-stalls-jitter", func(s *CampaignSpec) {
+			s.Config.Jitter.MaxDrift = 0
+			s.Config.Jitter.FreqOffset = -0.3 // valid as given: the scale stays above 0.69
+			s.Config.Countermeasures = counter.Chain{{Name: counter.Shuffle, Param: 64}}
+		}, ErrBadConfig},
 	}
 	for _, c := range cases {
 		s := base

@@ -42,11 +42,16 @@ func newSynths(budget int) *memo.LRU[productKey, synthProduct] {
 }
 
 // productKey identifies one synthesis product: the (mc, cfg)-fixed
-// recipe prefix (see Measurer.productKeys, built once per Measurer and
-// compared by content, so equal recipes match across Measurers) plus
-// the stage seed. A comparable struct rather than a concatenated
-// string so the steady-state lookup path performs no per-measurement
-// key allocation.
+// recipe prefix (built once per setup by resolveSetup and compared by
+// content, so equal recipes match across setups) plus the stage seed.
+// Two measurements share a key exactly when their products are
+// bit-identical by construction: same seed, same synthesis parameters
+// (nominal frequency, sample rate, capture length, resolved jitter,
+// noise environment), same segmentation parameters (RBW request,
+// window) and same analyzed band. The instrument floor and the group
+// coefficients are excluded — products are computed upstream of both.
+// A comparable struct rather than a concatenated string so the
+// steady-state lookup path performs no per-measurement key allocation.
 type productKey struct {
 	prefix string
 	seed   int64
@@ -99,8 +104,8 @@ func (sl *productSlot) get(key productKey, compute func(dst synthProduct) (synth
 	return p, nil
 }
 
-// product returns the product for key from layer when the Measurer has
-// one — a campaign worker's — and otherwise from slot, which compute
+// product returns the product for key from layer when the measurement has
+// one — a campaign cell's — and otherwise from slot, which compute
 // refills in place on a miss. compute receives the buffers it may
 // overwrite: the slot's, or none for the layer, whose published
 // products must never be reused. ctx bounds only the wait for another

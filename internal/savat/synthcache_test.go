@@ -306,31 +306,33 @@ func TestProductLayerHitMatchesCold(t *testing.T) {
 		{machine.TurionX2(), quiet, LDL2, STM, NOI},
 		{machine.Pentium3M(), wide, MUL, ADD, LDM},
 	} {
-		layer := newSynths(synthBudget)
-		worker := func() *Measurer {
-			m := NewMeasurer(tc.mc, tc.cfg)
-			m.synths = layer
-			return m
+		su, err := resolveSetup(tc.mc, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		measure := func(m *Measurer, b Event) Measurement {
+		layer := newSynths(synthBudget)
+		// measure measures a/b through a fresh scratch: through the
+		// product layer as a campaign cell does, or with a nil layer
+		// through the scratch's own slots, as a cold Measurer does.
+		measure := func(layer *memo.LRU[productKey, synthProduct], b Event) Measurement {
 			t.Helper()
 			k, err := BuildKernel(tc.mc, tc.a, b, tc.cfg.Frequency)
 			if err != nil {
 				t.Fatal(err)
 			}
-			meas, err := m.MeasureKernelSeeds(k, CampaignSeeds(9, tc.a, 0))
+			meas, err := su.measure(context.Background(), k, CampaignSeeds(9, tc.a, 0), NewMeasureScratch(), layer)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return meas
 		}
-		cold := measure(NewMeasurer(tc.mc, tc.cfg), tc.c)
+		cold := measure(nil, tc.c)
 		coldBand := cold.Trace.Band()
 		coldPSD := append([]float64(nil), coldBand.PSD...)
 
-		measure(worker(), tc.b)
+		measure(layer, tc.b)
 		misses0 := mSynthMisses.Value()
-		warm := measure(worker(), tc.c)
+		warm := measure(layer, tc.c)
 		if d := mSynthMisses.Value() - misses0; d != 0 {
 			t.Errorf("%s %v/%v: warm cell computed %d products, want 0", tc.mc.Name, tc.a, tc.c, d)
 		}
@@ -368,11 +370,15 @@ func TestProductLayerKeepsNoOversizedProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMeasurer(mc, cfg)
-	m.synths = newSynths(64) // smaller than any product of the capture
+	su, err := resolveSetup(mc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer := newSynths(64) // smaller than any product of the capture
+	s := NewMeasureScratch()
 	for lap := 0; lap < 2; lap++ {
 		misses0 := mSynthMisses.Value()
-		got, err := m.MeasureKernelSeeds(k, seeds)
+		got, err := su.measure(context.Background(), k, seeds, s, layer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +388,7 @@ func TestProductLayerKeepsNoOversizedProduct(t *testing.T) {
 		if d := mSynthMisses.Value() - misses0; d != 2 {
 			t.Errorf("lap %d: computed %d products, want 2 (neither kept)", lap, d)
 		}
-		if n := m.synths.Len(); n != 0 {
+		if n := layer.Len(); n != 0 {
 			t.Errorf("lap %d: layer keeps %d over-budget products", lap, n)
 		}
 	}

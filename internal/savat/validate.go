@@ -10,7 +10,8 @@ import (
 // aliases them), so every surface rejects a bad setup with the same
 // identity. Test with errors.Is.
 var (
-	// ErrBadDistance reports a non-positive antenna distance.
+	// ErrBadDistance reports an antenna distance that is not positive
+	// and finite, or is below MinDistance.
 	ErrBadDistance = errors.New("savat: distance must be positive")
 	// ErrBadFrequency reports an alternation frequency that is not
 	// positive, or too high for the machine's clock to alternate at.
@@ -28,12 +29,15 @@ var (
 	ErrUnknownChannel = errors.New("savat: unknown channel")
 	// ErrBadCountermeasure reports an invalid countermeasure chain entry.
 	ErrBadCountermeasure = errors.New("savat: bad countermeasure")
-	// ErrNonFinite reports a NaN or infinite configuration value.
+	// ErrNonFinite reports a NaN or infinite configuration value, or a
+	// measurement that came out non-finite or non-positive.
 	ErrNonFinite = errors.New("savat: configuration value must be finite")
 	// ErrBadConfig reports a finite but inconsistent measurement
 	// configuration: a band outside (0, f0), a sample rate below
-	// Nyquist, a non-positive duration or period count, or an invalid
-	// noise environment or analyzer setup.
+	// Nyquist, a non-positive duration or period count, a capture too
+	// short to resolve the band or an RBW wider than it, an invalid
+	// noise environment or analyzer setup, or jitter the envelope
+	// synthesis cannot render.
 	ErrBadConfig = errors.New("savat: invalid measurement configuration")
 	// ErrBadSpec reports a campaign spec that does not decode — malformed
 	// JSON, an unknown field, a mistyped value, or an unknown event — or

@@ -3,8 +3,10 @@ package savat
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/noise"
 )
 
@@ -70,5 +72,27 @@ func TestConfigValidateNonFiniteAndBounds(t *testing.T) {
 	cfg.SampleRate = 2*(cfg.Frequency+cfg.BandHalfWidth) + 2
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("sample rate just above the band's Nyquist rate rejected: %v", err)
+	}
+}
+
+// finish is the backstop behind Config.Validate: a band power over a
+// pair rate that comes out zero, negative or non-finite is refused with
+// ErrNonFinite, never returned as a SAVAT.
+func TestFinishRefusesNonFiniteSAVAT(t *testing.T) {
+	mc := machine.Core2Duo()
+	cfg := FastConfig()
+	k, err := BuildKernel(mc, ADD, LDM, cfg.Frequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMeasurer(mc, cfg).MeasureKernel(k, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, half := range []float64{0, -1e-6, math.NaN()} {
+		alt := &AlternationResult{Kernel: k, HalfSeconds: [2]float64{half, half}}
+		if got, err := finish(k, alt, cfg, m.Trace); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("half period %g: finish = %g, %v; want ErrNonFinite", half, got.SAVAT, err)
+		}
 	}
 }

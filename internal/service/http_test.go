@@ -297,6 +297,28 @@ func TestHTTPErrors(t *testing.T) {
 	for _, n := range []string{fmt.Sprint(savat.MaxRepeats + 1), "100000000000", "9223372036854775807"} {
 		bad["repeats-"+n] = strings.Replace(overBound, `"repeats":2,`, `"repeats":`+n+`,`, 1)
 	}
+	// Finite values no cell could measure: jitter that stalls the
+	// envelope timeline (a worker pinned forever) or overflows it, and
+	// inputs that measured NaN or ±Inf or failed after validation.
+	for name, edit := range map[string]func(*savat.Config){
+		"freq-offset-stalls":  func(c *savat.Config) { c.Jitter.FreqOffset = -1 },
+		"freq-offset-reverse": func(c *savat.Config) { c.Jitter.FreqOffset = -2 },
+		"negative-drift":      func(c *savat.Config) { c.Jitter.DriftStd = -0.1 },
+		"negative-max-drift":  func(c *savat.Config) { c.Jitter.MaxDrift = -0.1 },
+		"amp-noise-huge":      func(c *savat.Config) { c.Jitter.AmpNoiseStd = 1e300 },
+		"amp-corr-above":      func(c *savat.Config) { c.Jitter.AmpNoiseCorr = 5 },
+		"amp-corr-below":      func(c *savat.Config) { c.Jitter.AmpNoiseCorr = -5 },
+		"distance-tiny":       func(c *savat.Config) { c.Distance = 1e-100 },
+		"thermal-huge":        func(c *savat.Config) { c.Environment.ThermalPSD = 1e308 },
+		"background-huge":     func(c *savat.Config) { c.Environment.RFBackgroundPSD = 1e308 },
+		"floor-huge":          func(c *savat.Config) { c.Analyzer.FloorPSD = 1e308 },
+		"rbw-huge":            func(c *savat.Config) { c.Analyzer.RBW = 1e300 },
+		"zero-sample-capture": func(c *savat.Config) { c.Duration = 2e-6 },
+	} {
+		spec := smokeSpec()
+		edit(&spec.Config)
+		bad[name] = submitBody(t, spec, "").String()
+	}
 	for name, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

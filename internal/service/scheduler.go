@@ -61,7 +61,7 @@ func queuedBefore(a, b *job, granted map[string]int) bool {
 }
 
 // startLocked transitions a queued job to running and launches its
-// campaign goroutines. Callers hold s.mu.
+// campaign goroutine. Callers hold s.mu.
 func (s *Server) startLocked(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.state = StateRunning
@@ -69,54 +69,42 @@ func (s *Server) startLocked(j *job) {
 	j.cancel = cancel
 	s.active++
 
-	// The monitor is drained by a dedicated goroutine so the engine
-	// never blocks on event fan-out; subscriber channels are sized for
-	// the whole campaign, so the relay never blocks either.
-	monitor := make(chan engine.ProgressEvent, 64)
-	relayDone := make(chan struct{})
-	s.wg.Add(2)
-	go s.relayEvents(j, monitor, relayDone)
-	go s.runJob(ctx, j, monitor, relayDone)
+	s.wg.Add(1)
+	go s.runJob(ctx, j)
 }
 
-// relayEvents copies engine progress events into the job's history and
-// live subscriptions until the engine closes the monitor, then signals
-// relayDone so the job is finished only after every event reached its
+// progress records one engine progress event in the job's history and
+// hands it to the live subscriptions. The engine calls it once per
+// finished cell, never concurrently, and not after the campaign
+// returns, so the job finishes only after every event reached its
 // subscribers.
-func (s *Server) relayEvents(j *job, monitor <-chan engine.ProgressEvent, relayDone chan<- struct{}) {
-	defer s.wg.Done()
-	defer close(relayDone)
-	for ev := range monitor {
-		s.mu.Lock()
-		j.events = append(j.events, ev)
-		j.stats = ev.Stats
-		j.health = ev.Health
-		for ch := range j.subs {
-			select {
-			case ch <- ev:
-			default:
-				// A subscriber that stopped reading loses events rather
-				// than stalling the campaign; its buffer covers the whole
-				// grid, so this only fires for abandoned readers.
-			}
+func (s *Server) progress(j *job, ev engine.ProgressEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.events = append(j.events, ev)
+	j.stats = ev.Stats
+	j.health = ev.Health
+	for ch := range j.subs {
+		select {
+		case ch <- ev:
+		default:
+			// A subscriber that stopped reading loses events rather
+			// than stalling the campaign; its buffer covers the whole
+			// grid, so this only fires for abandoned readers.
 		}
-		s.mu.Unlock()
 	}
 }
 
 // runJob executes one campaign and finishes the job.
-func (s *Server) runJob(ctx context.Context, j *job, monitor chan<- engine.ProgressEvent, relayDone <-chan struct{}) {
+func (s *Server) runJob(ctx context.Context, j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
 
 	res, err := savat.RunSpecContext(ctx, j.spec, engine.Options{
 		Parallelism: s.opts.Parallelism,
 		Cache:       s.cache,
-		Monitor:     monitor,
+		Monitor:     func(ev engine.ProgressEvent) { s.progress(j, ev) },
 	})
-	// The campaign closed the monitor; wait for the relay to drain it so
-	// subscribers see every event before their channels close.
-	<-relayDone
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -36,6 +36,24 @@ var lastColdSeed atomic.Int64
 // campaign can finish before the test acts.
 func coldSeed() int64 { return 1000 + lastColdSeed.Add(1) }
 
+// holdSlot takes one run slot from the scheduler until release is
+// called, so jobs submitted meanwhile queue instead of starting. With
+// warm synthesis products a smoke campaign finishes in about a
+// millisecond, so a scheduling test that submits several jobs could
+// otherwise see the first finish, and hand its slot on, before it has
+// submitted the rest.
+func holdSlot(s *Server) (release func()) {
+	s.mu.Lock()
+	s.active++
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.active--
+		s.scheduleLocked()
+		s.mu.Unlock()
+	}
+}
+
 func newServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	s, err := New(opts)
@@ -145,11 +163,13 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 func TestResultBeforeDone(t *testing.T) {
 	s := newServer(t, Options{MaxActive: 1})
 	// Two jobs: the second is queued while the first runs, so its
-	// result is queryable-but-absent.
+	// result is queryable-but-absent. Otherwise both could finish
+	// before the query.
 	first, err := s.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdSlot(s)
 	spec := smokeSpec()
 	spec.Seed = 4
 	second, err := s.Submit(spec, SubmitOptions{})
@@ -159,6 +179,7 @@ func TestResultBeforeDone(t *testing.T) {
 	if _, err := s.Result(second.ID); !errors.Is(err, ErrNotDone) {
 		t.Errorf("err = %v, want ErrNotDone", err)
 	}
+	release()
 	awaitDone(t, s, first.ID)
 	awaitDone(t, s, second.ID)
 }
@@ -274,6 +295,9 @@ func TestSchedulerFairness(t *testing.T) {
 		sp.Seed = seed
 		return sp
 	}
+	// All three jobs queue before any runs; otherwise a1 could finish
+	// before b1 is submitted, and a2 would rightly take the slot.
+	release := holdSlot(s)
 	a1, err := s.Submit(specN(10), SubmitOptions{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +310,7 @@ func TestSchedulerFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 
 	awaitDone(t, s, a1.ID)
 	awaitDone(t, s, a2.ID)
@@ -308,10 +333,13 @@ func TestSchedulerPriority(t *testing.T) {
 		return sp
 	}
 	// First job occupies the slot; the queue then holds low before high.
+	// Otherwise first could finish before high is submitted, and low
+	// would rightly take the slot.
 	first, err := s.Submit(specN(20), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdSlot(s)
 	low, err := s.Submit(specN(21), SubmitOptions{Priority: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +348,7 @@ func TestSchedulerPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	awaitDone(t, s, first.ID)
 	awaitDone(t, s, low.ID)
 	awaitDone(t, s, high.ID)

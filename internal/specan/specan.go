@@ -51,11 +51,16 @@ func (c Config) Validate() error {
 	if c.RBW <= 0 {
 		return fmt.Errorf("specan: non-positive RBW %g", c.RBW)
 	}
-	if c.FloorPSD < 0 {
-		return fmt.Errorf("specan: negative floor %g", c.FloorPSD)
+	if !(c.FloorPSD >= 0 && c.FloorPSD <= MaxFloorPSD) {
+		return fmt.Errorf("specan: floor %g outside [0, %g] W/Hz", c.FloorPSD, float64(MaxFloorPSD))
 	}
 	return nil
 }
+
+// MaxFloorPSD bounds Config.FloorPSD, in W/Hz: one watt per hertz is
+// some eighteen orders of magnitude above the paper's instrument, and
+// a floor near the float64 range overflows the band power it adds to.
+const MaxFloorPSD = 1
 
 // Band is the frequency range [Lo, Hi] Hz, 0 ≤ Lo ≤ Hi ≤ fs/2, whose
 // bins the products hold and a rendered trace serves: every bin from
