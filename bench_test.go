@@ -633,9 +633,9 @@ func BenchmarkAnalyticCrossCheck(b *testing.B) {
 // --- Durable cell store (internal/store) -----------------------------
 //
 // The store benchmarks quantify the claims behind adopting the
-// append-only segment log as the default cache backend: write-behind
-// batching amortizes the disk to a fraction of a syscall per Put where
-// the legacy JSON-dir layer pays at least four (create, write, close,
+// append-only segment log as the default cache backend: a Put is one
+// write, with fsyncs amortized by the syncer's tick, where the legacy
+// JSON-dir layer paid at least four syscalls (create, write, close,
 // rename) for every cell, and a 10⁵-record log reopens (replay +
 // index rebuild) in well under a second.
 
@@ -660,7 +660,6 @@ func BenchmarkStorePut(b *testing.B) {
 	b.StopTimer()
 	stats := st.Stats()
 	b.ReportMetric(float64(stats.Syscalls)/float64(b.N), "syscalls/op")
-	b.ReportMetric(float64(stats.BatchedRecords)/float64(stats.Batches), "records/batch")
 }
 
 // BenchmarkCampaignStoreBacked runs a small campaign against a cold

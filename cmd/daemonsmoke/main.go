@@ -18,11 +18,11 @@
 //     measured pair by pair through savat.Measurer.MeasurePair, which
 //     computes every product itself,
 //  6. SIGKILL the daemon mid-campaign, as soon as its store reports
-//     cells durable, restart it on the same state directory, and watch
+//     cells appended, restart it on the same state directory, and watch
 //     the resubmitted campaign resume from the durable cell store (a
 //     SIGKILL skips every shutdown path, so each resumed cell must have
-//     come through the store's write-behind flusher) and compute the
-//     rest, finishing bit-identical to a direct run,
+//     reached the segment file by its Put alone) and compute the rest,
+//     finishing bit-identical to a direct run,
 //  7. run a power-channel campaign through the same cancel/resume
 //     cycle: the channel dimension must reach the daemon's fingerprint
 //     and cell keys intact, and the resumed matrix must be
@@ -230,13 +230,13 @@ func run() error {
 	// Phase 6: SIGKILL mid-campaign. A fresh spec (different seed) avoids
 	// the cells already persisted above, and the restarted daemon starts
 	// with an empty memory cache, so it can only resume from cells the
-	// durable store flushed before the kill. Four-second captures take
+	// durable store appended before the kill. Four-second captures take
 	// tens of milliseconds a cell, so the kill lands with most of the
 	// grid outstanding.
 	spec2 := smokeSpec()
 	spec2.Seed = 23
 	spec2.Config.Duration = 4
-	flushed, err := counterValue(base, "store.flush.records")
+	appended, err := counterValue(base, "store.puts")
 	if err != nil {
 		return err
 	}
@@ -245,15 +245,16 @@ func run() error {
 		return err
 	}
 	fmt.Println("daemon-smoke: submitted", killed.ID, "(kill phase)")
-	// Kill without any shutdown path as soon as the store has made
-	// three of the campaign's cells durable.
+	// Kill without any shutdown path as soon as the store has appended
+	// three of the campaign's cells to its segment file: an appended
+	// record survives SIGKILL.
 	deadline := time.Now().Add(time.Minute)
-	for n := flushed; n < flushed+3; {
+	for n := appended; n < appended+3; {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("kill-phase job %s: %d cells durable after 1m, want 3", killed.ID, n-flushed)
+			return fmt.Errorf("kill-phase job %s: %d cells in the store after 1m, want 3", killed.ID, n-appended)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if n, err = counterValue(base, "store.flush.records"); err != nil {
+		if n, err = counterValue(base, "store.puts"); err != nil {
 			return err
 		}
 	}
@@ -284,7 +285,7 @@ func run() error {
 		return fmt.Errorf("post-kill job %s: state %s, error %q", resumed.ID, final.State, final.Error)
 	}
 	if final.Stats.Cached == 0 || final.Stats.Computed == 0 {
-		return fmt.Errorf("post-kill job %s: %d cells from the store, %d computed; want both > 0 (the store recovers the flushed cells of a campaign killed mid-run)",
+		return fmt.Errorf("post-kill job %s: %d cells from the store, %d computed; want both > 0 (the store recovers the appended cells of a campaign killed mid-run)",
 			resumed.ID, final.Stats.Cached, final.Stats.Computed)
 	}
 	fmt.Printf("daemon-smoke: resumed %s after SIGKILL (%d cells from the store, %d computed)\n",
@@ -505,8 +506,8 @@ func awaitTerminal(base, id string) (service.Job, error) {
 }
 
 // counterValue reads one of savatd's counters from /metrics, such as
-// store.flush.records (the cell records its store has written and
-// fsynced since the daemon started); 0 when it has none of that name.
+// store.puts (the cell records its store has appended since the daemon
+// started); 0 when it has none of that name.
 func counterValue(base, name string) (uint64, error) {
 	var snap obs.Snapshot
 	if err := getJSON(base+"/metrics", &snap); err != nil {

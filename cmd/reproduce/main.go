@@ -95,8 +95,8 @@ func run() error {
 		return err
 	}
 	cfg := baseSpec.Config
-	// The closer flushes a store-backed cache's write-behind buffer on
-	// exit, Ctrl-C included.
+	// The closer fsyncs a store-backed cache on exit, Ctrl-C included,
+	// and reports a store write that failed.
 	cache, closeCache, err := cf.OpenCache()
 	if err != nil {
 		return err

@@ -143,8 +143,9 @@ func run() error {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 
-		// The closer flushes a store-backed cache's write-behind buffer,
-		// so even a Ctrl-C'd campaign keeps every measured cell.
+		// Every measured cell is in the store as soon as it is computed,
+		// so even a Ctrl-C'd campaign keeps it; the closer fsyncs the
+		// store and reports a write that failed.
 		cache, closeCache, err := cf.OpenCache()
 		if err != nil {
 			return err

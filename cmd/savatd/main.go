@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -33,14 +34,12 @@ func main() {
 		stateDir    = flag.String("state-dir", "", "persistent state root: the durable result cache (empty = in-memory only)")
 		maxActive   = flag.Int("max-active", 2, "campaigns running concurrently")
 		parallelism = flag.Int("parallelism", 0, "workers per campaign (0 = GOMAXPROCS)")
-		cacheCap    = flag.Int("cache-capacity", 0, "in-memory result cache entries (0 = default)")
 	)
 	flag.Parse()
 	if err := run(*addr, service.Options{
-		StateDir:      *stateDir,
-		MaxActive:     *maxActive,
-		Parallelism:   *parallelism,
-		CacheCapacity: *cacheCap,
+		StateDir:    *stateDir,
+		MaxActive:   *maxActive,
+		Parallelism: *parallelism,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "savatd:", err)
 		os.Exit(1)
@@ -75,22 +74,31 @@ func run(addr string, opts service.Options) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
+	// closeServer reports a result cache that did not take every cell
+	// (say, a full state dir): the campaigns ran, but their cells may
+	// not survive a restart.
+	closeServer := func() error {
+		if err := srv.Close(); err != nil {
+			return fmt.Errorf("closing cache: %w", err)
+		}
+		return nil
+	}
+
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-stop:
 		fmt.Printf("savatd: %v, shutting down\n", sig)
 	case err := <-errc:
-		srv.Close()
-		return err
+		return errors.Join(err, closeServer())
 	}
 
 	// Graceful shutdown: cancel the running campaigns (which also ends
-	// any open event streams) and flush the result cache, then drain
+	// any open event streams) and fsync the result cache, then drain
 	// HTTP.
-	srv.Close()
+	err = closeServer()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
-	return nil
+	return err
 }

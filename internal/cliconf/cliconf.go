@@ -74,7 +74,7 @@ const (
 	// campaign spec instead of running it).
 	Spec
 	// CacheDir registers -cache-dir (persistent per-cell result cache,
-	// kept in the batched segment log of internal/store; rerunning an
+	// kept in the append-only segment log of internal/store; rerunning an
 	// interrupted campaign over the same directory resumes it).
 	CacheDir
 	// Countermeasure registers -countermeasure (repeatable name:param
@@ -171,9 +171,10 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 }
 
 // OpenCache opens the per-cell result cache the registered cache flags
-// describe and returns it with a closer that flushes and releases its
-// durable layer; defer the closer so interrupted runs still persist
-// their buffered cells. With -cache-dir the cells live in the
+// describe and returns it with a closer that fsyncs and releases its
+// durable layer and reports a store write that failed; defer it so
+// interrupted runs end with every cell durable. With -cache-dir the
+// cells live in the
 // append-only segment log of internal/store, so a rerun over the same
 // directory resumes an interrupted campaign; without it (or without the
 // CacheDir flag set) the cache is in-memory only and the closer is a

@@ -88,7 +88,7 @@ func TestGenDiffSpecsDeterministic(t *testing.T) {
 // cancellation surface from the savat layer: the campaign persists
 // cells through a store-backed cache (the append-only segment log of
 // internal/store) and is cancelled mid-flight with workers racing the
-// canceller; the cache is closed (flushing the write-behind buffer), a
+// canceller; the cache is closed (fsyncing the store), a
 // fresh cache is reopened over the same directory, and the rerun must
 // restore cells from the log and produce a matrix cell-for-cell
 // identical to an uninterrupted run. The package's -race CI job makes
@@ -130,8 +130,8 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
-	// Close drains the store's write-behind buffer: every finished cell
-	// is durable, however abruptly the campaign stopped.
+	// Close fsyncs the store: every finished cell is durable, however
+	// abruptly the campaign stopped.
 	if err := cache.Close(); err != nil {
 		t.Fatalf("closing cancelled campaign's cache: %v", err)
 	}

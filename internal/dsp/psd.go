@@ -63,11 +63,11 @@ func (s *Spectrum) BinFor(f float64) (int, error) {
 	return k, nil
 }
 
-// BinRange returns the first and last bins of [lo, hi] Hz: a walk over
+// binRange returns the first and last bins of [lo, hi] Hz: a walk over
 // the range visits klo up to khi, wrapping past the last bin when
 // khi < klo. A band spectrum rejects a range that leaves its bins with
 // ErrOutsideBand.
-func (s *Spectrum) BinRange(lo, hi float64) (klo, khi int, err error) {
+func (s *Spectrum) binRange(lo, hi float64) (klo, khi int, err error) {
 	if klo, err = s.BinFor(lo); err != nil {
 		return 0, 0, err
 	}
@@ -80,10 +80,10 @@ func (s *Spectrum) BinRange(lo, hi float64) (klo, khi int, err error) {
 	return klo, khi, nil
 }
 
-// Walk visits the bins of [lo, hi] Hz in order (see BinRange) with each
+// Walk visits the bins of [lo, hi] Hz in order (see binRange) with each
 // bin's index and value.
 func (s *Spectrum) Walk(lo, hi float64, visit func(k int, v float64)) error {
-	klo, khi, err := s.BinRange(lo, hi)
+	klo, khi, err := s.binRange(lo, hi)
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func (s *Spectrum) BandPower(lo, hi float64) (float64, error) {
 	if hi < lo {
 		return 0, fmt.Errorf("dsp: inverted band [%g,%g]", lo, hi)
 	}
-	klo, khi, err := s.BinRange(lo, hi)
+	klo, khi, err := s.binRange(lo, hi)
 	if err != nil {
 		return 0, err
 	}
@@ -120,7 +120,7 @@ func (s *Spectrum) BandPower(lo, hi float64) (float64, error) {
 // PeakIn returns the bin index and PSD value of the maximum within
 // [lo, hi] Hz.
 func (s *Spectrum) PeakIn(lo, hi float64) (int, float64, error) {
-	klo, khi, err := s.BinRange(lo, hi)
+	klo, khi, err := s.binRange(lo, hi)
 	if err != nil {
 		return 0, 0, err
 	}

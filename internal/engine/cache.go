@@ -28,7 +28,7 @@ func Key(material string) string {
 // Cache memoizes per-cell results under content-addressed keys and
 // computes each distinct cell exactly once across every Run that
 // shares it. Its memory layer is a memo.LRU; its optional durable layer
-// is the batched append-only segment log of internal/store
+// is the append-only segment log of internal/store
 // (NewStoreCache), the only way a finished cell outlives its process
 // and so what lets interrupted or repeated campaigns skip finished
 // cells across processes.
@@ -64,10 +64,10 @@ func NewCache(capacity int) *Cache {
 // directory another open store cache holds, in this process or
 // another, is refused with an error wrapping store.ErrLocked.
 //
-// Store writes are write-behind — batched to disk by the store's
-// flusher — so campaign workers never block on the disk; call Sync (or
-// Close, which the CLI closers do) to force durability at a boundary.
-// Values round-trip bit-exactly, non-finite included.
+// Each computed cell is appended to the store's segment file, where it
+// survives a process kill, and the store fsyncs it within 25 ms; call
+// Sync (or Close, which the CLI closers do) to make every cell durable
+// at a boundary. Values round-trip bit-exactly, non-finite included.
 func NewStoreCache(capacity int, dir string) (*Cache, error) {
 	st, err := store.Open(dir)
 	if err != nil {

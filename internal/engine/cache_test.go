@@ -125,8 +125,8 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 }
 
 // Two engines sharing one store-backed Cache must compute each
-// distinct cell exactly once between them, even with the store's
-// write-behind batching behind every computed cell.
+// distinct cell exactly once between them, even with a store write
+// behind every computed cell.
 func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewStoreCache(DefaultCacheCapacity, dir)

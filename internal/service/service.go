@@ -77,9 +77,6 @@ type Options struct {
 	MaxActive int
 	// Parallelism is each campaign's worker count (0 = GOMAXPROCS).
 	Parallelism int
-	// CacheCapacity is the shared result cache's in-memory entry bound
-	// (0 = engine.DefaultCacheCapacity).
-	CacheCapacity int
 }
 
 // Job is a point-in-time snapshot of one campaign job, as served by
@@ -137,23 +134,20 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// New builds a Server. With a StateDir, the shared result cache gets
+// New builds a Server. Its shared result cache holds
+// engine.DefaultCacheCapacity cells in memory; with a StateDir it gets
 // its durable layer under StateDir/cache: the append-only segment log
-// of internal/store, batching cell writes off the campaign workers'
-// path. Close flushes it.
+// of internal/store. Close fsyncs it.
 func New(opts Options) (*Server, error) {
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = 2
 	}
-	if opts.CacheCapacity <= 0 {
-		opts.CacheCapacity = engine.DefaultCacheCapacity
-	}
 	var cache *engine.Cache
 	if opts.StateDir == "" {
-		cache = engine.NewCache(opts.CacheCapacity)
+		cache = engine.NewCache(0)
 	} else {
 		var err error
-		cache, err = engine.NewStoreCache(opts.CacheCapacity, filepath.Join(opts.StateDir, "cache"))
+		cache, err = engine.NewStoreCache(0, filepath.Join(opts.StateDir, "cache"))
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
@@ -319,8 +313,10 @@ func (s *Server) Subscribe(id string) (<-chan engine.ProgressEvent, func(), erro
 // Close stops the server: no new submissions, queued jobs are
 // cancelled, running campaigns are cancelled, Close
 // blocks until they have wound down, and the shared result cache's
-// durable layer is flushed and released.
-func (s *Server) Close() {
+// durable layer is fsynced and released. It returns the cache's
+// error: a store write that failed while campaigns ran, which the
+// cache held back so as not to fail them, or the final fsync's.
+func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	for _, j := range s.order {
@@ -333,7 +329,7 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.cache.Close()
+	return s.cache.Close()
 }
 
 // finishLocked moves a job to a terminal state and releases its

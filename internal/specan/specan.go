@@ -79,21 +79,15 @@ func (b Band) bins(seg int, fs float64) (dsp.Band, error) {
 // the trace's analyzed band.
 var ErrOutsideBand = dsp.ErrOutsideBand
 
-// Trace is one recorded spectrum. A rendered trace holds the bins of
-// its analyzed band only, and keeps them as the per-bin recipe it was
-// rendered from (see Render): BandPower and Peak compute just the bins
-// they read, and Band builds the whole band once, on first use. Reads
-// outside the band fail with ErrOutsideBand. A trace from
-// AnalyzeIncoherent holds the full spectrum. A Trace is not safe for
-// concurrent use.
+// Trace is one recorded spectrum. A rendered trace holds the displayed
+// bins of its analyzed band only (see Render); reads outside the band
+// fail with ErrOutsideBand. A trace from AnalyzeIncoherent holds the
+// full spectrum. A Trace is not safe for concurrent use.
 type Trace struct {
 	ActualRBW float64 // achieved resolution bandwidth in Hz
 	FloorPSD  float64
 
-	spec  dsp.Spectrum // the analyzed band; PSD holds the bins computed so far
-	src   display      // the recipe of the bins not yet computed
-	built bool         // every bin of spec.PSD is computed
-	bins  int          // display bins computed, for the work count
+	spec dsp.Spectrum
 }
 
 // display is the per-bin recipe of a rendered trace: the group
@@ -129,41 +123,10 @@ func (d *display) bin(i int) float64 {
 	return t
 }
 
-// Band returns the displayed spectrum of the analyzed band — a band
+// Band returns the displayed spectrum: for a rendered trace a band
 // dsp.Spectrum, whose reads outside the band fail with ErrOutsideBand;
-// the full spectrum for AnalyzeIncoherent's traces — computing the bins
-// no read has computed yet on the first call.
-func (t *Trace) Band() *dsp.Spectrum {
-	if !t.built {
-		for i := range t.spec.PSD {
-			t.spec.PSD[i] = t.src.bin(i)
-		}
-		t.bins += len(t.spec.PSD)
-		t.built = true
-	}
-	return &t.spec
-}
-
-// fillBand computes the display bins a band walk over [lo, hi] reads,
-// so the walk reads exactly the values a fully built display holds.
-// Bounds the walk rejects are left to it to report.
-func (t *Trace) fillBand(lo, hi float64) {
-	if t.built {
-		return
-	}
-	klo, khi, err := t.spec.BinRange(lo, hi)
-	if err != nil {
-		return
-	}
-	psd, off, n := t.spec.PSD, t.spec.Offset, t.spec.Bins()
-	for k := klo; ; k = (k + 1) % n {
-		psd[k-off] = t.src.bin(k - off)
-		t.bins++
-		if k == khi {
-			return
-		}
-	}
-}
+// the full spectrum for AnalyzeIncoherent's traces.
+func (t *Trace) Band() *dsp.Spectrum { return &t.spec }
 
 // Analyzer is the instrument.
 type Analyzer struct {
@@ -285,7 +248,6 @@ func (a *Analyzer) AnalyzeIncoherent(xs [][]complex128, fs float64) (*Trace, err
 		ActualRBW: enbw * fs / float64(seg),
 		FloorPSD:  a.cfg.FloorPSD,
 		spec:      dsp.Spectrum{PSD: sum, SampleRate: fs},
-		built:     true,
 	}
 	// Apply the sensitivity floor once, to the summed display.
 	for i, v := range sum {
@@ -394,14 +356,11 @@ func (a *Analyzer) setup(n int, band Band, fs float64, s *Scratch) (dsp.Band, er
 // nil), the noise PSD (nil to omit), and the sensitivity floor. The
 // products must hold the band's bins, as EnvelopeProductsStream and
 // NoiseProductsStream compute them for the same n, band and fs. Render
-// performs no FFT work and computes no display bin: the trace computes
-// the bins its readers ask for from env and noisePSD (see Trace), so a
-// measurement that reads only its band power pays for those bins
-// alone.
+// performs no FFT work: it computes each display bin of the band once,
+// and only reads env and noisePSD.
 //
-// The returned Trace aliases the scratch's buffers and reads env and
-// noisePSD, which must stay unchanged while it is in use: it is valid
-// until the scratch's next analysis call. Pass a nil scratch to
+// The returned Trace aliases the scratch's buffers: it is valid until
+// the scratch's next analysis call. Pass a nil scratch to
 // allocate a private one (and a Trace that aliases no scratch).
 func (a *Analyzer) Render(n int, band Band, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs float64, s *Scratch) (*Trace, error) {
 	sp := mAnalyze.Start()
@@ -448,11 +407,13 @@ func (a *Analyzer) Render(n int, band Band, coeffs [][2]complex128, env *PairPSD
 		}
 		src.cr, src.ci, src.env = real(cx), imag(cx), env
 	}
+	for i := range s.sum {
+		s.sum[i] = src.bin(i)
+	}
 	s.trace = Trace{
 		ActualRBW: enbw * fs / float64(seg),
 		FloorPSD:  a.cfg.FloorPSD,
 		spec:      dsp.Spectrum{PSD: s.sum, SampleRate: fs, Offset: bins.Lo, N: seg},
-		src:       src,
 	}
 	return &s.trace, nil
 }
@@ -460,24 +421,20 @@ func (a *Analyzer) Render(n int, band Band, coeffs [][2]complex128, env *PairPSD
 // BandPower integrates the displayed PSD over center ± halfSpan Hz and
 // returns watts — the paper's "total received signal power in the
 // frequency band from 1 kHz below to 1 kHz above the alternation
-// frequency". It computes only the band's display bins; a band that
-// leaves the analyzed one fails with ErrOutsideBand.
+// frequency". A band that leaves the analyzed one fails with
+// ErrOutsideBand.
 func (t *Trace) BandPower(center, halfSpan float64) (float64, error) {
 	if halfSpan <= 0 {
 		return 0, fmt.Errorf("specan: non-positive half span %g", halfSpan)
 	}
-	lo, hi := center-halfSpan, center+halfSpan
-	t.fillBand(lo, hi)
-	return t.spec.BandPower(lo, hi)
+	return t.spec.BandPower(center-halfSpan, center+halfSpan)
 }
 
 // Peak returns the frequency and PSD of the strongest bin within
-// center ± halfSpan. It computes only the band's display bins; a band
-// that leaves the analyzed one fails with ErrOutsideBand.
+// center ± halfSpan. A band that leaves the analyzed one fails with
+// ErrOutsideBand.
 func (t *Trace) Peak(center, halfSpan float64) (freq, psd float64, err error) {
-	lo, hi := center-halfSpan, center+halfSpan
-	t.fillBand(lo, hi)
-	k, v, err := t.spec.PeakIn(lo, hi)
+	k, v, err := t.spec.PeakIn(center-halfSpan, center+halfSpan)
 	if err != nil {
 		return 0, 0, err
 	}

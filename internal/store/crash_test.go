@@ -2,14 +2,15 @@ package store
 
 // Crash-injection harness for the segment log.
 //
-// Each case writes N records, makes the first `durable` of them durable
-// with Sync, buffers the rest, and then kills the store with Crash()
-// (no flush, handles closed as-is — the process-kill boundary). The
-// harness then corrupts the log tail at a configurable offset —
-// truncation to simulate a torn write, or a bit flip to simulate media
-// corruption — and reopens. The recovery invariant under test:
+// Each case writes N records, fsyncs the first `durable` of them with
+// Sync, leaves the rest appended but unsynced, and then kills the store
+// with Crash() (no fsync, handles closed as-is — the process-kill
+// boundary). The harness then corrupts the log tail at a configurable
+// offset — truncation to simulate a torn write, or a bit flip to
+// simulate media corruption — and reopens. The recovery invariant under
+// test:
 //
-//   - every record that was fully flushed *before* the corruption point
+//   - every record that was fully written *before* the corruption point
 //     is recovered with its exact bytes;
 //   - the torn/corrupt tail is truncated cleanly, never served;
 //   - the store is immediately writable again and a further
@@ -102,10 +103,12 @@ func TestCrashRecovery(t *testing.T) {
 			minRecovered: total,
 		},
 		{
-			name:         "buffered tail lost, nothing corrupt",
-			durable:      25, // records 25..39 were only in memory
+			// Records 25..39 were appended but never fsynced: a process
+			// kill leaves them in the file, so every one comes back.
+			name:         "unsynced tail survives a process kill",
+			durable:      25,
 			corrupt:      func(t *testing.T, dir string) {},
-			minRecovered: 25,
+			minRecovered: total,
 		},
 		{
 			name:    "torn mid-record: half the last record",
@@ -280,10 +283,9 @@ func TestCrashEveryTruncationOffset(t *testing.T) {
 	}
 }
 
-// TestCrashMidBatchFlushOrder proves the durability boundary is the
-// batch fsync: records buffered after the last Sync may vanish on
-// Crash, but never out of order — if record i survives, the flush that
-// carried it survives whole.
+// TestCrashMidBatchFlushOrder checks that every record synced before a
+// Crash comes back, whatever happens to the unsynced one written after
+// the last Sync.
 func TestCrashMidBatchFlushOrder(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)

@@ -7,10 +7,8 @@ import "repro/internal/obs"
 // observability registry is enabled; the always-on per-store numbers
 // live in Stats.
 var (
-	mFlushLatency = obs.Default.Histogram("store.flush")
+	mFsyncLatency = obs.Default.Histogram("store.flush") // one fsync
 	mPuts         = obs.Default.Counter("store.puts")
-	mBatches      = obs.Default.Counter("store.flush.batches")
-	mBatchRecords = obs.Default.Counter("store.flush.records")
 	mAppendBytes  = obs.Default.Counter("store.append.bytes")
 	mTruncations  = obs.Default.Counter("store.truncations")
 )

@@ -1,11 +1,10 @@
 // Package store is a pure-Go embedded key/value store for campaign cell
 // results: an append-only log of length-prefixed, CRC32C-checksummed
 // (key, value) records in numbered segment files, with an in-memory
-// index rebuilt on open. Writes are write-behind — Put parks the record
-// in a bounded in-memory buffer and a dedicated flusher goroutine
-// batches records to disk on a ticker or a size threshold, so callers
-// on the measurement hot path never wait for a syscall — while reads
-// are served from the buffer or by a single pread through the index.
+// index rebuilt on open. Writes go straight through — Put appends its
+// record to the active segment with one write, and the store's one
+// syncer goroutine fsyncs appended records on a short tick — and reads
+// are a single pread through the index.
 //
 // Records are immutable in practice: the engine keys each cell by a
 // content address of everything that determines its value, and stores
@@ -16,11 +15,12 @@
 // per directory. Files in the directory other than segment files are
 // ignored.
 //
-// Durability contract: everything written before a successful Sync (or
-// Close) survives a crash; a torn or bit-flipped tail is detected by
-// the per-record checksum on the next Open and cleanly truncated, so a
-// reopened store never returns a corrupt value — at worst it has
-// forgotten the records that were never fully flushed.
+// Durability contract: a record survives a process kill as soon as its
+// Put returns, and a machine crash once it is fsynced — within one
+// syncer tick, or at once by Sync or Close. A torn or bit-flipped tail
+// is detected by the per-record checksum on the next Open and cleanly
+// truncated, so a reopened store never returns a corrupt value — at
+// worst it has forgotten the records that never fully reached the disk.
 package store
 
 import (

@@ -13,21 +13,11 @@ import (
 	"time"
 )
 
-// Write-behind tuning for the campaign cache workload: 84-byte cell
-// records in bursts of thousands per second.
-const (
-	// flushEvery is the flusher's tick: the longest a quiet-period write
-	// sits in memory before reaching disk.
-	flushEvery = 25 * time.Millisecond
-	// flushBytes of buffered records trigger a batch flush between ticks.
-	flushBytes = 256 << 10
-	// maxPendingBytes bounds the write-behind buffer. Put blocks only
-	// when it is full — backpressure for a disk that cannot keep up,
-	// never a per-write stall.
-	maxPendingBytes = 8 << 20
-)
+// syncEvery is the syncer's tick: the longest an appended record waits
+// for its fsync when no Sync or Close comes first.
+const syncEvery = 25 * time.Millisecond
 
-// ref locates the latest durable value of one key.
+// ref locates the latest value of one key.
 type ref struct {
 	seg  int   // index into Store.segs
 	off  int64 // file offset of the value bytes
@@ -44,35 +34,30 @@ type Store struct {
 	segs []*os.File
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast after every completed flush
 	index    map[string]ref
-	pending  map[string][]byte // written, not yet picked up by the flusher
-	pendBy   int
-	flushing map[string][]byte // the batch the flusher is writing right now
-	size     int64             // bytes in the active segment
+	size     int64 // bytes in the active segment
+	unsynced bool  // records appended since the last fsync began
 	closed   bool
 	crashed  bool
-	err      error // sticky flush I/O error
+	err      error // sticky write or fsync error
+	puts     uint64
 
-	kick      chan struct{}
-	stop      chan struct{}
-	flusherWG sync.WaitGroup
+	syncMu   sync.Mutex // serializes fsyncs and the final close of the files
+	stop     chan struct{}
+	syncerWG sync.WaitGroup
 
-	puts        uint64 // atomic
 	syscalls    uint64 // atomic: write-path syscalls (write, fsync, open, truncate)
-	batches     uint64
-	batchedRecs uint64
+	syncs       uint64 // atomic
 	truncations int
 }
 
 // Stats is a point-in-time snapshot of the store's traffic and shape.
 type Stats struct {
-	Puts           uint64 // Put calls accepted
-	Batches        uint64 // flusher batches written
-	BatchedRecords uint64 // records across all batches
-	Syscalls       uint64 // write-path syscalls issued since Open
-	Truncations    int    // torn/corrupt tails truncated during Open
-	Records        int    // live keys in the index
+	Puts        uint64 // Put calls accepted
+	Syncs       uint64 // fsyncs of appended records
+	Syscalls    uint64 // write-path syscalls issued since Open
+	Truncations int    // torn/corrupt tails truncated during Open
+	Records     int    // live keys in the index
 }
 
 // Open opens (creating if needed) the store rooted at dir. It locks
@@ -80,26 +65,19 @@ type Stats struct {
 // store is closed or its process dies — then replays every segment
 // file in id order to rebuild the index, truncating any torn tail;
 // every other file in dir is left untouched and never served. The
-// returned store has a running flusher; Close it to drain and release
-// it.
+// returned store runs one syncer goroutine; Close it to fsync and
+// release it.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		index:   make(map[string]ref),
-		pending: make(map[string][]byte),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Store{dir: dir, index: make(map[string]ref), stop: make(chan struct{})}
 	if err := s.replay(); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
-	s.flusherWG.Add(1)
-	go s.flusher()
+	s.syncerWG.Add(1)
+	go s.syncer()
 	return s, nil
 }
 
@@ -265,60 +243,41 @@ func (s *Store) syncDir() {
 // sys counts write-path syscalls (benchmarks read them via Stats).
 func (s *Store) sys(n uint64) { atomic.AddUint64(&s.syscalls, n) }
 
-// Put stores value under key. The write is buffered in memory and
-// becomes durable at the next flush (ticker, size threshold, Sync, or
-// Close); Get observes it immediately. Put blocks only when the
-// write-behind buffer is full. The value is copied.
+// Put stores value under key: it appends one record to the active
+// segment with a single write and then indexes it, so Get observes it
+// at once and it survives a process kill as soon as Put returns. It is
+// fsynced within one syncer tick, or by the next Sync or Close. After a
+// write or fsync failure every Put returns that error.
 func (s *Store) Put(key string, val []byte) error {
+	rec := AppendRecord(nil, key, val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return ErrClosed
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.pendBy < maxPendingBytes {
-			break
-		}
-		s.kickLocked()
-		s.cond.Wait()
+	if s.closed {
+		return ErrClosed
 	}
-	if old, ok := s.pending[key]; ok {
-		s.pendBy -= recordSize(key, old)
+	if s.err != nil {
+		return s.err
 	}
-	s.pending[key] = append([]byte(nil), val...)
-	s.pendBy += recordSize(key, val)
-	atomic.AddUint64(&s.puts, 1)
+	seg, base := len(s.segs)-1, s.size
+	_, err := s.segs[seg].WriteAt(rec, base)
+	s.sys(1)
+	if err != nil {
+		// Torn bytes at the tail are exactly what replay truncates.
+		s.err = fmt.Errorf("store: append: %w", err)
+		return s.err
+	}
+	s.size += int64(len(rec))
+	s.index[key] = ref{seg: seg, off: base + int64(valueOffset(key)), vlen: len(val)}
+	s.unsynced = true
+	s.puts++
 	mPuts.Inc()
-	if s.pendBy >= flushBytes {
-		s.kickLocked()
-	}
+	mAppendBytes.Add(uint64(len(rec)))
 	return nil
 }
 
-// kickLocked nudges the flusher without blocking.
-func (s *Store) kickLocked() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Get returns the value stored under key: the write-behind buffer
-// first (read-your-writes), then one pread through the index.
+// Get returns the value stored under key: one pread through the index.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
-	v, ok := s.pending[key]
-	if !ok {
-		v, ok = s.flushing[key]
-	}
-	if ok {
-		out := append([]byte(nil), v...)
-		s.mu.Unlock()
-		return out, true
-	}
 	r, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
@@ -331,26 +290,37 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return out, true
 }
 
-// Sync blocks until every Put accepted before the call is durable on
-// disk (flushed and fsynced), returning the store's sticky flush error
-// if one occurred.
+// Sync fsyncs the active segment if any record is unsynced and returns
+// once every Put accepted before the call is durable, or with the
+// store's sticky error if a write or fsync failed (the records appended
+// before a failed write are still fsynced). Fsyncs are serialized: a
+// Sync that waits out another caller's fsync still returns only after
+// its own records are on disk. After Close it returns Close's error.
 func (s *Store) Sync() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for (len(s.pending) > 0 || s.flushing != nil) && !s.closed && s.err == nil {
-		s.kickLocked()
-		s.cond.Wait()
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed && !s.crashed {
-		return nil // Close drained everything
-	}
-	if s.closed {
+	unsynced, crashed := s.unsynced, s.crashed
+	s.unsynced = false
+	f := s.segs[len(s.segs)-1]
+	s.mu.Unlock()
+	if crashed {
 		return ErrClosed
 	}
-	return nil
+	var err error
+	if unsynced {
+		sp := mFsyncLatency.Start()
+		err = f.Sync()
+		sp.End()
+		s.sys(1)
+		atomic.AddUint64(&s.syncs, 1)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("store: fsync: %w", err)
+	}
+	return s.err
 }
 
 // Len returns the number of live keys.
@@ -365,58 +335,56 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Puts:           atomic.LoadUint64(&s.puts),
-		Batches:        s.batches,
-		BatchedRecords: s.batchedRecs,
-		Syscalls:       atomic.LoadUint64(&s.syscalls),
-		Truncations:    s.truncations,
-		Records:        len(s.index),
+		Puts:        s.puts,
+		Syncs:       atomic.LoadUint64(&s.syncs),
+		Syscalls:    atomic.LoadUint64(&s.syscalls),
+		Truncations: s.truncations,
+		Records:     len(s.index),
 	}
 }
 
-// Close drains the write-behind buffer to disk, fsyncs, and releases
-// the store and its directory lock. Further Puts fail with ErrClosed.
+// Close fsyncs what is unsynced and releases the store and its
+// directory lock. Further Puts fail with ErrClosed.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		err := s.err
-		s.mu.Unlock()
-		return err
+	if !s.shut(false) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.err
 	}
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	close(s.stop)
-	s.flusherWG.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.Sync()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.closeFiles()
-	return s.err
+	return err
 }
 
-// Crash abandons the store without flushing: buffered writes are
-// dropped and file handles are closed as-is (releasing the directory
-// lock), leaving the directory exactly as a process kill would. It is a
-// test hook for crash-recovery coverage; production code uses Close.
+// Crash abandons the store without an fsync: file handles are closed
+// as-is (releasing the directory lock), leaving the directory exactly
+// as a process kill would — every accepted Put is in the file, durable
+// only as far as the OS wrote it back. It is a test hook for
+// crash-recovery coverage; production code uses Close.
 func (s *Store) Crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.shut(true) {
 		return
 	}
-	s.closed = true
-	s.crashed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	close(s.stop)
-	s.flusherWG.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.closeFiles()
+}
+
+// shut marks the store closed (and crashed) and stops the syncer. It
+// reports false if the store was already closed.
+func (s *Store) shut(crash bool) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.closed, s.crashed = true, crash
+	s.mu.Unlock()
+	close(s.stop)
+	s.syncerWG.Wait()
+	return true
 }
 
 func (s *Store) closeFiles() {
@@ -425,97 +393,18 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// flusher is the dedicated write-behind goroutine: it batches buffered
-// records into one write + one fsync per flush.
-func (s *Store) flusher() {
-	defer s.flusherWG.Done()
-	t := time.NewTicker(flushEvery)
+// syncer is the store's one goroutine: on every tick it fsyncs the
+// records appended since the last fsync.
+func (s *Store) syncer() {
+	defer s.syncerWG.Done()
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-s.stop:
-			s.mu.Lock()
-			crashed := s.crashed
-			s.mu.Unlock()
-			if !crashed {
-				s.flushOnce() // final drain
-			}
 			return
 		case <-t.C:
-		case <-s.kick:
+			_ = s.Sync()
 		}
-		s.flushOnce()
 	}
-}
-
-// flushOnce appends the current buffer to the active segment as one
-// batch: encode every pending record, one WriteAt, one fsync, then
-// publish the new index refs. Errors are sticky — the store keeps
-// serving reads and memory writes, but reports the failure on
-// Put/Sync/Close.
-func (s *Store) flushOnce() {
-	s.mu.Lock()
-	if len(s.pending) == 0 || s.err != nil {
-		s.mu.Unlock()
-		return
-	}
-	batch := s.pending
-	s.pending = make(map[string][]byte)
-	s.pendBy = 0
-	s.flushing = batch
-	base := s.size
-	s.mu.Unlock()
-
-	sp := mFlushLatency.Start()
-	// Batches are written in sorted key order so the on-disk byte
-	// stream is a deterministic function of the accepted writes.
-	keys := make([]string, 0, len(batch))
-	for k := range batch {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	seg := len(s.segs) - 1
-	var buf []byte
-	refs := make([]ref, len(keys))
-	for i, k := range keys {
-		v := batch[k]
-		refs[i] = ref{seg: seg, off: base + int64(len(buf)) + int64(valueOffset(k)), vlen: len(v)}
-		buf = AppendRecord(buf, k, v)
-	}
-	f := s.segs[seg]
-	var werr error
-	if _, err := f.WriteAt(buf, base); err != nil {
-		werr = err
-	} else if err := f.Sync(); err != nil {
-		werr = err
-	}
-	s.sys(2)
-	sp.End()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.cond.Broadcast()
-	s.flushing = nil
-	if werr != nil {
-		// The batch may be partially on disk with no fsync; put it back
-		// in front so a later recovery of the disk retries it. The torn
-		// bytes on disk are exactly what replay truncates.
-		for k, v := range batch {
-			if _, ok := s.pending[k]; !ok {
-				s.pending[k] = v
-				s.pendBy += recordSize(k, v)
-			}
-		}
-		s.err = fmt.Errorf("store: flush: %w", werr)
-		return
-	}
-	s.size = base + int64(len(buf))
-	for i, k := range keys {
-		s.index[k] = refs[i]
-	}
-	s.batches++
-	s.batchedRecs += uint64(len(keys))
-	mBatches.Inc()
-	mBatchRecords.Add(uint64(len(keys)))
-	mAppendBytes.Add(uint64(len(buf)))
 }

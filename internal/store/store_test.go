@@ -87,7 +87,7 @@ func TestPutGetReopen(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		put(t, s, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
 	}
-	// Read-your-writes before any flush could have happened.
+	// Read-your-writes before any fsync could have happened.
 	expect(t, s, "key-007", "val-007")
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("Get of an absent key succeeded")
@@ -160,7 +160,7 @@ func TestFloat64RoundTrip(t *testing.T) {
 }
 
 // TestConcurrentWritersReaders is the store's -race exercise: many
-// writers and readers race the flusher, and after a final Sync every
+// writers and readers race the syncer, and after a final Sync every
 // writer's last value must be durable and visible (read-your-writes
 // through reopen).
 func TestConcurrentWritersReaders(t *testing.T) {
@@ -239,33 +239,6 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	}
 }
 
-func TestBackpressureBounded(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	defer s.Close()
-	// Twice maxPendingBytes of writes must all be accepted — Put blocks
-	// for the flusher instead of failing — and the buffer never holds
-	// more than the bound plus the one record that crossed it.
-	val := string(make([]byte, 64<<10))
-	n := 2 * maxPendingBytes / len(val)
-	peak := 0
-	for i := 0; i < n; i++ {
-		put(t, s, fmt.Sprintf("key-%04d", i), val)
-		s.mu.Lock()
-		peak = max(peak, s.pendBy)
-		s.mu.Unlock()
-	}
-	if bound := maxPendingBytes + recordSize("key-0000", []byte(val)); peak > bound {
-		t.Fatalf("write-behind buffer peaked at %d bytes, bound %d", peak, bound)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != n {
-		t.Fatalf("%d keys, want %d", s.Len(), n)
-	}
-}
-
 func TestFutureVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
@@ -299,17 +272,42 @@ func TestFutureVersionRejected(t *testing.T) {
 func TestSyncSurfacesFlushError(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	// Sabotage the active segment's file handle: further flushes fail.
+	// Sabotage the active segment's file handle: further appends fail.
 	s.mu.Lock()
 	s.segs[len(s.segs)-1].Close()
 	s.mu.Unlock()
-	_ = s.Put("k", []byte("v"))
-	err := s.Sync()
-	if err == nil {
-		t.Fatal("Sync returned nil after a flush to a closed file")
+	if err := s.Put("k", []byte("v")); err == nil {
+		t.Fatal("Put returned nil after an append to a closed file")
+	}
+	if err := s.Sync(); err == nil {
+		t.Fatal("Sync returned nil after a sticky write error")
 	}
 	if cerr := s.Close(); cerr == nil {
-		t.Fatal("Close returned nil after a sticky flush error")
+		t.Fatal("Close returned nil after a sticky write error")
+	}
+}
+
+// A Put is fsynced by the syncer with no Sync call, one tick after it
+// returns (the deadline leaves a second for scheduling), and an idle
+// store issues no further fsyncs.
+func TestPutSyncedWithinTick(t *testing.T) {
+	s := openT(t, t.TempDir())
+	defer s.Close()
+	if n := s.Stats().Syncs; n != 0 {
+		t.Fatalf("%d fsyncs before any Put", n)
+	}
+	put(t, s, "k", "v")
+	deadline := time.Now().Add(syncEvery + time.Second)
+	for s.Stats().Syncs == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Put not fsynced %v after it returned", syncEvery+time.Second)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Nothing is left to fsync: an idle store stays idle.
+	time.Sleep(3 * syncEvery)
+	if n := s.Stats().Syncs; n != 1 {
+		t.Fatalf("%d fsyncs for one Put, want 1", n)
 	}
 }
 
