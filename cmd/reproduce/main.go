@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -69,7 +70,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		cf      = cliconf.Register(flag.CommandLine, cliconf.Repeats|cliconf.Seed|cliconf.Fast|cliconf.Profile|cliconf.Metrics|cliconf.Spec|cliconf.CacheDir)
 		section = flag.String("section", "all", "which experiment to regenerate")
@@ -96,12 +97,12 @@ func run() error {
 	}
 	cfg := baseSpec.Config
 	// The closer fsyncs a store-backed cache on exit, Ctrl-C included,
-	// and reports a store write that failed.
+	// and fails the run on a store write that failed.
 	cache, closeCache, err := cf.OpenCache()
 	if err != nil {
 		return err
 	}
-	defer closeCache()
+	defer func() { err = errors.Join(err, closeCache()) }()
 	// Ctrl-C cancels the running campaign; with -cache-dir the cells
 	// measured so far are already persisted, so a rerun resumes there.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,7 +54,9 @@ func main() {
 	}
 }
 
-func run() error {
+// run's result is named so that the cache closers the cases defer can
+// fail a run that otherwise succeeded.
+func run() (runErr error) {
 	var (
 		cf         = cliconf.Register(flag.CommandLine, cliconf.All|cliconf.Spec|cliconf.CacheDir|cliconf.Countermeasure)
 		pair       = flag.String("pair", "", "single pair to measure, e.g. ADD/LDM")
@@ -145,12 +148,12 @@ func run() error {
 
 		// Every measured cell is in the store as soon as it is computed,
 		// so even a Ctrl-C'd campaign keeps it; the closer fsyncs the
-		// store and reports a write that failed.
+		// store and fails the run on a write that failed.
 		cache, closeCache, err := cf.OpenCache()
 		if err != nil {
 			return err
 		}
-		defer closeCache()
+		defer func() { runErr = errors.Join(runErr, closeCache()) }()
 		var last engine.Stats
 		progress := cliconf.NewProgress(os.Stderr)
 		monitor := func(ev engine.ProgressEvent) {
@@ -210,7 +213,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer closeCache()
+		defer func() { runErr = errors.Join(runErr, closeCache()) }()
 		rep, err := savat.RunCountermeasureReport(ctx, spec, engine.Options{Cache: cache})
 		if err != nil {
 			return err

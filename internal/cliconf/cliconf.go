@@ -172,25 +172,26 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 
 // OpenCache opens the per-cell result cache the registered cache flags
 // describe and returns it with a closer that fsyncs and releases its
-// durable layer and reports a store write that failed; defer it so
-// interrupted runs end with every cell durable. With -cache-dir the
-// cells live in the
-// append-only segment log of internal/store, so a rerun over the same
-// directory resumes an interrupted campaign; without it (or without the
-// CacheDir flag set) the cache is in-memory only and the closer is a
-// no-op.
-func (f *Flags) OpenCache() (*engine.Cache, func(), error) {
+// durable layer and returns the error of a store write that failed;
+// defer it so interrupted runs end with every cell durable, and exit
+// non-zero on its error, since the run's cells may not survive it. With
+// -cache-dir the cells live in the append-only segment log of
+// internal/store, so a rerun over the same directory resumes an
+// interrupted campaign; without it (or without the CacheDir flag set)
+// the cache is in-memory only and the closer returns nil.
+func (f *Flags) OpenCache() (*engine.Cache, func() error, error) {
 	if f.set&CacheDir == 0 || f.CacheDir == "" {
-		return engine.NewCache(0), func() {}, nil
+		return engine.NewCache(0), func() error { return nil }, nil
 	}
 	cache, err := engine.NewStoreCache(0, f.CacheDir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cliconf: -cache-dir: %w", err)
 	}
-	return cache, func() {
+	return cache, func() error {
 		if err := cache.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cliconf: closing cache:", err)
+			return fmt.Errorf("closing cache: %w", err)
 		}
+		return nil
 	}, nil
 }
 

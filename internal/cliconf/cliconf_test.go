@@ -278,7 +278,9 @@ func TestOpenCacheBackends(t *testing.T) {
 	if v, ok := cellCampaign(t, cache, "k", -1); !ok || v != 1 {
 		t.Fatalf("memory-only cache: (%v, %v)", v, ok)
 	}
-	closeCache()
+	if err := closeCache(); err != nil {
+		t.Fatal(err)
+	}
 
 	// With -cache-dir the cache persists through the segment log: a
 	// second open over the same directory sees the first one's cells.
@@ -289,7 +291,9 @@ func TestOpenCacheBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	cellCampaign(t, cache, "cell", 42.5)
-	closeCache()
+	if err := closeCache(); err != nil {
+		t.Fatal(err)
+	}
 	if seg, err := os.Stat(filepath.Join(dir, "000001.seg")); err != nil || seg.Size() == 0 {
 		t.Fatalf("store cache wrote no segment: %v", err)
 	}
@@ -304,5 +308,7 @@ func TestOpenCacheBackends(t *testing.T) {
 	if _, _, err := f.OpenCache(); !errors.Is(err, store.ErrLocked) {
 		t.Fatalf("second OpenCache on a held -cache-dir: %v, want store.ErrLocked", err)
 	}
-	closeCache()
+	if err := closeCache(); err != nil {
+		t.Fatal(err)
+	}
 }

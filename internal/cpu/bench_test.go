@@ -53,8 +53,9 @@ func BenchmarkInterpreter(b *testing.B) {
 
 // BenchmarkSweep runs the Figure 4 STL1 loop — a store sweep through a
 // 2 KiB buffer that stays in L1, four bytes per iteration — which the
-// core fast-forwards a cache line at a time, interpreting only the
-// iterations that reach a new line. It reports the time per retired
+// core fast-forwards a cache line at a time, the first access to each
+// line included, interpreting only the code around the loop and its
+// entry and exit iterations. It reports the time per retired
 // instruction and the instructions interpreted per run.
 func BenchmarkSweep(b *testing.B) {
 	p, err := asm.Assemble(`

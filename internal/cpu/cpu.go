@@ -91,6 +91,8 @@ type CPU struct {
 	// block is the span a fast-forwarded run of accesses stays within:
 	// the L1 line, or the data-memory page when that is smaller.
 	block uint32
+	// l1Hit is the latency a counted loop charges each memory op.
+	l1Hit uint64
 }
 
 // New builds a core running prog against the given memory hierarchy.
@@ -105,12 +107,13 @@ func New(cfg Config, prog []isa.Instruction, hier *memhier.Hierarchy) (*CPU, err
 		return nil, fmt.Errorf("cpu: nil memory hierarchy")
 	}
 	hc := hier.Config()
-	loops := findLoops(prog, &cfg, uint64(hc.L1HitCycles))
+	l1Hit := uint64(hc.L1HitCycles)
 	block := uint32(pageBytes)
 	if hc.L1.LineBytes < pageBytes {
 		block = uint32(hc.L1.LineBytes)
 	}
-	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier, loops: loops, block: block}, nil
+	return &CPU{cfg: cfg, prog: prog, mem: NewMemory(), hier: hier,
+		loops: findLoops(prog, &cfg, l1Hit), block: block, l1Hit: l1Hit}, nil
 }
 
 // PC returns the current program counter (instruction word index).
@@ -199,9 +202,10 @@ func (c *CPU) Step() error {
 // (pc, cycle, per-class activity tallies) in locals, written back once
 // on exit. Step and Run route through it, so every execution path has
 // identical semantics. At the taken back edge of a counted loop it
-// fast-forwards whole iterations that provably repeat the one just
-// retired (see loop.iterations and fastForward); with maxSteps = 1,
-// as in Step, no whole iteration fits and it never does.
+// fast-forwards whole iterations, whose work has a closed form (see
+// loop.iterations and fastForward); a memory access that misses ends
+// that only under a cycle limit. With maxSteps = 1, as in Step, no
+// whole iteration fits and it never does.
 func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, error) {
 	if c.halted {
 		return 0, fmt.Errorf("cpu: step after halt")
@@ -371,10 +375,10 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 		if lp == nil || steps >= maxSteps || cycle >= cycleLimit {
 			break
 		}
-		k := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps, cycleLimit-cycle))
+		k, extra := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps, cycleLimit-cycle), maxCycles == 0)
 		steps += k * lp.steps
 		c.skipped += k * lp.steps
-		cycle += k * lp.cycles
+		cycle += k*lp.cycles + extra
 		fetchN += k * lp.fetchN
 		aluN += k * lp.aluN
 		mulN += k * lp.mulN

@@ -131,11 +131,18 @@ func smallHier() memhier.Config {
 
 // loopProgram generates a random program around one loop closed by a
 // backward BNE: register setup, a counter reload, a body of register
-// ops, Figure 4 pointer updates, loads and stores, NOPs and forward
-// branches (static and data-dependent), the decrement, the back edge,
-// and then HALT or a jump back to the reload. Most draws are counted
-// loops the core fast-forwards; the rest exercise the rejections.
-func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
+// ops, pointer updates (Figure 4's or linear ones, as the pre-touch
+// loops step), loads and stores (alone or an LD+ST pair at one
+// address), NOPs and forward branches (static and data-dependent), the
+// decrement, the back edge, and then HALT or a jump back to the reload.
+// Most draws are counted loops the core fast-forwards; the rest
+// exercise the rejections.
+func loopProgram(seed int64) (prog []isa.Instruction, markers []int) {
+	r := rand.New(rand.NewSource(seed))
+	// The linear updates, the pairs and the accesses before an update
+	// draw from x, so the committed seeds that take none of them keep
+	// generating the programs they were committed for.
+	x := rand.New(rand.NewSource(^seed))
 	perm := r.Perm(isa.NumRegs)
 	reg := func(i int) isa.Reg { return isa.Reg(perm[i]) }
 	rc, rz, p, tmp, m, nm, base2 := reg(0), reg(1), reg(2), reg(3), reg(4), reg(5), reg(6)
@@ -214,6 +221,10 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 		if r.Intn(2) == 0 {
 			andT, andP = andP, andT
 		}
+		if x.Intn(3) == 0 {
+			emit(isa.Instruction{Op: isa.ADDI, Rd: p, Rs1: p, Imm: s})
+			return
+		}
 		emit(isa.Instruction{Op: isa.ADDI, Rd: tmp, Rs1: p, Imm: s})
 		emit(andT)
 		emit(andP)
@@ -224,7 +235,16 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 		if r.Intn(2) == 0 {
 			op = isa.ST
 		}
-		emit(isa.Instruction{Op: op, Rd: rd, Rs1: base, Imm: offsets[r.Intn(len(offsets))]})
+		in := isa.Instruction{Op: op, Rd: rd, Rs1: base, Imm: offsets[r.Intn(len(offsets))]}
+		if x.Intn(4) == 0 {
+			in.Op = isa.LD
+			emit(in)
+			in.Op, in.Rd = isa.ST, reg(13)
+			if x.Intn(4) == 0 { // stores the loaded value
+				in.Rd = rd
+			}
+		}
+		emit(in)
 	}
 	branch := func(x isa.Reg, filler func() isa.Instruction) {
 		skip := r.Intn(3)
@@ -240,10 +260,10 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 			emit(filler())
 		}
 	}
-	// Half the bodies are shaped like the Figure 4 kernel — one pointer
-	// update, then at most one access through it or a fixed base, plus
-	// self-contained ops, NOPs and static branches — so they take the
-	// closed form; the rest mix everything.
+	// Half the bodies are shaped like the kernel's loops — one pointer
+	// update, and at most one access (or pair) through it or a fixed
+	// base, usually after it, plus self-contained ops, NOPs and static
+	// branches — so they take the closed form; the rest mix everything.
 	tidy := r.Intn(2) == 0
 	items := r.Intn(8)
 	if tidy {
@@ -251,7 +271,11 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 	}
 	dec := r.Intn(items + 1)
 	memOps := 0
+	late := false // the tidy update follows the access
 	for i := 0; i <= items; i++ {
+		if late && i == 2 {
+			group()
+		}
 		if i == dec {
 			emit(isa.Instruction{Op: isa.SUBI, Rd: rc, Rs1: rc, Imm: 1})
 		}
@@ -261,7 +285,9 @@ func loopProgram(r *rand.Rand) (prog []isa.Instruction, markers []int) {
 		if tidy {
 			switch k := r.Intn(6); {
 			case i == 0:
-				group()
+				if late = x.Intn(4) == 0; !late {
+					group()
+				}
 			case i == 1 && k < 3:
 				memOps++
 				base := p
@@ -356,7 +382,7 @@ func FuzzRunToMarkerVsStep(f *testing.F) {
 		f.Add(seed, uint16(r.Intn(1<<16)), r.Uint32())
 	}
 	f.Fuzz(func(t *testing.T, seed int64, steps uint16, cycles uint32) {
-		prog, markers := loopProgram(rand.New(rand.NewSource(seed)))
+		prog, markers := loopProgram(seed)
 		maxSteps := 1 + uint64(steps)
 		var maxCycles uint64
 		switch cycles % 3 {
@@ -386,62 +412,90 @@ func FuzzRunToMarkerVsStep(f *testing.F) {
 }
 
 // TestFastForwardIsExact holds the fast-forwarding interpreter to Step
-// on every Core 2 Duo Figure 9 kernel, as built and as rewritten by
-// the noop-insert and shuffle countermeasures, through warm-up and the
-// first alternation periods, and checks that the fast-forward engages:
-// it interprets at most half of what it retires, warm-up sweeps
-// included (over whole alternation runs it is about one in sixteen;
-// see BenchmarkSimulateFig9Pairs in internal/savat).
+// on every Figure 9 kernel of the three case-study machines, as built
+// and as rewritten by the noop-insert and shuffle countermeasures,
+// through warm-up and the first alternation periods, with no cycle
+// limit and with one that falls mid-run (where an access that does not
+// repeat the previous one ends the fast-forward). Without a limit it
+// checks that the fast-forward covers every loop of an unrewritten
+// kernel: it interprets at most 2% of what it retires, pre-touch loops
+// included (only straight-line code and each loop's entry and exit
+// iterations are left; see BenchmarkSimulateFig9Pairs in internal/savat).
 func TestFastForwardIsExact(t *testing.T) {
-	mc := machine.Core2Duo()
 	steps := uint64(100_000)
 	if testing.Short() {
 		steps = 20_000
 	}
 	chains := []string{"", "noop-insert:0.2", "shuffle:4"}
-	for a := savat.Event(0); a < savat.NumEvents; a++ {
-		for b := savat.Event(0); b < savat.NumEvents; b++ {
-			k, err := savat.BuildKernel(mc, a, b, 80e3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ci, chain := range chains {
-				prog, phaseAt := k.Program, k.PhaseAt
-				if chain != "" {
-					c, err := counter.ParseChain([]string{chain})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if prog, phaseAt, err = counter.TransformProgram(prog, phaseAt, c, uint64(int(a)*97+int(b)*13+ci)); err != nil {
-						t.Fatal(err)
-					}
+	for _, mc := range machine.CaseStudyMachines() {
+		for a := savat.Event(0); a < savat.NumEvents; a++ {
+			for b := savat.Event(0); b < savat.NumEvents; b++ {
+				k, err := savat.BuildKernel(mc, a, b, 80e3)
+				if err != nil {
+					t.Fatal(err)
 				}
-				var markers []int
-				for pc := range phaseAt {
-					markers = append(markers, pc)
-				}
-				t.Run(fmt.Sprintf("%v-%v%s", a, b, chain), func(t *testing.T) {
-					fast := lockstep(t, mc.CPU, mc.Mem, prog, markers, 0, steps)
-					if chain == "" && fast.Interpreted()*2 > fast.Retired() {
-						t.Errorf("interpreted %d of %d retired", fast.Interpreted(), fast.Retired())
+				for ci, chain := range chains {
+					prog, phaseAt := k.Program, k.PhaseAt
+					if chain != "" {
+						c, err := counter.ParseChain([]string{chain})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if prog, phaseAt, err = counter.TransformProgram(prog, phaseAt, c, uint64(int(a)*97+int(b)*13+ci)); err != nil {
+							t.Fatal(err)
+						}
 					}
-				})
+					var markers []int
+					for pc := range phaseAt {
+						markers = append(markers, pc)
+					}
+					// The Core 2 Duo, Figure 9's machine, names its
+					// subtests without a machine prefix.
+					name := fmt.Sprintf("%v-%v%s", a, b, chain)
+					if mc.Name != "Core2Duo" {
+						name = mc.Name + "/" + name
+					}
+					t.Run(name, func(t *testing.T) {
+						fast := lockstep(t, mc.CPU, mc.Mem, prog, markers, 0, steps)
+						if chain == "" && fast.Interpreted()*50 > fast.Retired() {
+							t.Errorf("interpreted %d of %d retired", fast.Interpreted(), fast.Retired())
+						}
+						lockstep(t, mc.CPU, mc.Mem, prog, markers, fast.Cycle()*2/3+1, steps)
+					})
+				}
 			}
 		}
 	}
 }
 
 // TestLoopShapes pins which loops are counted, one condition at a
-// time, and holds each to Step.
+// time, and holds each to Step: bodies around the Figure 4 pointer
+// update, and bodies around a linear one, as the pre-touch loops step a
+// line at a time, or none. A counted loop of the second kind must be
+// fast-forwarded through its L1 misses.
 func TestLoopShapes(t *testing.T) {
-	cases := []struct {
+	type shape struct {
 		body    string
 		counted bool
-	}{
+	}
+	check := func(t *testing.T, src string, tc shape) *cpu.CPU {
+		t.Helper()
+		p, err := asm.Assemble(src)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.body, err)
+		}
+		prog := p.Instructions
+		if got := cpu.CountedLoop(prog, len(prog)-2); got != tc.counted {
+			t.Errorf("%q: counted %v, want %v", tc.body, got, tc.counted)
+		}
+		return lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 0, 20_000)
+	}
+	for _, tc := range []shape{
 		{"", true},
 		{"ld r1, [r2]", true},
 		{"st [r2+4], r12", true},
 		{"ld r1, [r9+8]", true}, // a base the body never writes
+		{"ld r1, [r2]\nst [r2], r12", true},
 		{"addi r14, r14, 173", true},
 		{"mul r14, r14, r14\ndivi r13, r13, 7\nxori r11, r11, 5", true},
 		{"jmp over\nhalt\nover:", true},
@@ -459,9 +513,9 @@ func TestLoopShapes(t *testing.T) {
 		{"beq r1, r12, over\nnop\nover:", false},
 		{"halt", false},
 		{"back:\nbne r7, r7, back", false},
-	}
-	for _, tc := range cases {
-		src := `
+		{"addi r6, r6, 64\nld r1, [r6]", false}, // a second pointer update
+	} {
+		check(t, `
 			movi r2, 0x1000
 			movi r3, 4095
 			movi r4, -4096
@@ -475,19 +529,49 @@ func TestLoopShapes(t *testing.T) {
 			and r5, r5, r3
 			and r2, r2, r4
 			or r2, r2, r5
-			` + tc.body + `
+			`+tc.body+`
 			subi r10, r10, 1
 			bne r10, r0, loop
-			halt`
-		p, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatalf("%q: %v", tc.body, err)
+			halt`, tc)
+	}
+	for _, tc := range []shape{
+		{"ld r1, [r6]\naddi r6, r6, 64", true},               // the LDL2 pre-touch loop
+		{"ld r1, [r6]\nst [r6], r12\naddi r6, r6, 64", true}, // the STL2 one
+		{"addi r6, r6, 64\nld r1, [r6+8]\nst [r6+8], r12", true},
+		{"st [r6+4], r12\naddi r6, r6, -60", true},
+		{"ld r1, [r6]\nbeq r7, r7, over\nnop\nover:\nst [r6], r12\naddi r6, r6, 4", true},
+		{"ld r1, [r9]\nst [r9], r12", true}, // no pointer, one address
+		{"addi r14, r14, 173", true},
+		// An 8 KiB masked sweep: four times the L1, so it misses there.
+		{"addi r5, r2, 4\nand r5, r5, r3\nand r2, r2, r4\nor r2, r2, r5\nld r1, [r2]\nst [r2], r12", true},
+		{"st [r6], r12\nld r1, [r6]\naddi r6, r6, 64", false},               // a store, then a load
+		{"ld r1, [r6]\naddi r6, r6, 64\nst [r6], r12", false},               // the pointer moves between them
+		{"ld r1, [r6]\naddi r14, r14, 1\nst [r6], r12", false},              // a register op between them
+		{"ld r1, [r6]\nst [r6+4], r12\naddi r6, r6, 64", false},             // two addresses
+		{"ld r1, [r6]\nst [r6], r1\naddi r6, r6, 64", false},                // stores the loaded value
+		{"ld r1, [r6]\nst [r6], r6\naddi r6, r6, 64", false},                // stores the pointer
+		{"ld r6, [r6]\naddi r6, r6, 64", false},                             // loads the pointer
+		{"ld r1, [r6]\naddi r6, r6, 64\naddi r6, r6, 4", false},             // two updates
+		{"ld r1, [r6]\naddi r6, r7, 64", false},                             // not linear
+		{"ld r1, [r6]\nst [r6], r12\nst [r6], r12\naddi r6, r6, 64", false}, // three accesses
+	} {
+		fast := check(t, `
+			movi r2, 0x1000
+			movi r3, 8191
+			movi r4, -8192
+			movi r6, 0x4000
+			movi r9, 0x3000
+			movi r12, -1
+			movi r14, 173
+			movi r10, 3000
+		loop:
+			`+tc.body+`
+			subi r10, r10, 1
+			bne r10, r0, loop
+			halt`, tc)
+		if tc.counted && fast.Interpreted()*10 > fast.Retired() {
+			t.Errorf("%q: interpreted %d of %d retired", tc.body, fast.Interpreted(), fast.Retired())
 		}
-		prog := p.Instructions
-		if got := cpu.CountedLoop(prog, len(prog)-2); got != tc.counted {
-			t.Errorf("%q: counted %v, want %v", tc.body, got, tc.counted)
-		}
-		lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 0, 20_000)
 	}
 }
 

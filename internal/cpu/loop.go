@@ -54,22 +54,23 @@ func exec(in *isa.Instruction, regs *[isa.NumRegs]uint32) {
 //   - every inner branch is forward and statically resolved: JMP, or
 //     BEQ/BNE comparing a register with itself;
 //   - no HALT and no undefined opcode;
-//   - at most one LD or ST;
+//   - at most one LD or ST, or an LD and then an ST to the same address
+//     with no register op between them;
 //   - exactly one `SUBI rc, rc, 1`, and no other read or write of rc;
 //   - no write of rz;
 //
 // and whose register work has a closed form (see sweep). Every
 // iteration then executes the same instructions, so its steps, cycles
-// (the memory op at the L1 hit latency a repeated access costs),
-// core-event tallies and mispredicts are constants, and once the back
-// edge is taken regs[rc]−regs[rz] iterations remain, the last of which
-// falls through. Loops of any other shape are interpreted.
+// (each memory op at the L1 hit latency; fastForward adds what its
+// accesses took beyond that), core-event tallies and mispredicts are
+// constants, and once the back edge is taken regs[rc]−regs[rz]
+// iterations remain, the last of which falls through. Loops of any
+// other shape are interpreted.
 type loop struct {
-	head, end int             // body pcs; end is the back edge
-	rc, rz    isa.Reg         // counter and bound
-	mem       isa.Instruction // the LD or ST when hasMem
-	hasMem    bool
-	sw        sweep // the body in closed form
+	head, end int               // body pcs; end is the back edge
+	rc, rz    isa.Reg           // counter and bound
+	mem       []isa.Instruction // the memory ops in program order
+	sw        sweep             // the body in closed form
 
 	steps, cycles, lastLat                         uint64
 	fetchN, aluN, mulN, divN, branchN, mispredicts uint64
@@ -153,11 +154,11 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 			lp.cycles += uint64(cfg.DivCycles)
 			lp.divN++
 		case isa.ClassLoad, isa.ClassStore:
-			if lp.hasMem {
+			if len(lp.mem) == 2 || len(lp.mem) == 1 && len(ops) != nPre {
 				return nil
 			}
 			lp.cycles += l1Hit
-			lp.mem, lp.hasMem = in, true
+			lp.mem = append(lp.mem, in)
 			nPre = len(ops)
 			continue
 		case isa.ClassBranch:
@@ -174,7 +175,7 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 		}
 		ops = append(ops, in)
 	}
-	if !lp.hasMem {
+	if len(lp.mem) == 0 {
 		nPre = len(ops)
 	}
 	// The back edge: taken backward, so predicted.
@@ -240,48 +241,57 @@ func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft,
 }
 
 // fastForward executes up to n whole iterations of lp from its head and
-// returns how many it executed: none unless the registers give the body
-// its closed form (see sweep.holds). Registers and data memory take
-// their real values; the memory hierarchy is advanced only while
-// AccessRepeats confirms the accesses repeat the previous one, and the
-// first access that does not is left, with its iteration, to the
-// interpreter.
-func (c *CPU) fastForward(lp *loop, n uint64) uint64 {
+// returns how many it executed, none unless the registers give the body
+// its closed form (see sweep.holds), and the cycles their memory
+// accesses took beyond the L1 hit latency lp.cycles charges. Registers,
+// data memory and the memory hierarchy take their real values. When
+// misses is false (a finite cycle limit, which latencies not yet known
+// could overrun) the first access that does not provably repeat the
+// previous one is left, with its iteration, to the interpreter.
+func (c *CPU) fastForward(lp *loop, n uint64, misses bool) (k, extra uint64) {
 	if n == 0 || !lp.sw.holds(&c.regs) {
-		return 0
+		return 0, 0
 	}
-	n = c.sweepForward(lp, n)
-	c.regs[lp.rc] -= uint32(n)
-	return n
+	k, extra = c.sweepForward(lp, n, misses)
+	c.regs[lp.rc] -= uint32(k)
+	return k, extra
 }
 
 // sweep is a counted loop body in closed form. Apart from the counter
-// decrement and the memory op it consists of
+// decrement and the memory ops it consists of at most one pointer
+// update on a register p, either
 //
-//   - the Figure 4 pointer update, t = (p+stride) & m; p = (p & nm) | t
+//   - linear: ADDI p,p,stride; or
+//   - masked, the Figure 4 update t = (p+stride) & m; p = (p & nm) | t
 //     — ADDI t,p,stride first, ORR p,p,t last, ANDR t,t,m and
 //     ANDR p,p,nm between in either order — on registers p, t, m, nm
-//     that nothing else in the body writes; and
-//   - self-contained ops: each writes a register that no other
-//     instruction of the body reads or writes, reading at most that
-//     register.
+//     that nothing else in the body writes;
 //
-// The memory op addresses through p after the update, or through a
-// register the body never writes, and an LD's destination is private
-// to it. While m holds 2^k−1 and nm its complement, iteration j leaves
-// t = (p₀ + j·stride) & m and p = (p₀ & nm) | t, so any number of
-// iterations costs O(1) register work (and one hierarchy and data
-// access each when the body has a memory op).
+// and of self-contained ops: each writes a register that no other
+// instruction of the body reads or writes, reading at most that
+// register.
+//
+// The memory ops address through p, after a masked update or on either
+// side of a linear one, or through a register the body never writes; an
+// LD's destination is private to it, and an ST stores neither p nor t.
+// While m holds 2^k−1 and nm its complement, iteration j of a masked
+// update leaves t = (p₀ + j·stride) & m and p = (p₀ & nm) | t; a linear
+// one leaves p = p₀ + j·stride. So any number of iterations costs O(1)
+// register work, and one hierarchy access per memory op and line.
 type sweep struct {
-	p, t, m, nm isa.Reg
+	p, t, m, nm isa.Reg // isa.NumRegs where the update has none
 	stride      uint32
+	masked      bool
 	memAtP      bool
-	self        []isa.Instruction
+	// lead is how many updates of p precede the memory ops in their
+	// iteration: 0 when a linear update follows them, otherwise 1.
+	lead uint32
+	self []isa.Instruction
 }
 
 // closedForm sets lp.sw to the closed form of the body's register ops
-// (the first nPre of them before the memory op), or reports that it has
-// none.
+// (the first nPre of them before the memory ops), or reports that it
+// has none.
 func (lp *loop) closedForm(ops []isa.Instruction, nPre int) bool {
 	var touched [isa.NumRegs]int
 	note := func(in isa.Instruction) {
@@ -295,10 +305,11 @@ func (lp *loop) closedForm(ops []isa.Instruction, nPre int) bool {
 	for _, in := range ops {
 		note(in)
 	}
-	if lp.hasMem {
-		note(lp.mem)
+	for _, in := range lp.mem {
+		note(in)
 	}
 	sw := &lp.sw
+	sw.p, sw.t, sw.m, sw.nm, sw.lead = isa.NumRegs, isa.NumRegs, isa.NumRegs, isa.NumRegs, 1
 	var group []isa.Instruction
 	groupInPre := true
 	for i, in := range ops {
@@ -312,9 +323,43 @@ func (lp *loop) closedForm(ops []isa.Instruction, nPre int) bool {
 			groupInPre = false
 		}
 	}
-	if len(group) != 4 {
+	switch len(group) {
+	case 0: // no pointer update
+	case 1: // a linear one
+		in := group[0]
+		if in.Op != isa.ADDI || in.Rd != in.Rs1 {
+			return false
+		}
+		sw.p, sw.stride = in.Rd, uint32(in.Imm)
+		if !groupInPre {
+			sw.lead = 0
+		}
+	case 4: // a masked one, which an access through p must follow
+		if !sw.maskedUpdate(group) || !groupInPre && len(lp.mem) > 0 && lp.mem[0].Rs1 == sw.p {
+			return false
+		}
+	default:
 		return false
 	}
+	for _, m := range lp.mem {
+		if m.Op == isa.LD && (m.Rd == m.Rs1 || touched[m.Rd] != 1) ||
+			m.Op == isa.ST && (m.Rd == sw.p || m.Rd == sw.t) || m.Rs1 == sw.t {
+			return false
+		}
+	}
+	if len(lp.mem) == 2 {
+		ld, st := lp.mem[0], lp.mem[1]
+		if ld.Op != isa.LD || st.Op != isa.ST || ld.Rs1 != st.Rs1 || ld.Imm != st.Imm {
+			return false
+		}
+	}
+	sw.memAtP = len(lp.mem) > 0 && lp.mem[0].Rs1 == sw.p
+	return true
+}
+
+// maskedUpdate sets sw to the Figure 4 update that group, the body's
+// four pointer ops in order, forms, or reports that it forms none.
+func (sw *sweep) maskedUpdate(group []isa.Instruction) bool {
 	first, last := group[0], group[3]
 	if first.Op != isa.ADDI || first.Rd == first.Rs1 {
 		return false
@@ -336,21 +381,8 @@ func (lp *loop) closedForm(ops []isa.Instruction, nPre int) bool {
 			return false
 		}
 	}
-	if !haveM || !haveNM || !distinct(sw.p, sw.t, sw.m, sw.nm) {
-		return false
-	}
-	if lp.hasMem {
-		m := lp.mem
-		if m.Op == isa.LD && (m.Rd == m.Rs1 || touched[m.Rd] != 1) ||
-			m.Op == isa.ST && (m.Rd == sw.p || m.Rd == sw.t) || m.Rs1 == sw.t {
-			return false
-		}
-		sw.memAtP = m.Rs1 == sw.p
-		if sw.memAtP && !groupInPre {
-			return false
-		}
-	}
-	return true
+	sw.masked = true
+	return haveM && haveNM && distinct(sw.p, sw.t, sw.m, sw.nm)
 }
 
 // operand returns the source of the two-source op in other than x, or
@@ -377,83 +409,147 @@ func distinct(regs ...isa.Reg) bool {
 }
 
 // holds reports whether the registers give the pointer update its
-// closed form: m a low-bit mask and nm its complement.
+// closed form: for a masked one, m a low-bit mask and nm its
+// complement.
 func (sw *sweep) holds(regs *[isa.NumRegs]uint32) bool {
+	if !sw.masked {
+		return true
+	}
 	m := regs[sw.m]
 	return m&(m+1) == 0 && regs[sw.nm] == ^m
 }
 
-// sweepForward executes up to n iterations of a body in closed form.
-func (c *CPU) sweepForward(lp *loop, n uint64) uint64 {
+// sweepForward executes up to n iterations of a body in closed form
+// and returns how many it executed and their accesses' extra cycles
+// (see fastForward).
+func (c *CPU) sweepForward(lp *loop, n uint64, misses bool) (uint64, uint64) {
 	regs, sw := &c.regs, &lp.sw
-	if lp.hasMem {
-		if n = c.sweepMemory(lp, n); n == 0 {
-			return 0
+	var extra uint64
+	if len(lp.mem) > 0 {
+		if n, extra = c.sweepMemory(lp, n, misses); n == 0 {
+			return 0, 0
 		}
 	}
-	p0, m := regs[sw.p], regs[sw.m]
-	regs[sw.t] = (p0 + uint32(n)*sw.stride) & m
-	regs[sw.p] = p0&^m | regs[sw.t]
+	switch {
+	case sw.masked:
+		p0, m := regs[sw.p], regs[sw.m]
+		regs[sw.t] = (p0 + uint32(n)*sw.stride) & m
+		regs[sw.p] = p0&^m | regs[sw.t]
+	case sw.p < isa.NumRegs:
+		regs[sw.p] += uint32(n) * sw.stride
+	}
 	for i := range sw.self {
 		selfForward(&sw.self[i], regs, n)
 	}
-	return n
+	return n, extra
 }
 
-// sweepMemory applies the memory op of up to n iterations of a body in
-// closed form, before its registers advance, and returns how many it
-// applied. It goes one run at a time: the iterations, from the first
-// not yet applied, whose addresses step through one block (see
-// CPU.block) without the mask wrapping — all of them when the address
-// does not move. AccessRepeats applies a run whole or not at all, as
-// the accesses one by one would; the run it declines is left to the
-// interpreter. A store run writes its words with one page lookup; a
-// load's destination is private to it, so only the last word loaded
-// is read.
-func (c *CPU) sweepMemory(lp *loop, n uint64) uint64 {
-	regs, sw, mi := &c.regs, &lp.sw, &lp.mem
-	write := mi.Op == isa.ST
-	p0, m, imm := regs[sw.p], regs[sw.m], uint32(mi.Imm)
-	// Within the mask's region of size 2^k the pointer moves forward by
-	// step per iteration, wrapping to the region's start.
-	region := uint64(m) + 1
+// sweepMemory applies the memory ops of up to n iterations of a body in
+// closed form, in program order and before its registers advance, and
+// returns how many iterations it applied and the cycles their accesses
+// took beyond the L1 hit latency.
+//
+// It goes one run at a time: the iterations, from the first not yet
+// applied, whose addresses step through one block (see CPU.block)
+// without a mask wrapping — all of them when the address does not move.
+// AccessRepeats applies a run whole or not at all, as the accesses one
+// by one would. When it declines, the run's first access goes alone
+// through AccessInto, as the interpreter applies it; that leaves its
+// line the one L1 served last, or the open write-combining line, so the
+// rest of the run repeats it. Without misses the sweep ends there
+// instead. Of an LD+ST pair, the load leaves its line the one L1 served
+// last, so the store repeats it. A store run writes its words with one
+// page lookup; a load's destination is private to it, so only the last
+// word loaded is read.
+func (c *CPU) sweepMemory(lp *loop, n uint64, misses bool) (done, extra uint64) {
+	regs, sw := &c.regs, &lp.sw
+	first, last := &lp.mem[0], &lp.mem[len(lp.mem)-1]
+	write, pair := first.Op == isa.ST, len(lp.mem) == 2
+	stored := regs[last.Rd] // what every store writes
+	imm := uint32(first.Imm)
+	// Within a mask's region the pointer moves forward by step per
+	// iteration, wrapping to the region's start.
+	var p0, m uint32
 	var step uint64
 	if sw.memAtP {
-		step = uint64(sw.stride & m)
+		p0, step = regs[sw.p], uint64(sw.stride)
+		if sw.masked {
+			m = regs[sw.m]
+			step &= uint64(m)
+		}
 	}
-	block := uint64(c.block)
-	done := uint64(0)
-	var last uint64 // the address of the last access applied
+	blockMask := uint64(c.block) - 1
+	var at uint64     // the address of the last access applied
+	var loaded uint32 // what a pair's last load read
 	for done < n {
-		base := regs[mi.Rs1]
-		var t uint64
+		base := regs[first.Rs1]
+		var t uint32
 		if sw.memAtP {
-			t = uint64((p0 + uint32(done+1)*sw.stride) & m)
-			base = p0&^m | uint32(t)
+			base = p0 + uint32(done+uint64(sw.lead))*sw.stride
+			if sw.masked {
+				t = base & m
+				base = p0&^m | t
+			}
 		}
 		addr := uint64(base + imm)
-		// The run's i-th access is at addr + i·step while that keeps t
-		// inside the region and addr's block; a fixed address is one
-		// word however long the run.
+		// The run's i-th access is at addr + i·step while that keeps it
+		// inside addr's block and the mask's region; a fixed address is
+		// one word however long the run.
 		run, words := n-done, uint64(1)
 		if step != 0 {
-			more := min((region-1-t)/step, (block-1-addr%block)/step)
+			more := (blockMask - addr&blockMask) / step
+			if sw.masked {
+				more = min(more, uint64(m-t)/step)
+			}
 			run = min(run, 1+more)
 			words = run
 		}
+		from := uint64(0) // the run's iterations already applied
 		if !c.hier.AccessRepeats(addr, write, run, &c.act) {
-			break
+			if !misses {
+				break
+			}
+			_, lat := c.hier.AccessInto(addr, write, &c.act)
+			extra += uint64(lat) - c.l1Hit // modular: the sum is exact
+			if pair {
+				c.repeat(addr, true, 1)
+			}
+			c.repeat(addr+step, write, run-1)
+			from = 1
 		}
-		if write {
-			c.mem.Store32Run(addr, step, words, regs[mi.Rd])
+		if pair {
+			c.repeat(addr+from*step, true, run-from)
+		}
+		at = addr + step*(words-1)
+		if pair {
+			// The run's last load reads what the iteration before it
+			// stored when the two share a word.
+			if run > 1 && (at-step)&^3 == at&^3 {
+				loaded = stored
+			} else {
+				loaded = c.mem.Load32(at)
+			}
+		}
+		if write || pair {
+			c.mem.Store32Run(addr, step, words, stored)
 		}
 		done += run
-		last = addr + step*(words-1)
 	}
-	if done > 0 && !write {
-		regs[mi.Rd] = c.mem.Load32(last)
+	if done > 0 && first.Op == isa.LD {
+		if !pair {
+			loaded = c.mem.Load32(at)
+		}
+		regs[first.Rd] = loaded
 	}
-	return done
+	return done, extra
+}
+
+// repeat applies n accesses that provably repeat the previous one (see
+// sweepMemory).
+func (c *CPU) repeat(addr uint64, write bool, n uint64) {
+	if n > 0 && !c.hier.AccessRepeats(addr, write, n, &c.act) {
+		panic("cpu: a fast-forwarded access did not repeat the previous one")
+	}
 }
 
 // selfForward applies n iterations of the self-contained op in: in

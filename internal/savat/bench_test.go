@@ -3,6 +3,7 @@ package savat
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 )
 
@@ -42,4 +43,28 @@ func BenchmarkSimulateFig9Pairs(b *testing.B) {
 	b.ReportMetric(float64(work.retired)/n, "retired/op")
 	b.ReportMetric(float64(work.cycles)/n, "sim-cycles/op")
 	b.ReportMetric(float64(work.interpreted)/n, "interpreted/op")
+}
+
+// keySink keeps BenchmarkCellKeys' keys live.
+var keySink string
+
+// BenchmarkCellKeys keys one repetition of the Figure 9 campaign as
+// runCampaign does: the configurations formatted once into the shared
+// prefix, then each of the 121 cells' material appended to it and
+// hashed by engine.Key. Every cell pays this, cached or not. It reports
+// the cells keyed per op.
+func BenchmarkCellKeys(b *testing.B) {
+	mc, cfg := machine.Core2Duo(), FastConfig()
+	events := Events()
+	cells := 0
+	for i := 0; i < b.N; i++ {
+		prefix := cellKeyPrefix(mc, cfg)
+		for _, a := range events {
+			for _, bb := range events {
+				keySink = engine.Key(cellKeyMaterial(prefix, a, bb, 1, 0))
+				cells++
+			}
+		}
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }

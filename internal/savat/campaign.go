@@ -3,6 +3,7 @@ package savat
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -50,11 +51,12 @@ func runCampaign(ctx context.Context, su *setup, spec CampaignSpec, opts engine.
 	mc, cfg, seed := su.base, spec.Config, spec.Seed
 	events := spec.GridEvents()
 	n := len(events)
+	prefix := cellKeyPrefix(mc, cfg)
 
 	grid := engine.Spec{
 		Rows: n, Cols: n, Reps: spec.Repeats,
 		Key: func(i, j, r int) string {
-			return cellKeyMaterial(mc, cfg, events[i], events[j], seed, r)
+			return cellKeyMaterial(prefix, events[i], events[j], seed, r)
 		},
 		Compute: func(ctx context.Context, i, j, r int) (float64, error) {
 			return su.cell(ctx, events[i], events[j], seed, r)
@@ -136,7 +138,16 @@ func campaignFingerprint(mc machine.Config, cfg Config, events []Event, seed int
 // (normalized, so a cell measured through the legacy empty channel
 // name and through an explicit "em" is one cache entry); v2 entries
 // predate the dimension and no longer describe the same key space.
-func cellKeyMaterial(mc machine.Config, cfg Config, a, b Event, seed int64, rep int) string {
-	return fmt.Sprintf("savat-cell/v3|machine=%+v|measure=%+v|pair=%v/%v|seed=%d|rep=%d",
-		mc, cfg.Normalized(), a, b, seed, rep)
+//
+// A campaign formats the configurations once, in cellKeyPrefix, and
+// each cell appends only its pair, seed and repetition.
+func cellKeyMaterial(prefix string, a, b Event, seed int64, rep int) string {
+	return prefix + "pair=" + a.String() + "/" + b.String() +
+		"|seed=" + strconv.FormatInt(seed, 10) + "|rep=" + strconv.Itoa(rep)
+}
+
+// cellKeyPrefix is the part of cellKeyMaterial that every cell of a
+// campaign on machine mc with configuration cfg shares.
+func cellKeyPrefix(mc machine.Config, cfg Config) string {
+	return fmt.Sprintf("savat-cell/v3|machine=%+v|measure=%+v|", mc, cfg.Normalized())
 }

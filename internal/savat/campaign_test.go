@@ -3,8 +3,10 @@ package savat
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/engine"
 	"repro/internal/machine"
 )
@@ -195,6 +197,50 @@ func TestRunCampaignValidationErrorCallsNoMonitor(t *testing.T) {
 		}
 		if calls != 0 {
 			t.Errorf("%s: Monitor called %d times for a rejected spec", c.name, calls)
+		}
+	}
+}
+
+// TestCellKeyMaterialMatchesFormat pins the cell keys a campaign builds
+// from its shared prefix byte for byte to the one-call formula every
+// stored cell was keyed with, over every machine, event pair, channel
+// (the legacy empty name included) and a range of countermeasure
+// chains, seeds and repetitions.
+func TestCellKeyMaterialMatchesFormat(t *testing.T) {
+	var chains []counter.Chain
+	for _, texts := range [][]string{
+		nil,
+		{"noop-insert:0.2"},
+		{"shuffle:4"},
+		{"noise-gen:0.5"},
+		{"supply-filter:0.3"},
+		{"noop-insert:0.1", "shuffle:8", "noise-gen:1", "supply-filter:0.9"},
+	} {
+		c, err := counter.ParseChain(texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains = append(chains, c)
+	}
+	events := ExtendedEvents()
+	for _, mc := range machine.CaseStudyMachines() {
+		for _, channel := range append([]string{""}, machine.ChannelNames()...) {
+			for ci, chain := range chains {
+				cfg := FastConfig()
+				cfg.Channel, cfg.Countermeasures = channel, chain
+				prefix := cellKeyPrefix(mc, cfg)
+				for i, a := range events {
+					for j, b := range events {
+						seed := []int64{0, 7, -1, 1 << 62, -1 << 63}[(i+j+ci)%5]
+						rep := (i * j) % 1001
+						want := fmt.Sprintf("savat-cell/v3|machine=%+v|measure=%+v|pair=%v/%v|seed=%d|rep=%d",
+							mc, cfg.Normalized(), a, b, seed, rep)
+						if got := cellKeyMaterial(prefix, a, b, seed, rep); got != want {
+							t.Fatalf("%s %q %v %v/%v: key\n%s\nwant\n%s", mc.Name, channel, chain, a, b, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
