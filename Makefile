@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/dsp:FuzzBandProductsVsFull \
 	./internal/isa:FuzzDecodeEncodeRoundTrip \
 	./internal/isa:FuzzEncodeDecodeInstruction \
+	./internal/machine:FuzzWarmStartVsCold \
 	./internal/savat:FuzzCampaignSpec \
 	./internal/specan:FuzzBandWalkVsDisplay \
 	./internal/store:FuzzStoreRecord \
@@ -20,7 +21,7 @@ FUZZ_TARGETS := \
 
 # Baseline snapshot cmd/benchguard compares against; re-record with
 # `make bench-json` after intentional performance changes.
-BENCH_BASELINE ?= BENCH_20260808.json
+BENCH_BASELINE ?= BENCH_20261019-2.json
 
 build:
 	$(GO) build ./...

@@ -105,6 +105,10 @@ type Cache struct {
 	stamp     uint64
 	epoch     uint32
 	stats     Stats
+	// from is the snapshot the cache was last restored from (nil after
+	// New or Reset): a set not yet touched in the current epoch holds
+	// the ways from keeps for it, copied in on its first touch.
+	from *Snapshot
 
 	// The line (addr >> lineShift) of the most recent access that left
 	// a line resident, and the way slot holding it; lastSlot < 0 when
@@ -157,23 +161,25 @@ func (c *Cache) Stats() Stats { return c.stats }
 // is by epoch bump: a set's ways are cleared lazily on its first touch
 // in the new epoch, so Reset is O(1) instead of a multi-megabyte clear
 // of the way arrays (an L2 model is reset before every simulated run).
+// It drops the snapshot the cache was restored from, if any.
 func (c *Cache) Reset() {
-	if c.epoch == ^uint32(0) {
-		// Epoch wrap: clear for real so stale sets from epoch 0 cannot
-		// resurface. Once per 2³² resets.
-		for i := range c.vtags {
-			c.vtags[i] = 0
-		}
-		for i := range c.setEpoch {
-			c.setEpoch[i] = 0
-		}
-		c.epoch = 0
-	} else {
-		c.epoch++
-	}
+	c.newEpoch()
+	c.from = nil
 	c.stats = Stats{}
 	c.stamp = 0
 	c.lastSlot = -1
+}
+
+// newEpoch makes every set stale, so its first touch starts it over.
+func (c *Cache) newEpoch() {
+	if c.epoch == ^uint32(0) {
+		// Epoch wrap: a set last touched 2³² epochs ago would look
+		// current again, so every set is marked stale for real. Once
+		// per 2³² resets.
+		clear(c.setEpoch)
+		c.epoch = 0
+	}
+	c.epoch++
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -186,18 +192,30 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return l & c.setsMask, l >> c.tagShift
 }
 
-// ways returns the packed valid|tag words of one set, clearing them
-// first if the set has not been touched since the last Reset.
+// ways returns the packed valid|tag words of one set, starting the set
+// first if it has not been touched in the current epoch.
 func (c *Cache) ways(set uint64) []uint64 {
 	base := int(set) * c.assoc
 	vt := c.vtags[base : base+c.assoc]
 	if c.setEpoch[set] != c.epoch {
-		for i := range vt {
-			vt[i] = 0
-		}
-		c.setEpoch[set] = c.epoch
+		c.start(set, vt)
 	}
 	return vt
+}
+
+// start gives a stale set its state at the start of the epoch: the ways
+// the snapshot the cache was restored from holds for it, or none.
+func (c *Cache) start(set uint64, vt []uint64) {
+	n := 0
+	if s := c.from; s != nil {
+		// A set holds a few ways: element loops beat three copy calls.
+		lo, hi := s.find(set)
+		for base := int(set) * c.assoc; lo+n < hi; n++ {
+			vt[n], c.lru[base+n], c.dirty[base+n] = s.vtags[lo+n], s.lru[lo+n], s.dirty[lo+n]
+		}
+	}
+	clear(vt[n:])
+	c.setEpoch[set] = c.epoch
 }
 
 func popcount(m uint64) int {
@@ -356,15 +374,96 @@ func (c *Cache) Dirty(addr uint64) bool {
 func (c *Cache) ResidentLines() int {
 	n := 0
 	for set := range c.setEpoch {
-		if c.setEpoch[set] != c.epoch {
-			continue // untouched since the last Reset: nothing live
-		}
-		base := set * c.assoc
-		for _, v := range c.vtags[base : base+c.assoc] {
-			if v != 0 {
-				n++
-			}
-		}
+		vt, _, _ := c.held(set)
+		n += len(vt)
 	}
 	return n
+}
+
+// held returns the valid ways of set without starting it: its own when
+// it was touched in the current epoch, else those the snapshot the
+// cache was restored from keeps for it, if any. Ways fill from way 0
+// and never empty before a Reset, so a set's valid ways are its first
+// ones.
+func (c *Cache) held(set int) (vt, lru []uint64, dirty []bool) {
+	if c.setEpoch[set] == c.epoch {
+		base, n := set*c.assoc, 0
+		for n < c.assoc && c.vtags[base+n] != 0 {
+			n++
+		}
+		return c.vtags[base : base+n], c.lru[base : base+n], c.dirty[base : base+n]
+	}
+	if c.from == nil {
+		return nil, nil, nil
+	}
+	lo, hi := c.from.find(uint64(set))
+	return c.from.vtags[lo:hi], c.from.lru[lo:hi], c.from.dirty[lo:hi]
+}
+
+// Snapshot is an immutable copy of a cache's state: the ways of every
+// set that holds a line, the LRU clock, the statistics, and the slot of
+// the last access. Restore starts a cache from it in O(1); any number
+// of caches may be restored from one snapshot, concurrently.
+type Snapshot struct {
+	cfg Config
+	// Set s keeps its valid ways (see held) as [start[s], start[s+1])
+	// of the flat arrays, in way order.
+	start      []uint32
+	vtags, lru []uint64
+	dirty      []bool
+
+	stamp    uint64
+	stats    Stats
+	lastLine uint64
+	lastSlot int
+}
+
+// find returns the range of set's ways in the flat arrays; lo == hi
+// when the snapshot keeps none.
+func (s *Snapshot) find(set uint64) (lo, hi int) {
+	return int(s.start[set]), int(s.start[set+1])
+}
+
+// Bytes returns the size of the snapshot's arrays.
+func (s *Snapshot) Bytes() int {
+	return 4*cap(s.start) + 8*(cap(s.vtags)+cap(s.lru)) + cap(s.dirty)
+}
+
+// Save returns a snapshot of the cache's state. It costs two passes
+// over the set index and copies only the valid ways.
+func (c *Cache) Save() *Snapshot {
+	s := &Snapshot{cfg: c.cfg, stamp: c.stamp, stats: c.stats, lastLine: c.lastLine, lastSlot: c.lastSlot,
+		start: make([]uint32, len(c.setEpoch)+1)}
+	for set := range c.setEpoch {
+		vt, _, _ := c.held(set)
+		s.start[set+1] = s.start[set] + uint32(len(vt))
+	}
+	n := s.start[len(c.setEpoch)]
+	s.vtags, s.lru, s.dirty = make([]uint64, n), make([]uint64, n), make([]bool, n)
+	for set := range c.setEpoch {
+		vt, lru, dirty := c.held(set)
+		for i, lo := 0, int(s.start[set]); i < len(vt); i++ {
+			s.vtags[lo+i], s.lru[lo+i], s.dirty[lo+i] = vt[i], lru[i], dirty[i]
+		}
+	}
+	return s
+}
+
+// Restore puts the cache in the state s was saved in, as if it had
+// carried on from there: every later access, statistic and query is
+// what the saved cache would give. It is O(1) — an epoch bump, as
+// Reset — and a set's ways are copied in from s on its first touch.
+// The set of the last access is copied at once, since RepeatHits
+// reads its slot without a set walk. It panics when s was saved from
+// a cache of another configuration.
+func (c *Cache) Restore(s *Snapshot) {
+	if s.cfg != c.cfg {
+		panic(fmt.Sprintf("cache %s: restoring a snapshot of %+v", c.cfg.Name, s.cfg))
+	}
+	c.newEpoch()
+	c.from = s
+	c.stamp, c.stats, c.lastLine, c.lastSlot = s.stamp, s.stats, s.lastLine, s.lastSlot
+	if c.lastSlot >= 0 {
+		c.ways(uint64(c.lastSlot / c.assoc))
+	}
 }

@@ -353,3 +353,171 @@ func TestRepeatHitMatchesAccess(t *testing.T) {
 		t.Fatalf("only %d repeats", repeats)
 	}
 }
+
+// randomOps draws n random operations over a small address range,
+// each returning what it reports, for the snapshot tests.
+func randomOps(rng *rand.Rand, n int) []func(c *Cache) any {
+	ops := make([]func(c *Cache) any, n)
+	addr := uint64(0)
+	for i := range ops {
+		switch rng.Intn(6) {
+		case 0:
+			addr = uint64(rng.Intn(1 << 14))
+		case 1:
+			addr += 64
+		default:
+			addr += uint64(rng.Intn(8))
+		}
+		a, write, k := addr, rng.Intn(3) == 0, 1+uint64(rng.Intn(20))
+		switch rng.Intn(7) {
+		case 0:
+			ops[i] = func(c *Cache) any { return c.AccessHit(a, write) }
+		case 1:
+			ops[i] = func(c *Cache) any { return c.RepeatHits(a, write, k) }
+		case 2:
+			ops[i] = func(c *Cache) any { return [2]bool{c.Contains(a), c.Dirty(a)} }
+		case 3:
+			ops[i] = func(c *Cache) any { return c.ResidentLines() }
+		default:
+			ops[i] = func(c *Cache) any { return c.Access(a, write) }
+		}
+	}
+	return ops
+}
+
+// sameCache fails unless two caches answer every query alike from
+// here on: statistics, LRU clock, and the ways of every set, read
+// through the same lazy start the accesses use.
+func sameCache(t *testing.T, i int, a, b *Cache) {
+	t.Helper()
+	if a.stats != b.stats || a.stamp != b.stamp || a.ResidentLines() != b.ResidentLines() {
+		t.Fatalf("op %d: stats %+v stamp %d lines %d, want %+v stamp %d lines %d",
+			i, b.stats, b.stamp, b.ResidentLines(), a.stats, a.stamp, a.ResidentLines())
+	}
+}
+
+// A cache restored from a snapshot carries on exactly as the saved
+// cache does: every later access, RepeatHits (whose slot the restore
+// copies in at once), and query — ResidentLines, Contains and Dirty on
+// sets not yet copied in among them — gives what the original gives.
+// The restored cache is one that held other lines, and a snapshot of
+// the restored cache, taken before it touched most sets, restores the
+// same state again. Neither restore changes the snapshot.
+func TestRestoreCarriesOn(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		orig, other := MustNew(smallCfg()), MustNew(smallCfg())
+		for _, op := range randomOps(rng, 300) {
+			op(orig)
+		}
+		for _, op := range randomOps(rng, 300) {
+			op(other)
+		}
+		snap := orig.Save()
+		other.Restore(snap)
+		again := other.Save()
+		third := MustNew(smallCfg())
+		third.Restore(again)
+		sameCache(t, -1, orig, other)
+		sameCache(t, -1, orig, third)
+		for i, op := range randomOps(rng, 2000) {
+			want := op(orig)
+			if got := op(other); got != want {
+				t.Fatalf("seed %d op %d: restored cache gives %v, original %v", seed, i, got, want)
+			}
+			if got := op(third); got != want {
+				t.Fatalf("seed %d op %d: re-saved cache gives %v, original %v", seed, i, got, want)
+			}
+			sameCache(t, i, orig, other)
+			sameCache(t, i, orig, third)
+		}
+		// The snapshot is unchanged: a fresh restore reads it as saved.
+		fresh := MustNew(smallCfg())
+		fresh.Restore(snap)
+		if fresh.stats != snap.stats || fresh.ResidentLines() != len(snap.vtags) {
+			t.Fatalf("seed %d: snapshot changed under the caches restored from it", seed)
+		}
+	}
+}
+
+// Reset drops the snapshot a cache was restored from: no line of it is
+// resident afterwards.
+func TestResetDropsSnapshot(t *testing.T) {
+	c := MustNew(smallCfg())
+	for a := uint64(0); a < 1024; a += 64 {
+		c.Access(a, true)
+	}
+	snap := c.Save()
+	r := MustNew(smallCfg())
+	r.Restore(snap)
+	if !r.Contains(0x40) || !r.Dirty(0x40) || r.ResidentLines() != 16 {
+		t.Fatalf("restore lost lines: %d resident", r.ResidentLines())
+	}
+	r.Reset()
+	if r.ResidentLines() != 0 || r.Contains(0x80) || r.Access(0x80, false).Hit {
+		t.Fatal("a line of the snapshot survived Reset")
+	}
+}
+
+// At an epoch wrap Reset and Restore still start every set over: a
+// set last touched in an epoch 2³² ago must not come back as current.
+func TestEpochWrapClears(t *testing.T) {
+	for _, restore := range []bool{false, true} {
+		src := MustNew(smallCfg())
+		src.Access(0x40, true) // set 1
+		snap := src.Save()
+
+		c := MustNew(smallCfg())
+		c.Access(0x80, true) // set 2, touched in epoch 0 ...
+		c.Access(0xc0, true) // set 3
+		// ... and pretend set 3 was touched in epoch 1, 2³² resets ago,
+		// and the cache has since reached the last epoch.
+		c.setEpoch[3] = 1
+		c.epoch = ^uint32(0)
+		c.setEpoch[2] = c.epoch
+		if restore {
+			c.Restore(snap)
+		} else {
+			c.Reset()
+		}
+		if c.epoch != 1 {
+			t.Fatalf("epoch %d after the wrap, want 1", c.epoch)
+		}
+		if c.Contains(0x80) || c.Contains(0xc0) || c.ResidentLines() != map[bool]int{false: 0, true: 1}[restore] {
+			t.Fatalf("restore %v: a line from before the wrap survived (%d resident)", restore, c.ResidentLines())
+		}
+		if restore && (!c.Contains(0x40) || !c.Dirty(0x40)) {
+			t.Fatal("the snapshot's line is missing after the wrap")
+		}
+	}
+}
+
+// Restoring a snapshot of another configuration panics.
+func TestRestoreOtherConfigPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore of another configuration's snapshot should panic")
+		}
+	}()
+	cfg := smallCfg()
+	cfg.Assoc = 4
+	MustNew(smallCfg()).Restore(MustNew(cfg).Save())
+}
+
+// RepeatHits right after a restore applies to the saved last line in
+// place: the restore copies that set in at once, so a later first
+// touch of the set does not overwrite what the repeat wrote.
+func TestRestoreKeepsLastSlot(t *testing.T) {
+	c := MustNew(smallCfg())
+	c.Access(0x40, false)
+	r := MustNew(smallCfg())
+	r.Restore(c.Save())
+	for _, x := range []*Cache{c, r} {
+		if !x.RepeatHits(0x44, true, 3) {
+			t.Fatal("RepeatHits declined the last line")
+		}
+	}
+	if !r.Dirty(0x40) || r.stats != c.stats || r.lru[r.lastSlot] != c.lru[c.lastSlot] {
+		t.Fatalf("restored: dirty %v stats %+v; original: dirty %v stats %+v", r.Dirty(0x40), r.stats, c.Dirty(0x40), c.stats)
+	}
+}

@@ -145,6 +145,61 @@ func (c *CPU) SetReg(r isa.Reg, v uint32) { c.regs[r] = v }
 // Mem exposes the data memory for workload setup and inspection.
 func (c *CPU) Mem() *Memory { return c.mem }
 
+// Snapshot is an immutable copy of a core's state — registers, pc,
+// cycle and retirement counts, pending activity, and data memory — for
+// a core running the same program. Restore starts a core from it in
+// O(1): the memory's pages are shared copy-on-write, read in place and
+// cloned on their first store, so any number of cores may be restored
+// from one snapshot, concurrently.
+type Snapshot struct {
+	cfg    Config
+	regs   [isa.NumRegs]uint32
+	pc     int
+	cycle  uint64
+	halted bool
+	act    activity.Vector
+
+	fetchN, aluN, mulN, divN, branchN uint64
+	retired, mispredicts, skipped     uint64
+
+	pages map[uint64]*[pageBytes]byte
+}
+
+// Retired returns the saved core's retired instructions.
+func (s *Snapshot) Retired() uint64 { return s.retired }
+
+// Bytes returns the size of the saved data memory.
+func (s *Snapshot) Bytes() int { return len(s.pages) * pageBytes }
+
+// Save returns a snapshot of the core's state. The data memory's pages
+// are copied, so the core may carry on.
+func (c *CPU) Save() *Snapshot {
+	s := &Snapshot{cfg: c.cfg, regs: c.regs, pc: c.pc, cycle: c.cycle, halted: c.halted, act: c.act,
+		fetchN: c.fetchN, aluN: c.aluN, mulN: c.mulN, divN: c.divN, branchN: c.branchN,
+		retired: c.retired, mispredicts: c.mispredicts, skipped: c.skipped,
+		pages: c.mem.view()}
+	for pn, p := range s.pages {
+		q := *p
+		s.pages[pn] = &q
+	}
+	return s
+}
+
+// Restore puts the core in the state s was saved in, as if it had
+// carried on from there; the core's program must be the one s was
+// saved running. The memory hierarchy is restored separately (see
+// memhier.Restore). It panics when s was saved from a core of another
+// configuration.
+func (c *CPU) Restore(s *Snapshot) {
+	if s.cfg != c.cfg {
+		panic(fmt.Sprintf("cpu: restoring a snapshot of %+v", s.cfg))
+	}
+	c.regs, c.pc, c.cycle, c.halted, c.act = s.regs, s.pc, s.cycle, s.halted, s.act
+	c.fetchN, c.aluN, c.mulN, c.divN, c.branchN = s.fetchN, s.aluN, s.mulN, s.divN, s.branchN
+	c.retired, c.mispredicts, c.skipped = s.retired, s.mispredicts, s.skipped
+	c.mem = &Memory{pages: make(map[uint64]*[pageBytes]byte), shared: s.pages}
+}
+
 // flushCounts folds the integer core-side tallies into the float
 // accumulator and clears them.
 func (c *CPU) flushCounts() {

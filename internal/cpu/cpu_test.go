@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -434,5 +435,78 @@ func TestMemoryRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A core restored from a snapshot carries on as the saved core does,
+// registers, counts and data memory alike; its stores clone the shared
+// pages they write, so a second core restored later still reads the
+// memory as saved.
+func TestSaveRestoreSharesMemoryCopyOnWrite(t *testing.T) {
+	p, err := asm.Assemble(`
+		movi r2, 0x1000
+		movi r12, 7
+		movi r10, 100
+	fill:
+		st [r2], r12
+		addi r12, r12, 3
+		addi r2, r2, 64
+		subi r10, r10, 1
+		bne r10, r0, fill
+	mark:
+		movi r2, 0x1000
+		movi r10, 100
+	sum:
+		ld r1, [r2]
+		add r13, r13, r1
+		st [r2+4], r13
+		st [r2], r0
+		addi r2, r2, 64
+		subi r10, r10, 1
+		bne r10, r0, sum
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, mark := p.Instructions, int(p.Symbols["mark"])
+	lookup := make([]int32, len(prog))
+	for i := range lookup {
+		lookup[i] = -1
+	}
+	lookup[mark] = 0
+	orig, err := New(DefaultConfig(), prog, testHier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orig.RunToMarker(lookup, 0, 1<<20); err != nil || orig.PC() != mark {
+		t.Fatalf("stopped at pc %d (%v), want %d", orig.PC(), err, mark)
+	}
+	snap, hsnap := orig.Save(), orig.hier.Save()
+	if _, err := orig.Run(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	act := orig.TakeActivity()
+	for round := 0; round < 2; round++ {
+		h := testHier()
+		h.Restore(hsnap)
+		c, err := New(DefaultConfig(), prog, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Restore(snap)
+		if _, err := c.Run(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if c.regs != orig.regs || c.cycle != orig.cycle || c.retired != orig.retired || c.Interpreted() != orig.Interpreted() ||
+			c.TakeActivity() != act || !c.Mem().Equal(orig.Mem()) {
+			t.Fatalf("round %d: the restored core finished elsewhere than the saved one", round)
+		}
+		if c.Reg(13) == 0 || c.Mem().PageCount() != orig.Mem().PageCount() {
+			t.Fatalf("round %d: the restored core read none of the saved stores", round)
+		}
+	}
+	if got := binary.LittleEndian.Uint32(snap.pages[1][:4]); got != 7 {
+		t.Fatalf("the snapshot's first word is %d after the restored cores stored into it, want 7", got)
 	}
 }

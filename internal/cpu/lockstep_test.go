@@ -73,7 +73,7 @@ func lockstep(t *testing.T, ccfg cpu.Config, mcfg memhier.Config, prog []isa.Ins
 		}
 	}
 	sameState(t, fast, fh, slow, sh)
-	if !cpu.SameMemory(fast.Mem(), slow.Mem()) {
+	if !fast.Mem().Equal(slow.Mem()) {
 		t.Fatal("data memory differs")
 	}
 	if slow.Interpreted() != slow.Retired() {

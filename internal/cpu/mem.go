@@ -8,11 +8,17 @@ import "encoding/binary"
 // real values.
 type Memory struct {
 	pages map[uint64]*[pageBytes]byte
+	// shared holds the pages of the snapshot the memory was restored
+	// from (see CPU.Restore), which other memories may hold too: a
+	// page found only here is read in place and cloned into pages on
+	// its first store.
+	shared map[uint64]*[pageBytes]byte
 	// Two-entry lookup cache: kernel workloads stride through a small
 	// buffer, so consecutive accesses almost always land on the same page
 	// and skip the map; the second (victim) entry keeps loop kernels that
 	// alternate between a sweep buffer and their counters map-free even
-	// when the two live on different pages.
+	// when the two live on different pages. It holds pages of the
+	// memory's own only, so a store through it never writes a shared page.
 	lastPN   uint64
 	lastPage *[pageBytes]byte
 	prevPN   uint64
@@ -45,15 +51,23 @@ func (m *Memory) page(addr uint64, create bool) *[pageBytes]byte {
 	}
 	p := m.pages[pn]
 	if p == nil {
-		if !create {
+		sp := m.shared[pn]
+		switch {
+		case sp != nil && !create:
+			return sp
+		case sp != nil:
+			p = new([pageBytes]byte)
+			*p = *sp
+		case !create:
 			m.holePN, m.isHole = pn, true
 			return nil
+		default:
+			p = new([pageBytes]byte)
+			if pn == m.holePN {
+				m.isHole = false
+			}
 		}
-		p = new([pageBytes]byte)
 		m.pages[pn] = p
-		if pn == m.holePN {
-			m.isHole = false
-		}
 	}
 	m.prevPN, m.prevPage = m.lastPN, m.lastPage
 	m.lastPN, m.lastPage = pn, p
@@ -92,4 +106,40 @@ func (m *Memory) Store32Run(addr, step, n uint64, v uint32) {
 }
 
 // PageCount returns the number of materialized pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int {
+	n := len(m.pages)
+	for pn := range m.shared {
+		if m.pages[pn] == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// view returns every page the memory holds: its own, and the shared
+// ones it has not cloned.
+func (m *Memory) view() map[uint64]*[pageBytes]byte {
+	v := make(map[uint64]*[pageBytes]byte, len(m.pages)+len(m.shared))
+	for pn, p := range m.shared {
+		v[pn] = p
+	}
+	for pn, p := range m.pages {
+		v[pn] = p
+	}
+	return v
+}
+
+// Equal reports whether two memories hold the same pages with the same
+// contents.
+func (m *Memory) Equal(o *Memory) bool {
+	mv, ov := m.view(), o.view()
+	if len(mv) != len(ov) {
+		return false
+	}
+	for pn, p := range mv {
+		if q, ok := ov[pn]; !ok || *p != *q {
+			return false
+		}
+	}
+	return true
+}

@@ -9,7 +9,10 @@
 // off-chip access time realistic relative to L2.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes the memory device, with timings in core clock cycles.
 type Config struct {
@@ -135,4 +138,30 @@ func (d *DRAM) Access(addr uint64, write bool) Result {
 	res.Latency = lat
 	res.Events = 3 // precharge/activate + burst
 	return res
+}
+
+// Snapshot is an immutable copy of a device's state: its open rows and
+// statistics.
+type Snapshot struct {
+	cfg     Config
+	openRow []int64
+	stats   Stats
+}
+
+// Bytes returns the size of the snapshot's arrays.
+func (s *Snapshot) Bytes() int { return 8 * cap(s.openRow) }
+
+// Save returns a snapshot of the device's state.
+func (d *DRAM) Save() *Snapshot {
+	return &Snapshot{cfg: d.cfg, openRow: slices.Clone(d.openRow), stats: d.stats}
+}
+
+// Restore puts the device in the state s was saved in. It panics when
+// s was saved from a device of another configuration.
+func (d *DRAM) Restore(s *Snapshot) {
+	if s.cfg != d.cfg {
+		panic(fmt.Sprintf("dram: restoring a snapshot of %+v", s.cfg))
+	}
+	copy(d.openRow, s.openRow)
+	d.stats = s.stats
 }

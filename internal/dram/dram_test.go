@@ -153,3 +153,33 @@ func TestLatencyValues(t *testing.T) {
 		}
 	}
 }
+
+// A device restored from a snapshot carries on as the saved one does,
+// and later accesses through it leave the snapshot unchanged.
+func TestSaveRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	orig := MustNew(cfg())
+	for i := 0; i < 200; i++ {
+		orig.Access(uint64(rng.Intn(1<<20)), rng.Intn(2) == 0)
+	}
+	snap := orig.Save()
+	for round := 0; round < 2; round++ {
+		twin := MustNew(cfg())
+		twin.Access(0x12345, true)
+		twin.Restore(snap)
+		ref := orig
+		if round == 1 {
+			ref = MustNew(cfg())
+			ref.Restore(snap)
+		}
+		for i := 0; i < 500; i++ {
+			a, w := uint64(rng.Intn(1<<20)), rng.Intn(2) == 0
+			if got, want := twin.Access(a, w), ref.Access(a, w); got != want {
+				t.Fatalf("round %d access %d: %+v restored, %+v saved", round, i, got, want)
+			}
+		}
+		if twin.Stats() != ref.Stats() {
+			t.Fatalf("round %d: stats %+v restored, %+v saved", round, twin.Stats(), ref.Stats())
+		}
+	}
+}

@@ -13,6 +13,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/activity"
 	"repro/internal/cache"
@@ -101,6 +102,9 @@ type RunResult struct {
 	Cycles  uint64
 	Retired uint64
 	Halted  bool
+	// Warmed reports that the run started from RunOptions.Warm rather
+	// than from reset.
+	Warmed bool
 	// CPU exposes the finished core for register/memory inspection.
 	CPU *cpu.CPU
 }
@@ -111,63 +115,63 @@ type RunOptions struct {
 	MaxSamples int    // stop after this many phase samples (0 = no limit)
 	MaxSteps   uint64 // hard instruction-count stop (0 = 100M)
 	// Hier, when non-nil and built from this machine's memory
-	// configuration, is Reset and used as the run's memory hierarchy
-	// instead of allocating a fresh one — the L2 line array alone is
-	// megabytes, so repeated runs (calibration probes, campaign cells)
-	// reuse it. The run mutates the hierarchy; callers must not share one
-	// across concurrent runs. A mismatched configuration is ignored.
+	// configuration, is Reset (or restored from Warm) and used as the
+	// run's memory hierarchy instead of allocating a fresh one — the L2
+	// line array alone is megabytes, so repeated runs (calibration
+	// probes, campaign cells) reuse it. The run mutates the hierarchy;
+	// callers must not share one across concurrent runs. A mismatched
+	// configuration is ignored.
 	Hier *memhier.Hierarchy
+	// Warm, when non-nil, starts the run at its program's first phase
+	// marker from the state Prologue saved there instead of simulating
+	// the prologue again. The result is the cold run's exactly. The run
+	// starts cold when Warm does not apply: another machine
+	// configuration, a program whose prefix differs, a cycle limit, or
+	// a step limit the prologue reaches (see Warm).
+	Warm *Warm
 }
+
+// defaultMaxSteps is the instruction bound of a run whose MaxSteps is 0,
+// and of Prologue.
+const defaultMaxSteps = 100_000_000
 
 // RunPhases executes prog on a fresh core. phaseAt maps an instruction
 // word index to a phase ID: whenever the PC reaches such an index, the
 // current phase sample is closed and a new one begins. Activity before the
 // first marker is discarded.
 func (m *Machine) RunPhases(prog []isa.Instruction, phaseAt map[int]int, opts RunOptions) (*RunResult, error) {
-	var hier *memhier.Hierarchy
-	if opts.Hier != nil && opts.Hier.Config() == m.cfg.Mem {
-		hier = opts.Hier
-		hier.Reset()
-	} else {
-		var err error
-		if hier, err = memhier.New(m.cfg.Mem); err != nil {
-			return nil, err
-		}
+	maxSteps := opts.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = defaultMaxSteps
+	}
+	warm := opts.Warm
+	if !warm.applies(m.cfg, prog, phaseAt, opts.MaxCycles, maxSteps) {
+		warm = nil
+	}
+	hier, err := m.hierarchy(opts.Hier)
+	if err != nil {
+		return nil, err
+	}
+	if warm != nil {
+		hier.Restore(warm.hier)
 	}
 	core, err := cpu.New(m.cfg.CPU, prog, hier)
 	if err != nil {
 		return nil, err
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 100_000_000
+	if warm != nil {
+		core.Restore(warm.core)
 	}
+	lookup := phaseLookup(prog, phaseAt)
 
-	// The phase map is consulted on every step; a dense slice (−1 = no
-	// marker) keeps the hot loop free of map lookups.
-	size := len(prog)
-	for idx := range phaseAt {
-		if idx >= size {
-			size = idx + 1
-		}
-	}
-	lookup := make([]int32, size)
-	for i := range lookup {
-		lookup[i] = -1
-	}
-	for idx, id := range phaseAt {
-		if idx >= 0 {
-			lookup[idx] = int32(id)
-		}
-	}
-
-	res := &RunResult{CPU: core}
+	res := &RunResult{CPU: core, Warmed: warm != nil}
 	inPhase := false
 	cur := activity.PhaseSample{ID: -1}
 
 	// The core's fused interpreter runs from marker to marker; this loop
-	// only does the per-phase bookkeeping at each boundary.
-	for steps := uint64(0); steps < maxSteps; {
+	// only does the per-phase bookkeeping at each boundary. The step
+	// budget counts the instructions a warm start's prologue retired.
+	for steps := core.Retired(); steps < maxSteps; {
 		if core.Halted() {
 			break
 		}
@@ -206,6 +210,127 @@ func (m *Machine) RunPhases(prog []isa.Instruction, phaseAt map[int]int, opts Ru
 	res.Retired = core.Retired()
 	res.Halted = core.Halted()
 	return res, nil
+}
+
+// hierarchy returns the run's memory hierarchy: h, Reset, when it was
+// built from the machine's memory configuration, or a new one.
+func (m *Machine) hierarchy(h *memhier.Hierarchy) (*memhier.Hierarchy, error) {
+	if h != nil && h.Config() == m.cfg.Mem {
+		h.Reset()
+		return h, nil
+	}
+	return memhier.New(m.cfg.Mem)
+}
+
+// phaseLookup returns phaseAt as a dense slice indexed by pc (−1 = no
+// marker): the phase map is consulted on every step, and a slice keeps
+// the hot loop free of map lookups.
+func phaseLookup(prog []isa.Instruction, phaseAt map[int]int) []int32 {
+	size := len(prog)
+	for idx := range phaseAt {
+		if idx >= size {
+			size = idx + 1
+		}
+	}
+	lookup := make([]int32, size)
+	for i := range lookup {
+		lookup[i] = -1
+	}
+	for idx, id := range phaseAt {
+		if idx >= 0 {
+			lookup[idx] = int32(id)
+		}
+	}
+	return lookup
+}
+
+// FirstMarker returns the smallest instruction index phaseAt marks, or
+// −1 when it marks none: a program's prologue is the code before it.
+func FirstMarker(phaseAt map[int]int) int {
+	first := -1
+	for idx := range phaseAt {
+		if idx >= 0 && (first < 0 || idx < first) {
+			first = idx
+		}
+	}
+	return first
+}
+
+// Warm is a machine's state at a program's first phase marker, saved by
+// Prologue: the core, its data memory and the memory hierarchy. It is
+// immutable, and any number of runs, concurrent ones included, may
+// start from it (RunOptions.Warm); each copies in only what it touches.
+type Warm struct {
+	cpu    cpu.Config
+	mem    memhier.Config
+	prefix []isa.Instruction // the program before the marker
+	core   *cpu.Snapshot
+	hier   *memhier.Snapshot
+}
+
+// Bytes returns the memory the snapshot holds.
+func (w *Warm) Bytes() int {
+	return 8*cap(w.prefix) + w.core.Bytes() + w.hier.Bytes()
+}
+
+// applies reports whether a run of prog under the given limits may
+// start from w, nil included. The prologue's execution reads nothing
+// but the prefix (Prologue proves it confined there), the machine's
+// core and memory configurations, and the step budget: with more than
+// the prologue's steps left, every whole-iteration bound in it is the
+// loop's own, as in Prologue's run. A cycle limit changes how counted
+// loops fast-forward their misses (cpu.RunToMarker leaves them to the
+// interpreter), so a cycle-limited run starts cold.
+func (w *Warm) applies(cfg Config, prog []isa.Instruction, phaseAt map[int]int, maxCycles, maxSteps uint64) bool {
+	return w != nil && w.cpu == cfg.CPU && w.mem == cfg.Mem &&
+		maxCycles == 0 && maxSteps > w.core.Retired() &&
+		FirstMarker(phaseAt) == len(w.prefix) && len(prog) > len(w.prefix) &&
+		slices.Equal(prog[:len(w.prefix)], w.prefix)
+}
+
+// Prologue runs prog from reset to its first phase marker, on hier when
+// it is non-nil (see RunOptions.Hier), and returns the state there, from
+// which RunPhases can start every run of a program that begins with the
+// same prologue. It returns nil, and no error, when there is no state
+// to share: no marker past index 0, or a prologue that is not provably
+// confined to [0, marker) — checked statically: every branch target in
+// it must lie in [0, marker], so control can only leave it through the
+// marker — or that halts, fails or has not reached the marker after
+// defaultMaxSteps instructions. A run from nil starts cold, and meets
+// any such failure itself.
+func (m *Machine) Prologue(prog []isa.Instruction, phaseAt map[int]int, hier *memhier.Hierarchy) (*Warm, error) {
+	marker := FirstMarker(phaseAt)
+	if marker <= 0 || marker >= len(prog) || !confined(prog[:marker]) {
+		return nil, nil
+	}
+	hier, err := m.hierarchy(hier)
+	if err != nil {
+		return nil, err
+	}
+	core, err := cpu.New(m.cfg.CPU, prog, hier)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.RunToMarker(phaseLookup(prog, phaseAt), 0, defaultMaxSteps); err != nil || core.Halted() || core.PC() != marker {
+		return nil, nil
+	}
+	return &Warm{cpu: m.cfg.CPU, mem: m.cfg.Mem, prefix: slices.Clone(prog[:marker]),
+		core: core.Save(), hier: hier.Save()}, nil
+}
+
+// confined reports whether every branch of the prologue prefix targets
+// an index in [0, len(prefix)]: falling through or branching, its
+// control stays inside it until it reaches the index just past it.
+func confined(prefix []isa.Instruction) bool {
+	for pc, in := range prefix {
+		if in.Op.Class() != isa.ClassBranch {
+			continue
+		}
+		if t := pc + 1 + int(in.Imm); t < 0 || t > len(prefix) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes prog with no phase tracking until HALT or the step bound.

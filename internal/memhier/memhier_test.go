@@ -347,3 +347,90 @@ func sameHier(t *testing.T, a, b *Hierarchy) {
 			a.L1().Stats(), a.L2().Stats(), a1, a2, am, af, amg, b.L1().Stats(), b.L2().Stats(), b1, b2, bm, bf, bmg)
 	}
 }
+
+// A hierarchy restored from a snapshot carries on exactly as the saved
+// one does, through AccessInto and AccessRepeats (the restore keeps
+// L1's last slot and the open write-combining line), with residency
+// queries on sets not yet copied in. A second restore, after the first
+// restored hierarchy stored into what it copied in, still carries on
+// as the saved one (the snapshot is unchanged), and Reset drops it.
+func TestRestoreCarriesOn(t *testing.T) {
+	cfg := testCfg()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		addr := uint64(0)
+		next := func() (uint64, bool, uint64) {
+			switch rng.Intn(10) {
+			case 0:
+				addr = uint64(rng.Intn(3))<<20 + uint64(rng.Intn(1<<15))&^3
+			case 1:
+				addr += 64
+			default:
+				addr += 4 * uint64(rng.Intn(2))
+			}
+			return addr, rng.Intn(3) == 0, 1 + uint64(rng.Intn(30))
+		}
+		// twin takes orig's accesses, so it is orig at the save for the
+		// second round.
+		orig, twin, other := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+		var act activity.Vector
+		for i := 0; i < 2000; i++ {
+			a, w, _ := next()
+			orig.AccessInto(a, w, &act)
+			twin.AccessInto(a, w, &act)
+			b, w, _ := next()
+			other.AccessInto(b, w, &act)
+		}
+		snap := orig.Save()
+		for round, ref := range []*Hierarchy{orig, twin} {
+			r := MustNew(cfg)
+			if round == 0 {
+				r = other
+			}
+			r.Restore(snap)
+			sameHier(t, ref, r)
+			for i := 0; i < 3000; i++ {
+				a, w, n := next()
+				var actA, actB activity.Vector
+				okA := ref.AccessRepeats(a, w, n, &actA)
+				okB := r.AccessRepeats(a, w, n, &actB)
+				if okA != okB {
+					t.Fatalf("seed %d round %d access %d: AccessRepeats %v restored, %v original", seed, round, i, okB, okA)
+				}
+				if !okA {
+					la, lata := ref.AccessInto(a, w, &actA)
+					lb, latb := r.AccessInto(a, w, &actB)
+					if la != lb || lata != latb {
+						t.Fatalf("seed %d round %d access %d: %v/%d restored, %v/%d original", seed, round, i, lb, latb, la, lata)
+					}
+				}
+				if actA != actB {
+					t.Fatalf("seed %d round %d access %d: activity differs", seed, round, i)
+				}
+				if q := uint64(rng.Intn(1 << 20)); ref.L2().Contains(q) != r.L2().Contains(q) || ref.L1().Dirty(q) != r.L1().Dirty(q) {
+					t.Fatalf("seed %d round %d access %d: residency of %#x differs", seed, round, i, q)
+				}
+				sameHier(t, ref, r)
+			}
+			if ref.L1().ResidentLines() != r.L1().ResidentLines() || ref.L2().ResidentLines() != r.L2().ResidentLines() {
+				t.Fatalf("seed %d round %d: resident lines differ", seed, round)
+			}
+		}
+		other.Reset()
+		if other.L1().ResidentLines() != 0 || other.L2().ResidentLines() != 0 {
+			t.Fatalf("seed %d: lines of the snapshot survived Reset", seed)
+		}
+	}
+}
+
+// Restoring a snapshot of another configuration panics.
+func TestRestoreOtherConfigPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore of another configuration's snapshot should panic")
+		}
+	}()
+	cfg := testCfg()
+	cfg.BusCycles++
+	MustNew(testCfg()).Restore(MustNew(cfg).Save())
+}

@@ -10,15 +10,22 @@ import (
 // BenchmarkSimulateFig9Pairs is the simulator layer of the Figure 9
 // matrix: every one of the 121 Core 2 Duo pairs calibrated and
 // alternated cold, as a campaign does on a simulation-cache miss, but
-// without the process-wide cache. Next to ns/op it reports the
-// deterministic work: instructions retired and core cycles simulated,
-// which depend only on the model, and how many of those instructions
-// the interpreter executed one at a time rather than fast-forwarded.
+// without the kernel and alternation caches. Each op starts from an
+// empty prologue layer, as a savat process starts. Next to ns/op it
+// reports the deterministic work: instructions retired and core cycles
+// simulated, which depend only on the model (a run started from a
+// saved prologue counts the prologue's share), how many of those
+// instructions the interpreter executed one at a time rather than
+// fast-forwarded, and how many kernel prologues were simulated for the
+// 363 runs.
 func BenchmarkSimulateFig9Pairs(b *testing.B) {
 	mc := machine.Core2Duo()
 	cfg := DefaultConfig()
+	old := sims
+	defer func() { sims = old }()
 	var work simWork
 	for i := 0; i < b.N; i++ {
+		sims = newSimCache(simCacheCap)
 		for a := Event(0); a < NumEvents; a++ {
 			for bb := Event(0); bb < NumEvents; bb++ {
 				k, err := BuildKernelStride(mc, a, bb, cfg.Frequency, SweepOffset)
@@ -43,6 +50,7 @@ func BenchmarkSimulateFig9Pairs(b *testing.B) {
 	b.ReportMetric(float64(work.retired)/n, "retired/op")
 	b.ReportMetric(float64(work.cycles)/n, "sim-cycles/op")
 	b.ReportMetric(float64(work.interpreted)/n, "interpreted/op")
+	b.ReportMetric(float64(work.prologues)/n, "prologues/op")
 }
 
 // keySink keeps BenchmarkCellKeys' keys live.

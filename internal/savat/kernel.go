@@ -16,8 +16,8 @@ import (
 // is multi-megabyte (the L2 line array dominates) and kernel
 // calibration needs one only for the duration of its probe runs, so
 // campaigns building ~10² kernels borrow instead of allocating.
-// Hierarchies are Reset by RunPhases before use, so pooled state never
-// leaks into a run.
+// machine.Prologue Resets a hierarchy before use and RunPhases Resets
+// or Restores it, so pooled state never leaks into a run.
 var hierPools sync.Map // memhier.Config -> *sync.Pool
 
 func borrowHier(mc memhier.Config) (*memhier.Hierarchy, error) {
@@ -302,6 +302,10 @@ func checkPeriodCycles(clockHz, frequency float64) error {
 	return nil
 }
 
+// calWarmup and calMeasure are the periods a calibration round runs
+// before and while it measures a trial kernel's period.
+const calWarmup, calMeasure = 2, 5
+
 // BuildKernel generates the alternation kernel for events a and b on
 // machine mc, calibrating inst_loop_count so that the alternation runs at
 // the intended frequency (paper Section III: "we select a value that
@@ -341,13 +345,13 @@ func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int
 	if err := checkPeriodCycles(mc.ClockHz, frequency); err != nil {
 		return nil, err
 	}
-	targetCycles := mc.ClockHz / frequency
 
 	// Fixed-point calibration: run a trial kernel for five periods past a
 	// two-period warm-up, measure the achieved period, rescale the loop
 	// count. Two rounds converge because the per-iteration cost is nearly
 	// independent of the count. The probe runs share one pooled memory
-	// hierarchy (reset between runs).
+	// hierarchy (reset, or restored from the prologue state, between
+	// runs).
 	hier, err := borrowHier(mc.Mem)
 	if err != nil {
 		return nil, err
@@ -360,20 +364,14 @@ func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int
 		if err != nil {
 			return nil, err
 		}
-		ph, work, err := k.runPhases(mc, 2*(5+2), 2, hier)
+		ph, work, err := k.runPhases(mc, 2*(calWarmup+calMeasure), calWarmup, hier)
 		if err != nil {
 			return nil, err
 		}
 		calibration.add(work)
-		period := ph[PhaseA].MeanCycles + ph[PhaseB].MeanCycles
-		next := int(float64(loopCount) * targetCycles / period)
-		if next < 1 {
-			next = 1
+		if loopCount, err = rescaleLoopCount(mc, frequency, loopCount, ph); err != nil {
+			return nil, err
 		}
-		if next > 1_000_000 {
-			return nil, fmt.Errorf("savat: loop count %d unreasonable (clock %g Hz, f0 %g Hz)", next, mc.ClockHz, frequency)
-		}
-		loopCount = next
 	}
 	k, err := assemble(mc, a, b, frequency, loopCount, stride)
 	if err != nil {
@@ -381,6 +379,22 @@ func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int
 	}
 	k.calibration = calibration
 	return k, nil
+}
+
+// rescaleLoopCount is one calibration round's step: the loop count
+// that would make a kernel whose trial run at loopCount measured ph
+// alternate at frequency.
+func rescaleLoopCount(mc machine.Config, frequency float64, loopCount int, ph [2]activity.PhaseStats) (int, error) {
+	period := ph[PhaseA].MeanCycles + ph[PhaseB].MeanCycles
+	targetCycles := mc.ClockHz / frequency
+	next := int(float64(loopCount) * targetCycles / period)
+	if next < 1 {
+		next = 1
+	}
+	if next > 1_000_000 {
+		return 0, fmt.Errorf("savat: loop count %d unreasonable (clock %g Hz, f0 %g Hz)", next, mc.ClockHz, frequency)
+	}
+	return next, nil
 }
 
 // assemble builds the Kernel value for a specific loop count.
@@ -427,29 +441,44 @@ func assemble(mc machine.Config, a, b Sequence, frequency float64, loopCount, st
 // its time, which tell "more work" from "slower work".
 type simWork struct {
 	retired, cycles, interpreted uint64
+	// prologues counts the kernel prologues simulated to serve the
+	// runs (see simCache.prologue); the other counts include the
+	// prologue of every run, as if each had simulated its own.
+	prologues uint64
 }
 
 func workOf(res *machine.RunResult) simWork {
-	return simWork{res.Retired, res.Cycles, res.CPU.Interpreted()}
+	return simWork{retired: res.Retired, cycles: res.Cycles, interpreted: res.CPU.Interpreted()}
 }
 
 func (w *simWork) add(o simWork) {
 	w.retired += o.retired
 	w.cycles += o.cycles
 	w.interpreted += o.interpreted
+	w.prologues += o.prologues
 }
 
 // runPhases runs the kernel for at most maxSamples phase samples, on hier
 // when it is non-nil, and summarizes phases A and B past the first skip
-// periods. Calibration and Alternation both measure through it.
+// periods. Calibration and Alternation both measure through it. Every
+// run starts from the process-wide saved state at the kernel's first
+// phase marker (see simCache.prologue), so a pair's two calibration
+// rounds and its alternation — and every pair whose halves warm the
+// same arrays — simulate the pre-touch prologue once between them; the
+// runs are the cold runs exactly.
 func (k *Kernel) runPhases(mc machine.Config, maxSamples, skip int, hier *memhier.Hierarchy) ([2]activity.PhaseStats, simWork, error) {
 	m, err := machine.New(mc)
+	if err != nil {
+		return [2]activity.PhaseStats{}, simWork{}, err
+	}
+	warm, ranPrologue, err := sims.prologue(m, k, hier)
 	if err != nil {
 		return [2]activity.PhaseStats{}, simWork{}, err
 	}
 	res, err := m.RunPhases(k.Program, k.PhaseAt, machine.RunOptions{
 		MaxSamples: maxSamples,
 		Hier:       hier,
+		Warm:       warm,
 	})
 	if err != nil {
 		return [2]activity.PhaseStats{}, simWork{}, err
@@ -460,7 +489,11 @@ func (k *Kernel) runPhases(mc machine.Config, maxSamples, skip int, hier *memhie
 	if !oka || !okb {
 		return [2]activity.PhaseStats{}, simWork{}, fmt.Errorf("savat: run produced no steady-state phases (have %d samples)", len(res.Samples))
 	}
-	return [2]activity.PhaseStats{sa, sb}, workOf(res), nil
+	work := workOf(res)
+	if ranPrologue {
+		work.prologues = 1
+	}
+	return [2]activity.PhaseStats{sa, sb}, work, nil
 }
 
 // Alternation runs the kernel cycle-accurately for enough periods to

@@ -54,6 +54,11 @@ type MeasureScratch struct {
 	rad    emsim.Radiator
 	specan *specan.Scratch
 
+	// radFrom is what rad was last drawn from, valid when radOK (see
+	// radiate).
+	radFrom radiatorInputs
+	radOK   bool
+
 	// Per-stage rngs, reseeded from the measurement's SynthSeeds.
 	calRng, envRng, noiseRng seededRand
 
@@ -73,6 +78,35 @@ type MeasureScratch struct {
 // first use.
 func NewMeasureScratch() *MeasureScratch {
 	return &MeasureScratch{specan: specan.NewScratch()}
+}
+
+// radiatorInputs are everything a radiator draw reads: the source
+// table, distance, asymmetry amplitude and distance law, and the Cal
+// seed its gain jitters come from.
+type radiatorInputs struct {
+	table    emsim.SourceTable
+	distance float64
+	asym     float64
+	law      emsim.DistanceLaw
+	seed     int64
+}
+
+// radiate initializes the scratch's radiator from in, unless it was
+// last drawn from the same inputs, which draw the same gain jitters:
+// every cell of a campaign repetition shares one Cal seed, so a
+// scratch re-seeds the 607-word math/rand state once per run of
+// same-repetition cells rather than once per cell. The Cal rng serves
+// only this draw.
+func (s *MeasureScratch) radiate(in radiatorInputs) error {
+	if s.radOK && s.radFrom == in {
+		return nil
+	}
+	s.radOK = false
+	if err := s.rad.InitLaw(in.table, in.distance, in.asym, in.law, s.calRng.at(in.seed)); err != nil {
+		return err
+	}
+	s.radFrom, s.radOK = in, true
+	return nil
 }
 
 // finish turns a recorded trace into the Measurement: band power
@@ -148,7 +182,7 @@ func (su *setup) measure(ctx context.Context, k *Kernel, seeds SynthSeeds, s *Me
 	// pair-independent. Droop compensation stays on the pair's achieved
 	// period via PhaseAmplitudes.
 	radSp := mRadiate.Start()
-	if err := s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, su.law, s.calRng.at(seeds.Cal)); err != nil {
+	if err := s.radiate(radiatorInputs{mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, su.law, seeds.Cal}); err != nil {
 		return Measurement{}, err
 	}
 	actual := emsim.Alternation{

@@ -2,6 +2,7 @@ package savat
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -299,5 +300,58 @@ func TestCachedCampaignTakesNoScratch(t *testing.T) {
 	}
 	if n := len(list.free); n != 0 {
 		t.Errorf("fully cached campaign took %d scratches", n)
+	}
+}
+
+// A scratch skips the radiator draw when its radiator was last drawn
+// from the same Cal seed and inputs, and redraws when either changes:
+// every cell it measures equals, bit for bit, the cell measured on a
+// fresh scratch, which always draws — across pairs of one repetition,
+// another repetition's Cal seed and back, and another distance.
+func TestRadiatorDrawSkipKeepsCells(t *testing.T) {
+	mc := machine.Core2Duo()
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 64
+	far := cfg
+	far.Distance *= 3
+	type cell struct {
+		cfg  Config
+		a, b Event
+		rep  int
+	}
+	cells := []cell{
+		{cfg, ADD, LDM, 0}, {cfg, LDM, ADD, 0}, {cfg, DIV, STL2, 0},
+		{cfg, DIV, STL2, 1}, {cfg, ADD, LDM, 0}, {far, ADD, LDM, 0}, {far, LDM, DIV, 0},
+	}
+	reused := NewMeasureScratch()
+	draws := 0
+	for i, c := range cells {
+		su, err := resolveSetup(mc, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := BuildKernel(mc, c.a, c.b, c.cfg.Frequency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := CampaignSeeds(1, c.a, c.rep)
+		want, err := su.measure(context.Background(), k, seeds, NewMeasureScratch(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reused.radFrom
+		got, err := su.measure(context.Background(), k, seeds, reused, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.radFrom != before || i == 0 {
+			draws++
+		}
+		if math.Float64bits(got.SAVAT) != math.Float64bits(want.SAVAT) {
+			t.Errorf("cell %d (%v/%v rep %d): %g on a reused scratch, %g on a fresh one", i, c.a, c.b, c.rep, got.SAVAT, want.SAVAT)
+		}
+	}
+	if draws != 4 {
+		t.Errorf("%d radiator draws over the cells, want 4 (the first, a new Cal seed, the old one back, a new distance)", draws)
 	}
 }
