@@ -34,7 +34,7 @@ type Bench struct {
 // File is the snapshot written to (and read back from) disk. GOOS,
 // GOARCH and CPU come from the `go test -bench` header; GoVersion,
 // GOMAXPROCS and DSPKernel from Stamp. Together they describe the
-// machine the numbers belong to.
+// machine the numbers belong to; Revision names the code.
 type File struct {
 	Date       string  `json:"date"` // YYYYMMDD
 	GOOS       string  `json:"goos,omitempty"`
@@ -43,6 +43,7 @@ type File struct {
 	GoVersion  string  `json:"go_version,omitempty"`
 	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
 	DSPKernel  string  `json:"dsp_kernel,omitempty"`
+	Revision   string  `json:"revision,omitempty"` // git revision, "-dirty" when the tree had changes
 	Benchmarks []Bench `json:"benchmarks"`
 }
 

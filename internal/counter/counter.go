@@ -254,14 +254,25 @@ func insertNops(prog []isa.Instruction, phaseAt map[int]int, p float64, rng *ran
 
 // shuffleWindows reorders instructions in place within windows of length
 // w. Windows never contain branches, HALT, or phase-marker indices, and
-// a swap happens only when the pair is reorderable: register read/write
-// sets disjoint, and no store reordered against another memory access.
+// never span a branch target: a target starts a new window, so no
+// instruction moves across the boundary a jump lands on (which would
+// pull code into a loop body or push it out of one). A swap happens
+// only when the pair is reorderable: register read/write sets
+// disjoint, and no store reordered against another memory access.
 // Within a window each adjacent pair is swapped on a coin flip, front to
 // back — a bounded version of an issue-queue picking randomly among
 // ready instructions.
 func shuffleWindows(prog []isa.Instruction, phaseAt map[int]int, w int, rng *rand.Rand) {
+	target := make([]bool, len(prog))
+	for i, in := range prog {
+		if t := i + 1 + int(in.Imm); in.IsBranch() && t >= 0 && t < len(prog) {
+			target[t] = true
+		}
+	}
 	start := 0
-	flush := func(end int) {
+	// flush shuffles the windows that fit in [start, end) and starts
+	// the next run at next.
+	flush := func(end, next int) {
 		for ; start+w <= end; start += w {
 			for i := start; i < start+w-1; i++ {
 				if rng.Intn(2) == 1 && swappable(prog[i], prog[i+1]) {
@@ -269,15 +280,18 @@ func shuffleWindows(prog []isa.Instruction, phaseAt map[int]int, w int, rng *ran
 				}
 			}
 		}
-		start = end + 1
+		start = next
 	}
 	for i, in := range prog {
 		_, marker := phaseAt[i]
-		if marker || in.IsBranch() || in.Op == isa.HALT {
-			flush(i)
+		switch {
+		case marker || in.IsBranch() || in.Op == isa.HALT:
+			flush(i, i+1)
+		case target[i]:
+			flush(i, i)
 		}
 	}
-	flush(len(prog))
+	flush(len(prog), len(prog))
 }
 
 // swappable reports whether two adjacent non-branch instructions can be

@@ -255,3 +255,62 @@ func TestApplyEnvironmentAndJitter(t *testing.T) {
 		t.Errorf("combined drift %g", jit.DriftStd)
 	}
 }
+
+// A shuffle never moves an instruction across a branch target: cut at
+// every branch, HALT, phase marker and branch target, each stretch of
+// the shuffled program holds the same instructions as the original's,
+// and every rewritten Figure 9 kernel still reaches its phase markers.
+// (Swapping the instruction before a loop head into the loop once
+// turned the Core 2 Duo LDL1/SUB kernel's pre-touch loop endless.)
+func TestShuffleKeepsBranchTargets(t *testing.T) {
+	mc := machine.Core2Duo()
+	m := machine.MustNew(mc)
+	chain := counter.Chain{{Name: counter.Shuffle, Param: 4}}
+	for a := savat.Event(0); a < savat.NumEvents; a++ {
+		for b := savat.Event(0); b < savat.NumEvents; b++ {
+			k, err := savat.BuildKernel(mc, a, b, 80e3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := make([]bool, len(k.Program)+1)
+			for i, in := range k.Program {
+				_, marker := k.PhaseAt[i]
+				if marker || in.IsBranch() || in.Op == isa.HALT {
+					cut[i], cut[i+1] = true, true
+				}
+				if in.IsBranch() {
+					cut[i+1+int(in.Imm)] = true
+				}
+			}
+			seed := uint64(97*int64(a) + 13*int64(b) + 1)
+			prog, phaseAt, err := counter.TransformProgram(k.Program, k.PhaseAt, chain, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for start := 0; start < len(prog); {
+				end := start + 1
+				for !cut[end] {
+					end++
+				}
+				want := map[isa.Instruction]int{}
+				for i := start; i < end; i++ {
+					want[k.Program[i]]++
+					want[prog[i]]--
+				}
+				for in, d := range want {
+					if d != 0 {
+						t.Fatalf("%v/%v: %v crosses a cut into or out of [%d, %d)", a, b, in, start, end)
+					}
+				}
+				start = end
+			}
+			res, err := m.RunPhases(prog, phaseAt, machine.RunOptions{MaxSamples: 4, MaxSteps: 2_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Samples) != 4 {
+				t.Fatalf("%v/%v: shuffled kernel gave %d of 4 phase samples within 2 M steps", a, b, len(res.Samples))
+			}
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 )
 
 // FFT-stage metrics: the segment histogram times each Welch segment's
-// butterflies, so its count equals the number of transformed segments.
+// transform (its bit reversal and butterflies), so its count equals
+// the number of transformed segments.
 // No-ops until the registry is enabled.
 var (
 	mFFTSegment  = obs.Default.Histogram("dsp.fft.segment")
@@ -73,12 +74,12 @@ func BandFor(lo, hi, fs float64, n int) Band {
 
 // segWalk cuts a capture pushed block by block into the Welch
 // segmentation — segLen-sample segments at a half-segment step, a tail
-// shorter than half a segment dropped — and scatters every sample,
-// windowed and in bit-reversed order, straight into the ring slot of
-// each segment that holds it: the one it opens and, where segments
-// overlap, the one it closes. A segment is transformed and reduced
-// when its last sample arrives, so the ring's slots are the only
-// segment-sized buffers a feed touches.
+// shorter than half a segment dropped — and writes every sample,
+// windowed and in natural order, straight into the ring slot of each
+// segment that holds it: the one it opens and, where segments overlap,
+// the one it closes. A segment is bit-reversed in place, transformed
+// and reduced when its last sample arrives, so the ring's slots are
+// the only segment-sized buffers a feed touches.
 type segWalk struct {
 	s         *WelchScratch
 	ring      *SlotRing
@@ -108,12 +109,12 @@ func (w *segWalk) init(s *WelchScratch, n int, band Band, fs float64, ring *Slot
 // end is the number of capture samples the segments cover.
 func (w *segWalk) end() int { return (w.count + 1) * (w.s.segLen / 2) }
 
-// push walks the next k capture samples: scatter(dst, at, from, to)
-// must window block samples [from, to) as segment positions at, at+1, …
-// into slot buffer dst, and reduce(f, first) accumulates a transformed
+// push walks the next k capture samples: load(dst, at, from, to) must
+// window block samples [from, to) into segment positions at, at+1, …
+// of slot buffer dst, and reduce(f, first) accumulates a transformed
 // segment, first for the capture's first. Samples past the last
 // segment are dropped.
-func (w *segWalk) push(k int, reduce func([]complex128, bool), scatter func(dst []complex128, at, from, to int)) {
+func (w *segWalk) push(k int, reduce func([]complex128, bool), load func(dst []complex128, at, from, to int)) {
 	half := w.s.segLen / 2
 	end := w.end()
 	for from := 0; from < k && w.pos < end; {
@@ -126,10 +127,10 @@ func (w *segWalk) push(k int, reduce func([]complex128, bool), scatter func(dst 
 		}
 		to := from + min(k-from, half-q)
 		if w.cur != nil {
-			scatter(w.cur, q, from, to)
+			load(w.cur, q, from, to)
 		}
 		if w.prev != nil {
-			scatter(w.prev, half+q, from, to)
+			load(w.prev, half+q, from, to)
 		}
 		w.pos += to - from
 		from = to
@@ -137,7 +138,7 @@ func (w *segWalk) push(k int, reduce func([]complex128, bool), scatter func(dst 
 			// Segment h−1 is complete: transform and reduce it now, so
 			// its slot is free for segment h+1.
 			sp := mFFTSegment.Start()
-			w.s.plan.butterflies(w.prev)
+			w.s.plan.forward(w.prev)
 			sp.End()
 			mFFTSegments.Inc()
 			reduce(w.prev, w.reduced == 0)
@@ -174,10 +175,10 @@ type PairFeed struct {
 	cross  []complex128
 	fs     float64
 	a, b   []float64 // the block being pushed
-	// reduce and scatter are allocated once on first Init and read the
+	// reduce and load are allocated once on first Init and read the
 	// feed's current fields, so re-initializing reuses them.
-	reduce  func(f []complex128, first bool)
-	scatter func(dst []complex128, at, from, to int)
+	reduce func(f []complex128, first bool)
+	load   func(dst []complex128, at, from, to int)
 }
 
 // Init readies the feed for an n-sample capture whose band bins it
@@ -199,8 +200,8 @@ func (f *PairFeed) Init(s *WelchScratch, n int, band Band, pa, pb []float64, cro
 		f.reduce = func(ft []complex128, first bool) {
 			f.walk.s.accumulatePairBand(f.pa, f.pb, f.cross, ft, f.lo, first)
 		}
-		f.scatter = func(dst []complex128, at, from, to int) {
-			f.walk.s.scatterPair(dst, at, f.a[from:to], f.b[from:to])
+		f.load = func(dst []complex128, at, from, to int) {
+			f.walk.s.windowPair(dst, at, f.a[from:to], f.b[from:to])
 		}
 	}
 	return nil
@@ -215,7 +216,7 @@ func (f *PairFeed) Push(a, b []float64) error {
 		return fmt.Errorf("dsp: Welch pair block lengths %d vs %d", len(a), len(b))
 	}
 	f.a, f.b = a, b
-	f.walk.push(len(a), f.reduce, f.scatter)
+	f.walk.push(len(a), f.reduce, f.load)
 	f.a, f.b = nil, nil
 	return nil
 }
@@ -241,10 +242,10 @@ type Feed struct {
 	dst  []float64
 	fs   float64
 	x    []complex128 // the block being pushed
-	// reduce and scatter are allocated once on first Init and read the
+	// reduce and load are allocated once on first Init and read the
 	// feed's current fields, so re-initializing reuses them.
-	reduce  func(f []complex128, first bool)
-	scatter func(dst []complex128, at, from, to int)
+	reduce func(f []complex128, first bool)
+	load   func(dst []complex128, at, from, to int)
 }
 
 // Init readies the feed for an n-sample capture whose band bins it
@@ -264,8 +265,8 @@ func (f *Feed) Init(s *WelchScratch, n int, band Band, dst []float64, fs float64
 		f.reduce = func(ft []complex128, first bool) {
 			f.walk.s.accumulate(f.dst, ft[f.band.Lo:f.band.Hi], first)
 		}
-		f.scatter = func(dst []complex128, at, from, to int) {
-			f.walk.s.scatter(dst, at, f.x[from:to])
+		f.load = func(dst []complex128, at, from, to int) {
+			f.walk.s.window(dst, at, f.x[from:to])
 		}
 	}
 	return nil
@@ -274,7 +275,7 @@ func (f *Feed) Init(s *WelchScratch, n int, band Band, dst []float64, fs float64
 // Push walks the capture's next len(x) samples (see PairFeed.Push).
 func (f *Feed) Push(x []complex128) {
 	f.x = x
-	f.walk.push(len(x), f.reduce, f.scatter)
+	f.walk.push(len(x), f.reduce, f.load)
 	f.x = nil
 }
 

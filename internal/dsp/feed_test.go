@@ -232,7 +232,7 @@ func TestFeedErrors(t *testing.T) {
 }
 
 // A feed abandoned mid-capture (its producer errored before Finish,
-// with a segment half scattered) is settled by the next Init: the walk
+// with a segment half loaded) is settled by the next Init: the walk
 // starts over and the ring serves the next feed bit-identically.
 func TestSettleAbandonedFeed(t *testing.T) {
 	const seg = 256

@@ -8,15 +8,15 @@ import (
 	"sync/atomic"
 )
 
-// Plan is a reusable FFT plan for one transform length: the
-// bit-reversal permutation and the twiddle factors are computed once,
-// each twiddle directly from the angle (no repeated-multiplication
-// recurrence), so transforms executed through a plan carry no
-// accumulated rounding error from twiddle generation and do no
-// per-transform trigonometry.
+// Plan is a reusable FFT plan for one transform length: the twiddle
+// factors are computed once, each directly from the angle (no
+// repeated-multiplication recurrence), so transforms executed through
+// a plan carry no accumulated rounding error from twiddle generation
+// and do no per-transform trigonometry.
 //
 // The butterfly core is a radix-4 decimation-in-time kernel over
-// bit-reversed input (a radix-2 lead pass absorbs odd stage counts):
+// bit-reversed input (a radix-2 lead pass absorbs odd stage counts;
+// the input reaches that order through the cache-tiled bitReverse):
 // three complex multiplies per four outputs per pass, with the inner
 // loops dispatched to an AVX2 assembly kernel when the CPU has it (see
 // kernel.go) and a bit-identical pure-Go kernel otherwise.
@@ -24,8 +24,7 @@ import (
 // A Plan is safe for concurrent use: Forward and Inverse only read the
 // plan's tables and work in place on the caller's buffer.
 type Plan struct {
-	n    int
-	perm []int32 // bit-reversal permutation, perm[i] = reverse(i)
+	n int
 	// stages holds one twiddle table per radix-4 pass at half-size
 	// h ≥ 2, laid out as three contiguous runs [w1 | w2 | w3] of h
 	// entries each — w1[j] = W^j, w2[j] = W^2j, w3[j] = W^3j with
@@ -43,11 +42,6 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("dsp: FFT length %d is not a power of two", n)
 	}
 	p := &Plan{n: n}
-	p.perm = make([]int32, n)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
-	}
 	tw := func(k int) complex128 { // exp(−2πi·k/n)
 		if k == 0 {
 			return complex(1, 0) // exact unit for the uniform j = 0 lanes
@@ -55,18 +49,49 @@ func NewPlan(n int) (*Plan, error) {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		return complex(c, s)
 	}
-	h := firstRadix4Half(n)
-	for ; 4*h <= n; h *= 4 {
-		strideA := n / (2 * h) // w2 stride: exp(−2πi·j/(2h))
-		strideB := n / (4 * h) // w1 stride: exp(−2πi·j/(4h))
+	// Every entry is tw(k) for some k, and a pass at half-size h reads
+	// k = j·n/(4h), 2j·n/(4h) and 3j·n/(4h) for j < h: the last pass
+	// (4h = n) reads every k any pass reads. So tw runs only there,
+	// once per distinct k (about n/2 of them), and the earlier passes
+	// copy their entries from it.
+	h0 := firstRadix4Half(n)
+	if 4*h0 > n {
+		return p, nil // no tabled pass
+	}
+	q := n / 4
+	last := make([]complex128, 3*q)
+	w1, w2, w3 := last[:q], last[q:2*q], last[2*q:]
+	for j := range w1 {
+		w1[j] = tw(j)
+	}
+	for j := range w2 {
+		if 2*j < q {
+			w2[j] = w1[2*j]
+		} else {
+			w2[j] = tw(2 * j)
+		}
+	}
+	for j := range w3 {
+		switch k := 3 * j; {
+		case k < q:
+			w3[j] = w1[k]
+		case k%2 == 0 && k < 2*q:
+			w3[j] = w2[k/2]
+		default:
+			w3[j] = tw(k)
+		}
+	}
+	for h := h0; 4*h < n; h *= 4 {
+		stride := n / (4 * h)
 		st := make([]complex128, 3*h)
 		for j := 0; j < h; j++ {
-			st[j] = tw(j * strideB)
-			st[h+j] = tw(j * strideA)
-			st[2*h+j] = tw(3 * j * strideB)
+			st[j] = w1[j*stride]
+			st[h+j] = w2[j*stride]
+			st[2*h+j] = w3[j*stride]
 		}
 		p.stages = append(p.stages, st)
 	}
+	p.stages = append(p.stages, last)
 	return p, nil
 }
 
@@ -117,17 +142,12 @@ func (p *Plan) Inverse(x []complex128) error {
 // forward is the in-place forward DFT core: bit-reversal, then the
 // butterfly passes.
 func (p *Plan) forward(x []complex128) {
-	for i, pi := range p.perm {
-		if j := int(pi); j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
+	bitReverse(x)
 	p.butterflies(x)
 }
 
 // butterflies runs the radix-4 passes over x, which must already be in
-// bit-reversed order (callers that build the input element-wise can
-// scatter through perm and skip the separate reversal pass). An odd
+// bit-reversed order (see bitReverse). An odd
 // stage count leads with a plain radix-2 pass; an even one with the
 // all-unit radix-4 pass; every later pass reads its stage table. Each
 // pass runs on the active butterfly kernel (AVX2 when dispatched,

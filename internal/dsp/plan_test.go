@@ -295,6 +295,46 @@ func TestWelchScratchErrors(t *testing.T) {
 	}
 }
 
+// Every twiddle entry equals its direct formula bit for bit:
+// w1[j] = tw(j·s), w2[j] = tw(2j·s), w3[j] = tw(3j·s) at stride
+// s = n/(4h), with tw(k) = exp(−2πi·k/n) from one Sincos (and an exact
+// unit at k = 0), however NewPlan shares entries between passes.
+func TestPlanTwiddlesMatchFormula(t *testing.T) {
+	for m := 0; m <= 20; m++ {
+		n := 1 << m
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw := func(k int) complex128 {
+			if k == 0 {
+				return 1
+			}
+			s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+			return complex(c, s)
+		}
+		h, si := firstRadix4Half(n), 0
+		for ; 4*h <= n; h *= 4 {
+			st, s := p.stages[si], n/(4*h)
+			if len(st) != 3*h {
+				t.Fatalf("n=2^%d: pass %d table has %d entries, want %d", m, si, len(st), 3*h)
+			}
+			for j := 0; j < h; j++ {
+				for r, k := range [3]int{j * s, 2 * j * s, 3 * j * s} {
+					if got, want := st[r*h+j], tw(k); math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+						math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+						t.Fatalf("n=2^%d h=%d: w%d[%d] = %v, want tw(%d) = %v", m, h, r+1, j, got, k, want)
+					}
+				}
+			}
+			si++
+		}
+		if si != len(p.stages) {
+			t.Fatalf("n=2^%d: %d stage tables, want %d", m, len(p.stages), si)
+		}
+	}
+}
+
 // PlanFor must make plan construction cost disappear from steady-state
 // callers: a cache hit is two orders of magnitude under building the
 // tables (compare the NewPlan sub-benchmark).

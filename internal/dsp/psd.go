@@ -212,16 +212,16 @@ func (s *WelchScratch) SegLen() int { return s.segLen }
 // Window returns the scratch's window.
 func (s *WelchScratch) Window() Window { return s.win }
 
-// scatter windows len(x) samples that start at position w of a
-// complex segment directly into their bit-reversed places in dst, so
-// the FFT skips its separate permutation pass.
-func (s *WelchScratch) scatter(dst []complex128, w int, x []complex128) {
-	perm, coeff := s.plan.perm[w:w+len(x)], s.coeff[w:w+len(x)]
+// window writes len(x) samples that start at position w of a complex
+// segment, windowed, to dst[w:], in natural order; the transform
+// reverses the segment in place before its butterflies (Plan.forward).
+func (s *WelchScratch) window(dst []complex128, w int, x []complex128) {
+	dst, coeff := dst[w:w+len(x)], s.coeff[w:w+len(x)]
 	for i, v := range x {
 		// v · (c + 0i) decomposed: the products against the zero
 		// imaginary part vanish exactly, so two real multiplies suffice.
 		c := coeff[i]
-		dst[perm[i]] = complex(real(v)*c, imag(v)*c)
+		dst[i] = complex(real(v)*c, imag(v)*c)
 	}
 }
 
@@ -269,8 +269,8 @@ func (s *WelchScratch) WelchInto(dst []float64, x []complex128, fs float64) erro
 	step := s.segLen / 2
 	count := 0
 	for start := 0; start+s.segLen <= len(x); start += step {
-		s.scatter(s.buf, 0, x[start:start+s.segLen])
-		s.plan.butterflies(s.buf)
+		s.window(s.buf, 0, x[start:start+s.segLen])
+		s.plan.forward(s.buf)
 		// The first segment always exists (len(x) ≥ segLen was checked).
 		s.accumulate(dst, s.buf, count == 0)
 		count++
@@ -309,8 +309,8 @@ func (s *WelchScratch) WelchPairInto(pa, pb []float64, cross []complex128, a, b 
 	step := n / 2
 	count := 0
 	for start := 0; start+n <= len(a); start += step {
-		s.scatterPair(s.buf, 0, a[start:start+n], b[start:start+n])
-		s.plan.butterflies(s.buf)
+		s.windowPair(s.buf, 0, a[start:start+n], b[start:start+n])
+		s.plan.forward(s.buf)
 		// The first segment always exists (len(a) ≥ segLen was checked).
 		s.accumulatePair(pa, pb, cross, s.buf, count == 0)
 		count++
@@ -319,16 +319,15 @@ func (s *WelchScratch) WelchPairInto(pa, pb []float64, cross []complex128, a, b 
 	return nil
 }
 
-// scatterPair packs len(a) samples that start at position w of a
-// segment of the real pair as a[i] + i·b[i], windowed directly into
-// their bit-reversed places in dst so the FFT skips its separate
-// permutation pass. len(a) == len(b).
-func (s *WelchScratch) scatterPair(dst []complex128, w int, a, b []float64) {
-	perm, coeff := s.plan.perm[w:w+len(a)], s.coeff[w:w+len(a)]
+// windowPair packs len(a) samples that start at position w of a
+// segment of the real pair as a[i] + i·b[i], windowed, into dst[w:] in
+// natural order (see window). len(a) == len(b).
+func (s *WelchScratch) windowPair(dst []complex128, w int, a, b []float64) {
+	dst, coeff := dst[w:w+len(a)], s.coeff[w:w+len(a)]
 	b = b[:len(a)]
 	for i := range a {
 		c := coeff[i]
-		dst[perm[i]] = complex(c*a[i], c*b[i])
+		dst[i] = complex(c*a[i], c*b[i])
 	}
 }
 

@@ -103,6 +103,16 @@ type run struct {
 // them), and the context's error is returned. A cell's first error
 // fails the campaign — cells are deterministic, so it would only
 // recur.
+//
+// Workers take cells in a fixed order: repetition fastest, then row,
+// then column — (0,0,0), (0,0,1), …, (0,0,Reps−1), (1,0,0), …,
+// (Rows−1,0,Reps−1), (0,1,0), … Cells that share work through a
+// caller's memo usually share a row or a repetition (a SAVAT campaign
+// shares a row's envelope product and a repetition's noise product), so
+// cells handed out together need different rows' and repetitions'
+// products and no worker waits for another to build one; the later
+// columns then find every product built. With Parallelism 1 cells run,
+// and Monitor sees them, in exactly this order.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -267,8 +277,10 @@ func (r *run) fail(err error) {
 	r.mu.Unlock()
 }
 
+// unflatten maps a dispatch index to its cell: repetition fastest,
+// then row, then column (see Run).
 func (r *run) unflatten(idx int) (row, col, rep int) {
 	rep = idx % r.spec.Reps
 	idx /= r.spec.Reps
-	return idx / r.spec.Cols, idx % r.spec.Cols, rep
+	return idx % r.spec.Rows, idx / r.spec.Rows, rep
 }

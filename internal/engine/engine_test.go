@@ -233,6 +233,29 @@ func TestMonitorCallsSerializedInOrder(t *testing.T) {
 	}
 }
 
+// Cells are dispatched repetition fastest, then row, then column: with
+// one worker, Monitor sees every cell in exactly that order.
+func TestDispatchOrder(t *testing.T) {
+	spec := testSpec(3, 4, 2)
+	var got [][3]int
+	if _, err := Run(context.Background(), spec, Options{Parallelism: 1, Monitor: func(ev ProgressEvent) {
+		got = append(got, [3]int{ev.Row, ev.Col, ev.Rep})
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var want [][3]int
+	for c := 0; c < spec.Cols; c++ {
+		for r := 0; r < spec.Rows; r++ {
+			for p := 0; p < spec.Reps; p++ {
+				want = append(want, [3]int{r, c, p})
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("dispatch order\n got %v\nwant %v", got, want)
+	}
+}
+
 // Run computes at most min(Parallelism, cells) cells at once, and
 // reaches that bound: the first cells block until that many are in
 // flight, so a run below it would never finish.

@@ -123,6 +123,60 @@ func TestSynthCacheWaiterHonoursContext(t *testing.T) {
 	}
 }
 
+// A product lookup that waits for another worker's computation counts
+// as a hit and as a wait, and its wait is timed on savat.stage.wait;
+// the leader's lookup is a miss and times no wait.
+func TestSynthCacheWaitIsCounted(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	const hold = 20 * time.Millisecond
+	// The follower waits only if it reaches the layer while the leader
+	// still computes; each attempt gives it longer to get there.
+	for attempt := 1; attempt <= 10; attempt++ {
+		c := newSynths(synthBudget)
+		hits0, misses0, waits0 := mSynthHits.Value(), mSynthMisses.Value(), mSynthWaits.Value()
+		count0, sum0 := mWait.Count(), mWait.Sum()
+		entered, release := make(chan struct{}), make(chan struct{})
+		done := make(chan error, 2)
+		get := func(compute func() (synthProduct, error)) {
+			_, err := product(context.Background(), c, nil, productKey{prefix: "noise", seed: 1},
+				func(synthProduct) (synthProduct, error) { return compute() })
+			done <- err
+		}
+		go get(func() (synthProduct, error) {
+			close(entered)
+			<-release
+			return synthProduct{noise: []float64{1}}, nil
+		})
+		<-entered
+		go get(func() (synthProduct, error) {
+			t.Error("a follower must not compute while the leader is in flight")
+			return synthProduct{}, nil
+		})
+		time.Sleep(time.Duration(attempt) * hold)
+		close(release)
+		for range 2 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h, m := mSynthHits.Value()-hits0, mSynthMisses.Value()-misses0; h != 1 || m != 1 {
+			t.Fatalf("%d hits, %d misses; want 1 and 1", h, m)
+		}
+		if mSynthWaits.Value() == waits0 {
+			continue // the follower arrived after the leader published: a plain hit
+		}
+		if n := mWait.Count() - count0; n != 1 {
+			t.Fatalf("savat.stage.wait observed %d waits, want 1", n)
+		}
+		if d := mWait.Sum() - sum0; d <= 0 || d > time.Duration(attempt)*hold+5*time.Second {
+			t.Fatalf("savat.stage.wait timed %v", d)
+		}
+		return
+	}
+	t.Fatal("the follower never waited for the leader")
+}
+
 // Outside a campaign, a scratch keeps its last envelope and noise
 // products: a repeated seed is served from the slots, a new seed
 // recomputes into the same buffers without allocating, and a scratch

@@ -27,31 +27,32 @@ func (s *Server) scheduleLocked() {
 }
 
 // pickLocked selects the next queued job under the fairness policy, or
-// nil when nothing is queued. Callers hold s.mu.
+// nil when nothing is queued. It scans only s.queued, dropping the jobs
+// that left the queue since the last pick (started or cancelled), and
+// allocates nothing, so a grant costs the same however many jobs have
+// run. Callers hold s.mu.
 func (s *Server) pickLocked() *job {
-	granted := make(map[string]int)
-	for _, j := range s.order {
-		if !j.started.IsZero() {
-			granted[j.tenant]++
-		}
-	}
 	var best *job
-	for _, j := range s.order {
+	kept := s.queued[:0]
+	for _, j := range s.queued {
 		if j.state != StateQueued {
 			continue
 		}
-		if best == nil || queuedBefore(j, best, granted) {
+		kept = append(kept, j)
+		if best == nil || s.queuedBefore(j, best) {
 			best = j
 		}
 	}
+	clear(s.queued[len(kept):])
+	s.queued = kept
 	return best
 }
 
 // queuedBefore reports whether a should be scheduled before b: fewest
 // slots granted to its tenant so far, then higher priority, then
-// earlier submission.
-func queuedBefore(a, b *job, granted map[string]int) bool {
-	if la, lb := granted[a.tenant], granted[b.tenant]; la != lb {
+// earlier submission. Callers hold s.mu.
+func (s *Server) queuedBefore(a, b *job) bool {
+	if la, lb := s.granted[a.tenant], s.granted[b.tenant]; la != lb {
 		return la < lb
 	}
 	if a.priority != b.priority {
@@ -60,14 +61,16 @@ func queuedBefore(a, b *job, granted map[string]int) bool {
 	return a.seq < b.seq
 }
 
-// startLocked transitions a queued job to running and launches its
-// campaign goroutine. Callers hold s.mu.
+// startLocked transitions a queued job to running, counts the slot
+// against its tenant, and launches its campaign goroutine. Callers
+// hold s.mu.
 func (s *Server) startLocked(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
 	s.active++
+	s.granted[j.tenant]++
 
 	s.wg.Add(1)
 	go s.runJob(ctx, j)

@@ -127,7 +127,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job
-	order   []*job // submission order, for List
+	order   []*job         // submission order, for List
+	queued  []*job         // jobs submitted in the queued state, in submission order; pickLocked drops those that left it
+	granted map[string]int // run slots granted per tenant so far
 	active  int
 	nextSeq int
 	closed  bool
@@ -153,9 +155,10 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	return &Server{
-		opts:  opts,
-		cache: cache,
-		jobs:  make(map[string]*job),
+		opts:    opts,
+		cache:   cache,
+		jobs:    make(map[string]*job),
+		granted: make(map[string]int),
 	}, nil
 }
 
@@ -204,6 +207,7 @@ func (s *Server) Submit(spec savat.CampaignSpec, opts SubmitOptions) (Job, error
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
+	s.queued = append(s.queued, j)
 	s.scheduleLocked()
 	return j.snapshotLocked(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -393,4 +394,31 @@ func TestNewRefusesHeldStateDir(t *testing.T) {
 	}
 	first.Close()
 	newServer(t, Options{StateDir: dir})
+}
+
+// A slot grant costs the same however many jobs have run: with 10,000
+// finished jobs behind it, a pick scans only the queue, allocates
+// nothing, and still ranks by the tenants' granted slots.
+func TestPickIgnoresFinishedJobs(t *testing.T) {
+	s := newServer(t, Options{MaxActive: 1})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range 10_000 {
+		j := &job{id: fmt.Sprintf("f%d", i), tenant: "a", seq: i, state: StateDone}
+		s.jobs[j.id], s.order = j, append(s.order, j)
+		s.granted[j.tenant]++
+	}
+	a := &job{id: "qa", tenant: "a", seq: 10_000, priority: 9, state: StateQueued}
+	b := &job{id: "qb", tenant: "b", seq: 10_001, state: StateQueued}
+	gone := &job{id: "qc", tenant: "c", seq: 10_002, state: StateCancelled}
+	s.queued = append(s.queued, a, gone, b)
+	if got := s.pickLocked(); got != b {
+		t.Fatalf("picked %v, want tenant b's job (a holds 10000 slots)", got.id)
+	}
+	if len(s.queued) != 2 {
+		t.Errorf("queue holds %d jobs after the pick, want the 2 still queued", len(s.queued))
+	}
+	if n := testing.AllocsPerRun(100, func() { s.pickLocked() }); n != 0 {
+		t.Errorf("a pick allocates %v times", n)
+	}
 }

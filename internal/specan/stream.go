@@ -26,7 +26,7 @@ type SampleSource interface {
 const blockLen = 4096
 
 // walkPair drains src block by block into the scratch's pair feed —
-// which scatters each block straight into the segments it belongs to
+// which windows each block straight into the segments it belongs to
 // and drops a tail shorter than half a segment — and finishes the
 // feed. The source is drained to the end even past the last segment:
 // its rng draws must still happen so a capture consumes the same
