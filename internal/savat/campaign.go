@@ -115,13 +115,14 @@ func (su *setup) cell(ctx context.Context, a, b Event, seed int64, rep int) (flo
 
 // campaignFingerprint canonically identifies a campaign: every
 // parameter that determines its cell values, hashed. Service jobs and
-// in-flight deduplication key on it. v3: the measurement
-// configuration carries the channel and countermeasure dimensions
-// (normalized, so the legacy empty channel and "em" fingerprint
-// equal), and v2 entries describe channel-unaware values.
+// in-flight deduplication key on it. v4: the shuffle countermeasure
+// no longer swaps instructions across branch targets, so shuffle cells
+// measured under v3 hold different values. v3 added the channel and
+// countermeasure dimensions to the measurement configuration
+// (normalized, so the legacy empty channel and "em" fingerprint equal).
 func campaignFingerprint(mc machine.Config, cfg Config, events []Event, seed int64, repeats int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "savat-campaign/v3|machine=%+v|measure=%+v|seed=%d|repeats=%d|events=",
+	fmt.Fprintf(&b, "savat-campaign/v4|machine=%+v|measure=%+v|seed=%d|repeats=%d|events=",
 		mc, cfg.Normalized(), seed, repeats)
 	for _, e := range events {
 		b.WriteString(e.String())
@@ -133,11 +134,12 @@ func campaignFingerprint(mc machine.Config, cfg Config, events []Event, seed int
 // cellKeyMaterial identifies one cell's result for the engine cache:
 // the full machine and measurement configurations, the event pair (by
 // identity, so matrix position and campaign composition don't matter),
-// the base seed, and the repetition index. v3: the measurement
-// configuration carries the channel and countermeasure dimensions
+// the base seed, and the repetition index. v4: shuffle windows end at
+// branch targets, so a shuffle cell stored under v3 holds a value the
+// current model no longer produces. v3 added the channel and
+// countermeasure dimensions to the measurement configuration
 // (normalized, so a cell measured through the legacy empty channel
-// name and through an explicit "em" is one cache entry); v2 entries
-// predate the dimension and no longer describe the same key space.
+// name and through an explicit "em" is one cache entry).
 //
 // A campaign formats the configurations once, in cellKeyPrefix, and
 // each cell appends only its pair, seed and repetition.
@@ -149,5 +151,5 @@ func cellKeyMaterial(prefix string, a, b Event, seed int64, rep int) string {
 // cellKeyPrefix is the part of cellKeyMaterial that every cell of a
 // campaign on machine mc with configuration cfg shares.
 func cellKeyPrefix(mc machine.Config, cfg Config) string {
-	return fmt.Sprintf("savat-cell/v3|machine=%+v|measure=%+v|", mc, cfg.Normalized())
+	return fmt.Sprintf("savat-cell/v4|machine=%+v|measure=%+v|", mc, cfg.Normalized())
 }

@@ -233,7 +233,7 @@ func TestCellKeyMaterialMatchesFormat(t *testing.T) {
 					for j, b := range events {
 						seed := []int64{0, 7, -1, 1 << 62, -1 << 63}[(i+j+ci)%5]
 						rep := (i * j) % 1001
-						want := fmt.Sprintf("savat-cell/v3|machine=%+v|measure=%+v|pair=%v/%v|seed=%d|rep=%d",
+						want := fmt.Sprintf("savat-cell/v4|machine=%+v|measure=%+v|pair=%v/%v|seed=%d|rep=%d",
 							mc, cfg.Normalized(), a, b, seed, rep)
 						if got := cellKeyMaterial(prefix, a, b, seed, rep); got != want {
 							t.Fatalf("%s %q %v %v/%v: key\n%s\nwant\n%s", mc.Name, channel, chain, a, b, got, want)
