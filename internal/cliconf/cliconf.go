@@ -362,18 +362,6 @@ func (f *Flags) MachineConfig() (machine.Config, error) {
 	return spec.MachineConfig()
 }
 
-// MeasureConfig validates the flags and returns the measurement setup
-// they imply: the default (or, with -fast, the quarter-second) config
-// with the registered distance and frequency applied, or the -spec
-// file's configuration when one was given.
-func (f *Flags) MeasureConfig() (savat.Config, error) {
-	spec, err := f.CampaignSpec()
-	if err != nil {
-		return savat.Config{}, err
-	}
-	return spec.Config, nil
-}
-
 // StartObs starts the observability side channel the -metrics-addr flag
 // requests and returns a stop function that must run once before the
 // process exits (defer it right after the call, like StartProfiles).

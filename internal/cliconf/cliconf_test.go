@@ -95,12 +95,16 @@ func TestMachineConfig(t *testing.T) {
 	}
 }
 
+// The campaign spec's measurement configuration is the default (or,
+// with -fast, the quarter-second) one with the registered distance and
+// frequency applied.
 func TestMeasureConfig(t *testing.T) {
 	f := parse(t, All, "-fast", "-distance", "0.5", "-freq", "40e3")
-	cfg, err := f.MeasureConfig()
+	spec, err := f.CampaignSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := spec.Config
 	if cfg.Distance != 0.5 || cfg.Frequency != 40e3 {
 		t.Errorf("cfg = %+v", cfg)
 	}
@@ -115,12 +119,11 @@ func TestMeasureConfig(t *testing.T) {
 	// the field was clobbered.
 	f = parse(t, Fast)
 	f.Distance = 99
-	cfg, err = f.MeasureConfig()
-	if err != nil {
+	if spec, err = f.CampaignSpec(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Distance != 0.10 {
-		t.Errorf("unregistered distance applied: %v", cfg.Distance)
+	if spec.Config.Distance != 0.10 {
+		t.Errorf("unregistered distance applied: %v", spec.Config.Distance)
 	}
 }
 

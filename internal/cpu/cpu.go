@@ -139,9 +139,6 @@ func (c *CPU) Interpreted() uint64 { return c.retired - c.skipped }
 // Reg reads an architectural register.
 func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[r] }
 
-// SetReg writes an architectural register (used to set up workloads).
-func (c *CPU) SetReg(r isa.Reg, v uint32) { c.regs[r] = v }
-
 // Mem exposes the data memory for workload setup and inspection.
 func (c *CPU) Mem() *Memory { return c.mem }
 
@@ -243,25 +240,24 @@ func (c *CPU) AddActivity(comp activity.Component, n float64) {
 // Step executes one instruction. It returns an error on PC overrun or an
 // undefined opcode; a retired HALT sets Halted and further Steps fail.
 func (c *CPU) Step() error {
-	_, err := c.RunToMarker(nil, 0, 1)
+	_, err := c.RunToMarker(nil, 1)
 	return err
 }
 
 // RunToMarker executes instructions until the PC lands on a marker
 // (an index with lookup[pc] >= 0 — checked only after at least one
 // instruction, so a caller sitting on a marker makes progress), the
-// core halts, the cycle count reaches maxCycles (when non-zero), or
-// maxSteps instructions have retired. It returns how many retired.
+// core halts, or maxSteps instructions have retired. It returns how
+// many retired.
 //
 // This is the interpreter: one fused dispatch loop with the hot state
 // (pc, cycle, per-class activity tallies) in locals, written back once
 // on exit. Step and Run route through it, so every execution path has
 // identical semantics. At the taken back edge of a counted loop it
 // fast-forwards whole iterations, whose work has a closed form (see
-// loop.iterations and fastForward); a memory access that misses ends
-// that only under a cycle limit. With maxSteps = 1, as in Step, no
+// loop.iterations and fastForward). With maxSteps = 1, as in Step, no
 // whole iteration fits and it never does.
-func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, error) {
+func (c *CPU) RunToMarker(lookup []int32, maxSteps uint64) (uint64, error) {
 	if c.halted {
 		return 0, fmt.Errorf("cpu: step after halt")
 	}
@@ -278,12 +274,6 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 	divLat := uint64(cfg.DivCycles)
 	branchLat := uint64(cfg.BranchCycles)
 	mispredictLat := uint64(cfg.MispredictCycles)
-	// A zero maxCycles means "no limit"; the sentinel keeps the loop head
-	// to a single compare instead of a flag test plus a compare.
-	cycleLimit := maxCycles
-	if cycleLimit == 0 {
-		cycleLimit = ^uint64(0)
-	}
 	var steps, fetchN, aluN, mulN, divN, branchN, mispredicts uint64
 	halted := false
 	var err error
@@ -294,7 +284,7 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 	for {
 		var ff *loop // the counted loop whose back edge just retired
 	dispatch:
-		for steps < maxSteps && cycle < cycleLimit {
+		for steps < maxSteps {
 			// The uint cast folds the two PC range tests into one compare; a
 			// negative pc wraps far above any program length.
 			if uint(pc) >= uint(len(prog)) {
@@ -427,10 +417,10 @@ func (c *CPU) RunToMarker(lookup []int32, maxCycles, maxSteps uint64) (uint64, e
 
 		// Whole iterations start at the loop head, at steps and cycle.
 		lp := ff
-		if lp == nil || steps >= maxSteps || cycle >= cycleLimit {
+		if lp == nil || steps >= maxSteps {
 			break
 		}
-		k, extra := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps, cycleLimit-cycle), maxCycles == 0)
+		k, extra := c.fastForward(lp, lp.iterations(regs, lookup, maxSteps-steps))
 		steps += k * lp.steps
 		c.skipped += k * lp.steps
 		cycle += k*lp.cycles + extra
@@ -474,5 +464,5 @@ func (c *CPU) Run(maxSteps uint64) (uint64, error) {
 	if c.halted || maxSteps == 0 {
 		return 0, nil
 	}
-	return c.RunToMarker(nil, 0, maxSteps)
+	return c.RunToMarker(nil, maxSteps)
 }

@@ -479,7 +479,7 @@ func TestSaveRestoreSharesMemoryCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := orig.RunToMarker(lookup, 0, 1<<20); err != nil || orig.PC() != mark {
+	if _, err := orig.RunToMarker(lookup, 1<<20); err != nil || orig.PC() != mark {
 		t.Fatalf("stopped at pc %d (%v), want %d", orig.PC(), err, mark)
 	}
 	snap, hsnap := orig.Save(), orig.hier.Save()

@@ -21,8 +21,8 @@ import (
 // one Step at a time — and fails on the first difference. Between the
 // fast core's calls the oracle must have retired exactly the same
 // instructions with the same effects, and must sit where RunToMarker
-// had to stop: on a marker, at a limit, or halted.
-func lockstep(t *testing.T, ccfg cpu.Config, mcfg memhier.Config, prog []isa.Instruction, markers []int, maxCycles, maxSteps uint64) *cpu.CPU {
+// had to stop: on a marker, at the step limit, or halted.
+func lockstep(t *testing.T, ccfg cpu.Config, mcfg memhier.Config, prog []isa.Instruction, markers []int, maxSteps uint64) *cpu.CPU {
 	t.Helper()
 	fh, sh := memhier.MustNew(mcfg), memhier.MustNew(mcfg)
 	fast, err := cpu.New(ccfg, prog, fh)
@@ -41,16 +41,12 @@ func lockstep(t *testing.T, ccfg cpu.Config, mcfg memhier.Config, prog []isa.Ins
 		lookup[pc] = 0
 	}
 	atMarker := func(pc int) bool { return pc >= 0 && pc < len(lookup) && lookup[pc] >= 0 }
-	cycleLimit := maxCycles
-	if cycleLimit == 0 {
-		cycleLimit = ^uint64(0)
-	}
 
 	for total := uint64(0); total < maxSteps && !fast.Halted(); {
-		k, ferr := fast.RunToMarker(lookup, maxCycles, maxSteps-total)
+		k, ferr := fast.RunToMarker(lookup, maxSteps-total)
 		for i := uint64(0); i < k; i++ {
-			if i > 0 && (atMarker(slow.PC()) || slow.Cycle() >= cycleLimit) {
-				t.Fatalf("RunToMarker ran past pc %d (cycle %d) after %d of %d steps", slow.PC(), slow.Cycle(), i, k)
+			if i > 0 && atMarker(slow.PC()) {
+				t.Fatalf("RunToMarker ran past marker pc %d after %d of %d steps", slow.PC(), i, k)
 			}
 			if err := slow.Step(); err != nil {
 				t.Fatalf("oracle step %d: %v", total+i, err)
@@ -64,7 +60,7 @@ func lockstep(t *testing.T, ccfg cpu.Config, mcfg memhier.Config, prog []isa.Ins
 			break
 		}
 		sameState(t, fast, fh, slow, sh)
-		stopped := fast.Halted() || total == maxSteps || fast.Cycle() >= cycleLimit || k > 0 && atMarker(fast.PC())
+		stopped := fast.Halted() || total == maxSteps || k > 0 && atMarker(fast.PC())
 		if !stopped {
 			t.Fatalf("RunToMarker stopped early at pc %d after %d steps", fast.PC(), k)
 		}
@@ -374,51 +370,24 @@ func loopProgram(seed int64) (prog []isa.Instruction, markers []int) {
 }
 
 // FuzzRunToMarkerVsStep holds the fast-forwarding interpreter to the
-// one-instruction-at-a-time oracle on random counted loops, under step
-// and cycle limits that may fall mid-loop.
+// one-instruction-at-a-time oracle on random counted loops, under a
+// step limit that may fall mid-loop.
 func FuzzRunToMarkerVsStep(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for seed := int64(0); seed < 128; seed++ {
-		f.Add(seed, uint16(r.Intn(1<<16)), r.Uint32())
+		f.Add(seed, uint16(r.Intn(1<<16)))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, steps uint16, cycles uint32) {
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
 		prog, markers := loopProgram(seed)
-		maxSteps := 1 + uint64(steps)
-		var maxCycles uint64
-		switch cycles % 3 {
-		case 1:
-			maxCycles = 1 + uint64(cycles/3)%400_000
-		case 2:
-			// Exactly at, or one past, the cycle some instruction starts
-			// on: the boundaries a cycle limit can get wrong.
-			probe, err := cpu.New(cpu.DefaultConfig(), prog, memhier.MustNew(smallHier()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := func() bool { return !probe.Halted() && probe.Step() == nil }
-			for i := uint64(cycles/12) % maxSteps; i > 0 && step(); i-- {
-			}
-			if cycles/6%2 == 0 { // on to the start of the next back edge
-				for i := 0; i < 4*len(prog) && probe.PC() != len(prog)-2 && step(); i++ {
-				}
-			}
-			maxCycles = probe.Cycle() + uint64(cycles/3%2)
-			if maxCycles == 0 {
-				maxCycles = 1
-			}
-		}
-		lockstep(t, cpu.DefaultConfig(), smallHier(), prog, markers, maxCycles, maxSteps)
+		lockstep(t, cpu.DefaultConfig(), smallHier(), prog, markers, 1+uint64(steps))
 	})
 }
 
 // TestFastForwardIsExact holds the fast-forwarding interpreter to Step
 // on every Figure 9 kernel of the three case-study machines, as built
 // and as rewritten by the noop-insert and shuffle countermeasures,
-// through warm-up and the first alternation periods, with no cycle
-// limit and with one that falls mid-run (where an access that does not
-// repeat the previous one ends the fast-forward). Without a limit it
-// checks that the fast-forward covers every loop of an unrewritten
-// kernel: it interprets at most 2% of what it retires, pre-touch loops
+// through warm-up and the first alternation periods. It checks that the
+// fast-forward covers every loop of an unrewritten kernel: it interprets at most 2% of what it retires, pre-touch loops
 // included (only straight-line code and each loop's entry and exit
 // iterations are left; see BenchmarkSimulateFig9Pairs in internal/savat).
 func TestFastForwardIsExact(t *testing.T) {
@@ -456,11 +425,10 @@ func TestFastForwardIsExact(t *testing.T) {
 						name = mc.Name + "/" + name
 					}
 					t.Run(name, func(t *testing.T) {
-						fast := lockstep(t, mc.CPU, mc.Mem, prog, markers, 0, steps)
+						fast := lockstep(t, mc.CPU, mc.Mem, prog, markers, steps)
 						if chain == "" && fast.Interpreted()*50 > fast.Retired() {
 							t.Errorf("interpreted %d of %d retired", fast.Interpreted(), fast.Retired())
 						}
-						lockstep(t, mc.CPU, mc.Mem, prog, markers, fast.Cycle()*2/3+1, steps)
 					})
 				}
 			}
@@ -488,7 +456,7 @@ func TestLoopShapes(t *testing.T) {
 		if got := cpu.CountedLoop(prog, len(prog)-2); got != tc.counted {
 			t.Errorf("%q: counted %v, want %v", tc.body, got, tc.counted)
 		}
-		return lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 0, 20_000)
+		return lockstep(t, cpu.DefaultConfig(), smallHier(), prog, nil, 20_000)
 	}
 	for _, tc := range []shape{
 		{"", true},
@@ -630,8 +598,8 @@ func TestSweepRuns(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							// Stopping mid-sweep exposes the registers and
 							// memory of a partly fast-forwarded loop.
-							lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 0, 15_001)
-							fast := lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 0, 50_000)
+							lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 15_001)
+							fast := lockstep(t, cpu.DefaultConfig(), hier(line), p.Instructions, nil, 50_000)
 							if fast.Interpreted()*2 < fast.Retired() {
 								engaged++
 							}

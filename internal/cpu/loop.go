@@ -72,7 +72,7 @@ type loop struct {
 	mem       []isa.Instruction // the memory ops in program order
 	sw        sweep             // the body in closed form
 
-	steps, cycles, lastLat                         uint64
+	steps, cycles                                  uint64
 	fetchN, aluN, mulN, divN, branchN, mispredicts uint64
 }
 
@@ -183,7 +183,6 @@ func countedLoop(prog []isa.Instruction, end int, cfg *Config, l1Hit uint64) *lo
 	lp.fetchN++
 	lp.branchN++
 	lp.cycles += branchLat
-	lp.lastLat = branchLat
 	if !lp.closedForm(ops, nPre) {
 		return nil
 	}
@@ -215,19 +214,12 @@ func counter(prog []isa.Instruction, path []int, rc, rz isa.Reg) *loop {
 // from the loop head, just after a taken back edge: at most all but the
 // exiting one, none when a phase marker lies in the body (the
 // interpreter must stop there), and only as many as keep every skipped
-// instruction within the run's limits — stepsLeft more instructions may
-// start, and each must start fewer than cycleLeft cycles from now.
-func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft, cycleLeft uint64) uint64 {
+// instruction within the run's step limit: stepsLeft more instructions
+// may retire.
+func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft uint64) uint64 {
 	n := uint64(regs[lp.rc]-regs[lp.rz]) - 1
 	if s := stepsLeft / lp.steps; s < n {
 		n = s
-	}
-	// Iteration j's back edge, its last instruction to start, starts
-	// j·cycles − lastLat cycles from now.
-	if cycleLeft <= ^uint64(0)-lp.lastLat {
-		if c := (cycleLeft + lp.lastLat - 1) / lp.cycles; c < n {
-			n = c
-		}
 	}
 	if n == 0 {
 		return 0
@@ -240,21 +232,18 @@ func (lp *loop) iterations(regs *[isa.NumRegs]uint32, lookup []int32, stepsLeft,
 	return n
 }
 
-// fastForward executes up to n whole iterations of lp from its head and
-// returns how many it executed, none unless the registers give the body
-// its closed form (see sweep.holds), and the cycles their memory
+// fastForward executes n whole iterations of lp from its head — none
+// unless the registers give the body its closed form (see sweep.holds)
+// — and returns how many it executed and the cycles their memory
 // accesses took beyond the L1 hit latency lp.cycles charges. Registers,
-// data memory and the memory hierarchy take their real values. When
-// misses is false (a finite cycle limit, which latencies not yet known
-// could overrun) the first access that does not provably repeat the
-// previous one is left, with its iteration, to the interpreter.
-func (c *CPU) fastForward(lp *loop, n uint64, misses bool) (k, extra uint64) {
+// data memory and the memory hierarchy take their real values.
+func (c *CPU) fastForward(lp *loop, n uint64) (k, extra uint64) {
 	if n == 0 || !lp.sw.holds(&c.regs) {
 		return 0, 0
 	}
-	k, extra = c.sweepForward(lp, n, misses)
-	c.regs[lp.rc] -= uint32(k)
-	return k, extra
+	extra = c.sweepForward(lp, n)
+	c.regs[lp.rc] -= uint32(n)
+	return n, extra
 }
 
 // sweep is a counted loop body in closed form. Apart from the counter
@@ -419,16 +408,12 @@ func (sw *sweep) holds(regs *[isa.NumRegs]uint32) bool {
 	return m&(m+1) == 0 && regs[sw.nm] == ^m
 }
 
-// sweepForward executes up to n iterations of a body in closed form
-// and returns how many it executed and their accesses' extra cycles
-// (see fastForward).
-func (c *CPU) sweepForward(lp *loop, n uint64, misses bool) (uint64, uint64) {
+// sweepForward executes n iterations of a body in closed form and
+// returns their accesses' extra cycles (see fastForward).
+func (c *CPU) sweepForward(lp *loop, n uint64) (extra uint64) {
 	regs, sw := &c.regs, &lp.sw
-	var extra uint64
 	if len(lp.mem) > 0 {
-		if n, extra = c.sweepMemory(lp, n, misses); n == 0 {
-			return 0, 0
-		}
+		extra = c.sweepMemory(lp, n)
 	}
 	switch {
 	case sw.masked:
@@ -441,13 +426,12 @@ func (c *CPU) sweepForward(lp *loop, n uint64, misses bool) (uint64, uint64) {
 	for i := range sw.self {
 		selfForward(&sw.self[i], regs, n)
 	}
-	return n, extra
+	return extra
 }
 
-// sweepMemory applies the memory ops of up to n iterations of a body in
+// sweepMemory applies the memory ops of n ≥ 1 iterations of a body in
 // closed form, in program order and before its registers advance, and
-// returns how many iterations it applied and the cycles their accesses
-// took beyond the L1 hit latency.
+// returns the cycles their accesses took beyond the L1 hit latency.
 //
 // It goes one run at a time: the iterations, from the first not yet
 // applied, whose addresses step through one block (see CPU.block)
@@ -456,12 +440,11 @@ func (c *CPU) sweepForward(lp *loop, n uint64, misses bool) (uint64, uint64) {
 // by one would. When it declines, the run's first access goes alone
 // through AccessInto, as the interpreter applies it; that leaves its
 // line the one L1 served last, or the open write-combining line, so the
-// rest of the run repeats it. Without misses the sweep ends there
-// instead. Of an LD+ST pair, the load leaves its line the one L1 served
-// last, so the store repeats it. A store run writes its words with one
-// page lookup; a load's destination is private to it, so only the last
-// word loaded is read.
-func (c *CPU) sweepMemory(lp *loop, n uint64, misses bool) (done, extra uint64) {
+// rest of the run repeats it. Of an LD+ST pair, the load leaves its
+// line the one L1 served last, so the store repeats it. A store run
+// writes its words with one page lookup; a load's destination is
+// private to it, so only the last word loaded is read.
+func (c *CPU) sweepMemory(lp *loop, n uint64) (extra uint64) {
 	regs, sw := &c.regs, &lp.sw
 	first, last := &lp.mem[0], &lp.mem[len(lp.mem)-1]
 	write, pair := first.Op == isa.ST, len(lp.mem) == 2
@@ -481,7 +464,7 @@ func (c *CPU) sweepMemory(lp *loop, n uint64, misses bool) (done, extra uint64) 
 	blockMask := uint64(c.block) - 1
 	var at uint64     // the address of the last access applied
 	var loaded uint32 // what a pair's last load read
-	for done < n {
+	for done := uint64(0); done < n; {
 		base := regs[first.Rs1]
 		var t uint32
 		if sw.memAtP {
@@ -506,9 +489,6 @@ func (c *CPU) sweepMemory(lp *loop, n uint64, misses bool) (done, extra uint64) 
 		}
 		from := uint64(0) // the run's iterations already applied
 		if !c.hier.AccessRepeats(addr, write, run, &c.act) {
-			if !misses {
-				break
-			}
 			_, lat := c.hier.AccessInto(addr, write, &c.act)
 			extra += uint64(lat) - c.l1Hit // modular: the sum is exact
 			if pair {
@@ -535,13 +515,13 @@ func (c *CPU) sweepMemory(lp *loop, n uint64, misses bool) (done, extra uint64) 
 		}
 		done += run
 	}
-	if done > 0 && first.Op == isa.LD {
+	if first.Op == isa.LD {
 		if !pair {
 			loaded = c.mem.Load32(at)
 		}
 		regs[first.Rd] = loaded
 	}
-	return done, extra
+	return extra
 }
 
 // repeat applies n accesses that provably repeat the previous one (see

@@ -111,7 +111,6 @@ type RunResult struct {
 
 // RunOptions bounds a phase-aware run.
 type RunOptions struct {
-	MaxCycles  uint64 // hard stop (0 = no limit)
 	MaxSamples int    // stop after this many phase samples (0 = no limit)
 	MaxSteps   uint64 // hard instruction-count stop (0 = 100M)
 	// Hier, when non-nil and built from this machine's memory
@@ -126,8 +125,8 @@ type RunOptions struct {
 	// marker from the state Prologue saved there instead of simulating
 	// the prologue again. The result is the cold run's exactly. The run
 	// starts cold when Warm does not apply: another machine
-	// configuration, a program whose prefix differs, a cycle limit, or
-	// a step limit the prologue reaches (see Warm).
+	// configuration, a program whose prefix differs, or a step limit
+	// the prologue reaches (see Warm).
 	Warm *Warm
 }
 
@@ -145,7 +144,7 @@ func (m *Machine) RunPhases(prog []isa.Instruction, phaseAt map[int]int, opts Ru
 		maxSteps = defaultMaxSteps
 	}
 	warm := opts.Warm
-	if !warm.applies(m.cfg, prog, phaseAt, opts.MaxCycles, maxSteps) {
+	if !warm.applies(m.cfg, prog, phaseAt, maxSteps) {
 		warm = nil
 	}
 	hier, err := m.hierarchy(opts.Hier)
@@ -175,9 +174,6 @@ func (m *Machine) RunPhases(prog []isa.Instruction, phaseAt map[int]int, opts Ru
 		if core.Halted() {
 			break
 		}
-		if opts.MaxCycles > 0 && core.Cycle() >= opts.MaxCycles {
-			break
-		}
 		if pc := core.PC(); pc >= 0 && pc < len(lookup) && lookup[pc] >= 0 {
 			if inPhase {
 				cur.EndCycle = core.Cycle()
@@ -192,7 +188,7 @@ func (m *Machine) RunPhases(prog []isa.Instruction, phaseAt map[int]int, opts Ru
 			cur = activity.PhaseSample{ID: int(lookup[pc]), StartCycle: core.Cycle()}
 			inPhase = true
 		}
-		k, err := core.RunToMarker(lookup, opts.MaxCycles, maxSteps-steps)
+		k, err := core.RunToMarker(lookup, maxSteps-steps)
 		if err != nil {
 			return nil, fmt.Errorf("machine %s: %w", m.cfg.Name, err)
 		}
@@ -273,17 +269,14 @@ func (w *Warm) Bytes() int {
 	return 8*cap(w.prefix) + w.core.Bytes() + w.hier.Bytes()
 }
 
-// applies reports whether a run of prog under the given limits may
-// start from w, nil included. The prologue's execution reads nothing
-// but the prefix (Prologue proves it confined there), the machine's
-// core and memory configurations, and the step budget: with more than
-// the prologue's steps left, every whole-iteration bound in it is the
-// loop's own, as in Prologue's run. A cycle limit changes how counted
-// loops fast-forward their misses (cpu.RunToMarker leaves them to the
-// interpreter), so a cycle-limited run starts cold.
-func (w *Warm) applies(cfg Config, prog []isa.Instruction, phaseAt map[int]int, maxCycles, maxSteps uint64) bool {
-	return w != nil && w.cpu == cfg.CPU && w.mem == cfg.Mem &&
-		maxCycles == 0 && maxSteps > w.core.Retired() &&
+// applies reports whether a run of prog under a step budget of
+// maxSteps may start from w, nil included. The prologue's execution
+// reads nothing but the prefix (Prologue proves it confined there), the
+// machine's core and memory configurations, and the step budget: with
+// more than the prologue's steps left, every whole-iteration bound in
+// it is the loop's own, as in Prologue's run.
+func (w *Warm) applies(cfg Config, prog []isa.Instruction, phaseAt map[int]int, maxSteps uint64) bool {
+	return w != nil && w.cpu == cfg.CPU && w.mem == cfg.Mem && maxSteps > w.core.Retired() &&
 		FirstMarker(phaseAt) == len(w.prefix) && len(prog) > len(w.prefix) &&
 		slices.Equal(prog[:len(w.prefix)], w.prefix)
 }
@@ -311,7 +304,7 @@ func (m *Machine) Prologue(prog []isa.Instruction, phaseAt map[int]int, hier *me
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.RunToMarker(phaseLookup(prog, phaseAt), 0, defaultMaxSteps); err != nil || core.Halted() || core.PC() != marker {
+	if _, err := core.RunToMarker(phaseLookup(prog, phaseAt), defaultMaxSteps); err != nil || core.Halted() || core.PC() != marker {
 		return nil, nil
 	}
 	return &Warm{cpu: m.cfg.CPU, mem: m.cfg.Mem, prefix: slices.Clone(prog[:marker]),
@@ -331,11 +324,6 @@ func confined(prefix []isa.Instruction) bool {
 		}
 	}
 	return true
-}
-
-// Run executes prog with no phase tracking until HALT or the step bound.
-func (m *Machine) Run(prog []isa.Instruction, maxSteps uint64) (*RunResult, error) {
-	return m.RunPhases(prog, nil, RunOptions{MaxSteps: maxSteps})
 }
 
 // Line64 is the cache line size shared by all three case-study systems.

@@ -105,7 +105,7 @@ func TestRunSimpleProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog.Instructions, 100)
+	res, err := m.RunPhases(prog.Instructions, nil, RunOptions{MaxSteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,28 +183,10 @@ func TestRunPhases(t *testing.T) {
 	}
 }
 
-func TestRunPhasesMaxCycles(t *testing.T) {
-	m := MustNew(Core2Duo())
-	prog, err := asm.Assemble("loop: jmp loop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunPhases(prog.Instructions, nil, RunOptions{MaxCycles: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles < 1000 || res.Cycles > 1010 {
-		t.Errorf("cycles = %d, want ≈1000", res.Cycles)
-	}
-	if res.Halted {
-		t.Error("infinite loop should not halt")
-	}
-}
-
 func TestRunPhasesError(t *testing.T) {
 	m := MustNew(Core2Duo())
 	// Program that runs off the end.
-	if _, err := m.Run([]isa.Instruction{{Op: isa.NOP}}, 100); err == nil {
+	if _, err := m.RunPhases([]isa.Instruction{{Op: isa.NOP}}, nil, RunOptions{MaxSteps: 100}); err == nil {
 		t.Error("PC overrun should propagate")
 	}
 }

@@ -100,7 +100,7 @@ func runCampaign(ctx context.Context, su *setup, spec CampaignSpec, opts engine.
 // distances. No cache ever influences values: a cell equals
 // Measurer.MeasurePair for the same seed exactly.
 func (su *setup) cell(ctx context.Context, a, b Event, seed int64, rep int) (float64, error) {
-	k, err := su.kernel(ctx, a, b, CounterSeed(seed, a, b))
+	k, err := su.kernel(ctx, one(a), one(b), CounterSeed(seed, a, b))
 	if err != nil {
 		return 0, fmt.Errorf("savat: cell %v/%v: %w", a, b, err)
 	}

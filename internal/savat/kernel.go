@@ -324,8 +324,8 @@ func BuildKernelStride(mc machine.Config, a, b Event, frequency float64, stride 
 }
 
 // buildKernel validates, calibrates and assembles the alternation kernel
-// for sequence halves a and b: the one path behind BuildKernel and
-// BuildSequenceKernel.
+// for sequence halves a and b: the one path behind BuildKernel and the
+// simulation cache's kernels.
 func buildKernel(mc machine.Config, a, b Sequence, frequency float64, stride int) (*Kernel, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err

@@ -20,6 +20,7 @@ import (
 //
 //	m := savat.NewMeasurer(mc, cfg)
 //	meas, err := m.Measure(savat.ADD, savat.SUB, rng)
+//	seq, err := m.MeasureSequence(savat.Sequence{savat.LDM, savat.ADD}, savat.Sequence{savat.ADD, savat.ADD}, rng)
 //
 // Options:
 //
@@ -156,23 +157,42 @@ func resolveSetup(mc machine.Config, cfg Config) (setup, error) {
 }
 
 // Measure runs the complete pipeline for one event pair: the
-// calibrated kernel, the chain's program countermeasures (seeded from
-// rng — drawn only when the chain rewrites the program, so
+// one-event case of MeasureSequence.
+func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
+	return m.MeasureSequence(Sequence{a}, Sequence{b}, rng)
+}
+
+// MeasureSequence runs the complete pipeline for two instruction
+// sequences, the paper's Section III "entire sequences as A/B
+// activity": the calibrated kernel with sequence a in one half and b in
+// the other, the chain's program countermeasures (seeded from rng —
+// drawn only when the chain rewrites the program, so
 // countermeasure-free measurements consume exactly the
 // pre-countermeasure rng stream), and then MeasureKernel. The kernel
-// comes from the process-wide simulation cache, so a pair is calibrated
-// once per process however many Measurers measure it. The rng drives
-// every stochastic stage, so a fixed seed reproduces the measurement
-// exactly.
-func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
+// comes from the process-wide simulation cache, so a pair of sequences
+// is calibrated once per process however many Measurers measure it. The
+// rng drives every stochastic stage, so a fixed seed reproduces the
+// measurement exactly.
+func (m *Measurer) MeasureSequence(a, b Sequence, rng *rand.Rand) (Measurement, error) {
 	if rng == nil {
 		return Measurement{}, fmt.Errorf("savat: nil rng")
+	}
+	if m.err != nil {
+		return Measurement{}, m.err
+	}
+	ha, err := halfOf(a)
+	if err != nil {
+		return Measurement{}, err
+	}
+	hb, err := halfOf(b)
+	if err != nil {
+		return Measurement{}, err
 	}
 	var seed int64
 	if m.cfg.Countermeasures.HasProgram() {
 		seed = rng.Int63()
 	}
-	k, err := m.Kernel(context.Background(), a, b, seed)
+	k, err := m.su.kernel(context.Background(), ha, hb, seed)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -190,11 +210,12 @@ func (m *Measurer) Kernel(ctx context.Context, a, b Event, seed int64) (*Kernel,
 	if m.err != nil {
 		return nil, m.err
 	}
-	return m.su.kernel(ctx, a, b, seed)
+	return m.su.kernel(ctx, one(a), one(b), seed)
 }
 
-// kernel is Measurer.Kernel on a resolved setup.
-func (su *setup) kernel(ctx context.Context, a, b Event, seed int64) (*Kernel, error) {
+// kernel returns the kernel for halves a and b from the process-wide
+// simulation cache on a resolved setup.
+func (su *setup) kernel(ctx context.Context, a, b half, seed int64) (*Kernel, error) {
 	return sims.kernel(ctx, su.base, a, b, su.cfg.Frequency, su.cfg.Countermeasures, su.chainKey, seed)
 }
 

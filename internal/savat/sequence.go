@@ -105,53 +105,26 @@ func (s Sequence) memStreams() int {
 	return n
 }
 
-// BuildSequenceKernel generates the alternation kernel for two sequences,
-// calibrated to the intended alternation frequency like BuildKernel, whose
-// pair is the one-event case.
-func BuildSequenceKernel(mc machine.Config, a, b Sequence, frequency float64) (*Kernel, error) {
-	return buildKernel(mc, a, b, frequency, SweepOffset)
+// half is one side of a kernel's alternation — a valid sequence — held
+// as a comparable value, so the simulation cache can key on it (see
+// kernelRecipe). A pair's event is its one-event half.
+type half struct {
+	ev [MaxSequenceLen]Event
+	n  uint8
 }
 
-// SequenceMeasurement is the result of one A/B sequence measurement.
-type SequenceMeasurement struct {
-	A, B Sequence
-	// SAVAT is the per-pair signal energy in joules, as for single
-	// instructions.
-	SAVAT float64
-	// Measurement carries the underlying pipeline outputs.
-	Measurement Measurement
+// one returns the half of the one-event sequence {e}.
+func one(e Event) half { return half{ev: [MaxSequenceLen]Event{e}, n: 1} }
+
+// halfOf returns s as a half, and the reason s is not a valid sequence,
+// if it is not.
+func halfOf(s Sequence) (h half, err error) {
+	h.n = uint8(copy(h.ev[:], s))
+	return h, s.Validate()
 }
 
-// ZJ returns the sequence SAVAT in zeptojoules.
-func (m *SequenceMeasurement) ZJ() float64 { return m.SAVAT * 1e21 }
-
-// MeasureSequence measures the SAVAT between two instruction sequences,
-// through the same steps as Measurer.Measure for a pair.
-func MeasureSequence(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Rand) (*SequenceMeasurement, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("savat: nil rng")
-	}
-	meas := NewMeasurer(mc, cfg)
-	if meas.err != nil {
-		return nil, meas.err
-	}
-	k, err := BuildSequenceKernel(mc, a, b, cfg.Frequency)
-	if err != nil {
-		return nil, err
-	}
-	// The chain's program countermeasures rewrite the kernel as they do
-	// in Measure, seeded from rng only when there are any.
-	if chain := cfg.Countermeasures; chain.HasProgram() {
-		if k, err = applyProgramCountermeasures(k, chain, rng.Int63()); err != nil {
-			return nil, err
-		}
-	}
-	m, err := meas.MeasureKernel(k, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &SequenceMeasurement{A: a, B: b, SAVAT: m.SAVAT, Measurement: m}, nil
-}
+// seq returns the half's events as a new sequence.
+func (h half) seq() Sequence { return append(Sequence(nil), h.ev[:h.n]...) }
 
 // SequenceAdditivity compares a measured sequence SAVAT against the
 // paper's proposed estimate — the sum of the single-instruction SAVATs of
@@ -164,7 +137,8 @@ func MeasureSequence(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Ran
 // one with NOI, and sums the A_i/B_i single SAVATs for differing
 // positions, plus one A/A floor term measured at matching positions.
 func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Rand) (measured, estimated float64, err error) {
-	seq, err := MeasureSequence(mc, a, b, cfg, rng)
+	meas := NewMeasurer(mc, cfg)
+	seq, err := meas.MeasureSequence(a, b, rng)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -178,7 +152,6 @@ func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.
 		}
 		return NOI
 	}
-	meas := NewMeasurer(mc, cfg)
 	for i := 0; i < n; i++ {
 		ea, eb := at(a, i), at(b, i)
 		m, err := meas.Measure(ea, eb, rng)
@@ -200,10 +173,10 @@ func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.
 		}
 	}
 	// Add back one floor term, scaled to the sequence kernel's loop count.
-	fl, err := MeasureSequence(mc, a, a, cfg, rng)
+	fl, err := meas.MeasureSequence(a, a, rng)
 	if err != nil {
 		return 0, 0, err
 	}
-	estimated += fl.SAVAT * float64(fl.Measurement.LoopCount) / float64(seq.Measurement.LoopCount)
+	estimated += fl.SAVAT * float64(fl.LoopCount) / float64(seq.LoopCount)
 	return seq.SAVAT, estimated, nil
 }

@@ -45,7 +45,9 @@ func TestSequenceValidate(t *testing.T) {
 	}
 }
 
-func TestBuildSequenceKernelErrors(t *testing.T) {
+// Neither the kernel builder nor a sequence measurement accepts an
+// invalid sequence, frequency or machine.
+func TestSequenceKernelErrors(t *testing.T) {
 	mc := machine.Core2Duo()
 	for _, c := range []struct {
 		name string
@@ -54,14 +56,20 @@ func TestBuildSequenceKernelErrors(t *testing.T) {
 		f    float64
 	}{
 		{"empty sequence", mc, Sequence{}, 80e3},
+		{"long sequence", mc, Sequence{ADD, ADD, ADD, ADD, ADD}, 80e3},
 		{"zero frequency", mc, Sequence{ADD}, 0},
 		{"NaN frequency", mc, Sequence{ADD}, math.NaN()},
 		{"+Inf frequency", mc, Sequence{ADD}, math.Inf(1)},
 		{"-Inf frequency", mc, Sequence{ADD}, math.Inf(-1)},
 		{"bad machine", machine.Config{}, Sequence{ADD}, 80e3},
 	} {
-		if k, err := BuildSequenceKernel(c.mc, c.a, Sequence{ADD}, c.f); err == nil {
+		if k, err := buildKernel(c.mc, c.a, Sequence{ADD}, c.f, SweepOffset); err == nil {
 			t.Errorf("%s should fail, got a kernel with LoopCount %d", c.name, k.LoopCount)
+		}
+		cfg := FastConfig()
+		cfg.Frequency = c.f
+		if m, err := NewMeasurer(c.mc, cfg).MeasureSequence(c.a, Sequence{ADD}, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("%s: measurement should fail, got %v zJ", c.name, m.ZJ())
 		}
 	}
 }
@@ -70,7 +78,7 @@ func TestBuildSequenceKernelErrors(t *testing.T) {
 // single-instruction kernel.
 func TestSequenceKernelFrequency(t *testing.T) {
 	mc := machine.Core2Duo()
-	k, err := BuildSequenceKernel(mc, Sequence{ADD, MUL, DIV}, Sequence{LDM, ADD}, 80e3)
+	k, err := buildKernel(mc, Sequence{ADD, MUL, DIV}, Sequence{LDM, ADD}, 80e3, SweepOffset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func TestSingleEventSequenceMatchesSingle(t *testing.T) {
 			}
 			cfg.Countermeasures = c
 		}
-		seq, err := MeasureSequence(mc, Sequence{ADD}, Sequence{LDM}, cfg, rand.New(rand.NewSource(3)))
+		got, err := NewMeasurer(mc, cfg).MeasureSequence(Sequence{ADD}, Sequence{LDM}, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,10 +112,9 @@ func TestSingleEventSequenceMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := seq.Measurement
-		if seq.SAVAT != single.SAVAT || got.LoopCount != single.LoopCount || got.A != ADD || got.B != LDM {
+		if got.SAVAT != single.SAVAT || got.LoopCount != single.LoopCount || got.A != ADD || got.B != LDM {
 			t.Errorf("chain %q: single-event sequence %v/%v %.6g zJ (N=%d) vs single %v/%v %.6g zJ (N=%d)",
-				chain, got.A, got.B, seq.ZJ(), got.LoopCount, single.A, single.B, single.ZJ(), single.LoopCount)
+				chain, got.A, got.B, got.ZJ(), got.LoopCount, single.A, single.B, single.ZJ(), single.LoopCount)
 		}
 	}
 }
@@ -118,17 +125,17 @@ func TestSequenceAccumulatesSignal(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
 	rng := rand.New(rand.NewSource(6))
-	three, err := MeasureSequence(mc, Sequence{LDM, ADD, LDM}, Sequence{ADD, ADD, ADD}, cfg, rng)
+	three, err := NewMeasurer(mc, cfg).MeasureSequence(Sequence{LDM, ADD, LDM}, Sequence{ADD, ADD, ADD}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng = rand.New(rand.NewSource(6))
-	one, err := MeasureSequence(mc, Sequence{LDM, ADD, ADD}, Sequence{ADD, ADD, ADD}, cfg, rng)
+	single, err := NewMeasurer(mc, cfg).MeasureSequence(Sequence{LDM, ADD, ADD}, Sequence{ADD, ADD, ADD}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if three.SAVAT <= one.SAVAT {
-		t.Errorf("two LDM differences (%v zJ) should exceed one (%v zJ)", three.ZJ(), one.ZJ())
+	if three.SAVAT <= single.SAVAT {
+		t.Errorf("two LDM differences (%v zJ) should exceed one (%v zJ)", three.ZJ(), single.ZJ())
 	}
 }
 
@@ -155,7 +162,7 @@ func TestSequenceAdditivity(t *testing.T) {
 	// on a fresh Measurer per measurement, drawing the same rng stream.
 	rng = rand.New(rand.NewSource(7))
 	a, b := Sequence{LDM, DIV}, Sequence{ADD, ADD}
-	seq, err := MeasureSequence(mc, a, b, cfg, rng)
+	seq, err := NewMeasurer(mc, cfg).MeasureSequence(a, b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +180,11 @@ func TestSequenceAdditivity(t *testing.T) {
 			want += d
 		}
 	}
-	fl, err := MeasureSequence(mc, a, a, cfg, rng)
+	fl, err := NewMeasurer(mc, cfg).MeasureSequence(a, a, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want += fl.SAVAT * float64(fl.Measurement.LoopCount) / float64(seq.Measurement.LoopCount)
+	want += fl.SAVAT * float64(fl.LoopCount) / float64(seq.LoopCount)
 	if measured != seq.SAVAT || estimated != want {
 		t.Errorf("SequenceAdditivity = (%v, %v), independent Measurers give (%v, %v)", measured, estimated, seq.SAVAT, want)
 	}

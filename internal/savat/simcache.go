@@ -38,12 +38,14 @@ func simInputs(mc machine.Config) simMachine {
 	return simMachine{clock: mc.ClockHz, cpu: mc.CPU, mem: mc.Mem}
 }
 
-// kernelRecipe keys one calibrated kernel: everything BuildKernelStride
+// kernelRecipe keys one calibrated kernel: everything buildKernel
 // reads, plus — only when the chain rewrites the program — the
-// countermeasure chain and the seed it was applied with.
+// countermeasure chain and the seed it was applied with. A pair keys as
+// its one-event halves, so a pair and the one-event sequences of its
+// events share one entry.
 type kernelRecipe struct {
 	sim       simMachine
-	a, b      Event
+	a, b      half
 	frequency float64
 	stride    int
 	chain     string // canonical chain text; "" for an unrewritten kernel
@@ -130,7 +132,7 @@ func (k *Kernel) contentSum() kernelSum {
 // simCache is the process-wide simulation cache: calibrated kernels and
 // alternation results, the two products of the cycle-level simulator a
 // measurement needs. Both are fixed by the machine's simulation inputs,
-// the pair, and the frequency — never by seed, distance, channel, or
+// the two halves, and the frequency — never by seed, distance, channel, or
 // noise — so every campaign, worker, and Measurer in the process shares
 // them, as the paper reuses one binary across its campaigns and
 // distances. Entries are immutable once published.
@@ -160,13 +162,15 @@ var sims = newSimCache(simCacheCap)
 // applied under seed (chainKey is the chain's canonical text, "" when
 // it rewrites nothing). The rewritten kernel is its own entry on top of
 // the base one, so sweeps over countermeasure seeds calibrate once.
-func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b Event, frequency float64,
+// The halves become sequences only on a miss, so a hit allocates
+// nothing.
+func (c *simCache) kernel(ctx context.Context, mc machine.Config, a, b half, frequency float64,
 	chain counter.Chain, chainKey string, seed int64) (*Kernel, error) {
 	sp := mKernel.Start()
 	defer sp.End()
 	key := kernelRecipe{sim: simInputs(mc), a: a, b: b, frequency: frequency, stride: SweepOffset}
 	k, how, err := c.kernels.Get(ctx, key, func() (*Kernel, error) {
-		return BuildKernel(mc, a, b, frequency)
+		return buildKernel(mc, a.seq(), b.seq(), frequency, SweepOffset)
 	})
 	countLookup(mKernelHits, mKernelMisses, how, err)
 	if err != nil || chainKey == "" {

@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -170,5 +171,81 @@ func TestKernelContentSum(t *testing.T) {
 	}
 	if k3.contentSum() == k1.contentSum() {
 		t.Error("rewritten program kept the original content sum")
+	}
+}
+
+// A sequence kernel is calibrated once per process: two lookups of the
+// same halves, and two measurements of the same sequences, are served
+// one kernel, and the one-event sequences of a pair are served the
+// pair's entry.
+func TestSequenceKernelCalibratedOnce(t *testing.T) {
+	c := withFreshSimCache(t, simCacheCap)
+	mc := machine.Core2Duo()
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 64
+	m := NewMeasurer(mc, cfg)
+	ctx := context.Background()
+	lookup := func(a, b Sequence) *Kernel {
+		t.Helper()
+		ha, err := halfOf(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := halfOf(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := m.su.kernel(ctx, ha, hb, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+
+	a, b := Sequence{LDM, ADD, LDM}, Sequence{ADD, ADD, ADD}
+	first := lookup(a, b)
+	if again := lookup(a, b); again != first {
+		t.Error("a second lookup of the same halves calibrated another kernel")
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := m.MeasureSequence(a, b, rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.kernels.Len(); n != 1 {
+		t.Errorf("two measurements of one sequence pair left %d kernels, want 1", n)
+	}
+
+	pair, err := m.Kernel(ctx, ADD, LDM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := lookup(Sequence{ADD}, Sequence{LDM}); seq != pair {
+		t.Error("Sequence{ADD}/Sequence{LDM} was not served the ADD/LDM pair's kernel")
+	}
+	if n := c.kernels.Len(); n != 2 {
+		t.Errorf("cache holds %d kernels, want 2", n)
+	}
+}
+
+// A campaign cell whose kernel, alternation and synthesis products are
+// all cached allocates nothing: the kernel key holds the pair's halves
+// as values, and only a miss turns them into sequences.
+func TestCachedCellAllocatesNothing(t *testing.T) {
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 64
+	su, err := resolveSetup(machine.Core2Duo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cell := func() {
+		if _, err := su.cell(ctx, ADD, LDM, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cell() // fills every cache the cell reads
+	if allocs := testing.AllocsPerRun(10, cell); allocs != 0 {
+		t.Errorf("a fully cached cell allocates %.1f objects, want 0", allocs)
 	}
 }
